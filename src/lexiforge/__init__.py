@@ -11,7 +11,6 @@ from .model import (  # noqa: F401
     PosTag,
     Sense,
     is_monosemous,
-    lemma_intersection,
     normalize_lemma,
     vocabulary_join,
 )

@@ -140,7 +140,12 @@ class RemoteEmbedder:
         vectors: list[np.ndarray] = []
         for start in range(0, len(texts), self.batch_size):
             chunk = list(texts[start : start + self.batch_size])
-            vectors.extend(self._call(chunk))
+            chunk_vectors = self._call(chunk)
+            if vectors and chunk_vectors[0].shape != vectors[0].shape:
+                raise ProtocolError(
+                    f"service changed dimension between chunks: {vectors[0].shape[0]} then {chunk_vectors[0].shape[0]}"
+                )
+            vectors.extend(chunk_vectors)
         return vectors
 
     def _call(self, chunk: list[str]) -> list[np.ndarray]:

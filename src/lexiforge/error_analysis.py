@@ -11,8 +11,11 @@ from __future__ import annotations
 import enum
 import json
 import re
+from array import array
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
+
+import numpy as np
 
 from . import _kernels
 from .alignment import AlignmentRecord
@@ -128,33 +131,77 @@ def edit_distance(a: str, b: str) -> int:
     return int(_kernels.levenshtein(_kernels.codepoints(a), _kernels.codepoints(b)))
 
 
-class NeighborIndex:
-    """Gold lemmas bucketed by length for bounded edit-distance search.
+def _deletions(word: str, max_deletions: int) -> set[str]:
+    """*word* and every string left after removing up to max_deletions code points."""
+    variants, frontier = {word}, {word}
+    for _ in range(max_deletions):
+        frontier = {w[:i] + w[i + 1 :] for w in frontier for i in range(len(w))}
+        variants |= frontier
+    return variants
 
-    Candidates within distance d cannot differ in length by more than d,
-    so a query only scans the 2d+1 adjacent buckets instead of the whole
-    vocabulary.
+
+class NeighborIndex:
+    """Gold lemmas indexed by their deletion variants for bounded edit-distance search.
+
+    Symmetric-delete scheme (W. Garbe, SymSpell): when two strings are
+    within edit distance d, removing at most d code points from each
+    leaves a common string, since an insertion on one side is a deletion
+    on the other and a substitution is one deletion on each. The index
+    records every gold lemma's variants with up to ``max_distance``
+    deletions; a query forms its own variants, gathers the gold lemmas
+    that share one, and confirms each with the exact DP, so the result
+    equals a scan of the whole vocabulary.
+
+    Variants are stored as ``hash(variant)`` in a sorted int64 array beside
+    an array of lemma ids and looked up with ``np.searchsorted``; no
+    variant string outlives the build. ``hash`` is salted per process,
+    which does not matter because the hashes never leave the index, and a
+    collision only adds a candidate that the DP rejects.
+
+    Build time and memory grow with the number of deletion variants,
+    Σₖ₌₀ᵈ C(L, k) per lemma of length L (at most 37 for L = 8, d = 2);
+    a query costs its own variants plus one DP per candidate.
     """
 
-    def __init__(self, gold: Dictionary):
-        self._buckets: dict[int, list[str]] = {}
+    def __init__(self, gold: Dictionary, max_distance: int = 2):
+        self._max_distance = max_distance
         self._entries_by_lemma: dict[str, list[DictionaryEntry]] = {}
         for entry in gold.entries():
             self._entries_by_lemma.setdefault(entry.lemma, []).append(entry)
-        for lemma in sorted(self._entries_by_lemma):
-            self._buckets.setdefault(len(lemma), []).append(lemma)
+        self._lemmas = sorted(self._entries_by_lemma)
+        # array.array keeps 8 bytes per variant while collecting; a list of
+        # Python ints would cost about five times that at peak
+        hashes, counts = array("q"), []
+        for lemma in self._lemmas:
+            variants = _deletions(lemma, max_distance)
+            hashes.extend(map(hash, variants))
+            counts.append(len(variants))
+        hash_array = np.frombuffer(hashes, dtype=np.int64)
+        order = np.argsort(hash_array, kind="stable")
+        self._hashes = hash_array[order]
+        self._ids = np.repeat(np.arange(len(self._lemmas)), counts)[order]
 
     def neighbors(self, lemma: str, max_distance: int) -> list[tuple[str, int]]:
-        """Different lemmas within max_distance, sorted by (distance, lemma)."""
+        """Different lemmas within max_distance, sorted by (distance, lemma).
+
+        Raises ValueError when max_distance exceeds the distance the index
+        was built for, which would miss neighbours.
+        """
+        if max_distance > self._max_distance:
+            raise ValueError(f"index built for edit distance {self._max_distance}, asked for {max_distance}")
+        queries = np.fromiter(map(hash, _deletions(lemma, max_distance)), dtype=np.int64)
+        starts = np.searchsorted(self._hashes, queries, side="left")
+        stops = np.searchsorted(self._hashes, queries, side="right")
+        candidates = np.unique(np.concatenate([self._ids[i:j] for i, j in zip(starts, stops)]))
         found = []
         a = _kernels.codepoints(lemma)
-        for length in range(max(1, len(lemma) - max_distance), len(lemma) + max_distance + 1):
-            for other in self._buckets.get(length, ()):
-                if other == lemma:
-                    continue
-                distance = int(_kernels.levenshtein(a, _kernels.codepoints(other)))
-                if distance <= max_distance:
-                    found.append((other, distance))
+        for lemma_id in candidates:
+            other = self._lemmas[lemma_id]
+            if other == lemma:
+                continue
+            distance = int(_kernels.levenshtein(a, _kernels.codepoints(other)))
+            if distance <= max_distance:
+                found.append((other, distance))
         return sorted(found, key=lambda pair: (pair[1], pair[0]))
 
     def entries_for(self, lemma: str) -> list[DictionaryEntry]:
@@ -175,7 +222,7 @@ def detect_overcorrection(
     to that neighbor. Returns the best such neighbor or None.
     """
     config = config or ErrorAnalysisConfig()
-    index = index or NeighborIndex(gold)
+    index = index or NeighborIndex(gold, config.overcorrection_max_edit_distance)
     gen_vector = embedder.embed(entry.senses[0].definition)
     # neighbors arrive sorted by (distance, lemma); strict > keeps the first
     # (alphabetically lowest) winner on exact ties
@@ -228,7 +275,7 @@ def classify_errors(
     records_by_key = {(r.lemma, r.category.value): r for r in records}
 
     candidates = hallucination_candidates(records, config)
-    index = NeighborIndex(gold) if candidates else None
+    index = NeighborIndex(gold, config.overcorrection_max_edit_distance) if candidates else None
     for finding in candidates:
         record = records_by_key[(finding.lemma, finding.pos_label)]
         gen_entry = generated.get(record.lemma, record.category)

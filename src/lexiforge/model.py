@@ -162,14 +162,3 @@ def vocabulary_join(generated: Dictionary, gold: Dictionary) -> list[tuple[str, 
     either side never influence any statistic.
     """
     return sorted(generated.keys() & gold.keys(), key=_key_sort)
-
-
-def lemma_intersection(generated: Dictionary, gold: Dictionary) -> list[str]:
-    """Lemmas present in both dictionaries regardless of POS category.
-
-    Sensitivity-analysis view of the vocabulary overlap; the default join
-    used everywhere else is :func:`vocabulary_join`.
-    """
-    gen_lemmas = {lemma for lemma, _ in generated.keys()}
-    gold_lemmas = {lemma for lemma, _ in gold.keys()}
-    return sorted(gen_lemmas & gold_lemmas)

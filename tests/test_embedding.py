@@ -293,8 +293,36 @@ class _MismatchSession:
         return Resp()
 
 
+class _ShrinkingSession:
+    """Answers the first request with 512-wide vectors and later ones with 256-wide ones."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def post(self, url, json=None, timeout=None):
+        self.calls += 1
+        dimension = 512 if self.calls == 1 else 256
+        payload = {"vectors": [[1.0] * dimension for _ in json["texts"]], "dimension": dimension}
+
+        class Resp:
+            status_code = 200
+
+            @staticmethod
+            def json():
+                return payload
+
+        return Resp()
+
+
 class TestRemoteProtocol:
     def test_count_mismatch_is_protocol_error(self):
         remote = RemoteEmbedder("http://unused", session=_MismatchSession())
         with pytest.raises(ProtocolError):
             remote.embed_batch(["a", "b"])
+
+    def test_dimension_change_between_chunks_is_protocol_error(self):
+        session = _ShrinkingSession()
+        remote = RemoteEmbedder("http://unused", batch_size=2, session=session)
+        with pytest.raises(ProtocolError, match="512 then 256"):
+            remote.embed_batch(["a", "b", "c"])
+        assert session.calls == 2

@@ -1,6 +1,7 @@
 import io
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +22,10 @@ from lexiforge.error_analysis import (
     write_findings,
 )
 from lexiforge.ingestion import parse_failures
-from lexiforge.model import PosCategory, vocabulary_join
+from lexiforge.model import PosCategory, normalize_lemma, vocabulary_join
 
 from _oracles import oracle_levenshtein
-from conftest import DATA_DIR, make_entry
+from conftest import DATA_DIR, make_dictionary, make_entry
 
 EMBEDDER = DeterministicEmbedder(dimension=512)
 
@@ -188,6 +189,83 @@ class TestNeighborIndex:
         _, gold = planted
         index = NeighborIndex(gold)
         assert index.neighbors("zanfoña", 2) == []
+
+    def test_rejects_distance_beyond_build(self, planted):
+        _, gold = planted
+        index = NeighborIndex(gold, max_distance=1)
+        with pytest.raises(ValueError):
+            index.neighbors("destace", 2)
+
+
+def _random_word(rng, alphabet, max_length):
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(1, max_length)))
+
+
+def _mutate(rng, word, alphabet):
+    chars = list(word)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(3) if chars else 0
+        if op == 0:
+            chars.insert(rng.randrange(len(chars) + 1), rng.choice(alphabet))
+        elif op == 1:
+            del chars[rng.randrange(len(chars))]
+        else:
+            chars[rng.randrange(len(chars))] = rng.choice(alphabet)
+    return "".join(chars)
+
+
+@pytest.fixture(scope="module")
+def neighbor_corpus():
+    """Seeded gold lemmas and queries, many of them within a few edits of each other.
+
+    The gold set holds precomposed ñ, á and ü, a decomposed accent that
+    NFC keeps as two code points (q + U+0301) and lemmas of one to three
+    code points; the queries add strings outside the gold set, among them
+    the empty string and a decomposed ñ (n + U+0303) that no gold lemma
+    spells that way.
+    """
+    rng = random.Random(20261018)
+    alphabet = "aeinosñáü"
+    gold = ["ñ", "á", "ü", "a", "ñu", "ab", "abc", "q\u0301", "aq\u0301a"]
+    while len(gold) < 160:
+        word = _mutate(rng, rng.choice(gold), alphabet) if rng.random() < 0.6 else _random_word(rng, alphabet, 8)
+        if word and word not in gold and normalize_lemma(word) == word:
+            gold.append(word)
+    outside = ["", "x", "n\u0303", "an\u0303o", "aq\u0301", "áq\u0301a"]
+    while len(outside) < 80:
+        word = _mutate(rng, rng.choice(gold), alphabet + "\u0301")
+        if word not in gold and word not in outside:
+            outside.append(word)
+    entries = [make_entry(w, "Nombre masculino", f"Definición {i}.") for i, w in enumerate(gold)]
+    dictionary = make_dictionary("gold", *entries)
+    queries = gold + outside
+    distances = {(q, g): oracle_levenshtein(q, g) for q in queries for g in gold}
+    return dictionary, gold, queries, distances
+
+
+class TestNeighborIndexOracle:
+    # built for d itself, or for 3, where smaller d rely on the exact DP to filter
+    @pytest.mark.parametrize("built_for", ["d", "3"])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_matches_brute_force_scan(self, neighbor_corpus, d, built_for):
+        dictionary, gold, queries, distances = neighbor_corpus
+        index = NeighborIndex(dictionary, max_distance=d if built_for == "d" else 3)
+        total = 0
+        for query in queries:
+            expected = sorted(
+                ((g, distances[query, g]) for g in gold if g != query and distances[query, g] <= d),
+                key=lambda pair: (pair[1], pair[0]),
+            )
+            assert index.neighbors(query, d) == expected, query
+            total += len(expected)
+        # distance 0 leaves only the query itself; above it the corpus is dense
+        assert total == 0 if d == 0 else total > 100
+
+    def test_corpus_covers_the_edge_cases(self, neighbor_corpus):
+        _, gold, queries, _ = neighbor_corpus
+        assert {"ñ", "á", "ü", "q\u0301"} <= set(gold)
+        assert min(len(g) for g in gold) == 1
+        assert any(q not in gold for q in queries) and "n\u0303" in queries
 
 
 class TestDetectOvercorrection:

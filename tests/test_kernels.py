@@ -93,6 +93,22 @@ class TestBackendSelection:
             assert _kernels.levenshtein is _kernels.levenshtein_numpy
 
 
+class TestNumbaFlag:
+    @pytest.mark.parametrize("value", ["1", "true", "yes", "TRUE", "Yes", " yes ", "1\n", "\ttrue"])
+    def test_set_flag_disables_numba(self, monkeypatch, value):
+        monkeypatch.setenv("LEXIFORGE_DISABLE_NUMBA", value)
+        assert _kernels._numba_disabled()
+
+    @pytest.mark.parametrize("value", ["0", "", "no", "false"])
+    def test_other_values_keep_numba(self, monkeypatch, value):
+        monkeypatch.setenv("LEXIFORGE_DISABLE_NUMBA", value)
+        assert not _kernels._numba_disabled()
+
+    def test_unset_keeps_numba(self, monkeypatch):
+        monkeypatch.delenv("LEXIFORGE_DISABLE_NUMBA", raising=False)
+        assert not _kernels._numba_disabled()
+
+
 class TestCodepoints:
     def test_empty(self):
         assert _kernels.codepoints("").size == 0

@@ -11,7 +11,6 @@ from lexiforge.model import (
     PosTag,
     Sense,
     is_monosemous,
-    lemma_intersection,
     normalize_lemma,
     vocabulary_join,
 )
@@ -181,4 +180,3 @@ class TestVocabularyJoin:
         gen = make_dictionary("gen", make_entry("bajo", "Adjetivo", "De poca altura."))
         gold = make_dictionary("gold", make_entry("bajo", "Nombre masculino", "Instrumento grave."))
         assert vocabulary_join(gen, gold) == []
-        assert lemma_intersection(gen, gold) == ["bajo"]
