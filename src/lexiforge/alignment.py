@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .embedding import cosine_similarity
+from .embedding import VectorTable
 from .exceptions import KeyMismatchError, ParseError
 from .model import Dictionary, DictionaryEntry, PosCategory, Sense
 
@@ -50,55 +50,23 @@ def sense_text(sense: Sense, include_examples: bool = False) -> str:
     return sense.definition
 
 
-def _record_from_scores(gen: DictionaryEntry, gold: DictionaryEntry, scores: list[float]) -> AlignmentRecord:
-    best_index = 0
-    for i, score in enumerate(scores):
-        if score > scores[best_index]:
-            best_index = i
-    return AlignmentRecord(
-        lemma=gen.lemma,
-        category=gen.pos.category,
-        gen_sense_count=len(gen.senses),
-        gold_sense_count=len(gold.senses),
-        best_gold_index=best_index + 1,
-        best_score=scores[best_index],
-        mean_over_gold=sum(scores) / len(scores),
-        per_gold_scores=tuple(scores),
-    )
-
-
-def align_entry(gen: DictionaryEntry, gold: DictionaryEntry, embedder, include_examples: bool = False) -> AlignmentRecord:
-    """Score generated sense 1 against every gold sense, in gold order.
-
-    Polysemous generated entries are aligned by their first sense; the
-    full cross-product lives in :func:`all_pairs_scores`.
-    """
-    if gen.key != gold.key:
-        raise KeyMismatchError(f"cannot align {gen.key!r} against {gold.key!r}")
-    gen_vector = embedder.embed(sense_text(gen.senses[0], include_examples))
-    scores = [
-        cosine_similarity(gen_vector, embedder.embed(sense_text(s, include_examples))) for s in gold.senses
-    ]
-    return _record_from_scores(gen, gold, scores)
-
-
 def align_dictionaries(
     generated: Dictionary,
     gold: Dictionary,
-    embedder,
+    vectors: VectorTable,
     keys: Sequence[tuple[str, PosCategory]],
     include_examples: bool = False,
 ) -> tuple[list[AlignmentRecord], int]:
     """One record per join key in sorted order, plus a skipped-key count.
 
-    All distinct sense texts are embedded once through ``embed_batch`` so
-    remote embedders see as few calls as possible; the per-record score
-    loop then only does dot products.
+    Generated sense 1 is scored against every gold sense, in gold order;
+    polysemous generated entries are aligned by their first sense, and the
+    full cross-product lives in :func:`all_pairs_scores`. ``vectors`` must
+    hold the sense texts of every entry at *keys*.
     """
-    ordered = sorted(keys, key=lambda k: (k[0], k[1].value))
-    pairs: list[tuple[DictionaryEntry, DictionaryEntry]] = []
+    records = []
     skipped = 0
-    for lemma, category in ordered:
+    for lemma, category in sorted(keys, key=lambda k: (k[0], k[1].value)):
         gen = generated.get(lemma, category)
         gold_entry = gold.get(lemma, category)
         if gen is None or gold_entry is None:
@@ -106,32 +74,26 @@ def align_dictionaries(
                            lemma, category.value, "generated" if gen is None else "gold")
             skipped += 1
             continue
-        pairs.append((gen, gold_entry))
-
-    texts: list[str] = []
-    seen: set[str] = set()
-    for gen, gold_entry in pairs:
-        for text in [sense_text(gen.senses[0], include_examples)] + [
-            sense_text(s, include_examples) for s in gold_entry.senses
-        ]:
-            if text not in seen:
-                seen.add(text)
-                texts.append(text)
-    texts.sort()
-    vectors = dict(zip(texts, embedder.embed_batch(texts)))
-
-    records = []
-    for gen, gold_entry in pairs:
-        gen_vector = vectors[sense_text(gen.senses[0], include_examples)]
-        scores = [
-            cosine_similarity(gen_vector, vectors[sense_text(s, include_examples)]) for s in gold_entry.senses
-        ]
-        records.append(_record_from_scores(gen, gold_entry, scores))
+        rows = vectors.rows([sense_text(s, include_examples) for s in (gen.senses[0], *gold_entry.senses)])
+        scores = (rows[1:] @ rows[0]).tolist()
+        best_index = scores.index(max(scores))  # the first maximum, so ties go to the lowest index
+        records.append(
+            AlignmentRecord(
+                lemma=gen.lemma,
+                category=gen.pos.category,
+                gen_sense_count=len(gen.senses),
+                gold_sense_count=len(gold_entry.senses),
+                best_gold_index=best_index + 1,
+                best_score=scores[best_index],
+                mean_over_gold=sum(scores) / len(scores),
+                per_gold_scores=tuple(scores),
+            )
+        )
     return records, skipped
 
 
 def all_pairs_scores(
-    gen: DictionaryEntry, gold: DictionaryEntry, embedder, include_examples: bool = False
+    gen: DictionaryEntry, gold: DictionaryEntry, vectors: VectorTable, include_examples: bool = False
 ) -> list[list[float]]:
     """Cosine matrix rows = generated senses, columns = gold senses.
 
@@ -139,9 +101,9 @@ def all_pairs_scores(
     """
     if gen.key != gold.key:
         raise KeyMismatchError(f"cannot align {gen.key!r} against {gold.key!r}")
-    gen_vectors = [embedder.embed(sense_text(s, include_examples)) for s in gen.senses]
-    gold_vectors = [embedder.embed(sense_text(s, include_examples)) for s in gold.senses]
-    return [[cosine_similarity(gv, hv) for hv in gold_vectors] for gv in gen_vectors]
+    gen_rows = vectors.rows([sense_text(s, include_examples) for s in gen.senses])
+    gold_rows = vectors.rows([sense_text(s, include_examples) for s in gold.senses])
+    return (gen_rows @ gold_rows.T).tolist()
 
 
 def rank_histogram(records: Iterable[AlignmentRecord]) -> dict[int, int]:

@@ -1,7 +1,8 @@
 """Command-line interface: generate, evaluate, report, errors.
 
 Exit codes are stable: 0 success, 2 bad configuration or arguments,
-3 unreadable input, 4 unwritable output, 5 embedding service unreachable.
+3 unreadable input, 4 unwritable output, 5 embedding service unreachable
+or replying outside its wire contract.
 Recorded generation failures are data, not errors; generate still exits 0.
 """
 
@@ -23,6 +24,7 @@ from .exceptions import (
     EncodingError,
     LexiforgeError,
     ParseError,
+    ProtocolError,
     ServiceError,
 )
 from .generation import run_generation
@@ -76,7 +78,7 @@ def _guarded(func):
         except ConfigError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
-        except ServiceError as exc:
+        except (ServiceError, ProtocolError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_SERVICE)
         except (ParseError, DuplicateKeyError, EncodingError) as exc:

@@ -1,9 +1,10 @@
 """Text embeddings and cosine similarity.
 
-Two embedders share one contract (``embed`` / ``embed_batch`` /
-``identifier``): a bit-reproducible signed character-trigram hasher for
-offline evaluation and tests, and a client for a remote neural embedding
-service for full-fidelity runs.
+Two embedders share one contract (``embed_batch`` / ``identifier``): a
+bit-reproducible signed character-trigram hasher for offline evaluation
+and tests, and a client for a remote neural embedding service for
+full-fidelity runs. Evaluation embeds its texts into a ``VectorTable``
+and scores cosines as dot products of its rows.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 import time
 import unicodedata
 from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 import requests
@@ -85,6 +86,37 @@ def embed_deterministic(text: str, dimension: int = 512) -> np.ndarray:
     return vector
 
 
+class VectorTable:
+    """L2-normalised embeddings of a fixed set of texts, filled by one ``embed_batch``.
+
+    The texts are sorted and de-duplicated before the call, so the request
+    does not depend on the order callers collected them in. A cosine is a
+    dot product of two rows; a zero vector, which has none, is rejected.
+    """
+
+    def __init__(self, embedder, texts: Iterable[str]):
+        ordered = sorted(set(texts))
+        self._rows = {text: row for row, text in enumerate(ordered)}
+        self._vectors = list(embedder.embed_batch(ordered)) if ordered else []
+        if len(self._vectors) != len(ordered):
+            raise ProtocolError(f"embedder returned {len(self._vectors)} vectors for {len(ordered)} texts")
+        shape = np.shape(self._vectors[0]) if ordered else None
+        # each vector is replaced by its unit row in turn, so the embedder's
+        # vectors and the table never both exist in full
+        for row, text in enumerate(ordered):
+            vector = np.asarray(self._vectors[row], dtype=np.float64)
+            if vector.ndim != 1 or vector.shape != shape:
+                raise DimensionError(f"vector shapes differ: {vector.shape} vs {shape}")
+            norm = float(np.linalg.norm(vector))
+            if norm == 0.0:
+                raise ZeroVectorError(f"embedder returned a zero vector for {text!r}")
+            self._vectors[row] = vector / norm
+
+    def rows(self, texts: Sequence[str]) -> np.ndarray:
+        """Matrix of the texts' unit vectors, one row per text in the given order."""
+        return np.array([self._vectors[self._rows[text]] for text in texts])
+
+
 class DeterministicEmbedder:
     def __init__(self, dimension: int = 512):
         self.dimension = dimension
@@ -133,9 +165,6 @@ class RemoteEmbedder:
     def identifier(self) -> str:
         return self._identifier
 
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_batch([text])[0]
-
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         vectors: list[np.ndarray] = []
         for start in range(0, len(texts), self.batch_size):
@@ -180,6 +209,8 @@ class RemoteEmbedder:
             vector = np.asarray(raw, dtype=np.float64)
             if vector.ndim != 1 or vector.shape[0] != dimension:
                 raise ProtocolError(f"vector length {vector.shape} does not match dimension {dimension}")
+            if not vector.any():
+                raise ProtocolError("service returned an all-zero vector")
             vectors.append(vector)
         return vectors
 
@@ -256,9 +287,6 @@ class CachingEmbedder:
     @property
     def identifier(self) -> str:
         return self.inner.identifier
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         misses: list[str] = []

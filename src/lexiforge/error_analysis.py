@@ -13,16 +13,16 @@ import json
 import re
 from array import array
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .alignment import AlignmentRecord
-from .embedding import cosine_similarity, normalize_text
+from .embedding import VectorTable, normalize_text
 from .exceptions import ParseError
 from .generation import DEFAULT_REFUSAL_PATTERNS, FailureReason, GenerationFailure
-from .model import Dictionary, DictionaryEntry
+from .model import Dictionary, DictionaryEntry, PosCategory
 
 DEFAULT_PROPER_NOUN_PATTERNS = ("nombre propio", "en la mitología")
 
@@ -103,24 +103,25 @@ def detect_proper_noun_definition(
 
 
 def detect_fabricated_polysemy(
-    entry: DictionaryEntry, embedder, config: ErrorAnalysisConfig | None = None
+    entry: DictionaryEntry, vectors: VectorTable, config: ErrorAnalysisConfig | None = None
 ) -> tuple[bool, str] | None:
     """Flag sense pairs that are the same meaning restated.
 
     Returns None for monosemous entries (not applicable, distinct from a
     negative result), else (flag, evidence). A pair trips the detector
     when the normalized definitions are identical or their cosine reaches
-    the configured similarity.
+    the configured similarity. ``vectors`` must hold every definition.
     """
     if len(entry.senses) < 2:
         return None
     config = config or ErrorAnalysisConfig()
-    vectors = [embedder.embed(s.definition) for s in entry.senses]
+    rows = vectors.rows([s.definition for s in entry.senses])
+    scores = (rows @ rows.T).tolist()
     for i in range(len(entry.senses)):
         for j in range(i + 1, len(entry.senses)):
             if normalize_text(entry.senses[i].definition) == normalize_text(entry.senses[j].definition):
                 return True, f"senses {i + 1} and {j + 1} are exact duplicates"
-            score = cosine_similarity(vectors[i], vectors[j])
+            score = scores[i][j]
             if score >= config.fabricated_polysemy_similarity:
                 return True, f"senses {i + 1} and {j + 1} cosine {score:.4f} >= {config.fabricated_polysemy_similarity}"
     return False, ""
@@ -204,37 +205,38 @@ class NeighborIndex:
                 found.append((other, distance))
         return sorted(found, key=lambda pair: (pair[1], pair[0]))
 
-    def entries_for(self, lemma: str) -> list[DictionaryEntry]:
-        return self._entries_by_lemma.get(lemma, [])
+    def neighbor_entries(self, lemma: str, max_distance: int) -> list[tuple[DictionaryEntry, int]]:
+        """Gold entries of ``neighbors(lemma, max_distance)``, in that order, with their distance."""
+        found = self.neighbors(lemma, max_distance)
+        return [(entry, distance) for other, distance in found for entry in self._entries_by_lemma[other]]
 
 
 def detect_overcorrection(
     entry: DictionaryEntry,
-    gold: Dictionary,
-    embedder,
+    neighbors: Sequence[tuple[DictionaryEntry, int]],
+    vectors: VectorTable,
     config: ErrorAnalysisConfig | None = None,
-    index: NeighborIndex | None = None,
 ) -> ErrorFinding | None:
     """Look for a closely spelled gold lemma whose definition the entry matches.
 
     Run on hallucination candidates only: a high cosine against a nearby
     (but different) gold lemma suggests the generated definition belongs
-    to that neighbor. Returns the best such neighbor or None.
+    to that neighbor. ``neighbors`` is ``NeighborIndex.neighbor_entries``
+    of the entry's lemma, and ``vectors`` holds their definitions and the
+    entry's first one. Returns the best such neighbor or None.
     """
     config = config or ErrorAnalysisConfig()
-    index = index or NeighborIndex(gold, config.overcorrection_max_edit_distance)
-    gen_vector = embedder.embed(entry.senses[0].definition)
+    gen_vector = vectors.rows([entry.senses[0].definition])[0]
     # neighbors arrive sorted by (distance, lemma); strict > keeps the first
     # (alphabetically lowest) winner on exact ties
     best: tuple[float, int, str, str] | None = None
-    for neighbor, distance in index.neighbors(entry.lemma, config.overcorrection_max_edit_distance):
-        for gold_entry in index.entries_for(neighbor):
-            for sense in gold_entry.senses:
-                score = cosine_similarity(gen_vector, embedder.embed(sense.definition))
-                if score < config.overcorrection_similarity_floor:
-                    continue
-                if best is None or (score, -distance) > (best[0], best[1]):
-                    best = (score, -distance, neighbor, sense.definition)
+    for gold_entry, distance in neighbors:
+        scores = vectors.rows([sense.definition for sense in gold_entry.senses]) @ gen_vector
+        for sense, score in zip(gold_entry.senses, scores.tolist()):
+            if score < config.overcorrection_similarity_floor:
+                continue
+            if best is None or (score, -distance) > (best[0], best[1]):
+                best = (score, -distance, gold_entry.lemma, sense.definition)
     if best is None:
         return None
     score, neg_distance, neighbor, gold_definition = best
@@ -259,10 +261,15 @@ def classify_errors(
     gold: Dictionary,
     records: Sequence[AlignmentRecord],
     embedder,
+    polysemy: Mapping[tuple[str, PosCategory], tuple[bool, str] | None],
     config: ErrorAnalysisConfig | None = None,
     failures: Sequence[GenerationFailure] | None = None,
 ) -> ErrorReport:
     """Run every detector; one entry may carry several findings.
+
+    ``polysemy`` maps every generated entry's key to its
+    :func:`detect_fabricated_polysemy` result. The over-correction search
+    embeds the candidates' and their gold neighbors' definitions in one batch.
 
     Hallucination candidates whose best-matching gold definition has at
     most two words are marked low-confidence: terse synonym-style gold
@@ -274,10 +281,17 @@ def classify_errors(
     report = ErrorReport(summary={category.value: 0 for category in ErrorCategory})
     records_by_key = {(r.lemma, r.category.value): r for r in records}
 
-    candidates = hallucination_candidates(records, config)
-    index = NeighborIndex(gold, config.overcorrection_max_edit_distance) if candidates else None
-    for finding in candidates:
-        record = records_by_key[(finding.lemma, finding.pos_label)]
+    flagged = hallucination_candidates(records, config)
+    candidates = [records_by_key[(f.lemma, f.pos_label)] for f in flagged]
+    max_distance = config.overcorrection_max_edit_distance
+    index = NeighborIndex(gold, max_distance) if candidates else None
+    neighbors = [index.neighbor_entries(record.lemma, max_distance) for record in candidates]
+    vectors = VectorTable(
+        embedder,
+        [generated.get(record.lemma, record.category).senses[0].definition for record in candidates]
+        + [s.definition for found in neighbors for gold_entry, _ in found for s in gold_entry.senses],
+    )
+    for finding, record, found in zip(flagged, candidates, neighbors):
         gen_entry = generated.get(record.lemma, record.category)
         gold_entry = gold.get(record.lemma, record.category)
         gold_best = gold_entry.senses[record.best_gold_index - 1].definition
@@ -294,7 +308,7 @@ def classify_errors(
                 low_confidence=low_confidence,
             )
         )
-        overcorrection = detect_overcorrection(gen_entry, gold, embedder, config, index)
+        overcorrection = detect_overcorrection(gen_entry, found, vectors, config)
         if overcorrection is not None:
             report.findings.append(overcorrection)
 
@@ -319,7 +333,7 @@ def classify_errors(
                     generated_definition=entry.senses[0].definition,
                 )
             )
-        fabricated = detect_fabricated_polysemy(entry, embedder, config)
+        fabricated = polysemy[entry.key]
         if fabricated is not None and fabricated[0]:
             report.findings.append(
                 ErrorFinding(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .exceptions import DuplicateKeyError, EmptyLemmaError, EncodingError, ParseError
-from .generation import FailureReason, GenerationFailure
+from .generation import FailureReason, GenerationFailure, LemmaRecord
 from .model import Dictionary, DictionaryEntry, PosTag, Sense, normalize_lemma
 
 _DICT_KEYS = ("lemma", "pos", "senses")
@@ -19,14 +19,8 @@ _FAILURE_KEYS = ("lemma", "pos", "reason", "detail")
 
 
 @dataclass(frozen=True)
-class LemmaListRecord:
-    lemma: str
-    pos: PosTag | None = None
-
-
-@dataclass(frozen=True)
 class LemmaListResult:
-    records: tuple[LemmaListRecord, ...]
+    records: tuple[LemmaRecord, ...]
     duplicate_count: int
     content_line_count: int  # lines that were neither blank nor comments
 
@@ -50,7 +44,7 @@ def parse_lemma_list(stream: Iterable[str]) -> LemmaListResult:
     records keep the first occurrence, and the number of dropped
     duplicates is reported for audit.
     """
-    records: list[LemmaListRecord] = []
+    records: list[LemmaRecord] = []
     seen: set[tuple[str, object]] = set()
     duplicates = 0
     content_lines = 0
@@ -75,7 +69,7 @@ def parse_lemma_list(stream: Iterable[str]) -> LemmaListResult:
             duplicates += 1
             continue
         seen.add(key)
-        records.append(LemmaListRecord(lemma=lemma, pos=pos))
+        records.append(LemmaRecord(lemma=lemma, pos=pos))
     return LemmaListResult(tuple(records), duplicates, content_lines)
 
 

@@ -184,12 +184,3 @@ def length_stats(dictionary: Dictionary) -> dict[str, LengthStats]:
         for group in words
     }
 
-
-def circularity_rate(dictionary: Dictionary) -> float:
-    """Fraction of entries whose lemma appears inside any of its definitions."""
-    from .error_analysis import detect_circularity
-
-    if len(dictionary) == 0:
-        return 0.0
-    flagged = sum(1 for entry in dictionary.entries() if detect_circularity(entry))
-    return flagged / len(dictionary)

@@ -18,8 +18,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .alignment import AlignmentRecord, align_dictionaries, all_pairs_scores, rank_histogram
-from .error_analysis import ErrorAnalysisConfig, ErrorReport, classify_errors
+from .alignment import AlignmentRecord, align_dictionaries, all_pairs_scores, rank_histogram, sense_text
+from .embedding import VectorTable
+from .error_analysis import ErrorAnalysisConfig, ErrorCategory, ErrorReport, classify_errors, detect_fabricated_polysemy
 from .exceptions import ParseError
 from .generation import GenerationFailure
 from .metrics import (
@@ -28,7 +29,6 @@ from .metrics import (
     ConfusionMatrix2x2,
     LengthStats,
     StatsSummary,
-    circularity_rate,
     class_metrics,
     cosine_stats,
     length_stats,
@@ -173,21 +173,29 @@ def evaluate_dictionaries(
     statistics are restricted to generated-monosemous records, matching
     the populations the summary tables describe; the confusion matrix and
     classification metrics use every join key.
+
+    The embedder sees at most two ``embed_batch`` calls: one here for the
+    scores below and one in ``classify_errors`` for over-corrections.
     """
     error_config = error_config or ErrorAnalysisConfig()
     keys = vocabulary_join(generated, gold)
-    records, skipped = align_dictionaries(generated, gold, embedder, keys, include_examples)
-    confusion = polysemy_confusion(generated, gold, keys)
-    gen_mono = [r for r in records if r.gen_sense_count == 1]
-
-    errors = classify_errors(generated, gold, records, embedder, error_config, failures)
-
+    texts = {s.definition for entry in generated.entries() if len(entry.senses) > 1 for s in entry.senses}
+    for key in keys:
+        for entry in (generated.get(*key), gold.get(*key)):
+            texts.update(sense_text(s, include_examples) for s in entry.senses)
+    vectors = VectorTable(embedder, texts)
+    records, skipped = align_dictionaries(generated, gold, vectors, keys, include_examples)
     pairs = []
     for lemma, category in keys:
         gen_entry = generated.get(lemma, category)
         if len(gen_entry.senses) > 1:
-            matrix = all_pairs_scores(gen_entry, gold.get(lemma, category), embedder, include_examples)
+            matrix = all_pairs_scores(gen_entry, gold.get(lemma, category), vectors, include_examples)
             pairs.append({"lemma": lemma, "category": category.value, "scores": matrix})
+    polysemy = {entry.key: detect_fabricated_polysemy(entry, vectors, error_config) for entry in generated.entries()}
+    del vectors  # the run's largest object; freed before classify_errors builds the neighbour index
+    confusion = polysemy_confusion(generated, gold, keys)
+    gen_mono = [r for r in records if r.gen_sense_count == 1]
+    errors = classify_errors(generated, gold, records, embedder, polysemy, error_config, failures)
 
     report = EvaluationReport(
         join_size=len(keys),
@@ -203,7 +211,7 @@ def evaluate_dictionaries(
         length_gold=length_stats(gold) if len(gold) else {},
         rank_histogram=rank_histogram(gen_mono),
         error_summary=errors.summary,
-        circularity_rate=circularity_rate(generated),
+        circularity_rate=errors.summary[ErrorCategory.CIRCULARITY.value] / len(generated) if len(generated) else 0.0,
         config_snapshot=config_snapshot or {},
         provenance=provenance or {},
     )

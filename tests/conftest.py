@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from lexiforge.alignment import sense_text
+from lexiforge.embedding import VectorTable
 from lexiforge.ingestion import parse_dictionary
 from lexiforge.model import Dictionary, DictionaryEntry, PosTag, Sense
 
@@ -26,6 +28,15 @@ def make_dictionary(name: str, *entries: DictionaryEntry) -> Dictionary:
     for entry in entries:
         dictionary.add(entry)
     return dictionary
+
+
+def vector_table(embedder, entries, include_examples: bool = False) -> VectorTable:
+    """Every definition and sense text of *entries*, embedded in one batch."""
+    texts = set()
+    for entry in entries:
+        for sense in entry.senses:
+            texts.update((sense.definition, sense_text(sense, include_examples)))
+    return VectorTable(embedder, texts)
 
 
 def load_fixture_dictionary(filename: str, name: str = "dictionary") -> Dictionary:

@@ -15,15 +15,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from lexiforge.alignment import align_dictionaries
 from lexiforge.cli import main
-from lexiforge.embedding import DeterministicEmbedder, cosine_similarity, embed_deterministic
+from lexiforge.embedding import cosine_similarity, embed_deterministic
 from lexiforge.error_analysis import ErrorAnalysisConfig, ErrorCategory, hallucination_candidates
 from lexiforge.exceptions import ProviderError
 from lexiforge.generation import GenerationConfig, LemmaRecord, render_reply_block, run_generation
 from lexiforge.ingestion import parse_dictionary, parse_failures, write_dictionary, write_failures
 from lexiforge.metrics import ConfusionMatrix2x2, class_metrics
-from lexiforge.model import vocabulary_join
 from lexiforge.providers import StubProvider
 from lexiforge.report import load_report
 
@@ -32,6 +30,7 @@ from _oracles import (
     oracle_text_cosine,
 )
 from conftest import DATA_DIR
+from test_error_analysis import classify
 from test_error_analysis import record as alignment_record
 
 TABLE1 = ConfusionMatrix2x2(mono_mono=49_114, mono_poly=699, poly_mono=24_444, poly_poly=2_706)
@@ -257,18 +256,13 @@ def test_criterion_07_hallucination_filter_equivalence():
 
 
 def test_criterion_08_error_taxonomy_planted_fixture(tmp_path):
-    from lexiforge.error_analysis import classify_errors
-
-    embedder = DeterministicEmbedder(dimension=512)
     with open(DATA_DIR / "planted_generated.jsonl", encoding="utf-8") as fh:
         generated = parse_dictionary(fh, "generated")
     with open(DATA_DIR / "planted_gold.jsonl", encoding="utf-8") as fh:
         gold = parse_dictionary(fh, "gold")
     with open(DATA_DIR / "planted_failures.jsonl", encoding="utf-8") as fh:
         failures = parse_failures(fh)
-    keys = vocabulary_join(generated, gold)
-    records, _ = align_dictionaries(generated, gold, embedder, keys)
-    report = classify_errors(generated, gold, records, embedder, failures=failures)
+    report = classify(generated, gold, failures)
     assert report.summary["hallucination_candidate"] >= 4
     assert report.summary["circularity"] == 1
     assert report.summary["proper_noun_as_common"] == 1
@@ -286,9 +280,7 @@ def test_criterion_08_error_taxonomy_planted_fixture(tmp_path):
         clean_gen = parse_dictionary(fh, "generated")
     with open(DATA_DIR / "clean_gold.jsonl", encoding="utf-8") as fh:
         clean_gold = parse_dictionary(fh, "gold")
-    clean_keys = vocabulary_join(clean_gen, clean_gold)
-    clean_records, _ = align_dictionaries(clean_gen, clean_gold, embedder, clean_keys)
-    clean = classify_errors(clean_gen, clean_gold, clean_records, embedder)
+    clean = classify(clean_gen, clean_gold)
     assert clean.findings == []
     ok(8, "every planted error category found with correct evidence; clean fixture yields none")
 

@@ -6,7 +6,6 @@ import pytest
 from lexiforge.alignment import (
     AlignmentRecord,
     align_dictionaries,
-    align_entry,
     all_pairs_scores,
     parse_alignments,
     rank_histogram,
@@ -16,7 +15,7 @@ from lexiforge.embedding import DeterministicEmbedder
 from lexiforge.exceptions import KeyMismatchError
 from lexiforge.model import PosCategory, vocabulary_join
 
-from conftest import make_entry
+from conftest import make_dictionary, make_entry, vector_table
 
 EMBEDDER = DeterministicEmbedder(dimension=256)
 
@@ -49,7 +48,24 @@ class ScaledEmbedder:
         return [self.embed(t) for t in texts]
 
 
+def align_one(gen, gold, embedder=EMBEDDER, include_examples=False):
+    """Record of a one-key generated dictionary aligned against a one-key gold dictionary."""
+    vectors = vector_table(embedder, [gen, gold], include_examples)
+    records, skipped = align_dictionaries(
+        make_dictionary("generated", gen), make_dictionary("gold", gold), vectors, [gen.key], include_examples
+    )
+    assert skipped == 0 and len(records) == 1
+    return records[0]
+
+
+def align_fixture(generated, gold, keys, embedder=EMBEDDER):
+    vectors = vector_table(embedder, generated.entries() + gold.entries())
+    return align_dictionaries(generated, gold, vectors, keys)
+
+
 class TestAlignEntry:
+    """Alignment of a single join key."""
+
     def test_exact_copy_wins_with_score_one(self):
         gen = make_entry("faro", "Nombre masculino", "Torre con luz para guiar embarcaciones.")
         gold = make_entry(
@@ -58,7 +74,7 @@ class TestAlignEntry:
             "Torre con luz para guiar embarcaciones.",
             "Artefacto luminoso delantero de un vehículo.",
         )
-        record = align_entry(gen, gold, EMBEDDER)
+        record = align_one(gen, gold)
         assert record.best_gold_index == 1
         assert abs(record.best_score - 1.0) < 1e-9
         assert record.gold_sense_count == 2
@@ -66,16 +82,10 @@ class TestAlignEntry:
     def test_singleton_gold_mean_equals_best(self):
         gen = make_entry("sal", "Nombre femenino", "Sustancia blanca usada para sazonar.")
         gold = make_entry("sal", "Nombre femenino", "Cloruro de sodio.")
-        record = align_entry(gen, gold, EMBEDDER)
+        record = align_one(gen, gold)
         assert record.best_gold_index == 1
         assert record.mean_over_gold == record.best_score
         assert len(record.per_gold_scores) == 1
-
-    def test_key_mismatch_raises(self):
-        gen = make_entry("sal", "Nombre femenino", "Sustancia blanca.")
-        gold = make_entry("sol", "Nombre masculino", "Estrella.")
-        with pytest.raises(KeyMismatchError):
-            align_entry(gen, gold, EMBEDDER)
 
     def test_tie_breaks_toward_lowest_index(self):
         table = {
@@ -85,27 +95,27 @@ class TestAlignEntry:
         }
         gen = make_entry("par", "Nombre masculino", "gen")
         gold = make_entry("par", "Nombre masculino", "igual uno", "igual dos")
-        record = align_entry(gen, gold, FixedEmbedder(table))
+        record = align_one(gen, gold, FixedEmbedder(table))
         assert record.best_gold_index == 1
 
     def test_polysemous_generated_uses_first_sense(self):
         gen = make_entry("hoja", "Nombre femenino", "Lámina delgada de papel.", "Órgano verde de las plantas.")
         gold = make_entry("hoja", "Nombre femenino", "Lámina delgada de papel.")
-        record = align_entry(gen, gold, EMBEDDER)
+        record = align_one(gen, gold)
         assert abs(record.best_score - 1.0) < 1e-9
         assert record.gen_sense_count == 2
 
     def test_record_invariants(self):
         gen = make_entry("mar", "Nombre masculino", "Gran masa de agua salada.")
         gold = make_entry("mar", "Nombre masculino", "Masa de agua salada.", "Abundancia de algo.", "Oleaje.")
-        record = align_entry(gen, gold, EMBEDDER)
+        record = align_one(gen, gold)
         assert min(record.per_gold_scores) <= record.mean_over_gold <= record.best_score <= 1.0 + 1e-9
         assert record.best_score == max(record.per_gold_scores)
 
     def test_adverb_pair_singleton_record(self):
         gen = make_entry("parcamente", "Adverbio", "De manera escasa o limitada.")
         gold = make_entry("parcamente", "Adverbio", "De manera parca.")
-        record = align_entry(gen, gold, EMBEDDER)
+        record = align_one(gen, gold)
         assert len(record.per_gold_scores) == 1
         assert record.best_gold_index == 1
         assert record.best_score == record.mean_over_gold == record.per_gold_scores[0]
@@ -114,8 +124,8 @@ class TestAlignEntry:
     def test_include_examples_changes_text(self):
         gen = make_entry("rio", "Nombre masculino", ("Corriente natural de agua.", "El rio baja crecido."))
         gold = make_entry("rio", "Nombre masculino", ("Corriente natural de agua.", "Nada distinto."))
-        with_examples = align_entry(gen, gold, EMBEDDER, include_examples=True)
-        without = align_entry(gen, gold, EMBEDDER, include_examples=False)
+        with_examples = align_one(gen, gold, include_examples=True)
+        without = align_one(gen, gold, include_examples=False)
         assert abs(without.best_score - 1.0) < 1e-9
         assert with_examples.best_score < without.best_score
 
@@ -152,7 +162,7 @@ class TestAlignDictionaries:
     def test_fixture20_arity_and_order(self, fixture20):
         generated, gold = fixture20
         keys = vocabulary_join(generated, gold)
-        records, skipped = align_dictionaries(generated, gold, EMBEDDER, keys)
+        records, skipped = align_fixture(generated, gold, keys)
         assert len(records) == 20 and skipped == 0
         assert [(r.lemma, r.category.value) for r in records] == [
             (lemma, cat.value) for lemma, cat in keys
@@ -161,12 +171,12 @@ class TestAlignDictionaries:
     def test_missing_key_skipped_with_count(self, fixture20):
         generated, gold = fixture20
         keys = vocabulary_join(generated, gold) + [("inexistente", PosCategory.NOUN)]
-        records, skipped = align_dictionaries(generated, gold, EMBEDDER, keys)
+        records, skipped = align_fixture(generated, gold, keys)
         assert len(records) == 20 and skipped == 1
 
     def test_empty_join(self, fixture20):
         generated, gold = fixture20
-        records, skipped = align_dictionaries(generated, gold, EMBEDDER, [])
+        records, skipped = align_fixture(generated, gold, [])
         assert records == [] and skipped == 0
 
     def test_rerun_is_byte_identical(self, fixture20):
@@ -174,7 +184,7 @@ class TestAlignDictionaries:
         keys = vocabulary_join(generated, gold)
         outputs = []
         for _ in range(2):
-            records, _ = align_dictionaries(generated, gold, EMBEDDER, keys)
+            records, _ = align_fixture(generated, gold, keys)
             out = io.StringIO()
             write_alignments(records, out)
             outputs.append(out.getvalue())
@@ -183,8 +193,8 @@ class TestAlignDictionaries:
     def test_argmax_invariant_under_positive_scaling(self, fixture20):
         generated, gold = fixture20
         keys = vocabulary_join(generated, gold)
-        base, _ = align_dictionaries(generated, gold, EMBEDDER, keys)
-        scaled, _ = align_dictionaries(generated, gold, ScaledEmbedder(EMBEDDER, 7.5), keys)
+        base, _ = align_fixture(generated, gold, keys)
+        scaled, _ = align_fixture(generated, gold, keys, ScaledEmbedder(EMBEDDER, 7.5))
         for a, b in zip(base, scaled):
             assert a.best_gold_index == b.best_gold_index
             assert abs(a.best_score - b.best_score) < 1e-9
@@ -194,8 +204,14 @@ class TestAllPairs:
     def test_matrix_shape(self):
         gen = make_entry("hoja", "Nombre femenino", "Lámina de papel.", "Órgano de las plantas.")
         gold = make_entry("hoja", "Nombre femenino", "Órgano verde y plano.", "Lámina delgada.", "Cuchilla.")
-        matrix = all_pairs_scores(gen, gold, EMBEDDER)
+        matrix = all_pairs_scores(gen, gold, vector_table(EMBEDDER, [gen, gold]))
         assert len(matrix) == 2 and all(len(row) == 3 for row in matrix)
+
+    def test_key_mismatch_raises(self):
+        gen = make_entry("sal", "Nombre femenino", "Sustancia blanca.")
+        gold = make_entry("sol", "Nombre masculino", "Estrella.")
+        with pytest.raises(KeyMismatchError):
+            all_pairs_scores(gen, gold, vector_table(EMBEDDER, [gen, gold]))
 
 
 class TestRankHistogram:
@@ -240,7 +256,7 @@ class TestSerialization:
     def test_round_trip(self, fixture20):
         generated, gold = fixture20
         keys = vocabulary_join(generated, gold)
-        records, _ = align_dictionaries(generated, gold, EMBEDDER, keys)
+        records, _ = align_fixture(generated, gold, keys)
         out = io.StringIO()
         write_alignments(records, out)
         assert parse_alignments(io.StringIO(out.getvalue())) == records

@@ -1,5 +1,7 @@
 import json
 import shutil
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from click.testing import CliRunner
@@ -125,6 +127,22 @@ class TestGenerate:
         assert result.exit_code == 0, result.output
 
 
+class ZeroVectorHandler(BaseHTTPRequestHandler):
+    """Embedding service that answers every text with an all-zero vector."""
+
+    def do_POST(self):
+        texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["texts"]
+        data = json.dumps({"vectors": [[0.0] * 4 for _ in texts], "dimension": 4}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
 class TestEvaluate:
     def test_outputs_written(self, runner, workspace):
         result = run_evaluate(runner, workspace)
@@ -202,6 +220,30 @@ class TestEvaluate:
             ],
         )
         assert result.exit_code == 5
+
+    def test_zero_vector_from_service_exit_5(self, runner, workspace):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), ZeroVectorHandler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            (workspace / "remote.ini").write_text(
+                f"[embedding]\nremote_url = http://127.0.0.1:{server.server_address[1]}/embed\n", encoding="utf-8"
+            )
+            result = runner.invoke(
+                main,
+                [
+                    "evaluate",
+                    "--generated", str(workspace / "fixture20_generated.jsonl"),
+                    "--gold", str(workspace / "fixture20_gold.jsonl"),
+                    "--embedder", "remote",
+                    "--config", str(workspace / "remote.ini"),
+                    "--out", str(workspace / "x"),
+                ],
+            )
+        finally:
+            server.shutdown()
+        assert result.exit_code == 5, result.output
+        assert "all-zero" in result.output
+        assert not (workspace / "x" / "report.json").exists()
 
     def test_remote_embedder_unconfigured_exit_2(self, runner, workspace):
         result = runner.invoke(

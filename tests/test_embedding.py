@@ -14,6 +14,7 @@ from lexiforge.embedding import (
     DeterministicEmbedder,
     EmbeddingCache,
     RemoteEmbedder,
+    VectorTable,
     cosine_similarity,
     embed_deterministic,
     normalize_text,
@@ -314,7 +315,28 @@ class _ShrinkingSession:
         return Resp()
 
 
+class _ZeroSession:
+    """Answers every text with an all-zero vector."""
+
+    def post(self, url, json=None, timeout=None):
+        payload = {"vectors": [[0.0, 0.0, 0.0] for _ in json["texts"]], "dimension": 3}
+
+        class Resp:
+            status_code = 200
+
+            @staticmethod
+            def json():
+                return payload
+
+        return Resp()
+
+
 class TestRemoteProtocol:
+    def test_zero_vector_is_protocol_error(self):
+        remote = RemoteEmbedder("http://unused", session=_ZeroSession())
+        with pytest.raises(ProtocolError, match="all-zero"):
+            remote.embed_batch(["hola"])
+
     def test_count_mismatch_is_protocol_error(self):
         remote = RemoteEmbedder("http://unused", session=_MismatchSession())
         with pytest.raises(ProtocolError):
@@ -326,3 +348,54 @@ class TestRemoteProtocol:
         with pytest.raises(ProtocolError, match="512 then 256"):
             remote.embed_batch(["a", "b", "c"])
         assert session.calls == 2
+
+
+class _TableEmbedder:
+    """Preset vectors by text; records each batch."""
+
+    identifier = "table"
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+        self.batches = []
+
+    def embed_batch(self, texts):
+        self.batches.append(list(texts))
+        return [np.asarray(self.vectors[t], dtype=np.float64) for t in texts]
+
+
+class TestVectorTable:
+    def test_one_sorted_distinct_batch(self):
+        embedder = _TableEmbedder({"b": [3.0, 4.0], "a": [1.0, 0.0]})
+        VectorTable(embedder, ["b", "a", "b"])
+        assert embedder.batches == [["a", "b"]]
+
+    def test_no_call_without_texts(self):
+        embedder = _TableEmbedder({})
+        VectorTable(embedder, [])
+        assert embedder.batches == []
+
+    def test_rows_are_unit_vectors_in_request_order(self):
+        raw = {"a": [1.0, 0.0], "b": [3.0, 4.0]}
+        embedder = _TableEmbedder(raw)
+        table = VectorTable(embedder, raw)
+        rows = table.rows(["b", "a", "b"])
+        np.testing.assert_array_equal(rows, [[0.6, 0.8], [1.0, 0.0], [0.6, 0.8]])
+        assert abs(float(rows[0] @ rows[1]) - cosine_similarity(raw["a"], raw["b"])) <= 1e-15
+        assert raw["b"] == [3.0, 4.0]  # the embedder's own vectors are left alone
+
+    def test_zero_vector_rejected_at_build(self):
+        with pytest.raises(ZeroVectorError, match="'nada'"):
+            VectorTable(_TableEmbedder({"algo": [1.0, 0.0], "nada": [0.0, 0.0]}), ["algo", "nada"])
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionError):
+            VectorTable(_TableEmbedder({"a": [1.0, 0.0], "b": [1.0, 0.0, 0.0]}), ["a", "b"])
+
+    def test_vector_count_mismatch_rejected(self):
+        class Short(_TableEmbedder):
+            def embed_batch(self, texts):
+                return super().embed_batch(texts)[:-1]
+
+        with pytest.raises(ProtocolError):
+            VectorTable(Short({"a": [1.0], "b": [1.0]}), ["a", "b"])

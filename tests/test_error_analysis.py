@@ -25,9 +25,28 @@ from lexiforge.ingestion import parse_failures
 from lexiforge.model import PosCategory, normalize_lemma, vocabulary_join
 
 from _oracles import oracle_levenshtein
-from conftest import DATA_DIR, make_dictionary, make_entry
+from conftest import DATA_DIR, make_dictionary, make_entry, vector_table
 
 EMBEDDER = DeterministicEmbedder(dimension=512)
+
+
+def classify(generated, gold, failures=None):
+    """classify_errors after aligning and scoring fabricated polysemy on one table, as evaluation does."""
+    vectors = vector_table(EMBEDDER, generated.entries() + gold.entries())
+    records, _ = align_dictionaries(generated, gold, vectors, vocabulary_join(generated, gold))
+    polysemy = {entry.key: detect_fabricated_polysemy(entry, vectors) for entry in generated.entries()}
+    return classify_errors(generated, gold, records, EMBEDDER, polysemy, failures=failures)
+
+
+def fabricated(entry, config=None):
+    return detect_fabricated_polysemy(entry, vector_table(EMBEDDER, [entry]), config)
+
+
+def overcorrection(entry, gold, config=None):
+    config = config or ErrorAnalysisConfig()
+    max_distance = config.overcorrection_max_edit_distance
+    neighbors = NeighborIndex(gold, max_distance).neighbor_entries(entry.lemma, max_distance)
+    return detect_overcorrection(entry, neighbors, vector_table(EMBEDDER, [entry] + gold.entries()), config)
 
 
 def record(lemma, best_score, category=PosCategory.NOUN, gold_count=1):
@@ -119,27 +138,27 @@ class TestDetectProperNoun:
 class TestDetectFabricatedPolysemy:
     def test_exact_duplicate(self):
         entry = make_entry("asaltador", "Adjetivo", "Que asalta.", "Que asalta.")
-        flagged, evidence = detect_fabricated_polysemy(entry, EMBEDDER)
+        flagged, evidence = fabricated(entry)
         assert flagged and "exact duplicates" in evidence
 
     def test_duplicate_up_to_normalization(self):
         entry = make_entry("asaltador", "Adjetivo", "Que  asalta.", "QUE ASALTA.")
-        flagged, _ = detect_fabricated_polysemy(entry, EMBEDDER)
+        flagged, _ = fabricated(entry)
         assert flagged
 
     def test_monosemous_not_applicable(self):
         entry = make_entry("sal", "Nombre femenino", "Cloruro de sodio.")
-        assert detect_fabricated_polysemy(entry, EMBEDDER) is None
+        assert fabricated(entry) is None
 
     def test_distinct_senses_pass(self):
         entry = make_entry("baboseo", "Nombre masculino", "Acción de babosear.", "Exceso de baba o saliva.")
-        flagged, evidence = detect_fabricated_polysemy(entry, EMBEDDER)
+        flagged, evidence = fabricated(entry)
         assert not flagged and evidence == ""
 
     def test_near_duplicate_over_similarity(self):
         entry = make_entry("doble", "Adjetivo", "Que asalta con violencia.", "Que asalta sin violencia.")
         config = ErrorAnalysisConfig(fabricated_polysemy_similarity=0.5)
-        flagged, evidence = detect_fabricated_polysemy(entry, EMBEDDER, config)
+        flagged, evidence = fabricated(entry, config)
         assert flagged and "cosine" in evidence
 
 
@@ -272,7 +291,7 @@ class TestDetectOvercorrection:
     def test_planted_neighbor_found(self, planted):
         generated, gold = planted
         entry = generated.get("destace", PosCategory.NOUN)
-        finding = detect_overcorrection(entry, gold, EMBEDDER)
+        finding = overcorrection(entry, gold)
         assert finding is not None
         assert "destaque" in finding.evidence
         assert finding.gold_definition == "Acción y efecto de destacar o sobresalir."
@@ -280,27 +299,22 @@ class TestDetectOvercorrection:
     def test_no_neighbor_within_distance(self, planted):
         generated, gold = planted
         entry = generated.get("zanfoña", PosCategory.NOUN)
-        assert detect_overcorrection(entry, gold, EMBEDDER) is None
+        assert overcorrection(entry, gold) is None
 
     def test_similarity_floor_applies(self, planted):
         generated, gold = planted
         entry = generated.get("destace", PosCategory.NOUN)
         config = ErrorAnalysisConfig(overcorrection_similarity_floor=1.0 - 1e-12)
-        finding = detect_overcorrection(entry, gold, EMBEDDER, config)
+        finding = overcorrection(entry, gold, config)
         assert finding is not None  # exact text copy still reaches the floor
 
 
 class TestClassifyErrors:
-    def _run(self, generated, gold, failures=None):
-        keys = vocabulary_join(generated, gold)
-        records, _ = align_dictionaries(generated, gold, EMBEDDER, keys)
-        return classify_errors(generated, gold, records, EMBEDDER, failures=failures)
-
     def test_planted_fixture_summary(self, planted):
         generated, gold = planted
         with open(DATA_DIR / "planted_failures.jsonl", encoding="utf-8") as fh:
             failures = parse_failures(fh)
-        report = self._run(generated, gold, failures)
+        report = classify(generated, gold, failures)
         # planted: zanfoña/simón/destace/convicio below 0.1 (per the scratch
         # embedding oracle), one instance of every other category
         assert report.summary == {
@@ -315,7 +329,7 @@ class TestClassifyErrors:
 
     def test_planted_categories_point_at_planted_lemmas(self, planted):
         generated, gold = planted
-        report = self._run(generated, gold)
+        report = classify(generated, gold)
         by_category = {}
         for finding in report.findings:
             by_category.setdefault(finding.category, set()).add(finding.lemma)
@@ -335,7 +349,7 @@ class TestClassifyErrors:
 
         generated = load_fixture_dictionary("clean_generated.jsonl", "generated")
         gold = load_fixture_dictionary("clean_gold.jsonl", "gold")
-        report = self._run(generated, gold)
+        report = classify(generated, gold)
         assert report.findings == []
         assert all(count == 0 for count in report.summary.values())
 
@@ -343,14 +357,14 @@ class TestClassifyErrors:
         generated, gold = planted
         with open(DATA_DIR / "planted_failures.jsonl", encoding="utf-8") as fh:
             failures = parse_failures(fh)
-        report = self._run(generated, gold, failures)
+        report = classify(generated, gold, failures)
         refusals = [f for f in report.findings if f.category is ErrorCategory.REFUSAL]
         assert len(refusals) == sum(1 for f in failures if f.reason.value == "refusal") == 1
         assert refusals[0].lemma == "jaharrar"
 
     def test_short_gold_marked_low_confidence(self, fixture20):
         generated, gold = fixture20
-        report = self._run(generated, gold)
+        report = classify(generated, gold)
         flagged = {f.lemma: f for f in report.findings if f.category is ErrorCategory.HALLUCINATION_CANDIDATE}
         assert set(flagged) == {"carduzar", "destace"}
         assert flagged["carduzar"].low_confidence  # gold is the one-word "Cardar."
@@ -358,15 +372,13 @@ class TestClassifyErrors:
 
     def test_deterministic_across_reruns(self, planted):
         generated, gold = planted
-        assert self._run(generated, gold).findings == self._run(generated, gold).findings
+        assert classify(generated, gold).findings == classify(generated, gold).findings
 
 
 class TestFindingsSerialization:
     def test_round_trip(self, planted):
         generated, gold = planted
-        keys = vocabulary_join(generated, gold)
-        records, _ = align_dictionaries(generated, gold, EMBEDDER, keys)
-        report = classify_errors(generated, gold, records, EMBEDDER)
+        report = classify(generated, gold)
         out = io.StringIO()
         write_findings(report.findings, out)
         assert parse_findings(io.StringIO(out.getvalue())) == report.findings

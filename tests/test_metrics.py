@@ -7,7 +7,6 @@ from lexiforge.metrics import (
     ClassMetrics,
     ConfusionMatrix2x2,
     StatsSummary,
-    circularity_rate,
     class_metrics,
     cosine_stats,
     length_stats,
@@ -200,23 +199,3 @@ class TestLengthStats:
         total_senses = sum(len(e.senses) for e in generated.entries())
         assert stats["all"].words.count == total_senses
 
-
-class TestCircularityRate:
-    def test_clean_dictionary(self):
-        d = make_dictionary("d", make_entry("gato", "Nombre masculino", "Felino doméstico."))
-        assert circularity_rate(d) == 0.0
-
-    def test_one_of_four(self):
-        d = make_dictionary(
-            "d",
-            make_entry("gato", "Nombre masculino", "Un gato es un felino."),
-            make_entry("perro", "Nombre masculino", "Mamífero doméstico."),
-            make_entry("sal", "Nombre femenino", "Cloruro de sodio."),
-            make_entry("sol", "Nombre masculino", "Estrella central."),
-        )
-        assert circularity_rate(d) == 0.25
-
-    def test_empty_dictionary(self):
-        from lexiforge.model import Dictionary
-
-        assert circularity_rate(Dictionary(name="empty")) == 0.0

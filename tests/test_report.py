@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
-from lexiforge.embedding import DeterministicEmbedder
+from lexiforge.alignment import sense_text
+from lexiforge.embedding import DeterministicEmbedder, cosine_similarity
+from lexiforge.error_analysis import ErrorCategory
 from lexiforge.metrics import ConfusionMatrix2x2, class_metrics
+from lexiforge.model import Dictionary, PosCategory
 from lexiforge.report import (
     EvaluationReport,
     atomic_text,
@@ -12,6 +16,8 @@ from lexiforge.report import (
     render_tables,
     write_report,
 )
+
+from conftest import make_dictionary, make_entry
 
 EMBEDDER = DeterministicEmbedder(dimension=512)
 
@@ -55,6 +61,111 @@ class TestEvaluateDictionaries:
 
     def test_circularity_rate_zero_on_fixture(self, fixture20_result):
         assert fixture20_result.report.circularity_rate == 0.0
+
+
+class CountingEmbedder:
+    """Every text points one way, the ``outliers`` at right angles; records each call."""
+
+    identifier = "counting"
+
+    def __init__(self, outliers=()):
+        self.outliers = set(outliers)
+        self.single_calls = 0
+        self.batches = []
+
+    def _vector(self, text):
+        return np.array([0.0, 1.0]) if text in self.outliers else np.array([1.0, 0.0])
+
+    def embed(self, text):
+        self.single_calls += 1
+        return self._vector(text)
+
+    def embed_batch(self, texts):
+        self.batches.append(list(texts))
+        return [self._vector(t) for t in texts]
+
+
+class TestEmbeddingPasses:
+    def test_one_batch_without_hallucination_candidates(self, fixture20):
+        embedder = CountingEmbedder()
+        result = evaluate_dictionaries(*fixture20, embedder)
+        assert result.report.error_summary["hallucination_candidate"] == 0
+        assert embedder.single_calls == 0
+        assert len(embedder.batches) == 1
+        assert embedder.batches[0] == sorted(set(embedder.batches[0]))
+
+    def test_second_batch_for_a_planted_candidate(self, fixture20):
+        generated, gold = fixture20
+        planted = generated.get("destace", PosCategory.NOUN)
+        embedder = CountingEmbedder(outliers=[planted.senses[0].definition])
+        result = evaluate_dictionaries(generated, gold, embedder)
+        candidates = {f.lemma for f in result.errors.findings if f.category is ErrorCategory.HALLUCINATION_CANDIDATE}
+        assert "destace" in candidates
+        assert result.report.error_summary["overcorrection"] >= 1
+        assert embedder.single_calls == 0
+        assert len(embedder.batches) == 2
+        assert all(batch == sorted(set(batch)) for batch in embedder.batches)
+        assert planted.senses[0].definition in embedder.batches[1]
+
+
+class ScaledPerText:
+    """Deterministic vectors stretched by a per-text factor, so rows need normalising."""
+
+    identifier = "scaled"
+
+    def embed(self, text):
+        return EMBEDDER.embed(text) * (1.0 + len(text) % 7)
+
+    def embed_batch(self, texts):
+        return [self.embed(t) for t in texts]
+
+
+class TestScoreParity:
+    @pytest.mark.parametrize("include_examples", [False, True])
+    def test_scores_match_cosine_of_raw_vectors(self, fixture20, include_examples):
+        generated, gold = fixture20
+        embedder = ScaledPerText()
+        result = evaluate_dictionaries(generated, gold, embedder, include_examples=include_examples)
+
+        def cosine(gen_sense, gold_sense):
+            raw = [embedder.embed(sense_text(s, include_examples)) for s in (gen_sense, gold_sense)]
+            return cosine_similarity(*raw)
+
+        for record in result.records:
+            gen = generated.get(record.lemma, record.category)
+            gold_entry = gold.get(record.lemma, record.category)
+            for score, gold_sense in zip(record.per_gold_scores, gold_entry.senses, strict=True):
+                assert abs(score - cosine(gen.senses[0], gold_sense)) <= 1e-12
+        assert result.polysemy_pairs
+        for pair in result.polysemy_pairs:
+            key = (pair["lemma"], PosCategory(pair["category"]))
+            gen, gold_entry = generated.get(*key), gold.get(*key)
+            assert len(pair["scores"]) == len(gen.senses)
+            for row, gen_sense in zip(pair["scores"], gen.senses):
+                for score, gold_sense in zip(row, gold_entry.senses, strict=True):
+                    assert abs(score - cosine(gen_sense, gold_sense)) <= 1e-12
+
+
+class TestCircularityRate:
+    def _rate(self, dictionary):
+        return evaluate_dictionaries(dictionary, dictionary, EMBEDDER).report.circularity_rate
+
+    def test_clean_dictionary(self):
+        d = make_dictionary("d", make_entry("gato", "Nombre masculino", "Felino doméstico."))
+        assert self._rate(d) == 0.0
+
+    def test_one_of_four(self):
+        d = make_dictionary(
+            "d",
+            make_entry("gato", "Nombre masculino", "Un gato es un felino."),
+            make_entry("perro", "Nombre masculino", "Mamífero doméstico."),
+            make_entry("sal", "Nombre femenino", "Cloruro de sodio."),
+            make_entry("sol", "Nombre masculino", "Estrella central."),
+        )
+        assert self._rate(d) == 0.25
+
+    def test_empty_dictionary(self):
+        assert self._rate(Dictionary(name="empty")) == 0.0
 
 
 class TestReportSerialization:
