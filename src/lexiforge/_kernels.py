@@ -1,20 +1,11 @@
 """Hot numeric kernels: signed trigram hashing and Levenshtein distance.
 
-Two interchangeable backends produce bit-identical results:
-
-* ``numba`` — scalar loops compiled with ``@njit`` (default when numba
-  imports cleanly),
-* ``numpy`` — vectorized fallbacks, also used when the environment
-  variable ``LEXIFORGE_DISABLE_NUMBA`` is set to ``1``/``true``/``yes``.
-
-The selected backend is exported as ``trigram_counts`` / ``levenshtein``;
-both concrete implementations stay importable for parity tests and for
-``benchmarks/bench_kernels.py``.
+Both are vectorised with numpy: the trigram hasher advances every
+trigram's FNV-1a chain one byte per pass, and the edit distance fills
+the DP table one row at a time.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -24,6 +15,9 @@ FNV_PRIME = 1099511628211
 _U64_OFFSET = np.uint64(FNV_OFFSET)
 _U64_PRIME = np.uint64(FNV_PRIME)
 
+# read by perfbench's environment fingerprint; there is no other backend
+BACKEND = "numpy"
+
 
 def codepoints(text: str) -> np.ndarray:
     """Unicode scalar values of *text* as an int64 array."""
@@ -32,27 +26,12 @@ def codepoints(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)
 
 
-def _trigram_counts_loop(data, offsets, dimension):
-    # offsets[t]:offsets[t+3] delimit the UTF-8 bytes of trigram t.
-    n = offsets.shape[0] - 3
-    counts = np.zeros(dimension, dtype=np.int64)
-    for t in range(n):
-        h = _U64_OFFSET
-        for j in range(offsets[t], offsets[t + 3]):
-            h = (h ^ np.uint64(data[j])) * _U64_PRIME
-        bucket = int(h % np.uint64(dimension))
-        if h >> np.uint64(63) == np.uint64(0):
-            counts[bucket] += 1
-        else:
-            counts[bucket] -= 1
-    return counts
-
-
-def trigram_counts_numpy(data: np.ndarray, offsets: np.ndarray, dimension: int) -> np.ndarray:
+def trigram_counts(data: np.ndarray, offsets: np.ndarray, dimension: int) -> np.ndarray:
     """Signed FNV-1a bucket counts, vectorized over trigrams.
 
-    Hash chains advance one byte position per pass; trigrams shorter than
-    the longest one are masked out once exhausted.
+    offsets[t]:offsets[t+3] delimit the UTF-8 bytes of trigram t. Hash
+    chains advance one byte position per pass; trigrams shorter than the
+    longest one are masked out once exhausted.
     """
     n = offsets.shape[0] - 3
     counts = np.zeros(dimension, dtype=np.int64)
@@ -72,27 +51,7 @@ def trigram_counts_numpy(data: np.ndarray, offsets: np.ndarray, dimension: int) 
     return counts
 
 
-def _levenshtein_loop(a, b):
-    na = a.shape[0]
-    nb = b.shape[0]
-    prev = np.arange(nb + 1)
-    cur = np.empty(nb + 1, dtype=np.int64)
-    for i in range(1, na + 1):
-        cur[0] = i
-        ca = a[i - 1]
-        for j in range(1, nb + 1):
-            cost = 0 if ca == b[j - 1] else 1
-            d = prev[j - 1] + cost
-            if prev[j] + 1 < d:
-                d = prev[j] + 1
-            if cur[j - 1] + 1 < d:
-                d = cur[j - 1] + 1
-            cur[j] = d
-        prev, cur = cur, prev
-    return int(prev[nb])
-
-
-def levenshtein_numpy(a: np.ndarray, b: np.ndarray) -> int:
+def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
     """Unit-cost edit distance, row-vectorized.
 
     The sequential insertion closure cur[j] = min(cur[j], cur[j-1] + 1) is a
@@ -110,30 +69,3 @@ def levenshtein_numpy(a: np.ndarray, b: np.ndarray) -> int:
         cur = np.minimum.accumulate(cur - ar) + ar
         prev = cur
     return int(prev[nb])
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("LEXIFORGE_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-
-trigram_counts_jit = None
-levenshtein_jit = None
-
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        trigram_counts_jit = njit(cache=True, nogil=True)(_trigram_counts_loop)
-        levenshtein_jit = njit(cache=True, nogil=True)(_levenshtein_loop)
-        BACKEND = "numba"
-    except ImportError:
-        BACKEND = "numpy"
-else:
-    BACKEND = "numpy"
-
-if BACKEND == "numba":
-    trigram_counts = trigram_counts_jit
-    levenshtein = levenshtein_jit
-else:
-    trigram_counts = trigram_counts_numpy
-    levenshtein = levenshtein_numpy

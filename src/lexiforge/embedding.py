@@ -65,7 +65,7 @@ def embed_deterministic(text: str, dimension: int = 512) -> np.ndarray:
     every trigram's 64-bit FNV-1a hash picks a bucket (hash mod dimension)
     and a sign (hash top bit), so unrelated texts land near zero cosine
     instead of all-positive. Byte-identical for identical input on every
-    platform and kernel backend.
+    platform.
 
     Opposite-signed trigrams can, very rarely, cancel every bucket; the
     output must never be all-zero, so that case deterministically falls
@@ -125,11 +125,8 @@ class DeterministicEmbedder:
     def identifier(self) -> str:
         return f"trigram-fnv1a-{self.dimension}"
 
-    def embed(self, text: str) -> np.ndarray:
-        return embed_deterministic(text, self.dimension)
-
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        return [self.embed(t) for t in texts]
+        return [embed_deterministic(t, self.dimension) for t in texts]
 
 
 class RemoteEmbedder:

@@ -65,6 +65,11 @@ class ErrorFinding:
     low_confidence: bool = False
 
 
+def _cosine_text(score: float) -> str:
+    """*score* to 4 places; a value that rounds to zero prints ``0.0000``, never ``-0.0000``."""
+    return f"{round(score, 4) + 0.0:.4f}"
+
+
 def hallucination_candidates(
     records: Iterable[AlignmentRecord], config: ErrorAnalysisConfig | None = None
 ) -> list[ErrorFinding]:
@@ -77,7 +82,7 @@ def hallucination_candidates(
                 ErrorFinding(
                     lemma=record.lemma,
                     category=ErrorCategory.HALLUCINATION_CANDIDATE,
-                    evidence=f"best cosine {record.best_score:.4f} < {config.hallucination_threshold}",
+                    evidence=f"best cosine {_cosine_text(record.best_score)} < {config.hallucination_threshold}",
                     pos_label=record.category.value,
                 )
             )
@@ -123,7 +128,8 @@ def detect_fabricated_polysemy(
                 return True, f"senses {i + 1} and {j + 1} are exact duplicates"
             score = scores[i][j]
             if score >= config.fabricated_polysemy_similarity:
-                return True, f"senses {i + 1} and {j + 1} cosine {score:.4f} >= {config.fabricated_polysemy_similarity}"
+                similarity = config.fabricated_polysemy_similarity
+                return True, f"senses {i + 1} and {j + 1} cosine {_cosine_text(score)} >= {similarity}"
     return False, ""
 
 
@@ -243,7 +249,7 @@ def detect_overcorrection(
     return ErrorFinding(
         lemma=entry.lemma,
         category=ErrorCategory.OVERCORRECTION,
-        evidence=f"gold neighbor '{neighbor}' at edit distance {-neg_distance}, cosine {score:.4f}",
+        evidence=f"gold neighbor '{neighbor}' at edit distance {-neg_distance}, cosine {_cosine_text(score)}",
         pos_label=entry.pos.raw_label,
         generated_definition=entry.senses[0].definition,
         gold_definition=gold_definition,

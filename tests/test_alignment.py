@@ -11,7 +11,7 @@ from lexiforge.alignment import (
     rank_histogram,
     write_alignments,
 )
-from lexiforge.embedding import DeterministicEmbedder
+from lexiforge.embedding import DeterministicEmbedder, embed_deterministic
 from lexiforge.exceptions import KeyMismatchError
 from lexiforge.model import PosCategory, vocabulary_join
 
@@ -42,7 +42,7 @@ class ScaledEmbedder:
         self.identifier = f"scaled-{factor}"
 
     def embed(self, text):
-        return self.inner.embed(text) * self.factor
+        return embed_deterministic(text, self.inner.dimension) * self.factor
 
     def embed_batch(self, texts):
         return [self.embed(t) for t in texts]

@@ -70,6 +70,11 @@ class TestHallucinationCandidates:
         assert findings[0].category is ErrorCategory.HALLUCINATION_CANDIDATE
         assert "0.0500" in findings[0].evidence
 
+    @pytest.mark.parametrize("score", [-1e-17, 1e-17])
+    def test_score_rounding_to_zero_prints_unsigned(self, score):
+        findings = hallucination_candidates([record("bajo", score)])
+        assert [f.evidence for f in findings] == ["best cosine 0.0000 < 0.1"]
+
     def test_boundary_score_unflagged(self):
         assert hallucination_candidates([record("justo", 0.1)]) == []
 

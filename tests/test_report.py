@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lexiforge.alignment import sense_text
-from lexiforge.embedding import DeterministicEmbedder, cosine_similarity
+from lexiforge.embedding import DeterministicEmbedder, cosine_similarity, embed_deterministic
 from lexiforge.error_analysis import ErrorCategory
 from lexiforge.metrics import ConfusionMatrix2x2, class_metrics
 from lexiforge.model import Dictionary, PosCategory
@@ -114,7 +114,7 @@ class ScaledPerText:
     identifier = "scaled"
 
     def embed(self, text):
-        return EMBEDDER.embed(text) * (1.0 + len(text) % 7)
+        return embed_deterministic(text, EMBEDDER.dimension) * (1.0 + len(text) % 7)
 
     def embed_batch(self, texts):
         return [self.embed(t) for t in texts]
