@@ -1,6 +1,6 @@
 """Match generated senses against gold senses by cosine similarity.
 
-Every join key yields one AlignmentRecord: the cosine of the generated
+Every (generated, gold) pair of the vocabulary join yields one AlignmentRecord: the cosine of the generated
 definition against each gold sense, the best-matching gold sense index
 (ties break toward the lowest index, mirroring frequency-first gold
 ordering) and the mean over all gold senses.
@@ -9,15 +9,11 @@ ordering) and the mean over all gold senses.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .embedding import VectorTable
-from .exceptions import KeyMismatchError, ParseError
-from .model import Dictionary, DictionaryEntry, PosCategory, Sense
-
-logger = logging.getLogger(__name__)
+from .model import DictionaryEntry, PosCategory, Sense
 
 
 @dataclass(frozen=True)
@@ -51,29 +47,19 @@ def sense_text(sense: Sense, include_examples: bool = False) -> str:
 
 
 def align_dictionaries(
-    generated: Dictionary,
-    gold: Dictionary,
+    pairs: Sequence[tuple[DictionaryEntry, DictionaryEntry]],
     vectors: VectorTable,
-    keys: Sequence[tuple[str, PosCategory]],
     include_examples: bool = False,
-) -> tuple[list[AlignmentRecord], int]:
-    """One record per join key in sorted order, plus a skipped-key count.
+) -> list[AlignmentRecord]:
+    """One record per (generated, gold) pair of the vocabulary join, in pair order.
 
     Generated sense 1 is scored against every gold sense, in gold order;
     polysemous generated entries are aligned by their first sense, and the
     full cross-product lives in :func:`all_pairs_scores`. ``vectors`` must
-    hold the sense texts of every entry at *keys*.
+    hold the sense texts of every entry in *pairs*.
     """
     records = []
-    skipped = 0
-    for lemma, category in sorted(keys, key=lambda k: (k[0], k[1].value)):
-        gen = generated.get(lemma, category)
-        gold_entry = gold.get(lemma, category)
-        if gen is None or gold_entry is None:
-            logger.warning("join key (%s, %s) missing from %s side; skipped",
-                           lemma, category.value, "generated" if gen is None else "gold")
-            skipped += 1
-            continue
+    for gen, gold_entry in pairs:
         rows = vectors.rows([sense_text(s, include_examples) for s in (gen.senses[0], *gold_entry.senses)])
         scores = (rows[1:] @ rows[0]).tolist()
         best_index = scores.index(max(scores))  # the first maximum, so ties go to the lowest index
@@ -89,18 +75,16 @@ def align_dictionaries(
                 per_gold_scores=tuple(scores),
             )
         )
-    return records, skipped
+    return records
 
 
 def all_pairs_scores(
     gen: DictionaryEntry, gold: DictionaryEntry, vectors: VectorTable, include_examples: bool = False
 ) -> list[list[float]]:
-    """Cosine matrix rows = generated senses, columns = gold senses.
+    """Cosine matrix rows = generated senses, columns = gold senses, of one join pair.
 
     Inspection aid for polysemous generated entries; no table depends on it.
     """
-    if gen.key != gold.key:
-        raise KeyMismatchError(f"cannot align {gen.key!r} against {gold.key!r}")
     gen_rows = vectors.rows([sense_text(s, include_examples) for s in gen.senses])
     gold_rows = vectors.rows([sense_text(s, include_examples) for s in gold.senses])
     return (gen_rows @ gold_rows.T).tolist()
@@ -133,26 +117,3 @@ def write_alignments(records: Iterable[AlignmentRecord], stream: IO[str]) -> int
         written += len(line.encode("utf-8"))
     return written
 
-
-def parse_alignments(stream: Iterable[str]) -> list[AlignmentRecord]:
-    records = []
-    for number, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            records.append(
-                AlignmentRecord(
-                    lemma=obj["lemma"],
-                    category=PosCategory(obj["category"]),
-                    gen_sense_count=int(obj["gen_sense_count"]),
-                    gold_sense_count=int(obj["gold_sense_count"]),
-                    best_gold_index=int(obj["best_gold_index"]),
-                    best_score=float(obj["best_score"]),
-                    mean_over_gold=float(obj["mean_over_gold"]),
-                    per_gold_scores=tuple(float(x) for x in obj["per_gold_scores"]),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"invalid alignment record: {exc}", line_number=number) from exc
-    return records

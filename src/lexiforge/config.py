@@ -122,7 +122,6 @@ def load_config(path: str | Path) -> AppConfig:
         max_concurrent_batches=_get(parser, "generation", "max_concurrent_batches", int, 4, alias="concurrency"),
         prompt_template=template,
         fewshot_examples=fewshot,
-        refusal_patterns=DEFAULT_REFUSAL_PATTERNS,
         model=provider.model,
         temperature=_get(parser, "generation", "temperature", float, 0.0),
         max_output_tokens=_get(parser, "generation", "max_output_tokens", int, 2048),
@@ -154,8 +153,6 @@ def load_config(path: str | Path) -> AppConfig:
             fabricated_polysemy_similarity=_get(
                 parser, "error_analysis", "fabricated_polysemy_similarity", float, 0.9
             ),
-            refusal_patterns=DEFAULT_REFUSAL_PATTERNS,
-            proper_noun_patterns=DEFAULT_PROPER_NOUN_PATTERNS,
         )
     except ValueError as exc:
         raise ConfigError(f"[error_analysis] {exc}") from exc
@@ -226,7 +223,7 @@ def evaluation_snapshot(choice: str, config: AppConfig) -> dict:
             "overcorrection_max_edit_distance": errors.overcorrection_max_edit_distance,
             "overcorrection_similarity_floor": errors.overcorrection_similarity_floor,
             "fabricated_polysemy_similarity": errors.fabricated_polysemy_similarity,
-            "refusal_patterns": list(errors.refusal_patterns),
-            "proper_noun_patterns": list(errors.proper_noun_patterns),
+            "refusal_patterns": list(DEFAULT_REFUSAL_PATTERNS),
+            "proper_noun_patterns": list(DEFAULT_PROPER_NOUN_PATTERNS),
         },
     }

@@ -1,4 +1,4 @@
-"""Text embeddings and cosine similarity.
+"""Text embeddings for cosine scoring.
 
 Two embedders share one contract (``embed_batch`` / ``identifier``): a
 bit-reproducible signed character-trigram hasher for offline evaluation
@@ -33,19 +33,6 @@ def normalize_text(text: str) -> str:
     """Lowercase, NFC-compose, collapse whitespace runs, trim."""
     lowered = unicodedata.normalize("NFC", text.lower())
     return _WS_RUN_RE.sub(" ", lowered).strip()
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """dot(a,b) / (|a|·|b|); symmetric and invariant under positive scaling."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise DimensionError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVectorError("cosine similarity is undefined for a zero vector")
-    return float(np.dot(a, b) / (norm_a * norm_b))
 
 
 def _utf8_offsets(text: str) -> tuple[np.ndarray, np.ndarray]:

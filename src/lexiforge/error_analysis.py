@@ -21,7 +21,7 @@ from . import _kernels
 from .alignment import AlignmentRecord
 from .embedding import VectorTable, normalize_text
 from .exceptions import ParseError
-from .generation import DEFAULT_REFUSAL_PATTERNS, FailureReason, GenerationFailure
+from .generation import FailureReason, GenerationFailure
 from .model import Dictionary, DictionaryEntry, PosCategory
 
 DEFAULT_PROPER_NOUN_PATTERNS = ("nombre propio", "en la mitología")
@@ -42,8 +42,6 @@ class ErrorAnalysisConfig:
     overcorrection_max_edit_distance: int = 2
     overcorrection_similarity_floor: float = 0.5
     fabricated_polysemy_similarity: float = 0.9
-    refusal_patterns: tuple[str, ...] = DEFAULT_REFUSAL_PATTERNS
-    proper_noun_patterns: tuple[str, ...] = DEFAULT_PROPER_NOUN_PATTERNS
 
     def __post_init__(self):
         for name in ("hallucination_threshold", "overcorrection_similarity_floor", "fabricated_polysemy_similarity"):
@@ -99,12 +97,9 @@ def detect_circularity(entry: DictionaryEntry) -> bool:
     return any(pattern.search(sense.definition) for sense in entry.senses)
 
 
-def detect_proper_noun_definition(
-    entry: DictionaryEntry, patterns: Sequence[str] = DEFAULT_PROPER_NOUN_PATTERNS
-) -> bool:
+def detect_proper_noun_definition(entry: DictionaryEntry) -> bool:
     """True when any sense reads like a proper-noun description."""
-    folded = [p.casefold() for p in patterns]
-    return any(p in sense.definition.casefold() for sense in entry.senses for p in folded)
+    return any(p in sense.definition.casefold() for sense in entry.senses for p in DEFAULT_PROPER_NOUN_PATTERNS)
 
 
 def detect_fabricated_polysemy(
@@ -131,11 +126,6 @@ def detect_fabricated_polysemy(
                 similarity = config.fabricated_polysemy_similarity
                 return True, f"senses {i + 1} and {j + 1} cosine {_cosine_text(score)} >= {similarity}"
     return False, ""
-
-
-def edit_distance(a: str, b: str) -> int:
-    """Unit-cost insert/delete/substitute distance over Unicode scalars."""
-    return int(_kernels.levenshtein(_kernels.codepoints(a), _kernels.codepoints(b)))
 
 
 def _deletions(word: str, max_deletions: int) -> set[str]:
@@ -329,7 +319,7 @@ def classify_errors(
                     generated_definition=entry.senses[0].definition,
                 )
             )
-        if detect_proper_noun_definition(entry, config.proper_noun_patterns):
+        if detect_proper_noun_definition(entry):
             report.findings.append(
                 ErrorFinding(
                     lemma=entry.lemma,

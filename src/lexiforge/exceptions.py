@@ -71,7 +71,3 @@ class ServiceError(LexiforgeError):
 
 class ProtocolError(LexiforgeError):
     """A service reply violates the wire contract."""
-
-
-class KeyMismatchError(LexiforgeError):
-    """Two entries passed to alignment do not share the same key."""

@@ -49,6 +49,7 @@ class FailureReason(enum.Enum):
     PROVIDER_ERROR = "provider_error"
     PARSE_ERROR = "parse_error"
     REFUSAL = "refusal"
+    TRUNCATED = "truncated"
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,6 @@ class GenerationConfig:
     max_concurrent_batches: int = 4
     prompt_template: str = DEFAULT_PROMPT_TEMPLATE
     fewshot_examples: tuple[tuple[str, str, str, str], ...] = DEFAULT_FEWSHOT
-    refusal_patterns: tuple[str, ...] = DEFAULT_REFUSAL_PATTERNS
     model: str = "gpt-4-turbo"
     temperature: float = 0.0
     max_output_tokens: int = 2048
@@ -93,12 +93,12 @@ class GenerationConfig:
             raise ConfigError("prompt_template must contain the {{BATCH}} placeholder exactly once")
 
 
-def detect_refusal(definition: str, patterns: Sequence[str] = DEFAULT_REFUSAL_PATTERNS) -> bool:
+def detect_refusal(definition: str) -> bool:
     """True when the definition declines to define (or is empty)."""
     text = definition.strip().casefold()
     if not text:
         return True
-    return any(p.casefold() in text for p in patterns)
+    return any(p in text for p in DEFAULT_REFUSAL_PATTERNS)
 
 
 def split_batches(records: Sequence[LemmaRecord], batch_size: int) -> list[list[LemmaRecord]]:
@@ -146,12 +146,14 @@ def build_prompt(batch: Sequence[LemmaRecord], config: GenerationConfig) -> str:
 _CONTINUATION_RE = re.compile(r"^\s*(\d+)[.)]\s*(.*\S)\s*$")
 _HEAD_RE = re.compile(r"^\s*([^:]+?)\s*:\s*([^:]+?)\s*:\s*(.*\S)?\s*$")
 _EXAMPLE_SPLIT_RE = re.compile(r"\bEjemplo\s*:\s*", re.IGNORECASE)
+_MISSING = "lemma missing from reply"
 
 
 @dataclass
 class _ReplyBlock:
     lemma: str
     pos_label: str
+    line: int  # index of the head line in the reply
     senses: list[tuple[str, str | None]] = field(default_factory=list)
     claimed: bool = False
 
@@ -166,7 +168,7 @@ def _split_sense_text(text: str) -> tuple[str, str | None]:
 def _scan_reply_blocks(raw: str) -> list[_ReplyBlock]:
     blocks: list[_ReplyBlock] = []
     current: _ReplyBlock | None = None
-    for line in raw.splitlines():
+    for number, line in enumerate(raw.splitlines()):
         if not line.strip():
             current = None
             continue
@@ -181,17 +183,21 @@ def _scan_reply_blocks(raw: str) -> list[_ReplyBlock]:
             except EmptyLemmaError:
                 current = None
                 continue
-            current = _ReplyBlock(lemma=lemma, pos_label=head.group(2))
+            current = _ReplyBlock(lemma=lemma, pos_label=head.group(2), line=number)
             current.senses.append(_split_sense_text(head.group(3)))
             blocks.append(current)
         # anything else is stray prose; drop it
     return blocks
 
 
+def _without_last_block(raw: str) -> str:
+    """*raw* up to the head line of its last reply block, which a cut reply may have cut anywhere."""
+    blocks = _scan_reply_blocks(raw)
+    return "\n".join(raw.splitlines()[: blocks[-1].line]) if blocks else ""
+
+
 def parse_model_response(
-    raw: str,
-    batch: Sequence[LemmaRecord],
-    refusal_patterns: Sequence[str] = DEFAULT_REFUSAL_PATTERNS,
+    raw: str, batch: Sequence[LemmaRecord]
 ) -> tuple[list[DictionaryEntry], list[GenerationFailure]]:
     """Account for every batch lemma exactly once: entry or failure.
 
@@ -209,13 +215,13 @@ def parse_model_response(
         block = _claim_block(blocks, record)
         if block is None:
             failures.append(
-                GenerationFailure(record.lemma, record.pos, FailureReason.PARSE_ERROR, "lemma missing from reply")
+                GenerationFailure(record.lemma, record.pos, FailureReason.PARSE_ERROR, _MISSING)
             )
             continue
         kept: list[tuple[str, str | None]] = []
         refused: list[str] = []
         for definition, example in block.senses:
-            if detect_refusal(definition, refusal_patterns):
+            if detect_refusal(definition):
                 refused.append(definition)
             else:
                 kept.append((definition, example))
@@ -272,6 +278,14 @@ class _BatchOutcome:
     completion_tokens: int
     raw_text: str
 
+    def extend(self, other: "_BatchOutcome") -> None:
+        self.entries += other.entries
+        self.failures += other.failures
+        self.retries += other.retries
+        self.prompt_tokens += other.prompt_tokens
+        self.completion_tokens += other.completion_tokens
+        self.raw_text += "\n\n" + other.raw_text
+
 
 def _run_batch(
     provider: Provider,
@@ -279,6 +293,15 @@ def _run_batch(
     config: GenerationConfig,
     sleep: Callable[[float], None],
 ) -> _BatchOutcome:
+    """One request for *batch*, retried on transient provider errors.
+
+    A reply cut at ``max_output_tokens`` keeps what its blocks before the
+    last one yield. The lemmas those blocks leave unanswered go out again
+    as one smaller request; when they answer none, the batch is split in
+    half instead, and a single lemma whose reply is still cut fails as
+    truncated. Every re-request is smaller than the request it comes
+    from, so a batch of n lemmas costs at most 2n - 1 requests.
+    """
     request = ProviderRequest(
         prompt=build_prompt(batch, config),
         model=config.model,
@@ -300,10 +323,26 @@ def _run_batch(
             sleep(config.retry_backoff * (2**attempt))
             attempt += 1
             retries += 1
-    entries, failures = parse_model_response(response.text, batch, config.refusal_patterns)
-    return _BatchOutcome(
+    cut = response.finish_reason == "length"
+    entries, failures = parse_model_response(_without_last_block(response.text) if cut else response.text, batch)
+    outcome = _BatchOutcome(
         entries, failures, retries, response.prompt_tokens, response.completion_tokens, response.text
     )
+    if not cut:
+        return outcome
+    unanswered = [LemmaRecord(f.lemma, f.pos) for f in failures if f.detail == _MISSING]
+    outcome.failures = [f for f in failures if f.detail != _MISSING]
+    if len(unanswered) < len(batch):
+        parts = [unanswered] if unanswered else []
+    elif len(batch) > 1:
+        parts = [batch[: len(batch) // 2], batch[len(batch) // 2 :]]
+    else:
+        detail = f"reply cut at max_output_tokens = {config.max_output_tokens}"
+        outcome.failures = [GenerationFailure(batch[0].lemma, batch[0].pos, FailureReason.TRUNCATED, detail)]
+        parts = []
+    for part in parts:
+        outcome.extend(_run_batch(provider, part, config, sleep))
+    return outcome
 
 
 def run_generation(

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .alignment import AlignmentRecord
-from .model import Dictionary, PosCategory, is_monosemous
+from .model import Dictionary, DictionaryEntry, PosCategory, is_monosemous
 
 #: Fixed row order for rendered tables; "other" appears only when present.
 GROUP_ORDER = ("all", "noun", "adjective", "verb", "adverb", "other")
@@ -77,16 +77,10 @@ class StatsSummary:
         return cls(count=int(arr.size), mean=float(arr.mean()), std_dev=float(arr.std(ddof=0)))
 
 
-def polysemy_confusion(
-    generated: Dictionary, gold: Dictionary, keys: Iterable[tuple[str, PosCategory]]
-) -> ConfusionMatrix2x2:
-    """Classify every join key by monosemy on each side; cells sum to |keys|."""
+def polysemy_confusion(pairs: Iterable[tuple[DictionaryEntry, DictionaryEntry]]) -> ConfusionMatrix2x2:
+    """Classify every (generated, gold) join pair by monosemy on each side; cells sum to the pair count."""
     cells = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
-    for lemma, category in keys:
-        gen = generated.get(lemma, category)
-        gold_entry = gold.get(lemma, category)
-        if gen is None or gold_entry is None:
-            raise KeyError(f"join key ({lemma!r}, {category.value}) missing from a dictionary")
+    for gen, gold_entry in pairs:
         cells[(is_monosemous(gold_entry), is_monosemous(gen))] += 1
     return ConfusionMatrix2x2(
         mono_mono=cells[(True, True)],

@@ -144,21 +144,16 @@ class Dictionary:
     def __contains__(self, key: tuple[str, PosCategory]) -> bool:
         return key in self._entries
 
-    def monosemous_count(self) -> int:
-        return sum(1 for e in self._entries.values() if is_monosemous(e))
-
-    def polysemous_count(self) -> int:
-        return len(self._entries) - self.monosemous_count()
-
 
 def _key_sort(key: tuple[str, PosCategory]) -> tuple[str, str]:
     return (key[0], key[1].value)
 
 
-def vocabulary_join(generated: Dictionary, gold: Dictionary) -> list[tuple[str, PosCategory]]:
-    """Sorted (lemma, category) keys present in both dictionaries.
+def vocabulary_join(generated: Dictionary, gold: Dictionary) -> list[tuple[DictionaryEntry, DictionaryEntry]]:
+    """(generated, gold) entry pairs of the keys present in both, sorted by (lemma, category).
 
-    Evaluation is restricted to exactly this set, so entries missing on
+    Evaluation is restricted to exactly these pairs, so entries missing on
     either side never influence any statistic.
     """
-    return sorted(generated.keys() & gold.keys(), key=_key_sort)
+    shared = sorted(generated._entries.keys() & gold._entries.keys(), key=_key_sort)
+    return [(generated._entries[key], gold._entries[key]) for key in shared]

@@ -75,7 +75,6 @@ def file_digest(path: str | Path) -> str:
 @dataclass
 class EvaluationReport:
     join_size: int
-    skipped_keys: int
     confusion: ConfusionMatrix2x2
     class_metrics: dict[str, ClassMetrics]
     cosine_monosemous_gold: dict[str, StatsSummary]
@@ -91,7 +90,9 @@ class EvaluationReport:
     def to_dict(self) -> dict:
         return {
             "join_size": self.join_size,
-            "skipped_keys": self.skipped_keys,
+            # always 0, since the join holds only keys present on both sides;
+            # kept because perfbench's gate and existing report files read it
+            "skipped_keys": 0,
             "confusion": asdict(self.confusion),
             "class_metrics": {k: asdict(v) for k, v in self.class_metrics.items()},
             "cosine_monosemous_gold": {k: asdict(v) for k, v in self.cosine_monosemous_gold.items()},
@@ -113,7 +114,6 @@ class EvaluationReport:
             lengths = data["length_stats"]
             return cls(
                 join_size=int(data["join_size"]),
-                skipped_keys=int(data["skipped_keys"]),
                 confusion=ConfusionMatrix2x2(**data["confusion"]),
                 class_metrics={k: ClassMetrics(**v) for k, v in data["class_metrics"].items()},
                 cosine_monosemous_gold={
@@ -178,28 +178,30 @@ def evaluate_dictionaries(
     scores below and one in ``classify_errors`` for over-corrections.
     """
     error_config = error_config or ErrorAnalysisConfig()
-    keys = vocabulary_join(generated, gold)
+    join = vocabulary_join(generated, gold)
     texts = {s.definition for entry in generated.entries() if len(entry.senses) > 1 for s in entry.senses}
-    for key in keys:
-        for entry in (generated.get(*key), gold.get(*key)):
+    for pair in join:
+        for entry in pair:
             texts.update(sense_text(s, include_examples) for s in entry.senses)
     vectors = VectorTable(embedder, texts)
-    records, skipped = align_dictionaries(generated, gold, vectors, keys, include_examples)
-    pairs = []
-    for lemma, category in keys:
-        gen_entry = generated.get(lemma, category)
-        if len(gen_entry.senses) > 1:
-            matrix = all_pairs_scores(gen_entry, gold.get(lemma, category), vectors, include_examples)
-            pairs.append({"lemma": lemma, "category": category.value, "scores": matrix})
+    records = align_dictionaries(join, vectors, include_examples)
+    polysemy_pairs = [
+        {
+            "lemma": gen.lemma,
+            "category": gen.pos.category.value,
+            "scores": all_pairs_scores(gen, gold_entry, vectors, include_examples),
+        }
+        for gen, gold_entry in join
+        if len(gen.senses) > 1
+    ]
     polysemy = {entry.key: detect_fabricated_polysemy(entry, vectors, error_config) for entry in generated.entries()}
     del vectors  # the run's largest object; freed before classify_errors builds the neighbour index
-    confusion = polysemy_confusion(generated, gold, keys)
+    confusion = polysemy_confusion(join)
     gen_mono = [r for r in records if r.gen_sense_count == 1]
     errors = classify_errors(generated, gold, records, embedder, polysemy, error_config, failures)
 
     report = EvaluationReport(
-        join_size=len(keys),
-        skipped_keys=skipped,
+        join_size=len(join),
         confusion=confusion,
         class_metrics={
             "monosemy": class_metrics(confusion, "monosemy"),
@@ -215,7 +217,7 @@ def evaluate_dictionaries(
         config_snapshot=config_snapshot or {},
         provenance=provenance or {},
     )
-    return EvaluationResult(report=report, records=records, errors=errors, polysemy_pairs=pairs)
+    return EvaluationResult(report=report, records=records, errors=errors, polysemy_pairs=polysemy_pairs)
 
 
 # --- table rendering ---------------------------------------------------

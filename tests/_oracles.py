@@ -2,7 +2,8 @@
 
 Everything here is written from the definitions alone, without importing
 the package's embedding or kernel code, so tests can compare the two
-paths. Keep it dependency-free and boring.
+paths. Keep it boring: beyond the standard library it uses only numpy
+and the package's exception types.
 """
 
 from __future__ import annotations
@@ -10,6 +11,10 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
+
+import numpy as np
+
+from lexiforge.exceptions import DimensionError, ZeroVectorError
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -56,6 +61,19 @@ def oracle_cosine(a: list[float], b: list[float]) -> float:
     norm_a = math.sqrt(math.fsum(x * x for x in a))
     norm_b = math.sqrt(math.fsum(y * y for y in b))
     return dot / (norm_a * norm_b)
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """dot(a,b) / (|a|·|b|); symmetric and invariant under positive scaling."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
+        raise DimensionError(f"vector shapes differ: {a.shape} vs {b.shape}")
+    norm_a = float(np.linalg.norm(a))
+    norm_b = float(np.linalg.norm(b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise ZeroVectorError("cosine similarity is undefined for a zero vector")
+    return float(np.dot(a, b) / (norm_a * norm_b))
 
 
 def oracle_text_cosine(a: str, b: str, dimension: int = 512) -> float:

@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from lexiforge.cli import main
-from lexiforge.embedding import cosine_similarity, embed_deterministic
+from lexiforge.embedding import embed_deterministic
 from lexiforge.error_analysis import ErrorAnalysisConfig, ErrorCategory, hallucination_candidates
 from lexiforge.exceptions import ProviderError
 from lexiforge.generation import GenerationConfig, LemmaRecord, render_reply_block, run_generation
@@ -26,6 +26,7 @@ from lexiforge.providers import StubProvider
 from lexiforge.report import load_report
 
 from _oracles import (
+    cosine_similarity,
     oracle_population_stats,
     oracle_text_cosine,
 )

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -7,12 +8,10 @@ from lexiforge.alignment import (
     AlignmentRecord,
     align_dictionaries,
     all_pairs_scores,
-    parse_alignments,
     rank_histogram,
     write_alignments,
 )
 from lexiforge.embedding import DeterministicEmbedder, embed_deterministic
-from lexiforge.exceptions import KeyMismatchError
 from lexiforge.model import PosCategory, vocabulary_join
 
 from conftest import make_dictionary, make_entry, vector_table
@@ -51,16 +50,26 @@ class ScaledEmbedder:
 def align_one(gen, gold, embedder=EMBEDDER, include_examples=False):
     """Record of a one-key generated dictionary aligned against a one-key gold dictionary."""
     vectors = vector_table(embedder, [gen, gold], include_examples)
-    records, skipped = align_dictionaries(
-        make_dictionary("generated", gen), make_dictionary("gold", gold), vectors, [gen.key], include_examples
-    )
-    assert skipped == 0 and len(records) == 1
+    join = vocabulary_join(make_dictionary("generated", gen), make_dictionary("gold", gold))
+    records = align_dictionaries(join, vectors, include_examples)
+    assert len(records) == 1
     return records[0]
 
 
-def align_fixture(generated, gold, keys, embedder=EMBEDDER):
+def align_fixture(generated, gold, join, embedder=EMBEDDER):
     vectors = vector_table(embedder, generated.entries() + gold.entries())
-    return align_dictionaries(generated, gold, vectors, keys)
+    return align_dictionaries(join, vectors)
+
+
+def read_alignments(text):
+    """AlignmentRecords back from write_alignments output."""
+    records = []
+    for line in text.splitlines():
+        obj = json.loads(line)
+        obj["category"] = PosCategory(obj["category"])
+        obj["per_gold_scores"] = tuple(obj["per_gold_scores"])
+        records.append(AlignmentRecord(**obj))
+    return records
 
 
 class TestAlignEntry:
@@ -161,30 +170,24 @@ class TestAlignmentRecordValidation:
 class TestAlignDictionaries:
     def test_fixture20_arity_and_order(self, fixture20):
         generated, gold = fixture20
-        keys = vocabulary_join(generated, gold)
-        records, skipped = align_fixture(generated, gold, keys)
-        assert len(records) == 20 and skipped == 0
+        join = vocabulary_join(generated, gold)
+        records = align_fixture(generated, gold, join)
+        assert len(records) == 20
         assert [(r.lemma, r.category.value) for r in records] == [
-            (lemma, cat.value) for lemma, cat in keys
+            (gen.lemma, gen.pos.category.value) for gen, _ in join
         ]
-
-    def test_missing_key_skipped_with_count(self, fixture20):
-        generated, gold = fixture20
-        keys = vocabulary_join(generated, gold) + [("inexistente", PosCategory.NOUN)]
-        records, skipped = align_fixture(generated, gold, keys)
-        assert len(records) == 20 and skipped == 1
 
     def test_empty_join(self, fixture20):
         generated, gold = fixture20
-        records, skipped = align_fixture(generated, gold, [])
-        assert records == [] and skipped == 0
+        records = align_fixture(generated, gold, [])
+        assert records == []
 
     def test_rerun_is_byte_identical(self, fixture20):
         generated, gold = fixture20
-        keys = vocabulary_join(generated, gold)
+        join = vocabulary_join(generated, gold)
         outputs = []
         for _ in range(2):
-            records, _ = align_fixture(generated, gold, keys)
+            records = align_fixture(generated, gold, join)
             out = io.StringIO()
             write_alignments(records, out)
             outputs.append(out.getvalue())
@@ -192,9 +195,9 @@ class TestAlignDictionaries:
 
     def test_argmax_invariant_under_positive_scaling(self, fixture20):
         generated, gold = fixture20
-        keys = vocabulary_join(generated, gold)
-        base, _ = align_fixture(generated, gold, keys)
-        scaled, _ = align_fixture(generated, gold, keys, ScaledEmbedder(EMBEDDER, 7.5))
+        join = vocabulary_join(generated, gold)
+        base = align_fixture(generated, gold, join)
+        scaled = align_fixture(generated, gold, join, ScaledEmbedder(EMBEDDER, 7.5))
         for a, b in zip(base, scaled):
             assert a.best_gold_index == b.best_gold_index
             assert abs(a.best_score - b.best_score) < 1e-9
@@ -206,12 +209,6 @@ class TestAllPairs:
         gold = make_entry("hoja", "Nombre femenino", "Órgano verde y plano.", "Lámina delgada.", "Cuchilla.")
         matrix = all_pairs_scores(gen, gold, vector_table(EMBEDDER, [gen, gold]))
         assert len(matrix) == 2 and all(len(row) == 3 for row in matrix)
-
-    def test_key_mismatch_raises(self):
-        gen = make_entry("sal", "Nombre femenino", "Sustancia blanca.")
-        gold = make_entry("sol", "Nombre masculino", "Estrella.")
-        with pytest.raises(KeyMismatchError):
-            all_pairs_scores(gen, gold, vector_table(EMBEDDER, [gen, gold]))
 
 
 class TestRankHistogram:
@@ -255,8 +252,7 @@ class TestRankHistogram:
 class TestSerialization:
     def test_round_trip(self, fixture20):
         generated, gold = fixture20
-        keys = vocabulary_join(generated, gold)
-        records, _ = align_fixture(generated, gold, keys)
+        records = align_fixture(generated, gold, vocabulary_join(generated, gold))
         out = io.StringIO()
         write_alignments(records, out)
-        assert parse_alignments(io.StringIO(out.getvalue())) == records
+        assert read_alignments(out.getvalue()) == records

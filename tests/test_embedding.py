@@ -15,13 +15,12 @@ from lexiforge.embedding import (
     EmbeddingCache,
     RemoteEmbedder,
     VectorTable,
-    cosine_similarity,
     embed_deterministic,
     normalize_text,
 )
 from lexiforge.exceptions import DimensionError, EmptyTextError, ProtocolError, ServiceError, ZeroVectorError
 
-from _oracles import oracle_embed
+from _oracles import cosine_similarity, oracle_embed
 from conftest import DATA_DIR
 
 

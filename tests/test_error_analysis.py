@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexiforge import _kernels
 from lexiforge.alignment import AlignmentRecord, align_dictionaries
 from lexiforge.embedding import DeterministicEmbedder
 from lexiforge.error_analysis import (
@@ -16,7 +17,6 @@ from lexiforge.error_analysis import (
     detect_fabricated_polysemy,
     detect_overcorrection,
     detect_proper_noun_definition,
-    edit_distance,
     hallucination_candidates,
     parse_findings,
     write_findings,
@@ -33,7 +33,7 @@ EMBEDDER = DeterministicEmbedder(dimension=512)
 def classify(generated, gold, failures=None):
     """classify_errors after aligning and scoring fabricated polysemy on one table, as evaluation does."""
     vectors = vector_table(EMBEDDER, generated.entries() + gold.entries())
-    records, _ = align_dictionaries(generated, gold, vectors, vocabulary_join(generated, gold))
+    records = align_dictionaries(vocabulary_join(generated, gold), vectors)
     polysemy = {entry.key: detect_fabricated_polysemy(entry, vectors) for entry in generated.entries()}
     return classify_errors(generated, gold, records, EMBEDDER, polysemy, failures=failures)
 
@@ -165,6 +165,11 @@ class TestDetectFabricatedPolysemy:
         config = ErrorAnalysisConfig(fabricated_polysemy_similarity=0.5)
         flagged, evidence = fabricated(entry, config)
         assert flagged and "cosine" in evidence
+
+
+def edit_distance(a, b):
+    """Unit-cost insert/delete/substitute distance over Unicode scalars, from the kernel under test."""
+    return int(_kernels.levenshtein(_kernels.codepoints(a), _kernels.codepoints(b)))
 
 
 class TestEditDistance:

@@ -1,11 +1,14 @@
 import io
+import json
 import math
 import random
+import re
 
 import pytest
 
 from lexiforge.exceptions import ConfigError, ProviderError
 from lexiforge.generation import (
+    FailureReason,
     GenerationConfig,
     LemmaRecord,
     build_prompt,
@@ -15,9 +18,9 @@ from lexiforge.generation import (
     run_generation,
     split_batches,
 )
-from lexiforge.ingestion import write_dictionary, write_failures
-from lexiforge.model import PosTag
-from lexiforge.providers import StubProvider
+from lexiforge.ingestion import parse_failures, write_dictionary, write_failures
+from lexiforge.model import PosCategory, PosTag
+from lexiforge.providers import ProviderResponse, StubProvider
 
 
 def records(*lemmas: str) -> list[LemmaRecord]:
@@ -277,3 +280,111 @@ class TestRunStatsTokens:
         provider = stub_for(*lemmas)
         _, _, stats = run_generation(records(*lemmas), provider, GenerationConfig(batch_size=1))
         assert stats.prompt_tokens > 0 and stats.completion_tokens > 0
+
+
+class CuttingProvider(StubProvider):
+    """A StubProvider whose reply is cut after the request's max_tokens words, as a chat service does."""
+
+    def __init__(self, replies):
+        super().__init__(replies)
+        self.batches = []
+        self.cut_texts = []
+
+    def complete(self, request):
+        self.batches.append(self.batch_lemmas(request.prompt))
+        response = super().complete(request)
+        words = list(re.finditer(r"\S+", response.text))
+        if len(words) <= request.max_tokens:
+            return response
+        text = response.text[: words[request.max_tokens - 1].end()]
+        self.cut_texts.append(text)
+        return ProviderResponse(text=text, finish_reason="length")
+
+
+def word_count(text: str) -> int:
+    return len(text.split())
+
+
+class TestTruncatedReplies:
+    def run(self, replies, lemmas, max_tokens, batch_size=32):
+        provider = CuttingProvider(replies)
+        config = GenerationConfig(batch_size=batch_size, max_output_tokens=max_tokens)
+        dictionary, failures, _ = run_generation(records(*lemmas), provider, config)
+        assert len(dictionary) + len(failures) == len(lemmas)
+        return dictionary, failures, provider
+
+    def test_refused_lemma_cut_to_a_definition_is_not_kept(self):
+        replies = {"uno": reply_for("uno"), "parco": "parco: Adjetivo: Palabra inexistente en español."}
+        dictionary, failures, provider = self.run(replies, ["uno", "parco"], word_count(replies["uno"]) + 3)
+        assert provider.cut_texts[0].endswith("\nparco: Adjetivo: Palabra")  # reads as a definition
+        assert provider.batches == [["uno", "parco"], ["parco"]]
+        assert [entry.lemma for entry in dictionary.entries()] == ["uno"]
+        assert [(f.lemma, f.reason) for f in failures] == [("parco", FailureReason.REFUSAL)]
+
+    def test_cut_inside_a_defined_lemmas_senses(self):
+        banco = (
+            "banco: Nombre masculino: Asiento largo. Ejemplo: Se sentó en el banco.\n"
+            "2. Entidad financiera. Ejemplo: Fue al banco.\n"
+            "3. Conjunto de peces."
+        )
+        replies = {"uno": reply_for("uno"), "banco": banco, "dos": reply_for("dos")}
+        limit = word_count(replies["uno"]) + word_count(banco) - 2
+        dictionary, failures, provider = self.run(replies, ["uno", "banco", "dos"], limit)
+        assert provider.cut_texts[0].endswith("\n3. Conjunto")
+        assert provider.batches == [["uno", "banco", "dos"], ["banco", "dos"], ["dos"]]
+        assert failures == []
+        senses = dictionary.get("banco", PosCategory.NOUN).senses
+        assert [s.definition for s in senses] == ["Asiento largo.", "Entidad financiera.", "Conjunto de peces."]
+        assert {entry.lemma for entry in dictionary.entries()} == {"uno", "banco", "dos"}
+
+    def test_lemma_whose_own_reply_overflows_fails_as_truncated(self):
+        long = render_reply_block("largo", "Adjetivo", [("Que tiene " + "mucha " * 30 + "longitud.", None)])
+        replies = {"largo": long, "uno": reply_for("uno"), "dos": reply_for("dos")}
+        dictionary, failures, provider = self.run(replies, ["largo", "uno", "dos"], 20)
+        # nothing answered: split in half; the lone lemma still overflows
+        assert provider.batches == [["largo", "uno", "dos"], ["largo"], ["uno", "dos"]]
+        assert len(provider.batches) <= 2 * 3 - 1
+        assert {entry.lemma for entry in dictionary.entries()} == {"uno", "dos"}
+        assert [(f.lemma, f.reason) for f in failures] == [("largo", FailureReason.TRUNCATED)]
+        out = io.StringIO()
+        write_failures(failures, out)
+        assert json.loads(out.getvalue())["reason"] == "truncated"
+        assert parse_failures(io.StringIO(out.getvalue())) == failures
+
+    def test_outcomes_match_an_uncut_run(self):
+        rng = random.Random(11)
+        lemmas = [f"palabra{i}" for i in range(40)]
+        for _ in range(20):
+            replies = {}
+            for lemma in lemmas:
+                roll = rng.random()
+                if roll < 0.1:
+                    continue  # omitted from every reply
+                if roll < 0.25:
+                    replies[lemma] = f"{lemma}: Verbo: Palabra inexistente en español."
+                    continue
+                senses = [
+                    ("Acción " + "muy " * rng.randint(0, 12) + "concreta.", rng.choice([None, "Lo hizo."]))
+                    for _ in range(rng.randint(1, 3))
+                ]
+                replies[lemma] = render_reply_block(lemma, "Verbo", senses)
+            limit = rng.randint(5, 60)
+            batch_size = rng.choice([1, 3, 8, 32])
+            provider = CuttingProvider(replies)
+            config = GenerationConfig(batch_size=batch_size, max_output_tokens=limit)
+            dictionary, failures, _ = run_generation(records(*lemmas), provider, config)
+            uncut, uncut_failures, _ = run_generation(records(*lemmas), StubProvider(replies), config)
+
+            assert len(dictionary) + len(failures) == len(lemmas)
+            assert len(provider.batches) <= sum(2 * len(b) - 1 for b in split_batches(records(*lemmas), batch_size))
+            reasons = {f.lemma: f.reason for f in failures}
+            uncut_reasons = {f.lemma: f.reason for f in uncut_failures}
+            for lemma in lemmas:
+                if word_count(replies.get(lemma, "")) > limit:
+                    assert reasons[lemma] is FailureReason.TRUNCATED
+                else:
+                    assert reasons.get(lemma) == uncut_reasons.get(lemma)
+                    assert dictionary.get(lemma, PosCategory.VERB) == uncut.get(lemma, PosCategory.VERB)
+            out = io.StringIO()
+            write_failures(failures, out)
+            assert parse_failures(io.StringIO(out.getvalue())) == failures

@@ -14,7 +14,7 @@ from lexiforge.ingestion import (
     write_dictionary,
     write_failures,
 )
-from lexiforge.model import Dictionary, DictionaryEntry, Gender, PosCategory, PosTag, Sense
+from lexiforge.model import Dictionary, DictionaryEntry, Gender, PosCategory, PosTag, Sense, is_monosemous
 
 from conftest import make_dictionary, make_entry
 
@@ -94,7 +94,7 @@ class TestParseDictionary:
         )
         d = parse_dictionary(io.StringIO(line + "\n"))
         assert len(d) == 1
-        assert d.monosemous_count() == 1
+        assert sum(1 for e in d.entries() if is_monosemous(e)) == 1
 
     def test_sense_ordinals_follow_file_order(self):
         line = json.dumps(
@@ -115,8 +115,8 @@ class TestParseDictionary:
         generated, gold = fixture20
         # hand-counted in the committed fixture files
         assert len(generated) == len(gold) == 20
-        assert generated.polysemous_count() == 4
-        assert gold.polysemous_count() == 8
+        assert sum(1 for e in generated.entries() if not is_monosemous(e)) == 4
+        assert sum(1 for e in gold.entries() if not is_monosemous(e)) == 8
 
     def test_duplicate_key_reports_line(self):
         line = json.dumps(
@@ -275,6 +275,7 @@ class TestFailures:
             GenerationFailure("uno", None, FailureReason.PROVIDER_ERROR, "HTTP 500"),
             GenerationFailure("dos", PosTag.from_label("Verbo"), FailureReason.PARSE_ERROR, "missing"),
             GenerationFailure("tres", None, FailureReason.REFUSAL, "Desconocido."),
+            GenerationFailure("cuatro", None, FailureReason.TRUNCATED, "reply cut at max_output_tokens = 20"),
         ]
         out = io.StringIO()
         write_failures(failures, out)

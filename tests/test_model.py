@@ -18,6 +18,14 @@ from lexiforge.model import (
 from conftest import make_dictionary, make_entry
 
 
+def join_keys(gen, gold):
+    """Keys of vocabulary_join's pairs, after checking each pair holds both sides' entries for its key."""
+    pairs = vocabulary_join(gen, gold)
+    for gen_entry, gold_entry in pairs:
+        assert gen_entry is gen.get(*gen_entry.key) and gold_entry is gold.get(*gen_entry.key)
+    return [gen_entry.key for gen_entry, _ in pairs]
+
+
 class TestNormalizeLemma:
     def test_trims_and_lowercases(self):
         assert normalize_lemma(" Limitación ") == "limitación"
@@ -139,7 +147,9 @@ class TestDictionary:
 
     def test_mono_plus_poly_equals_total(self, fixture20):
         for d in fixture20:
-            assert d.monosemous_count() + d.polysemous_count() == len(d)
+            mono = sum(1 for e in d.entries() if is_monosemous(e))
+            poly = sum(1 for e in d.entries() if not is_monosemous(e))
+            assert mono + poly == len(d)
 
 
 class TestVocabularyJoin:
@@ -156,12 +166,12 @@ class TestVocabularyJoin:
             make_entry("c", "Verbo", "Definición c."),
             make_entry("d", "Verbo", "Definición d."),
         )
-        assert vocabulary_join(gen, gold) == [("b", PosCategory.VERB), ("c", PosCategory.VERB)]
+        assert join_keys(gen, gold) == [("b", PosCategory.VERB), ("c", PosCategory.VERB)]
 
     def test_disjoint_is_empty(self):
         gen = make_dictionary("gen", make_entry("a", "Verbo", "Definición."))
         gold = make_dictionary("gold", make_entry("b", "Verbo", "Definición."))
-        assert vocabulary_join(gen, gold) == []
+        assert join_keys(gen, gold) == []
 
     def test_ten_entry_fixture_shares_seven(self):
         shared = ["casa", "gato", "hoja", "mesa", "perro", "sal", "sol"]
@@ -174,9 +184,9 @@ class TestVocabularyJoin:
             "gold", *[make_entry(x, "Nombre masculino", f"Definición de {x} dos.") for x in shared + gold_only]
         )
         # enumerated by hand: the seven shared lemmas, sorted
-        assert vocabulary_join(gen, gold) == [(x, PosCategory.NOUN) for x in sorted(shared)]
+        assert join_keys(gen, gold) == [(x, PosCategory.NOUN) for x in sorted(shared)]
 
     def test_pos_category_distinguishes_homographs(self):
         gen = make_dictionary("gen", make_entry("bajo", "Adjetivo", "De poca altura."))
         gold = make_dictionary("gold", make_entry("bajo", "Nombre masculino", "Instrumento grave."))
-        assert vocabulary_join(gen, gold) == []
+        assert join_keys(gen, gold) == []

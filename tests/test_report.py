@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lexiforge.alignment import sense_text
-from lexiforge.embedding import DeterministicEmbedder, cosine_similarity, embed_deterministic
+from lexiforge.embedding import DeterministicEmbedder, embed_deterministic
 from lexiforge.error_analysis import ErrorCategory
 from lexiforge.metrics import ConfusionMatrix2x2, class_metrics
 from lexiforge.model import Dictionary, PosCategory
@@ -17,6 +17,7 @@ from lexiforge.report import (
     write_report,
 )
 
+from _oracles import cosine_similarity
 from conftest import make_dictionary, make_entry
 
 EMBEDDER = DeterministicEmbedder(dimension=512)
@@ -185,14 +186,27 @@ class TestReportSerialization:
         path = tmp_path / "report.json"
         write_report(fixture20_result.report, path)
         data = json.loads(path.read_text(encoding="utf-8"))
-        assert {"join_size", "confusion", "class_metrics", "rank_histogram", "error_summary"} <= set(data)
+        assert list(data) == [
+            "join_size",
+            "skipped_keys",
+            "confusion",
+            "class_metrics",
+            "cosine_monosemous_gold",
+            "cosine_polysemous_gold",
+            "length_stats",
+            "rank_histogram",
+            "error_summary",
+            "circularity_rate",
+            "config",
+            "provenance",
+        ]
+        assert data["skipped_keys"] == 0
 
 
 def reference_report() -> EvaluationReport:
     confusion = ConfusionMatrix2x2(mono_mono=49_114, mono_poly=699, poly_mono=24_444, poly_poly=2_706)
     return EvaluationReport(
         join_size=confusion.total,
-        skipped_keys=0,
         confusion=confusion,
         class_metrics={
             "monosemy": class_metrics(confusion, "monosemy"),
