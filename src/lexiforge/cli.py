@@ -125,8 +125,8 @@ def cmd_generate(lemmas_path, config_path, out_path, failures_path, audit_dir):
         write_failures(failures, fh)
     click.echo(
         f"defined {len(dictionary)} of {len(parsed.records)} lemmas "
-        f"({len(failures)} failures) in {stats.batch_count} batches; "
-        f"retries {stats.total_retries}, tokens {stats.prompt_tokens}+{stats.completion_tokens}, "
+        f"({len(failures)} failures) in {stats.batch_count} batches, {stats.requests} requests; "
+        f"retries {stats.retries}, tokens {stats.prompt_tokens}+{stats.completion_tokens}, "
         f"elapsed {stats.wall_seconds:.2f}s"
     )
 

@@ -122,7 +122,6 @@ def load_config(path: str | Path) -> AppConfig:
         max_concurrent_batches=_get(parser, "generation", "max_concurrent_batches", int, 4, alias="concurrency"),
         prompt_template=template,
         fewshot_examples=fewshot,
-        model=provider.model,
         temperature=_get(parser, "generation", "temperature", float, 0.0),
         max_output_tokens=_get(parser, "generation", "max_output_tokens", int, 2048),
     )

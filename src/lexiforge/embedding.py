@@ -10,6 +10,7 @@ and scores cosines as dot products of its rows.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import re
@@ -19,9 +20,9 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
-import requests
 
 from . import _kernels
+from ._http import TRANSPORT_ERRORS, JsonPoster
 from .exceptions import DimensionError, EmptyTextError, ProtocolError, ServiceError, ZeroVectorError
 
 logger = logging.getLogger(__name__)
@@ -122,7 +123,9 @@ class RemoteEmbedder:
     POSTs ``{"texts": [...]}`` and expects ``{"vectors": [[...]...],
     "dimension": n}``. Requests are chunked (default 64 texts per call)
     and transient failures (connection errors, 5xx, 429) are retried with
-    exponential backoff before raising ServiceError.
+    exponential backoff before raising ServiceError. The chunks go out one
+    after another over one kept-alive connection, so an embedder is not
+    thread-safe.
     """
 
     def __init__(
@@ -133,7 +136,6 @@ class RemoteEmbedder:
         retry_backoff: float = 1.0,
         timeout: float = 30.0,
         identifier: str = "remote",
-        session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.url = url
@@ -142,8 +144,8 @@ class RemoteEmbedder:
         self.retry_backoff = retry_backoff
         self.timeout = timeout
         self._identifier = identifier
-        self._session = session or requests.Session()
         self._sleep = sleep
+        self._poster = JsonPoster(url, timeout)
 
     @property
     def identifier(self) -> str:
@@ -165,23 +167,23 @@ class RemoteEmbedder:
         attempt = 0
         while True:
             try:
-                resp = self._session.post(self.url, json={"texts": chunk}, timeout=self.timeout)
-                if resp.status_code == 429 or resp.status_code >= 500:
-                    raise requests.HTTPError(f"HTTP {resp.status_code}")
-            except requests.RequestException as exc:
+                status, body = self._poster.post({"texts": chunk})
+                if status == 429 or status >= 500:
+                    raise http.client.HTTPException(f"HTTP {status}")
+            except TRANSPORT_ERRORS as exc:
                 if attempt >= self.max_retries:
                     raise ServiceError(f"embedding service unreachable after {attempt} retries: {exc}") from exc
                 self._sleep(self.retry_backoff * (2**attempt))
                 attempt += 1
                 continue
-            if resp.status_code >= 400:
-                raise ServiceError(f"embedding service rejected the request: HTTP {resp.status_code}")
-            return self._parse_reply(resp, len(chunk))
+            if status >= 400:
+                raise ServiceError(f"embedding service rejected the request: HTTP {status}")
+            return self._parse_reply(body, len(chunk))
 
     @staticmethod
-    def _parse_reply(resp: requests.Response, expected: int) -> list[np.ndarray]:
+    def _parse_reply(body: bytes, expected: int) -> list[np.ndarray]:
         try:
-            payload = resp.json()
+            payload = json.loads(body)
             raw_vectors = payload["vectors"]
             dimension = int(payload["dimension"])
         except (ValueError, KeyError, TypeError) as exc:
@@ -200,11 +202,16 @@ class RemoteEmbedder:
 
 
 def _cache_key(text: str) -> str:
-    return hashlib.sha256(normalize_text(text).encode("utf-8")).hexdigest()
+    # The prefix keeps every record keyed on the normalised text, as cache
+    # files written before exact-text keys hold them, from ever matching.
+    return hashlib.sha256(b"exact\0" + text.encode("utf-8")).hexdigest()
 
 
 class EmbeddingCache:
-    """Append-only vector cache keyed by (embedder id, normalized text).
+    """Append-only vector cache keyed by (embedder id, exact text).
+
+    The text is not normalised: an embedder may score ``"Casa."`` and
+    ``"casa."`` differently, and a cached run must score as an uncached one.
 
     Corrupt records are skipped with a warning and recomputed by the
     caller; the file is safe to append to across runs.
@@ -273,13 +280,7 @@ class CachingEmbedder:
         return self.inner.identifier
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        misses: list[str] = []
-        seen_keys: set[str] = set()
-        for text in texts:
-            key = _cache_key(text)
-            if key not in seen_keys and self.cache.get(self.identifier, text) is None:
-                seen_keys.add(key)
-                misses.append(text)
+        misses = [text for text in dict.fromkeys(texts) if self.cache.get(self.identifier, text) is None]
         if misses:
             computed = self.inner.embed_batch(misses)
             if len(computed) != len(misses):

@@ -68,7 +68,7 @@ class LemmaRecord:
     pos: PosTag | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenerationConfig:
     batch_size: int = 32
     max_retries: int = 3
@@ -76,7 +76,6 @@ class GenerationConfig:
     max_concurrent_batches: int = 4
     prompt_template: str = DEFAULT_PROMPT_TEMPLATE
     fewshot_examples: tuple[tuple[str, str, str, str], ...] = DEFAULT_FEWSHOT
-    model: str = "gpt-4-turbo"
     temperature: float = 0.0
     max_output_tokens: int = 2048
 
@@ -93,12 +92,21 @@ class GenerationConfig:
             raise ConfigError("prompt_template must contain the {{BATCH}} placeholder exactly once")
 
 
+_FIRST_WORD_RE = re.compile(r"\W*(\w*)")
+
+
 def detect_refusal(definition: str) -> bool:
-    """True when the definition declines to define (or is empty)."""
+    """True when the definition declines to define (or is empty).
+
+    A one-word pattern counts only as the definition's first word: a
+    refusal opens with "Desconocido", while "de origen desconocido" is an
+    ordinary definition. Patterns of several words count anywhere.
+    """
     text = definition.strip().casefold()
     if not text:
         return True
-    return any(p in text for p in DEFAULT_REFUSAL_PATTERNS)
+    first_word = _FIRST_WORD_RE.match(text).group(1)
+    return any(p in text if " " in p else p == first_word for p in DEFAULT_REFUSAL_PATTERNS)
 
 
 def split_batches(records: Sequence[LemmaRecord], batch_size: int) -> list[list[LemmaRecord]]:
@@ -132,8 +140,6 @@ def build_prompt(batch: Sequence[LemmaRecord], config: GenerationConfig) -> str:
     """Deterministic prompt: instructions, few-shot block, batch lemma lines."""
     if not batch:
         raise ValueError("batch must be non-empty")
-    if config.prompt_template.count("{{BATCH}}") != 1:
-        raise ConfigError("prompt_template must contain the {{BATCH}} placeholder exactly once")
     fewshot = "\n".join(
         render_reply_block(lemma, label, [(definition, example)])
         for lemma, label, definition, example in config.fewshot_examples
@@ -259,20 +265,18 @@ def _claim_block(blocks: list[_ReplyBlock], record: LemmaRecord) -> _ReplyBlock 
 @dataclass
 class RunStats:
     batch_count: int = 0
-    retries_per_batch: tuple[int, ...] = ()
+    requests: int = 0  # provider.complete calls: first attempts, retries and re-requests of cut replies
+    retries: int = 0
     prompt_tokens: int = 0
     completion_tokens: int = 0
     wall_seconds: float = 0.0
-
-    @property
-    def total_retries(self) -> int:
-        return sum(self.retries_per_batch)
 
 
 @dataclass
 class _BatchOutcome:
     entries: list[DictionaryEntry]
     failures: list[GenerationFailure]
+    requests: int
     retries: int
     prompt_tokens: int
     completion_tokens: int
@@ -281,6 +285,7 @@ class _BatchOutcome:
     def extend(self, other: "_BatchOutcome") -> None:
         self.entries += other.entries
         self.failures += other.failures
+        self.requests += other.requests
         self.retries += other.retries
         self.prompt_tokens += other.prompt_tokens
         self.completion_tokens += other.completion_tokens
@@ -304,11 +309,9 @@ def _run_batch(
     """
     request = ProviderRequest(
         prompt=build_prompt(batch, config),
-        model=config.model,
         temperature=config.temperature,
         max_tokens=config.max_output_tokens,
     )
-    retries = 0
     attempt = 0
     while True:
         try:
@@ -319,14 +322,13 @@ def _run_batch(
                 failures = [
                     GenerationFailure(r.lemma, r.pos, FailureReason.PROVIDER_ERROR, str(exc)) for r in batch
                 ]
-                return _BatchOutcome([], failures, retries, 0, 0, f"<provider error: {exc}>")
+                return _BatchOutcome([], failures, attempt + 1, attempt, 0, 0, f"<provider error: {exc}>")
             sleep(config.retry_backoff * (2**attempt))
             attempt += 1
-            retries += 1
     cut = response.finish_reason == "length"
     entries, failures = parse_model_response(_without_last_block(response.text) if cut else response.text, batch)
     outcome = _BatchOutcome(
-        entries, failures, retries, response.prompt_tokens, response.completion_tokens, response.text
+        entries, failures, attempt + 1, attempt, response.prompt_tokens, response.completion_tokens, response.text
     )
     if not cut:
         return outcome
@@ -391,7 +393,8 @@ def run_generation(
                 dictionary.add(entry)
     stats = RunStats(
         batch_count=len(batches),
-        retries_per_batch=tuple(o.retries for o in outcomes),
+        requests=sum(o.requests for o in outcomes),
+        retries=sum(o.retries for o in outcomes),
         prompt_tokens=sum(o.prompt_tokens for o in outcomes),
         completion_tokens=sum(o.completion_tokens for o in outcomes),
         wall_seconds=time.perf_counter() - started,

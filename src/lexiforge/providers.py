@@ -10,15 +10,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
-import requests
-
+from ._http import TRANSPORT_ERRORS, post_json
 from .exceptions import ProviderError
 
 
 @dataclass(frozen=True)
 class ProviderRequest:
     prompt: str
-    model: str
     temperature: float = 0.0
     max_tokens: int = 2048
 
@@ -52,36 +50,34 @@ class HttpChatProvider:
         model: str,
         credential_env: str | None = None,
         timeout: float = 60.0,
-        session: requests.Session | None = None,
     ):
         self.endpoint = endpoint
         self.model = model
         self.credential_env = credential_env
         self.timeout = timeout
-        self._session = session or requests.Session()
 
     def complete(self, request: ProviderRequest) -> ProviderResponse:
-        headers = {"Content-Type": "application/json"}
+        headers = {}
         if self.credential_env:
             key = os.environ.get(self.credential_env, "")
             if key:
                 headers["Authorization"] = f"Bearer {key}"
         body = {
-            "model": request.model or self.model,
+            "model": self.model,
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
         try:
-            resp = self._session.post(self.endpoint, json=body, headers=headers, timeout=self.timeout)
-        except requests.RequestException as exc:
+            status, data = post_json(self.endpoint, body, self.timeout, headers)
+        except TRANSPORT_ERRORS as exc:
             raise ProviderError(f"transport failure: {exc}", retryable=True) from exc
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise ProviderError(f"HTTP {resp.status_code} from provider", retryable=True)
-        if resp.status_code >= 400:
-            raise ProviderError(f"HTTP {resp.status_code} from provider", retryable=False)
+        if status == 429 or status >= 500:
+            raise ProviderError(f"HTTP {status} from provider", retryable=True)
+        if status >= 400:
+            raise ProviderError(f"HTTP {status} from provider", retryable=False)
         try:
-            payload = resp.json()
+            payload = json.loads(data)
             choice = payload["choices"][0]
             text = choice["message"]["content"]
             finish = choice.get("finish_reason", "stop")

@@ -113,6 +113,28 @@ class TestGenerate:
         )
         assert result.exit_code == 2
 
+    def test_endpoint_that_cannot_be_sent_to_records_provider_errors(self, runner, workspace):
+        (workspace / "bad_endpoint.ini").write_text(
+            "[provider]\nendpoint = chat-service/v1/chat/completions\n"
+            "[generation]\nbatch_size = 2\nmax_retries = 1\nretry_backoff = 0.0\n",
+            encoding="utf-8",
+        )
+        result = runner.invoke(
+            main,
+            [
+                "generate",
+                "--lemmas", str(workspace / "five_lemmas.txt"),
+                "--config", str(workspace / "bad_endpoint.ini"),
+                "--out", str(workspace / "g.jsonl"),
+                "--failures", str(workspace / "f.jsonl"),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        with open(workspace / "f.jsonl", encoding="utf-8") as fh:
+            failures = parse_failures(fh)
+        assert len(failures) == 5 and {f.reason.value for f in failures} == {"provider_error"}
+        assert "in 3 batches, 6 requests; retries 3" in result.output
+
     def test_config_from_environment(self, runner, workspace, monkeypatch):
         monkeypatch.setenv("LEXIFORGE_CONFIG", str(workspace / "stub_config.ini"))
         result = runner.invoke(
@@ -220,6 +242,25 @@ class TestEvaluate:
             ],
         )
         assert result.exit_code == 5
+
+    @pytest.mark.parametrize("url", ["embed-service/embed", "http://[::1"])
+    def test_url_that_cannot_be_sent_to_exit_5(self, runner, workspace, url):
+        (workspace / "remote.ini").write_text(
+            f"[embedding]\nremote_url = {url}\nremote_max_retries = 0\n", encoding="utf-8"
+        )
+        result = runner.invoke(
+            main,
+            [
+                "evaluate",
+                "--generated", str(workspace / "fixture20_generated.jsonl"),
+                "--gold", str(workspace / "fixture20_gold.jsonl"),
+                "--embedder", "remote",
+                "--config", str(workspace / "remote.ini"),
+                "--out", str(workspace / "x"),
+            ],
+        )
+        assert result.exit_code == 5, result.output
+        assert "unreachable" in result.output
 
     def test_zero_vector_from_service_exit_5(self, runner, workspace):
         server = ThreadingHTTPServer(("127.0.0.1", 0), ZeroVectorHandler)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -206,24 +207,52 @@ class TestEmbeddingCache:
         assert counting.calls == first_calls  # zero new calls
         assert len(result) == 4
 
+    def test_texts_differing_in_case_keep_their_own_vectors(self, tmp_path):
+        vectors = {"Casa.": [1.0, 0.0], "casa.": [0.0, 1.0]}
+        for _ in range(2):  # cold, then warm from the file
+            with EmbeddingCache(tmp_path / "cache.jsonl") as cache:
+                cached = CachingEmbedder(_TableEmbedder(vectors), cache).embed_batch(["Casa.", "casa."])
+            assert [list(v) for v in cached] == [vectors["Casa."], vectors["casa."]]
+
+    def test_record_keyed_on_the_normalised_text_misses(self, tmp_path):
+        # cache files written before exact-text keys hold sha256(normalised text);
+        # such a record may hold the vector of another spelling, so it must not hit
+        path = tmp_path / "cache.jsonl"
+        record = {"embedder": "e", "key": hashlib.sha256("casa.".encode()).hexdigest(), "vector": [1.0, 2.0]}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert EmbeddingCache(path).get("e", "casa.") is None
+
 
 class EmbedHandler(BaseHTTPRequestHandler):
-    script: list[int] = []  # status codes to emit before succeeding
+    # one step per request, before the default replies: a status code to
+    # fail with, or a function from the request's texts to the reply body
+    script: list = []
     calls = 0
     dimension = 8
+    # HTTP/1.1: a connection stays open after a reply unless the server
+    # drops it; with drop_after_reply it does so without saying so
+    protocol_version = "HTTP/1.1"
+    drop_after_reply = False
+    seen: list = []  # (client port, request target) of each request
 
     def do_POST(self):
         EmbedHandler.calls += 1
+        EmbedHandler.seen.append((self.client_address[1], self.path))
+        self.close_connection = EmbedHandler.drop_after_reply
         length = int(self.headers.get("Content-Length", 0))
         texts = json.loads(self.rfile.read(length))["texts"]
-        if EmbedHandler.script:
-            status = EmbedHandler.script.pop(0)
-            self.send_response(status)
+        step = EmbedHandler.script.pop(0) if EmbedHandler.script else None
+        if isinstance(step, int):
+            self.send_response(step)
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
-        vectors = [[float(len(t))] * EmbedHandler.dimension for t in texts]
-        data = json.dumps({"vectors": vectors, "dimension": EmbedHandler.dimension}).encode()
+        if step is None:
+            payload = {"vectors": [[float(len(t))] * EmbedHandler.dimension for t in texts],
+                       "dimension": EmbedHandler.dimension}
+        else:
+            payload = step(texts)
+        data = json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -240,8 +269,11 @@ def embed_server():
     threading.Thread(target=server.serve_forever, daemon=True).start()
     EmbedHandler.script = []
     EmbedHandler.calls = 0
+    EmbedHandler.drop_after_reply = False
+    EmbedHandler.seen = []
     yield f"http://127.0.0.1:{server.server_address[1]}/embed"
     server.shutdown()
+    server.server_close()
 
 
 class TestRemoteEmbedder:
@@ -275,6 +307,24 @@ class TestRemoteEmbedder:
         with pytest.raises(ServiceError):
             remote.embed_batch(["hola"])
 
+    def test_chunks_share_one_connection(self, embed_server):
+        RemoteEmbedder(embed_server, batch_size=64).embed_batch([f"t{i}" for i in range(130)])
+        assert len(EmbedHandler.seen) == 3
+        assert len({port for port, _ in EmbedHandler.seen}) == 1
+
+    def test_connection_dropped_while_idle_is_reopened_without_a_retry(self, embed_server):
+        EmbedHandler.drop_after_reply = True
+        slept = []
+        remote = RemoteEmbedder(embed_server, batch_size=64, max_retries=0, sleep=slept.append)
+        assert len(remote.embed_batch([f"t{i}" for i in range(130)])) == 130
+        assert len({port for port, _ in EmbedHandler.seen}) == EmbedHandler.calls == 3
+        assert slept == []
+
+    def test_non_ascii_path_is_percent_encoded(self, embed_server):
+        remote = RemoteEmbedder(embed_server + "/incrustación vectorial")
+        assert len(remote.embed_batch(["hola"])) == 1
+        assert [path for _, path in EmbedHandler.seen] == ["/embed/incrustaci%C3%B3n%20vectorial"]
+
     def test_unreachable_service(self):
         remote = RemoteEmbedder("http://127.0.0.1:1/embed", max_retries=1, retry_backoff=0.0,
                                 timeout=0.2, sleep=lambda _: None)
@@ -282,72 +332,36 @@ class TestRemoteEmbedder:
             remote.embed_batch(["hola"])
 
 
-class _MismatchSession:
-    def post(self, url, json=None, timeout=None):
-        class Resp:
-            status_code = 200
-
-            @staticmethod
-            def json():
-                return {"vectors": [[1.0, 2.0]], "dimension": 2}
-
-        return Resp()
-
-
-class _ShrinkingSession:
-    """Answers the first request with 512-wide vectors and later ones with 256-wide ones."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def post(self, url, json=None, timeout=None):
-        self.calls += 1
-        dimension = 512 if self.calls == 1 else 256
-        payload = {"vectors": [[1.0] * dimension for _ in json["texts"]], "dimension": dimension}
-
-        class Resp:
-            status_code = 200
-
-            @staticmethod
-            def json():
-                return payload
-
-        return Resp()
-
-
-class _ZeroSession:
-    """Answers every text with an all-zero vector."""
-
-    def post(self, url, json=None, timeout=None):
-        payload = {"vectors": [[0.0, 0.0, 0.0] for _ in json["texts"]], "dimension": 3}
-
-        class Resp:
-            status_code = 200
-
-            @staticmethod
-            def json():
-                return payload
-
-        return Resp()
+def _same_vector(value: float, dimension: int):
+    """Reply body giving every text the vector (value, ..., value)."""
+    return lambda texts: {"vectors": [[value] * dimension for _ in texts], "dimension": dimension}
 
 
 class TestRemoteProtocol:
-    def test_zero_vector_is_protocol_error(self):
-        remote = RemoteEmbedder("http://unused", session=_ZeroSession())
+    def test_zero_vector_is_protocol_error(self, embed_server):
+        EmbedHandler.script = [_same_vector(0.0, 3)]
+        remote = RemoteEmbedder(embed_server)
         with pytest.raises(ProtocolError, match="all-zero"):
             remote.embed_batch(["hola"])
 
-    def test_count_mismatch_is_protocol_error(self):
-        remote = RemoteEmbedder("http://unused", session=_MismatchSession())
+    def test_count_mismatch_is_protocol_error(self, embed_server):
+        EmbedHandler.script = [lambda texts: {"vectors": [[1.0, 2.0]], "dimension": 2}]
+        remote = RemoteEmbedder(embed_server)
         with pytest.raises(ProtocolError):
             remote.embed_batch(["a", "b"])
 
-    def test_dimension_change_between_chunks_is_protocol_error(self):
-        session = _ShrinkingSession()
-        remote = RemoteEmbedder("http://unused", batch_size=2, session=session)
+    def test_dimension_change_between_chunks_is_protocol_error(self, embed_server):
+        EmbedHandler.script = [_same_vector(1.0, 512), _same_vector(1.0, 256)]
+        remote = RemoteEmbedder(embed_server, batch_size=2)
         with pytest.raises(ProtocolError, match="512 then 256"):
             remote.embed_batch(["a", "b", "c"])
-        assert session.calls == 2
+        assert EmbedHandler.calls == 2
+
+    @pytest.mark.parametrize("url", ["embed-service/embed", "http://[::1", "file:///dev/null"])
+    def test_url_that_cannot_be_sent_to_is_service_error(self, url):
+        remote = RemoteEmbedder(url, max_retries=1, retry_backoff=0.0, sleep=lambda _: None)
+        with pytest.raises(ServiceError):
+            remote.embed_batch(["hola"])
 
 
 class _TableEmbedder:

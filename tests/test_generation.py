@@ -102,6 +102,7 @@ class TestDetectRefusal:
         [
             "Acción y efecto de limitar o limitarse.",
             "Poner límites o fronteras a algo.",
+            "Persona de origen desconocido.",
         ],
     )
     def test_definitions_pass(self, text):
@@ -122,6 +123,13 @@ class TestParseModelResponse:
         entries, failures = parse_model_response(raw, batch)
         assert entries == []
         assert failures[0].reason.value == "refusal"
+
+    def test_one_word_pattern_inside_a_definition_is_not_refusal(self):
+        entries, failures = parse_model_response(
+            "ignoto: Adjetivo: No conocido ni descubierto; desconocido.", [LemmaRecord("ignoto")]
+        )
+        assert failures == []
+        assert entries[0].senses[0].definition == "No conocido ni descubierto; desconocido."
 
     def test_omitted_lemma_becomes_parse_error(self):
         batch = records("a1", "b2", "c3", "d4", "e5")
@@ -209,8 +217,7 @@ class TestRunGeneration:
         config = GenerationConfig(batch_size=32, max_retries=3, retry_backoff=0.0)
         dictionary, failures, stats = run_generation(records("solo"), provider, config, sleep=lambda _: None)
         assert len(dictionary) == 1 and failures == []
-        assert stats.retries_per_batch == (2,)
-        assert stats.total_retries == 2
+        assert stats.retries == 2 and stats.requests == 3
 
     def test_exhausted_retries_become_provider_error_failures(self):
         config = GenerationConfig(batch_size=2, max_retries=1, retry_backoff=0.0)
@@ -309,8 +316,9 @@ class TestTruncatedReplies:
     def run(self, replies, lemmas, max_tokens, batch_size=32):
         provider = CuttingProvider(replies)
         config = GenerationConfig(batch_size=batch_size, max_output_tokens=max_tokens)
-        dictionary, failures, _ = run_generation(records(*lemmas), provider, config)
+        dictionary, failures, stats = run_generation(records(*lemmas), provider, config)
         assert len(dictionary) + len(failures) == len(lemmas)
+        assert stats.requests == provider.calls
         return dictionary, failures, provider
 
     def test_refused_lemma_cut_to_a_definition_is_not_kept(self):

@@ -5,7 +5,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from lexiforge.exceptions import ProviderError
-from lexiforge.generation import GenerationConfig, LemmaRecord, build_prompt
+from lexiforge.generation import GenerationConfig, LemmaRecord, build_prompt, render_reply_block, run_generation
 from lexiforge.providers import HttpChatProvider, ProviderRequest, StubProvider
 
 
@@ -18,7 +18,9 @@ class ChatHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         payload = json.loads(self.rfile.read(length))
-        ChatHandler.requests_seen.append({"body": payload, "auth": self.headers.get("Authorization")})
+        ChatHandler.requests_seen.append(
+            {"body": payload, "auth": self.headers.get("Authorization"), "target": self.path}
+        )
         step = ChatHandler.script.pop(0) if ChatHandler.script else {"status": 200, "body": _ok_body("hola")}
         body = step["body"]
         data = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
@@ -48,9 +50,10 @@ def chat_server():
     ChatHandler.requests_seen = []
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
-REQUEST = ProviderRequest(prompt="define: casa", model="gpt-4-turbo", temperature=0.0, max_tokens=256)
+REQUEST = ProviderRequest(prompt="define: casa", temperature=0.0, max_tokens=256)
 
 
 class TestHttpChatProvider:
@@ -102,6 +105,78 @@ class TestHttpChatProvider:
             provider.complete(REQUEST)
         assert exc.value.retryable
 
+    @pytest.mark.parametrize(
+        "url", ["chat-service/v1/chat/completions", "http://[::1", "http://127.0.0.1:port/", "file:///dev/null"]
+    )
+    def test_url_that_cannot_be_sent_to_is_transport_failure(self, url):
+        with pytest.raises(ProviderError, match="transport failure") as exc:
+            HttpChatProvider(url, model="m").complete(REQUEST)
+        assert exc.value.retryable
+
+    def test_credential_with_line_break_is_transport_failure(self, chat_server, monkeypatch):
+        monkeypatch.setenv("TEST_PROVIDER_KEY", "sk-secreto\r\nX-Injected: 1")
+        provider = HttpChatProvider(chat_server, model="m", credential_env="TEST_PROVIDER_KEY")
+        with pytest.raises(ProviderError, match="transport failure") as exc:
+            provider.complete(REQUEST)
+        assert exc.value.retryable
+        assert ChatHandler.requests_seen == []
+
+    def test_http_proxy_from_environment(self, chat_server, monkeypatch):
+        # the test server plays the proxy: it gets the absolute URL as the request target
+        for name in ("no_proxy", "NO_PROXY", "http_proxy", "HTTP_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", chat_server.rsplit("/v1/", 1)[0])
+        HttpChatProvider("http://127.0.0.1:9/v1/chat/completions", model="m").complete(REQUEST)
+        assert ChatHandler.requests_seen[0]["target"] == "http://127.0.0.1:9/v1/chat/completions"
+
+
+class LemmaChatHandler(BaseHTTPRequestHandler):
+    """Chat endpoint that defines every lemma of the prompt and records the connection of each request.
+
+    It speaks HTTP/1.1, so a client that keeps connections alive sends
+    several requests over one of them.
+    """
+
+    protocol_version = "HTTP/1.1"
+    served: list[tuple[int, int]] = []  # (client port, number of this request on its connection)
+
+    def do_POST(self):
+        self.on_connection = getattr(self, "on_connection", 0) + 1
+        LemmaChatHandler.served.append((self.client_address[1], self.on_connection))
+        prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["messages"][0]["content"]
+        text = "\n".join(
+            render_reply_block(lemma, "Verbo", [(f"Acción propia de {lemma[::-1]}.", None)])
+            for lemma in StubProvider.batch_lemmas(prompt)
+        )
+        data = json.dumps(_ok_body(text)).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestConcurrentGeneration:
+    def test_worker_threads_share_no_connection(self):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), LemmaChatHandler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        LemmaChatHandler.served = []
+        try:
+            provider = HttpChatProvider(f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", model="m")
+            lemmas = [LemmaRecord(f"lema{i:02d}") for i in range(48)]
+            config = GenerationConfig(batch_size=3, max_concurrent_batches=4)
+            dictionary, failures, stats = run_generation(lemmas, provider, config)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert len(dictionary) + len(failures) == len(lemmas)
+        assert failures == [] and {entry.lemma for entry in dictionary.entries()} == {r.lemma for r in lemmas}
+        assert len(LemmaChatHandler.served) == stats.requests == 16
+        assert {number for _, number in LemmaChatHandler.served} == {1}
+
 
 class TestStubProvider:
     def test_extracts_batch_lemmas_from_default_prompt(self):
@@ -122,7 +197,7 @@ class TestStubProvider:
     def test_lookup_concatenates_known_replies(self):
         provider = StubProvider({"casa": "casa: Nombre femenino: Edificio para habitar."})
         prompt = build_prompt([LemmaRecord("casa"), LemmaRecord("perdido")], GenerationConfig())
-        response = provider.complete(ProviderRequest(prompt=prompt, model="stub"))
+        response = provider.complete(ProviderRequest(prompt=prompt))
         assert response.text == "casa: Nombre femenino: Edificio para habitar."
         assert provider.calls == 1
 
