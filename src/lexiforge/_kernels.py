@@ -1,8 +1,10 @@
 """Hot numeric kernels: signed trigram hashing and Levenshtein distance.
 
-Both are vectorised with numpy: the trigram hasher advances every
-trigram's FNV-1a chain one byte per pass, and the edit distance fills
-the DP table one row at a time.
+Both are vectorised with numpy. The trigram hasher takes a chunk of
+texts at once: their UTF-8 bytes in one buffer, the FNV-1a chain of
+every trigram of the chunk advanced one byte position per pass, and one
+``np.bincount`` into a ``(texts, dimension)`` count block. The edit
+distance fills the DP table one row at a time.
 """
 
 from __future__ import annotations
@@ -26,28 +28,49 @@ def codepoints(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)
 
 
-def trigram_counts(data: np.ndarray, offsets: np.ndarray, dimension: int) -> np.ndarray:
-    """Signed FNV-1a bucket counts, vectorized over trigrams.
+def trigram_counts(texts: list[str], dimension: int) -> np.ndarray:
+    """Signed FNV-1a bucket counts of every character trigram, one int64 row per text.
 
-    offsets[t]:offsets[t+3] delimit the UTF-8 bytes of trigram t. Hash
-    chains advance one byte position per pass; trigrams shorter than the
-    longest one are masked out once exhausted.
+    Each text must hold at least three characters (callers pad the
+    normalised text with ``#`` on each side). A trigram's 64-bit FNV-1a
+    hash over its UTF-8 bytes picks a bucket (hash mod dimension) and a
+    sign (top bit). Opposite signs can, very rarely, cancel every bucket
+    of a text; that row falls back to +1 in its first trigram's bucket,
+    so no row is all zero.
     """
-    n = offsets.shape[0] - 3
-    counts = np.zeros(dimension, dtype=np.int64)
-    if n <= 0:
-        return counts
-    starts = offsets[:n].astype(np.int64)
-    ends = offsets[3 : n + 3].astype(np.int64)
-    h = np.full(n, _U64_OFFSET, dtype=np.uint64)
-    for j in range(int((ends - starts).max())):
-        idx = starts + j
-        active = idx < ends
-        hb = h[active] ^ data[idx[active]].astype(np.uint64)
-        h[active] = hb * _U64_PRIME
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    if (lengths < 3).any():
+        raise ValueError("every text needs at least three characters")
+    joined = "".join(texts)
+    data = np.frombuffer(joined.encode("utf-8"), dtype=np.uint8).astype(np.uint64)
+    cps = codepoints(joined)
+    char_offsets = np.zeros(cps.size + 1, dtype=np.int64)
+    np.cumsum(1 + (cps >= 0x80).astype(np.int64) + (cps >= 0x800) + (cps >= 0x10000), out=char_offsets[1:])
+    # trigram t of text i starts at character text_starts[i] + t
+    per_text = lengths - 2
+    row = np.repeat(np.arange(len(texts)), per_text)
+    first = np.zeros(len(texts), dtype=np.int64)
+    np.cumsum(per_text[:-1], out=first[1:])
+    text_starts = np.zeros(len(texts), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=text_starts[1:])
+    chars = np.arange(row.size) + np.repeat(text_starts - first, per_text)
+    starts = char_offsets[chars]
+    sizes = char_offsets[chars + 3] - starts
+    h = np.full(row.size, _U64_OFFSET, dtype=np.uint64)
+    for j in range(3):  # every trigram has at least three bytes
+        h = (h ^ data[starts + j]) * _U64_PRIME
+    live = np.flatnonzero(sizes > 3)
+    for j in range(3, int(sizes.max())):  # only trigrams with multi-byte characters go on
+        live = live[sizes[live] > j]
+        h[live] = (h[live] ^ data[starts[live] + j]) * _U64_PRIME
     buckets = (h % np.uint64(dimension)).astype(np.int64)
-    signs = np.where((h >> np.uint64(63)) == 0, np.int64(1), np.int64(-1))
-    np.add.at(counts, buckets, signs)
+    keys = row * dimension + buckets
+    negative = (h >> np.uint64(63)).astype(bool)
+    size = len(texts) * dimension
+    counts = np.bincount(keys[~negative], minlength=size) - np.bincount(keys[negative], minlength=size)
+    counts = counts.reshape(len(texts), dimension)
+    cancelled = np.flatnonzero(~counts.any(axis=1))
+    counts[cancelled, buckets[first[cancelled]]] = 1
     return counts
 
 

@@ -149,49 +149,55 @@ def cmd_evaluate(generated_path, gold_path, embedder_choice, config_path, out_di
     """Score a generated dictionary against the gold standard."""
     config = load_config(config_path)
     embedder = build_embedder(embedder_choice, config.embedding)
-    generated = _load_dictionary(generated_path, "generated")
-    gold = _load_dictionary(gold_path, "gold")
-    failures = None
-    if failures_path:
-        try:
-            failures = parse_failures(_read_lines(failures_path))
-        except (ParseError, EncodingError) as exc:
-            raise _fail(EXIT_INPUT, f"cannot parse {failures_path}: {exc}") from exc
+    try:
+        generated = _load_dictionary(generated_path, "generated")
+        gold = _load_dictionary(gold_path, "gold")
+        failures = None
+        if failures_path:
+            try:
+                failures = parse_failures(_read_lines(failures_path))
+            except (ParseError, EncodingError) as exc:
+                raise _fail(EXIT_INPUT, f"cannot parse {failures_path}: {exc}") from exc
 
-    result = evaluate_dictionaries(
-        generated,
-        gold,
-        embedder,
-        error_config=config.error_analysis,
-        include_examples=config.embedding.include_examples,
-        failures=failures,
-        config_snapshot=evaluation_snapshot(embedder_choice, config),
-        provenance={
-            "generated_file": str(Path(generated_path).name),
-            "generated_digest": file_digest(generated_path),
-            "gold_file": str(Path(gold_path).name),
-            "gold_digest": file_digest(gold_path),
-            "embedder": embedder.identifier,
-        },
-    )
+        result = evaluate_dictionaries(
+            generated,
+            gold,
+            embedder,
+            error_config=config.error_analysis,
+            include_examples=config.embedding.include_examples,
+            failures=failures,
+            config_snapshot=evaluation_snapshot(embedder_choice, config),
+            provenance={
+                "generated_file": str(Path(generated_path).name),
+                "generated_digest": file_digest(generated_path),
+                "gold_file": str(Path(gold_path).name),
+                "gold_digest": file_digest(gold_path),
+                "embedder": embedder.identifier,
+            },
+        )
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report(result.report, out / "report.json")
-    with atomic_text(out / "alignments.jsonl") as fh:
-        write_alignments(result.records, fh)
-    with atomic_text(out / "findings.jsonl") as fh:
-        write_findings(result.errors.findings, fh)
-    if result.polysemy_pairs:
-        with atomic_text(out / "polysemy_pairs.jsonl") as fh:
-            for pair in result.polysemy_pairs:
-                fh.write(json.dumps(pair, ensure_ascii=False) + "\n")
-    click.echo(
-        f"evaluated {result.report.join_size} join keys; "
-        f"confusion [{result.report.confusion.mono_mono}, {result.report.confusion.mono_poly}; "
-        f"{result.report.confusion.poly_mono}, {result.report.confusion.poly_poly}]; "
-        f"{sum(result.report.error_summary.values())} findings -> {out}"
-    )
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_report(result.report, out / "report.json")
+        with atomic_text(out / "alignments.jsonl") as fh:
+            write_alignments(result.records, fh)
+        with atomic_text(out / "findings.jsonl") as fh:
+            write_findings(result.errors.findings, fh)
+        if result.polysemy_pairs:
+            with atomic_text(out / "polysemy_pairs.jsonl") as fh:
+                for pair in result.polysemy_pairs:
+                    fh.write(json.dumps(pair, ensure_ascii=False) + "\n")
+        click.echo(
+            f"evaluated {result.report.join_size} join keys; "
+            f"confusion [{result.report.confusion.mono_mono}, {result.report.confusion.mono_poly}; "
+            f"{result.report.confusion.poly_mono}, {result.report.confusion.poly_poly}]; "
+            f"{sum(result.report.error_summary.values())} findings -> {out}"
+        )
+    finally:
+        # the remote embedder keeps a connection open, and a cache its append handle
+        close = getattr(embedder, "close", None)
+        if close is not None:
+            close()
 
 
 def _resolve_report_path(eval_path: str) -> Path:

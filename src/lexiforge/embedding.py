@@ -36,14 +36,27 @@ def normalize_text(text: str) -> str:
     return _WS_RUN_RE.sub(" ", lowered).strip()
 
 
-def _utf8_offsets(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """UTF-8 bytes of *text* plus the byte offset of each character."""
-    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    cps = _kernels.codepoints(text)
-    lengths = 1 + (cps >= 0x80).astype(np.int64) + (cps >= 0x800) + (cps >= 0x10000)
-    offsets = np.zeros(len(text) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    return data, offsets
+#: Texts hashed per ``_kernels.trigram_counts`` call. The count block of a
+#: chunk is ``EMBED_CHUNK`` × dimension int64 values (1 MiB at 512 dims),
+#: so hashing a batch of any size needs no more scratch memory than that.
+EMBED_CHUNK = 256
+
+
+def _embed_chunk(texts: Sequence[str], dimension: int) -> np.ndarray:
+    """Unit rows of the signed trigram embedding, one per text."""
+    if dimension < 1:
+        raise DimensionError(f"dimension must be >= 1, got {dimension}")
+    padded = []
+    for text in texts:
+        normalized = normalize_text(text)
+        if not normalized:
+            raise EmptyTextError(f"text is empty after normalization: {text!r}")
+        padded.append(f"#{normalized}#")
+    counts = _kernels.trigram_counts(padded, dimension).astype(np.float64)
+    # the counts are integers, so the sum of squares is exact in any order
+    # and every row's norm is the one a per-text pass would compute
+    counts /= np.linalg.norm(counts, axis=1, keepdims=True)
+    return counts
 
 
 def embed_deterministic(text: str, dimension: int = 512) -> np.ndarray:
@@ -59,19 +72,7 @@ def embed_deterministic(text: str, dimension: int = 512) -> np.ndarray:
     output must never be all-zero, so that case deterministically falls
     back to marking the first trigram's bucket.
     """
-    if dimension < 1:
-        raise DimensionError(f"dimension must be >= 1, got {dimension}")
-    normalized = normalize_text(text)
-    if not normalized:
-        raise EmptyTextError(f"text is empty after normalization: {text!r}")
-    padded = f"#{normalized}#"
-    data, offsets = _utf8_offsets(padded)
-    counts = _kernels.trigram_counts(data, offsets, dimension)
-    if not counts.any():
-        counts = np.abs(_kernels.trigram_counts(data, offsets[:4], dimension))
-    vector = counts.astype(np.float64)
-    vector /= float(np.linalg.norm(vector))
-    return vector
+    return _embed_chunk([text], dimension)[0]
 
 
 class VectorTable:
@@ -114,7 +115,11 @@ class DeterministicEmbedder:
         return f"trigram-fnv1a-{self.dimension}"
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        return [embed_deterministic(t, self.dimension) for t in texts]
+        """``embed_deterministic`` of every text, hashed ``EMBED_CHUNK`` texts at a time."""
+        vectors: list[np.ndarray] = []
+        for start in range(0, len(texts), EMBED_CHUNK):
+            vectors.extend(_embed_chunk(texts[start : start + EMBED_CHUNK], self.dimension))
+        return vectors
 
 
 class RemoteEmbedder:
@@ -125,7 +130,7 @@ class RemoteEmbedder:
     and transient failures (connection errors, 5xx, 429) are retried with
     exponential backoff before raising ServiceError. The chunks go out one
     after another over one kept-alive connection, so an embedder is not
-    thread-safe.
+    thread-safe; ``close`` closes that connection.
     """
 
     def __init__(
@@ -150,6 +155,9 @@ class RemoteEmbedder:
     @property
     def identifier(self) -> str:
         return self._identifier
+
+    def close(self) -> None:
+        self._poster.close()
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         vectors: list[np.ndarray] = []
@@ -269,7 +277,11 @@ class EmbeddingCache:
 
 
 class CachingEmbedder:
-    """Wrap any embedder with a persistent cache; misses are batched."""
+    """Wrap any embedder with a persistent cache; misses are batched.
+
+    ``close`` closes the cache file and the inner embedder, when it has a
+    ``close`` of its own.
+    """
 
     def __init__(self, inner, cache: EmbeddingCache):
         self.inner = inner
@@ -278,6 +290,12 @@ class CachingEmbedder:
     @property
     def identifier(self) -> str:
         return self.inner.identifier
+
+    def close(self) -> None:
+        self.cache.close()
+        close_inner = getattr(self.inner, "close", None)
+        if close_inner is not None:
+            close_inner()
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         misses = [text for text in dict.fromkeys(texts) if self.cache.get(self.identifier, text) is None]

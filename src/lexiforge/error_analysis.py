@@ -9,9 +9,9 @@ senses) and over-corrections (defining a closely spelled different word).
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import re
-from array import array
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -87,12 +87,38 @@ def hallucination_candidates(
     return findings
 
 
+class _CaseFold(dict):
+    """``str.translate`` table that folds each character to one character.
+
+    ``c.lower()[0].upper()[0].lower()[0]`` sends every pair of characters
+    that ``re.IGNORECASE`` treats as equal (ß and ẞ, ſ and s, the Kelvin
+    sign and k, µ and μ, ς and σ, ...) to one character, and never changes
+    a string's length. Entries are filled on first use: a table over every
+    code point would cost more start-up time than the texts ever use.
+    """
+
+    def __missing__(self, code: int) -> str:
+        folded = chr(code).lower()[0].upper()[0].lower()[0]
+        self[code] = folded
+        return folded
+
+
+# a pure function's memo: what one caller adds, every caller would compute alike
+_FOLD = _CaseFold()
+
+
 def detect_circularity(entry: DictionaryEntry) -> bool:
     """True when the exact lemma occurs whole-word in any of its definitions.
 
     Case-insensitive but diacritic-sensitive; morphological variants do
     not count ("limitar" inside a definition of "limitable" is fine).
+    Wherever the regex matches, the case-folded lemma is a substring of the
+    case-folded definition, so an entry that fails that test is not circular
+    and compiles no pattern.
     """
+    lemma = entry.lemma.translate(_FOLD)
+    if not any(lemma in sense.definition.translate(_FOLD) for sense in entry.senses):
+        return False
     pattern = re.compile(rf"(?<!\w){re.escape(entry.lemma)}(?!\w)", re.IGNORECASE)
     return any(pattern.search(sense.definition) for sense in entry.senses)
 
@@ -128,13 +154,29 @@ def detect_fabricated_polysemy(
     return False, ""
 
 
-def _deletions(word: str, max_deletions: int) -> set[str]:
-    """*word* and every string left after removing up to max_deletions code points."""
-    variants, frontier = {word}, {word}
-    for _ in range(max_deletions):
-        frontier = {w[:i] + w[i + 1 :] for w in frontier for i in range(len(w))}
-        variants |= frontier
-    return variants
+# multiplier of the variant hash: odd, so multiplying by it loses no bits mod 2**64
+_VARIANT_BASE = np.uint64(0x100000001B3)
+
+
+def _variant_hashes(codepoints: np.ndarray, max_deletions: int) -> np.ndarray:
+    """Hashes of every deletion variant of each row of an (n, L) code-point matrix.
+
+    Column c of the (n, V) result is, for every row, the polynomial hash
+    (Horner's rule, wrapping mod 2**64) of the code points kept by the c-th
+    choice of up to ``max_deletions`` positions to delete. A variant that
+    several choices produce appears once per choice.
+    """
+    rows, length = codepoints.shape
+    values = codepoints.astype(np.uint64) + np.uint64(1)  # a leading U+0000 still moves the hash
+    columns = []
+    for kept in range(length, max(length - max_deletions, 0) - 1, -1):
+        choices = list(itertools.combinations(range(length), kept))
+        positions = np.array(choices, dtype=np.int64).reshape(len(choices), kept)
+        h = np.zeros((rows, positions.shape[0]), dtype=np.uint64)
+        for j in range(kept):
+            h = h * _VARIANT_BASE + values[:, positions[:, j]]
+        columns.append(h)
+    return np.concatenate(columns, axis=1)
 
 
 class NeighborIndex:
@@ -149,15 +191,15 @@ class NeighborIndex:
     that share one, and confirms each with the exact DP, so the result
     equals a scan of the whole vocabulary.
 
-    Variants are stored as ``hash(variant)`` in a sorted int64 array beside
-    an array of lemma ids and looked up with ``np.searchsorted``; no
-    variant string outlives the build. ``hash`` is salted per process,
-    which does not matter because the hashes never leave the index, and a
-    collision only adds a candidate that the DP rejects.
+    Variants are stored as ``_variant_hashes`` values in a sorted uint64
+    array beside an array of lemma ids and looked up with
+    ``np.searchsorted``; no variant string is ever built. The lemmas of one
+    length are hashed together as a code-point matrix. A hash collision
+    only adds a candidate that the DP rejects.
 
     Build time and memory grow with the number of deletion variants,
-    Σₖ₌₀ᵈ C(L, k) per lemma of length L (at most 37 for L = 8, d = 2);
-    a query costs its own variants plus one DP per candidate.
+    Σₖ₌₀ᵈ C(L, k) per lemma of length L (37 for L = 8, d = 2); a query
+    costs its own variants plus one DP per candidate.
     """
 
     def __init__(self, gold: Dictionary, max_distance: int = 2):
@@ -166,17 +208,20 @@ class NeighborIndex:
         for entry in gold.entries():
             self._entries_by_lemma.setdefault(entry.lemma, []).append(entry)
         self._lemmas = sorted(self._entries_by_lemma)
-        # array.array keeps 8 bytes per variant while collecting; a list of
-        # Python ints would cost about five times that at peak
-        hashes, counts = array("q"), []
-        for lemma in self._lemmas:
-            variants = _deletions(lemma, max_distance)
-            hashes.extend(map(hash, variants))
-            counts.append(len(variants))
-        hash_array = np.frombuffer(hashes, dtype=np.int64)
-        order = np.argsort(hash_array, kind="stable")
+        by_length: dict[int, list[int]] = {}
+        for lemma_id, lemma in enumerate(self._lemmas):
+            by_length.setdefault(len(lemma), []).append(lemma_id)
+        hashes, ids = [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.int64)]
+        for length, members in by_length.items():
+            text = "".join(self._lemmas[i] for i in members)
+            matrix = _kernels.codepoints(text).reshape(len(members), length)
+            variants = _variant_hashes(matrix, max_distance)
+            hashes.append(variants.ravel())
+            ids.append(np.repeat(np.array(members, dtype=np.int64), variants.shape[1]))
+        hash_array = np.concatenate(hashes)
+        order = np.argsort(hash_array)  # ids of one hash need no order: a query de-duplicates them
         self._hashes = hash_array[order]
-        self._ids = np.repeat(np.arange(len(self._lemmas)), counts)[order]
+        self._ids = np.concatenate(ids)[order]
 
     def neighbors(self, lemma: str, max_distance: int) -> list[tuple[str, int]]:
         """Different lemmas within max_distance, sorted by (distance, lemma).
@@ -186,12 +231,12 @@ class NeighborIndex:
         """
         if max_distance > self._max_distance:
             raise ValueError(f"index built for edit distance {self._max_distance}, asked for {max_distance}")
-        queries = np.fromiter(map(hash, _deletions(lemma, max_distance)), dtype=np.int64)
+        a = _kernels.codepoints(lemma)
+        queries = np.unique(_variant_hashes(a.reshape(1, -1), max_distance))
         starts = np.searchsorted(self._hashes, queries, side="left")
         stops = np.searchsorted(self._hashes, queries, side="right")
         candidates = np.unique(np.concatenate([self._ids[i:j] for i, j in zip(starts, stops)]))
         found = []
-        a = _kernels.codepoints(lemma)
         for lemma_id in candidates:
             other = self._lemmas[lemma_id]
             if other == lemma:

@@ -1,12 +1,15 @@
+import gc
 import json
 import shutil
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from click.testing import CliRunner
 
 from lexiforge.cli import main
+from lexiforge.embedding import DeterministicEmbedder
 from lexiforge.ingestion import parse_dictionary, parse_failures
 
 from conftest import DATA_DIR
@@ -165,6 +168,25 @@ class ZeroVectorHandler(BaseHTTPRequestHandler):
         pass
 
 
+class KeepAliveEmbeddingHandler(BaseHTTPRequestHandler):
+    """Embedding service that keeps each connection open, as a real HTTP/1.1 server does."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["texts"]
+        vectors = [vector.tolist() for vector in DeterministicEmbedder(16).embed_batch(texts)]
+        data = json.dumps({"vectors": vectors, "dimension": 16}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
 class TestEvaluate:
     def test_outputs_written(self, runner, workspace):
         result = run_evaluate(runner, workspace)
@@ -282,9 +304,32 @@ class TestEvaluate:
             )
         finally:
             server.shutdown()
+            server.server_close()
         assert result.exit_code == 5, result.output
         assert "all-zero" in result.output
         assert not (workspace / "x" / "report.json").exists()
+
+    def test_remote_embedder_with_cache_closes_what_it_opens(self, runner, workspace):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveEmbeddingHandler)
+        server.daemon_threads = True
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            (workspace / "remote.ini").write_text(
+                f"[embedding]\nremote_url = http://127.0.0.1:{server.server_address[1]}/embed\n"
+                f"cache = {workspace / 'vectors.jsonl'}\n",
+                encoding="utf-8",
+            )
+            gc.collect()  # what earlier tests left behind warns here, not below
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = run_evaluate(runner, workspace, extra=["--embedder", "remote", "--config", str(workspace / "remote.ini")])
+                gc.collect()
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert result.exit_code == 0, result.output
+        assert (workspace / "vectors.jsonl").stat().st_size > 0
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_remote_embedder_unconfigured_exit_2(self, runner, workspace):
         result = runner.invoke(
@@ -398,3 +443,4 @@ class TestHelp:
         assert result.exit_code == 0
         for sub in ("generate", "evaluate", "report", "errors"):
             assert sub in result.output
+

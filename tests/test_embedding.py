@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexiforge.embedding import (
+    EMBED_CHUNK,
     CachingEmbedder,
     DeterministicEmbedder,
     EmbeddingCache,
@@ -120,6 +121,41 @@ class TestEmbedDeterministic:
             return
         oracle = np.array(oracle_embed(normalize_text(text), 64), dtype=np.float64)
         assert package.tobytes() == oracle.tobytes()
+
+
+class TestChunkedBatch:
+    """``embed_batch`` hashes EMBED_CHUNK texts per kernel call; every row must equal the oracle's."""
+
+    @staticmethod
+    def assert_rows_match_oracle(texts, dimension):
+        rows = DeterministicEmbedder(dimension).embed_batch(texts)
+        assert len(rows) == len(texts)
+        for text, row in zip(texts, rows):
+            assert row.tobytes() == np.array(oracle_embed(text, dimension), dtype=np.float64).tobytes(), text
+
+    def test_batch_longer_than_a_chunk_and_not_a_multiple(self):
+        rng = np.random.default_rng(8)
+        words = ["casa", "de", "manera", "limitada", "ñandú", "cigüeña", "árbol", "pingüino", "曲", "🌲"]
+        texts = [" ".join(rng.choice(words, size=rng.integers(1, 9))) for _ in range(2 * EMBED_CHUNK + 37)]
+        self.assert_rows_match_oracle(texts, 512)
+
+    def test_cancelled_row_in_the_middle_of_a_chunk(self):
+        texts = [f"texto {i}" for i in range(EMBED_CHUNK)]
+        texts[EMBED_CHUNK // 2] = "𮪟2"  # every bucket cancels at dimension 64
+        self.assert_rows_match_oracle(texts, 64)
+        rows = DeterministicEmbedder(64).embed_batch(texts)
+        assert np.count_nonzero(rows[EMBED_CHUNK // 2]) == 1
+
+    def test_single_characters_and_astral_text(self):
+        texts = ["a", "ñ", "中", "🌲", "𮪟", "😀😀", "a🌲b", "𝔘𝔫𝔦𝔠𝔬𝔡𝔢 𝔱𝔢𝔵𝔱", "x", "é"] * 3
+        for dimension in (7, 64, 512):
+            self.assert_rows_match_oracle(texts, dimension)
+
+    def test_empty_text_anywhere_in_the_batch_raises(self):
+        texts = ["casa"] * (EMBED_CHUNK + 3)
+        texts[EMBED_CHUNK + 1] = "  \t "
+        with pytest.raises(EmptyTextError):
+            DeterministicEmbedder(64).embed_batch(texts)
 
 
 class TestGoldenFile:

@@ -1,11 +1,14 @@
+import _sre
 import io
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexiforge import _kernels
+from lexiforge import _kernels, error_analysis
 from lexiforge.alignment import AlignmentRecord, align_dictionaries
 from lexiforge.embedding import DeterministicEmbedder
 from lexiforge.error_analysis import (
@@ -124,6 +127,73 @@ class TestDetectCircularity:
     def test_any_sense_counts(self):
         entry = make_entry("sal", "Nombre femenino", "Cloruro de sodio.", "Echar sal a la comida.")
         assert detect_circularity(entry)
+
+
+def regex_circularity(entry):
+    """The detector as a regex per entry: the reference the case-fold pre-check must agree with."""
+    pattern = re.compile(rf"(?<!\w){re.escape(entry.lemma)}(?!\w)", re.IGNORECASE)
+    return any(pattern.search(sense.definition) for sense in entry.senses)
+
+
+# characters that re.IGNORECASE matches with each other, and a near miss
+# (an accented letter) that it does not
+CASE_VARIANTS = {
+    "s": "sSſ", "k": "kKK", "ß": "ßẞ", "i": "iIİı", "µ": "µμΜ", "σ": "σςΣ", "e": "eEé", "a": "aAá",
+}
+LEMMA_PIECES = ["s", "k", "ß", "i", "µ", "σ", "e", "a", "ñ", "o", "-", " ", "c++", "a.b", "(x)", "[i]", "\\d", "$", "|", "?"]
+CONTEXT = [" ", "", "x", "-", ".", "\u0301", "\u0308", "_", "1", ", ", "ñ", "(", "İ"]
+
+
+def _case_variant(rng, text):
+    return "".join(rng.choice(CASE_VARIANTS.get(c, c)) for c in text)
+
+
+def _circularity_entry(rng):
+    # lemmas are case-folded keys (ß becomes ss, ς becomes σ); definitions keep any case
+    lemma = normalize_lemma("".join(rng.choice(LEMMA_PIECES) for _ in range(rng.randint(1, 4))).strip() or "s")
+    definitions = []
+    for _ in range(rng.randint(1, 3)):
+        words = [rng.choice(["el", "sal", "kilo", "σοφίας", "straße", "STRASSE", "ẞ", "ıi", "µm"]) for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.7:
+            inserted = rng.choice(CONTEXT) + _case_variant(rng, lemma) + rng.choice(CONTEXT)
+            words.insert(rng.randint(0, len(words)), inserted)
+        definitions.append(" ".join(words).strip() or "vacío")
+    return make_entry(lemma, "Nombre masculino", *definitions)
+
+
+class TestCircularityParity:
+    def test_matches_the_regex_per_entry(self):
+        rng = random.Random(20261018)
+        outcomes = {True: 0, False: 0}
+        for _ in range(4000):
+            entry = _circularity_entry(rng)
+            expected = regex_circularity(entry)
+            assert detect_circularity(entry) == expected, (entry.lemma, [s.definition for s in entry.senses])
+            outcomes[expected] += 1
+        assert min(outcomes.values()) > 500
+
+    def test_fold_joins_every_pair_ignorecase_joins(self):
+        # re.IGNORECASE matches text character t to pattern character p when
+        # their simple lowercases are equal, or are joined by re._casefix;
+        # every such candidate pair that re really matches must fold alike
+        fold = error_analysis._FOLD
+        by_lower = {}
+        for code in range(0x10000):
+            if not 0xD800 <= code < 0xE000:
+                by_lower.setdefault(_sre.unicode_tolower(code), []).append(chr(code))
+        checked = 0
+        for lower, members in by_lower.items():
+            group = members + [c for extra in re._casefix._EXTRA_CASES.get(lower, ()) for c in by_lower.get(extra, [])]
+            for p in group:
+                for t in group:
+                    if p != t and re.fullmatch(re.escape(p), t, re.IGNORECASE):
+                        assert p.translate(fold) == t.translate(fold), (hex(ord(p)), hex(ord(t)))
+                        checked += 1
+        assert checked > 2000
+
+    def test_fold_keeps_length(self):
+        text = "İSTANBUL ǅ ß ŉ ﬁ ΐ ẞ ſ K µ ς"
+        assert len(text.translate(error_analysis._FOLD)) == len(text)
 
 
 class TestDetectProperNoun:
@@ -295,6 +365,24 @@ class TestNeighborIndexOracle:
         assert {"ñ", "á", "ü", "q\u0301"} <= set(gold)
         assert min(len(g) for g in gold) == 1
         assert any(q not in gold for q in queries) and "n\u0303" in queries
+
+
+class TestVariantHashCollisions:
+    def test_every_hash_colliding_still_matches_brute_force(self, neighbor_corpus, monkeypatch):
+        # with one hash for every variant, every gold lemma is a candidate
+        # and the exact DP alone decides
+        d = 2
+        monkeypatch.setattr(
+            error_analysis, "_variant_hashes", lambda codepoints, _: np.zeros((len(codepoints), 1), dtype=np.uint64)
+        )
+        dictionary, gold, queries, distances = neighbor_corpus
+        index = NeighborIndex(dictionary, max_distance=d)
+        for query in queries:
+            expected = sorted(
+                ((g, distances[query, g]) for g in gold if g != query and distances[query, g] <= d),
+                key=lambda pair: (pair[1], pair[0]),
+            )
+            assert index.neighbors(query, d) == expected, query
 
 
 class TestDetectOvercorrection:
