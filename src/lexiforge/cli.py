@@ -45,25 +45,21 @@ class _CliFault(Exception):
         super().__init__(message)
 
 
-def _fail(code: int, message: str) -> "_CliFault":
-    return _CliFault(code, message)
-
-
 def _read_lines(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.readlines()
     except OSError as exc:
-        raise _fail(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
+        raise _CliFault(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise _fail(EXIT_INPUT, f"{path} is not valid UTF-8: {exc}") from exc
+        raise _CliFault(EXIT_INPUT, f"{path} is not valid UTF-8: {exc}") from exc
 
 
 def _load_dictionary(path: str, name: str) -> Dictionary:
     try:
         return parse_dictionary(_read_lines(path), name=name)
     except (ParseError, DuplicateKeyError, EncodingError) as exc:
-        raise _fail(EXIT_INPUT, f"cannot parse {path}: {exc}") from exc
+        raise _CliFault(EXIT_INPUT, f"cannot parse {path}: {exc}") from exc
 
 
 def _guarded(func):
@@ -157,7 +153,7 @@ def cmd_evaluate(generated_path, gold_path, embedder_choice, config_path, out_di
             try:
                 failures = parse_failures(_read_lines(failures_path))
             except (ParseError, EncodingError) as exc:
-                raise _fail(EXIT_INPUT, f"cannot parse {failures_path}: {exc}") from exc
+                raise _CliFault(EXIT_INPUT, f"cannot parse {failures_path}: {exc}") from exc
 
         result = evaluate_dictionaries(
             generated,
@@ -205,7 +201,7 @@ def _resolve_report_path(eval_path: str) -> Path:
     if path.is_dir():
         path = path / "report.json"
     if not path.exists():
-        raise _fail(EXIT_INPUT, f"no evaluation report at {path}")
+        raise _CliFault(EXIT_INPUT, f"no evaluation report at {path}")
     return path
 
 
@@ -220,7 +216,7 @@ def cmd_report(eval_path, fmt, out_dir):
     try:
         report = load_report(path)
     except (OSError, ValueError, ParseError) as exc:
-        raise _fail(EXIT_INPUT, f"cannot load report {path}: {exc}") from exc
+        raise _CliFault(EXIT_INPUT, f"cannot load report {path}: {exc}") from exc
     written = render_tables(report, fmt, out_dir)
     click.echo(f"wrote {len(written)} file(s) under {Path(out_dir) / 'tables'}")
 
@@ -234,17 +230,17 @@ def cmd_errors(eval_path, category, limit):
     """List findings of one category with both definitions side by side."""
     valid = [c.value for c in ErrorCategory]
     if category not in valid:
-        raise _fail(EXIT_CONFIG, f"unknown category {category!r}; valid: {', '.join(valid)}")
+        raise _CliFault(EXIT_CONFIG, f"unknown category {category!r}; valid: {', '.join(valid)}")
     eval_dir = Path(eval_path)
     if eval_dir.is_file():
         eval_dir = eval_dir.parent
     findings_path = eval_dir / "findings.jsonl"
     if not findings_path.exists():
-        raise _fail(EXIT_INPUT, f"no findings file at {findings_path}")
+        raise _CliFault(EXIT_INPUT, f"no findings file at {findings_path}")
     try:
         findings = [f for f in parse_findings(_read_lines(str(findings_path))) if f.category.value == category]
     except ParseError as exc:
-        raise _fail(EXIT_INPUT, f"cannot parse {findings_path}: {exc}") from exc
+        raise _CliFault(EXIT_INPUT, f"cannot parse {findings_path}: {exc}") from exc
     click.echo(f"{len(findings)} finding(s) in category {category}")
     for finding in findings[: max(limit, 0)]:
         click.echo(f"- {finding.lemma} [{finding.pos_label or '-'}]: {finding.evidence}")

@@ -1,6 +1,7 @@
 """Text embeddings for cosine scoring.
 
-Two embedders share one contract (``embed_batch`` / ``identifier``): a
+Two embedders share one contract (``identifier`` and ``embed_batch``,
+which returns a caller-owned texts × dimension float64 array): a
 bit-reproducible signed character-trigram hasher for offline evaluation
 and tests, and a client for a remote neural embedding service for
 full-fidelity runs. Evaluation embeds its texts into a ``VectorTable``
@@ -42,23 +43,6 @@ def normalize_text(text: str) -> str:
 EMBED_CHUNK = 256
 
 
-def _embed_chunk(texts: Sequence[str], dimension: int) -> np.ndarray:
-    """Unit rows of the signed trigram embedding, one per text."""
-    if dimension < 1:
-        raise DimensionError(f"dimension must be >= 1, got {dimension}")
-    padded = []
-    for text in texts:
-        normalized = normalize_text(text)
-        if not normalized:
-            raise EmptyTextError(f"text is empty after normalization: {text!r}")
-        padded.append(f"#{normalized}#")
-    counts = _kernels.trigram_counts(padded, dimension).astype(np.float64)
-    # the counts are integers, so the sum of squares is exact in any order
-    # and every row's norm is the one a per-text pass would compute
-    counts /= np.linalg.norm(counts, axis=1, keepdims=True)
-    return counts
-
-
 def embed_deterministic(text: str, dimension: int = 512) -> np.ndarray:
     """Signed character-trigram hash embedding, L2-normalized.
 
@@ -72,7 +56,7 @@ def embed_deterministic(text: str, dimension: int = 512) -> np.ndarray:
     output must never be all-zero, so that case deterministically falls
     back to marking the first trigram's bucket.
     """
-    return _embed_chunk([text], dimension)[0]
+    return DeterministicEmbedder(dimension).embed_batch([text])[0]
 
 
 class VectorTable:
@@ -86,24 +70,25 @@ class VectorTable:
     def __init__(self, embedder, texts: Iterable[str]):
         ordered = sorted(set(texts))
         self._rows = {text: row for row, text in enumerate(ordered)}
-        self._vectors = list(embedder.embed_batch(ordered)) if ordered else []
-        if len(self._vectors) != len(ordered):
-            raise ProtocolError(f"embedder returned {len(self._vectors)} vectors for {len(ordered)} texts")
-        shape = np.shape(self._vectors[0]) if ordered else None
-        # each vector is replaced by its unit row in turn, so the embedder's
-        # vectors and the table never both exist in full
-        for row, text in enumerate(ordered):
-            vector = np.asarray(self._vectors[row], dtype=np.float64)
-            if vector.ndim != 1 or vector.shape != shape:
-                raise DimensionError(f"vector shapes differ: {vector.shape} vs {shape}")
-            norm = float(np.linalg.norm(vector))
-            if norm == 0.0:
-                raise ZeroVectorError(f"embedder returned a zero vector for {text!r}")
-            self._vectors[row] = vector / norm
+        vectors = embedder.embed_batch(ordered) if ordered else np.empty((0, 0))
+        try:
+            matrix = np.asarray(vectors, dtype=np.float64)
+        except ValueError as exc:  # rows of different lengths
+            raise DimensionError(f"vector shapes differ: {exc}") from exc
+        if matrix.ndim != 2:
+            raise DimensionError(f"embedder returned an array of shape {matrix.shape}, not texts × dimension")
+        if len(matrix) != len(ordered):
+            raise ProtocolError(f"embedder returned {len(matrix)} vectors for {len(ordered)} texts")
+        # each row's dot product with itself, the kernel np.linalg.norm uses
+        # on one vector, so every unit row is bit-identical to v / norm(v)
+        norms = np.sqrt(matrix[:, None, :] @ matrix[:, :, None])[:, 0]
+        if not norms.all():
+            raise ZeroVectorError(f"embedder returned a zero vector for {ordered[np.flatnonzero(norms == 0.0)[0]]!r}")
+        self._matrix = np.divide(matrix, norms, out=matrix)
 
     def rows(self, texts: Sequence[str]) -> np.ndarray:
         """Matrix of the texts' unit vectors, one row per text in the given order."""
-        return np.array([self._vectors[self._rows[text]] for text in texts])
+        return self._matrix[[self._rows[text] for text in texts]]
 
 
 class DeterministicEmbedder:
@@ -114,11 +99,21 @@ class DeterministicEmbedder:
     def identifier(self) -> str:
         return f"trigram-fnv1a-{self.dimension}"
 
-    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         """``embed_deterministic`` of every text, hashed ``EMBED_CHUNK`` texts at a time."""
-        vectors: list[np.ndarray] = []
+        if self.dimension < 1:
+            raise DimensionError(f"dimension must be >= 1, got {self.dimension}")
+        vectors = np.empty((len(texts), self.dimension))
         for start in range(0, len(texts), EMBED_CHUNK):
-            vectors.extend(_embed_chunk(texts[start : start + EMBED_CHUNK], self.dimension))
+            padded = []
+            for text in texts[start : start + EMBED_CHUNK]:
+                normalized = normalize_text(text)
+                if not normalized:
+                    raise EmptyTextError(f"text is empty after normalization: {text!r}")
+                padded.append(f"#{normalized}#")
+            counts = _kernels.trigram_counts(padded, self.dimension)
+            # integer counts: every sum of squares, so every row's norm, is exact
+            np.divide(counts, np.linalg.norm(counts, axis=1, keepdims=True), out=vectors[start : start + len(padded)])
         return vectors
 
 
@@ -159,19 +154,20 @@ class RemoteEmbedder:
     def close(self) -> None:
         self._poster.close()
 
-    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        vectors: list[np.ndarray] = []
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """One row per text; an empty batch, which sends nothing, has shape (0, 0)."""
+        vectors = np.empty((0, 0))
         for start in range(0, len(texts), self.batch_size):
             chunk = list(texts[start : start + self.batch_size])
-            chunk_vectors = self._call(chunk)
-            if vectors and chunk_vectors[0].shape != vectors[0].shape:
-                raise ProtocolError(
-                    f"service changed dimension between chunks: {vectors[0].shape[0]} then {chunk_vectors[0].shape[0]}"
-                )
-            vectors.extend(chunk_vectors)
+            rows = self._call(chunk)
+            if start == 0:
+                vectors = np.empty((len(texts), rows.shape[1]))
+            elif rows.shape[1] != vectors.shape[1]:
+                raise ProtocolError(f"service changed dimension between chunks: {vectors.shape[1]} then {rows.shape[1]}")
+            vectors[start : start + len(chunk)] = rows
         return vectors
 
-    def _call(self, chunk: list[str]) -> list[np.ndarray]:
+    def _call(self, chunk: list[str]) -> np.ndarray:
         attempt = 0
         while True:
             try:
@@ -189,23 +185,19 @@ class RemoteEmbedder:
             return self._parse_reply(body, len(chunk))
 
     @staticmethod
-    def _parse_reply(body: bytes, expected: int) -> list[np.ndarray]:
+    def _parse_reply(body: bytes, expected: int) -> np.ndarray:
         try:
             payload = json.loads(body)
-            raw_vectors = payload["vectors"]
+            vectors = np.asarray(payload["vectors"], dtype=np.float64)
             dimension = int(payload["dimension"])
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ProtocolError(f"malformed embedding service reply: {exc}") from exc
-        if len(raw_vectors) != expected:
-            raise ProtocolError(f"service returned {len(raw_vectors)} vectors for {expected} texts")
-        vectors = []
-        for raw in raw_vectors:
-            vector = np.asarray(raw, dtype=np.float64)
-            if vector.ndim != 1 or vector.shape[0] != dimension:
-                raise ProtocolError(f"vector length {vector.shape} does not match dimension {dimension}")
-            if not vector.any():
-                raise ProtocolError("service returned an all-zero vector")
-            vectors.append(vector)
+        if vectors.shape != (expected, dimension):
+            raise ProtocolError(f"service returned shape {vectors.shape} for {expected} texts of dimension {dimension}")
+        if not np.isfinite(vectors).all():
+            raise ProtocolError("service returned a vector with a non-finite value")
+        if not vectors.any(axis=1).all():
+            raise ProtocolError("service returned an all-zero vector")
         return vectors
 
 
@@ -241,8 +233,8 @@ class EmbeddingCache:
                     obj = json.loads(line)
                     key = (str(obj["embedder"]), str(obj["key"]))
                     vector = np.asarray(obj["vector"], dtype=np.float64)
-                    if vector.ndim != 1:
-                        raise ValueError("vector must be one-dimensional")
+                    if vector.ndim != 1 or not np.isfinite(vector).all():
+                        raise ValueError("vector must be one-dimensional and finite")
                 except (ValueError, KeyError, TypeError):
                     logger.warning("skipping corrupt cache record at %s:%d", self.path, number)
                     continue
@@ -297,7 +289,7 @@ class CachingEmbedder:
         if close_inner is not None:
             close_inner()
 
-    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         misses = [text for text in dict.fromkeys(texts) if self.cache.get(self.identifier, text) is None]
         if misses:
             computed = self.inner.embed_batch(misses)
@@ -305,4 +297,11 @@ class CachingEmbedder:
                 raise ProtocolError(f"embedder returned {len(computed)} vectors for {len(misses)} texts")
             for text, vector in zip(misses, computed):
                 self.cache.put(self.identifier, text, vector)
-        return [self.cache.get(self.identifier, text) for text in texts]
+        first = self.cache.get(self.identifier, texts[0]) if texts else np.empty(0)
+        vectors = np.empty((len(texts), len(first)))
+        for row, text in enumerate(texts):
+            vector = self.cache.get(self.identifier, text)
+            if vector.shape != vectors.shape[1:]:
+                raise DimensionError(f"vector shapes differ: {vector.shape} vs {vectors.shape[1:]}")
+            vectors[row] = vector
+        return vectors

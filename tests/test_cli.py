@@ -153,11 +153,13 @@ class TestGenerate:
 
 
 class ZeroVectorHandler(BaseHTTPRequestHandler):
-    """Embedding service that answers every text with an all-zero vector."""
+    """Embedding service that answers every text with four copies of ``value``: an all-zero vector by default."""
+
+    value: object = 0.0
 
     def do_POST(self):
         texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["texts"]
-        data = json.dumps({"vectors": [[0.0] * 4 for _ in texts], "dimension": 4}).encode()
+        data = json.dumps({"vectors": [[self.value] * 4 for _ in texts], "dimension": 4}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -284,14 +286,15 @@ class TestEvaluate:
         assert result.exit_code == 5, result.output
         assert "unreachable" in result.output
 
-    def test_zero_vector_from_service_exit_5(self, runner, workspace):
-        server = ThreadingHTTPServer(("127.0.0.1", 0), ZeroVectorHandler)
+    @staticmethod
+    def evaluate_against(runner, workspace, handler):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         try:
             (workspace / "remote.ini").write_text(
                 f"[embedding]\nremote_url = http://127.0.0.1:{server.server_address[1]}/embed\n", encoding="utf-8"
             )
-            result = runner.invoke(
+            return runner.invoke(
                 main,
                 [
                     "evaluate",
@@ -305,8 +308,21 @@ class TestEvaluate:
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_zero_vector_from_service_exit_5(self, runner, workspace):
+        result = self.evaluate_against(runner, workspace, ZeroVectorHandler)
         assert result.exit_code == 5, result.output
         assert "all-zero" in result.output
+        assert not (workspace / "x" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        ("value", "message"), [("x", "malformed"), (float("nan"), "non-finite"), (float("inf"), "non-finite")]
+    )
+    def test_bad_vector_value_from_service_exit_5(self, runner, workspace, value, message):
+        handler = type("BadVectorHandler", (ZeroVectorHandler,), {"value": value})
+        result = self.evaluate_against(runner, workspace, handler)
+        assert result.exit_code == 5, result.output
+        assert message in result.output
         assert not (workspace / "x" / "report.json").exists()
 
     def test_remote_embedder_with_cache_closes_what_it_opens(self, runner, workspace):

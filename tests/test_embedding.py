@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import threading
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -185,10 +186,6 @@ class CountingEmbedder:
     def identifier(self):
         return self.inner.identifier
 
-    def embed(self, text):
-        self.calls += 1
-        return embed_deterministic(text, self.inner.dimension)
-
     def embed_batch(self, texts):
         self.calls += len(texts)
         return self.inner.embed_batch(texts)
@@ -221,11 +218,13 @@ class TestEmbeddingCache:
     def test_corrupt_record_skipped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
         good = {"embedder": "e", "key": "k", "vector": [1.0, 2.0]}
-        path.write_text(json.dumps(good) + "\nnot json at all\n", encoding="utf-8")
-        with caplog.at_level(logging.WARNING):
-            cache = EmbeddingCache(path)
-        assert "corrupt" in caplog.text
-        assert cache._memory  # the good record survived
+        for corrupt in ("not json at all", '{"embedder": "e", "key": "n", "vector": [NaN, 1.0]}'):
+            path.write_text(json.dumps(good) + f"\n{corrupt}\n", encoding="utf-8")
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                cache = EmbeddingCache(path)
+            assert "corrupt" in caplog.text, corrupt
+            assert cache._memory, corrupt  # the good record survived
 
     def test_warm_cache_avoids_recompute(self, tmp_path):
         counting = CountingEmbedder()
@@ -320,7 +319,7 @@ class TestRemoteEmbedder:
 
     def test_empty_list_no_calls(self, embed_server):
         remote = RemoteEmbedder(embed_server)
-        assert remote.embed_batch([]) == []
+        assert remote.embed_batch([]).shape == (0, 0)
         assert EmbedHandler.calls == 0
 
     def test_batching_130_texts_three_calls(self, embed_server):
@@ -386,6 +385,27 @@ class TestRemoteProtocol:
         with pytest.raises(ProtocolError):
             remote.embed_batch(["a", "b"])
 
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            lambda texts: {"vectors": [["x", 1.0] for _ in texts], "dimension": 2},
+            lambda texts: {"vectors": 5, "dimension": 2},
+            lambda texts: {"vectors": [[1.0, 2.0], [3.0]], "dimension": 2},
+            lambda texts: {"vectors": [[1.0, 2.0]] * len(texts), "dimension": float("inf")},
+        ],
+        ids=["non-numeric", "not-a-list", "ragged", "infinite-dimension"],
+    )
+    def test_malformed_vectors_are_protocol_error(self, embed_server, reply):
+        EmbedHandler.script = [reply]
+        with closing(RemoteEmbedder(embed_server)) as remote, pytest.raises(ProtocolError, match="malformed|shape"):
+            remote.embed_batch(["a", "b"])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_is_protocol_error(self, embed_server, value):
+        EmbedHandler.script = [lambda texts: {"vectors": [[1.0, value] for _ in texts], "dimension": 2}]
+        with closing(RemoteEmbedder(embed_server)) as remote, pytest.raises(ProtocolError, match="non-finite"):
+            remote.embed_batch(["hola"])
+
     def test_dimension_change_between_chunks_is_protocol_error(self, embed_server):
         EmbedHandler.script = [_same_vector(1.0, 512), _same_vector(1.0, 256)]
         remote = RemoteEmbedder(embed_server, batch_size=2)
@@ -434,6 +454,24 @@ class TestVectorTable:
         assert abs(float(rows[0] @ rows[1]) - cosine_similarity(raw["a"], raw["b"])) <= 1e-15
         assert raw["b"] == [3.0, 4.0]  # the embedder's own vectors are left alone
 
+    @staticmethod
+    def assert_rows_are_per_row_unit_vectors(embedder, texts):
+        raw = dict(zip(texts, np.asarray(embedder.embed_batch(texts), dtype=np.float64)))
+        rows = VectorTable(embedder, texts).rows(texts)
+        for text, row in zip(texts, rows):
+            assert row.tobytes() == (raw[text] / np.linalg.norm(raw[text])).tobytes(), text
+
+    def test_deterministic_rows_match_single_vector_normalisation(self):
+        rng = np.random.default_rng(17)
+        words = ["casa", "de", "manera", "limitada", "ñandú", "cigüeña", "árbol", "que", "曲", "🌲", "cuerda"]
+        texts = sorted({" ".join(rng.choice(words, size=rng.integers(1, 12))) for _ in range(400)})
+        self.assert_rows_are_per_row_unit_vectors(DeterministicEmbedder(512), texts)
+
+    def test_non_unit_rows_match_single_vector_normalisation(self):
+        rng = np.random.default_rng(18)
+        vectors = {f"t{i}": rng.normal(scale=rng.uniform(0.01, 100.0), size=384) for i in range(300)}
+        self.assert_rows_are_per_row_unit_vectors(_TableEmbedder(vectors), sorted(vectors))
+
     def test_zero_vector_rejected_at_build(self):
         with pytest.raises(ZeroVectorError, match="'nada'"):
             VectorTable(_TableEmbedder({"algo": [1.0, 0.0], "nada": [0.0, 0.0]}), ["algo", "nada"])
@@ -441,6 +479,16 @@ class TestVectorTable:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionError):
             VectorTable(_TableEmbedder({"a": [1.0, 0.0], "b": [1.0, 0.0, 0.0]}), ["a", "b"])
+        with pytest.raises(DimensionError):  # one number per text, not a vector
+            VectorTable(_TableEmbedder({"a": 1.0, "b": 2.0}), ["a", "b"])
+
+    def test_cached_vector_of_another_length_rejected(self, tmp_path):
+        # a length-1 row would broadcast across the whole row if written unchecked
+        with EmbeddingCache(tmp_path / "cache.jsonl") as cache:
+            cache.put("table", "uno", np.ones(1))
+            embedder = CachingEmbedder(_TableEmbedder({"dos": [1.0, 2.0]}), cache)
+            with pytest.raises(DimensionError):
+                VectorTable(embedder, ["uno", "dos"])
 
     def test_vector_count_mismatch_rejected(self):
         class Short(_TableEmbedder):
