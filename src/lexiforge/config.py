@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .embedding import CachingEmbedder, DeterministicEmbedder, EmbeddingCache, RemoteEmbedder
+from .embedding import CachingEmbedder, DeterministicEmbedder, RemoteEmbedder
 from .error_analysis import DEFAULT_PROPER_NOUN_PATTERNS, ErrorAnalysisConfig
 from .exceptions import ConfigError
 from .generation import DEFAULT_FEWSHOT, DEFAULT_PROMPT_TEMPLATE, DEFAULT_REFUSAL_PATTERNS, GenerationConfig
@@ -195,7 +195,7 @@ def build_embedder(choice: str, settings: EmbeddingSettings):
     else:
         raise ConfigError(f"unknown embedder {choice!r}")
     if settings.cache is not None:
-        embedder = CachingEmbedder(embedder, EmbeddingCache(settings.cache))
+        embedder = CachingEmbedder(embedder, settings.cache)
     return embedder
 
 

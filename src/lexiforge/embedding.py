@@ -207,101 +207,82 @@ def _cache_key(text: str) -> str:
     return hashlib.sha256(b"exact\0" + text.encode("utf-8")).hexdigest()
 
 
-class EmbeddingCache:
-    """Append-only vector cache keyed by (embedder id, exact text).
-
-    The text is not normalised: an embedder may score ``"Casa."`` and
-    ``"casa."`` differently, and a cached run must score as an uncached one.
-
-    Corrupt records are skipped with a warning and recomputed by the
-    caller; the file is safe to append to across runs.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._memory: dict[tuple[str, str], np.ndarray] = {}
-        self._handle: IO[str] | None = None
-        if self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        with open(self.path, encoding="utf-8") as fh:
-            for number, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    key = (str(obj["embedder"]), str(obj["key"]))
-                    vector = np.asarray(obj["vector"], dtype=np.float64)
-                    if vector.ndim != 1 or not np.isfinite(vector).all():
-                        raise ValueError("vector must be one-dimensional and finite")
-                except (ValueError, KeyError, TypeError):
-                    logger.warning("skipping corrupt cache record at %s:%d", self.path, number)
-                    continue
-                self._memory[key] = vector
-        logger.debug("loaded %d cached vectors from %s", len(self._memory), self.path)
-
-    def get(self, embedder_id: str, text: str) -> np.ndarray | None:
-        vector = self._memory.get((embedder_id, _cache_key(text)))
-        return None if vector is None else vector.copy()
-
-    def put(self, embedder_id: str, text: str, vector: np.ndarray) -> None:
-        key = (embedder_id, _cache_key(text))
-        if key in self._memory:
-            return
-        self._memory[key] = np.asarray(vector, dtype=np.float64).copy()
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8")
-        record = {"embedder": key[0], "key": key[1], "vector": [float(x) for x in vector]}
-        self._handle.write(json.dumps(record) + "\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "EmbeddingCache":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 class CachingEmbedder:
-    """Wrap any embedder with a persistent cache; misses are batched.
+    """Wrap any embedder with a persistent, append-only JSONL vector cache.
 
+    Records are keyed by (embedder id, exact text). The text is not
+    normalised: an embedder may score ``"Casa."`` and ``"casa."``
+    differently, and a cached run must score as an uncached one. The file
+    may hold several embedders' records; only the wrapped embedder's are
+    loaded, and when a key repeats the last record wins.
+
+    Corrupt records are skipped with a warning and recomputed; the file is
+    safe to append to across runs, also after a crash cut its last line.
     ``close`` closes the cache file and the inner embedder, when it has a
     ``close`` of its own.
     """
 
-    def __init__(self, inner, cache: EmbeddingCache):
+    def __init__(self, inner, path: str | Path):
         self.inner = inner
-        self.cache = cache
+        self.path = Path(path)
+        self._vectors: dict[str, np.ndarray] = {}
+        self._handle: IO[str] | None = None
+        self._torn = False  # the file's last line lacks its newline
+        if self.path.exists():
+            self._load()
 
     @property
     def identifier(self) -> str:
         return self.inner.identifier
 
+    def _load(self) -> None:
+        line = b"\n"
+        with open(self.path, "rb") as fh:
+            for number, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line.decode("utf-8"))
+                    if obj["embedder"] != self.identifier:
+                        continue
+                    key = str(obj["key"])
+                    vector = np.asarray(obj["vector"], dtype=np.float64)
+                    if vector.ndim != 1 or not np.isfinite(vector).all():
+                        raise ValueError("vector must be one-dimensional and finite")
+                except (ValueError, KeyError, TypeError):  # UnicodeDecodeError is a ValueError
+                    logger.warning("skipping corrupt cache record at %s:%d", self.path, number)
+                    continue
+                self._vectors[key] = vector
+        self._torn = not line.endswith(b"\n")
+        logger.debug("loaded %d cached vectors from %s", len(self._vectors), self.path)
+
     def close(self) -> None:
-        self.cache.close()
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
         close_inner = getattr(self.inner, "close", None)
         if close_inner is not None:
             close_inner()
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        misses = [text for text in dict.fromkeys(texts) if self.cache.get(self.identifier, text) is None]
+        """One new row per text; the de-duplicated misses go to the inner embedder in one batch."""
+        keys = [_cache_key(text) for text in texts]
+        misses = {key: text for key, text in zip(keys, texts) if key not in self._vectors}
         if misses:
-            computed = self.inner.embed_batch(misses)
+            computed = np.asarray(self.inner.embed_batch(list(misses.values())), dtype=np.float64)
             if len(computed) != len(misses):
                 raise ProtocolError(f"embedder returned {len(computed)} vectors for {len(misses)} texts")
-            for text, vector in zip(misses, computed):
-                self.cache.put(self.identifier, text, vector)
-        first = self.cache.get(self.identifier, texts[0]) if texts else np.empty(0)
-        vectors = np.empty((len(texts), len(first)))
-        for row, text in enumerate(texts):
-            vector = self.cache.get(self.identifier, text)
-            if vector.shape != vectors.shape[1:]:
-                raise DimensionError(f"vector shapes differ: {vector.shape} vs {vectors.shape[1:]}")
-            vectors[row] = vector
-        return vectors
+            if self._handle is None:
+                self._handle = open(self.path, "a", encoding="utf-8")
+                if self._torn:
+                    self._handle.write("\n")
+            for key, vector in zip(misses, computed):
+                self._vectors[key] = vector
+                self._handle.write(json.dumps({"embedder": self.identifier, "key": key, "vector": vector.tolist()}) + "\n")
+            self._handle.flush()
+        if not keys:
+            return np.empty((0, 0))
+        try:
+            return np.stack([self._vectors[key] for key in keys])
+        except ValueError as exc:  # a cached row of another length
+            raise DimensionError(f"vector shapes differ: {exc}") from exc

@@ -183,13 +183,17 @@ def parse_failures(stream: Iterable[str]) -> list[GenerationFailure]:
         if not isinstance(obj, dict):
             raise ParseError("record must be a JSON object", line_number=number)
         _require_keys(obj, _FAILURE_KEYS, number, "record")
-        reason = obj["reason"]
-        if reason not in reasons:
+        reason, label, lemma = obj["reason"], obj["pos"], obj["lemma"]
+        if not isinstance(reason, str) or reason not in reasons:
             raise ParseError(f"unknown reason {reason!r}", line_number=number, field="reason")
-        pos = PosTag.from_label(obj["pos"]) if obj["pos"] else None
+        if label is not None and not isinstance(label, str):
+            raise ParseError("pos must be a string or null", line_number=number, field="pos")
+        if not isinstance(lemma, str):
+            raise ParseError("lemma must be a string", line_number=number, field="lemma")
         try:
-            lemma = normalize_lemma(obj["lemma"])
-        except (EmptyLemmaError, TypeError) as exc:
+            lemma = normalize_lemma(lemma)
+        except EmptyLemmaError as exc:
             raise ParseError(str(exc), line_number=number, field="lemma") from exc
+        pos = PosTag.from_label(label) if label else None
         failures.append(GenerationFailure(lemma, pos, reasons[reason], str(obj["detail"])))
     return failures

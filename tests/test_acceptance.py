@@ -154,9 +154,14 @@ FIXTURE20_TABLE5_ALL = (5, 0.380338, 0.105087)
 FIXTURE20_LENGTH_GEN_WORDS = (24, 6.0, 1.957890)
 
 
+def _read_jsonl(path):
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
 def _oracle_fixture_expectations():
-    gen_rows = [json.loads(l) for l in open(DATA_DIR / "fixture20_generated.jsonl", encoding="utf-8")]
-    gold_rows = {r["lemma"]: r for r in (json.loads(l) for l in open(DATA_DIR / "fixture20_gold.jsonl", encoding="utf-8"))}
+    gen_rows = _read_jsonl(DATA_DIR / "fixture20_generated.jsonl")
+    gold_rows = {r["lemma"]: r for r in _read_jsonl(DATA_DIR / "fixture20_gold.jsonl")}
     cells = {"mono_mono": 0, "mono_poly": 0, "poly_mono": 0, "poly_poly": 0}
     best_index, best_score, mean_score, histogram = {}, {}, {}, {}
     table3, table5 = {"all": []}, {"all": []}
@@ -205,7 +210,7 @@ def test_criterion_06_fixture_oracle_evaluation(tmp_path):
     # hand-classified confusion cells, exact
     assert report["confusion"] == cells == {"mono_mono": 11, "mono_poly": 1, "poly_mono": 5, "poly_poly": 3}
     # best indices and histogram, exact
-    alignments = [json.loads(l) for l in open(tmp_path / "eval" / "alignments.jsonl", encoding="utf-8")]
+    alignments = _read_jsonl(tmp_path / "eval" / "alignments.jsonl")
     assert len(alignments) == 20
     for row in alignments:
         assert row["best_gold_index"] == best_index[row["lemma"]], row["lemma"]
@@ -387,4 +392,5 @@ def test_criterion_10_full_scale_stand_in(tmp_path):
         assert rem["provenance"]["embedder"] == "remote"
     finally:
         server.shutdown()
+        server.server_close()
     ok(10, "full-scale Tables 3-5 need the production dataset and encoder service; remote path runs end to end")

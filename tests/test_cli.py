@@ -235,6 +235,13 @@ class TestEvaluate:
         report = json.loads((workspace / "planted_eval" / "report.json").read_text(encoding="utf-8"))
         assert report["error_summary"]["refusal"] == 1
 
+    def test_failure_log_with_non_string_lemma_exit_3(self, runner, workspace):
+        record = {"lemma": 5, "pos": None, "reason": "refusal", "detail": ""}
+        (workspace / "bad_failures.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+        result = run_evaluate(runner, workspace, extra=["--failures", str(workspace / "bad_failures.jsonl")])
+        assert result.exit_code == 3, result.output
+        assert "field lemma" in result.output
+
     def test_unreadable_generated_exit_3(self, runner, workspace):
         result = run_evaluate(runner, workspace, generated="missing.jsonl")
         assert result.exit_code == 3

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexiforge import embedding
 from lexiforge.embedding import (
     EMBED_CHUNK,
     CachingEmbedder,
     DeterministicEmbedder,
-    EmbeddingCache,
     RemoteEmbedder,
     VectorTable,
     embed_deterministic,
@@ -191,71 +191,166 @@ class CountingEmbedder:
         return self.inner.embed_batch(texts)
 
 
+def _record(text, vector, embedder="table"):
+    """One cache file line in the established format."""
+    key = hashlib.sha256(b"exact\0" + text.encode("utf-8")).hexdigest()
+    return (json.dumps({"embedder": embedder, "key": key, "vector": vector}) + "\n").encode("utf-8")
+
+
+# the one record a cold cache writes for "casa" → (0.1, -1/3, 1e-300, 2.0)
+# under embedder id "table", byte for byte
+CASA_RECORD = (
+    b'{"embedder": "table", "key": "e2ba95c84b1c1268cf92745201869b693bfb52f3fc5098842e24356749ed2bdf", '
+    b'"vector": [0.1, -0.3333333333333333, 1e-300, 2.0]}\n'
+)
+
+
 class TestEmbeddingCache:
     def test_put_then_get_identical(self, tmp_path):
-        with EmbeddingCache(tmp_path / "cache.jsonl") as cache:
-            vector = embed_deterministic("casa", 32)
-            cache.put("det-32", "casa", vector)
-            hit = cache.get("det-32", "casa")
-            assert hit.tobytes() == vector.tobytes()
+        counting = CountingEmbedder()
+        with closing(CachingEmbedder(counting, tmp_path / "cache.jsonl")) as cached:
+            first = cached.embed_batch(["casa"])
+            again = cached.embed_batch(["casa"])
+        assert first[0].tobytes() == again[0].tobytes() == embed_deterministic("casa", 32).tobytes()
+        assert counting.calls == 1
 
     def test_get_before_put_is_miss(self, tmp_path):
-        cache = EmbeddingCache(tmp_path / "cache.jsonl")
-        assert cache.get("det-32", "casa") is None
+        counting = CountingEmbedder()
+        with closing(CachingEmbedder(counting, tmp_path / "cache.jsonl")) as cached:
+            cached.embed_batch(["casa"])
+        assert counting.calls == 1
+
+    def test_empty_batch_no_calls(self, tmp_path):
+        table = _TableEmbedder({})
+        with closing(CachingEmbedder(table, tmp_path / "cache.jsonl")) as cached:
+            assert cached.embed_batch([]).shape == (0, 0)
+        assert table.batches == []
+        assert not (tmp_path / "cache.jsonl").exists()
 
     def test_cache_persists_across_instances(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        with EmbeddingCache(path) as cache:
-            cache.put("det-32", "casa", embed_deterministic("casa", 32))
-        reopened = EmbeddingCache(path)
-        assert reopened.get("det-32", "casa") is not None
+        with closing(CachingEmbedder(CountingEmbedder(), path)) as cached:
+            cached.embed_batch(["casa"])
+        counting = CountingEmbedder()
+        with closing(CachingEmbedder(counting, path)) as reopened:
+            assert reopened.embed_batch(["casa"])[0].tobytes() == embed_deterministic("casa", 32).tobytes()
+        assert counting.calls == 0
 
     def test_key_includes_embedder_id(self, tmp_path):
-        cache = EmbeddingCache(tmp_path / "cache.jsonl")
-        cache.put("a", "casa", np.ones(4))
-        assert cache.get("b", "casa") is None
+        path = tmp_path / "cache.jsonl"
+        with closing(CachingEmbedder(CountingEmbedder(32), path)) as cached:
+            cached.embed_batch(["casa"])
+        other = CountingEmbedder(16)
+        with closing(CachingEmbedder(other, path)) as cached:
+            assert cached.embed_batch(["casa"]).shape == (1, 16)
+        assert other.calls == 1
 
     def test_corrupt_record_skipped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
-        good = {"embedder": "e", "key": "k", "vector": [1.0, 2.0]}
-        for corrupt in ("not json at all", '{"embedder": "e", "key": "n", "vector": [NaN, 1.0]}'):
-            path.write_text(json.dumps(good) + f"\n{corrupt}\n", encoding="utf-8")
+        for corrupt in (b"not json at all", b'{"embedder": "table", "key": "n", "vector": [NaN, 1.0]}', b"\xff\xfe"):
+            path.write_bytes(_record("uno", [1.0, 2.0]) + corrupt + b"\n")
             caplog.clear()
-            with caplog.at_level(logging.WARNING):
-                cache = EmbeddingCache(path)
+            table = _TableEmbedder({})
+            with caplog.at_level(logging.WARNING), closing(CachingEmbedder(table, path)) as cached:
+                assert cached.embed_batch(["uno"]).tolist() == [[1.0, 2.0]], corrupt  # the good record survived
             assert "corrupt" in caplog.text, corrupt
-            assert cache._memory, corrupt  # the good record survived
+            assert table.batches == [], corrupt
+
+    def test_repeated_key_last_record_wins(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(_record("uno", [1.0, 2.0]) + _record("uno", [3.0, 4.0]))
+        with closing(CachingEmbedder(_TableEmbedder({}), path)) as cached:
+            assert cached.embed_batch(["uno"]).tolist() == [[3.0, 4.0]]
+
+    @pytest.mark.parametrize(
+        "torn",
+        [b'{"embedder": "table", "ke', _record("tres", [5.0, 6.0]).rstrip(b"\n")],
+        ids=["cut-record", "whole-record"],
+    )
+    def test_append_after_a_torn_last_line_starts_a_new_line(self, tmp_path, torn):
+        # a crash mid-append leaves the file without its final newline
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(_record("uno", [1.0, 2.0]) + torn)
+        with closing(CachingEmbedder(_TableEmbedder({"dos": [3.0, 4.0]}), path)) as cached:
+            cached.embed_batch(["dos"])
+        table = _TableEmbedder({})
+        with closing(CachingEmbedder(table, path)) as reopened:
+            assert reopened.embed_batch(["uno", "dos"]).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert table.batches == []
+
+    def test_record_bytes_are_pinned_and_flushed_before_return(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with closing(CachingEmbedder(_TableEmbedder({"casa": [0.1, -1 / 3, 1e-300, 2.0]}), path)) as cached:
+            cached.embed_batch(["casa"])
+            assert path.read_bytes() == CASA_RECORD
+
+    def test_file_in_the_established_format_warms_with_no_inner_call(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(_record("uno", [9.0] * 4, embedder="other") + CASA_RECORD + _record("uno", [1.0] * 4))
+        table = _TableEmbedder({})
+        with closing(CachingEmbedder(table, path)) as cached:
+            vectors = cached.embed_batch(["casa", "uno"])
+        assert vectors.tolist() == [[0.1, -1 / 3, 1e-300, 2.0], [1.0] * 4]
+        assert table.batches == []
 
     def test_warm_cache_avoids_recompute(self, tmp_path):
         counting = CountingEmbedder()
         cache_path = tmp_path / "cache.jsonl"
         texts = ["uno", "dos", "tres", "uno"]
-        with EmbeddingCache(cache_path) as cache:
-            warm = CachingEmbedder(counting, cache)
+        with closing(CachingEmbedder(counting, cache_path)) as warm:
             warm.embed_batch(texts)
         first_calls = counting.calls
         assert first_calls == 3  # "uno" deduplicated by the cache
 
-        with EmbeddingCache(cache_path) as cache:
-            warm = CachingEmbedder(counting, cache)
+        with closing(CachingEmbedder(counting, cache_path)) as warm:
             result = warm.embed_batch(texts)
         assert counting.calls == first_calls  # zero new calls
         assert len(result) == 4
 
+    def test_cache_key_computed_once_per_text(self, tmp_path, monkeypatch):
+        hashed = []
+        key = embedding._cache_key
+        monkeypatch.setattr(embedding, "_cache_key", lambda text: hashed.append(text) or key(text))
+        texts = ["uno", "dos", "uno", "tres"]
+        with closing(CachingEmbedder(CountingEmbedder(), tmp_path / "cache.jsonl")) as cached:
+            cached.embed_batch(texts)  # cold
+            assert hashed == texts
+            hashed.clear()
+            cached.embed_batch(texts)  # warm
+        assert hashed == texts
+
+    def test_rows_are_caller_owned(self, tmp_path):
+        # VectorTable normalises the returned matrix in place
+        with closing(CachingEmbedder(_TableEmbedder({"uno": [3.0, 4.0]}), tmp_path / "cache.jsonl")) as cached:
+            cached.embed_batch(["uno", "uno"])[:] = 0.0
+            assert cached.embed_batch(["uno"]).tolist() == [[3.0, 4.0]]
+
+    def test_vector_count_mismatch_rejected(self, tmp_path):
+        class Short(_TableEmbedder):
+            def embed_batch(self, texts):
+                return super().embed_batch(texts)[:-1]
+
+        path = tmp_path / "cache.jsonl"
+        with closing(CachingEmbedder(Short({"a": [1.0], "b": [1.0]}), path)) as cached, pytest.raises(ProtocolError):
+            cached.embed_batch(["a", "b"])
+
     def test_texts_differing_in_case_keep_their_own_vectors(self, tmp_path):
         vectors = {"Casa.": [1.0, 0.0], "casa.": [0.0, 1.0]}
         for _ in range(2):  # cold, then warm from the file
-            with EmbeddingCache(tmp_path / "cache.jsonl") as cache:
-                cached = CachingEmbedder(_TableEmbedder(vectors), cache).embed_batch(["Casa.", "casa."])
+            with closing(CachingEmbedder(_TableEmbedder(vectors), tmp_path / "cache.jsonl")) as embedder:
+                cached = embedder.embed_batch(["Casa.", "casa."])
             assert [list(v) for v in cached] == [vectors["Casa."], vectors["casa."]]
 
     def test_record_keyed_on_the_normalised_text_misses(self, tmp_path):
         # cache files written before exact-text keys hold sha256(normalised text);
         # such a record may hold the vector of another spelling, so it must not hit
         path = tmp_path / "cache.jsonl"
-        record = {"embedder": "e", "key": hashlib.sha256("casa.".encode()).hexdigest(), "vector": [1.0, 2.0]}
+        record = {"embedder": "table", "key": hashlib.sha256("casa.".encode()).hexdigest(), "vector": [1.0, 2.0]}
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        assert EmbeddingCache(path).get("e", "casa.") is None
+        table = _TableEmbedder({"casa.": [3.0, 4.0]})
+        with closing(CachingEmbedder(table, path)) as cached:
+            assert cached.embed_batch(["casa."]).tolist() == [[3.0, 4.0]]
+        assert table.batches == [["casa."]]
 
 
 class EmbedHandler(BaseHTTPRequestHandler):
@@ -313,57 +408,58 @@ def embed_server():
 
 class TestRemoteEmbedder:
     def test_order_and_arity(self, embed_server):
-        remote = RemoteEmbedder(embed_server)
-        vectors = remote.embed_batch(["a", "bb", "ccc"])
-        assert [v[0] for v in vectors] == [1.0, 2.0, 3.0]
+        with closing(RemoteEmbedder(embed_server)) as remote:
+            vectors = remote.embed_batch(["a", "bb", "ccc"])
+            assert [v[0] for v in vectors] == [1.0, 2.0, 3.0]
 
     def test_empty_list_no_calls(self, embed_server):
-        remote = RemoteEmbedder(embed_server)
-        assert remote.embed_batch([]).shape == (0, 0)
-        assert EmbedHandler.calls == 0
+        with closing(RemoteEmbedder(embed_server)) as remote:
+            assert remote.embed_batch([]).shape == (0, 0)
+            assert EmbedHandler.calls == 0
 
     def test_batching_130_texts_three_calls(self, embed_server):
-        remote = RemoteEmbedder(embed_server, batch_size=64)
-        texts = [f"t{i}" for i in range(130)]
-        vectors = remote.embed_batch(texts)
-        assert len(vectors) == 130
-        assert EmbedHandler.calls == math.ceil(130 / 64) == 3
+        with closing(RemoteEmbedder(embed_server, batch_size=64)) as remote:
+            texts = [f"t{i}" for i in range(130)]
+            vectors = remote.embed_batch(texts)
+            assert len(vectors) == 130
+            assert EmbedHandler.calls == math.ceil(130 / 64) == 3
 
     def test_retries_transient_failure(self, embed_server):
         EmbedHandler.script = [503]
-        remote = RemoteEmbedder(embed_server, max_retries=2, retry_backoff=0.0, sleep=lambda _: None)
-        vectors = remote.embed_batch(["hola"])
-        assert len(vectors) == 1
-        assert EmbedHandler.calls == 2
+        with closing(RemoteEmbedder(embed_server, max_retries=2, retry_backoff=0.0, sleep=lambda _: None)) as remote:
+            vectors = remote.embed_batch(["hola"])
+            assert len(vectors) == 1
+            assert EmbedHandler.calls == 2
 
     def test_service_error_after_retries(self, embed_server):
         EmbedHandler.script = [500, 500, 500]
-        remote = RemoteEmbedder(embed_server, max_retries=2, retry_backoff=0.0, sleep=lambda _: None)
-        with pytest.raises(ServiceError):
-            remote.embed_batch(["hola"])
+        with closing(RemoteEmbedder(embed_server, max_retries=2, retry_backoff=0.0, sleep=lambda _: None)) as remote:
+            with pytest.raises(ServiceError):
+                remote.embed_batch(["hola"])
 
     def test_chunks_share_one_connection(self, embed_server):
-        RemoteEmbedder(embed_server, batch_size=64).embed_batch([f"t{i}" for i in range(130)])
+        with closing(RemoteEmbedder(embed_server, batch_size=64)) as remote:
+            remote.embed_batch([f"t{i}" for i in range(130)])
         assert len(EmbedHandler.seen) == 3
         assert len({port for port, _ in EmbedHandler.seen}) == 1
 
     def test_connection_dropped_while_idle_is_reopened_without_a_retry(self, embed_server):
         EmbedHandler.drop_after_reply = True
         slept = []
-        remote = RemoteEmbedder(embed_server, batch_size=64, max_retries=0, sleep=slept.append)
-        assert len(remote.embed_batch([f"t{i}" for i in range(130)])) == 130
-        assert len({port for port, _ in EmbedHandler.seen}) == EmbedHandler.calls == 3
-        assert slept == []
+        with closing(RemoteEmbedder(embed_server, batch_size=64, max_retries=0, sleep=slept.append)) as remote:
+            assert len(remote.embed_batch([f"t{i}" for i in range(130)])) == 130
+            assert len({port for port, _ in EmbedHandler.seen}) == EmbedHandler.calls == 3
+            assert slept == []
 
     def test_non_ascii_path_is_percent_encoded(self, embed_server):
-        remote = RemoteEmbedder(embed_server + "/incrustación vectorial")
-        assert len(remote.embed_batch(["hola"])) == 1
-        assert [path for _, path in EmbedHandler.seen] == ["/embed/incrustaci%C3%B3n%20vectorial"]
+        with closing(RemoteEmbedder(embed_server + "/incrustación vectorial")) as remote:
+            assert len(remote.embed_batch(["hola"])) == 1
+            assert [path for _, path in EmbedHandler.seen] == ["/embed/incrustaci%C3%B3n%20vectorial"]
 
     def test_unreachable_service(self):
         remote = RemoteEmbedder("http://127.0.0.1:1/embed", max_retries=1, retry_backoff=0.0,
                                 timeout=0.2, sleep=lambda _: None)
-        with pytest.raises(ServiceError):
+        with closing(remote), pytest.raises(ServiceError):
             remote.embed_batch(["hola"])
 
 
@@ -375,14 +471,12 @@ def _same_vector(value: float, dimension: int):
 class TestRemoteProtocol:
     def test_zero_vector_is_protocol_error(self, embed_server):
         EmbedHandler.script = [_same_vector(0.0, 3)]
-        remote = RemoteEmbedder(embed_server)
-        with pytest.raises(ProtocolError, match="all-zero"):
+        with closing(RemoteEmbedder(embed_server)) as remote, pytest.raises(ProtocolError, match="all-zero"):
             remote.embed_batch(["hola"])
 
     def test_count_mismatch_is_protocol_error(self, embed_server):
         EmbedHandler.script = [lambda texts: {"vectors": [[1.0, 2.0]], "dimension": 2}]
-        remote = RemoteEmbedder(embed_server)
-        with pytest.raises(ProtocolError):
+        with closing(RemoteEmbedder(embed_server)) as remote, pytest.raises(ProtocolError):
             remote.embed_batch(["a", "b"])
 
     @pytest.mark.parametrize(
@@ -408,16 +502,16 @@ class TestRemoteProtocol:
 
     def test_dimension_change_between_chunks_is_protocol_error(self, embed_server):
         EmbedHandler.script = [_same_vector(1.0, 512), _same_vector(1.0, 256)]
-        remote = RemoteEmbedder(embed_server, batch_size=2)
-        with pytest.raises(ProtocolError, match="512 then 256"):
-            remote.embed_batch(["a", "b", "c"])
+        with closing(RemoteEmbedder(embed_server, batch_size=2)) as remote:
+            with pytest.raises(ProtocolError, match="512 then 256"):
+                remote.embed_batch(["a", "b", "c"])
         assert EmbedHandler.calls == 2
 
     @pytest.mark.parametrize("url", ["embed-service/embed", "http://[::1", "file:///dev/null"])
     def test_url_that_cannot_be_sent_to_is_service_error(self, url):
-        remote = RemoteEmbedder(url, max_retries=1, retry_backoff=0.0, sleep=lambda _: None)
-        with pytest.raises(ServiceError):
-            remote.embed_batch(["hola"])
+        with closing(RemoteEmbedder(url, max_retries=1, retry_backoff=0.0, sleep=lambda _: None)) as remote:
+            with pytest.raises(ServiceError):
+                remote.embed_batch(["hola"])
 
 
 class _TableEmbedder:
@@ -484,9 +578,9 @@ class TestVectorTable:
 
     def test_cached_vector_of_another_length_rejected(self, tmp_path):
         # a length-1 row would broadcast across the whole row if written unchecked
-        with EmbeddingCache(tmp_path / "cache.jsonl") as cache:
-            cache.put("table", "uno", np.ones(1))
-            embedder = CachingEmbedder(_TableEmbedder({"dos": [1.0, 2.0]}), cache)
+        table = _TableEmbedder({"uno": [1.0], "dos": [1.0, 2.0]})
+        with closing(CachingEmbedder(table, tmp_path / "cache.jsonl")) as embedder:
+            embedder.embed_batch(["uno"])
             with pytest.raises(DimensionError):
                 VectorTable(embedder, ["uno", "dos"])
 

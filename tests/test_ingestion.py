@@ -287,6 +287,15 @@ class TestFailures:
             parse_failures(io.StringIO(line + "\n"))
         assert exc.value.field == "reason"
 
+    @pytest.mark.parametrize(
+        "field, value", [("lemma", 5), ("pos", 7), ("reason", [1])], ids=["lemma", "pos", "reason"]
+    )
+    def test_non_string_field_rejected(self, field, value):
+        record = {"lemma": "a", "pos": None, "reason": "refusal", "detail": ""} | {field: value}
+        with pytest.raises(ParseError) as exc:
+            parse_failures(io.StringIO(json.dumps(record) + "\n"))
+        assert exc.value.field == field
+
     def test_planted_failures_fixture_parses(self, data_dir):
         with open(data_dir / "planted_failures.jsonl", encoding="utf-8") as fh:
             failures = parse_failures(fh)
