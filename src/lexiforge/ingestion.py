@@ -183,17 +183,19 @@ def parse_failures(stream: Iterable[str]) -> list[GenerationFailure]:
         if not isinstance(obj, dict):
             raise ParseError("record must be a JSON object", line_number=number)
         _require_keys(obj, _FAILURE_KEYS, number, "record")
-        reason, label, lemma = obj["reason"], obj["pos"], obj["lemma"]
+        reason, label, lemma, detail = obj["reason"], obj["pos"], obj["lemma"], obj["detail"]
         if not isinstance(reason, str) or reason not in reasons:
             raise ParseError(f"unknown reason {reason!r}", line_number=number, field="reason")
         if label is not None and not isinstance(label, str):
             raise ParseError("pos must be a string or null", line_number=number, field="pos")
         if not isinstance(lemma, str):
             raise ParseError("lemma must be a string", line_number=number, field="lemma")
+        if not isinstance(detail, str):
+            raise ParseError("detail must be a string", line_number=number, field="detail")
         try:
             lemma = normalize_lemma(lemma)
         except EmptyLemmaError as exc:
             raise ParseError(str(exc), line_number=number, field="lemma") from exc
         pos = PosTag.from_label(label) if label else None
-        failures.append(GenerationFailure(lemma, pos, reasons[reason], str(obj["detail"])))
+        failures.append(GenerationFailure(lemma, pos, reasons[reason], detail))
     return failures

@@ -122,11 +122,14 @@ class Dictionary:
 
     name: str = "dictionary"
     _entries: dict[tuple[str, PosCategory], DictionaryEntry] = field(default_factory=dict)
+    # the keys in entries() order, sorted on first use after an add
+    _sorted_keys: list[tuple[str, PosCategory]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def add(self, entry: DictionaryEntry) -> None:
         if entry.key in self._entries:
             raise DuplicateKeyError(f"duplicate key {entry.key!r} in {self.name!r}")
         self._entries[entry.key] = entry
+        self._sorted_keys = None
 
     def get(self, lemma: str, category: PosCategory) -> DictionaryEntry | None:
         return self._entries.get((lemma, category))
@@ -136,7 +139,9 @@ class Dictionary:
 
     def entries(self) -> list[DictionaryEntry]:
         """Entries sorted by (lemma, category) for deterministic iteration."""
-        return [self._entries[k] for k in sorted(self._entries, key=_key_sort)]
+        if self._sorted_keys is None:
+            self._sorted_keys = sorted(self._entries, key=_key_sort)
+        return [self._entries[k] for k in self._sorted_keys]
 
     def __len__(self) -> int:
         return len(self._entries)

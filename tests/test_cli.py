@@ -242,6 +242,13 @@ class TestEvaluate:
         assert result.exit_code == 3, result.output
         assert "field lemma" in result.output
 
+    def test_failure_log_with_null_detail_exit_3(self, runner, workspace):
+        record = {"lemma": "a", "pos": None, "reason": "refusal", "detail": None}
+        (workspace / "bad_failures.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+        result = run_evaluate(runner, workspace, extra=["--failures", str(workspace / "bad_failures.jsonl")])
+        assert result.exit_code == 3, result.output
+        assert "field detail" in result.output
+
     def test_unreadable_generated_exit_3(self, runner, workspace):
         result = run_evaluate(runner, workspace, generated="missing.jsonl")
         assert result.exit_code == 3

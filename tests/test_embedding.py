@@ -2,7 +2,9 @@ import hashlib
 import json
 import logging
 import math
+import sys
 import threading
+import time
 from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from lexiforge import embedding
 from lexiforge.embedding import (
     EMBED_CHUNK,
+    EMBED_LANES,
     CachingEmbedder,
     DeterministicEmbedder,
     RemoteEmbedder,
@@ -353,10 +356,17 @@ class TestEmbeddingCache:
         assert table.batches == [["casa."]]
 
 
+def _length_vectors(texts):
+    """Reply body giving each text the vector (len(text), ..., len(text))."""
+    return {"vectors": [[float(len(t))] * EmbedHandler.dimension for t in texts], "dimension": EmbedHandler.dimension}
+
+
 class EmbedHandler(BaseHTTPRequestHandler):
-    # one step per request, before the default replies: a status code to
-    # fail with, or a function from the request's texts to the reply body
+    # one step per request, taken in arrival order before ``reply`` answers
+    # the rest: a status code to fail with, a reply body, or a function from
+    # the request's texts to either
     script: list = []
+    reply = _length_vectors
     calls = 0
     dimension = 8
     # HTTP/1.1: a connection stays open after a reply unless the server
@@ -364,25 +374,35 @@ class EmbedHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     drop_after_reply = False
     seen: list = []  # (client port, request target) of each request
+    in_flight = 0
+    max_in_flight = 0
+    lock = threading.Lock()
 
     def do_POST(self):
-        EmbedHandler.calls += 1
+        with EmbedHandler.lock:
+            EmbedHandler.calls += 1
+            EmbedHandler.in_flight += 1
+            EmbedHandler.max_in_flight = max(EmbedHandler.max_in_flight, EmbedHandler.in_flight)
+        try:
+            self.answer()
+        finally:
+            with EmbedHandler.lock:
+                EmbedHandler.in_flight -= 1
+
+    def answer(self):
         EmbedHandler.seen.append((self.client_address[1], self.path))
         self.close_connection = EmbedHandler.drop_after_reply
         length = int(self.headers.get("Content-Length", 0))
         texts = json.loads(self.rfile.read(length))["texts"]
-        step = EmbedHandler.script.pop(0) if EmbedHandler.script else None
+        step = EmbedHandler.script.pop(0) if EmbedHandler.script else EmbedHandler.reply
+        if callable(step):
+            step = step(texts)
         if isinstance(step, int):
             self.send_response(step)
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
-        if step is None:
-            payload = {"vectors": [[float(len(t))] * EmbedHandler.dimension for t in texts],
-                       "dimension": EmbedHandler.dimension}
-        else:
-            payload = step(texts)
-        data = json.dumps(payload).encode()
+        data = json.dumps(step).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -398,7 +418,9 @@ def embed_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), EmbedHandler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     EmbedHandler.script = []
+    EmbedHandler.reply = _length_vectors
     EmbedHandler.calls = 0
+    EmbedHandler.max_in_flight = 0
     EmbedHandler.drop_after_reply = False
     EmbedHandler.seen = []
     yield f"http://127.0.0.1:{server.server_address[1]}/embed"
@@ -437,11 +459,70 @@ class TestRemoteEmbedder:
             with pytest.raises(ServiceError):
                 remote.embed_batch(["hola"])
 
-    def test_chunks_share_one_connection(self, embed_server):
-        with closing(RemoteEmbedder(embed_server, batch_size=64)) as remote:
-            remote.embed_batch([f"t{i}" for i in range(130)])
-        assert len(EmbedHandler.seen) == 3
-        assert len({port for port, _ in EmbedHandler.seen}) == 1
+    def test_calls_share_at_most_embed_lanes_connections(self, embed_server):
+        with closing(RemoteEmbedder(embed_server, batch_size=1)) as remote:
+            for call in range(2):
+                remote.embed_batch([f"call{call}-{i}" for i in range(10)])
+        assert len(EmbedHandler.seen) == 20
+        assert len({port for port, _ in EmbedHandler.seen}) <= EMBED_LANES
+
+    def test_chunks_overlap_on_at_most_embed_lanes_connections(self, embed_server):
+        def slow_reply(texts):
+            time.sleep(0.005)
+            return _length_vectors(texts)
+
+        EmbedHandler.reply = slow_reply
+        texts = ["a" * (1 + i % 23) for i in range(30)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with closing(RemoteEmbedder(embed_server, batch_size=1)) as remote:
+                vectors = remote.embed_batch(texts)
+        finally:
+            sys.setswitchinterval(interval)
+        assert vectors[:, 0].tolist() == [float(len(t)) for t in texts]
+        assert EmbedHandler.max_in_flight == EMBED_LANES
+        assert len({port for port, _ in EmbedHandler.seen}) <= EMBED_LANES
+
+    def test_rows_keep_input_order_when_later_chunks_answer_first(self, embed_server):
+        texts = ["a" * n for n in range(1, 9)]
+        with closing(RemoteEmbedder(embed_server, batch_size=len(texts))) as remote:
+            one_chunk = remote.embed_batch(texts)
+
+        def earlier_is_slower(chunk):
+            time.sleep(0.004 * (len(texts) - len(chunk[0])))
+            return _length_vectors(chunk)
+
+        EmbedHandler.reply = earlier_is_slower
+        with closing(RemoteEmbedder(embed_server, batch_size=1)) as remote:
+            vectors = remote.embed_batch(texts)
+        assert vectors[:, 0].tolist() == [float(n) for n in range(1, 9)]
+        assert np.array_equal(vectors, one_chunk)
+
+    def test_first_failure_stops_the_chunks_not_yet_sent(self, embed_server):
+        def fail_first_chunk_last(texts):
+            if texts == ["t0"]:  # later chunks fail while the first is still out
+                time.sleep(0.2)
+            return 500
+
+        EmbedHandler.reply = fail_first_chunk_last
+        with closing(RemoteEmbedder(embed_server, batch_size=1, max_retries=0)) as remote:
+            with pytest.raises(ServiceError):
+                remote.embed_batch([f"t{i}" for i in range(40)])
+        assert 1 <= EmbedHandler.calls <= 2 * EMBED_LANES
+
+    def test_lane_in_backoff_stops_when_another_chunk_fails_for_good(self, embed_server):
+        posted = []
+
+        def busy_then_rejected(texts):
+            posted.append(texts[0])
+            return 503 if texts == ["t0"] else 400
+
+        EmbedHandler.reply = busy_then_rejected
+        remote = RemoteEmbedder(embed_server, batch_size=1, max_retries=3, retry_backoff=0.5)
+        with closing(remote), pytest.raises(ServiceError, match="HTTP 400"):
+            remote.embed_batch(["t0", "t1"])
+        assert posted.count("t0") <= 1  # not the 1 + 3 retries it would take alone
 
     def test_connection_dropped_while_idle_is_reopened_without_a_retry(self, embed_server):
         EmbedHandler.drop_after_reply = True
@@ -501,7 +582,7 @@ class TestRemoteProtocol:
             remote.embed_batch(["hola"])
 
     def test_dimension_change_between_chunks_is_protocol_error(self, embed_server):
-        EmbedHandler.script = [_same_vector(1.0, 512), _same_vector(1.0, 256)]
+        EmbedHandler.reply = lambda texts: _same_vector(1.0, 512 if texts == ["a", "b"] else 256)(texts)
         with closing(RemoteEmbedder(embed_server, batch_size=2)) as remote:
             with pytest.raises(ProtocolError, match="512 then 256"):
                 remote.embed_batch(["a", "b", "c"])

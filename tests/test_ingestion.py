@@ -288,13 +288,26 @@ class TestFailures:
         assert exc.value.field == "reason"
 
     @pytest.mark.parametrize(
-        "field, value", [("lemma", 5), ("pos", 7), ("reason", [1])], ids=["lemma", "pos", "reason"]
+        "field, value",
+        [("lemma", 5), ("pos", 7), ("reason", [1]), ("detail", None), ("detail", 3)],
+        ids=["lemma", "pos", "reason", "detail-null", "detail-number"],
     )
     def test_non_string_field_rejected(self, field, value):
         record = {"lemma": "a", "pos": None, "reason": "refusal", "detail": ""} | {field: value}
         with pytest.raises(ParseError) as exc:
             parse_failures(io.StringIO(json.dumps(record) + "\n"))
         assert exc.value.field == field
+
+    def test_parse_write_parse_is_byte_identical(self, data_dir):
+        original = (data_dir / "planted_failures.jsonl").read_text(encoding="utf-8")
+        extra = {"lemma": "ñu", "pos": "Nombre masculino", "reason": "truncated", "detail": ""}
+        original += json.dumps(extra, ensure_ascii=False) + "\n"
+        written = io.StringIO()
+        write_failures(parse_failures(io.StringIO(original)), written)
+        assert written.getvalue() == original
+        rewritten = io.StringIO()
+        write_failures(parse_failures(io.StringIO(written.getvalue())), rewritten)
+        assert rewritten.getvalue().encode("utf-8") == original.encode("utf-8")
 
     def test_planted_failures_fixture_parses(self, data_dir):
         with open(data_dir / "planted_failures.jsonl", encoding="utf-8") as fh:

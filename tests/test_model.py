@@ -145,6 +145,14 @@ class TestDictionary:
         )
         assert len(d) == 2
 
+    def test_entries_after_add_include_the_new_key_in_order(self):
+        d = make_dictionary("test", make_entry("casa", "Nombre femenino", "Edificio para habitar."))
+        assert [e.lemma for e in d.entries()] == ["casa"]
+        d.add(make_entry("abeja", "Nombre femenino", "Insecto que produce miel."))
+        d.add(make_entry("zumo", "Nombre masculino", "Líquido de una fruta."))
+        assert [e.lemma for e in d.entries()] == ["abeja", "casa", "zumo"]
+        assert d.entries() is not d.entries()  # each call returns a list of its own
+
     def test_mono_plus_poly_equals_total(self, fixture20):
         for d in fixture20:
             mono = sum(1 for e in d.entries() if is_monosemous(e))
