@@ -1,16 +1,18 @@
 """Configuration file loading and object factories.
 
 The config file is INI-style with ``[provider]``, ``[generation]``,
-``[prompt]``, ``[embedding]`` and ``[error_analysis]`` sections; every
-command reads the sections it needs and falls back to defaults for the
-rest. Relative paths are resolved against the config file's directory.
+``[prompt]``, ``[embedding]`` and ``[error_analysis]`` sections, each read
+into the dataclass whose fields are its options. An option or section left
+out keeps its default; one the reader does not know is a ConfigError.
+Relative paths are resolved against the config file's directory.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .embedding import CachingEmbedder, DeterministicEmbedder, RemoteEmbedder
@@ -29,6 +31,16 @@ class ProviderSettings:
     timeout: float = 60.0
     replies: Path | None = None  # stub lookup table
 
+    def __post_init__(self):
+        if self.kind not in ("openai-chat", "stub"):
+            raise ConfigError(f"[provider] kind must be 'openai-chat' or 'stub', got {self.kind!r}")
+
+
+@dataclass
+class PromptSettings:
+    template: Path | None = None  # replaces DEFAULT_PROMPT_TEMPLATE
+    fewshot: Path | None = None  # replaces DEFAULT_FEWSHOT
+
 
 @dataclass
 class EmbeddingSettings:
@@ -42,6 +54,10 @@ class EmbeddingSettings:
     cache: Path | None = None
     include_examples: bool = False
 
+    def __post_init__(self):
+        if self.dimension < 1:
+            raise ConfigError(f"[embedding] dimension must be >= 1, got {self.dimension}")
+
 
 @dataclass
 class AppConfig:
@@ -51,19 +67,52 @@ class AppConfig:
     error_analysis: ErrorAnalysisConfig = field(default_factory=ErrorAnalysisConfig)
 
 
-def _get(parser: configparser.ConfigParser, section: str, option: str, cast, default, alias: str | None = None):
-    if not parser.has_option(section, option):
-        if alias is not None and parser.has_option(section, alias):
-            option = alias
-        else:
-            return default
+SECTIONS = dict(  # each section of the file -> the dataclass whose fields are its options
+    provider=ProviderSettings, generation=GenerationConfig, prompt=PromptSettings,
+    embedding=EmbeddingSettings, error_analysis=ErrorAnalysisConfig,
+)
+ALIASES = {"generation": {"retries": "max_retries", "backoff": "retry_backoff", "concurrency": "max_concurrent_batches"}}
+_CASTS = {"int": int, "float": float, "str": str, "str | None": str}  # bool and Path are read in _cast
+
+
+def _cast(parser: configparser.ConfigParser, section: str, option: str, annotation: str, base: Path):
+    """The option's value as its field's type; a path is resolved against *base*."""
+    if annotation == "bool":
+        return parser.getboolean(section, option)
     raw = parser.get(section, option)
+    if annotation == "Path | None":
+        return Path(raw) if Path(raw).is_absolute() else (base / raw).resolve()
+    if annotation not in _CASTS:
+        raise TypeError(f"[{section}] {option}: no reader for a field of type {annotation}")
+    return _CASTS[annotation](raw)
+
+
+def _read_section(parser: configparser.ConfigParser, section: str, base: Path, **given):
+    """The section's dataclass built from its options, each cast by the annotation of the field it names.
+
+    Fields in *given* come from the caller, not the file. An option naming no field, or a field in
+    *given*, is a ConfigError; a field with no option keeps its default. An option wins
+    over its alias.
+    """
+    cls = SECTIONS[section]
+    annotations = {f.name: f.type for f in fields(cls) if f.name not in given}
+    aliases = ALIASES.get(section, {})
+    values = dict(given)
+    for option in parser.options(section) if parser.has_section(section) else ():
+        name = aliases.get(option, option)
+        if name not in annotations:
+            raise ConfigError(f"[{section}] unknown option {option!r}; known: {', '.join(annotations)}")
+        if name != option and parser.has_option(section, name):
+            continue
+        try:
+            values[name] = _cast(parser, section, option, annotations[name], base)
+        except (ValueError, configparser.Error) as exc:
+            raw = parser.get(section, option, raw=True)
+            raise ConfigError(f"[{section}] {option}: cannot parse {raw!r} as {annotations[name]}") from exc
     try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{section}] {option}: cannot parse {raw!r}") from exc
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def _load_fewshot(path: Path) -> tuple[tuple[str, str, str, str], ...]:
@@ -87,76 +136,26 @@ def load_config(path: str | Path) -> AppConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"invalid config file {path}: {exc}") from exc
+    unknown = [f"[{name}]" for name in parser.sections() if name not in SECTIONS]
+    if unknown:
+        raise ConfigError(f"unknown section {', '.join(unknown)} in {path}; known: {', '.join(SECTIONS)}")
+    if parser.defaults():
+        raise ConfigError(f"[DEFAULT] sets {', '.join(parser.defaults())}; move each option into its own section")
     base = path.parent
 
-    def resolve(raw: str | None) -> Path | None:
-        return None if raw is None else (base / raw).resolve() if not Path(raw).is_absolute() else Path(raw)
-
-    provider = ProviderSettings(
-        kind=_get(parser, "provider", "kind", str, "openai-chat"),
-        endpoint=_get(parser, "provider", "endpoint", str, ""),
-        model=_get(parser, "provider", "model", str, "gpt-4-turbo"),
-        credential_env=_get(parser, "provider", "credential_env", str, None),
-        timeout=_get(parser, "provider", "timeout", float, 60.0),
-        replies=resolve(_get(parser, "provider", "replies", str, None)),
-    )
-    if provider.kind not in ("openai-chat", "stub"):
-        raise ConfigError(f"[provider] kind must be 'openai-chat' or 'stub', got {provider.kind!r}")
-
-    template = DEFAULT_PROMPT_TEMPLATE
-    template_path = resolve(_get(parser, "prompt", "template", str, None))
-    if template_path is not None:
-        try:
-            template = template_path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read prompt template {template_path}: {exc}") from exc
-    fewshot = DEFAULT_FEWSHOT
-    fewshot_path = resolve(_get(parser, "prompt", "fewshot", str, None))
-    if fewshot_path is not None:
-        fewshot = _load_fewshot(fewshot_path)
-
-    generation = GenerationConfig(
-        batch_size=_get(parser, "generation", "batch_size", int, 32),
-        max_retries=_get(parser, "generation", "max_retries", int, 3, alias="retries"),
-        retry_backoff=_get(parser, "generation", "retry_backoff", float, 2.0, alias="backoff"),
-        max_concurrent_batches=_get(parser, "generation", "max_concurrent_batches", int, 4, alias="concurrency"),
-        prompt_template=template,
-        fewshot_examples=fewshot,
-        temperature=_get(parser, "generation", "temperature", float, 0.0),
-        max_output_tokens=_get(parser, "generation", "max_output_tokens", int, 2048),
-    )
-
-    embedding = EmbeddingSettings(
-        dimension=_get(parser, "embedding", "dimension", int, 512),
-        remote_url=_get(parser, "embedding", "remote_url", str, None),
-        remote_batch_size=_get(parser, "embedding", "remote_batch_size", int, 64),
-        remote_identifier=_get(parser, "embedding", "remote_identifier", str, "remote"),
-        remote_max_retries=_get(parser, "embedding", "remote_max_retries", int, 3),
-        remote_retry_backoff=_get(parser, "embedding", "remote_retry_backoff", float, 1.0),
-        remote_timeout=_get(parser, "embedding", "remote_timeout", float, 30.0),
-        cache=resolve(_get(parser, "embedding", "cache", str, None)),
-        include_examples=_get(parser, "embedding", "include_examples", bool, False),
-    )
-    if embedding.dimension < 1:
-        raise ConfigError(f"[embedding] dimension must be >= 1, got {embedding.dimension}")
-
+    provider = _read_section(parser, "provider", base)
+    prompt = _read_section(parser, "prompt", base)
     try:
-        error_analysis = ErrorAnalysisConfig(
-            hallucination_threshold=_get(parser, "error_analysis", "hallucination_threshold", float, 0.1),
-            overcorrection_max_edit_distance=_get(
-                parser, "error_analysis", "overcorrection_max_edit_distance", int, 2
-            ),
-            overcorrection_similarity_floor=_get(
-                parser, "error_analysis", "overcorrection_similarity_floor", float, 0.5
-            ),
-            fabricated_polysemy_similarity=_get(
-                parser, "error_analysis", "fabricated_polysemy_similarity", float, 0.9
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[error_analysis] {exc}") from exc
-
-    return AppConfig(provider=provider, generation=generation, embedding=embedding, error_analysis=error_analysis)
+        template = DEFAULT_PROMPT_TEMPLATE if prompt.template is None else prompt.template.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read prompt template {prompt.template}: {exc}") from exc
+    fewshot = DEFAULT_FEWSHOT if prompt.fewshot is None else _load_fewshot(prompt.fewshot)
+    return AppConfig(
+        provider=provider,
+        generation=_read_section(parser, "generation", base, prompt_template=template, fewshot_examples=fewshot),
+        embedding=_read_section(parser, "embedding", base),
+        error_analysis=_read_section(parser, "error_analysis", base),
+    )
 
 
 def build_provider(settings: ProviderSettings):
@@ -169,6 +168,8 @@ def build_provider(settings: ProviderSettings):
             raise ConfigError(f"cannot read stub replies {settings.replies}: {exc}") from exc
     if not settings.endpoint:
         raise ConfigError("[provider] endpoint is required for kind=openai-chat")
+    if settings.credential_env and not os.environ.get(settings.credential_env):
+        raise ConfigError(f"[provider] credential_env names {settings.credential_env}, which is unset or empty")
     return HttpChatProvider(
         endpoint=settings.endpoint,
         model=settings.model,
@@ -207,7 +208,6 @@ def evaluation_snapshot(choice: str, config: AppConfig) -> dict:
     out keeps report bytes identical across unrelated config edits.
     """
     embedding = config.embedding
-    errors = config.error_analysis
     return {
         "embedder": choice,
         "embedding": {
@@ -218,10 +218,7 @@ def evaluation_snapshot(choice: str, config: AppConfig) -> dict:
             "include_examples": embedding.include_examples,
         },
         "error_analysis": {
-            "hallucination_threshold": errors.hallucination_threshold,
-            "overcorrection_max_edit_distance": errors.overcorrection_max_edit_distance,
-            "overcorrection_similarity_floor": errors.overcorrection_similarity_floor,
-            "fabricated_polysemy_similarity": errors.fabricated_polysemy_similarity,
+            **asdict(config.error_analysis),
             "refusal_patterns": list(DEFAULT_REFUSAL_PATTERNS),
             "proper_noun_patterns": list(DEFAULT_PROPER_NOUN_PATTERNS),
         },

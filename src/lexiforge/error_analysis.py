@@ -22,6 +22,7 @@ from .alignment import AlignmentRecord
 from .embedding import VectorTable, normalize_text
 from .exceptions import ParseError
 from .generation import FailureReason, GenerationFailure
+from .ingestion import _require_keys
 from .model import Dictionary, DictionaryEntry, PosCategory
 
 DEFAULT_PROPER_NOUN_PATTERNS = ("nombre propio", "en la mitología")
@@ -420,24 +421,46 @@ def write_findings(findings: Iterable[ErrorFinding], stream: IO[str]) -> int:
     return written
 
 
+#: each field of a finding record -> the JSON types write_findings puts there, and how to say so
+_FINDING_FIELDS = {
+    "lemma": ((str,), "a string"),
+    "category": ((str,), "a string"),
+    "evidence": ((str,), "a string"),
+    "pos": ((str, type(None)), "a string or null"),
+    "generated_definition": ((str, type(None)), "a string or null"),
+    "gold_definition": ((str, type(None)), "a string or null"),
+    "low_confidence": ((bool,), "true or false"),
+}
+
+
 def parse_findings(stream: Iterable[str]) -> list[ErrorFinding]:
+    """Findings back from the lines of *stream*, which must hold write_findings' fields and types exactly."""
     findings = []
+    categories = {c.value: c for c in ErrorCategory}
     for number, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            findings.append(
-                ErrorFinding(
-                    lemma=obj["lemma"],
-                    category=ErrorCategory(obj["category"]),
-                    evidence=obj["evidence"],
-                    pos_label=obj.get("pos"),
-                    generated_definition=obj.get("generated_definition"),
-                    gold_definition=obj.get("gold_definition"),
-                    low_confidence=bool(obj.get("low_confidence", False)),
-                )
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line_number=number) from exc
+        if not isinstance(obj, dict):
+            raise ParseError("finding record must be a JSON object", line_number=number)
+        _require_keys(obj, tuple(_FINDING_FIELDS), number, "record")
+        for name, (types, kind) in _FINDING_FIELDS.items():
+            if not isinstance(obj[name], types):
+                raise ParseError(f"{name} must be {kind}, got {obj[name]!r}", line_number=number, field=name)
+        if obj["category"] not in categories:
+            raise ParseError(f"unknown category {obj['category']!r}", line_number=number, field="category")
+        findings.append(
+            ErrorFinding(
+                lemma=obj["lemma"],
+                category=categories[obj["category"]],
+                evidence=obj["evidence"],
+                pos_label=obj["pos"],
+                generated_definition=obj["generated_definition"],
+                gold_definition=obj["gold_definition"],
+                low_confidence=obj["low_confidence"],
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"invalid finding record: {exc}", line_number=number) from exc
+        )
     return findings

@@ -309,6 +309,7 @@ def _run_batch(
     """
     request = ProviderRequest(
         prompt=build_prompt(batch, config),
+        lemmas=tuple(r.lemma for r in batch),
         temperature=config.temperature,
         max_tokens=config.max_output_tokens,
     )

@@ -17,6 +17,7 @@ from .exceptions import ProviderError
 @dataclass(frozen=True)
 class ProviderRequest:
     prompt: str
+    lemmas: tuple[str, ...] = ()  # the batch the prompt asks about, for providers that answer by lookup
     temperature: float = 0.0
     max_tokens: int = 2048
 
@@ -95,9 +96,8 @@ class HttpChatProvider:
 class StubProvider:
     """Lemma -> reply lookup table behind the provider contract.
 
-    The stub reads the lemma lines back out of the prompt (the batch block
-    is the trailing run of non-empty lines, as laid out by the default
-    template) and concatenates the table's reply block for each. Lemmas
+    The stub answers the request's ``lemmas`` (the prompt's layout does
+    not matter) by concatenating the table's reply block for each. Lemmas
     missing from the table are simply omitted from the reply, which the
     response parser then records as failures.
     """
@@ -114,22 +114,10 @@ class StubProvider:
             raise ProviderError(f"stub replies file {path} must hold a JSON object", retryable=False)
         return cls({str(k): str(v) for k, v in data.items()})
 
-    @staticmethod
-    def batch_lemmas(prompt: str) -> list[str]:
-        lines = prompt.rstrip().splitlines()
-        block: list[str] = []
-        for line in reversed(lines):
-            if not line.strip():
-                break
-            block.append(line.strip())
-        block.reverse()
-        # instruction headers end with ':'; lemma lines never do
-        return [line.split(" — ")[0].strip() for line in block if not line.endswith(":")]
-
     def complete(self, request: ProviderRequest) -> ProviderResponse:
         self.calls += 1
         parts = []
-        for lemma in self.batch_lemmas(request.prompt):
+        for lemma in request.lemmas:
             reply = self.replies.get(lemma)
             if reply is not None:
                 parts.append(reply.rstrip("\n"))

@@ -1,4 +1,7 @@
+import contextlib
 import json
+import threading
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -37,6 +40,22 @@ def vector_table(embedder, entries, include_examples: bool = False) -> VectorTab
         for sense in entry.senses:
             texts.update((sense.definition, sense_text(sense, include_examples)))
     return VectorTable(embedder, texts)
+
+
+@contextlib.contextmanager
+def http_server(handler):
+    """Serve *handler* on a free local port from a daemon thread; yields ``http://127.0.0.1:<port>``.
+
+    The short poll interval lets ``shutdown()`` return at once instead of
+    after the default half second.
+    """
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def load_fixture_dictionary(filename: str, name: str = "dictionary") -> Dictionary:

@@ -7,9 +7,8 @@ indices, cells) are compared exactly.
 
 import json
 import random
-import threading
 from fractions import Fraction
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from lexiforge.exceptions import ProviderError
 from lexiforge.generation import GenerationConfig, LemmaRecord, render_reply_block, run_generation
 from lexiforge.ingestion import parse_dictionary, parse_failures, write_dictionary, write_failures
 from lexiforge.metrics import ConfusionMatrix2x2, class_metrics
-from lexiforge.providers import StubProvider
 from lexiforge.report import load_report
 
 from _oracles import (
@@ -30,7 +28,7 @@ from _oracles import (
     oracle_population_stats,
     oracle_text_cosine,
 )
-from conftest import DATA_DIR
+from conftest import DATA_DIR, http_server
 from test_error_analysis import classify
 from test_error_analysis import record as alignment_record
 
@@ -78,7 +76,7 @@ class ChaoticProvider:
         if roll < 0.20:
             raise ProviderError("synthetic rejection", retryable=False)
         parts = []
-        for lemma in StubProvider.batch_lemmas(request.prompt):
+        for lemma in request.lemmas:
             sub = self.rng.random()
             if sub < 0.15:
                 continue  # omit -> parse_error
@@ -363,10 +361,8 @@ def test_criterion_10_full_scale_stand_in(tmp_path):
     # Regenerating Tables 3-5 needs the published 77k dataset and the
     # neural encoder service: out of desk scale by design. The remote
     # path itself is exercised end to end against a local stub service.
-    server = ThreadingHTTPServer(("127.0.0.1", 0), OracleEmbeddingHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        url = f"http://127.0.0.1:{server.server_address[1]}/embed"
+    with http_server(OracleEmbeddingHandler) as base:
+        url = f"{base}/embed"
         config = tmp_path / "remote.ini"
         config.write_text(f"[embedding]\nremote_url = {url}\n", encoding="utf-8")
         runner = CliRunner()
@@ -390,7 +386,4 @@ def test_criterion_10_full_scale_stand_in(tmp_path):
         assert rem["cosine_polysemous_gold"] == det["cosine_polysemous_gold"]
         assert rem["rank_histogram"] == det["rank_histogram"]
         assert rem["provenance"]["embedder"] == "remote"
-    finally:
-        server.shutdown()
-        server.server_close()
     ok(10, "full-scale Tables 3-5 need the production dataset and encoder service; remote path runs end to end")

@@ -1,9 +1,8 @@
 import gc
 import json
 import shutil
-import threading
 import warnings
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 from click.testing import CliRunner
@@ -12,7 +11,7 @@ from lexiforge.cli import main
 from lexiforge.embedding import DeterministicEmbedder
 from lexiforge.ingestion import parse_dictionary, parse_failures
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, http_server
 
 
 @pytest.fixture
@@ -70,6 +69,15 @@ def run_evaluate(runner, ws, out="eval", generated="fixture20_generated.jsonl",
     )
 
 
+#: config text with one misspelling -> what the error message must name
+MISSPELT_CONFIGS = [
+    pytest.param("[error_anlysis]\nhallucination_threshold = 0.2\n", "[error_anlysis]", id="section"),
+    pytest.param("[embedding]\ndimenson = 64\n", "dimenson", id="option"),
+    pytest.param("[embedding]\ninclude_examples = ture\n", "include_examples", id="boolean"),
+    pytest.param("[DEFAULT]\ndimension = 64\n", "[DEFAULT]", id="default-section"),
+]
+
+
 class TestGenerate:
     def test_stub_run_counts_and_exit(self, runner, workspace):
         result = run_generate(runner, workspace)
@@ -115,6 +123,26 @@ class TestGenerate:
             ],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(("text", "named"), MISSPELT_CONFIGS)
+    def test_misspelt_config_exit_2(self, runner, workspace, text, named):
+        stub = (workspace / "stub_config.ini").read_text(encoding="utf-8")
+        (workspace / "stub_config.ini").write_text(stub + "\n" + text, encoding="utf-8")
+        result = run_generate(runner, workspace)
+        assert result.exit_code == 2, result.output
+        assert named in result.output
+        assert not (workspace / "generated.jsonl").exists()
+
+    def test_unset_credential_variable_exit_2(self, runner, workspace, monkeypatch):
+        monkeypatch.delenv("LEXIFORGE_TEST_NO_SUCH_KEY", raising=False)
+        (workspace / "stub_config.ini").write_text(
+            "[provider]\nendpoint = http://127.0.0.1:9/v1/chat/completions\ncredential_env = LEXIFORGE_TEST_NO_SUCH_KEY\n",
+            encoding="utf-8",
+        )
+        result = run_generate(runner, workspace)
+        assert result.exit_code == 2, result.output
+        assert "LEXIFORGE_TEST_NO_SUCH_KEY" in result.output
+        assert not (workspace / "failures.jsonl").exists()
 
     def test_endpoint_that_cannot_be_sent_to_records_provider_errors(self, runner, workspace):
         (workspace / "bad_endpoint.ini").write_text(
@@ -302,11 +330,9 @@ class TestEvaluate:
 
     @staticmethod
     def evaluate_against(runner, workspace, handler):
-        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
+        with http_server(handler) as base:
             (workspace / "remote.ini").write_text(
-                f"[embedding]\nremote_url = http://127.0.0.1:{server.server_address[1]}/embed\n", encoding="utf-8"
+                f"[embedding]\nremote_url = {base}/embed\n", encoding="utf-8"
             )
             return runner.invoke(
                 main,
@@ -319,9 +345,6 @@ class TestEvaluate:
                     "--out", str(workspace / "x"),
                 ],
             )
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_zero_vector_from_service_exit_5(self, runner, workspace):
         result = self.evaluate_against(runner, workspace, ZeroVectorHandler)
@@ -340,12 +363,9 @@ class TestEvaluate:
         assert not (workspace / "x" / "report.json").exists()
 
     def test_remote_embedder_with_cache_closes_what_it_opens(self, runner, workspace):
-        server = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveEmbeddingHandler)
-        server.daemon_threads = True
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
+        with http_server(KeepAliveEmbeddingHandler) as base:
             (workspace / "remote.ini").write_text(
-                f"[embedding]\nremote_url = http://127.0.0.1:{server.server_address[1]}/embed\n"
+                f"[embedding]\nremote_url = {base}/embed\n"
                 f"cache = {workspace / 'vectors.jsonl'}\n",
                 encoding="utf-8",
             )
@@ -354,12 +374,17 @@ class TestEvaluate:
                 warnings.simplefilter("always")
                 result = run_evaluate(runner, workspace, extra=["--embedder", "remote", "--config", str(workspace / "remote.ini")])
                 gc.collect()
-        finally:
-            server.shutdown()
-            server.server_close()
         assert result.exit_code == 0, result.output
         assert (workspace / "vectors.jsonl").stat().st_size > 0
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    @pytest.mark.parametrize(("text", "named"), MISSPELT_CONFIGS)
+    def test_misspelt_config_exit_2(self, runner, workspace, text, named):
+        (workspace / "eval_config.ini").write_text(text, encoding="utf-8")
+        result = run_evaluate(runner, workspace)
+        assert result.exit_code == 2, result.output
+        assert named in result.output
+        assert not (workspace / "eval").exists()
 
     def test_remote_embedder_unconfigured_exit_2(self, runner, workspace):
         result = runner.invoke(
@@ -460,6 +485,16 @@ class TestErrorsCommand:
         )
         assert result.exit_code == 0
         assert result.output.strip() == "4 finding(s) in category hallucination_candidate"
+
+    @pytest.mark.parametrize(("name", "value"), [("low_confidence", "false"), ("evidence", None), ("pos", 7)])
+    def test_malformed_finding_exit_3(self, runner, planted_eval, name, value):
+        path = planted_eval / "findings.jsonl"
+        first, *rest = path.read_text(encoding="utf-8").splitlines()
+        record = {**json.loads(first), name: value}
+        path.write_text("\n".join([json.dumps(record, ensure_ascii=False), *rest]) + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["errors", "--eval", str(planted_eval), "--category", "hallucination_candidate"])
+        assert result.exit_code == 3, result.output
+        assert f"line 1: {name} must be" in result.output
 
     def test_unknown_category_exit_2_lists_valid(self, runner, planted_eval):
         result = runner.invoke(main, ["errors", "--eval", str(planted_eval), "--category", "gremlins"])

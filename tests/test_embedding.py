@@ -6,7 +6,7 @@ import sys
 import threading
 import time
 from contextlib import closing
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from lexiforge.embedding import (
 from lexiforge.exceptions import DimensionError, EmptyTextError, ProtocolError, ServiceError, ZeroVectorError
 
 from _oracles import cosine_similarity, oracle_embed
-from conftest import DATA_DIR
+from conftest import DATA_DIR, http_server
 
 
 class TestCosineSimilarity:
@@ -415,17 +415,14 @@ class EmbedHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def embed_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), EmbedHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    EmbedHandler.script = []
-    EmbedHandler.reply = _length_vectors
-    EmbedHandler.calls = 0
-    EmbedHandler.max_in_flight = 0
-    EmbedHandler.drop_after_reply = False
-    EmbedHandler.seen = []
-    yield f"http://127.0.0.1:{server.server_address[1]}/embed"
-    server.shutdown()
-    server.server_close()
+    with http_server(EmbedHandler) as url:
+        EmbedHandler.script = []
+        EmbedHandler.reply = _length_vectors
+        EmbedHandler.calls = 0
+        EmbedHandler.max_in_flight = 0
+        EmbedHandler.drop_after_reply = False
+        EmbedHandler.seen = []
+        yield f"{url}/embed"
 
 
 class TestRemoteEmbedder:

@@ -1,5 +1,6 @@
 import _sre
 import io
+import json
 import random
 import re
 
@@ -24,6 +25,7 @@ from lexiforge.error_analysis import (
     parse_findings,
     write_findings,
 )
+from lexiforge.exceptions import ParseError
 from lexiforge.ingestion import parse_failures
 from lexiforge.model import PosCategory, normalize_lemma, vocabulary_join
 
@@ -480,3 +482,60 @@ class TestFindingsSerialization:
         out = io.StringIO()
         write_findings(report.findings, out)
         assert parse_findings(io.StringIO(out.getvalue())) == report.findings
+
+    def test_write_parse_write_is_byte_identical(self, planted):
+        generated, gold = planted
+        first = io.StringIO()
+        write_findings(classify(generated, gold).findings, first)
+        second = io.StringIO()
+        write_findings(parse_findings(io.StringIO(first.getvalue())), second)
+        assert second.getvalue() == first.getvalue()
+
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [
+            ("low_confidence", "false"),
+            ("low_confidence", 0),
+            ("lemma", 5),
+            ("evidence", None),
+            ("pos", 7),
+            ("generated_definition", ["texto"]),
+            ("gold_definition", 1.5),
+            ("category", None),
+        ],
+    )
+    def test_field_of_wrong_type_rejected(self, name, value):
+        line = json.dumps({**FINDING, name: value})
+        with pytest.raises(ParseError, match=f"{name} must be") as exc:
+            parse_findings([line])
+        assert exc.value.field == name and exc.value.line_number == 1
+
+    def test_null_where_the_writer_puts_null_accepted(self):
+        line = json.dumps({**FINDING, "pos": None, "generated_definition": None, "gold_definition": None})
+        (finding,) = parse_findings([line])
+        assert finding.pos_label is finding.generated_definition is finding.gold_definition is None
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(ParseError, match="unexpected field.*'severity'"):
+            parse_findings([json.dumps({**FINDING, "severity": "high"})])
+
+    @pytest.mark.parametrize("name", ["low_confidence", "pos", "lemma"])
+    def test_missing_field_rejected(self, name):
+        with pytest.raises(ParseError, match=f"missing field.*'{name}'"):
+            parse_findings([json.dumps({k: v for k, v in FINDING.items() if k != name})])
+
+    def test_unknown_category_rejected(self):
+        with pytest.raises(ParseError, match="unknown category 'gremlins'") as exc:
+            parse_findings([json.dumps({**FINDING, "category": "gremlins"})])
+        assert exc.value.field == "category"
+
+
+FINDING = {
+    "lemma": "casa",
+    "category": "hallucination_candidate",
+    "evidence": "best cosine 0.0500 < 0.1",
+    "pos": "NOUN",
+    "generated_definition": "Edificio.",
+    "gold_definition": "Vivienda.",
+    "low_confidence": False,
+}

@@ -298,7 +298,7 @@ class CuttingProvider(StubProvider):
         self.cut_texts = []
 
     def complete(self, request):
-        self.batches.append(self.batch_lemmas(request.prompt))
+        self.batches.append(list(request.lemmas))
         response = super().complete(request)
         words = list(re.finditer(r"\S+", response.text))
         if len(words) <= request.max_tokens:

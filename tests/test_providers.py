@@ -1,12 +1,14 @@
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 
 from lexiforge.exceptions import ProviderError
 from lexiforge.generation import GenerationConfig, LemmaRecord, build_prompt, render_reply_block, run_generation
+from lexiforge.model import PosTag
 from lexiforge.providers import HttpChatProvider, ProviderRequest, StubProvider
+
+from conftest import http_server
 
 
 class ChatHandler(BaseHTTPRequestHandler):
@@ -43,14 +45,10 @@ def _ok_body(text: str) -> dict:
 
 @pytest.fixture
 def chat_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    ChatHandler.script = []
-    ChatHandler.requests_seen = []
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-    server.shutdown()
-    server.server_close()
+    with http_server(ChatHandler) as url:
+        ChatHandler.script = []
+        ChatHandler.requests_seen = []
+        yield f"{url}/v1/chat/completions"
 
 
 REQUEST = ProviderRequest(prompt="define: casa", temperature=0.0, max_tokens=256)
@@ -130,6 +128,17 @@ class TestHttpChatProvider:
         assert ChatHandler.requests_seen[0]["target"] == "http://127.0.0.1:9/v1/chat/completions"
 
 
+def prompt_lemmas(prompt: str) -> list[str]:
+    """The lemmas of a prompt laid out by the default template: its trailing run of non-empty lines."""
+    block = []
+    for line in reversed(prompt.rstrip().splitlines()):
+        if not line.strip():
+            break
+        block.append(line.strip())
+    # instruction headers end with ':'; lemma lines never do
+    return [line.split(" — ")[0].strip() for line in reversed(block) if not line.endswith(":")]
+
+
 class LemmaChatHandler(BaseHTTPRequestHandler):
     """Chat endpoint that defines every lemma of the prompt and records the connection of each request.
 
@@ -146,7 +155,7 @@ class LemmaChatHandler(BaseHTTPRequestHandler):
         prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["messages"][0]["content"]
         text = "\n".join(
             render_reply_block(lemma, "Verbo", [(f"Acción propia de {lemma[::-1]}.", None)])
-            for lemma in StubProvider.batch_lemmas(prompt)
+            for lemma in prompt_lemmas(prompt)
         )
         data = json.dumps(_ok_body(text)).encode("utf-8")
         self.send_response(200)
@@ -161,43 +170,57 @@ class LemmaChatHandler(BaseHTTPRequestHandler):
 
 class TestConcurrentGeneration:
     def test_worker_threads_share_no_connection(self):
-        server = ThreadingHTTPServer(("127.0.0.1", 0), LemmaChatHandler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
         LemmaChatHandler.served = []
-        try:
-            provider = HttpChatProvider(f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", model="m")
+        with http_server(LemmaChatHandler) as url:
+            provider = HttpChatProvider(f"{url}/v1/chat/completions", model="m")
             lemmas = [LemmaRecord(f"lema{i:02d}") for i in range(48)]
             config = GenerationConfig(batch_size=3, max_concurrent_batches=4)
             dictionary, failures, stats = run_generation(lemmas, provider, config)
-        finally:
-            server.shutdown()
-            server.server_close()
         assert len(dictionary) + len(failures) == len(lemmas)
         assert failures == [] and {entry.lemma for entry in dictionary.entries()} == {r.lemma for r in lemmas}
         assert len(LemmaChatHandler.served) == stats.requests == 16
         assert {number for _, number in LemmaChatHandler.served} == {1}
 
 
+class RecordingStub(StubProvider):
+    def __init__(self, replies):
+        super().__init__(replies)
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return super().complete(request)
+
+
 class TestStubProvider:
-    def test_extracts_batch_lemmas_from_default_prompt(self):
-        batch = [
-            LemmaRecord("casa", None),
-            LemmaRecord("limitar", None),
-        ]
-        prompt = build_prompt(batch, GenerationConfig())
-        assert StubProvider.batch_lemmas(prompt) == ["casa", "limitar"]
+    def test_request_carries_batch_lemmas(self):
+        provider = RecordingStub({})
+        run_generation([LemmaRecord("casa"), LemmaRecord("limitar")], provider, GenerationConfig(batch_size=2))
+        assert [r.lemmas for r in provider.requests] == [("casa", "limitar")]
 
-    def test_extracts_lemma_from_tagged_line(self):
-        from lexiforge.model import PosTag
+    def test_request_lemmas_leave_out_the_pos_label(self):
+        provider = RecordingStub({})
+        run_generation([LemmaRecord("gato", PosTag.from_label("Nombre masculino"))], provider)
+        assert provider.requests[0].lemmas == ("gato",)
+        assert "gato — Nombre masculino" in provider.requests[0].prompt
 
-        batch = [LemmaRecord("gato", PosTag.from_label("Nombre masculino"))]
-        prompt = build_prompt(batch, GenerationConfig())
-        assert StubProvider.batch_lemmas(prompt) == ["gato"]
+    @pytest.mark.parametrize(
+        "template",
+        ["Define estos lemas:\n{{BATCH}}\n\nResponde en español.\n", "Lemas: {{BATCH}}"],
+        ids=["text-after-batch", "batch-inline"],
+    )
+    def test_custom_template_defines_every_lemma(self, template):
+        lemmas = ["casa", "limitar", "gato"]
+        provider = StubProvider({lemma: f"{lemma}: Verbo: Definición de {lemma}." for lemma in lemmas})
+        config = GenerationConfig(prompt_template=template)
+        dictionary, failures, _ = run_generation([LemmaRecord(lemma) for lemma in lemmas], provider, config)
+        assert failures == []
+        assert sorted(entry.lemma for entry in dictionary.entries()) == sorted(lemmas)
 
     def test_lookup_concatenates_known_replies(self):
         provider = StubProvider({"casa": "casa: Nombre femenino: Edificio para habitar."})
         prompt = build_prompt([LemmaRecord("casa"), LemmaRecord("perdido")], GenerationConfig())
-        response = provider.complete(ProviderRequest(prompt=prompt))
+        response = provider.complete(ProviderRequest(prompt=prompt, lemmas=("casa", "perdido")))
         assert response.text == "casa: Nombre femenino: Edificio para habitar."
         assert provider.calls == 1
 
