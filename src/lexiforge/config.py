@@ -115,20 +115,29 @@ def _read_section(parser: configparser.ConfigParser, section: str, base: Path, *
         raise ConfigError(f"[{section}] {exc}") from exc
 
 
+_FEWSHOT_FIELDS = ("lemma", "pos-label", "definition", "example")
+
+
 def _load_fewshot(path: Path) -> tuple[tuple[str, str, str, str], ...]:
+    """The examples of a JSON list of [lemma, pos-label, definition, example] lists of strings."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-        examples = tuple((str(a), str(b), str(c), str(d)) for a, b, c, d in data)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load few-shot examples from {path}: {exc}") from exc
-    if not examples:
+    if not isinstance(data, list) or not data:
         raise ConfigError(f"few-shot file {path} holds no examples")
-    return examples
+    for index, example in enumerate(data):
+        if not isinstance(example, list) or len(example) != len(_FEWSHOT_FIELDS):
+            raise ConfigError(f"few-shot example {index} in {path} is not a list of {', '.join(_FEWSHOT_FIELDS)}")
+        for name, value in zip(_FEWSHOT_FIELDS, example):
+            if not isinstance(value, str):
+                raise ConfigError(f"few-shot example {index} in {path}: {name} must be a string, got {value!r}")
+    return tuple(tuple(example) for example in data)
 
 
 def load_config(path: str | Path) -> AppConfig:
     path = Path(path)
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are read literally: a % is a %
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)

@@ -4,8 +4,8 @@ Two embedders share one contract (``identifier`` and ``embed_batch``,
 which returns a caller-owned texts × dimension float64 array): a
 bit-reproducible signed character-trigram hasher for offline evaluation
 and tests, and a client for a remote neural embedding service for
-full-fidelity runs. Evaluation embeds its texts into a ``VectorTable``
-and scores cosines as dot products of its rows.
+full-fidelity runs. Evaluation embeds the texts of each block of keys
+into a ``VectorTable`` and scores cosines as dot products of its rows.
 """
 
 from __future__ import annotations
@@ -75,6 +75,9 @@ class VectorTable:
     The texts are sorted and de-duplicated before the call, so the request
     does not depend on the order callers collected them in. A cosine is a
     dot product of two rows; a zero vector, which has none, is rejected.
+    Each row is normalised on its own, so no score depends on which other
+    texts share the table: evaluation builds one table per block of keys,
+    and holds the vectors of one block at a time.
     """
 
     def __init__(self, embedder, texts: Iterable[str]):

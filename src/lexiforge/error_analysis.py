@@ -193,7 +193,7 @@ class NeighborIndex:
     equals a scan of the whole vocabulary.
 
     Variants are stored as ``_variant_hashes`` values in a sorted uint64
-    array beside an array of lemma ids and looked up with
+    array beside an int32 array of lemma ids and looked up with
     ``np.searchsorted``; no variant string is ever built. The lemmas of one
     length are hashed together as a code-point matrix. A hash collision
     only adds a candidate that the DP rejects.
@@ -212,17 +212,23 @@ class NeighborIndex:
         by_length: dict[int, list[int]] = {}
         for lemma_id, lemma in enumerate(self._lemmas):
             by_length.setdefault(len(lemma), []).append(lemma_id)
-        hashes, ids = [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.int64)]
+        hashes, ids = [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.int32)]
         for length, members in by_length.items():
             text = "".join(self._lemmas[i] for i in members)
             matrix = _kernels.codepoints(text).reshape(len(members), length)
-            variants = _variant_hashes(matrix, max_distance)
-            hashes.append(variants.ravel())
-            ids.append(np.repeat(np.array(members, dtype=np.int64), variants.shape[1]))
+            hashes.append(_variant_hashes(matrix, max_distance).ravel())
+            ids.append(np.repeat(np.array(members, dtype=np.int32), hashes[-1].size // len(members)))
+        # each intermediate is freed once consumed: the variant arrays are the
+        # largest objects of an evaluation, so the build's peak memory is set
+        # by how many of them are alive at once
         hash_array = np.concatenate(hashes)
+        del hashes
+        id_array = np.concatenate(ids)
+        del ids
         order = np.argsort(hash_array)  # ids of one hash need no order: a query de-duplicates them
         self._hashes = hash_array[order]
-        self._ids = np.concatenate(ids)[order]
+        del hash_array
+        self._ids = id_array[order]
 
     def neighbors(self, lemma: str, max_distance: int) -> list[tuple[str, int]]:
         """Different lemmas within max_distance, sorted by (distance, lemma).

@@ -157,6 +157,13 @@ class EvaluationResult:
     polysemy_pairs: list[dict]
 
 
+#: Generated entries scored per ``VectorTable`` in ``evaluate_dictionaries``.
+#: A block's table holds about 1,300 texts × 512 float64 (5 MB) on the
+#: perfbench fixtures. At 5,000 keys, blocks of 256 peaked no lower and
+#: blocks of 1,024 peaked 11 MB higher.
+KEY_BLOCK = 512
+
+
 def evaluate_dictionaries(
     generated: Dictionary,
     gold: Dictionary,
@@ -174,28 +181,43 @@ def evaluate_dictionaries(
     the populations the summary tables describe; the confusion matrix and
     classification metrics use every join key.
 
-    The embedder sees at most two ``embed_batch`` calls: one here for the
-    scores below and one in ``classify_errors`` for over-corrections.
+    The generated entries are scored ``KEY_BLOCK`` at a time. A block's
+    join pairs and polysemous entries are scored from a ``VectorTable`` of
+    their own texts, dropped before the next block is embedded, so memory
+    is bounded by one block instead of growing with the dictionary. The
+    embedder sees one ``embed_batch`` call per block and one more in
+    ``classify_errors`` when there are hallucination candidates; a text
+    that two blocks share is embedded once in each.
     """
     error_config = error_config or ErrorAnalysisConfig()
     join = vocabulary_join(generated, gold)
-    texts = {s.definition for entry in generated.entries() if len(entry.senses) > 1 for s in entry.senses}
-    for pair in join:
-        for entry in pair:
-            texts.update(sense_text(s, include_examples) for s in entry.senses)
-    vectors = VectorTable(embedder, texts)
-    records = align_dictionaries(join, vectors, include_examples)
-    polysemy_pairs = [
-        {
-            "lemma": gen.lemma,
-            "category": gen.pos.category.value,
-            "scores": all_pairs_scores(gen, gold_entry, vectors, include_examples),
-        }
-        for gen, gold_entry in join
-        if len(gen.senses) > 1
-    ]
-    polysemy = {entry.key: detect_fabricated_polysemy(entry, vectors, error_config) for entry in generated.entries()}
-    del vectors  # the run's largest object; freed before classify_errors builds the neighbour index
+    entries = generated.entries()
+    records: list[AlignmentRecord] = []
+    polysemy_pairs: list[dict] = []
+    polysemy: dict = {}
+    scored = 0  # join pairs of the blocks before this one
+    for start in range(0, len(entries), KEY_BLOCK):
+        block = entries[start : start + KEY_BLOCK]
+        # the join and entries() share one order, so a block's pairs are the join's next ones
+        pairs = join[scored : scored + sum(entry.key in gold for entry in block)]
+        scored += len(pairs)
+        texts = {s.definition for entry in block if len(entry.senses) > 1 for s in entry.senses}
+        for pair in pairs:
+            for entry in pair:
+                texts.update(sense_text(s, include_examples) for s in entry.senses)
+        vectors = VectorTable(embedder, texts)
+        records += align_dictionaries(pairs, vectors, include_examples)
+        polysemy_pairs += [
+            {
+                "lemma": gen.lemma,
+                "category": gen.pos.category.value,
+                "scores": all_pairs_scores(gen, gold_entry, vectors, include_examples),
+            }
+            for gen, gold_entry in pairs
+            if len(gen.senses) > 1
+        ]
+        polysemy.update((entry.key, detect_fabricated_polysemy(entry, vectors, error_config)) for entry in block)
+        del vectors  # before the next block's table is filled, so at most one is alive
     confusion = polysemy_confusion(join)
     gen_mono = [r for r in records if r.gen_sense_count == 1]
     errors = classify_errors(generated, gold, records, embedder, polysemy, error_config, failures)

@@ -1,14 +1,17 @@
 import gc
+import hashlib
 import json
 import shutil
 import warnings
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler
 
 import pytest
 from click.testing import CliRunner
 
 from lexiforge.cli import main
-from lexiforge.embedding import DeterministicEmbedder
+from lexiforge.embedding import CachingEmbedder, DeterministicEmbedder
+from lexiforge.exceptions import ServiceError
 from lexiforge.ingestion import parse_dictionary, parse_failures
 
 from conftest import DATA_DIR, http_server
@@ -217,12 +220,30 @@ class KeepAliveEmbeddingHandler(BaseHTTPRequestHandler):
         pass
 
 
+class FailingOnCallEmbedder(DeterministicEmbedder):
+    """The deterministic embedder, recording each batch; raises ServiceError on call number ``fail_on``."""
+
+    def __init__(self, fail_on=None):
+        super().__init__(512)
+        self.fail_on = fail_on
+        self.batches = []
+
+    def embed_batch(self, texts):
+        self.batches.append(list(texts))
+        if len(self.batches) == self.fail_on:
+            raise ServiceError("embedding service unreachable")
+        return super().embed_batch(texts)
+
+
+OUTPUTS = ("report.json", "alignments.jsonl", "findings.jsonl", "polysemy_pairs.jsonl")
+
+
 class TestEvaluate:
     def test_outputs_written(self, runner, workspace):
         result = run_evaluate(runner, workspace)
         assert result.exit_code == 0, result.output
         out = workspace / "eval"
-        for name in ("report.json", "alignments.jsonl", "findings.jsonl", "polysemy_pairs.jsonl"):
+        for name in OUTPUTS:
             assert (out / name).exists(), name
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["join_size"] == 20
@@ -245,7 +266,7 @@ class TestEvaluate:
     def test_rerun_is_byte_identical(self, runner, workspace):
         assert run_evaluate(runner, workspace, out="run1").exit_code == 0
         assert run_evaluate(runner, workspace, out="run2").exit_code == 0
-        for name in ("report.json", "alignments.jsonl", "findings.jsonl", "polysemy_pairs.jsonl"):
+        for name in OUTPUTS:
             first = (workspace / "run1" / name).read_bytes()
             second = (workspace / "run2" / name).read_bytes()
             assert first == second, name
@@ -361,6 +382,37 @@ class TestEvaluate:
         assert result.exit_code == 5, result.output
         assert message in result.output
         assert not (workspace / "x" / "report.json").exists()
+
+    def test_cached_run_resumes_after_a_service_error(self, runner, workspace, monkeypatch):
+        monkeypatch.setattr("lexiforge.report.KEY_BLOCK", 4)
+        cache = workspace / "vectors.jsonl"
+
+        def evaluate_with(inner, out, cached=True):
+            embedder = CachingEmbedder(inner, cache) if cached else inner
+            monkeypatch.setattr("lexiforge.cli.build_embedder", lambda choice, settings: embedder)
+            return run_evaluate(runner, workspace, out=out)
+
+        uncached = FailingOnCallEmbedder()
+        assert evaluate_with(uncached, "uncached", cached=False).exit_code == 0
+        assert len(uncached.batches) == 20 // 4 + 1  # one per key block, one for over-corrections
+
+        failing = FailingOnCallEmbedder(fail_on=3)
+        result = evaluate_with(failing, "failed")
+        assert result.exit_code == 5, result.output
+        kept = set(failing.batches[0] + failing.batches[1])
+        assert len(cache.read_text(encoding="utf-8").splitlines()) == len(kept)
+        probe = FailingOnCallEmbedder(fail_on=1)
+        with closing(CachingEmbedder(probe, cache)) as warm:
+            warm.embed_batch(sorted(kept))  # all of them cached: the inner embedder is never called
+        assert probe.batches == []
+
+        healthy = FailingOnCallEmbedder()
+        assert evaluate_with(healthy, "resumed").exit_code == 0
+        sent = [text for batch in healthy.batches for text in batch]
+        assert sorted(sent) == sorted({text for batch in uncached.batches for text in batch} - kept)
+        for name in OUTPUTS:
+            digests = {hashlib.sha256((workspace / run / name).read_bytes()).hexdigest() for run in ("uncached", "resumed")}
+            assert len(digests) == 1, name
 
     def test_remote_embedder_with_cache_closes_what_it_opens(self, runner, workspace):
         with http_server(KeepAliveEmbeddingHandler) as base:

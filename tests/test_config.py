@@ -173,6 +173,31 @@ class TestLoadConfig:
             ("sal", "Nombre femenino", "Cloruro de sodio.", "Pásame la sal."),
         )
 
+    @pytest.mark.parametrize(
+        ("content", "message"),
+        [
+            ('[["sal", "Nombre", "Sal.", "Sal."], [1, null, 2.5, ["x"]]]', r"example 1 in .*: lemma must be a string, got 1$"),
+            ('[["sal", null, "Sal.", "Sal."]]', r"example 0 in .*: pos-label must be a string, got None$"),
+            ('[["sal", "Nombre", "Sal.", 2.5]]', r"example 0 in .*: example must be a string, got 2\.5$"),
+            ('[["sal", "Nombre", "Sal."]]', r"example 0 in .* is not a list of lemma, pos-label, definition, example$"),
+            ('["abcd"]', r"example 0 in .* is not a list of"),
+            ('{"sal": 1}', r"holds no examples$"),
+            ("[]", r"holds no examples$"),
+            ("[[", r"cannot load few-shot examples"),
+        ],
+    )
+    def test_fewshot_example_of_four_strings_only(self, tmp_path, content, message):
+        (tmp_path / "fewshot.json").write_text(content, encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, "[prompt]\nfewshot = fewshot.json\n"))
+
+    def test_values_are_read_literally(self, tmp_path):
+        config = load_config(
+            write_config(tmp_path, "[embedding]\nremote_url = http://h/embed?x=%20y\nremote_identifier = a%%b\n")
+        )
+        assert config.embedding.remote_url == "http://h/embed?x=%20y"
+        assert config.embedding.remote_identifier == "a%%b"
+
 
 class TestFactories:
     def test_stub_provider(self, tmp_path, data_dir):

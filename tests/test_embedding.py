@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -464,7 +465,18 @@ class TestRemoteEmbedder:
         assert len({port for port, _ in EmbedHandler.seen}) <= EMBED_LANES
 
     def test_chunks_overlap_on_at_most_embed_lanes_connections(self, embed_server):
+        # the first EMBED_LANES requests are answered only once all of them
+        # are in: overlap by construction, not by timing. A client sending
+        # one request at a time breaks the barrier after its timeout.
+        barrier = threading.Barrier(EMBED_LANES, timeout=5)
+        arrived = itertools.count()
+
         def slow_reply(texts):
+            if next(arrived) < EMBED_LANES:
+                try:
+                    barrier.wait()
+                except threading.BrokenBarrierError:
+                    return 500
             time.sleep(0.005)
             return _length_vectors(texts)
 
@@ -473,7 +485,7 @@ class TestRemoteEmbedder:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with closing(RemoteEmbedder(embed_server, batch_size=1)) as remote:
+            with closing(RemoteEmbedder(embed_server, batch_size=1, max_retries=0)) as remote:
                 vectors = remote.embed_batch(texts)
         finally:
             sys.setswitchinterval(interval)

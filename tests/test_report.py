@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -106,7 +107,63 @@ class TestEmbeddingPasses:
         assert embedder.single_calls == 0
         assert len(embedder.batches) == 2
         assert all(batch == sorted(set(batch)) for batch in embedder.batches)
-        assert planted.senses[0].definition in embedder.batches[1]
+        assert planted.senses[0].definition in embedder.batches[-1]
+
+
+class RecordingEmbedder(DeterministicEmbedder):
+    """The deterministic embedder, recording each batch."""
+
+    def __init__(self):
+        super().__init__(EMBEDDER.dimension)
+        self.batches = []
+
+    def embed_batch(self, texts):
+        self.batches.append(list(texts))
+        return super().embed_batch(texts)
+
+
+def outputs(result):
+    return result.report.to_dict(), result.records, result.polysemy_pairs, result.errors.findings
+
+
+class TestKeyBlocks:
+    @pytest.mark.parametrize(
+        ("make_embedder", "candidates"),
+        [
+            pytest.param(lambda generated: RecordingEmbedder(), 1, id="deterministic"),
+            pytest.param(lambda generated: CountingEmbedder(), 0, id="no-candidate"),
+            pytest.param(
+                lambda generated: CountingEmbedder(outliers=[generated.get("destace", PosCategory.NOUN).senses[0].definition]),
+                1,
+                id="planted-candidate",
+            ),
+        ],
+    )
+    def test_blocks_of_two_equal_one_block(self, fixture20, monkeypatch, make_embedder, candidates):
+        generated, gold = fixture20
+        whole = evaluate_dictionaries(generated, gold, make_embedder(generated))
+        monkeypatch.setattr("lexiforge.report.KEY_BLOCK", 2)
+        embedder = make_embedder(generated)
+        blocked = evaluate_dictionaries(generated, gold, embedder)
+        assert outputs(blocked) == outputs(whole)
+        assert (whole.report.error_summary["hallucination_candidate"] > 0) == bool(candidates)
+        assert len(embedder.batches) == math.ceil(len(generated) / 2) + candidates
+        assert all(batch == sorted(set(batch)) for batch in embedder.batches)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    def test_entries_outside_the_join_keep_their_place(self, fixture20, monkeypatch, block):
+        generated, gold = fixture20
+        # generated-only entries, one with a duplicated sense, and a gold-only one, between the join's keys
+        generated.add(make_entry("abacería", "Nombre femenino", "Tienda de comestibles."))
+        generated.add(make_entry("babor", "Nombre masculino", "Lado izquierdo del barco.", "Lado izquierdo del barco."))
+        generated.add(make_entry("zurdo", "Adjetivo", "Que usa la mano izquierda.", "Que está a la izquierda."))
+        gold.add(make_entry("cántaro", "Nombre masculino", "Vasija grande de barro."))
+        whole = evaluate_dictionaries(generated, gold, EMBEDDER)
+        assert whole.report.error_summary["fabricated_polysemy"] == 2  # babor's duplicate sense is found
+        monkeypatch.setattr("lexiforge.report.KEY_BLOCK", block)
+        embedder = RecordingEmbedder()
+        assert outputs(evaluate_dictionaries(generated, gold, embedder)) == outputs(whole)
+        assert all(batch == sorted(set(batch)) for batch in embedder.batches)
 
 
 class ScaledPerText:
