@@ -16,7 +16,7 @@ from .embedding import VectorTable
 from .model import DictionaryEntry, PosCategory, Sense
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignmentRecord:
     lemma: str
     category: PosCategory

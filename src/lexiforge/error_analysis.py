@@ -22,7 +22,7 @@ from .alignment import AlignmentRecord
 from .embedding import VectorTable, normalize_text
 from .exceptions import ParseError
 from .generation import FailureReason, GenerationFailure
-from .ingestion import _require_keys
+from .ingestion import _exact_fields
 from .model import Dictionary, DictionaryEntry, PosCategory
 
 DEFAULT_PROPER_NOUN_PATTERNS = ("nombre propio", "en la mitología")
@@ -144,9 +144,10 @@ def detect_fabricated_polysemy(
     config = config or ErrorAnalysisConfig()
     rows = vectors.rows([s.definition for s in entry.senses])
     scores = (rows @ rows.T).tolist()
+    normalized = [normalize_text(s.definition) for s in entry.senses]
     for i in range(len(entry.senses)):
         for j in range(i + 1, len(entry.senses)):
-            if normalize_text(entry.senses[i].definition) == normalize_text(entry.senses[j].definition):
+            if normalized[i] == normalized[j]:
                 return True, f"senses {i + 1} and {j + 1} are exact duplicates"
             score = scores[i][j]
             if score >= config.fabricated_polysemy_similarity:
@@ -180,72 +181,123 @@ def _variant_hashes(codepoints: np.ndarray, max_deletions: int) -> np.ndarray:
     return np.concatenate(columns, axis=1)
 
 
+#: Gold lemmas of one length hashed per pass of the ``NeighborIndex`` build.
+#: A pass holds GOLD_CHUNK × Σₖ₌₀ᵈ C(L, k) uint64 hashes, 1.3 MB for
+#: lemmas of 12 code points at d = 2. At 77k keys, passes of 4,096 lemmas
+#: peaked 5-11 MB higher, with no change in build time.
+GOLD_CHUNK = 2048
+
+
+def _length_groups(lemmas: Iterable[str]) -> dict[int, list[str]]:
+    groups: dict[int, list[str]] = {}
+    for lemma in lemmas:
+        groups.setdefault(len(lemma), []).append(lemma)
+    return groups
+
+
+def _group_variants(group: Sequence[str], length: int, max_deletions: int) -> np.ndarray:
+    """``_variant_hashes`` of lemmas that all hold *length* code points, one row per lemma."""
+    matrix = _kernels.codepoints("".join(group)).reshape(len(group), length)
+    return _variant_hashes(matrix, max_deletions)
+
+
 class NeighborIndex:
-    """Gold lemmas indexed by their deletion variants for bounded edit-distance search.
+    """Gold neighbours of a fixed set of query lemmas within a bounded edit distance.
 
     Symmetric-delete scheme (W. Garbe, SymSpell): when two strings are
     within edit distance d, removing at most d code points from each
     leaves a common string, since an insertion on one side is a deletion
-    on the other and a substitution is one deletion on each. The index
-    records every gold lemma's variants with up to ``max_distance``
-    deletions; a query forms its own variants, gathers the gold lemmas
-    that share one, and confirms each with the exact DP, so the result
-    equals a scan of the whole vocabulary.
+    on the other and a substitution is one deletion on each. That holds
+    whichever side is indexed, so the index records the queries'
+    variants with up to ``max_distance`` deletions and streams the gold
+    lemmas past it; a gold lemma that shares a variant with a query is a
+    candidate of that query, and ``neighbors`` confirms each candidate
+    with the exact DP, so the result equals a scan of the whole
+    vocabulary.
 
-    Variants are stored as ``_variant_hashes`` values in a sorted uint64
-    array beside an int32 array of lemma ids and looked up with
-    ``np.searchsorted``; no variant string is ever built. The lemmas of one
-    length are hashed together as a code-point matrix. A hash collision
-    only adds a candidate that the DP rejects.
+    Variants are ``_variant_hashes`` values; no variant string is ever
+    built. The queries' hashes are one sorted uint64 array beside an
+    int32 array of query ids. The gold lemmas are hashed one length and
+    ``GOLD_CHUNK`` lemmas at a time, and a length more than
+    ``max_distance`` from every query's length is skipped. A chunk's
+    hashes are first looked up in a membership table indexed by their
+    low bits, so only the few that hit it are searched for in the sorted
+    array. A hash collision only adds a candidate that the DP rejects.
 
-    Build time and memory grow with the number of deletion variants,
-    Σₖ₌₀ᵈ C(L, k) per lemma of length L (37 for L = 8, d = 2); a query
-    costs its own variants plus one DP per candidate.
+    Memory holds the queries' variants and their table, one chunk's
+    variants and the candidate pairs, whatever the size of the gold
+    dictionary; build time grows
+    with the gold lemmas' variants, Σₖ₌₀ᵈ C(L, k) per lemma of length L
+    (37 for L = 8, d = 2).
     """
 
-    def __init__(self, gold: Dictionary, max_distance: int = 2):
+    def __init__(self, gold: Dictionary, queries: Iterable[str], max_distance: int = 2):
         self._max_distance = max_distance
-        self._entries_by_lemma: dict[str, list[DictionaryEntry]] = {}
-        for entry in gold.entries():
-            self._entries_by_lemma.setdefault(entry.lemma, []).append(entry)
-        self._lemmas = sorted(self._entries_by_lemma)
-        by_length: dict[int, list[int]] = {}
-        for lemma_id, lemma in enumerate(self._lemmas):
-            by_length.setdefault(len(lemma), []).append(lemma_id)
+        query_list = sorted(set(queries))
+        query_ids = {query: query_id for query_id, query in enumerate(query_list)}
         hashes, ids = [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.int32)]
-        for length, members in by_length.items():
-            text = "".join(self._lemmas[i] for i in members)
-            matrix = _kernels.codepoints(text).reshape(len(members), length)
-            hashes.append(_variant_hashes(matrix, max_distance).ravel())
-            ids.append(np.repeat(np.array(members, dtype=np.int32), hashes[-1].size // len(members)))
-        # each intermediate is freed once consumed: the variant arrays are the
-        # largest objects of an evaluation, so the build's peak memory is set
-        # by how many of them are alive at once
+        for length, group in _length_groups(query_list).items():
+            hashes.append(_group_variants(group, length, max_distance).ravel())
+            members = np.array([query_ids[query] for query in group], dtype=np.int32)
+            ids.append(np.repeat(members, hashes[-1].size // len(group)))
         hash_array = np.concatenate(hashes)
-        del hashes
-        id_array = np.concatenate(ids)
-        del ids
-        order = np.argsort(hash_array)  # ids of one hash need no order: a query de-duplicates them
-        self._hashes = hash_array[order]
-        del hash_array
-        self._ids = id_array[order]
+        order = np.argsort(hash_array)  # ids of one hash need no order: the pairs are de-duplicated
+        query_hashes, query_variant_ids = hash_array[order], np.concatenate(ids)[order]
+        # at least 16 slots per query hash, so about one gold variant in 16 that
+        # no query shares passes the table
+        mask = np.uint64((1 << (16 * query_hashes.size).bit_length()) - 1)
+        table = np.zeros(int(mask) + 1, dtype=bool)
+        table[query_hashes & mask] = True
+
+        gold_entries = gold.entries()
+        lemmas = dict.fromkeys(entry.lemma for entry in gold_entries)  # the distinct gold lemmas
+        gold_count = max(len(lemmas), 1)
+        gold_lemmas: list[str] = []  # in the order the chunks are hashed, indexed by gold id
+        query_lengths = {len(query) for query in query_list}
+        pairs = [np.empty(0, dtype=np.int64)]  # query id × gold_count + gold id
+        for length, group in _length_groups(lemmas).items():
+            if all(abs(length - other) > max_distance for other in query_lengths):
+                continue
+            for start in range(0, len(group), GOLD_CHUNK):
+                chunk = group[start : start + GOLD_CHUNK]
+                variants = _group_variants(chunk, length, max_distance)
+                rows, columns = np.nonzero(table[variants & mask])
+                found = variants[rows, columns]
+                lows = np.searchsorted(query_hashes, found, side="left")
+                counts = np.searchsorted(query_hashes, found, side="right") - lows
+                # the sorted array's positions of every query variant of each hit's
+                # hash: hit i's range lows[i] .. lows[i] + counts[i], laid end to end
+                ends = np.cumsum(counts)
+                positions = np.arange(counts.sum()) + np.repeat(lows - (ends - counts), counts)
+                gold_ids = np.repeat(rows, counts) + len(gold_lemmas)
+                pairs.append(np.unique(query_variant_ids[positions] * np.int64(gold_count) + gold_ids))
+                gold_lemmas += chunk
+        pair_queries, pair_gold = np.divmod(np.unique(np.concatenate(pairs)), gold_count)
+        self._candidates: dict[str, list[str]] = {query: [] for query in query_list}
+        for query_id, gold_id in zip(pair_queries.tolist(), pair_gold.tolist()):
+            self._candidates[query_list[query_id]].append(gold_lemmas[gold_id])
+        # the entries of candidate lemmas only, in entries() order
+        self._entries_by_lemma: dict[str, list[DictionaryEntry]] = {
+            lemma: [] for found in self._candidates.values() for lemma in found
+        }
+        for entry in gold_entries:
+            if entry.lemma in self._entries_by_lemma:
+                self._entries_by_lemma[entry.lemma].append(entry)
 
     def neighbors(self, lemma: str, max_distance: int) -> list[tuple[str, int]]:
-        """Different lemmas within max_distance, sorted by (distance, lemma).
+        """Different gold lemmas within max_distance of a query, sorted by (distance, lemma).
 
         Raises ValueError when max_distance exceeds the distance the index
-        was built for, which would miss neighbours.
+        was built for, which would miss neighbours, and when *lemma* was
+        not one of the queries.
         """
         if max_distance > self._max_distance:
             raise ValueError(f"index built for edit distance {self._max_distance}, asked for {max_distance}")
+        if lemma not in self._candidates:
+            raise ValueError(f"{lemma!r} is not one of the index's queries")
         a = _kernels.codepoints(lemma)
-        queries = np.unique(_variant_hashes(a.reshape(1, -1), max_distance))
-        starts = np.searchsorted(self._hashes, queries, side="left")
-        stops = np.searchsorted(self._hashes, queries, side="right")
-        candidates = np.unique(np.concatenate([self._ids[i:j] for i, j in zip(starts, stops)]))
         found = []
-        for lemma_id in candidates:
-            other = self._lemmas[lemma_id]
+        for other in self._candidates[lemma]:
             if other == lemma:
                 continue
             distance = int(_kernels.levenshtein(a, _kernels.codepoints(other)))
@@ -298,6 +350,12 @@ def detect_overcorrection(
     )
 
 
+#: Hallucination candidates whose over-correction texts share one
+#: ``VectorTable`` in ``classify_errors``. At 77k keys (1,540 candidates),
+#: blocks of 128 peaked 6-11 MB higher, one table for all of them about 60 MB.
+CANDIDATE_BLOCK = 64
+
+
 @dataclass
 class ErrorReport:
     findings: list[ErrorFinding] = field(default_factory=list)
@@ -317,7 +375,9 @@ def classify_errors(
 
     ``polysemy`` maps every generated entry's key to its
     :func:`detect_fabricated_polysemy` result. The over-correction search
-    embeds the candidates' and their gold neighbors' definitions in one batch.
+    takes the candidates ``CANDIDATE_BLOCK`` at a time and embeds a block's
+    definitions and those of its gold neighbors in one batch, so memory
+    holds one block's vectors however many candidates there are.
 
     Hallucination candidates whose best-matching gold definition has at
     most two words are marked low-confidence: terse synonym-style gold
@@ -332,33 +392,36 @@ def classify_errors(
     flagged = hallucination_candidates(records, config)
     candidates = [records_by_key[(f.lemma, f.pos_label)] for f in flagged]
     max_distance = config.overcorrection_max_edit_distance
-    index = NeighborIndex(gold, max_distance) if candidates else None
-    neighbors = [index.neighbor_entries(record.lemma, max_distance) for record in candidates]
-    vectors = VectorTable(
-        embedder,
-        [generated.get(record.lemma, record.category).senses[0].definition for record in candidates]
-        + [s.definition for found in neighbors for gold_entry, _ in found for s in gold_entry.senses],
-    )
-    for finding, record, found in zip(flagged, candidates, neighbors):
-        gen_entry = generated.get(record.lemma, record.category)
-        gold_entry = gold.get(record.lemma, record.category)
-        gold_best = gold_entry.senses[record.best_gold_index - 1].definition
-        low_confidence = len(gold_best.split()) <= 2
-        evidence = finding.evidence + ("; short gold definition, low confidence" if low_confidence else "")
-        report.findings.append(
-            ErrorFinding(
-                lemma=finding.lemma,
-                category=ErrorCategory.HALLUCINATION_CANDIDATE,
-                evidence=evidence,
-                pos_label=gen_entry.pos.raw_label,
-                generated_definition=gen_entry.senses[0].definition,
-                gold_definition=gold_best,
-                low_confidence=low_confidence,
-            )
+    index = NeighborIndex(gold, [record.lemma for record in candidates], max_distance) if candidates else None
+    for start in range(0, len(candidates), CANDIDATE_BLOCK):
+        block = candidates[start : start + CANDIDATE_BLOCK]
+        neighbors = [index.neighbor_entries(record.lemma, max_distance) for record in block]
+        vectors = VectorTable(
+            embedder,
+            [generated.get(record.lemma, record.category).senses[0].definition for record in block]
+            + [s.definition for found in neighbors for gold_entry, _ in found for s in gold_entry.senses],
         )
-        overcorrection = detect_overcorrection(gen_entry, found, vectors, config)
-        if overcorrection is not None:
-            report.findings.append(overcorrection)
+        for finding, record, found in zip(flagged[start : start + CANDIDATE_BLOCK], block, neighbors):
+            gen_entry = generated.get(record.lemma, record.category)
+            gold_entry = gold.get(record.lemma, record.category)
+            gold_best = gold_entry.senses[record.best_gold_index - 1].definition
+            low_confidence = len(gold_best.split()) <= 2
+            evidence = finding.evidence + ("; short gold definition, low confidence" if low_confidence else "")
+            report.findings.append(
+                ErrorFinding(
+                    lemma=finding.lemma,
+                    category=ErrorCategory.HALLUCINATION_CANDIDATE,
+                    evidence=evidence,
+                    pos_label=gen_entry.pos.raw_label,
+                    generated_definition=gen_entry.senses[0].definition,
+                    gold_definition=gold_best,
+                    low_confidence=low_confidence,
+                )
+            )
+            overcorrection = detect_overcorrection(gen_entry, found, vectors, config)
+            if overcorrection is not None:
+                report.findings.append(overcorrection)
+        del vectors  # before the next block's table is filled, so at most one is alive
 
     for entry in generated.entries():
         if detect_circularity(entry):
@@ -437,6 +500,7 @@ _FINDING_FIELDS = {
     "gold_definition": ((str, type(None)), "a string or null"),
     "low_confidence": ((bool,), "true or false"),
 }
+_check_finding_fields = _exact_fields(*_FINDING_FIELDS)
 
 
 def parse_findings(stream: Iterable[str]) -> list[ErrorFinding]:
@@ -452,7 +516,7 @@ def parse_findings(stream: Iterable[str]) -> list[ErrorFinding]:
             raise ParseError(f"invalid JSON: {exc.msg}", line_number=number) from exc
         if not isinstance(obj, dict):
             raise ParseError("finding record must be a JSON object", line_number=number)
-        _require_keys(obj, tuple(_FINDING_FIELDS), number, "record")
+        _check_finding_fields(obj, number, "record")
         for name, (types, kind) in _FINDING_FIELDS.items():
             if not isinstance(obj[name], types):
                 raise ParseError(f"{name} must be {kind}, got {obj[name]!r}", line_number=number, field=name)

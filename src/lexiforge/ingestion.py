@@ -7,15 +7,45 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .exceptions import DuplicateKeyError, EmptyLemmaError, EncodingError, ParseError
 from .generation import FailureReason, GenerationFailure, LemmaRecord
 from .model import Dictionary, DictionaryEntry, PosTag, Sense, normalize_lemma
 
-_DICT_KEYS = ("lemma", "pos", "senses")
-_SENSE_KEYS = ("definition", "example")
-_FAILURE_KEYS = ("lemma", "pos", "reason", "detail")
+
+def _exact_fields(*names: str) -> Callable[[dict, int, str], None]:
+    """A check that a record holds exactly the fields *names*, for ``check(obj, line, where)``.
+
+    A record's keys are compared once with a frozenset built here; the
+    differences are computed only to name an error, missing fields in
+    the order of *names*.
+    """
+    allowed = frozenset(names)
+
+    def check(obj: dict, line: int, where: str) -> None:
+        if obj.keys() == allowed:
+            return
+        extra = obj.keys() - allowed
+        if extra:
+            raise ParseError(f"unexpected field(s) {sorted(extra)}", line_number=line, field=where)
+        missing = [k for k in names if k not in obj]
+        raise ParseError(f"missing field(s) {missing}", line_number=line, field=where)
+
+    return check
+
+
+_check_dict_fields = _exact_fields("lemma", "pos", "senses")
+_check_sense_fields = _exact_fields("definition", "example")
+_check_failure_fields = _exact_fields("lemma", "pos", "reason", "detail")
+
+
+class _PosTags(dict):
+    """One ``PosTag`` per distinct label string of a parse, built on first use."""
+
+    def __missing__(self, label: str) -> PosTag:
+        tag = self[label] = PosTag.from_label(label)
+        return tag
 
 
 @dataclass(frozen=True)
@@ -45,6 +75,7 @@ def parse_lemma_list(stream: Iterable[str]) -> LemmaListResult:
     duplicates is reported for audit.
     """
     records: list[LemmaRecord] = []
+    tags = _PosTags()
     seen: set[tuple[str, object]] = set()
     duplicates = 0
     content_lines = 0
@@ -63,7 +94,7 @@ def parse_lemma_list(stream: Iterable[str]) -> LemmaListResult:
         if label_part:
             if not label_part.strip():
                 raise ParseError("empty POS label after TAB", line_number=number)
-            pos = PosTag.from_label(label_part)
+            pos = tags[label_part]
         key = (lemma, pos.category if pos else None)
         if key in seen:
             duplicates += 1
@@ -71,15 +102,6 @@ def parse_lemma_list(stream: Iterable[str]) -> LemmaListResult:
         seen.add(key)
         records.append(LemmaRecord(lemma=lemma, pos=pos))
     return LemmaListResult(tuple(records), duplicates, content_lines)
-
-
-def _require_keys(obj: dict, allowed: tuple[str, ...], line: int, where: str) -> None:
-    extra = set(obj) - set(allowed)
-    if extra:
-        raise ParseError(f"unexpected field(s) {sorted(extra)}", line_number=line, field=where)
-    missing = [k for k in allowed if k not in obj]
-    if missing:
-        raise ParseError(f"missing field(s) {missing}", line_number=line, field=where)
 
 
 def _parse_senses(raw_senses: object, line: int) -> tuple[Sense, ...]:
@@ -90,7 +112,7 @@ def _parse_senses(raw_senses: object, line: int) -> tuple[Sense, ...]:
         where = f"senses[{i - 1}]"
         if not isinstance(raw, dict):
             raise ParseError("sense must be an object", line_number=line, field=where)
-        _require_keys(raw, _SENSE_KEYS, line, where)
+        _check_sense_fields(raw, line, where)
         definition = raw["definition"]
         if not isinstance(definition, str) or not definition.strip():
             raise ParseError("definition must be a non-empty string", line_number=line, field=f"{where}.definition")
@@ -105,6 +127,7 @@ def _parse_senses(raw_senses: object, line: int) -> tuple[Sense, ...]:
 def parse_dictionary(stream: Iterable[str], name: str = "dictionary") -> Dictionary:
     """Parse one JSON entry per line; sense ordinals follow file order."""
     dictionary = Dictionary(name=name)
+    tags = _PosTags()
     for number, line in _numbered_lines(stream):
         if not line.strip():
             continue
@@ -114,13 +137,13 @@ def parse_dictionary(stream: Iterable[str], name: str = "dictionary") -> Diction
             raise ParseError(f"invalid JSON: {exc.msg}", line_number=number) from exc
         if not isinstance(obj, dict):
             raise ParseError("record must be a JSON object", line_number=number)
-        _require_keys(obj, _DICT_KEYS, number, "record")
+        _check_dict_fields(obj, number, "record")
         if not isinstance(obj["lemma"], str) or not isinstance(obj["pos"], str):
             raise ParseError("lemma and pos must be strings", line_number=number, field="lemma/pos")
         try:
             entry = DictionaryEntry(
                 lemma=normalize_lemma(obj["lemma"]),
-                pos=PosTag.from_label(obj["pos"]),
+                pos=tags[obj["pos"]],
                 senses=_parse_senses(obj["senses"], number),
             )
         except (EmptyLemmaError, ValueError) as exc:
@@ -172,6 +195,7 @@ def write_failures(failures: Iterable[GenerationFailure], stream: IO[str]) -> in
 
 def parse_failures(stream: Iterable[str]) -> list[GenerationFailure]:
     failures: list[GenerationFailure] = []
+    tags = _PosTags()
     reasons = {r.value: r for r in FailureReason}
     for number, line in _numbered_lines(stream):
         if not line.strip():
@@ -182,7 +206,7 @@ def parse_failures(stream: Iterable[str]) -> list[GenerationFailure]:
             raise ParseError(f"invalid JSON: {exc.msg}", line_number=number) from exc
         if not isinstance(obj, dict):
             raise ParseError("record must be a JSON object", line_number=number)
-        _require_keys(obj, _FAILURE_KEYS, number, "record")
+        _check_failure_fields(obj, number, "record")
         reason, label, lemma, detail = obj["reason"], obj["pos"], obj["lemma"], obj["detail"]
         if not isinstance(reason, str) or reason not in reasons:
             raise ParseError(f"unknown reason {reason!r}", line_number=number, field="reason")
@@ -196,6 +220,6 @@ def parse_failures(stream: Iterable[str]) -> list[GenerationFailure]:
             lemma = normalize_lemma(lemma)
         except EmptyLemmaError as exc:
             raise ParseError(str(exc), line_number=number, field="lemma") from exc
-        pos = PosTag.from_label(label) if label else None
+        pos = tags[label] if label else None
         failures.append(GenerationFailure(lemma, pos, reasons[reason], detail))
     return failures

@@ -47,9 +47,12 @@ def normalize_lemma(raw: str) -> str:
     return unicodedata.normalize("NFC", folded)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PosTag:
-    """A part-of-speech tag with its source label preserved verbatim."""
+    """A part-of-speech tag with its source label preserved verbatim.
+
+    Frozen, so the parsers share one tag among every entry of a label.
+    """
 
     category: PosCategory
     raw_label: str
@@ -77,7 +80,7 @@ class PosTag:
         return cls(category=category, raw_label=raw_label.strip(), gender=gender)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sense:
     """One numbered sense: a definition plus an optional example sentence."""
 
@@ -92,7 +95,7 @@ class Sense:
             raise ValueError(f"ordinal must be >= 1, got {self.ordinal}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DictionaryEntry:
     lemma: str
     pos: PosTag

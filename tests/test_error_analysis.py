@@ -50,7 +50,7 @@ def fabricated(entry, config=None):
 def overcorrection(entry, gold, config=None):
     config = config or ErrorAnalysisConfig()
     max_distance = config.overcorrection_max_edit_distance
-    neighbors = NeighborIndex(gold, max_distance).neighbor_entries(entry.lemma, max_distance)
+    neighbors = NeighborIndex(gold, [entry.lemma], max_distance).neighbor_entries(entry.lemma, max_distance)
     return detect_overcorrection(entry, neighbors, vector_table(EMBEDDER, [entry] + gold.entries()), config)
 
 
@@ -278,24 +278,35 @@ class TestEditDistance:
 class TestNeighborIndex:
     def test_excludes_the_lemma_itself(self, planted):
         _, gold = planted
-        index = NeighborIndex(gold)
+        index = NeighborIndex(gold, ["destace"])
         assert all(other != "destace" for other, _ in index.neighbors("destace", 2))
 
     def test_finds_close_neighbor(self, planted):
         _, gold = planted
-        index = NeighborIndex(gold)
+        index = NeighborIndex(gold, ["destace"])
         assert ("destaque", 2) in index.neighbors("destace", 2)
 
     def test_respects_distance_bound(self, planted):
         _, gold = planted
-        index = NeighborIndex(gold)
+        index = NeighborIndex(gold, ["zanfoña"])
         assert index.neighbors("zanfoña", 2) == []
 
     def test_rejects_distance_beyond_build(self, planted):
         _, gold = planted
-        index = NeighborIndex(gold, max_distance=1)
+        index = NeighborIndex(gold, ["destace"], max_distance=1)
         with pytest.raises(ValueError):
             index.neighbors("destace", 2)
+
+    def test_rejects_a_lemma_that_was_not_a_query(self, planted):
+        _, gold = planted
+        index = NeighborIndex(gold, ["destace"])
+        with pytest.raises(ValueError, match="'destaque' is not one of the index's queries"):
+            index.neighbors("destaque", 2)
+
+    def test_index_without_queries_rejects_every_lemma(self, planted):
+        _, gold = planted
+        with pytest.raises(ValueError):
+            NeighborIndex(gold, []).neighbors("destace", 2)
 
 
 def _random_word(rng, alphabet, max_length):
@@ -344,23 +355,50 @@ def neighbor_corpus():
     return dictionary, gold, queries, distances
 
 
+def assert_matches_brute_force(corpus, d, built_for):
+    """Every query's neighbours from an index built for *built_for* equal a scan of the whole gold set."""
+    dictionary, gold, queries, distances = corpus
+    index = NeighborIndex(dictionary, queries, max_distance=built_for)
+    total = 0
+    for query in queries:
+        expected = sorted(
+            ((g, distances[query, g]) for g in gold if g != query and distances[query, g] <= d),
+            key=lambda pair: (pair[1], pair[0]),
+        )
+        assert index.neighbors(query, d) == expected, query
+        total += len(expected)
+    return total
+
+
 class TestNeighborIndexOracle:
     # built for d itself, or for 3, where smaller d rely on the exact DP to filter
     @pytest.mark.parametrize("built_for", ["d", "3"])
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_matches_brute_force_scan(self, neighbor_corpus, d, built_for):
-        dictionary, gold, queries, distances = neighbor_corpus
-        index = NeighborIndex(dictionary, max_distance=d if built_for == "d" else 3)
-        total = 0
-        for query in queries:
-            expected = sorted(
-                ((g, distances[query, g]) for g in gold if g != query and distances[query, g] <= d),
-                key=lambda pair: (pair[1], pair[0]),
-            )
-            assert index.neighbors(query, d) == expected, query
-            total += len(expected)
+        total = assert_matches_brute_force(neighbor_corpus, d, d if built_for == "d" else 3)
         # distance 0 leaves only the query itself; above it the corpus is dense
         assert total == 0 if d == 0 else total > 100
+
+    # gold streamed past the queries one or three lemmas at a time, so most
+    # lengths take several chunks and the last chunk of a length is partial
+    @pytest.mark.parametrize("gold_chunk", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_brute_force_scan_in_small_gold_chunks(self, neighbor_corpus, monkeypatch, d, gold_chunk):
+        monkeypatch.setattr(error_analysis, "GOLD_CHUNK", gold_chunk)
+        assert assert_matches_brute_force(neighbor_corpus, d, d) > 100
+        assert_matches_brute_force(neighbor_corpus, d - 1, 3)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_each_query_indexed_on_its_own(self, neighbor_corpus, d):
+        # only the gold lengths within d of the one query are hashed
+        dictionary, gold, queries, distances = neighbor_corpus
+        total = sum(assert_matches_brute_force((dictionary, gold, [query], distances), d, d) for query in queries)
+        assert total > 100
+
+    def test_queries_outside_every_gold_length_have_no_neighbors(self, neighbor_corpus):
+        dictionary, gold, _, _ = neighbor_corpus
+        far = "a" * (max(len(g) for g in gold) + 3)
+        assert NeighborIndex(dictionary, [far], max_distance=2).neighbors(far, 2) == []
 
     def test_corpus_covers_the_edge_cases(self, neighbor_corpus):
         _, gold, queries, _ = neighbor_corpus
@@ -370,21 +408,21 @@ class TestNeighborIndexOracle:
 
 
 class TestVariantHashCollisions:
+    # with one hash for every variant, every gold lemma of a reachable length
+    # is a candidate and the exact DP alone decides
     def test_every_hash_colliding_still_matches_brute_force(self, neighbor_corpus, monkeypatch):
-        # with one hash for every variant, every gold lemma is a candidate
-        # and the exact DP alone decides
-        d = 2
-        monkeypatch.setattr(
-            error_analysis, "_variant_hashes", lambda codepoints, _: np.zeros((len(codepoints), 1), dtype=np.uint64)
-        )
-        dictionary, gold, queries, distances = neighbor_corpus
-        index = NeighborIndex(dictionary, max_distance=d)
-        for query in queries:
-            expected = sorted(
-                ((g, distances[query, g]) for g in gold if g != query and distances[query, g] <= d),
-                key=lambda pair: (pair[1], pair[0]),
-            )
-            assert index.neighbors(query, d) == expected, query
+        monkeypatch.setattr(error_analysis, "_variant_hashes", _one_hash)
+        assert_matches_brute_force(neighbor_corpus, 2, 2)
+
+    @pytest.mark.parametrize("gold_chunk", [1, 3])
+    def test_every_hash_colliding_in_small_gold_chunks(self, neighbor_corpus, monkeypatch, gold_chunk):
+        monkeypatch.setattr(error_analysis, "_variant_hashes", _one_hash)
+        monkeypatch.setattr(error_analysis, "GOLD_CHUNK", gold_chunk)
+        assert_matches_brute_force(neighbor_corpus, 2, 2)
+
+
+def _one_hash(codepoints, _):
+    return np.zeros((len(codepoints), 1), dtype=np.uint64)
 
 
 class TestDetectOvercorrection:

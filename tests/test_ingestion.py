@@ -159,6 +159,26 @@ class TestParseDictionary:
             parse_dictionary(io.StringIO(json.dumps(record) + "\n"))
 
 
+class TestSharedPosTags:
+    def test_entries_of_one_label_share_one_tag(self):
+        lines = [
+            json.dumps({"lemma": lemma, "pos": label, "senses": [{"definition": "Algo.", "example": None}]})
+            for lemma, label in [("gato", "Nombre masculino"), ("perro", "Nombre masculino"), ("correr", "Verbo")]
+        ]
+        dictionary = parse_dictionary(lines)
+        gato, perro = dictionary.get("gato", PosCategory.NOUN), dictionary.get("perro", PosCategory.NOUN)
+        assert gato.pos is perro.pos
+        assert dictionary.get("correr", PosCategory.VERB).pos.raw_label == "Verbo"
+
+    def test_lemma_list_and_failure_log_share_tags(self):
+        records = parse_lemma_list(["gato\tVerbo", "perro\tVerbo"]).records
+        assert records[0].pos is records[1].pos
+        failures = parse_failures(
+            json.dumps({"lemma": lemma, "pos": "Verbo", "reason": "refusal", "detail": "no"}) for lemma in ("a", "b")
+        )
+        assert failures[0].pos is failures[1].pos
+
+
 class TestWriteDictionary:
     def test_empty_dictionary_writes_nothing(self):
         out = io.StringIO()

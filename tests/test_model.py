@@ -1,9 +1,11 @@
 import unicodedata
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lexiforge.alignment import AlignmentRecord
 from lexiforge.exceptions import DuplicateKeyError, EmptyLemmaError
 from lexiforge.model import (
     Gender,
@@ -85,6 +87,24 @@ class TestPosTag:
         tag = PosTag.from_label("Nombre masculina")
         assert tag.category is PosCategory.NOUN
         assert tag.gender is None
+
+
+class TestSlottedValueTypes:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            PosTag.from_label("Verbo"),
+            Sense("Algo.", ordinal=1),
+            make_entry("casa", "Nombre femenino", "Edificio para habitar."),
+            AlignmentRecord("casa", PosCategory.NOUN, 1, 1, 1, 0.5, 0.5, (0.5,)),
+        ],
+        ids=type,
+    )
+    def test_no_instance_dict_and_still_frozen(self, value):
+        assert not hasattr(value, "__dict__")
+        name = fields(value)[0].name
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
 
 
 class TestSenseAndEntry:

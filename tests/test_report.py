@@ -10,6 +10,7 @@ from lexiforge.error_analysis import ErrorCategory
 from lexiforge.metrics import ConfusionMatrix2x2, class_metrics
 from lexiforge.model import Dictionary, PosCategory
 from lexiforge.report import (
+    KEY_BLOCK,
     EvaluationReport,
     atomic_text,
     evaluate_dictionaries,
@@ -164,6 +165,19 @@ class TestKeyBlocks:
         embedder = RecordingEmbedder()
         assert outputs(evaluate_dictionaries(generated, gold, embedder)) == outputs(whole)
         assert all(batch == sorted(set(batch)) for batch in embedder.batches)
+
+
+class TestCandidateBlocks:
+    def test_blocks_of_one_equal_one_block(self, planted, monkeypatch):
+        generated, gold = planted
+        whole = evaluate_dictionaries(generated, gold, EMBEDDER)
+        candidates = whole.report.error_summary["hallucination_candidate"]
+        assert candidates > 1 and whole.report.error_summary["overcorrection"] >= 1
+        monkeypatch.setattr("lexiforge.error_analysis.CANDIDATE_BLOCK", 1)
+        embedder = RecordingEmbedder()
+        blocked = evaluate_dictionaries(generated, gold, embedder)
+        assert outputs(blocked) == outputs(whole)
+        assert len(embedder.batches) == math.ceil(len(generated) / KEY_BLOCK) + candidates
 
 
 class ScaledPerText:
