@@ -8,11 +8,11 @@ ordering) and the mean over all gold senses.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .embedding import VectorTable
+from .ingestion import write_records
 from .model import DictionaryEntry, PosCategory, Sense
 
 
@@ -100,9 +100,8 @@ def rank_histogram(records: Iterable[AlignmentRecord]) -> dict[int, int]:
 
 
 def write_alignments(records: Iterable[AlignmentRecord], stream: IO[str]) -> int:
-    written = 0
-    for r in records:
-        obj = {
+    objects = (
+        {
             "lemma": r.lemma,
             "category": r.category.value,
             "gen_sense_count": r.gen_sense_count,
@@ -112,8 +111,6 @@ def write_alignments(records: Iterable[AlignmentRecord], stream: IO[str]) -> int
             "mean_over_gold": r.mean_over_gold,
             "per_gold_scores": list(r.per_gold_scores),
         }
-        line = json.dumps(obj, ensure_ascii=False) + "\n"
-        stream.write(line)
-        written += len(line.encode("utf-8"))
-    return written
-
+        for r in records
+    )
+    return write_records(objects, stream)

@@ -8,7 +8,6 @@ Recorded generation failures are data, not errors; generate still exits 0.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -28,8 +27,14 @@ from .exceptions import (
     ServiceError,
 )
 from .generation import run_generation
-from .ingestion import parse_dictionary, parse_failures, parse_lemma_list, write_dictionary, write_failures
-from .model import Dictionary
+from .ingestion import (
+    parse_dictionary,
+    parse_failures,
+    parse_lemma_list,
+    write_dictionary,
+    write_failures,
+    write_records,
+)
 from .report import atomic_text, evaluate_dictionaries, file_digest, load_report, render_tables, write_report
 
 EXIT_CONFIG = 2
@@ -45,19 +50,13 @@ class _CliFault(Exception):
         super().__init__(message)
 
 
-def _read_lines(path: str):
+def _parse_file(path, parse, *args):
+    """``parse(file, *args)`` of the UTF-8 file at *path*, streamed; exits 3 naming *path* if it fails."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.readlines()
+            return parse(fh, *args)
     except OSError as exc:
         raise _CliFault(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _CliFault(EXIT_INPUT, f"{path} is not valid UTF-8: {exc}") from exc
-
-
-def _load_dictionary(path: str, name: str) -> Dictionary:
-    try:
-        return parse_dictionary(_read_lines(path), name=name)
     except (ParseError, DuplicateKeyError, EncodingError) as exc:
         raise _CliFault(EXIT_INPUT, f"cannot parse {path}: {exc}") from exc
 
@@ -109,7 +108,7 @@ def cmd_generate(lemmas_path, config_path, out_path, failures_path, audit_dir):
     """Define every lemma through the configured provider."""
     config = load_config(config_path)
     provider = build_provider(config.provider)
-    parsed = parse_lemma_list(_read_lines(lemmas_path))
+    parsed = _parse_file(lemmas_path, parse_lemma_list)
     if parsed.duplicate_count:
         click.echo(f"note: dropped {parsed.duplicate_count} duplicate lemma-list records", err=True)
     dictionary, failures, stats = run_generation(
@@ -146,14 +145,9 @@ def cmd_evaluate(generated_path, gold_path, embedder_choice, config_path, out_di
     config = load_config(config_path)
     embedder = build_embedder(embedder_choice, config.embedding)
     try:
-        generated = _load_dictionary(generated_path, "generated")
-        gold = _load_dictionary(gold_path, "gold")
-        failures = None
-        if failures_path:
-            try:
-                failures = parse_failures(_read_lines(failures_path))
-            except (ParseError, EncodingError) as exc:
-                raise _CliFault(EXIT_INPUT, f"cannot parse {failures_path}: {exc}") from exc
+        generated = _parse_file(generated_path, parse_dictionary, "generated")
+        gold = _parse_file(gold_path, parse_dictionary, "gold")
+        failures = _parse_file(failures_path, parse_failures) if failures_path else None
 
         result = evaluate_dictionaries(
             generated,
@@ -181,8 +175,7 @@ def cmd_evaluate(generated_path, gold_path, embedder_choice, config_path, out_di
             write_findings(result.errors.findings, fh)
         if result.polysemy_pairs:
             with atomic_text(out / "polysemy_pairs.jsonl") as fh:
-                for pair in result.polysemy_pairs:
-                    fh.write(json.dumps(pair, ensure_ascii=False) + "\n")
+                write_records(result.polysemy_pairs, fh)
         click.echo(
             f"evaluated {result.report.join_size} join keys; "
             f"confusion [{result.report.confusion.mono_mono}, {result.report.confusion.mono_poly}; "
@@ -237,10 +230,7 @@ def cmd_errors(eval_path, category, limit):
     findings_path = eval_dir / "findings.jsonl"
     if not findings_path.exists():
         raise _CliFault(EXIT_INPUT, f"no findings file at {findings_path}")
-    try:
-        findings = [f for f in parse_findings(_read_lines(str(findings_path))) if f.category.value == category]
-    except ParseError as exc:
-        raise _CliFault(EXIT_INPUT, f"cannot parse {findings_path}: {exc}") from exc
+    findings = [f for f in _parse_file(findings_path, parse_findings) if f.category.value == category]
     click.echo(f"{len(findings)} finding(s) in category {category}")
     for finding in findings[: max(limit, 0)]:
         click.echo(f"- {finding.lemma} [{finding.pos_label or '-'}]: {finding.evidence}")

@@ -171,10 +171,7 @@ def build_provider(settings: ProviderSettings):
     if settings.kind == "stub":
         if settings.replies is None:
             raise ConfigError("[provider] kind=stub requires a 'replies' file")
-        try:
-            return StubProvider.from_file(settings.replies)
-        except OSError as exc:
-            raise ConfigError(f"cannot read stub replies {settings.replies}: {exc}") from exc
+        return StubProvider.from_file(settings.replies)
     if not settings.endpoint:
         raise ConfigError("[provider] endpoint is required for kind=openai-chat")
     if settings.credential_env and not os.environ.get(settings.credential_env):

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-import json
 import re
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -22,10 +21,11 @@ from .alignment import AlignmentRecord
 from .embedding import VectorTable, normalize_text
 from .exceptions import ParseError
 from .generation import FailureReason, GenerationFailure
-from .ingestion import _exact_fields
-from .model import Dictionary, DictionaryEntry, PosCategory
+from .ingestion import BOOLEAN, STRING, STRING_OR_NULL, RecordKind, read_records, write_records
+from .model import Dictionary, DictionaryEntry
 
 DEFAULT_PROPER_NOUN_PATTERNS = ("nombre propio", "en la mitología")
+PROPER_NOUN_EVIDENCE = "definition matches a proper-noun pattern"
 
 
 class ErrorCategory(enum.Enum):
@@ -154,6 +154,32 @@ def detect_fabricated_polysemy(
                 similarity = config.fabricated_polysemy_similarity
                 return True, f"senses {i + 1} and {j + 1} cosine {_cosine_text(score)} >= {similarity}"
     return False, ""
+
+
+def findings_of_entry(
+    entry: DictionaryEntry, vectors: VectorTable, config: ErrorAnalysisConfig | None = None
+) -> list[ErrorFinding]:
+    """The circularity, proper-noun and fabricated-polysemy findings of one generated entry, in that order.
+
+    ``vectors`` must hold the entry's definitions when it has more than one sense.
+    """
+    fabricated = detect_fabricated_polysemy(entry, vectors, config) or (False, "")
+    found = (
+        (ErrorCategory.CIRCULARITY, detect_circularity(entry), "lemma occurs whole-word inside its own definition"),
+        (ErrorCategory.PROPER_NOUN_AS_COMMON, detect_proper_noun_definition(entry), PROPER_NOUN_EVIDENCE),
+        (ErrorCategory.FABRICATED_POLYSEMY, *fabricated),
+    )
+    return [
+        ErrorFinding(
+            lemma=entry.lemma,
+            category=category,
+            evidence=evidence,
+            pos_label=entry.pos.raw_label,
+            generated_definition=entry.senses[0].definition,
+        )
+        for category, flagged, evidence in found
+        if flagged
+    ]
 
 
 # multiplier of the variant hash: odd, so multiplying by it loses no bits mod 2**64
@@ -367,14 +393,15 @@ def classify_errors(
     gold: Dictionary,
     records: Sequence[AlignmentRecord],
     embedder,
-    polysemy: Mapping[tuple[str, PosCategory], tuple[bool, str] | None],
+    entry_findings: Iterable[ErrorFinding],
     config: ErrorAnalysisConfig | None = None,
     failures: Sequence[GenerationFailure] | None = None,
 ) -> ErrorReport:
     """Run every detector; one entry may carry several findings.
 
-    ``polysemy`` maps every generated entry's key to its
-    :func:`detect_fabricated_polysemy` result. The over-correction search
+    ``entry_findings`` are :func:`findings_of_entry` of every generated
+    entry, in ``generated.entries()`` order; they follow the hallucination
+    and over-correction findings. The over-correction search
     takes the candidates ``CANDIDATE_BLOCK`` at a time and embeds a block's
     definitions and those of its gold neighbors in one batch, so memory
     holds one block's vectors however many candidates there are.
@@ -423,38 +450,7 @@ def classify_errors(
                 report.findings.append(overcorrection)
         del vectors  # before the next block's table is filled, so at most one is alive
 
-    for entry in generated.entries():
-        if detect_circularity(entry):
-            report.findings.append(
-                ErrorFinding(
-                    lemma=entry.lemma,
-                    category=ErrorCategory.CIRCULARITY,
-                    evidence="lemma occurs whole-word inside its own definition",
-                    pos_label=entry.pos.raw_label,
-                    generated_definition=entry.senses[0].definition,
-                )
-            )
-        if detect_proper_noun_definition(entry):
-            report.findings.append(
-                ErrorFinding(
-                    lemma=entry.lemma,
-                    category=ErrorCategory.PROPER_NOUN_AS_COMMON,
-                    evidence="definition matches a proper-noun pattern",
-                    pos_label=entry.pos.raw_label,
-                    generated_definition=entry.senses[0].definition,
-                )
-            )
-        fabricated = polysemy[entry.key]
-        if fabricated is not None and fabricated[0]:
-            report.findings.append(
-                ErrorFinding(
-                    lemma=entry.lemma,
-                    category=ErrorCategory.FABRICATED_POLYSEMY,
-                    evidence=fabricated[1],
-                    pos_label=entry.pos.raw_label,
-                    generated_definition=entry.senses[0].definition,
-                )
-            )
+    report.findings += entry_findings
 
     for failure in failures or ():
         if failure.reason is FailureReason.REFUSAL:
@@ -473,9 +469,8 @@ def classify_errors(
 
 
 def write_findings(findings: Iterable[ErrorFinding], stream: IO[str]) -> int:
-    written = 0
-    for f in findings:
-        obj = {
+    objects = (
+        {
             "lemma": f.lemma,
             "category": f.category.value,
             "evidence": f.evidence,
@@ -484,48 +479,34 @@ def write_findings(findings: Iterable[ErrorFinding], stream: IO[str]) -> int:
             "gold_definition": f.gold_definition,
             "low_confidence": f.low_confidence,
         }
-        line = json.dumps(obj, ensure_ascii=False) + "\n"
-        stream.write(line)
-        written += len(line.encode("utf-8"))
-    return written
+        for f in findings
+    )
+    return write_records(objects, stream)
 
 
-#: each field of a finding record -> the JSON types write_findings puts there, and how to say so
-_FINDING_FIELDS = {
-    "lemma": ((str,), "a string"),
-    "category": ((str,), "a string"),
-    "evidence": ((str,), "a string"),
-    "pos": ((str, type(None)), "a string or null"),
-    "generated_definition": ((str, type(None)), "a string or null"),
-    "gold_definition": ((str, type(None)), "a string or null"),
-    "low_confidence": ((bool,), "true or false"),
-}
-_check_finding_fields = _exact_fields(*_FINDING_FIELDS)
+_FINDING_RECORD = RecordKind(
+    lemma=STRING,
+    category=STRING,
+    evidence=STRING,
+    pos=STRING_OR_NULL,
+    generated_definition=STRING_OR_NULL,
+    gold_definition=STRING_OR_NULL,
+    low_confidence=BOOLEAN,
+)
 
 
 def parse_findings(stream: Iterable[str]) -> list[ErrorFinding]:
     """Findings back from the lines of *stream*, which must hold write_findings' fields and types exactly."""
     findings = []
     categories = {c.value: c for c in ErrorCategory}
-    for number, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_number=number) from exc
-        if not isinstance(obj, dict):
-            raise ParseError("finding record must be a JSON object", line_number=number)
-        _check_finding_fields(obj, number, "record")
-        for name, (types, kind) in _FINDING_FIELDS.items():
-            if not isinstance(obj[name], types):
-                raise ParseError(f"{name} must be {kind}, got {obj[name]!r}", line_number=number, field=name)
-        if obj["category"] not in categories:
+    for number, obj in read_records(stream, _FINDING_RECORD):
+        category = categories.get(obj["category"])
+        if category is None:
             raise ParseError(f"unknown category {obj['category']!r}", line_number=number, field="category")
         findings.append(
             ErrorFinding(
                 lemma=obj["lemma"],
-                category=categories[obj["category"]],
+                category=category,
                 evidence=obj["evidence"],
                 pos_label=obj["pos"],
                 generated_definition=obj["generated_definition"],

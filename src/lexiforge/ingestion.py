@@ -1,5 +1,10 @@
-"""Parsers and writers for the on-disk artifacts: lemma lists, dictionary
-files and failure logs. All three formats are line-delimited UTF-8 and
+"""Parsers and writers for the on-disk artifacts: lemma lists, and the
+line-record files (dictionaries, failure logs and evaluation outputs).
+
+Every line-record file is UTF-8 with one JSON object per line; blank
+lines are skipped. ``read_records`` and ``write_records`` are the only
+readers and writers of that format; a ``RecordKind`` names the fields a
+kind of record holds, exactly, and the JSON type of each. All formats
 round-trip losslessly.
 """
 
@@ -7,37 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 from .exceptions import DuplicateKeyError, EmptyLemmaError, EncodingError, ParseError
 from .generation import FailureReason, GenerationFailure, LemmaRecord
 from .model import Dictionary, DictionaryEntry, PosTag, Sense, normalize_lemma
-
-
-def _exact_fields(*names: str) -> Callable[[dict, int, str], None]:
-    """A check that a record holds exactly the fields *names*, for ``check(obj, line, where)``.
-
-    A record's keys are compared once with a frozenset built here; the
-    differences are computed only to name an error, missing fields in
-    the order of *names*.
-    """
-    allowed = frozenset(names)
-
-    def check(obj: dict, line: int, where: str) -> None:
-        if obj.keys() == allowed:
-            return
-        extra = obj.keys() - allowed
-        if extra:
-            raise ParseError(f"unexpected field(s) {sorted(extra)}", line_number=line, field=where)
-        missing = [k for k in names if k not in obj]
-        raise ParseError(f"missing field(s) {missing}", line_number=line, field=where)
-
-    return check
-
-
-_check_dict_fields = _exact_fields("lemma", "pos", "senses")
-_check_sense_fields = _exact_fields("definition", "example")
-_check_failure_fields = _exact_fields("lemma", "pos", "reason", "detail")
 
 
 class _PosTags(dict):
@@ -65,6 +44,77 @@ def _numbered_lines(stream: Iterable[str]) -> Iterator[tuple[int, str]]:
         except UnicodeDecodeError as exc:
             raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
         yield number, line.rstrip("\r\n")
+
+
+# The JSON types a record field may hold: the Python types ``json.loads``
+# gives them, and how an error names them.
+STRING = ((str,), "a string")
+STRING_OR_NULL = ((str, type(None)), "a string or null")
+BOOLEAN = ((bool,), "true or false")
+ARRAY = ((list,), "an array")
+
+
+class RecordKind:
+    """One kind of line record: exactly the fields given, each of its JSON type.
+
+    Fields are given in the order an error lists the missing ones.
+    """
+
+    __slots__ = ("fields", "names", "_types")
+
+    def __init__(self, **fields: tuple[tuple[type, ...], str]):
+        self.fields = fields
+        self.names = frozenset(fields)
+        self._types = tuple((name, types) for name, (types, _) in fields.items())
+
+    def check(self, obj: object, line: int, path: str = "") -> dict:
+        """*obj* if it is a record of this kind, else a ParseError at *line*.
+
+        *path* locates a record nested in another (``senses[0]``) in the
+        field an error names. The keys are compared once with a frozenset;
+        the differences are computed only to name an error.
+        """
+        where = path or "record"
+        if not isinstance(obj, dict):
+            raise ParseError("expected a JSON object", line_number=line, field=where)
+        if obj.keys() != self.names:
+            extra = obj.keys() - self.names
+            if extra:
+                raise ParseError(f"unexpected field(s) {sorted(extra)}", line_number=line, field=where)
+            missing = [name for name in self.fields if name not in obj]
+            raise ParseError(f"missing field(s) {missing}", line_number=line, field=where)
+        for name, types in self._types:
+            if not isinstance(obj[name], types):
+                kind = self.fields[name][1]
+                field = f"{path}.{name}" if path else name
+                raise ParseError(f"{name} must be {kind}, got {obj[name]!r}", line_number=line, field=field)
+        return obj
+
+
+def read_records(stream: Iterable[str], kind: RecordKind) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of *stream*, checked against *kind*.
+
+    Raises ParseError for a line that is not JSON or not a record of
+    *kind*, and EncodingError when *stream* is not valid UTF-8.
+    """
+    for number, line in _numbered_lines(stream):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line_number=number) from exc
+        yield number, kind.check(obj, number)
+
+
+def write_records(objects: Iterable[dict], stream: IO[str]) -> int:
+    """One ``json.dumps(obj, ensure_ascii=False)`` line per object; returns the bytes written."""
+    written = 0
+    for obj in objects:
+        line = json.dumps(obj, ensure_ascii=False) + "\n"
+        stream.write(line)
+        written += len(line.encode("utf-8"))
+    return written
 
 
 def parse_lemma_list(stream: Iterable[str]) -> LemmaListResult:
@@ -104,23 +154,23 @@ def parse_lemma_list(stream: Iterable[str]) -> LemmaListResult:
     return LemmaListResult(tuple(records), duplicates, content_lines)
 
 
-def _parse_senses(raw_senses: object, line: int) -> tuple[Sense, ...]:
-    if not isinstance(raw_senses, list) or not raw_senses:
+_DICTIONARY_RECORD = RecordKind(lemma=STRING, pos=STRING, senses=ARRAY)
+_SENSE_RECORD = RecordKind(definition=STRING, example=STRING_OR_NULL)
+_FAILURE_RECORD = RecordKind(lemma=STRING, pos=STRING_OR_NULL, reason=STRING, detail=STRING)
+
+
+def _parse_senses(raw_senses: list, line: int) -> tuple[Sense, ...]:
+    if not raw_senses:
         raise ParseError("senses must be a non-empty array", line_number=line, field="senses")
     senses = []
-    for i, raw in enumerate(raw_senses, start=1):
-        where = f"senses[{i - 1}]"
-        if not isinstance(raw, dict):
-            raise ParseError("sense must be an object", line_number=line, field=where)
-        _check_sense_fields(raw, line, where)
-        definition = raw["definition"]
-        if not isinstance(definition, str) or not definition.strip():
-            raise ParseError("definition must be a non-empty string", line_number=line, field=f"{where}.definition")
-        example = raw["example"]
-        if example is not None and not isinstance(example, str):
-            raise ParseError("example must be a string or null", line_number=line, field=f"{where}.example")
-        example = example.strip() if isinstance(example, str) and example.strip() else None
-        senses.append(Sense(definition=definition.strip(), example=example, ordinal=i))
+    for i, raw in enumerate(raw_senses):
+        where = f"senses[{i}]"
+        _SENSE_RECORD.check(raw, line, where)
+        definition = raw["definition"].strip()
+        if not definition:
+            raise ParseError("definition must not be blank", line_number=line, field=f"{where}.definition")
+        example = (raw["example"] or "").strip() or None
+        senses.append(Sense(definition=definition, example=example, ordinal=i + 1))
     return tuple(senses)
 
 
@@ -128,18 +178,7 @@ def parse_dictionary(stream: Iterable[str], name: str = "dictionary") -> Diction
     """Parse one JSON entry per line; sense ordinals follow file order."""
     dictionary = Dictionary(name=name)
     tags = _PosTags()
-    for number, line in _numbered_lines(stream):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_number=number) from exc
-        if not isinstance(obj, dict):
-            raise ParseError("record must be a JSON object", line_number=number)
-        _check_dict_fields(obj, number, "record")
-        if not isinstance(obj["lemma"], str) or not isinstance(obj["pos"], str):
-            raise ParseError("lemma and pos must be strings", line_number=number, field="lemma/pos")
+    for number, obj in read_records(stream, _DICTIONARY_RECORD):
         try:
             entry = DictionaryEntry(
                 lemma=normalize_lemma(obj["lemma"]),
@@ -155,71 +194,47 @@ def parse_dictionary(stream: Iterable[str], name: str = "dictionary") -> Diction
     return dictionary
 
 
-def _entry_to_json(entry: DictionaryEntry) -> str:
-    obj = {
-        "lemma": entry.lemma,
-        "pos": entry.pos.raw_label,
-        "senses": [{"definition": s.definition, "example": s.example} for s in entry.senses],
-    }
-    return json.dumps(obj, ensure_ascii=False)
-
-
 def write_dictionary(dictionary: Dictionary, stream: IO[str]) -> int:
     """Write entries sorted by (lemma, category); returns bytes written.
 
     Output is byte-deterministic, and ``parse_dictionary`` reproduces the
     dictionary exactly.
     """
-    written = 0
-    for entry in dictionary.entries():
-        line = _entry_to_json(entry) + "\n"
-        stream.write(line)
-        written += len(line.encode("utf-8"))
-    return written
+    objects = (
+        {
+            "lemma": entry.lemma,
+            "pos": entry.pos.raw_label,
+            "senses": [{"definition": s.definition, "example": s.example} for s in entry.senses],
+        }
+        for entry in dictionary.entries()
+    )
+    return write_records(objects, stream)
 
 
 def write_failures(failures: Iterable[GenerationFailure], stream: IO[str]) -> int:
-    written = 0
-    for failure in failures:
-        obj = {
+    objects = (
+        {
             "lemma": failure.lemma,
             "pos": failure.pos.raw_label if failure.pos else None,
             "reason": failure.reason.value,
             "detail": failure.detail,
         }
-        line = json.dumps(obj, ensure_ascii=False) + "\n"
-        stream.write(line)
-        written += len(line.encode("utf-8"))
-    return written
+        for failure in failures
+    )
+    return write_records(objects, stream)
 
 
 def parse_failures(stream: Iterable[str]) -> list[GenerationFailure]:
     failures: list[GenerationFailure] = []
     tags = _PosTags()
     reasons = {r.value: r for r in FailureReason}
-    for number, line in _numbered_lines(stream):
-        if not line.strip():
-            continue
+    for number, obj in read_records(stream, _FAILURE_RECORD):
+        reason = reasons.get(obj["reason"])
+        if reason is None:
+            raise ParseError(f"unknown reason {obj['reason']!r}", line_number=number, field="reason")
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_number=number) from exc
-        if not isinstance(obj, dict):
-            raise ParseError("record must be a JSON object", line_number=number)
-        _check_failure_fields(obj, number, "record")
-        reason, label, lemma, detail = obj["reason"], obj["pos"], obj["lemma"], obj["detail"]
-        if not isinstance(reason, str) or reason not in reasons:
-            raise ParseError(f"unknown reason {reason!r}", line_number=number, field="reason")
-        if label is not None and not isinstance(label, str):
-            raise ParseError("pos must be a string or null", line_number=number, field="pos")
-        if not isinstance(lemma, str):
-            raise ParseError("lemma must be a string", line_number=number, field="lemma")
-        if not isinstance(detail, str):
-            raise ParseError("detail must be a string", line_number=number, field="detail")
-        try:
-            lemma = normalize_lemma(lemma)
+            lemma = normalize_lemma(obj["lemma"])
         except EmptyLemmaError as exc:
             raise ParseError(str(exc), line_number=number, field="lemma") from exc
-        pos = tags[label] if label else None
-        failures.append(GenerationFailure(lemma, pos, reasons[reason], detail))
+        failures.append(GenerationFailure(lemma, tags[obj["pos"]] if obj["pos"] else None, reason, obj["detail"]))
     return failures

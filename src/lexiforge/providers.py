@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Protocol
 
 from ._http import TRANSPORT_ERRORS, post_json
-from .exceptions import ProviderError
+from .exceptions import ConfigError, ProviderError
 
 
 @dataclass(frozen=True)
@@ -81,16 +81,19 @@ class HttpChatProvider:
             payload = json.loads(data)
             choice = payload["choices"][0]
             text = choice["message"]["content"]
-            finish = choice.get("finish_reason", "stop")
+            if not isinstance(text, str):
+                raise TypeError(f"content is {text!r}, not a string")
             usage = payload.get("usage", {})
+            if not isinstance(usage, dict):
+                raise TypeError(f"usage is {usage!r}, not an object")
+            return ProviderResponse(
+                text=text,
+                finish_reason=choice.get("finish_reason", "stop"),
+                prompt_tokens=int(usage.get("prompt_tokens", 0)),
+                completion_tokens=int(usage.get("completion_tokens", 0)),
+            )
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed provider reply: {exc}", retryable=False) from exc
-        return ProviderResponse(
-            text=text,
-            finish_reason=finish,
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
-        )
 
 
 class StubProvider:
@@ -108,11 +111,18 @@ class StubProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StubProvider":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        """The table of a JSON file holding one object of lemma -> reply strings."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load stub replies from {path}: {exc}") from exc
         if not isinstance(data, dict):
-            raise ProviderError(f"stub replies file {path} must hold a JSON object", retryable=False)
-        return cls({str(k): str(v) for k, v in data.items()})
+            raise ConfigError(f"stub replies file {path} must hold a JSON object of lemma -> reply strings")
+        for lemma, reply in data.items():
+            if not isinstance(reply, str):
+                raise ConfigError(f"stub replies file {path}: the reply to {lemma!r} must be a string, got {reply!r}")
+        return cls(data)
 
     def complete(self, request: ProviderRequest) -> ProviderResponse:
         self.calls += 1

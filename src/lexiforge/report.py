@@ -20,7 +20,14 @@ from typing import Iterator, Sequence
 
 from .alignment import AlignmentRecord, align_dictionaries, all_pairs_scores, rank_histogram, sense_text
 from .embedding import VectorTable
-from .error_analysis import ErrorAnalysisConfig, ErrorCategory, ErrorReport, classify_errors, detect_fabricated_polysemy
+from .error_analysis import (
+    ErrorAnalysisConfig,
+    ErrorCategory,
+    ErrorFinding,
+    ErrorReport,
+    classify_errors,
+    findings_of_entry,
+)
 from .exceptions import ParseError
 from .generation import GenerationFailure
 from .metrics import (
@@ -194,7 +201,7 @@ def evaluate_dictionaries(
     entries = generated.entries()
     records: list[AlignmentRecord] = []
     polysemy_pairs: list[dict] = []
-    polysemy: dict = {}
+    entry_findings: list[ErrorFinding] = []
     scored = 0  # join pairs of the blocks before this one
     for start in range(0, len(entries), KEY_BLOCK):
         block = entries[start : start + KEY_BLOCK]
@@ -216,11 +223,11 @@ def evaluate_dictionaries(
             for gen, gold_entry in pairs
             if len(gen.senses) > 1
         ]
-        polysemy.update((entry.key, detect_fabricated_polysemy(entry, vectors, error_config)) for entry in block)
+        entry_findings += [finding for entry in block for finding in findings_of_entry(entry, vectors, error_config)]
         del vectors  # before the next block's table is filled, so at most one is alive
     confusion = polysemy_confusion(join)
     gen_mono = [r for r in records if r.gen_sense_count == 1]
-    errors = classify_errors(generated, gold, records, embedder, polysemy, error_config, failures)
+    errors = classify_errors(generated, gold, records, embedder, entry_findings, error_config, failures)
 
     report = EvaluationReport(
         join_size=len(join),

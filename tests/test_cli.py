@@ -72,6 +72,12 @@ def run_evaluate(runner, ws, out="eval", generated="fixture20_generated.jsonl",
     )
 
 
+def spoil_utf8(path):
+    """Append a line holding a byte that is not UTF-8 to the file at *path*."""
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\n")
+
+
 #: config text with one misspelling -> what the error message must name
 MISSPELT_CONFIGS = [
     pytest.param("[error_anlysis]\nhallucination_threshold = 0.2\n", "[error_anlysis]", id="section"),
@@ -112,6 +118,25 @@ class TestGenerate:
             ],
         )
         assert result.exit_code == 3
+
+    def test_lemma_list_with_invalid_byte_exit_3(self, runner, workspace):
+        spoil_utf8(workspace / "five_lemmas.txt")
+        result = run_generate(runner, workspace)
+        assert result.exit_code == 3, result.output
+        assert f"cannot parse {workspace / 'five_lemmas.txt'}" in result.output
+        assert "not valid UTF-8" in result.output
+
+    @pytest.mark.parametrize(
+        ("text", "named"),
+        [('{"casa": ', "cannot load stub replies"), ('{"casa": null}', "the reply to 'casa' must be a string")],
+        ids=["invalid-json", "null-reply"],
+    )
+    def test_malformed_stub_replies_exit_2(self, runner, workspace, text, named):
+        (workspace / "stub_replies.json").write_text(text, encoding="utf-8")
+        result = run_generate(runner, workspace)
+        assert result.exit_code == 2, result.output
+        assert named in result.output and str(workspace / "stub_replies.json") in result.output
+        assert not (workspace / "generated.jsonl").exists()
 
     def test_bad_config_exit_2(self, runner, workspace):
         (workspace / "bad.ini").write_text("[provider]\nkind = stub\n")  # stub without replies
@@ -297,6 +322,20 @@ class TestEvaluate:
         result = run_evaluate(runner, workspace, extra=["--failures", str(workspace / "bad_failures.jsonl")])
         assert result.exit_code == 3, result.output
         assert "field detail" in result.output
+
+    @pytest.mark.parametrize("spoilt", ["fixture20_generated.jsonl", "fixture20_gold.jsonl", "planted_failures.jsonl"])
+    def test_input_with_invalid_byte_exit_3(self, runner, workspace, spoilt):
+        spoil_utf8(workspace / spoilt)
+        result = run_evaluate(runner, workspace, extra=["--failures", str(workspace / "planted_failures.jsonl")])
+        assert result.exit_code == 3, result.output
+        assert f"cannot parse {workspace / spoilt}" in result.output
+        assert "not valid UTF-8" in result.output
+        assert not (workspace / "eval").exists()
+
+    def test_missing_failures_file_exit_3(self, runner, workspace):
+        result = run_evaluate(runner, workspace, extra=["--failures", str(workspace / "no_such_failures.jsonl")])
+        assert result.exit_code == 3, result.output
+        assert f"cannot read {workspace / 'no_such_failures.jsonl'}" in result.output
 
     def test_unreadable_generated_exit_3(self, runner, workspace):
         result = run_evaluate(runner, workspace, generated="missing.jsonl")
@@ -547,6 +586,13 @@ class TestErrorsCommand:
         result = runner.invoke(main, ["errors", "--eval", str(planted_eval), "--category", "hallucination_candidate"])
         assert result.exit_code == 3, result.output
         assert f"line 1: {name} must be" in result.output
+
+    def test_findings_with_invalid_byte_exit_3(self, runner, planted_eval):
+        spoil_utf8(planted_eval / "findings.jsonl")
+        result = runner.invoke(main, ["errors", "--eval", str(planted_eval), "--category", "hallucination_candidate"])
+        assert result.exit_code == 3, result.output
+        assert f"cannot parse {planted_eval / 'findings.jsonl'}" in result.output
+        assert "not valid UTF-8" in result.output
 
     def test_unknown_category_exit_2_lists_valid(self, runner, planted_eval):
         result = runner.invoke(main, ["errors", "--eval", str(planted_eval), "--category", "gremlins"])

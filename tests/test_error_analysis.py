@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexiforge import _kernels, error_analysis
-from lexiforge.alignment import AlignmentRecord, align_dictionaries
+from lexiforge.alignment import AlignmentRecord
 from lexiforge.embedding import DeterministicEmbedder
 from lexiforge.error_analysis import (
     ErrorAnalysisConfig,
     ErrorCategory,
     NeighborIndex,
-    classify_errors,
     detect_circularity,
     detect_fabricated_polysemy,
     detect_overcorrection,
@@ -25,9 +24,10 @@ from lexiforge.error_analysis import (
     parse_findings,
     write_findings,
 )
-from lexiforge.exceptions import ParseError
+from lexiforge.exceptions import EncodingError, ParseError
 from lexiforge.ingestion import parse_failures
-from lexiforge.model import PosCategory, normalize_lemma, vocabulary_join
+from lexiforge.model import PosCategory, normalize_lemma
+from lexiforge.report import evaluate_dictionaries
 
 from _oracles import oracle_levenshtein
 from conftest import DATA_DIR, make_dictionary, make_entry, vector_table
@@ -36,11 +36,7 @@ EMBEDDER = DeterministicEmbedder(dimension=512)
 
 
 def classify(generated, gold, failures=None):
-    """classify_errors after aligning and scoring fabricated polysemy on one table, as evaluation does."""
-    vectors = vector_table(EMBEDDER, generated.entries() + gold.entries())
-    records = align_dictionaries(vocabulary_join(generated, gold), vectors)
-    polysemy = {entry.key: detect_fabricated_polysemy(entry, vectors) for entry in generated.entries()}
-    return classify_errors(generated, gold, records, EMBEDDER, polysemy, failures=failures)
+    return evaluate_dictionaries(generated, gold, EMBEDDER, failures=failures).errors
 
 
 def fabricated(entry, config=None):
@@ -567,6 +563,16 @@ class TestFindingsSerialization:
             parse_findings([json.dumps({**FINDING, "category": "gremlins"})])
         assert exc.value.field == "category"
 
+
+    def test_invalid_utf8_raises_encoding_error(self):
+        stream = io.TextIOWrapper(io.BytesIO(json.dumps(FINDING).encode("utf-8") + b"\n\xff\n"), encoding="utf-8")
+        with pytest.raises(EncodingError):
+            parse_findings(stream)
+
+    def test_not_an_object_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_findings(["[1, 2]"])
+        assert exc.value.field == "record" and exc.value.line_number == 1
 
 FINDING = {
     "lemma": "casa",

@@ -153,6 +153,30 @@ class TestParseDictionary:
             parse_dictionary(io.StringIO('{"lemma": "a"\n'))
         assert exc.value.line_number == 1
 
+    @pytest.mark.parametrize(
+        ("record", "field"),
+        [
+            ({"lemma": 5}, "lemma"),
+            ({"pos": None}, "pos"),
+            ({"senses": {"definition": "Estrella.", "example": None}}, "senses"),
+            ({"senses": [{"definition": None, "example": None}]}, "senses[0].definition"),
+            ({"senses": [{"definition": "Estrella.", "example": 3}]}, "senses[0].example"),
+            ({"senses": [{"definition": "Estrella.", "example": None}, "Astro."]}, "senses[1]"),
+        ],
+        ids=["lemma", "pos", "senses", "definition", "example", "sense-not-an-object"],
+    )
+    def test_field_of_wrong_type_reports_path(self, record, field):
+        good = {"lemma": "sol", "pos": "Nombre masculino", "senses": [{"definition": "Estrella.", "example": None}]}
+        with pytest.raises(ParseError) as exc:
+            parse_dictionary([json.dumps(good | record)])
+        assert exc.value.field == field and exc.value.line_number == 1
+
+    def test_blank_definition_rejected(self):
+        record = {"lemma": "sol", "pos": "Nombre masculino", "senses": [{"definition": "  ", "example": None}]}
+        with pytest.raises(ParseError) as exc:
+            parse_dictionary([json.dumps(record)])
+        assert exc.value.field == "senses[0].definition"
+
     def test_empty_senses_rejected(self):
         record = {"lemma": "sol", "pos": "Nombre masculino", "senses": []}
         with pytest.raises(ParseError):

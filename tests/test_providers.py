@@ -2,9 +2,12 @@ import json
 from http.server import BaseHTTPRequestHandler
 
 import pytest
+from click.testing import CliRunner
 
-from lexiforge.exceptions import ProviderError
+from lexiforge.cli import main
+from lexiforge.exceptions import ConfigError, ProviderError
 from lexiforge.generation import GenerationConfig, LemmaRecord, build_prompt, render_reply_block, run_generation
+from lexiforge.ingestion import parse_dictionary, parse_failures
 from lexiforge.model import PosTag
 from lexiforge.providers import HttpChatProvider, ProviderRequest, StubProvider
 
@@ -96,6 +99,46 @@ class TestHttpChatProvider:
         with pytest.raises(ProviderError) as exc:
             HttpChatProvider(chat_server, model="m").complete(REQUEST)
         assert not exc.value.retryable
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {**_ok_body("x"), "choices": [{"message": {"content": None}, "finish_reason": "stop"}]},
+            {**_ok_body("x"), "usage": None},
+            {**_ok_body("x"), "usage": {"prompt_tokens": "x", "completion_tokens": 7}},
+        ],
+        ids=["null-content", "null-usage", "token-count-not-a-number"],
+    )
+    def test_malformed_reply_becomes_provider_error_failures(self, chat_server, body, tmp_path):
+        # one batch at a time, so the malformed reply answers the first batch; it must not
+        # be retried: a retry would get the well-formed default reply, which defines
+        # nothing and records parse errors
+        ChatHandler.script = [{"status": 200, "body": body}]
+        (tmp_path / "lemmas.txt").write_text("casa\ngato\nperro\n", encoding="utf-8")
+        (tmp_path / "chat.ini").write_text(
+            f"[provider]\nendpoint = {chat_server}\n"
+            "[generation]\nbatch_size = 2\nretry_backoff = 0.0\nmax_concurrent_batches = 1\n",
+            encoding="utf-8",
+        )
+        result = CliRunner().invoke(
+            main,
+            [
+                "generate",
+                "--lemmas", str(tmp_path / "lemmas.txt"),
+                "--config", str(tmp_path / "chat.ini"),
+                "--out", str(tmp_path / "dictionary.jsonl"),
+                "--failures", str(tmp_path / "failures.jsonl"),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        with open(tmp_path / "dictionary.jsonl", encoding="utf-8") as fh:
+            entries = parse_dictionary(fh).entries()
+        with open(tmp_path / "failures.jsonl", encoding="utf-8") as fh:
+            failures = parse_failures(fh)
+        assert len(entries) + len(failures) == 3
+        malformed = [f for f in failures if f.reason.value == "provider_error"]
+        assert [f.lemma for f in malformed] == ["casa", "gato"]
+        assert all("malformed provider reply" in f.detail for f in malformed)
 
     def test_connection_failure_is_retryable(self):
         provider = HttpChatProvider("http://127.0.0.1:1/none", model="m", timeout=0.2)
@@ -227,3 +270,24 @@ class TestStubProvider:
     def test_from_file(self, data_dir):
         provider = StubProvider.from_file(data_dir / "stub_replies.json")
         assert "limitar" in provider.replies
+
+    @pytest.mark.parametrize(
+        ("text", "named"),
+        [
+            ('{"casa": ', "cannot load stub replies"),
+            ('["casa"]', "must hold a JSON object"),
+            ('{"casa": null}', "the reply to 'casa' must be a string, got None"),
+            ('{"casa": 3}', "the reply to 'casa' must be a string, got 3"),
+        ],
+        ids=["invalid-json", "not-an-object", "null-reply", "number-reply"],
+    )
+    def test_malformed_file_is_config_error(self, tmp_path, text, named):
+        path = tmp_path / "replies.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=named) as exc:
+            StubProvider.from_file(path)
+        assert str(path) in str(exc.value)
+
+    def test_missing_file_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot load stub replies"):
+            StubProvider.from_file(tmp_path / "no_such_replies.json")
