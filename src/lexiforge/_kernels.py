@@ -3,8 +3,9 @@
 Both are vectorised with numpy. The trigram hasher takes a chunk of
 texts at once: their UTF-8 bytes in one buffer, the FNV-1a chain of
 every trigram of the chunk advanced one byte position per pass, and one
-``np.bincount`` into a ``(texts, dimension)`` count block. The edit
-distance fills the DP table one row at a time.
+``np.bincount`` of the trigrams' ±1.0 signs into a ``(texts, dimension)``
+float64 count block, whose values are exact integers. The edit distance
+fills the DP table one row at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def codepoints(text: str) -> np.ndarray:
 
 
 def trigram_counts(texts: list[str], dimension: int) -> np.ndarray:
-    """Signed FNV-1a bucket counts of every character trigram, one int64 row per text.
+    """Signed FNV-1a bucket counts of every character trigram, one float64 row per text.
 
     Each text must hold at least three characters (callers pad the
     normalised text with ``#`` on each side). A trigram's 64-bit FNV-1a
@@ -65,10 +66,10 @@ def trigram_counts(texts: list[str], dimension: int) -> np.ndarray:
         h[live] = (h[live] ^ data[starts[live] + j]) * _U64_PRIME
     buckets = (h % np.uint64(dimension)).astype(np.int64)
     keys = row * dimension + buckets
-    negative = (h >> np.uint64(63)).astype(bool)
-    size = len(texts) * dimension
-    counts = np.bincount(keys[~negative], minlength=size) - np.bincount(keys[negative], minlength=size)
-    counts = counts.reshape(len(texts), dimension)
+    # +1.0 where the top bit is clear, -1.0 where it is set: float sums of
+    # small integers are exact, so the counts are the integer counts
+    signs = 1.0 - 2.0 * (h >> np.uint64(63)).astype(np.float64)
+    counts = np.bincount(keys, weights=signs, minlength=len(texts) * dimension).reshape(len(texts), dimension)
     cancelled = np.flatnonzero(~counts.any(axis=1))
     counts[cancelled, buckets[first[cancelled]]] = 1
     return counts

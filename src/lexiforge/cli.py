@@ -173,9 +173,8 @@ def cmd_evaluate(generated_path, gold_path, embedder_choice, config_path, out_di
             write_alignments(result.records, fh)
         with atomic_text(out / "findings.jsonl") as fh:
             write_findings(result.errors.findings, fh)
-        if result.polysemy_pairs:
-            with atomic_text(out / "polysemy_pairs.jsonl") as fh:
-                write_records(result.polysemy_pairs, fh)
+        with atomic_text(out / "polysemy_pairs.jsonl") as fh:
+            write_records(result.polysemy_pairs, fh)
         click.echo(
             f"evaluated {result.report.join_size} join keys; "
             f"confusion [{result.report.confusion.mono_mono}, {result.report.confusion.mono_poly}; "

@@ -16,7 +16,6 @@ import http.client
 import json
 import logging
 import queue
-import re
 import threading
 import time
 import unicodedata
@@ -32,17 +31,50 @@ from .exceptions import DimensionError, EmptyTextError, ProtocolError, ServiceEr
 
 logger = logging.getLogger(__name__)
 
-_WS_RUN_RE = re.compile(r"\s+")
+#: Code points that can join the texts of a chunk into one string for
+#: ``normalize_texts``: the C0 controls that are not whitespace (U+001C to
+#: U+001F are, for ``str.split`` as for ``\s``), DEL and the noncharacters
+#: U+FDD0-U+FDEF. None is cased or case-ignorable, so a final sigma next to
+#: one lowercases as at the end of a text; none has a decomposition or
+#: takes part in a composition, so NFC neither changes one nor composes
+#: across it.
+SEPARATORS = (
+    *map(chr, range(0x00, 0x09)),
+    *map(chr, range(0x0E, 0x1C)),
+    "\x7f",
+    *map(chr, range(0xFDD0, 0xFDF0)),
+)
+
+
+def normalize_texts(texts: Sequence[str]) -> list[str]:
+    """``normalize_text`` of every text, normalising the texts as one joined string.
+
+    The texts are joined with the first ``SEPARATORS`` code point that none
+    of them holds, lowercased, NFC-composed and whitespace-collapsed in one
+    pass, then split and trimmed. When every separator occurs somewhere,
+    each half of the texts is normalised on its own; one text needs none.
+    Whitespace is every character for which ``str.isspace`` holds.
+    """
+    if len(texts) < 2:
+        return [" ".join(unicodedata.normalize("NFC", text.lower()).split()) for text in texts]
+    joined = "".join(texts)
+    separator = next((candidate for candidate in SEPARATORS if candidate not in joined), None)
+    if separator is None:
+        half = len(texts) // 2
+        return normalize_texts(texts[:half]) + normalize_texts(texts[half:])
+    lowered = unicodedata.normalize("NFC", separator.join(texts).lower())
+    # a whitespace run never spans a separator; one that starts or ends a
+    # text collapses to a space beside it, which the strip removes
+    return [piece.strip() for piece in " ".join(lowered.split()).split(separator)]
 
 
 def normalize_text(text: str) -> str:
     """Lowercase, NFC-compose, collapse whitespace runs, trim."""
-    lowered = unicodedata.normalize("NFC", text.lower())
-    return _WS_RUN_RE.sub(" ", lowered).strip()
+    return normalize_texts([text])[0]
 
 
 #: Texts hashed per ``_kernels.trigram_counts`` call. The count block of a
-#: chunk is ``EMBED_CHUNK`` × dimension int64 values (1 MiB at 512 dims),
+#: chunk is ``EMBED_CHUNK`` × dimension float64 values (1 MiB at 512 dims),
 #: so hashing a batch of any size needs no more scratch memory than that.
 EMBED_CHUNK = 256
 
@@ -118,15 +150,13 @@ class DeterministicEmbedder:
             raise DimensionError(f"dimension must be >= 1, got {self.dimension}")
         vectors = np.empty((len(texts), self.dimension))
         for start in range(0, len(texts), EMBED_CHUNK):
-            padded = []
-            for text in texts[start : start + EMBED_CHUNK]:
-                normalized = normalize_text(text)
-                if not normalized:
-                    raise EmptyTextError(f"text is empty after normalization: {text!r}")
-                padded.append(f"#{normalized}#")
-            counts = _kernels.trigram_counts(padded, self.dimension)
-            # integer counts: every sum of squares, so every row's norm, is exact
-            np.divide(counts, np.linalg.norm(counts, axis=1, keepdims=True), out=vectors[start : start + len(padded)])
+            chunk = texts[start : start + EMBED_CHUNK]
+            normalized = normalize_texts(chunk)
+            if not all(normalized):
+                raise EmptyTextError(f"text is empty after normalization: {chunk[normalized.index('')]!r}")
+            counts = _kernels.trigram_counts([f"#{text}#" for text in normalized], self.dimension)
+            # integer-valued counts: every sum of squares, so every row's norm, is exact
+            np.divide(counts, np.linalg.norm(counts, axis=1, keepdims=True), out=vectors[start : start + len(chunk)])
         return vectors
 
 

@@ -107,11 +107,15 @@ def read_records(stream: Iterable[str], kind: RecordKind) -> Iterator[tuple[int,
         yield number, kind.check(obj, number)
 
 
+# one encoder for every line: json.dumps with an option builds a new one per call
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def write_records(objects: Iterable[dict], stream: IO[str]) -> int:
     """One ``json.dumps(obj, ensure_ascii=False)`` line per object; returns the bytes written."""
     written = 0
     for obj in objects:
-        line = json.dumps(obj, ensure_ascii=False) + "\n"
+        line = _ENCODER.encode(obj) + "\n"
         stream.write(line)
         written += len(line.encode("utf-8"))
     return written
@@ -164,11 +168,15 @@ def _parse_senses(raw_senses: list, line: int) -> tuple[Sense, ...]:
         raise ParseError("senses must be a non-empty array", line_number=line, field="senses")
     senses = []
     for i, raw in enumerate(raw_senses):
-        where = f"senses[{i}]"
-        _SENSE_RECORD.check(raw, line, where)
+        try:
+            _SENSE_RECORD.check(raw, line)
+        except ParseError:
+            # the sense's path is built only for a sense that fails: checked
+            # again under it, the sense raises the same error naming its field
+            _SENSE_RECORD.check(raw, line, f"senses[{i}]")
         definition = raw["definition"].strip()
         if not definition:
-            raise ParseError("definition must not be blank", line_number=line, field=f"{where}.definition")
+            raise ParseError("definition must not be blank", line_number=line, field=f"senses[{i}].definition")
         example = (raw["example"] or "").strip() or None
         senses.append(Sense(definition=definition, example=example, ordinal=i + 1))
     return tuple(senses)

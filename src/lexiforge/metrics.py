@@ -159,22 +159,26 @@ def length_stats(dictionary: Dictionary) -> dict[str, LengthStats]:
 
     Lengths are measured per sense: words by whitespace splitting with no
     punctuation stripping, characters as Unicode scalar values of the
-    trimmed definition.
+    trimmed definition. The groups are "all", then the categories in the
+    order they first appear; an empty dictionary has none.
     """
-    words: dict[str, list[int]] = {}
-    chars: dict[str, list[int]] = {}
+    by_category: dict[PosCategory, tuple[list[int], list[int]]] = {}
     for entry in dictionary.entries():
+        if entry.pos.category not in by_category:
+            by_category[entry.pos.category] = ([], [])
+        words, chars = by_category[entry.pos.category]
         for sense in entry.senses:
-            word_count = len(sense.definition.split())
-            char_count = len(sense.definition)
-            for group in _group_names(entry.pos.category):
-                words.setdefault(group, []).append(word_count)
-                chars.setdefault(group, []).append(char_count)
+            words.append(len(sense.definition.split()))
+            chars.append(len(sense.definition))
+    if not by_category:
+        return {}
+    # from_values sorts, so "all" need not keep the entries' order
+    every = (
+        [n for group_words, _ in by_category.values() for n in group_words],
+        [n for _, group_chars in by_category.values() for n in group_chars],
+    )
+    groups = {"all": every} | {category.value: lengths for category, lengths in by_category.items()}
     return {
-        group: LengthStats(
-            words=StatsSummary.from_values(words[group]),
-            characters=StatsSummary.from_values(chars[group]),
-        )
-        for group in words
+        group: LengthStats(words=StatsSummary.from_values(words), characters=StatsSummary.from_values(chars))
+        for group, (words, chars) in groups.items()
     }
-

@@ -16,6 +16,11 @@ class PosCategory(enum.Enum):
     ADVERB = "adverb"
     OTHER = "other"
 
+    # members are singletons compared by identity, so they can hash by it
+    # too, in C, instead of hashing their name in Python; every dictionary
+    # key holds one
+    __hash__ = object.__hash__
+
 
 class Gender(enum.Enum):
     MASCULINE = "masculine"

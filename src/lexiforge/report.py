@@ -12,7 +12,6 @@ import hashlib
 import io
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -55,12 +54,17 @@ _GROUP_LABELS = {
 
 @contextmanager
 def atomic_text(path: str | Path) -> Iterator[io.TextIOWrapper]:
-    """Write to a temp file and rename into place; no partial outputs."""
+    """Write to a temp file and rename into place; no partial outputs.
+
+    The temp file is created exclusively under a random name in the target
+    directory, with the mode the umask leaves, which the rename keeps.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp_name = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp_name, "x", encoding="utf-8", newline="")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             yield fh
         os.replace(tmp_name, path)
     except BaseException:
@@ -238,8 +242,8 @@ def evaluate_dictionaries(
         },
         cosine_monosemous_gold=cosine_stats(gen_mono, "best_score", "monosemous"),
         cosine_polysemous_gold=cosine_stats(gen_mono, "mean_over_gold", "polysemous"),
-        length_generated=length_stats(generated) if len(generated) else {},
-        length_gold=length_stats(gold) if len(gold) else {},
+        length_generated=length_stats(generated),
+        length_gold=length_stats(gold),
         rank_histogram=rank_histogram(gen_mono),
         error_summary=errors.summary,
         circularity_rate=errors.summary[ErrorCategory.CIRCULARITY.value] / len(generated) if len(generated) else 0.0,

@@ -1,14 +1,20 @@
 import gc
 import hashlib
 import json
+import os
 import shutil
+import stat
+import subprocess
+import sys
 import warnings
 from contextlib import closing
 from http.server import BaseHTTPRequestHandler
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import lexiforge
 from lexiforge.cli import main
 from lexiforge.embedding import CachingEmbedder, DeterministicEmbedder
 from lexiforge.exceptions import ServiceError
@@ -295,6 +301,32 @@ class TestEvaluate:
             first = (workspace / "run1" / name).read_bytes()
             second = (workspace / "run2" / name).read_bytes()
             assert first == second, name
+
+    def test_rerun_without_polysemous_entries_empties_the_pairs_file(self, runner, workspace):
+        assert run_evaluate(runner, workspace).exit_code == 0
+        assert (workspace / "eval" / "polysemy_pairs.jsonl").read_text(encoding="utf-8")
+        result = run_evaluate(runner, workspace, generated="clean_generated.jsonl", gold="clean_gold.jsonl")
+        assert result.exit_code == 0, result.output
+        assert (workspace / "eval" / "polysemy_pairs.jsonl").read_bytes() == b""
+
+    @pytest.mark.parametrize(("umask", "mode"), [(0o022, 0o644), (0o077, 0o600)])
+    def test_outputs_take_the_mode_the_umask_leaves(self, workspace, umask, mode):
+        # the umask is the process's, so the command runs in a process of its own
+        source = str(Path(lexiforge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+        command = [
+            sys.executable, "-c", "from lexiforge.cli import main; main()",
+            "evaluate",
+            "--generated", str(workspace / "fixture20_generated.jsonl"),
+            "--gold", str(workspace / "fixture20_gold.jsonl"),
+            "--config", str(workspace / "eval_config.ini"),
+            "--out", str(workspace / "eval"),
+        ]
+        done = subprocess.run(command, env=env, umask=umask, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        for name in OUTPUTS:
+            assert stat.S_IMODE((workspace / "eval" / name).stat().st_mode) == mode, name
+        assert sorted(path.name for path in (workspace / "eval").iterdir()) == sorted(OUTPUTS)
 
     def test_failures_feed_refusal_findings(self, runner, workspace):
         result = run_evaluate(

@@ -3,9 +3,11 @@ import itertools
 import json
 import logging
 import math
+import re
 import sys
 import threading
 import time
+import unicodedata
 from contextlib import closing
 from http.server import BaseHTTPRequestHandler
 
@@ -18,16 +20,18 @@ from lexiforge import embedding
 from lexiforge.embedding import (
     EMBED_CHUNK,
     EMBED_LANES,
+    SEPARATORS,
     CachingEmbedder,
     DeterministicEmbedder,
     RemoteEmbedder,
     VectorTable,
     embed_deterministic,
     normalize_text,
+    normalize_texts,
 )
 from lexiforge.exceptions import DimensionError, EmptyTextError, ProtocolError, ServiceError, ZeroVectorError
 
-from _oracles import cosine_similarity, oracle_embed
+from _oracles import cosine_similarity, oracle_embed, oracle_normalize
 from conftest import DATA_DIR, http_server
 
 
@@ -161,6 +165,74 @@ class TestChunkedBatch:
         texts[EMBED_CHUNK + 1] = "  \t "
         with pytest.raises(EmptyTextError):
             DeterministicEmbedder(64).embed_batch(texts)
+
+
+class TestBatchNormalizer:
+    """``normalize_texts`` joins a chunk with a separator; each text must normalise as on its own."""
+
+    @staticmethod
+    def assert_matches_oracle(texts, dimension=64):
+        assert normalize_texts(texts) == [oracle_normalize(text) for text in texts]
+        rows = DeterministicEmbedder(dimension).embed_batch(texts)
+        for text, row in zip(texts, rows):
+            assert row.tobytes() == np.array(oracle_embed(text, dimension), dtype=np.float64).tobytes(), repr(text)
+
+    def test_separators_are_inert(self):
+        # what lowercasing, NFC and the whitespace collapse may not see in a separator
+        composed_from = {
+            int(code, 16)
+            for cp in range(sys.maxunicode + 1)
+            for code in unicodedata.decomposition(chr(cp)).split()
+            if not code.startswith("<")
+        }
+        assert len(set(SEPARATORS)) == len(SEPARATORS)
+        for separator in SEPARATORS:
+            assert unicodedata.category(separator) in ("Cc", "Cn"), repr(separator)  # neither cased nor case-ignorable
+            assert not re.fullmatch(r"\s", separator) and not separator.isspace(), repr(separator)
+            assert separator.lower() == separator.upper() == separator, repr(separator)
+            assert unicodedata.combining(separator) == 0 and not unicodedata.decomposition(separator), repr(separator)
+            assert ord(separator) not in composed_from, repr(separator)
+
+    def test_leading_combining_mark(self):
+        # a mark that starts a text stays a mark; it must not compose with the text before
+        self.assert_matches_oracle(["e", "\u0301casa", "A", "\u0308\u0301u", "\u0301"])
+
+    def test_final_sigma_at_either_end_of_a_text(self):
+        self.assert_matches_oracle(["ΟΔΟΣ", "ΣΟΦΙΑ", "Σ", "ΑΣ", "ΣΑ", "ΑΣ'", "'ΣΑ", "Σ ΑΣ"])
+
+    def test_lowercase_longer_than_the_text(self):
+        self.assert_matches_oracle(["İstanbul", "xİ", "İ", "ﬁ İİ"])
+
+    def test_whitespace_only_text_raises_naming_it(self):
+        texts = ["casa", " \t\u3000\u2028 ", "mesa"]
+        assert normalize_texts(texts) == ["casa", "", "mesa"]
+        with pytest.raises(EmptyTextError, match=re.escape(repr(texts[1]))):
+            DeterministicEmbedder(64).embed_batch(texts)
+
+    @pytest.mark.parametrize("separator", SEPARATORS, ids=lambda s: f"U+{ord(s):04X}")
+    def test_texts_holding_a_separator(self, separator):
+        self.assert_matches_oracle([f"A{separator}B", f"ΟΣ{separator}", f"{separator}ΣΑ", f" {separator} x ", "casa"])
+
+    def test_chunk_holding_every_separator(self):
+        texts = [f"Texto {i} {separator}Σ" for i, separator in enumerate(SEPARATORS)] + ["ΟΔΟΣ", "\u0301x"]
+        self.assert_matches_oracle(texts)
+        self.assert_matches_oracle(["".join(SEPARATORS) + "ΑΣ", "ΣΑ"])
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_small_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(embedding, "EMBED_CHUNK", chunk)
+        texts = ["ΟΔΟΣ", "\u0301casa", "İ", "  De   MANERA\tlimitada ", f"a{SEPARATORS[0]}b", "x", "🌲 Σ"]
+        self.assert_matches_oracle(texts)
+
+    @settings(max_examples=150)
+    @given(
+        st.lists(
+            st.text(alphabet=st.sampled_from("aΣσΑİ '\u0301\u0308 \t\u3000ﬁ" + "".join(SEPARATORS[:3])) | st.characters(), max_size=8),
+            max_size=8,
+        )
+    )
+    def test_each_text_as_on_its_own(self, texts):
+        assert normalize_texts(texts) == [oracle_normalize(text) for text in texts]
 
 
 class TestGoldenFile:

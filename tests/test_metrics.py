@@ -198,3 +198,15 @@ class TestLengthStats:
         total_senses = sum(len(e.senses) for e in generated.entries())
         assert stats["all"].words.count == total_senses
 
+
+    def test_empty_dictionary_has_no_groups(self):
+        assert length_stats(make_dictionary("d")) == {}
+
+    def test_groups_are_all_then_categories_in_first_appearance_order(self):
+        d = make_dictionary(
+            "d",
+            make_entry("correr", "Verbo", "Ir deprisa."),
+            make_entry("casa", "Nombre femenino", "Edificio."),
+            make_entry("andar", "Verbo", "Ir a pie."),
+        )
+        assert list(length_stats(d)) == ["all", "verb", "noun"]

@@ -1,3 +1,4 @@
+import pickle
 import unicodedata
 from dataclasses import FrozenInstanceError, fields
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from lexiforge.alignment import AlignmentRecord
 from lexiforge.exceptions import DuplicateKeyError, EmptyLemmaError
 from lexiforge.model import (
+    DictionaryEntry,
     Gender,
     PosCategory,
     PosTag,
@@ -117,8 +119,6 @@ class TestSenseAndEntry:
             Sense(definition="Algo.", ordinal=0)
 
     def test_entry_requires_contiguous_ordinals(self):
-        from lexiforge.model import DictionaryEntry
-
         with pytest.raises(ValueError):
             make_entry("casa", "Nombre femenino")  # no senses
         with pytest.raises(ValueError):
@@ -218,3 +218,19 @@ class TestVocabularyJoin:
         gen = make_dictionary("gen", make_entry("bajo", "Adjetivo", "De poca altura."))
         gold = make_dictionary("gold", make_entry("bajo", "Nombre masculino", "Instrumento grave."))
         assert join_keys(gen, gold) == []
+
+    def test_category_keys_sort_and_join_by_lemma_then_category_name(self):
+        labels = ["Verbo", "Nombre masculino", "Adverbio", "Interjección", "Adjetivo"]
+        entries = [make_entry(lemma, label, "Definición.") for label in labels for lemma in ("bajo", "alto")]
+        gen = make_dictionary("gen", *entries)
+        gold = make_dictionary("gold", *reversed(entries))
+        expected = sorted({entry.key for entry in entries}, key=lambda key: (key[0], key[1].value))
+        assert [entry.key for entry in gen.entries()] == [entry.key for entry in gold.entries()] == expected
+        assert join_keys(gen, gold) == expected
+        # a category found by value or unpickled is the same member, so it finds the same entry
+        for category in PosCategory:
+            same = pickle.loads(pickle.dumps(category))
+            assert same is category is PosCategory(category.value)
+            assert hash(same) == hash(category)
+            assert gen.get("bajo", same) is gen.get("bajo", category) is not None
+            assert ("alto", same) in gold
