@@ -5,10 +5,15 @@ texts at once: their UTF-8 bytes in one buffer, the FNV-1a chain of
 every trigram of the chunk advanced one byte position per pass, and one
 ``np.bincount`` of the trigrams' ±1.0 signs into a ``(texts, dimension)``
 float64 count block, whose values are exact integers. The edit distance
-fills the DP table one row at a time.
+of many pairs at once is Myers' bit-vector algorithm, one uint64 word
+per query, with every pair advanced one text code point per numpy step;
+a query longer than one word goes to the DP, which fills its table one
+row at a time.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -93,3 +98,74 @@ def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
         cur = np.minimum.accumulate(cur - ar) + ar
         prev = cur
     return int(prev[nb])
+
+
+#: Pairs that ``levenshtein_many`` advances together. Its scratch memory is
+#: the chunk's padded code-point matrices and a few arrays of one word per
+#: pair, whatever the number of pairs.
+LEVENSHTEIN_CHUNK = 4096
+
+#: The longest query ``levenshtein_many`` runs bit-parallel: one bit per code point.
+WORD_BITS = 64
+
+
+def _padded(strings: Sequence[str], width: int, fill: int) -> tuple[np.ndarray, np.ndarray]:
+    """Code points of *strings*, one row each padded to *width* with *fill*, and the strings' lengths."""
+    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    matrix = np.full((len(strings), width), fill, dtype=np.int64)
+    rows = np.repeat(np.arange(len(strings)), lengths)
+    columns = np.arange(rows.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    matrix[rows, columns] = codepoints("".join(strings))
+    return matrix, lengths
+
+
+def _bit_parallel(queries: Sequence[str], texts: Sequence[str]) -> np.ndarray:
+    """``levenshtein_many`` of pairs whose queries hold at most ``WORD_BITS`` code points."""
+    query_width = -(-max(map(len, queries)) // 8) * 8  # whole bytes of match bits
+    query, m = _padded(queries, query_width, -1)
+    text, n = _padded(texts, max(map(len, texts)), -2)  # the two pads never match each other
+    match_bytes = np.zeros((len(queries), 8), dtype=np.uint8)
+    match_word = match_bytes.view("<u8")[:, 0]
+    # bit i of a pair's words is row i of its DP column: pv and mv hold the
+    # +1 and -1 vertical deltas, and only bits below m reach the last row
+    pv = np.full(len(queries), ~np.uint64(0))
+    mv = np.zeros(len(queries), dtype=np.uint64)
+    last = np.left_shift(np.uint64(1), np.maximum(m - 1, 0).astype(np.uint64))
+    score = m.copy()  # D[m][j], the last row of column j
+    for j in range(text.shape[1]):
+        match_bytes[:, : query_width // 8] = np.packbits(query == text[:, j, None], axis=1, bitorder="little")
+        d0 = (((match_word & pv) + pv) ^ pv) | match_word | mv
+        hp = mv | ~(d0 | pv)
+        hn = pv & d0
+        live = j < n
+        score += ((hp & last) != 0) & live
+        score -= ((hn & last) != 0) & live
+        hp = (hp << 1) | 1  # D[0][j] = j: the top row steps up by one in every column
+        hn <<= 1
+        pv = hn | ~(d0 | hp)
+        mv = hp & d0
+    return np.where(m == 0, n, score)
+
+
+def levenshtein_many(queries: Sequence[str], texts: Sequence[str]) -> np.ndarray:
+    """Unit-cost edit distance of every pair ``(queries[i], texts[i])``, as an int64 array.
+
+    Myers' bit-vector algorithm (G. Myers, JACM 46(3), 1999) in Hyyrö's
+    form for the global distance (H. Hyyrö, Nordic Journal of Computing
+    10(1), 2003): a pair's DP column is two uint64 words of vertical
+    deltas, and one text code point advances the column of every pair of
+    a ``LEVENSHTEIN_CHUNK`` in one numpy step. A query longer than
+    ``WORD_BITS`` code points does not fit a word; its pair goes to
+    :func:`levenshtein`.
+    """
+    if len(queries) != len(texts):
+        raise ValueError(f"{len(queries)} queries for {len(texts)} texts")
+    distances = np.empty(len(queries), dtype=np.int64)
+    lengths = np.fromiter(map(len, queries), dtype=np.int64, count=len(queries))
+    for i in np.flatnonzero(lengths > WORD_BITS).tolist():
+        distances[i] = levenshtein(codepoints(queries[i]), codepoints(texts[i]))
+    word = np.flatnonzero(lengths <= WORD_BITS).tolist()
+    for start in range(0, len(word), LEVENSHTEIN_CHUNK):
+        chunk = word[start : start + LEVENSHTEIN_CHUNK]
+        distances[chunk] = _bit_parallel([queries[i] for i in chunk], [texts[i] for i in chunk])
+    return distances

@@ -214,6 +214,15 @@ def _variant_hashes(codepoints: np.ndarray, max_deletions: int) -> np.ndarray:
 GOLD_CHUNK = 2048
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D array, which on first use imports ``numpy.ma`` (about 9 ms)."""
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def _length_groups(lemmas: Iterable[str]) -> dict[int, list[str]]:
     groups: dict[int, list[str]] = {}
     for lemma in lemmas:
@@ -237,9 +246,10 @@ class NeighborIndex:
     whichever side is indexed, so the index records the queries'
     variants with up to ``max_distance`` deletions and streams the gold
     lemmas past it; a gold lemma that shares a variant with a query is a
-    candidate of that query, and ``neighbors`` confirms each candidate
-    with the exact DP, so the result equals a scan of the whole
-    vocabulary.
+    candidate of that query. The build confirms every candidate pair at
+    once with ``_kernels.levenshtein_many`` and keeps the neighbours
+    within ``max_distance``, so the result equals a scan of the whole
+    vocabulary and ``neighbors`` only filters.
 
     Variants are ``_variant_hashes`` values; no variant string is ever
     built. The queries' hashes are one sorted uint64 array beside an
@@ -248,7 +258,8 @@ class NeighborIndex:
     ``max_distance`` from every query's length is skipped. A chunk's
     hashes are first looked up in a membership table indexed by their
     low bits, so only the few that hit it are searched for in the sorted
-    array. A hash collision only adds a candidate that the DP rejects.
+    array. A hash collision only adds a candidate that the exact
+    distance rejects.
 
     Memory holds the queries' variants and their table, one chunk's
     variants and the candidate pairs, whatever the size of the gold
@@ -296,15 +307,22 @@ class NeighborIndex:
                 ends = np.cumsum(counts)
                 positions = np.arange(counts.sum()) + np.repeat(lows - (ends - counts), counts)
                 gold_ids = np.repeat(rows, counts) + len(gold_lemmas)
-                pairs.append(np.unique(query_variant_ids[positions] * np.int64(gold_count) + gold_ids))
+                pairs.append(_sorted_unique(query_variant_ids[positions] * np.int64(gold_count) + gold_ids))
                 gold_lemmas += chunk
-        pair_queries, pair_gold = np.divmod(np.unique(np.concatenate(pairs)), gold_count)
-        self._candidates: dict[str, list[str]] = {query: [] for query in query_list}
-        for query_id, gold_id in zip(pair_queries.tolist(), pair_gold.tolist()):
-            self._candidates[query_list[query_id]].append(gold_lemmas[gold_id])
-        # the entries of candidate lemmas only, in entries() order
+        pair_queries, pair_gold = np.divmod(_sorted_unique(np.concatenate(pairs)), gold_count)
+        pair_lemmas = [query_list[query_id] for query_id in pair_queries.tolist()]
+        others = [gold_lemmas[gold_id] for gold_id in pair_gold.tolist()]
+        distances = _kernels.levenshtein_many(pair_lemmas, others).tolist()
+        # each query's different gold lemmas within max_distance, sorted by (distance, lemma)
+        self._neighbors: dict[str, list[tuple[str, int]]] = {query: [] for query in query_list}
+        for lemma, other, distance in zip(pair_lemmas, others, distances):
+            if distance <= max_distance and other != lemma:
+                self._neighbors[lemma].append((other, distance))
+        for found in self._neighbors.values():
+            found.sort(key=lambda pair: (pair[1], pair[0]))
+        # the entries of neighbour lemmas only, in entries() order
         self._entries_by_lemma: dict[str, list[DictionaryEntry]] = {
-            lemma: [] for found in self._candidates.values() for lemma in found
+            other: [] for found in self._neighbors.values() for other, _ in found
         }
         for entry in gold_entries:
             if entry.lemma in self._entries_by_lemma:
@@ -319,17 +337,9 @@ class NeighborIndex:
         """
         if max_distance > self._max_distance:
             raise ValueError(f"index built for edit distance {self._max_distance}, asked for {max_distance}")
-        if lemma not in self._candidates:
+        if lemma not in self._neighbors:
             raise ValueError(f"{lemma!r} is not one of the index's queries")
-        a = _kernels.codepoints(lemma)
-        found = []
-        for other in self._candidates[lemma]:
-            if other == lemma:
-                continue
-            distance = int(_kernels.levenshtein(a, _kernels.codepoints(other)))
-            if distance <= max_distance:
-                found.append((other, distance))
-        return sorted(found, key=lambda pair: (pair[1], pair[0]))
+        return [(other, distance) for other, distance in self._neighbors[lemma] if distance <= max_distance]
 
     def neighbor_entries(self, lemma: str, max_distance: int) -> list[tuple[DictionaryEntry, int]]:
         """Gold entries of ``neighbors(lemma, max_distance)``, in that order, with their distance."""

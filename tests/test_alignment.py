@@ -4,11 +4,13 @@ import json
 import numpy as np
 import pytest
 
+from lexiforge import alignment
 from lexiforge.alignment import (
     AlignmentRecord,
     align_dictionaries,
     all_pairs_scores,
     rank_histogram,
+    sense_text,
     write_alignments,
 )
 from lexiforge.embedding import DeterministicEmbedder, embed_deterministic
@@ -59,6 +61,50 @@ def align_one(gen, gold, embedder=EMBEDDER, include_examples=False):
 def align_fixture(generated, gold, join, embedder=EMBEDDER):
     vectors = vector_table(embedder, generated.entries() + gold.entries())
     return align_dictionaries(join, vectors)
+
+
+def per_pair_alignment(pairs, vectors, include_examples=False):
+    """Reference for ``align_dictionaries``: each pair scored on its own, one (k, d) @ (d,) product at a time."""
+    records = []
+    for gen, gold_entry in pairs:
+        rows = vectors.rows([sense_text(s, include_examples) for s in (gen.senses[0], *gold_entry.senses)])
+        scores = (rows[1:] @ rows[0]).tolist()
+        best_index = scores.index(max(scores))
+        records.append(
+            AlignmentRecord(
+                lemma=gen.lemma,
+                category=gen.pos.category,
+                gen_sense_count=len(gen.senses),
+                gold_sense_count=len(gold_entry.senses),
+                best_gold_index=best_index + 1,
+                best_score=scores[best_index],
+                mean_over_gold=sum(scores) / len(scores),
+                per_gold_scores=tuple(scores),
+            )
+        )
+    return records
+
+
+def float_bits(records):
+    """Every float of *records* as its exact hex form, so -0.0 and 0.0 differ too."""
+    return [(r.best_score.hex(), r.mean_over_gold.hex(), [x.hex() for x in r.per_gold_scores]) for r in records]
+
+
+def mixed_block():
+    """Join pairs whose gold entries hold 1-4 senses, interleaved, some with examples."""
+    words = ["agua", "luz", "piedra", "camino", "fuego", "mar", "hoja", "viento", "tierra", "sal", "río"]
+    pairs = []
+    for i, lemma in enumerate(words):
+        gold_senses = [
+            (f"Sentido {j} de {lemma}, visto desde {lemma[::-1]}.", f"Ejemplo {j} con {lemma}." if j % 2 else None)
+            for j in range(1, (3, 1, 4, 2)[i % 4] + 1)
+        ]
+        gen_senses = [(f"Sentido de {lemma} dicho de otro modo.", f"Uso de {lemma}." if i % 3 else None)]
+        if i % 5 == 0:
+            gen_senses.append(f"Otro sentido de {lemma}.")
+        gen = make_entry(lemma, "Nombre masculino", *gen_senses)
+        pairs.append((gen, make_entry(lemma, "Nombre masculino", *gold_senses)))
+    return pairs
 
 
 def read_alignments(text):
@@ -201,6 +247,34 @@ class TestAlignDictionaries:
         for a, b in zip(base, scaled):
             assert a.best_gold_index == b.best_gold_index
             assert abs(a.best_score - b.best_score) < 1e-9
+
+
+class TestGroupedAlignmentMatchesPerPair:
+    """Scoring the pairs of one gold sense count together gives every float the per-pair loop gives."""
+
+    @pytest.mark.parametrize("include_examples", [False, True])
+    def test_fixture20(self, fixture20, include_examples):
+        generated, gold = fixture20
+        join = vocabulary_join(generated, gold)
+        vectors = vector_table(EMBEDDER, generated.entries() + gold.entries(), include_examples)
+        assert len({len(gold_entry.senses) for _, gold_entry in join}) > 1
+        got = align_dictionaries(join, vectors, include_examples)
+        expected = per_pair_alignment(join, vectors, include_examples)
+        assert got == expected
+        assert float_bits(got) == float_bits(expected)
+
+    # chunks of 1 and 2 pairs split every group, and the last chunk of a group is partial
+    @pytest.mark.parametrize("chunk", [1, 2, 64])
+    @pytest.mark.parametrize("include_examples", [False, True])
+    def test_block_mixing_gold_sense_counts(self, monkeypatch, include_examples, chunk):
+        monkeypatch.setattr(alignment, "ALIGN_CHUNK", chunk)
+        pairs = mixed_block()
+        assert {len(gold_entry.senses) for _, gold_entry in pairs} == {1, 2, 3, 4}
+        vectors = vector_table(EMBEDDER, [entry for pair in pairs for entry in pair], include_examples)
+        got = align_dictionaries(pairs, vectors, include_examples)
+        expected = per_pair_alignment(pairs, vectors, include_examples)
+        assert got == expected
+        assert float_bits(got) == float_bits(expected)
 
 
 class TestAllPairs:

@@ -1,8 +1,12 @@
 import _sre
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +307,45 @@ class TestNeighborIndex:
         _, gold = planted
         with pytest.raises(ValueError):
             NeighborIndex(gold, []).neighbors("destace", 2)
+
+    def test_query_longer_than_one_word(self):
+        # 70 code points: the bit-parallel kernel hands these pairs to the DP
+        query = "ñandú" * 14
+        gold = [query[:-1], query[:-2] + "ab", "x" + query[1:], query[1:] + "xyz", "ñandú"]
+        entries = [make_entry(w, "Nombre masculino", f"Definición {i}.") for i, w in enumerate(gold)]
+        dictionary = make_dictionary("gold", *entries)
+        expected = sorted(
+            ((g, oracle_levenshtein(query, g)) for g in gold if oracle_levenshtein(query, g) <= 2),
+            key=lambda pair: (pair[1], pair[0]),
+        )
+        assert len(query) > _kernels.WORD_BITS and len(expected) == 3
+        assert NeighborIndex(dictionary, [query]).neighbors(query, 2) == expected
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize("size", [0, 1, 2, 50, 1000])
+    def test_matches_np_unique(self, size):
+        rng = np.random.default_rng(size)
+        for high in (3, 2**62):
+            values = rng.integers(-high, high, size=size, dtype=np.int64)
+            got = error_analysis._sorted_unique(values)
+            assert got.dtype == np.int64 and got.tolist() == np.unique(values).tolist()
+
+    def test_neighbor_index_does_not_import_numpy_ma(self):
+        script = (
+            "import sys\n"
+            "from lexiforge.error_analysis import NeighborIndex\n"
+            "from lexiforge.model import Dictionary, DictionaryEntry, PosTag, Sense\n"
+            "gold = Dictionary(name='gold')\n"
+            "gold.add(DictionaryEntry('casa', PosTag.from_label('Nombre femenino'), (Sense('Edificio.', None, 1),)))\n"
+            "assert NeighborIndex(gold, ['cosa']).neighbors('cosa', 2) == [('casa', 1)]\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        source = str(Path(error_analysis.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 def _random_word(rng, alphabet, max_length):
