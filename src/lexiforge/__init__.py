@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .model import (  # noqa: F401
     Dictionary,
     DictionaryEntry,
-    Gender,
     PosCategory,
     PosTag,
     Sense,

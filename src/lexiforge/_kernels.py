@@ -1,14 +1,13 @@
-"""Hot numeric kernels: signed trigram hashing and Levenshtein distance.
+"""Hot numeric kernels: signed trigram hashing and bounded Levenshtein distance.
 
 Both are vectorised with numpy. The trigram hasher takes a chunk of
 texts at once: their UTF-8 bytes in one buffer, the FNV-1a chain of
 every trigram of the chunk advanced one byte position per pass, and one
 ``np.bincount`` of the trigrams' ±1.0 signs into a ``(texts, dimension)``
 float64 count block, whose values are exact integers. The edit distance
-of many pairs at once is Myers' bit-vector algorithm, one uint64 word
-per query, with every pair advanced one text code point per numpy step;
-a query longer than one word goes to the DP, which fills its table one
-row at a time.
+of many pairs at once, exact up to a bound, is a banded DP: the cells of
+every pair's DP row within the bound of its diagonal, advanced one query
+code point per numpy step.
 """
 
 from __future__ import annotations
@@ -80,92 +79,62 @@ def trigram_counts(texts: list[str], dimension: int) -> np.ndarray:
     return counts
 
 
-def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
-    """Unit-cost edit distance, row-vectorized.
-
-    The sequential insertion closure cur[j] = min(cur[j], cur[j-1] + 1) is a
-    min-plus prefix scan: subtract the index, take a running minimum, add the
-    index back.
-    """
-    nb = b.shape[0]
-    ar = np.arange(nb + 1)
-    prev = ar.copy()
-    for i in range(1, a.shape[0] + 1):
-        cur = np.empty(nb + 1, dtype=np.int64)
-        cur[0] = i
-        if nb:
-            cur[1:] = np.minimum(prev[1:] + 1, prev[:-1] + (b != a[i - 1]))
-        cur = np.minimum.accumulate(cur - ar) + ar
-        prev = cur
-    return int(prev[nb])
-
-
 #: Pairs that ``levenshtein_many`` advances together. Its scratch memory is
-#: the chunk's padded code-point matrices and a few arrays of one word per
-#: pair, whatever the number of pairs.
+#: the chunk's padded code-point matrices and one band of DP cells per pair.
 LEVENSHTEIN_CHUNK = 4096
 
-#: The longest query ``levenshtein_many`` runs bit-parallel: one bit per code point.
-WORD_BITS = 64
 
-
-def _padded(strings: Sequence[str], width: int, fill: int) -> tuple[np.ndarray, np.ndarray]:
-    """Code points of *strings*, one row each padded to *width* with *fill*, and the strings' lengths."""
-    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
-    matrix = np.full((len(strings), width), fill, dtype=np.int64)
-    rows = np.repeat(np.arange(len(strings)), lengths)
-    columns = np.arange(rows.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+def _padded(strings: Sequence[str], lengths: np.ndarray, lead: int, width: int, fill: int) -> np.ndarray:
+    """Code points of *strings*, one column each from row *lead* on, in a *width*-row matrix padded with *fill*."""
+    matrix = np.full((width, len(strings)), fill, dtype=np.int32)
+    columns = np.repeat(np.arange(len(strings)), lengths)
+    rows = np.arange(columns.size) - np.repeat(np.cumsum(lengths) - lengths - lead, lengths)
     matrix[rows, columns] = codepoints("".join(strings))
-    return matrix, lengths
+    return matrix
 
 
-def _bit_parallel(queries: Sequence[str], texts: Sequence[str]) -> np.ndarray:
-    """``levenshtein_many`` of pairs whose queries hold at most ``WORD_BITS`` code points."""
-    query_width = -(-max(map(len, queries)) // 8) * 8  # whole bytes of match bits
-    query, m = _padded(queries, query_width, -1)
-    text, n = _padded(texts, max(map(len, texts)), -2)  # the two pads never match each other
-    match_bytes = np.zeros((len(queries), 8), dtype=np.uint8)
-    match_word = match_bytes.view("<u8")[:, 0]
-    # bit i of a pair's words is row i of its DP column: pv and mv hold the
-    # +1 and -1 vertical deltas, and only bits below m reach the last row
-    pv = np.full(len(queries), ~np.uint64(0))
-    mv = np.zeros(len(queries), dtype=np.uint64)
-    last = np.left_shift(np.uint64(1), np.maximum(m - 1, 0).astype(np.uint64))
-    score = m.copy()  # D[m][j], the last row of column j
-    for j in range(text.shape[1]):
-        match_bytes[:, : query_width // 8] = np.packbits(query == text[:, j, None], axis=1, bitorder="little")
-        d0 = (((match_word & pv) + pv) ^ pv) | match_word | mv
-        hp = mv | ~(d0 | pv)
-        hn = pv & d0
-        live = j < n
-        score += ((hp & last) != 0) & live
-        score -= ((hn & last) != 0) & live
-        hp = (hp << 1) | 1  # D[0][j] = j: the top row steps up by one in every column
-        hn <<= 1
-        pv = hn | ~(d0 | hp)
-        mv = hp & d0
-    return np.where(m == 0, n, score)
+def _banded(queries: Sequence[str], texts: Sequence[str], m: np.ndarray, n: np.ndarray, bound: int) -> np.ndarray:
+    """``levenshtein_many`` of pairs sorted by query length, longest first, whose lengths differ by at most *bound*."""
+    cap, band = bound + 1, 2 * bound + 1
+    steps = int(m[0])
+    query = _padded(queries, m, 0, steps, -1)
+    # text code point j - 1 at row j + bound, so rows i .. i + 2·bound hold those of DP row i's cells
+    text = _padded(texts, n, bound + 1, steps + band, -2)  # a pad never matches a code point
+    # cell k of a pair's column is D[i][i + k - bound]; row 0 is D[0][j] = j, and j < 0 lies outside
+    k = np.arange(band)
+    cells = np.repeat(np.where(k >= bound, k - bound, cap)[:, None], len(queries), axis=1)
+    # pairs whose query holds at least i code points: a prefix, as the longest come first
+    alive = np.searchsorted(-m, -np.arange(1, steps + 1), side="right").tolist()
+    for i, live in enumerate(alive, start=1):
+        prev = cells[:, :live]
+        new = prev + (text[i : i + band, :live] != query[i - 1, :live])  # substitution or match
+        np.minimum(new[:-1], prev[1:] + 1, out=new[:-1])  # deletion: the cell above
+        for c in range(1, band):  # insertion: the cell to the left
+            np.minimum(new[c], new[c - 1] + 1, out=new[c])
+        np.minimum(new, cap, out=prev)
+    return cells[n - m + bound, np.arange(len(queries))]
 
 
-def levenshtein_many(queries: Sequence[str], texts: Sequence[str]) -> np.ndarray:
-    """Unit-cost edit distance of every pair ``(queries[i], texts[i])``, as an int64 array.
+def levenshtein_many(queries: Sequence[str], texts: Sequence[str], bound: int) -> np.ndarray:
+    """``min(edit distance, bound + 1)`` of every pair ``(queries[i], texts[i])``, as an int64 array.
 
-    Myers' bit-vector algorithm (G. Myers, JACM 46(3), 1999) in Hyyrö's
-    form for the global distance (H. Hyyrö, Nordic Journal of Computing
-    10(1), 2003): a pair's DP column is two uint64 words of vertical
-    deltas, and one text code point advances the column of every pair of
-    a ``LEVENSHTEIN_CHUNK`` in one numpy step. A query longer than
-    ``WORD_BITS`` code points does not fit a word; its pair goes to
-    :func:`levenshtein`.
+    The unit-cost edit distance over code points, exact up to *bound*:
+    Ukkonen's banded DP (E. Ukkonen, Information and Control 64, 1985).
+    A cell more than *bound* diagonals from the main one holds more than
+    *bound*, so each pair's DP row is its 2·bound + 1 cells around the
+    diagonal, every value capped at ``bound + 1``. One query code point
+    advances the row of every pair of a ``LEVENSHTEIN_CHUNK`` in one
+    numpy step, and a pair stops once its query is used up. A pair whose
+    lengths differ by more than *bound* is ``bound + 1`` without a DP.
     """
     if len(queries) != len(texts):
         raise ValueError(f"{len(queries)} queries for {len(texts)} texts")
-    distances = np.empty(len(queries), dtype=np.int64)
-    lengths = np.fromiter(map(len, queries), dtype=np.int64, count=len(queries))
-    for i in np.flatnonzero(lengths > WORD_BITS).tolist():
-        distances[i] = levenshtein(codepoints(queries[i]), codepoints(texts[i]))
-    word = np.flatnonzero(lengths <= WORD_BITS).tolist()
-    for start in range(0, len(word), LEVENSHTEIN_CHUNK):
-        chunk = word[start : start + LEVENSHTEIN_CHUNK]
-        distances[chunk] = _bit_parallel([queries[i] for i in chunk], [texts[i] for i in chunk])
+    m = np.fromiter(map(len, queries), dtype=np.int64, count=len(queries))
+    n = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    distances = np.full(len(queries), bound + 1, dtype=np.int64)
+    near = np.flatnonzero(np.abs(n - m) <= bound)
+    near = near[np.argsort(-m[near], kind="stable")]
+    for start in range(0, near.size, LEVENSHTEIN_CHUNK):
+        chunk = near[start : start + LEVENSHTEIN_CHUNK]
+        distances[chunk] = _banded([queries[i] for i in chunk], [texts[i] for i in chunk], m[chunk], n[chunk], bound)
     return distances

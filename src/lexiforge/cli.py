@@ -216,7 +216,7 @@ def cmd_report(eval_path, fmt, out_dir):
 @main.command("errors")
 @click.option("--eval", "eval_path", required=True, help="Evaluation output directory.")
 @click.option("--category", "category", required=True, help="Finding category to list.")
-@click.option("--limit", "limit", type=int, default=20, show_default=True)
+@click.option("--limit", "limit", type=click.IntRange(min=0), default=20, show_default=True)
 @_guarded
 def cmd_errors(eval_path, category, limit):
     """List findings of one category with both definitions side by side."""
@@ -231,7 +231,7 @@ def cmd_errors(eval_path, category, limit):
         raise _CliFault(EXIT_INPUT, f"no findings file at {findings_path}")
     findings = [f for f in _parse_file(findings_path, parse_findings) if f.category.value == category]
     click.echo(f"{len(findings)} finding(s) in category {category}")
-    for finding in findings[: max(limit, 0)]:
+    for finding in findings[:limit]:
         click.echo(f"- {finding.lemma} [{finding.pos_label or '-'}]: {finding.evidence}")
         if finding.generated_definition is not None:
             click.echo(f"    generated: {finding.generated_definition}")

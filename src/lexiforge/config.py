@@ -34,6 +34,8 @@ class ProviderSettings:
     def __post_init__(self):
         if self.kind not in ("openai-chat", "stub"):
             raise ConfigError(f"[provider] kind must be 'openai-chat' or 'stub', got {self.kind!r}")
+        if not self.timeout > 0:
+            raise ConfigError(f"[provider] timeout must be > 0, got {self.timeout}")
 
 
 @dataclass
@@ -55,8 +57,12 @@ class EmbeddingSettings:
     include_examples: bool = False
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ConfigError(f"[embedding] dimension must be >= 1, got {self.dimension}")
+        least = dict(dimension=1, remote_batch_size=1, remote_max_retries=0, remote_retry_backoff=0)
+        for name, low in least.items():
+            if not getattr(self, name) >= low:  # NaN is not >= anything, so it fails too
+                raise ConfigError(f"[embedding] {name} must be >= {low}, got {getattr(self, name)}")
+        if not self.remote_timeout > 0:
+            raise ConfigError(f"[embedding] remote_timeout must be > 0, got {self.remote_timeout}")
 
 
 @dataclass

@@ -185,7 +185,7 @@ class RemoteEmbedder:
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.url = url
-        self.batch_size = max(1, batch_size)
+        self.batch_size = batch_size
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.timeout = timeout

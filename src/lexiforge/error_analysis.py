@@ -247,9 +247,9 @@ class NeighborIndex:
     variants with up to ``max_distance`` deletions and streams the gold
     lemmas past it; a gold lemma that shares a variant with a query is a
     candidate of that query. The build confirms every candidate pair at
-    once with ``_kernels.levenshtein_many`` and keeps the neighbours
-    within ``max_distance``, so the result equals a scan of the whole
-    vocabulary and ``neighbors`` only filters.
+    once with ``_kernels.levenshtein_many``, banded at ``max_distance``,
+    and keeps the neighbours within it, so the result equals a scan of
+    the whole vocabulary and ``neighbors`` only looks a query up.
 
     Variants are ``_variant_hashes`` values; no variant string is ever
     built. The queries' hashes are one sorted uint64 array beside an
@@ -269,7 +269,6 @@ class NeighborIndex:
     """
 
     def __init__(self, gold: Dictionary, queries: Iterable[str], max_distance: int = 2):
-        self._max_distance = max_distance
         query_list = sorted(set(queries))
         query_ids = {query: query_id for query_id, query in enumerate(query_list)}
         hashes, ids = [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.int32)]
@@ -312,7 +311,7 @@ class NeighborIndex:
         pair_queries, pair_gold = np.divmod(_sorted_unique(np.concatenate(pairs)), gold_count)
         pair_lemmas = [query_list[query_id] for query_id in pair_queries.tolist()]
         others = [gold_lemmas[gold_id] for gold_id in pair_gold.tolist()]
-        distances = _kernels.levenshtein_many(pair_lemmas, others).tolist()
+        distances = _kernels.levenshtein_many(pair_lemmas, others, max_distance).tolist()
         # each query's different gold lemmas within max_distance, sorted by (distance, lemma)
         self._neighbors: dict[str, list[tuple[str, int]]] = {query: [] for query in query_list}
         for lemma, other, distance in zip(pair_lemmas, others, distances):
@@ -328,22 +327,18 @@ class NeighborIndex:
             if entry.lemma in self._entries_by_lemma:
                 self._entries_by_lemma[entry.lemma].append(entry)
 
-    def neighbors(self, lemma: str, max_distance: int) -> list[tuple[str, int]]:
-        """Different gold lemmas within max_distance of a query, sorted by (distance, lemma).
+    def neighbors(self, lemma: str) -> list[tuple[str, int]]:
+        """Different gold lemmas within the index's max_distance of a query, sorted by (distance, lemma).
 
-        Raises ValueError when max_distance exceeds the distance the index
-        was built for, which would miss neighbours, and when *lemma* was
-        not one of the queries.
+        Raises ValueError when *lemma* was not one of the queries.
         """
-        if max_distance > self._max_distance:
-            raise ValueError(f"index built for edit distance {self._max_distance}, asked for {max_distance}")
         if lemma not in self._neighbors:
             raise ValueError(f"{lemma!r} is not one of the index's queries")
-        return [(other, distance) for other, distance in self._neighbors[lemma] if distance <= max_distance]
+        return list(self._neighbors[lemma])
 
-    def neighbor_entries(self, lemma: str, max_distance: int) -> list[tuple[DictionaryEntry, int]]:
-        """Gold entries of ``neighbors(lemma, max_distance)``, in that order, with their distance."""
-        found = self.neighbors(lemma, max_distance)
+    def neighbor_entries(self, lemma: str) -> list[tuple[DictionaryEntry, int]]:
+        """Gold entries of ``neighbors(lemma)``, in that order, with their distance."""
+        found = self.neighbors(lemma)
         return [(entry, distance) for other, distance in found for entry in self._entries_by_lemma[other]]
 
 
@@ -432,7 +427,7 @@ def classify_errors(
     index = NeighborIndex(gold, [record.lemma for record in candidates], max_distance) if candidates else None
     for start in range(0, len(candidates), CANDIDATE_BLOCK):
         block = candidates[start : start + CANDIDATE_BLOCK]
-        neighbors = [index.neighbor_entries(record.lemma, max_distance) for record in block]
+        neighbors = [index.neighbor_entries(record.lemma) for record in block]
         vectors = VectorTable(
             embedder,
             [generated.get(record.lemma, record.category).senses[0].definition for record in block]

@@ -31,7 +31,6 @@ class _PosTags(dict):
 class LemmaListResult:
     records: tuple[LemmaRecord, ...]
     duplicate_count: int
-    content_line_count: int  # lines that were neither blank nor comments
 
 
 def _numbered_lines(stream: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -132,11 +131,9 @@ def parse_lemma_list(stream: Iterable[str]) -> LemmaListResult:
     tags = _PosTags()
     seen: set[tuple[str, object]] = set()
     duplicates = 0
-    content_lines = 0
     for number, line in _numbered_lines(stream):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        content_lines += 1
         if line.count("\t") > 1:
             raise ParseError("more than one TAB on lemma-list line", line_number=number)
         lemma_part, _, label_part = line.partition("\t")
@@ -155,7 +152,7 @@ def parse_lemma_list(stream: Iterable[str]) -> LemmaListResult:
             continue
         seen.add(key)
         records.append(LemmaRecord(lemma=lemma, pos=pos))
-    return LemmaListResult(tuple(records), duplicates, content_lines)
+    return LemmaListResult(tuple(records), duplicates)
 
 
 _DICTIONARY_RECORD = RecordKind(lemma=STRING, pos=STRING, senses=ARRAY)

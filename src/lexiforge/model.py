@@ -22,11 +22,6 @@ class PosCategory(enum.Enum):
     __hash__ = object.__hash__
 
 
-class Gender(enum.Enum):
-    MASCULINE = "masculine"
-    FEMININE = "feminine"
-
-
 #: Spanish surface labels mapped to categories; matched case-insensitively
 #: on the first word of the label.
 _LABEL_CATEGORIES = {
@@ -61,28 +56,16 @@ class PosTag:
 
     category: PosCategory
     raw_label: str
-    gender: Gender | None = None
-
-    def __post_init__(self):
-        if self.gender is not None and self.category is not PosCategory.NOUN:
-            raise ValueError(f"gender only applies to nouns, not {self.category.value}")
 
     @classmethod
     def from_label(cls, raw_label: str) -> "PosTag":
         """Classify a Spanish POS label ("Nombre masculino", "Verbo", ...).
 
-        Unknown labels map to OTHER. Gender is read from the words
-        "masculino" / "femenino" and only kept for nouns.
+        Unknown labels map to OTHER.
         """
         words = raw_label.strip().casefold().split()
         category = _LABEL_CATEGORIES.get(words[0], PosCategory.OTHER) if words else PosCategory.OTHER
-        gender = None
-        if category is PosCategory.NOUN:
-            if "masculino" in words:
-                gender = Gender.MASCULINE
-            elif "femenino" in words:
-                gender = Gender.FEMININE
-        return cls(category=category, raw_label=raw_label.strip(), gender=gender)
+        return cls(category=category, raw_label=raw_label.strip())
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,9 +124,6 @@ class Dictionary:
 
     def get(self, lemma: str, category: PosCategory) -> DictionaryEntry | None:
         return self._entries.get((lemma, category))
-
-    def keys(self) -> set[tuple[str, PosCategory]]:
-        return set(self._entries)
 
     def entries(self) -> list[DictionaryEntry]:
         """Entries sorted by (lemma, category) for deterministic iteration."""

@@ -297,9 +297,7 @@ def test_criterion_09_round_trip_and_determinism(tmp_path):
     buffer = io.StringIO()
     write_dictionary(dictionary, buffer)
     reparsed = parse_dictionary(io.StringIO(buffer.getvalue()), "generated")
-    assert reparsed.keys() == dictionary.keys()
-    for key in dictionary.keys():
-        assert reparsed.get(*key) == dictionary.get(*key)
+    assert reparsed.entries() == dictionary.entries()
 
     with open(DATA_DIR / "planted_failures.jsonl", encoding="utf-8") as fh:
         failures = parse_failures(fh)

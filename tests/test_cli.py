@@ -609,6 +609,14 @@ class TestErrorsCommand:
         assert result.exit_code == 0
         assert result.output.strip() == "4 finding(s) in category hallucination_candidate"
 
+    def test_negative_limit_exit_2(self, runner, planted_eval):
+        result = runner.invoke(
+            main,
+            ["errors", "--eval", str(planted_eval), "--category", "hallucination_candidate", "--limit", "-1"],
+        )
+        assert result.exit_code == 2
+        assert "--limit" in result.output and "finding(s)" not in result.output
+
     @pytest.mark.parametrize(("name", "value"), [("low_confidence", "false"), ("evidence", None), ("pos", 7)])
     def test_malformed_finding_exit_3(self, runner, planted_eval, name, value):
         path = planted_eval / "findings.jsonl"

@@ -78,9 +78,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, "[generation]\nbatch_size = muchos\n"))
 
-    def test_bad_threshold_is_config_error(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_config(write_config(tmp_path, "[error_analysis]\nhallucination_threshold = 3.0\n"))
+    @pytest.mark.parametrize(
+        "section,option,value",
+        [
+            ("error_analysis", "hallucination_threshold", "3.0"),
+            ("embedding", "remote_batch_size", "0"),
+            ("embedding", "remote_max_retries", "-1"),
+            ("embedding", "remote_retry_backoff", "-1"),
+            ("embedding", "remote_retry_backoff", "nan"),
+            ("embedding", "remote_timeout", "0"),
+            ("provider", "timeout", "0"),
+            ("provider", "timeout", "-5"),
+        ],
+    )
+    def test_bad_threshold_is_config_error(self, tmp_path, section, option, value):
+        with pytest.raises(ConfigError, match=f"\\[{section}\\] {option} must be"):
+            load_config(write_config(tmp_path, f"[{section}]\n{option} = {value}\n"))
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -49,8 +49,8 @@ def fabricated(entry, config=None):
 
 def overcorrection(entry, gold, config=None):
     config = config or ErrorAnalysisConfig()
-    max_distance = config.overcorrection_max_edit_distance
-    neighbors = NeighborIndex(gold, [entry.lemma], max_distance).neighbor_entries(entry.lemma, max_distance)
+    index = NeighborIndex(gold, [entry.lemma], config.overcorrection_max_edit_distance)
+    neighbors = index.neighbor_entries(entry.lemma)
     return detect_overcorrection(entry, neighbors, vector_table(EMBEDDER, [entry] + gold.entries()), config)
 
 
@@ -240,8 +240,12 @@ class TestDetectFabricatedPolysemy:
 
 
 def edit_distance(a, b):
-    """Unit-cost insert/delete/substitute distance over Unicode scalars, from the kernel under test."""
-    return int(_kernels.levenshtein(_kernels.codepoints(a), _kernels.codepoints(b)))
+    """Unit-cost insert/delete/substitute distance over Unicode scalars, from the kernel under test.
+
+    No two strings are further apart than the longer one's length, so
+    that bound leaves the kernel's capped distance exact.
+    """
+    return int(_kernels.levenshtein_many([a], [b], max(len(a), len(b)))[0])
 
 
 class TestEditDistance:
@@ -279,37 +283,37 @@ class TestNeighborIndex:
     def test_excludes_the_lemma_itself(self, planted):
         _, gold = planted
         index = NeighborIndex(gold, ["destace"])
-        assert all(other != "destace" for other, _ in index.neighbors("destace", 2))
+        assert all(other != "destace" for other, _ in index.neighbors("destace"))
 
     def test_finds_close_neighbor(self, planted):
         _, gold = planted
         index = NeighborIndex(gold, ["destace"])
-        assert ("destaque", 2) in index.neighbors("destace", 2)
+        assert ("destaque", 2) in index.neighbors("destace")
 
     def test_respects_distance_bound(self, planted):
         _, gold = planted
         index = NeighborIndex(gold, ["zanfoña"])
-        assert index.neighbors("zanfoña", 2) == []
+        assert index.neighbors("zanfoña") == []
 
-    def test_rejects_distance_beyond_build(self, planted):
+    def test_build_distance_bounds_the_neighbors(self, planted):
         _, gold = planted
-        index = NeighborIndex(gold, ["destace"], max_distance=1)
-        with pytest.raises(ValueError):
-            index.neighbors("destace", 2)
+        # destaque is two edits from destace: within the default bound, beyond 1
+        assert ("destaque", 2) in NeighborIndex(gold, ["destace"], max_distance=2).neighbors("destace")
+        assert all(distance <= 1 for _, distance in NeighborIndex(gold, ["destace"], max_distance=1).neighbors("destace"))
 
     def test_rejects_a_lemma_that_was_not_a_query(self, planted):
         _, gold = planted
         index = NeighborIndex(gold, ["destace"])
         with pytest.raises(ValueError, match="'destaque' is not one of the index's queries"):
-            index.neighbors("destaque", 2)
+            index.neighbors("destaque")
 
     def test_index_without_queries_rejects_every_lemma(self, planted):
         _, gold = planted
         with pytest.raises(ValueError):
-            NeighborIndex(gold, []).neighbors("destace", 2)
+            NeighborIndex(gold, []).neighbors("destace")
 
     def test_query_longer_than_one_word(self):
-        # 70 code points: the bit-parallel kernel hands these pairs to the DP
+        # 70 code points: a query of any length goes through the one banded kernel
         query = "ñandú" * 14
         gold = [query[:-1], query[:-2] + "ab", "x" + query[1:], query[1:] + "xyz", "ñandú"]
         entries = [make_entry(w, "Nombre masculino", f"Definición {i}.") for i, w in enumerate(gold)]
@@ -318,8 +322,8 @@ class TestNeighborIndex:
             ((g, oracle_levenshtein(query, g)) for g in gold if oracle_levenshtein(query, g) <= 2),
             key=lambda pair: (pair[1], pair[0]),
         )
-        assert len(query) > _kernels.WORD_BITS and len(expected) == 3
-        assert NeighborIndex(dictionary, [query]).neighbors(query, 2) == expected
+        assert len(query) > 64 and len(expected) == 3
+        assert NeighborIndex(dictionary, [query]).neighbors(query) == expected
 
 
 class TestSortedUnique:
@@ -338,7 +342,7 @@ class TestSortedUnique:
             "from lexiforge.model import Dictionary, DictionaryEntry, PosTag, Sense\n"
             "gold = Dictionary(name='gold')\n"
             "gold.add(DictionaryEntry('casa', PosTag.from_label('Nombre femenino'), (Sense('Edificio.', None, 1),)))\n"
-            "assert NeighborIndex(gold, ['cosa']).neighbors('cosa', 2) == [('casa', 1)]\n"
+            "assert NeighborIndex(gold, ['cosa']).neighbors('cosa') == [('casa', 1)]\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         source = str(Path(error_analysis.__file__).resolve().parents[1])
@@ -394,27 +398,25 @@ def neighbor_corpus():
     return dictionary, gold, queries, distances
 
 
-def assert_matches_brute_force(corpus, d, built_for):
-    """Every query's neighbours from an index built for *built_for* equal a scan of the whole gold set."""
+def assert_matches_brute_force(corpus, d):
+    """Every query's neighbours from an index built for distance *d* equal a scan of the whole gold set."""
     dictionary, gold, queries, distances = corpus
-    index = NeighborIndex(dictionary, queries, max_distance=built_for)
+    index = NeighborIndex(dictionary, queries, max_distance=d)
     total = 0
     for query in queries:
         expected = sorted(
             ((g, distances[query, g]) for g in gold if g != query and distances[query, g] <= d),
             key=lambda pair: (pair[1], pair[0]),
         )
-        assert index.neighbors(query, d) == expected, query
+        assert index.neighbors(query) == expected, query
         total += len(expected)
     return total
 
 
 class TestNeighborIndexOracle:
-    # built for d itself, or for 3, where smaller d rely on the exact DP to filter
-    @pytest.mark.parametrize("built_for", ["d", "3"])
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
-    def test_matches_brute_force_scan(self, neighbor_corpus, d, built_for):
-        total = assert_matches_brute_force(neighbor_corpus, d, d if built_for == "d" else 3)
+    def test_matches_brute_force_scan(self, neighbor_corpus, d):
+        total = assert_matches_brute_force(neighbor_corpus, d)
         # distance 0 leaves only the query itself; above it the corpus is dense
         assert total == 0 if d == 0 else total > 100
 
@@ -424,20 +426,19 @@ class TestNeighborIndexOracle:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_brute_force_scan_in_small_gold_chunks(self, neighbor_corpus, monkeypatch, d, gold_chunk):
         monkeypatch.setattr(error_analysis, "GOLD_CHUNK", gold_chunk)
-        assert assert_matches_brute_force(neighbor_corpus, d, d) > 100
-        assert_matches_brute_force(neighbor_corpus, d - 1, 3)
+        assert assert_matches_brute_force(neighbor_corpus, d) > 100
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_each_query_indexed_on_its_own(self, neighbor_corpus, d):
         # only the gold lengths within d of the one query are hashed
         dictionary, gold, queries, distances = neighbor_corpus
-        total = sum(assert_matches_brute_force((dictionary, gold, [query], distances), d, d) for query in queries)
+        total = sum(assert_matches_brute_force((dictionary, gold, [query], distances), d) for query in queries)
         assert total > 100
 
     def test_queries_outside_every_gold_length_have_no_neighbors(self, neighbor_corpus):
         dictionary, gold, _, _ = neighbor_corpus
         far = "a" * (max(len(g) for g in gold) + 3)
-        assert NeighborIndex(dictionary, [far], max_distance=2).neighbors(far, 2) == []
+        assert NeighborIndex(dictionary, [far], max_distance=2).neighbors(far) == []
 
     def test_corpus_covers_the_edge_cases(self, neighbor_corpus):
         _, gold, queries, _ = neighbor_corpus
@@ -448,16 +449,16 @@ class TestNeighborIndexOracle:
 
 class TestVariantHashCollisions:
     # with one hash for every variant, every gold lemma of a reachable length
-    # is a candidate and the exact DP alone decides
+    # is a candidate and the bounded edit distance alone decides
     def test_every_hash_colliding_still_matches_brute_force(self, neighbor_corpus, monkeypatch):
         monkeypatch.setattr(error_analysis, "_variant_hashes", _one_hash)
-        assert_matches_brute_force(neighbor_corpus, 2, 2)
+        assert_matches_brute_force(neighbor_corpus, 2)
 
     @pytest.mark.parametrize("gold_chunk", [1, 3])
     def test_every_hash_colliding_in_small_gold_chunks(self, neighbor_corpus, monkeypatch, gold_chunk):
         monkeypatch.setattr(error_analysis, "_variant_hashes", _one_hash)
         monkeypatch.setattr(error_analysis, "GOLD_CHUNK", gold_chunk)
-        assert_matches_brute_force(neighbor_corpus, 2, 2)
+        assert_matches_brute_force(neighbor_corpus, 2)
 
 
 def _one_hash(codepoints, _):

@@ -8,65 +8,78 @@ from lexiforge import _kernels
 from _oracles import oracle_levenshtein, oracle_trigram_counts
 
 WORDS = st.text(alphabet="abcdeñáéíóú 中🌲", min_size=0, max_size=14)
+# at a position, insert a string and delete up to one code point: one
+# substitution, insertion or deletion, or none
+EDITS = st.tuples(st.integers(0, 90), st.sampled_from(["", "a", "ñ", "🌲"]), st.integers(0, 1))
 
 
-class TestLevenshtein:
-    @settings(max_examples=80)
-    @given(WORDS, WORDS)
-    def test_matches_reference_dp(self, a, b):
-        got = _kernels.levenshtein(_kernels.codepoints(a), _kernels.codepoints(b))
-        assert got == oracle_levenshtein(a, b)
+def _edit(word, position, inserted, deleted):
+    position %= len(word) + 1
+    return word[:position] + inserted + word[position + deleted :]
 
-    def test_empty_sides(self):
-        assert _kernels.levenshtein(_kernels.codepoints(""), _kernels.codepoints("abc")) == 3
-        assert _kernels.levenshtein(_kernels.codepoints("ab"), _kernels.codepoints("")) == 2
+
+@st.composite
+def pairs(draw):
+    """Unrelated pairs, pairs up to three edits apart, and queries longer than 64 code points."""
+    if draw(st.booleans()):
+        return draw(WORDS), draw(WORDS)
+    word = draw(st.one_of(WORDS, st.text(alphabet="abñ🌲", min_size=60, max_size=90)))
+    other = word
+    for _ in range(draw(st.integers(1, 3))):
+        other = _edit(other, *draw(EDITS))
+    return word, other
 
 
 class TestLevenshteinMany:
-    @settings(max_examples=80)
-    @given(st.lists(st.tuples(WORDS, WORDS), max_size=12))
-    def test_matches_reference_dp(self, pairs):
-        queries, texts = [a for a, _ in pairs], [b for _, b in pairs]
-        got = _kernels.levenshtein_many(queries, texts)
+    @settings(max_examples=150)
+    @given(st.lists(pairs(), max_size=12), st.integers(0, 3))
+    def test_is_the_reference_dp_capped_at_bound_plus_one(self, drawn, bound):
+        queries, texts = [a for a, _ in drawn], [b for _, b in drawn]
+        got = _kernels.levenshtein_many(queries, texts, bound)
         assert got.dtype == np.int64
-        assert got.tolist() == [oracle_levenshtein(a, b) for a, b in pairs]
+        assert got.tolist() == [min(oracle_levenshtein(a, b), bound + 1) for a, b in drawn]
 
     def test_empty_sides(self):
-        got = _kernels.levenshtein_many(["", "ab", "", "中🌲"], ["abc", "", "", "中🌲"])
-        assert got.tolist() == [3, 2, 0, 0]
+        queries, texts = ["", "ab", "", "中🌲", "", "abcd"], ["abc", "", "", "中🌲", "abcd", ""]
+        # within the bound the distance is the other side's length; beyond it, bound + 1
+        assert _kernels.levenshtein_many(queries, texts, 3).tolist() == [3, 2, 0, 0, 4, 4]
 
     def test_no_pairs(self):
-        assert _kernels.levenshtein_many([], []).tolist() == []
+        assert _kernels.levenshtein_many([], [], 2).tolist() == []
 
     def test_pairs_must_match_up(self):
         with pytest.raises(ValueError):
-            _kernels.levenshtein_many(["a"], [])
+            _kernels.levenshtein_many(["a"], [], 2)
 
     @pytest.mark.parametrize("length", [63, 64, 65])
-    def test_queries_at_the_word_size(self, monkeypatch, length):
-        dp_calls = []
-        dp = _kernels.levenshtein
-
-        def counted(a, b):
-            dp_calls.append((a, b))
-            return dp(a, b)
-
-        monkeypatch.setattr(_kernels, "levenshtein", counted)
+    def test_queries_at_the_word_size(self, length):
+        # one uint64 word of code points: queries on both sides of it take the same banded path
         query = "".join("abcñ🌲"[i % 5] for i in range(length))
         texts = [query, query[1:], "x" + query, query[:-2] + "zz", "", query[::-1], query[: length // 2]]
-        got = _kernels.levenshtein_many([query] * len(texts), texts)
-        assert got.tolist() == [oracle_levenshtein(query, text) for text in texts]
-        # only a query longer than one uint64 word goes to the DP
-        assert len(dp_calls) == (len(texts) if length > _kernels.WORD_BITS else 0)
+        got = _kernels.levenshtein_many([query] * len(texts), texts, 2)
+        assert got.tolist() == [min(oracle_levenshtein(query, text), 3) for text in texts]
+
+    def test_length_gap_beyond_the_bound_skips_the_dp(self, monkeypatch):
+        banded_pairs = []
+        banded = _kernels._banded
+
+        def counted(queries, texts, m, n, bound):
+            banded_pairs.extend(zip(queries, texts))
+            return banded(queries, texts, m, n, bound)
+
+        monkeypatch.setattr(_kernels, "_banded", counted)
+        queries, texts = ["casa", "casa", "a", "ñandú"], ["casas", "casasxyz", "abcd", "ñandu"]
+        assert _kernels.levenshtein_many(queries, texts, 2).tolist() == [1, 3, 3, 1]
+        assert banded_pairs == [("ñandú", "ñandu"), ("casa", "casas")]
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_small_chunks_and_mixed_query_lengths(self, monkeypatch, chunk):
         monkeypatch.setattr(_kernels, "LEVENSHTEIN_CHUNK", chunk)
         long = "ab" * 40
-        queries = ["casa", long, "", "cosa", long[:-1] + "c", "ñandú", "a"]
-        texts = ["cosa", long[1:], "xyz", "", long, "nandu", "b" * 70]
-        got = _kernels.levenshtein_many(queries, texts)
-        assert got.tolist() == [oracle_levenshtein(a, b) for a, b in zip(queries, texts)]
+        queries = ["casa", long, "", "cosa", long[:-1] + "c", "ñandú", "a", "ab", long]
+        texts = ["cosa", long[1:], "xyz", "", long, "nandu", "b" * 70, "ba", long[::-1]]
+        got = _kernels.levenshtein_many(queries, texts, 2)
+        assert got.tolist() == [min(oracle_levenshtein(a, b), 3) for a, b in zip(queries, texts)]
 
 
 class TestCodepoints:

@@ -10,7 +10,6 @@ from lexiforge.alignment import AlignmentRecord
 from lexiforge.exceptions import DuplicateKeyError, EmptyLemmaError
 from lexiforge.model import (
     DictionaryEntry,
-    Gender,
     PosCategory,
     PosTag,
     Sense,
@@ -63,32 +62,23 @@ class TestNormalizeLemma:
 
 class TestPosTag:
     @pytest.mark.parametrize(
-        "label,category,gender",
+        "label,category",
         [
-            ("Nombre masculino", PosCategory.NOUN, Gender.MASCULINE),
-            ("Nombre femenino", PosCategory.NOUN, Gender.FEMININE),
-            ("nombre FEMENINO", PosCategory.NOUN, Gender.FEMININE),
-            ("Nombre", PosCategory.NOUN, None),
-            ("Verbo", PosCategory.VERB, None),
-            ("Adjetivo", PosCategory.ADJECTIVE, None),
-            ("Adverbio", PosCategory.ADVERB, None),
-            ("Locución adverbial", PosCategory.OTHER, None),
+            ("Nombre masculino", PosCategory.NOUN),
+            ("Nombre femenino", PosCategory.NOUN),
+            ("nombre FEMENINO", PosCategory.NOUN),
+            ("Nombre masculina", PosCategory.NOUN),
+            ("Nombre", PosCategory.NOUN),
+            ("Verbo", PosCategory.VERB),
+            ("Adjetivo", PosCategory.ADJECTIVE),
+            ("Adverbio", PosCategory.ADVERB),
+            ("Locución adverbial", PosCategory.OTHER),
         ],
     )
-    def test_label_classification(self, label, category, gender):
+    def test_label_classification(self, label, category):
         tag = PosTag.from_label(label)
         assert tag.category is category
-        assert tag.gender is gender
         assert tag.raw_label == label.strip()
-
-    def test_gender_only_on_nouns(self):
-        with pytest.raises(ValueError):
-            PosTag(category=PosCategory.VERB, raw_label="Verbo", gender=Gender.MASCULINE)
-
-    def test_misspelled_gender_word_is_ignored(self):
-        tag = PosTag.from_label("Nombre masculina")
-        assert tag.category is PosCategory.NOUN
-        assert tag.gender is None
 
 
 class TestSlottedValueTypes:
