@@ -172,7 +172,7 @@ def cmd_evaluate(generated_path, gold_path, embedder_choice, config_path, out_di
         with atomic_text(out / "alignments.jsonl") as fh:
             write_alignments(result.records, fh)
         with atomic_text(out / "findings.jsonl") as fh:
-            write_findings(result.errors.findings, fh)
+            write_findings(result.findings, fh)
         with atomic_text(out / "polysemy_pairs.jsonl") as fh:
             write_records(result.polysemy_pairs, fh)
         click.echo(

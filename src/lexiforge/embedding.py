@@ -301,7 +301,8 @@ class CachingEmbedder:
     may hold several embedders' records; only the wrapped embedder's are
     loaded, and when a key repeats the last record wins.
 
-    Corrupt records are skipped with a warning and recomputed; the file is
+    Corrupt records, among them an all-zero vector, are skipped with a
+    warning and recomputed; the file is
     safe to append to across runs, also after a crash cut its last line.
     ``close`` closes the cache file and the inner embedder, when it has a
     ``close`` of its own.
@@ -332,8 +333,9 @@ class CachingEmbedder:
                         continue
                     key = str(obj["key"])
                     vector = np.asarray(obj["vector"], dtype=np.float64)
-                    if vector.ndim != 1 or not np.isfinite(vector).all():
-                        raise ValueError("vector must be one-dimensional and finite")
+                    # no embedder returns an all-zero row, and cosine is undefined for one
+                    if vector.ndim != 1 or not np.isfinite(vector).all() or not vector.any():
+                        raise ValueError("vector must be one-dimensional, finite and not all zero")
                 except (ValueError, KeyError, TypeError):  # UnicodeDecodeError is a ValueError
                     logger.warning("skipping corrupt cache record at %s:%d", self.path, number)
                     continue

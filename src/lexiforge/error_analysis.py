@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -20,7 +20,6 @@ from . import _kernels
 from .alignment import AlignmentRecord
 from .embedding import VectorTable, normalize_text
 from .exceptions import ParseError
-from .generation import FailureReason, GenerationFailure
 from .ingestion import BOOLEAN, STRING, STRING_OR_NULL, RecordKind, read_records, write_records
 from .model import Dictionary, DictionaryEntry
 
@@ -71,21 +70,10 @@ def _cosine_text(score: float) -> str:
 
 def hallucination_candidates(
     records: Iterable[AlignmentRecord], config: ErrorAnalysisConfig | None = None
-) -> list[ErrorFinding]:
-    """Records whose best score falls strictly below the threshold."""
+) -> list[AlignmentRecord]:
+    """The records whose best score falls strictly below the threshold, in their order."""
     config = config or ErrorAnalysisConfig()
-    findings = []
-    for record in records:
-        if record.best_score < config.hallucination_threshold:
-            findings.append(
-                ErrorFinding(
-                    lemma=record.lemma,
-                    category=ErrorCategory.HALLUCINATION_CANDIDATE,
-                    evidence=f"best cosine {_cosine_text(record.best_score)} < {config.hallucination_threshold}",
-                    pos_label=record.category.value,
-                )
-            )
-    return findings
+    return [record for record in records if record.best_score < config.hallucination_threshold]
 
 
 class _CaseFold(dict):
@@ -131,13 +119,13 @@ def detect_proper_noun_definition(entry: DictionaryEntry) -> bool:
 
 def detect_fabricated_polysemy(
     entry: DictionaryEntry, vectors: VectorTable, config: ErrorAnalysisConfig | None = None
-) -> tuple[bool, str] | None:
-    """Flag sense pairs that are the same meaning restated.
+) -> str | None:
+    """The evidence that two of the entry's senses are the same meaning restated, or None.
 
-    Returns None for monosemous entries (not applicable, distinct from a
-    negative result), else (flag, evidence). A pair trips the detector
-    when the normalized definitions are identical or their cosine reaches
-    the configured similarity. ``vectors`` must hold every definition.
+    A pair trips the detector when the normalized definitions are
+    identical or their cosine reaches the configured similarity; the
+    first such pair is the evidence. A monosemous entry has no pair and
+    gives None. ``vectors`` must hold every definition.
     """
     if len(entry.senses) < 2:
         return None
@@ -148,12 +136,12 @@ def detect_fabricated_polysemy(
     for i in range(len(entry.senses)):
         for j in range(i + 1, len(entry.senses)):
             if normalized[i] == normalized[j]:
-                return True, f"senses {i + 1} and {j + 1} are exact duplicates"
+                return f"senses {i + 1} and {j + 1} are exact duplicates"
             score = scores[i][j]
             if score >= config.fabricated_polysemy_similarity:
                 similarity = config.fabricated_polysemy_similarity
-                return True, f"senses {i + 1} and {j + 1} cosine {_cosine_text(score)} >= {similarity}"
-    return False, ""
+                return f"senses {i + 1} and {j + 1} cosine {_cosine_text(score)} >= {similarity}"
+    return None
 
 
 def findings_of_entry(
@@ -163,11 +151,11 @@ def findings_of_entry(
 
     ``vectors`` must hold the entry's definitions when it has more than one sense.
     """
-    fabricated = detect_fabricated_polysemy(entry, vectors, config) or (False, "")
+    fabricated = detect_fabricated_polysemy(entry, vectors, config)
     found = (
         (ErrorCategory.CIRCULARITY, detect_circularity(entry), "lemma occurs whole-word inside its own definition"),
         (ErrorCategory.PROPER_NOUN_AS_COMMON, detect_proper_noun_definition(entry), PROPER_NOUN_EVIDENCE),
-        (ErrorCategory.FABRICATED_POLYSEMY, *fabricated),
+        (ErrorCategory.FABRICATED_POLYSEMY, fabricated is not None, fabricated),
     )
     return [
         ErrorFinding(
@@ -387,29 +375,22 @@ def detect_overcorrection(
 CANDIDATE_BLOCK = 64
 
 
-@dataclass
-class ErrorReport:
-    findings: list[ErrorFinding] = field(default_factory=list)
-    summary: dict[str, int] = field(default_factory=dict)
-
-
 def classify_errors(
     generated: Dictionary,
     gold: Dictionary,
     records: Sequence[AlignmentRecord],
     embedder,
-    entry_findings: Iterable[ErrorFinding],
     config: ErrorAnalysisConfig | None = None,
-    failures: Sequence[GenerationFailure] | None = None,
-) -> ErrorReport:
-    """Run every detector; one entry may carry several findings.
+) -> list[ErrorFinding]:
+    """The hallucination and over-correction findings of the alignment records.
 
-    ``entry_findings`` are :func:`findings_of_entry` of every generated
-    entry, in ``generated.entries()`` order; they follow the hallucination
-    and over-correction findings. The over-correction search
-    takes the candidates ``CANDIDATE_BLOCK`` at a time and embeds a block's
-    definitions and those of its gold neighbors in one batch, so memory
-    holds one block's vectors however many candidates there are.
+    Each of :func:`hallucination_candidates` gets its hallucination
+    finding, in the records' order, followed by its over-correction
+    finding when :func:`detect_overcorrection` finds one. The
+    over-correction search takes the candidates ``CANDIDATE_BLOCK`` at a
+    time and embeds a block's definitions and those of its gold neighbors
+    in one batch, so memory holds one block's vectors however many
+    candidates there are.
 
     Hallucination candidates whose best-matching gold definition has at
     most two words are marked low-confidence: terse synonym-style gold
@@ -418,11 +399,8 @@ def classify_errors(
     as hallucination candidates.
     """
     config = config or ErrorAnalysisConfig()
-    report = ErrorReport(summary={category.value: 0 for category in ErrorCategory})
-    records_by_key = {(r.lemma, r.category.value): r for r in records}
-
-    flagged = hallucination_candidates(records, config)
-    candidates = [records_by_key[(f.lemma, f.pos_label)] for f in flagged]
+    findings: list[ErrorFinding] = []
+    candidates = hallucination_candidates(records, config)
     max_distance = config.overcorrection_max_edit_distance
     index = NeighborIndex(gold, [record.lemma for record in candidates], max_distance) if candidates else None
     for start in range(0, len(candidates), CANDIDATE_BLOCK):
@@ -433,17 +411,16 @@ def classify_errors(
             [generated.get(record.lemma, record.category).senses[0].definition for record in block]
             + [s.definition for found in neighbors for gold_entry, _ in found for s in gold_entry.senses],
         )
-        for finding, record, found in zip(flagged[start : start + CANDIDATE_BLOCK], block, neighbors):
+        for record, found in zip(block, neighbors):
             gen_entry = generated.get(record.lemma, record.category)
-            gold_entry = gold.get(record.lemma, record.category)
-            gold_best = gold_entry.senses[record.best_gold_index - 1].definition
+            gold_best = gold.get(record.lemma, record.category).senses[record.best_gold_index - 1].definition
             low_confidence = len(gold_best.split()) <= 2
-            evidence = finding.evidence + ("; short gold definition, low confidence" if low_confidence else "")
-            report.findings.append(
+            evidence = f"best cosine {_cosine_text(record.best_score)} < {config.hallucination_threshold}"
+            findings.append(
                 ErrorFinding(
-                    lemma=finding.lemma,
+                    lemma=record.lemma,
                     category=ErrorCategory.HALLUCINATION_CANDIDATE,
-                    evidence=evidence,
+                    evidence=evidence + ("; short gold definition, low confidence" if low_confidence else ""),
                     pos_label=gen_entry.pos.raw_label,
                     generated_definition=gen_entry.senses[0].definition,
                     gold_definition=gold_best,
@@ -452,25 +429,9 @@ def classify_errors(
             )
             overcorrection = detect_overcorrection(gen_entry, found, vectors, config)
             if overcorrection is not None:
-                report.findings.append(overcorrection)
+                findings.append(overcorrection)
         del vectors  # before the next block's table is filled, so at most one is alive
-
-    report.findings += entry_findings
-
-    for failure in failures or ():
-        if failure.reason is FailureReason.REFUSAL:
-            report.findings.append(
-                ErrorFinding(
-                    lemma=failure.lemma,
-                    category=ErrorCategory.REFUSAL,
-                    evidence=failure.detail,
-                    pos_label=failure.pos.raw_label if failure.pos else None,
-                )
-            )
-
-    for finding in report.findings:
-        report.summary[finding.category.value] += 1
-    return report
+    return findings
 
 
 def write_findings(findings: Iterable[ErrorFinding], stream: IO[str]) -> int:

@@ -80,14 +80,12 @@ class GenerationConfig:
     max_output_tokens: int = 2048
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_concurrent_batches < 1:
-            raise ConfigError(f"max_concurrent_batches must be >= 1, got {self.max_concurrent_batches}")
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff < 0:
-            raise ConfigError(f"retry_backoff must be >= 0, got {self.retry_backoff}")
+        least = dict(
+            batch_size=1, max_concurrent_batches=1, max_retries=0, retry_backoff=0, temperature=0, max_output_tokens=1
+        )
+        for name, low in least.items():
+            if not getattr(self, name) >= low:  # NaN is not >= anything, so it fails too
+                raise ConfigError(f"[generation] {name} must be >= {low}, got {getattr(self, name)}")
         if self.prompt_template.count("{{BATCH}}") != 1:
             raise ConfigError("prompt_template must contain the {{BATCH}} placeholder exactly once")
 

@@ -19,16 +19,9 @@ from typing import Iterator, Sequence
 
 from .alignment import AlignmentRecord, align_dictionaries, all_pairs_scores, rank_histogram, sense_text
 from .embedding import VectorTable
-from .error_analysis import (
-    ErrorAnalysisConfig,
-    ErrorCategory,
-    ErrorFinding,
-    ErrorReport,
-    classify_errors,
-    findings_of_entry,
-)
+from .error_analysis import ErrorAnalysisConfig, ErrorCategory, ErrorFinding, classify_errors, findings_of_entry
 from .exceptions import ParseError
-from .generation import GenerationFailure
+from .generation import FailureReason, GenerationFailure
 from .metrics import (
     GROUP_ORDER,
     ClassMetrics,
@@ -162,9 +155,16 @@ def load_report(path: str | Path) -> EvaluationReport:
 
 @dataclass
 class EvaluationResult:
+    """The report and the records of the JSONL files that ``evaluate`` writes.
+
+    ``records``, ``findings`` and ``polysemy_pairs`` are the lines of
+    ``alignments.jsonl``, ``findings.jsonl`` and ``polysemy_pairs.jsonl``,
+    in file order; ``report.error_summary`` counts ``findings`` by category.
+    """
+
     report: EvaluationReport
     records: list[AlignmentRecord]
-    errors: ErrorReport
+    findings: list[ErrorFinding]
     polysemy_pairs: list[dict]
 
 
@@ -197,8 +197,15 @@ def evaluate_dictionaries(
     their own texts, dropped before the next block is embedded, so memory
     is bounded by one block instead of growing with the dictionary. The
     embedder sees one ``embed_batch`` call per block and one more in
-    ``classify_errors`` when there are hallucination candidates; a text
-    that two blocks share is embedded once in each.
+    ``classify_errors`` per ``CANDIDATE_BLOCK`` hallucination candidates;
+    a text that two blocks share is embedded once in each.
+
+    The findings come in three runs: :func:`classify_errors` (each
+    hallucination candidate in join order, each followed by its
+    over-correction finding if it has one), then
+    :func:`findings_of_entry` of each generated entry in ``entries()``
+    order, then one refusal finding per refusal in the failure log, in its
+    order. ``error_summary`` counts that list by category.
     """
     error_config = error_config or ErrorAnalysisConfig()
     join = vocabulary_join(generated, gold)
@@ -231,7 +238,20 @@ def evaluate_dictionaries(
         del vectors  # before the next block's table is filled, so at most one is alive
     confusion = polysemy_confusion(join)
     gen_mono = [r for r in records if r.gen_sense_count == 1]
-    errors = classify_errors(generated, gold, records, embedder, entry_findings, error_config, failures)
+    findings = classify_errors(generated, gold, records, embedder, error_config) + entry_findings
+    findings += [
+        ErrorFinding(
+            lemma=failure.lemma,
+            category=ErrorCategory.REFUSAL,
+            evidence=failure.detail,
+            pos_label=failure.pos.raw_label if failure.pos else None,
+        )
+        for failure in failures or ()
+        if failure.reason is FailureReason.REFUSAL
+    ]
+    summary = {category.value: 0 for category in ErrorCategory}
+    for finding in findings:
+        summary[finding.category.value] += 1
 
     report = EvaluationReport(
         join_size=len(join),
@@ -245,12 +265,12 @@ def evaluate_dictionaries(
         length_generated=length_stats(generated),
         length_gold=length_stats(gold),
         rank_histogram=rank_histogram(gen_mono),
-        error_summary=errors.summary,
-        circularity_rate=errors.summary[ErrorCategory.CIRCULARITY.value] / len(generated) if len(generated) else 0.0,
+        error_summary=summary,
+        circularity_rate=summary[ErrorCategory.CIRCULARITY.value] / len(generated) if len(generated) else 0.0,
         config_snapshot=config_snapshot or {},
         provenance=provenance or {},
     )
-    return EvaluationResult(report=report, records=records, errors=errors, polysemy_pairs=polysemy_pairs)
+    return EvaluationResult(report=report, records=records, findings=findings, polysemy_pairs=polysemy_pairs)
 
 
 # --- table rendering ---------------------------------------------------

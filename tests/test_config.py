@@ -89,6 +89,10 @@ class TestLoadConfig:
             ("embedding", "remote_timeout", "0"),
             ("provider", "timeout", "0"),
             ("provider", "timeout", "-5"),
+            ("generation", "max_output_tokens", "0"),
+            ("generation", "temperature", "-1"),
+            ("generation", "temperature", "nan"),
+            ("generation", "retry_backoff", "nan"),
         ],
     )
     def test_bad_threshold_is_config_error(self, tmp_path, section, option, value):

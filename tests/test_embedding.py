@@ -323,8 +323,14 @@ class TestEmbeddingCache:
 
     def test_corrupt_record_skipped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
-        for corrupt in (b"not json at all", b'{"embedder": "table", "key": "n", "vector": [NaN, 1.0]}', b"\xff\xfe"):
-            path.write_bytes(_record("uno", [1.0, 2.0]) + corrupt + b"\n")
+        corrupts = (
+            b"not json at all\n",
+            b'{"embedder": "table", "key": "n", "vector": [NaN, 1.0]}\n',
+            b"\xff\xfe\n",
+            _record("uno", [0.0, 0.0]),
+        )
+        for corrupt in corrupts:
+            path.write_bytes(_record("uno", [1.0, 2.0]) + corrupt)
             caplog.clear()
             table = _TableEmbedder({})
             with caplog.at_level(logging.WARNING), closing(CachingEmbedder(table, path)) as cached:

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from lexiforge.error_analysis import (
     ErrorAnalysisConfig,
     ErrorCategory,
     NeighborIndex,
+    classify_errors,
     detect_circularity,
     detect_fabricated_polysemy,
     detect_overcorrection,
@@ -40,7 +42,9 @@ EMBEDDER = DeterministicEmbedder(dimension=512)
 
 
 def classify(generated, gold, failures=None):
-    return evaluate_dictionaries(generated, gold, EMBEDDER, failures=failures).errors
+    """The findings of evaluating *generated* against *gold*, and their count per category."""
+    result = evaluate_dictionaries(generated, gold, EMBEDDER, failures=failures)
+    return SimpleNamespace(findings=result.findings, summary=result.report.error_summary)
 
 
 def fabricated(entry, config=None):
@@ -70,15 +74,24 @@ def record(lemma, best_score, category=PosCategory.NOUN, gold_count=1):
 
 class TestHallucinationCandidates:
     def test_below_threshold_flagged(self):
-        findings = hallucination_candidates([record("bajo", 0.05)])
-        assert len(findings) == 1
-        assert findings[0].category is ErrorCategory.HALLUCINATION_CANDIDATE
-        assert "0.0500" in findings[0].evidence
+        below, above = record("bajo", 0.05), record("alto", 0.5)
+        assert hallucination_candidates([below, above]) == [below]
 
-    @pytest.mark.parametrize("score", [-1e-17, 1e-17])
-    def test_score_rounding_to_zero_prints_unsigned(self, score):
-        findings = hallucination_candidates([record("bajo", score)])
-        assert [f.evidence for f in findings] == ["best cosine 0.0000 < 0.1"]
+    @pytest.mark.parametrize("score,printed", [(-1e-17, "0.0000"), (1e-17, "0.0000"), (0.05, "0.0500")])
+    @pytest.mark.parametrize(
+        "gold_definition,suffix",
+        [("Parte inferior de una cosa.", ""), ("Cardar.", "; short gold definition, low confidence")],
+    )
+    def test_finding_evidence(self, score, printed, gold_definition, suffix):
+        # a score that rounds to zero prints unsigned; a gold definition of
+        # at most two words marks the finding low-confidence
+        generated = make_dictionary("generated", make_entry("bajo", "Nombre masculino", "Sonido grave."))
+        gold = make_dictionary("gold", make_entry("bajo", "Nombre masculino", gold_definition))
+        findings = classify_errors(generated, gold, [record("bajo", score)], EMBEDDER)
+        assert [f.evidence for f in findings] == [f"best cosine {printed} < 0.1" + suffix]
+        assert findings[0].category is ErrorCategory.HALLUCINATION_CANDIDATE
+        assert findings[0].low_confidence is bool(suffix)
+        assert (findings[0].pos_label, findings[0].gold_definition) == ("Nombre masculino", gold_definition)
 
     def test_boundary_score_unflagged(self):
         assert hallucination_candidates([record("justo", 0.1)]) == []
@@ -215,13 +228,11 @@ class TestDetectProperNoun:
 class TestDetectFabricatedPolysemy:
     def test_exact_duplicate(self):
         entry = make_entry("asaltador", "Adjetivo", "Que asalta.", "Que asalta.")
-        flagged, evidence = fabricated(entry)
-        assert flagged and "exact duplicates" in evidence
+        assert fabricated(entry) == "senses 1 and 2 are exact duplicates"
 
     def test_duplicate_up_to_normalization(self):
         entry = make_entry("asaltador", "Adjetivo", "Que  asalta.", "QUE ASALTA.")
-        flagged, _ = fabricated(entry)
-        assert flagged
+        assert fabricated(entry) == "senses 1 and 2 are exact duplicates"
 
     def test_monosemous_not_applicable(self):
         entry = make_entry("sal", "Nombre femenino", "Cloruro de sodio.")
@@ -229,14 +240,12 @@ class TestDetectFabricatedPolysemy:
 
     def test_distinct_senses_pass(self):
         entry = make_entry("baboseo", "Nombre masculino", "Acción de babosear.", "Exceso de baba o saliva.")
-        flagged, evidence = fabricated(entry)
-        assert not flagged and evidence == ""
+        assert fabricated(entry) is None
 
     def test_near_duplicate_over_similarity(self):
         entry = make_entry("doble", "Adjetivo", "Que asalta con violencia.", "Que asalta sin violencia.")
         config = ErrorAnalysisConfig(fabricated_polysemy_similarity=0.5)
-        flagged, evidence = fabricated(entry, config)
-        assert flagged and "cosine" in evidence
+        assert re.fullmatch(r"senses 1 and 2 cosine 0\.\d{4} >= 0\.5", fabricated(entry, config))
 
 
 def edit_distance(a, b):
@@ -504,6 +513,25 @@ class TestClassifyErrors:
             "refusal": 1,
         }
         assert report.summary["hallucination_candidate"] >= 4
+
+    def test_planted_findings_order(self, planted):
+        # each candidate in join order with its over-correction, then each
+        # entry's circularity, proper-noun and polysemy findings in
+        # entries() order, then the refusals in failure-log order
+        generated, gold = planted
+        with open(DATA_DIR / "planted_failures.jsonl", encoding="utf-8") as fh:
+            failures = parse_failures(fh)
+        assert [(f.category.value, f.lemma) for f in classify(generated, gold, failures).findings] == [
+            ("hallucination_candidate", "convicio"),
+            ("hallucination_candidate", "destace"),
+            ("overcorrection", "destace"),
+            ("hallucination_candidate", "simón"),
+            ("hallucination_candidate", "zanfoña"),
+            ("fabricated_polysemy", "asaltante"),
+            ("circularity", "gato"),
+            ("proper_noun_as_common", "simón"),
+            ("refusal", "jaharrar"),
+        ]
 
     def test_planted_categories_point_at_planted_lemmas(self, planted):
         generated, gold = planted

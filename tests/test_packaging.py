@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -34,3 +35,42 @@ def imported_third_party() -> set[str]:
 
 def test_declared_dependencies_are_the_imported_ones():
     assert declared_dependencies() == imported_third_party()
+
+
+#: Trace targets that name nothing in lexiforge today. The benchmark's next
+#: change drops them from ``perfbench/tracer.py`` (ROADMAP, direction 1), so
+#: this list only shrinks.
+ABSENT_TRACE_TARGETS = {
+    ("lexiforge.metrics", "circularity_rate"),
+    ("lexiforge._kernels", "levenshtein"),
+}
+
+
+def trace_targets() -> set[tuple[str, str]]:
+    """The (module, attribute path) pairs of ``TARGETS`` and ``PROXY_TARGETS`` in perfbench's tracer."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    assigned = {
+        node.targets[0].id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    return {
+        (target.elts[0].value, target.elts[1].value)
+        for name in ("TARGETS", "PROXY_TARGETS")
+        for target in assigned[name].elts
+    }
+
+
+def resolves(module_name: str, path: str) -> bool:
+    owner = importlib.import_module(module_name)
+    for part in path.split("."):
+        owner = getattr(owner, part, None)
+    return owner is not None
+
+
+def test_every_trace_target_resolves():
+    # a renamed or deleted function would otherwise drop its per-layer
+    # number from the benchmark without any test failing
+    targets = trace_targets()
+    assert ABSENT_TRACE_TARGETS <= targets, "an absent target left the tracer: drop it from the list"
+    assert {target for target in targets if not resolves(*target)} == ABSENT_TRACE_TARGETS

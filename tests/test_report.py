@@ -102,7 +102,7 @@ class TestEmbeddingPasses:
         planted = generated.get("destace", PosCategory.NOUN)
         embedder = CountingEmbedder(outliers=[planted.senses[0].definition])
         result = evaluate_dictionaries(generated, gold, embedder)
-        candidates = {f.lemma for f in result.errors.findings if f.category is ErrorCategory.HALLUCINATION_CANDIDATE}
+        candidates = {f.lemma for f in result.findings if f.category is ErrorCategory.HALLUCINATION_CANDIDATE}
         assert "destace" in candidates
         assert result.report.error_summary["overcorrection"] >= 1
         assert embedder.single_calls == 0
@@ -124,7 +124,7 @@ class RecordingEmbedder(DeterministicEmbedder):
 
 
 def outputs(result):
-    return result.report.to_dict(), result.records, result.polysemy_pairs, result.errors.findings
+    return result.report.to_dict(), result.records, result.polysemy_pairs, result.findings
 
 
 class TestKeyBlocks:
