@@ -164,6 +164,8 @@ def load_config(path: str | Path) -> AppConfig:
         template = DEFAULT_PROMPT_TEMPLATE if prompt.template is None else prompt.template.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read prompt template {prompt.template}: {exc}") from exc
+    if prompt.template is not None and template.count("{{BATCH}}") != 1:
+        raise ConfigError(f"[prompt] template {prompt.template} must contain the {{{{BATCH}}}} placeholder exactly once")
     fewshot = DEFAULT_FEWSHOT if prompt.fewshot is None else _load_fewshot(prompt.fewshot)
     return AppConfig(
         provider=provider,

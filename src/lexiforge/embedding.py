@@ -79,10 +79,12 @@ def normalize_text(text: str) -> str:
 EMBED_CHUNK = 256
 
 #: Requests ``RemoteEmbedder`` keeps in flight, one kept-alive connection
-#: each. Two keep a 2 ms + 0.05 ms/text service busy while the calling
-#: thread parses the last reply; one left it idle, three or four were no
-#: faster.
-EMBED_LANES = 2
+#: each. On perfbench's eval-remote-5k (a 2 ms + 0.05 ms/text service,
+#: 2 vCPUs, seed 11) ``wall_s`` was 1.20-1.21 s with two lanes, 1.04-1.07 s
+#: with three, 1.04 s with four and 1.00-1.03 s with six: two left the
+#: calling thread waiting on the service, four keep the service busy while
+#: that thread decodes replies.
+EMBED_LANES = 4
 
 
 def embed_deterministic(text: str, dimension: int = 512) -> np.ndarray:
@@ -207,9 +209,9 @@ class RemoteEmbedder:
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         """One row per text; an empty batch, which sends nothing, has shape (0, 0).
 
-        The lanes post chunks while this thread parses the replies in chunk
-        order and copies each into the result. No more than
-        ``2 * EMBED_LANES`` chunks are sent ahead of the one being parsed,
+        The lanes post chunks while this thread decodes the replies in chunk
+        order, each straight into its rows of the result. No more than
+        ``2 * EMBED_LANES`` chunks are sent ahead of the one being decoded,
         so replies never pile up however long the batch.
         """
         if not texts:
@@ -230,12 +232,12 @@ class RemoteEmbedder:
                         replies.append(pool.submit(send, starts[index + ahead]))
                     if stop.is_set():
                         continue  # a chunk failed: its error is raised when the loop reaches it
-                    rows = self._parse_reply(body, min(self.batch_size, len(texts) - start))
+                    rows, dimension = self._parse_reply(body, min(self.batch_size, len(texts) - start))
                     if start == 0:
-                        vectors = np.empty((len(texts), rows.shape[1]))
-                    elif rows.shape[1] != vectors.shape[1]:
-                        raise ProtocolError(f"service changed dimension between chunks: {vectors.shape[1]} then {rows.shape[1]}")
-                    vectors[start : start + len(rows)] = rows
+                        vectors = np.empty((len(texts), dimension))
+                    elif dimension != vectors.shape[1]:
+                        raise ProtocolError(f"service changed dimension between chunks: {vectors.shape[1]} then {dimension}")
+                    self._copy_rows(rows, vectors[start : start + len(rows)])
             finally:
                 stop.set()  # chunks still queued return without sending
         return vectors
@@ -270,20 +272,37 @@ class RemoteEmbedder:
         return None
 
     @staticmethod
-    def _parse_reply(body: bytes, expected: int) -> np.ndarray:
+    def _parse_reply(body: bytes, expected: int) -> tuple[list, int]:
+        """The reply's vectors and dimension: *expected* lists of ``dimension`` values each.
+
+        The shape is checked before any value is read, so that a row of one
+        value, or a single row, cannot broadcast across the result.
+        """
         try:
             payload = json.loads(body)
-            vectors = np.asarray(payload["vectors"], dtype=np.float64)
+            vectors = payload["vectors"]
             dimension = int(payload["dimension"])
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ProtocolError(f"malformed embedding service reply: {exc}") from exc
-        if vectors.shape != (expected, dimension):
-            raise ProtocolError(f"service returned shape {vectors.shape} for {expected} texts of dimension {dimension}")
-        if not np.isfinite(vectors).all():
+        if not (
+            type(vectors) is list
+            and len(vectors) == expected
+            and all(type(row) is list and len(row) == dimension for row in vectors)
+        ):
+            raise ProtocolError(f"service returned vectors not of shape ({expected}, {dimension})")
+        return vectors, dimension
+
+    @staticmethod
+    def _copy_rows(rows: list, out: np.ndarray) -> None:
+        """Decode *rows* into *out*, which has their shape, and check every value."""
+        try:
+            out[...] = rows
+        except (ValueError, TypeError, OverflowError) as exc:  # a value that is not a number
+            raise ProtocolError(f"malformed embedding service reply: {exc}") from exc
+        if not np.isfinite(out).all():
             raise ProtocolError("service returned a vector with a non-finite value")
-        if not vectors.any(axis=1).all():
+        if not out.any(axis=1).all():
             raise ProtocolError("service returned an all-zero vector")
-        return vectors
 
 
 def _cache_key(text: str) -> str:

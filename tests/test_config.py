@@ -112,6 +112,14 @@ class TestLoadConfig:
         config = load_config(write_config(tmp_path, "[prompt]\ntemplate = prompt.txt\n"))
         assert config.generation.prompt_template.startswith("Define estos lemas:")
 
+    @pytest.mark.parametrize("content", ["Define estos lemas.\n", "{{BATCH}}\n{{BATCH}}\n"], ids=["none", "two"])
+    def test_prompt_template_without_one_batch_placeholder_names_the_option_and_file(self, tmp_path, content):
+        (tmp_path / "prompt.txt").write_text(content, encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_config(tmp_path, "[prompt]\ntemplate = prompt.txt\n"))
+        message = str(exc.value)
+        assert message.startswith(f"[prompt] template {(tmp_path / 'prompt.txt').resolve()} ") and "{{BATCH}}" in message
+
     def test_every_option_of_every_section_read_with_its_type(self, tmp_path):
         text, expected = "", {}
         for section in SECTIONS:

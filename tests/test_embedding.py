@@ -571,6 +571,28 @@ class TestRemoteEmbedder:
         assert EmbedHandler.max_in_flight == EMBED_LANES
         assert len({port for port, _ in EmbedHandler.seen}) <= EMBED_LANES
 
+    def test_sends_at_most_two_chunks_per_lane_ahead_of_the_reply_it_waits_for(self, embed_server):
+        # the first chunk's reply is held back until the other lanes have sent
+        # every chunk the bound allows, and a little longer: a client without
+        # the bound would send all 40 chunks while it waits
+        ahead = 2 * EMBED_LANES
+        sent_before_first_reply = []
+
+        def hold_first(texts):
+            if texts == ["t0"]:
+                deadline = time.monotonic() + 5
+                while EmbedHandler.calls < ahead and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                time.sleep(0.1)  # room for a chunk past the bound to arrive
+                sent_before_first_reply.append(EmbedHandler.calls)
+            return _length_vectors(texts)
+
+        EmbedHandler.reply = hold_first
+        with closing(RemoteEmbedder(embed_server, batch_size=1)) as remote:
+            vectors = remote.embed_batch([f"t{i}" for i in range(40)])
+        assert len(vectors) == EmbedHandler.calls == 40
+        assert sent_before_first_reply == [ahead]
+
     def test_rows_keep_input_order_when_later_chunks_answer_first(self, embed_server):
         texts = ["a" * n for n in range(1, 9)]
         with closing(RemoteEmbedder(embed_server, batch_size=len(texts))) as remote:
@@ -654,19 +676,26 @@ class TestRemoteProtocol:
             lambda texts: {"vectors": 5, "dimension": 2},
             lambda texts: {"vectors": [[1.0, 2.0], [3.0]], "dimension": 2},
             lambda texts: {"vectors": [[1.0, 2.0]] * len(texts), "dimension": float("inf")},
+            lambda texts: {"vectors": [[1.0] for _ in texts], "dimension": 2},
+            lambda texts: {"vectors": [[[1.0], [2.0]] for _ in texts], "dimension": 2},
         ],
-        ids=["non-numeric", "not-a-list", "ragged", "infinite-dimension"],
+        ids=["non-numeric", "not-a-list", "ragged", "infinite-dimension", "rows-too-short", "nested-values"],
     )
     def test_malformed_vectors_are_protocol_error(self, embed_server, reply):
         EmbedHandler.script = [reply]
         with closing(RemoteEmbedder(embed_server)) as remote, pytest.raises(ProtocolError, match="malformed|shape"):
             remote.embed_batch(["a", "b"])
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), None])  # a null reads as NaN
     def test_non_finite_value_is_protocol_error(self, embed_server, value):
         EmbedHandler.script = [lambda texts: {"vectors": [[1.0, value] for _ in texts], "dimension": 2}]
         with closing(RemoteEmbedder(embed_server)) as remote, pytest.raises(ProtocolError, match="non-finite"):
             remote.embed_batch(["hola"])
+
+    def test_zero_dimension_is_protocol_error(self, embed_server):
+        EmbedHandler.script = [lambda texts: {"vectors": [[] for _ in texts], "dimension": 0}]
+        with closing(RemoteEmbedder(embed_server)) as remote, pytest.raises(ProtocolError):
+            remote.embed_batch(["a", "b"])
 
     def test_dimension_change_between_chunks_is_protocol_error(self, embed_server):
         EmbedHandler.reply = lambda texts: _same_vector(1.0, 512 if texts == ["a", "b"] else 256)(texts)
