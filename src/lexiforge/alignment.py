@@ -1,10 +1,12 @@
 """Match generated senses against gold senses by cosine similarity.
 
-Every (generated, gold) pair of the vocabulary join yields one AlignmentRecord: the cosine of the generated
-definition against each gold sense, the best-matching gold sense index
-(ties break toward the lowest index, mirroring frequency-first gold
-ordering) and the mean over all gold senses. The pairs that share a gold
-sense count are scored together, one stacked matmul per chunk of them.
+Every (generated, gold) pair of the vocabulary join yields one
+AlignmentRecord: the cosine of the generated definition against each gold
+sense. The record derives the rest from those scores: the best-matching
+gold sense index (ties break toward the lowest index, mirroring
+frequency-first gold ordering), its score and the mean over all gold
+senses. The pairs that share a gold sense count are scored together, one
+stacked matmul per chunk of them.
 """
 
 from __future__ import annotations
@@ -19,26 +21,37 @@ from .model import DictionaryEntry, PosCategory, Sense
 
 @dataclass(frozen=True, slots=True)
 class AlignmentRecord:
+    """The cosine of one generated definition against each gold sense, in gold order.
+
+    The gold sense count, the best-matching gold sense, its score and the
+    mean over gold senses are read from ``per_gold_scores``, never stored.
+    """
+
     lemma: str
     category: PosCategory
     gen_sense_count: int
-    gold_sense_count: int
-    best_gold_index: int  # 1-based
-    best_score: float
-    mean_over_gold: float
     per_gold_scores: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.per_gold_scores) != self.gold_sense_count or self.gold_sense_count < 1:
-            raise ValueError(
-                f"{self.lemma!r}: expected {self.gold_sense_count} scores, got {len(self.per_gold_scores)}"
-            )
-        if not 1 <= self.best_gold_index <= self.gold_sense_count:
-            raise ValueError(f"{self.lemma!r}: best_gold_index {self.best_gold_index} out of range")
-        if self.best_score != max(self.per_gold_scores):
-            raise ValueError(f"{self.lemma!r}: best_score is not the maximum per-gold score")
-        if self.mean_over_gold != sum(self.per_gold_scores) / len(self.per_gold_scores):
-            raise ValueError(f"{self.lemma!r}: mean_over_gold does not match per-gold scores")
+        if not self.per_gold_scores:
+            raise ValueError(f"{self.lemma!r}: no per-gold scores")
+
+    @property
+    def gold_sense_count(self) -> int:
+        return len(self.per_gold_scores)
+
+    @property
+    def best_gold_index(self) -> int:
+        """1-based index of the first maximum, so ties go to the lowest index."""
+        return self.per_gold_scores.index(max(self.per_gold_scores)) + 1
+
+    @property
+    def best_score(self) -> float:
+        return max(self.per_gold_scores)
+
+    @property
+    def mean_over_gold(self) -> float:
+        return sum(self.per_gold_scores) / len(self.per_gold_scores)
 
 
 #: Join pairs of one gold sense count scored per stacked matmul in
@@ -64,10 +77,11 @@ def align_dictionaries(
 ) -> list[AlignmentRecord]:
     """One record per (generated, gold) pair of the vocabulary join, in pair order.
 
-    Generated sense 1 is scored against every gold sense, in gold order;
-    polysemous generated entries are aligned by their first sense, and the
-    full cross-product lives in :func:`all_pairs_scores`. ``vectors`` must
-    hold the sense texts of every entry in *pairs*.
+    Each record holds the pair's lemma, category, generated sense count and
+    per-gold scores. Generated sense 1 is scored against every gold sense,
+    in gold order; polysemous generated entries are aligned by their first
+    sense, and the full cross-product lives in :func:`all_pairs_scores`.
+    ``vectors`` must hold the sense texts of every entry in *pairs*.
 
     The pairs whose gold entries hold k senses are scored ``ALIGN_CHUNK``
     at a time: their gold rows as an (n, k, d) stack times their generated
@@ -87,22 +101,10 @@ def align_dictionaries(
             stacked = gold_rows.reshape(len(members), k, gold_rows.shape[1]) @ gen_rows[:, :, None]
             for i, scores in zip(members, stacked[:, :, 0].tolist()):
                 pair_scores[i] = scores
-    records = []
-    for (gen, gold_entry), scores in zip(pairs, pair_scores):
-        best_index = scores.index(max(scores))  # the first maximum, so ties go to the lowest index
-        records.append(
-            AlignmentRecord(
-                lemma=gen.lemma,
-                category=gen.pos.category,
-                gen_sense_count=len(gen.senses),
-                gold_sense_count=len(gold_entry.senses),
-                best_gold_index=best_index + 1,
-                best_score=scores[best_index],
-                mean_over_gold=sum(scores) / len(scores),
-                per_gold_scores=tuple(scores),
-            )
-        )
-    return records
+    return [
+        AlignmentRecord(gen.lemma, gen.pos.category, len(gen.senses), tuple(scores))
+        for (gen, _), scores in zip(pairs, pair_scores)
+    ]
 
 
 def all_pairs_scores(

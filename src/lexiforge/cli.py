@@ -50,11 +50,11 @@ class _CliFault(Exception):
         super().__init__(message)
 
 
-def _parse_file(path, parse, *args):
-    """``parse(file, *args)`` of the UTF-8 file at *path*, streamed; exits 3 naming *path* if it fails."""
+def _parse_file(path, parse):
+    """``parse(file)`` of the UTF-8 file at *path*, streamed; exits 3 naming *path* if it fails."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse(fh, *args)
+            return parse(fh)
     except OSError as exc:
         raise _CliFault(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
     except (ParseError, DuplicateKeyError, EncodingError) as exc:
@@ -145,8 +145,8 @@ def cmd_evaluate(generated_path, gold_path, embedder_choice, config_path, out_di
     config = load_config(config_path)
     embedder = build_embedder(embedder_choice, config.embedding)
     try:
-        generated = _parse_file(generated_path, parse_dictionary, "generated")
-        gold = _parse_file(gold_path, parse_dictionary, "gold")
+        generated = _parse_file(generated_path, parse_dictionary)
+        gold = _parse_file(gold_path, parse_dictionary)
         failures = _parse_file(failures_path, parse_failures) if failures_path else None
 
         result = evaluate_dictionaries(

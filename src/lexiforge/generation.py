@@ -157,7 +157,6 @@ _MISSING = "lemma missing from reply"
 class _ReplyBlock:
     lemma: str
     pos_label: str
-    line: int  # index of the head line in the reply
     senses: list[tuple[str, str | None]] = field(default_factory=list)
     claimed: bool = False
 
@@ -172,7 +171,7 @@ def _split_sense_text(text: str) -> tuple[str, str | None]:
 def _scan_reply_blocks(raw: str) -> list[_ReplyBlock]:
     blocks: list[_ReplyBlock] = []
     current: _ReplyBlock | None = None
-    for number, line in enumerate(raw.splitlines()):
+    for line in raw.splitlines():
         if not line.strip():
             current = None
             continue
@@ -187,21 +186,15 @@ def _scan_reply_blocks(raw: str) -> list[_ReplyBlock]:
             except EmptyLemmaError:
                 current = None
                 continue
-            current = _ReplyBlock(lemma=lemma, pos_label=head.group(2), line=number)
+            current = _ReplyBlock(lemma=lemma, pos_label=head.group(2))
             current.senses.append(_split_sense_text(head.group(3)))
             blocks.append(current)
         # anything else is stray prose; drop it
     return blocks
 
 
-def _without_last_block(raw: str) -> str:
-    """*raw* up to the head line of its last reply block, which a cut reply may have cut anywhere."""
-    blocks = _scan_reply_blocks(raw)
-    return "\n".join(raw.splitlines()[: blocks[-1].line]) if blocks else ""
-
-
 def parse_model_response(
-    raw: str, batch: Sequence[LemmaRecord]
+    raw: str, batch: Sequence[LemmaRecord], cut: bool = False
 ) -> tuple[list[DictionaryEntry], list[GenerationFailure]]:
     """Account for every batch lemma exactly once: entry or failure.
 
@@ -209,10 +202,14 @@ def parse_model_response(
     POS category when the record requested one. Senses whose definition
     matches a refusal pattern are dropped; a lemma with no surviving sense
     becomes a refusal failure, a lemma absent from the reply a parse_error.
+    A *cut* reply, stopped at the token limit, may have been cut anywhere in
+    its last block, so that block is dropped.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
     blocks = _scan_reply_blocks(raw)
+    if cut:
+        del blocks[-1:]
     entries: list[DictionaryEntry] = []
     failures: list[GenerationFailure] = []
     for record in batch:
@@ -237,9 +234,7 @@ def parse_model_response(
             entry = DictionaryEntry(
                 lemma=block.lemma,
                 pos=PosTag.from_label(block.pos_label),
-                senses=tuple(
-                    Sense(definition=d, example=e, ordinal=i) for i, (d, e) in enumerate(kept, start=1)
-                ),
+                senses=tuple(Sense(definition=d, example=e) for d, e in kept),
             )
         except ValueError as exc:
             failures.append(GenerationFailure(record.lemma, record.pos, FailureReason.PARSE_ERROR, str(exc)))
@@ -325,7 +320,7 @@ def _run_batch(
             sleep(config.retry_backoff * (2**attempt))
             attempt += 1
     cut = response.finish_reason == "length"
-    entries, failures = parse_model_response(_without_last_block(response.text) if cut else response.text, batch)
+    entries, failures = parse_model_response(response.text, batch, cut)
     outcome = _BatchOutcome(
         entries, failures, attempt + 1, attempt, response.prompt_tokens, response.completion_tokens, response.text
     )
@@ -374,7 +369,7 @@ def run_generation(
         for i, outcome in enumerate(outcomes, start=1):
             (audit_path / f"batch_{i:04d}.txt").write_text(outcome.raw_text, encoding="utf-8")
 
-    dictionary = Dictionary(name="generated")
+    dictionary = Dictionary()
     failures: list[GenerationFailure] = []
     for outcome in outcomes:
         failures.extend(outcome.failures)

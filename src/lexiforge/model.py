@@ -70,17 +70,14 @@ class PosTag:
 
 @dataclass(frozen=True, slots=True)
 class Sense:
-    """One numbered sense: a definition plus an optional example sentence."""
+    """A definition plus an optional example; a sense's number is its 1-based position in its entry."""
 
     definition: str
     example: str | None = None
-    ordinal: int = 1
 
     def __post_init__(self):
         if not self.definition or self.definition != self.definition.strip():
             raise ValueError(f"definition must be non-empty and trimmed: {self.definition!r}")
-        if self.ordinal < 1:
-            raise ValueError(f"ordinal must be >= 1, got {self.ordinal}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,9 +91,6 @@ class DictionaryEntry:
             raise ValueError(f"lemma is not normalized: {self.lemma!r}")
         if not self.senses:
             raise ValueError(f"entry {self.lemma!r} has no senses")
-        ordinals = [s.ordinal for s in self.senses]
-        if ordinals != list(range(1, len(self.senses) + 1)):
-            raise ValueError(f"entry {self.lemma!r} sense ordinals must be 1..n, got {ordinals}")
 
     @property
     def key(self) -> tuple[str, PosCategory]:
@@ -111,14 +105,13 @@ def is_monosemous(entry: DictionaryEntry) -> bool:
 class Dictionary:
     """Entries keyed by (lemma, POS category); single-writer during build."""
 
-    name: str = "dictionary"
     _entries: dict[tuple[str, PosCategory], DictionaryEntry] = field(default_factory=dict)
     # the keys in entries() order, sorted on first use after an add
     _sorted_keys: list[tuple[str, PosCategory]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def add(self, entry: DictionaryEntry) -> None:
         if entry.key in self._entries:
-            raise DuplicateKeyError(f"duplicate key {entry.key!r} in {self.name!r}")
+            raise DuplicateKeyError(f"duplicate key {entry.key!r}")
         self._entries[entry.key] = entry
         self._sorted_keys = None
 

@@ -17,17 +17,17 @@ DATA_DIR = Path(__file__).parent / "data"
 def make_entry(lemma: str, label: str, *senses: str | tuple[str, str | None]) -> DictionaryEntry:
     """Entry from bare definition strings or (definition, example) pairs."""
     built = []
-    for i, sense in enumerate(senses, start=1):
+    for sense in senses:
         if isinstance(sense, tuple):
             definition, example = sense
         else:
             definition, example = sense, None
-        built.append(Sense(definition=definition, example=example, ordinal=i))
+        built.append(Sense(definition=definition, example=example))
     return DictionaryEntry(lemma=lemma, pos=PosTag.from_label(label), senses=tuple(built))
 
 
-def make_dictionary(name: str, *entries: DictionaryEntry) -> Dictionary:
-    dictionary = Dictionary(name=name)
+def make_dictionary(*entries: DictionaryEntry) -> Dictionary:
+    dictionary = Dictionary()
     for entry in entries:
         dictionary.add(entry)
     return dictionary
@@ -58,9 +58,9 @@ def http_server(handler):
         server.server_close()
 
 
-def load_fixture_dictionary(filename: str, name: str = "dictionary") -> Dictionary:
+def load_fixture_dictionary(filename: str) -> Dictionary:
     with open(DATA_DIR / filename, encoding="utf-8") as fh:
-        return parse_dictionary(fh, name=name)
+        return parse_dictionary(fh)
 
 
 def load_fixture_rows(filename: str) -> list[dict]:
@@ -80,14 +80,14 @@ def data_dir() -> Path:
 @pytest.fixture
 def fixture20():
     return (
-        load_fixture_dictionary("fixture20_generated.jsonl", "generated"),
-        load_fixture_dictionary("fixture20_gold.jsonl", "gold"),
+        load_fixture_dictionary("fixture20_generated.jsonl"),
+        load_fixture_dictionary("fixture20_gold.jsonl"),
     )
 
 
 @pytest.fixture
 def planted():
     return (
-        load_fixture_dictionary("planted_generated.jsonl", "generated"),
-        load_fixture_dictionary("planted_gold.jsonl", "gold"),
+        load_fixture_dictionary("planted_generated.jsonl"),
+        load_fixture_dictionary("planted_gold.jsonl"),
     )

@@ -261,9 +261,9 @@ def test_criterion_07_hallucination_filter_equivalence():
 
 def test_criterion_08_error_taxonomy_planted_fixture(tmp_path):
     with open(DATA_DIR / "planted_generated.jsonl", encoding="utf-8") as fh:
-        generated = parse_dictionary(fh, "generated")
+        generated = parse_dictionary(fh)
     with open(DATA_DIR / "planted_gold.jsonl", encoding="utf-8") as fh:
-        gold = parse_dictionary(fh, "gold")
+        gold = parse_dictionary(fh)
     with open(DATA_DIR / "planted_failures.jsonl", encoding="utf-8") as fh:
         failures = parse_failures(fh)
     report = classify(generated, gold, failures)
@@ -281,9 +281,9 @@ def test_criterion_08_error_taxonomy_planted_fixture(tmp_path):
     assert evidence[ErrorCategory.REFUSAL].lemma == "jaharrar"
 
     with open(DATA_DIR / "clean_generated.jsonl", encoding="utf-8") as fh:
-        clean_gen = parse_dictionary(fh, "generated")
+        clean_gen = parse_dictionary(fh)
     with open(DATA_DIR / "clean_gold.jsonl", encoding="utf-8") as fh:
-        clean_gold = parse_dictionary(fh, "gold")
+        clean_gold = parse_dictionary(fh)
     clean = classify(clean_gen, clean_gold)
     assert clean.findings == []
     ok(8, "every planted error category found with correct evidence; clean fixture yields none")
@@ -293,10 +293,10 @@ def test_criterion_09_round_trip_and_determinism(tmp_path):
     import io
 
     with open(DATA_DIR / "fixture20_generated.jsonl", encoding="utf-8") as fh:
-        dictionary = parse_dictionary(fh, "generated")
+        dictionary = parse_dictionary(fh)
     buffer = io.StringIO()
     write_dictionary(dictionary, buffer)
-    reparsed = parse_dictionary(io.StringIO(buffer.getvalue()), "generated")
+    reparsed = parse_dictionary(io.StringIO(buffer.getvalue()))
     assert reparsed.entries() == dictionary.entries()
 
     with open(DATA_DIR / "planted_failures.jsonl", encoding="utf-8") as fh:

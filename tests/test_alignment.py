@@ -52,7 +52,7 @@ class ScaledEmbedder:
 def align_one(gen, gold, embedder=EMBEDDER, include_examples=False):
     """Record of a one-key generated dictionary aligned against a one-key gold dictionary."""
     vectors = vector_table(embedder, [gen, gold], include_examples)
-    join = vocabulary_join(make_dictionary("generated", gen), make_dictionary("gold", gold))
+    join = vocabulary_join(make_dictionary(gen), make_dictionary(gold))
     records = align_dictionaries(join, vectors, include_examples)
     assert len(records) == 1
     return records[0]
@@ -64,30 +64,51 @@ def align_fixture(generated, gold, join, embedder=EMBEDDER):
 
 
 def per_pair_alignment(pairs, vectors, include_examples=False):
-    """Reference for ``align_dictionaries``: each pair scored on its own, one (k, d) @ (d,) product at a time."""
-    records = []
+    """Reference for ``align_dictionaries``: each pair scored on its own, one (k, d) @ (d,) product at a time.
+
+    Per pair: (lemma, category, generated sense count, gold sense count,
+    1-based first-maximum index, best score, mean over gold, per-gold scores).
+    """
+    expected = []
     for gen, gold_entry in pairs:
         rows = vectors.rows([sense_text(s, include_examples) for s in (gen.senses[0], *gold_entry.senses)])
         scores = (rows[1:] @ rows[0]).tolist()
         best_index = scores.index(max(scores))
-        records.append(
-            AlignmentRecord(
-                lemma=gen.lemma,
-                category=gen.pos.category,
-                gen_sense_count=len(gen.senses),
-                gold_sense_count=len(gold_entry.senses),
-                best_gold_index=best_index + 1,
-                best_score=scores[best_index],
-                mean_over_gold=sum(scores) / len(scores),
-                per_gold_scores=tuple(scores),
+        expected.append(
+            (
+                gen.lemma,
+                gen.pos.category,
+                len(gen.senses),
+                len(gold_entry.senses),
+                best_index + 1,
+                scores[best_index],
+                sum(scores) / len(scores),
+                tuple(scores),
             )
         )
-    return records
+    return expected
 
 
-def float_bits(records):
-    """Every float of *records* as its exact hex form, so -0.0 and 0.0 differ too."""
-    return [(r.best_score.hex(), r.mean_over_gold.hex(), [x.hex() for x in r.per_gold_scores]) for r in records]
+def record_values(records):
+    """What *records* hold and derive, in ``per_pair_alignment``'s order."""
+    return [
+        (
+            r.lemma,
+            r.category,
+            r.gen_sense_count,
+            r.gold_sense_count,
+            r.best_gold_index,
+            r.best_score,
+            r.mean_over_gold,
+            r.per_gold_scores,
+        )
+        for r in records
+    ]
+
+
+def float_bits(values):
+    """Every float of ``record_values`` rows as its exact hex form, so -0.0 and 0.0 differ too."""
+    return [(best.hex(), mean.hex(), [x.hex() for x in scores]) for *_, best, mean, scores in values]
 
 
 def mixed_block():
@@ -107,14 +128,26 @@ def mixed_block():
     return pairs
 
 
+DERIVED_FIELDS = ("gold_sense_count", "best_gold_index", "best_score", "mean_over_gold")
+
+
 def read_alignments(text):
-    """AlignmentRecords back from write_alignments output."""
+    """AlignmentRecords back from write_alignments output, built from the four stored fields.
+
+    Every line's derived fields must equal the rebuilt record's properties.
+    """
     records = []
     for line in text.splitlines():
         obj = json.loads(line)
-        obj["category"] = PosCategory(obj["category"])
-        obj["per_gold_scores"] = tuple(obj["per_gold_scores"])
-        records.append(AlignmentRecord(**obj))
+        record = AlignmentRecord(
+            lemma=obj["lemma"],
+            category=PosCategory(obj["category"]),
+            gen_sense_count=obj["gen_sense_count"],
+            per_gold_scores=tuple(obj["per_gold_scores"]),
+        )
+        for name in DERIVED_FIELDS:
+            assert obj[name] == getattr(record, name), (obj["lemma"], name)
+        records.append(record)
     return records
 
 
@@ -186,31 +219,9 @@ class TestAlignEntry:
 
 
 class TestAlignmentRecordValidation:
-    def test_rejects_inconsistent_best(self):
+    def test_rejects_empty_scores(self):
         with pytest.raises(ValueError):
-            AlignmentRecord(
-                lemma="x",
-                category=PosCategory.NOUN,
-                gen_sense_count=1,
-                gold_sense_count=2,
-                best_gold_index=1,
-                best_score=0.1,
-                mean_over_gold=0.3,
-                per_gold_scores=(0.1, 0.5),
-            )
-
-    def test_rejects_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            AlignmentRecord(
-                lemma="x",
-                category=PosCategory.NOUN,
-                gen_sense_count=1,
-                gold_sense_count=1,
-                best_gold_index=2,
-                best_score=0.5,
-                mean_over_gold=0.5,
-                per_gold_scores=(0.5,),
-            )
+            AlignmentRecord(lemma="x", category=PosCategory.NOUN, gen_sense_count=1, per_gold_scores=())
 
 
 class TestAlignDictionaries:
@@ -258,7 +269,7 @@ class TestGroupedAlignmentMatchesPerPair:
         join = vocabulary_join(generated, gold)
         vectors = vector_table(EMBEDDER, generated.entries() + gold.entries(), include_examples)
         assert len({len(gold_entry.senses) for _, gold_entry in join}) > 1
-        got = align_dictionaries(join, vectors, include_examples)
+        got = record_values(align_dictionaries(join, vectors, include_examples))
         expected = per_pair_alignment(join, vectors, include_examples)
         assert got == expected
         assert float_bits(got) == float_bits(expected)
@@ -271,7 +282,7 @@ class TestGroupedAlignmentMatchesPerPair:
         pairs = mixed_block()
         assert {len(gold_entry.senses) for _, gold_entry in pairs} == {1, 2, 3, 4}
         vectors = vector_table(EMBEDDER, [entry for pair in pairs for entry in pair], include_examples)
-        got = align_dictionaries(pairs, vectors, include_examples)
+        got = record_values(align_dictionaries(pairs, vectors, include_examples))
         expected = per_pair_alignment(pairs, vectors, include_examples)
         assert got == expected
         assert float_bits(got) == float_bits(expected)
@@ -289,16 +300,7 @@ class TestRankHistogram:
     def _record(self, lemma, best_index, gold_count):
         scores = [0.1] * gold_count
         scores[best_index - 1] = 0.9
-        return AlignmentRecord(
-            lemma=lemma,
-            category=PosCategory.NOUN,
-            gen_sense_count=1,
-            gold_sense_count=gold_count,
-            best_gold_index=best_index,
-            best_score=0.9,
-            mean_over_gold=sum(scores) / len(scores),
-            per_gold_scores=tuple(scores),
-        )
+        return AlignmentRecord(lemma=lemma, category=PosCategory.NOUN, gen_sense_count=1, per_gold_scores=tuple(scores))
 
     def test_counts(self):
         records = [self._record("a", 1, 3), self._record("b", 1, 2), self._record("c", 2, 2)]

@@ -60,16 +60,7 @@ def overcorrection(entry, gold, config=None):
 
 def record(lemma, best_score, category=PosCategory.NOUN, gold_count=1):
     scores = [best_score] + [max(best_score - 0.05, -1.0)] * (gold_count - 1)
-    return AlignmentRecord(
-        lemma=lemma,
-        category=category,
-        gen_sense_count=1,
-        gold_sense_count=gold_count,
-        best_gold_index=1,
-        best_score=best_score,
-        mean_over_gold=sum(scores) / len(scores),
-        per_gold_scores=tuple(scores),
-    )
+    return AlignmentRecord(lemma=lemma, category=category, gen_sense_count=1, per_gold_scores=tuple(scores))
 
 
 class TestHallucinationCandidates:
@@ -85,8 +76,8 @@ class TestHallucinationCandidates:
     def test_finding_evidence(self, score, printed, gold_definition, suffix):
         # a score that rounds to zero prints unsigned; a gold definition of
         # at most two words marks the finding low-confidence
-        generated = make_dictionary("generated", make_entry("bajo", "Nombre masculino", "Sonido grave."))
-        gold = make_dictionary("gold", make_entry("bajo", "Nombre masculino", gold_definition))
+        generated = make_dictionary(make_entry("bajo", "Nombre masculino", "Sonido grave."))
+        gold = make_dictionary(make_entry("bajo", "Nombre masculino", gold_definition))
         findings = classify_errors(generated, gold, [record("bajo", score)], EMBEDDER)
         assert [f.evidence for f in findings] == [f"best cosine {printed} < 0.1" + suffix]
         assert findings[0].category is ErrorCategory.HALLUCINATION_CANDIDATE
@@ -326,7 +317,7 @@ class TestNeighborIndex:
         query = "ñandú" * 14
         gold = [query[:-1], query[:-2] + "ab", "x" + query[1:], query[1:] + "xyz", "ñandú"]
         entries = [make_entry(w, "Nombre masculino", f"Definición {i}.") for i, w in enumerate(gold)]
-        dictionary = make_dictionary("gold", *entries)
+        dictionary = make_dictionary(*entries)
         expected = sorted(
             ((g, oracle_levenshtein(query, g)) for g in gold if oracle_levenshtein(query, g) <= 2),
             key=lambda pair: (pair[1], pair[0]),
@@ -349,8 +340,8 @@ class TestSortedUnique:
             "import sys\n"
             "from lexiforge.error_analysis import NeighborIndex\n"
             "from lexiforge.model import Dictionary, DictionaryEntry, PosTag, Sense\n"
-            "gold = Dictionary(name='gold')\n"
-            "gold.add(DictionaryEntry('casa', PosTag.from_label('Nombre femenino'), (Sense('Edificio.', None, 1),)))\n"
+            "gold = Dictionary()\n"
+            "gold.add(DictionaryEntry('casa', PosTag.from_label('Nombre femenino'), (Sense('Edificio.'),)))\n"
             "assert NeighborIndex(gold, ['cosa']).neighbors('cosa') == [('casa', 1)]\n"
             "print('numpy.ma' in sys.modules)\n"
         )
@@ -401,7 +392,7 @@ def neighbor_corpus():
         if word not in gold and word not in outside:
             outside.append(word)
     entries = [make_entry(w, "Nombre masculino", f"Definición {i}.") for i, w in enumerate(gold)]
-    dictionary = make_dictionary("gold", *entries)
+    dictionary = make_dictionary(*entries)
     queries = gold + outside
     distances = {(q, g): oracle_levenshtein(q, g) for q in queries for g in gold}
     return dictionary, gold, queries, distances
@@ -553,8 +544,8 @@ class TestClassifyErrors:
     def test_clean_fixture_zero_findings(self):
         from conftest import load_fixture_dictionary
 
-        generated = load_fixture_dictionary("clean_generated.jsonl", "generated")
-        gold = load_fixture_dictionary("clean_gold.jsonl", "gold")
+        generated = load_fixture_dictionary("clean_generated.jsonl")
+        gold = load_fixture_dictionary("clean_gold.jsonl")
         report = classify(generated, gold)
         assert report.findings == []
         assert all(count == 0 for count in report.summary.values())

@@ -138,6 +138,22 @@ class TestParseModelResponse:
         assert len(entries) == 4 and len(failures) == 1
         assert failures[0].lemma == "c3" and failures[0].reason.value == "parse_error"
 
+    def test_cut_reply_drops_its_last_block(self):
+        raw = (
+            "banco: Nombre masculino: Asiento largo.\n"
+            "2. Entidad financiera.\n"
+            "\n"
+            "mar: Nombre masculino: Masa de agua salada.\n"
+            "2. Abundan"
+        )
+        whole, _ = parse_model_response(raw, records("banco", "mar"))
+        assert [len(e.senses) for e in whole] == [2, 2]
+        entries, failures = parse_model_response(raw, records("banco", "mar"), cut=True)
+        assert [e.lemma for e in entries] == ["banco"] and len(entries[0].senses) == 2
+        assert [(f.lemma, f.reason.value) for f in failures] == [("mar", "parse_error")]
+        _, failures = parse_model_response("sin bloques", records("banco"), cut=True)
+        assert [f.lemma for f in failures] == ["banco"]
+
     def test_numbered_continuation_senses(self):
         raw = (
             "banco: Nombre masculino: Asiento largo para varias personas. Ejemplo: Se sentó en el banco.\n"
@@ -147,9 +163,11 @@ class TestParseModelResponse:
         entries, failures = parse_model_response(raw, records("banco"))
         assert failures == []
         senses = entries[0].senses
-        assert len(senses) == 3
-        assert [s.ordinal for s in senses] == [1, 2, 3]
-        assert senses[1].definition == "Entidad dedicada a operaciones financieras."
+        assert [s.definition for s in senses] == [
+            "Asiento largo para varias personas.",
+            "Entidad dedicada a operaciones financieras.",
+            "Conjunto de peces.",
+        ]
         assert senses[1].example == "El banco abre a las ocho."
         assert senses[2].example is None
 

@@ -43,6 +43,12 @@ class TestParseLemmaList:
             parse_lemma_list(io.StringIO("casa\n \tVerbo\n"))
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize("line", ["casa\t", "casa\t "])
+    def test_blank_label_after_tab_is_an_error(self, line):
+        with pytest.raises(ParseError, match="empty POS label after TAB") as exc:
+            parse_lemma_list(io.StringIO("gato\n" + line + "\n"))
+        assert exc.value.line_number == 2
+
     def test_duplicates_keep_first_and_are_counted(self):
         text = "casa\nCASA\ncasa\tNombre femenino\ncasa\tnombre FEMENINO\n"
         result = parse_lemma_list(io.StringIO(text))
@@ -109,7 +115,7 @@ class TestParseDictionary:
         )
         d = parse_dictionary(io.StringIO(line + "\n"))
         entry = d.get("banco", PosCategory.NOUN)
-        assert [s.ordinal for s in entry.senses] == [1, 2]
+        assert [s.definition for s in entry.senses] == ["Asiento largo.", "Entidad financiera."]
 
     def test_fixture20_hand_counts(self, fixture20):
         generated, gold = fixture20
@@ -206,14 +212,14 @@ class TestSharedPosTags:
 class TestWriteDictionary:
     def test_empty_dictionary_writes_nothing(self):
         out = io.StringIO()
-        assert write_dictionary(Dictionary(name="empty"), out) == 0
+        assert write_dictionary(Dictionary(), out) == 0
         assert out.getvalue() == ""
 
     def test_round_trip_identity_on_fixture(self, fixture20):
         generated, _ = fixture20
         out = io.StringIO()
         write_dictionary(generated, out)
-        reparsed = parse_dictionary(io.StringIO(out.getvalue()), name=generated.name)
+        reparsed = parse_dictionary(io.StringIO(out.getvalue()))
         assert reparsed.entries() == generated.entries()
 
     def test_two_writes_are_byte_identical(self, fixture20):
@@ -231,7 +237,7 @@ class TestWriteDictionary:
         assert lemmas == sorted(lemmas)
 
     def test_byte_count_matches_output(self):
-        d = make_dictionary("d", make_entry("ñandú", "Nombre masculino", "Ave corredora americana."))
+        d = make_dictionary(make_entry("ñandú", "Nombre masculino", "Ave corredora americana."))
         out = io.StringIO()
         count = write_dictionary(d, out)
         assert count == len(out.getvalue().encode("utf-8"))
@@ -248,11 +254,11 @@ _DEFS = st.text(
 
 @st.composite
 def dictionaries(draw) -> Dictionary:
-    d = Dictionary(name="random")
+    d = Dictionary()
     for lemma, label in draw(st.sets(st.tuples(_LEMMAS, _LABELS), max_size=6)):
         senses = tuple(
-            Sense(definition=text, example=draw(st.one_of(st.none(), _DEFS)), ordinal=i)
-            for i, text in enumerate(draw(st.lists(_DEFS, min_size=1, max_size=3)), start=1)
+            Sense(definition=text, example=draw(st.one_of(st.none(), _DEFS)))
+            for text in draw(st.lists(_DEFS, min_size=1, max_size=3))
         )
         entry = DictionaryEntry(lemma=lemma, pos=PosTag.from_label(label), senses=senses)
         if entry.key not in d:
@@ -266,7 +272,7 @@ class TestRoundTripProperties:
     def test_dictionary_round_trip(self, d):
         out = io.StringIO()
         write_dictionary(d, out)
-        reparsed = parse_dictionary(io.StringIO(out.getvalue()), name="random")
+        reparsed = parse_dictionary(io.StringIO(out.getvalue()))
         assert reparsed.entries() == d.entries()
 
     @settings(max_examples=50)

@@ -21,18 +21,8 @@ from conftest import make_dictionary, make_entry
 REFERENCE_MATRIX = ConfusionMatrix2x2(mono_mono=49_114, mono_poly=699, poly_mono=24_444, poly_poly=2_706)
 
 
-def record(lemma, category, gen_count, scores, best_index=None):
-    best_index = best_index or max(range(len(scores)), key=lambda i: (scores[i], -i)) + 1
-    return AlignmentRecord(
-        lemma=lemma,
-        category=category,
-        gen_sense_count=gen_count,
-        gold_sense_count=len(scores),
-        best_gold_index=best_index,
-        best_score=max(scores),
-        mean_over_gold=sum(scores) / len(scores),
-        per_gold_scores=tuple(scores),
-    )
+def record(lemma, category, gen_count, scores):
+    return AlignmentRecord(lemma=lemma, category=category, gen_sense_count=gen_count, per_gold_scores=tuple(scores))
 
 
 class TestConfusionMatrix:
@@ -51,7 +41,6 @@ class TestConfusionMatrix:
     def test_six_key_fixture(self):
         # gold: 4 mono + 2 poly; generated monosemous on 5 keys incl. 1 gold-poly
         gold = make_dictionary(
-            "gold",
             make_entry("a", "Verbo", "Uno."),
             make_entry("b", "Verbo", "Dos."),
             make_entry("c", "Verbo", "Tres."),
@@ -60,7 +49,6 @@ class TestConfusionMatrix:
             make_entry("f", "Verbo", "Siete.", "Ocho."),
         )
         generated = make_dictionary(
-            "gen",
             make_entry("a", "Verbo", "Uno bis."),
             make_entry("b", "Verbo", "Dos bis."),
             make_entry("c", "Verbo", "Tres bis."),
@@ -179,14 +167,14 @@ class TestCosineStats:
 class TestLengthStats:
     def test_word_count_by_hand(self):
         d = make_dictionary(
-            "d", make_entry("limitadamente", "Adverbio", "De una manera limitada o con restricciones")
+            make_entry("limitadamente", "Adverbio", "De una manera limitada o con restricciones")
         )
         stats = length_stats(d)["all"]
         assert stats.words == StatsSummary(count=1, mean=7.0, std_dev=0.0)
         assert stats.characters == StatsSummary(count=1, mean=42.0, std_dev=0.0)
 
     def test_per_sense_accounting(self):
-        d = make_dictionary("d", make_entry("x", "Verbo", "Una dos.", "Una dos tres cuatro."))
+        d = make_dictionary(make_entry("x", "Verbo", "Una dos.", "Una dos tres cuatro."))
         stats = length_stats(d)["all"]
         assert stats.words.count == 2
         assert stats.words.mean == pytest.approx(3.0)
@@ -200,11 +188,10 @@ class TestLengthStats:
 
 
     def test_empty_dictionary_has_no_groups(self):
-        assert length_stats(make_dictionary("d")) == {}
+        assert length_stats(make_dictionary()) == {}
 
     def test_groups_are_all_then_categories_in_first_appearance_order(self):
         d = make_dictionary(
-            "d",
             make_entry("correr", "Verbo", "Ir deprisa."),
             make_entry("casa", "Nombre femenino", "Edificio."),
             make_entry("andar", "Verbo", "Ir a pie."),

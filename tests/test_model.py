@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lexiforge.alignment import AlignmentRecord
 from lexiforge.exceptions import DuplicateKeyError, EmptyLemmaError
 from lexiforge.model import (
-    DictionaryEntry,
     PosCategory,
     PosTag,
     Sense,
@@ -86,9 +85,9 @@ class TestSlottedValueTypes:
         "value",
         [
             PosTag.from_label("Verbo"),
-            Sense("Algo.", ordinal=1),
+            Sense("Algo."),
             make_entry("casa", "Nombre femenino", "Edificio para habitar."),
-            AlignmentRecord("casa", PosCategory.NOUN, 1, 1, 1, 0.5, 0.5, (0.5,)),
+            AlignmentRecord("casa", PosCategory.NOUN, 1, (0.5,)),
         ],
         ids=type,
     )
@@ -102,21 +101,11 @@ class TestSlottedValueTypes:
 class TestSenseAndEntry:
     def test_sense_rejects_untrimmed_definition(self):
         with pytest.raises(ValueError):
-            Sense(definition=" con espacios ", ordinal=1)
+            Sense(definition=" con espacios ")
 
-    def test_sense_rejects_bad_ordinal(self):
+    def test_entry_requires_senses(self):
         with pytest.raises(ValueError):
-            Sense(definition="Algo.", ordinal=0)
-
-    def test_entry_requires_contiguous_ordinals(self):
-        with pytest.raises(ValueError):
-            make_entry("casa", "Nombre femenino")  # no senses
-        with pytest.raises(ValueError):
-            DictionaryEntry(
-                lemma="casa",
-                pos=PosTag.from_label("Nombre femenino"),
-                senses=(Sense("Uno.", ordinal=1), Sense("Tres.", ordinal=3)),
-            )
+            make_entry("casa", "Nombre femenino")
 
     def test_entry_requires_normalized_lemma(self):
         with pytest.raises(ValueError):
@@ -141,7 +130,7 @@ class TestSenseAndEntry:
 class TestDictionary:
     def test_add_get_and_duplicate(self):
         entry = make_entry("casa", "Nombre femenino", "Edificio para habitar.")
-        d = make_dictionary("test", entry)
+        d = make_dictionary(entry)
         assert d.get("casa", PosCategory.NOUN) == entry
         assert d.get("casa", PosCategory.VERB) is None
         with pytest.raises(DuplicateKeyError):
@@ -149,14 +138,13 @@ class TestDictionary:
 
     def test_same_lemma_different_category_coexist(self):
         d = make_dictionary(
-            "test",
             make_entry("bajo", "Adjetivo", "De poca altura."),
             make_entry("bajo", "Nombre masculino", "Instrumento de cuerda grave."),
         )
         assert len(d) == 2
 
     def test_entries_after_add_include_the_new_key_in_order(self):
-        d = make_dictionary("test", make_entry("casa", "Nombre femenino", "Edificio para habitar."))
+        d = make_dictionary(make_entry("casa", "Nombre femenino", "Edificio para habitar."))
         assert [e.lemma for e in d.entries()] == ["casa"]
         d.add(make_entry("abeja", "Nombre femenino", "Insecto que produce miel."))
         d.add(make_entry("zumo", "Nombre masculino", "Líquido de una fruta."))
@@ -173,13 +161,11 @@ class TestDictionary:
 class TestVocabularyJoin:
     def test_intersection(self):
         gen = make_dictionary(
-            "gen",
             make_entry("a", "Verbo", "Definición a."),
             make_entry("b", "Verbo", "Definición b."),
             make_entry("c", "Verbo", "Definición c."),
         )
         gold = make_dictionary(
-            "gold",
             make_entry("b", "Verbo", "Definición b."),
             make_entry("c", "Verbo", "Definición c."),
             make_entry("d", "Verbo", "Definición d."),
@@ -187,8 +173,8 @@ class TestVocabularyJoin:
         assert join_keys(gen, gold) == [("b", PosCategory.VERB), ("c", PosCategory.VERB)]
 
     def test_disjoint_is_empty(self):
-        gen = make_dictionary("gen", make_entry("a", "Verbo", "Definición."))
-        gold = make_dictionary("gold", make_entry("b", "Verbo", "Definición."))
+        gen = make_dictionary(make_entry("a", "Verbo", "Definición."))
+        gold = make_dictionary(make_entry("b", "Verbo", "Definición."))
         assert join_keys(gen, gold) == []
 
     def test_ten_entry_fixture_shares_seven(self):
@@ -196,24 +182,24 @@ class TestVocabularyJoin:
         gen_only = ["lunes", "martes", "jueves"]
         gold_only = ["norte", "sur", "este"]
         gen = make_dictionary(
-            "gen", *[make_entry(x, "Nombre masculino", f"Definición de {x} uno.") for x in shared + gen_only]
+            *[make_entry(x, "Nombre masculino", f"Definición de {x} uno.") for x in shared + gen_only]
         )
         gold = make_dictionary(
-            "gold", *[make_entry(x, "Nombre masculino", f"Definición de {x} dos.") for x in shared + gold_only]
+            *[make_entry(x, "Nombre masculino", f"Definición de {x} dos.") for x in shared + gold_only]
         )
         # enumerated by hand: the seven shared lemmas, sorted
         assert join_keys(gen, gold) == [(x, PosCategory.NOUN) for x in sorted(shared)]
 
     def test_pos_category_distinguishes_homographs(self):
-        gen = make_dictionary("gen", make_entry("bajo", "Adjetivo", "De poca altura."))
-        gold = make_dictionary("gold", make_entry("bajo", "Nombre masculino", "Instrumento grave."))
+        gen = make_dictionary(make_entry("bajo", "Adjetivo", "De poca altura."))
+        gold = make_dictionary(make_entry("bajo", "Nombre masculino", "Instrumento grave."))
         assert join_keys(gen, gold) == []
 
     def test_category_keys_sort_and_join_by_lemma_then_category_name(self):
         labels = ["Verbo", "Nombre masculino", "Adverbio", "Interjección", "Adjetivo"]
         entries = [make_entry(lemma, label, "Definición.") for label in labels for lemma in ("bajo", "alto")]
-        gen = make_dictionary("gen", *entries)
-        gold = make_dictionary("gold", *reversed(entries))
+        gen = make_dictionary(*entries)
+        gold = make_dictionary(*reversed(entries))
         expected = sorted({entry.key for entry in entries}, key=lambda key: (key[0], key[1].value))
         assert [entry.key for entry in gen.entries()] == [entry.key for entry in gold.entries()] == expected
         assert join_keys(gen, gold) == expected

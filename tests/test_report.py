@@ -223,12 +223,11 @@ class TestCircularityRate:
         return evaluate_dictionaries(dictionary, dictionary, EMBEDDER).report.circularity_rate
 
     def test_clean_dictionary(self):
-        d = make_dictionary("d", make_entry("gato", "Nombre masculino", "Felino doméstico."))
+        d = make_dictionary(make_entry("gato", "Nombre masculino", "Felino doméstico."))
         assert self._rate(d) == 0.0
 
     def test_one_of_four(self):
         d = make_dictionary(
-            "d",
             make_entry("gato", "Nombre masculino", "Un gato es un felino."),
             make_entry("perro", "Nombre masculino", "Mamífero doméstico."),
             make_entry("sal", "Nombre femenino", "Cloruro de sodio."),
@@ -237,7 +236,7 @@ class TestCircularityRate:
         assert self._rate(d) == 0.25
 
     def test_empty_dictionary(self):
-        assert self._rate(Dictionary(name="empty")) == 0.0
+        assert self._rate(Dictionary()) == 0.0
 
 
 class TestReportSerialization:
