@@ -14,9 +14,8 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .alignment import write_alignments
 from .config import build_embedder, build_provider, evaluation_snapshot, load_config
-from .error_analysis import ErrorCategory, parse_findings, write_findings
+from .error_analysis import ErrorCategory, parse_findings
 from .exceptions import (
     ConfigError,
     DuplicateKeyError,
@@ -27,15 +26,8 @@ from .exceptions import (
     ServiceError,
 )
 from .generation import run_generation
-from .ingestion import (
-    parse_dictionary,
-    parse_failures,
-    parse_lemma_list,
-    write_dictionary,
-    write_failures,
-    write_records,
-)
-from .report import atomic_text, evaluate_dictionaries, file_digest, load_report, render_tables, write_report
+from .ingestion import parse_dictionary, parse_failures, parse_lemma_list, write_dictionary, write_failures
+from .report import atomic_text, evaluate_dictionaries, file_digest, load_report, render_tables
 
 EXIT_CONFIG = 2
 EXIT_INPUT = 3
@@ -149,10 +141,11 @@ def cmd_evaluate(generated_path, gold_path, embedder_choice, config_path, out_di
         gold = _parse_file(gold_path, parse_dictionary)
         failures = _parse_file(failures_path, parse_failures) if failures_path else None
 
-        result = evaluate_dictionaries(
+        report = evaluate_dictionaries(
             generated,
             gold,
             embedder,
+            out_dir,
             error_config=config.error_analysis,
             include_examples=config.embedding.include_examples,
             failures=failures,
@@ -165,21 +158,11 @@ def cmd_evaluate(generated_path, gold_path, embedder_choice, config_path, out_di
                 "embedder": embedder.identifier,
             },
         )
-
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_report(result.report, out / "report.json")
-        with atomic_text(out / "alignments.jsonl") as fh:
-            write_alignments(result.records, fh)
-        with atomic_text(out / "findings.jsonl") as fh:
-            write_findings(result.findings, fh)
-        with atomic_text(out / "polysemy_pairs.jsonl") as fh:
-            write_records(result.polysemy_pairs, fh)
         click.echo(
-            f"evaluated {result.report.join_size} join keys; "
-            f"confusion [{result.report.confusion.mono_mono}, {result.report.confusion.mono_poly}; "
-            f"{result.report.confusion.poly_mono}, {result.report.confusion.poly_poly}]; "
-            f"{sum(result.report.error_summary.values())} findings -> {out}"
+            f"evaluated {report.join_size} join keys; "
+            f"confusion [{report.confusion.mono_mono}, {report.confusion.mono_poly}; "
+            f"{report.confusion.poly_mono}, {report.confusion.poly_poly}]; "
+            f"{sum(report.error_summary.values())} findings -> {Path(out_dir)}"
         )
     finally:
         # the remote embedder keeps a connection open, and a cache its append handle

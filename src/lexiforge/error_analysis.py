@@ -378,19 +378,19 @@ CANDIDATE_BLOCK = 64
 def classify_errors(
     generated: Dictionary,
     gold: Dictionary,
-    records: Sequence[AlignmentRecord],
+    candidates: Sequence[AlignmentRecord],
     embedder,
     config: ErrorAnalysisConfig | None = None,
 ) -> list[ErrorFinding]:
-    """The hallucination and over-correction findings of the alignment records.
+    """The hallucination and over-correction findings of the hallucination candidates.
 
-    Each of :func:`hallucination_candidates` gets its hallucination
-    finding, in the records' order, followed by its over-correction
-    finding when :func:`detect_overcorrection` finds one. The
-    over-correction search takes the candidates ``CANDIDATE_BLOCK`` at a
-    time and embeds a block's definitions and those of its gold neighbors
-    in one batch, so memory holds one block's vectors however many
-    candidates there are.
+    *candidates* are :func:`hallucination_candidates` of the alignment
+    records. Each gets its hallucination finding, in their order,
+    followed by its over-correction finding when
+    :func:`detect_overcorrection` finds one. The over-correction search
+    takes the candidates ``CANDIDATE_BLOCK`` at a time and embeds a
+    block's definitions and those of its gold neighbors in one batch, so
+    memory holds one block's vectors however many candidates there are.
 
     Hallucination candidates whose best-matching gold definition has at
     most two words are marked low-confidence: terse synonym-style gold
@@ -400,7 +400,6 @@ def classify_errors(
     """
     config = config or ErrorAnalysisConfig()
     findings: list[ErrorFinding] = []
-    candidates = hallucination_candidates(records, config)
     max_distance = config.overcorrection_max_edit_distance
     index = NeighborIndex(gold, [record.lemma for record in candidates], max_distance) if candidates else None
     for start in range(0, len(candidates), CANDIDATE_BLOCK):

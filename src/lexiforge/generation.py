@@ -142,9 +142,9 @@ def build_prompt(batch: Sequence[LemmaRecord], config: GenerationConfig) -> str:
         render_reply_block(lemma, label, [(definition, example)])
         for lemma, label, definition, example in config.fewshot_examples
     )
-    batch_block = "\n".join(_batch_line(r) for r in batch)
-    prompt = config.prompt_template.replace("{{FEWSHOT}}", fewshot)
-    return prompt.replace("{{BATCH}}", batch_block)
+    parts = {"FEWSHOT": fewshot, "BATCH": "\n".join(_batch_line(r) for r in batch)}
+    # one pass, so the text put in for one placeholder is never searched for the other
+    return re.sub(r"\{\{(FEWSHOT|BATCH)\}\}", lambda m: parts[m.group(1)], config.prompt_template)
 
 
 _CONTINUATION_RE = re.compile(r"^\s*(\d+)[.)]\s*(.*\S)\s*$")

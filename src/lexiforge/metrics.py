@@ -119,33 +119,20 @@ def class_metrics(matrix: ConfusionMatrix2x2, positive_class: str) -> ClassMetri
     return ClassMetrics(float(precision), float(recall), float(f1), degenerate)
 
 
-def _group_names(category: PosCategory) -> tuple[str, str]:
-    return ("all", category.value)
+def cosine_stats(records: Iterable[AlignmentRecord]) -> tuple[dict[str, StatsSummary], dict[str, StatsSummary]]:
+    """The report's two cosine tables, mean/std grouped by POS plus "all", in one pass.
 
-
-def cosine_stats(
-    records: Iterable[AlignmentRecord],
-    score_field: str = "best_score",
-    gold_filter: str = "monosemous",
-) -> dict[str, StatsSummary]:
-    """Mean/std of an alignment score field, grouped by POS plus "all".
-
-    ``gold_filter`` selects records whose gold entry is monosemous or
-    polysemous; groups with no records are absent from the result.
+    The first summarises ``best_score`` over the records whose gold entry
+    is monosemous, the second ``mean_over_gold`` over those whose gold
+    entry is polysemous; groups with no records are absent.
     """
-    if score_field not in ("best_score", "mean_over_gold"):
-        raise ValueError(f"unknown score field {score_field!r}")
-    if gold_filter not in ("monosemous", "polysemous"):
-        raise ValueError(f"gold_filter must be 'monosemous' or 'polysemous', got {gold_filter!r}")
-    want_mono = gold_filter == "monosemous"
-    values: dict[str, list[float]] = {}
+    mono: dict[str, list[float]] = {}
+    poly: dict[str, list[float]] = {}
     for record in records:
-        if (record.gold_sense_count == 1) != want_mono:
-            continue
-        score = getattr(record, score_field)
-        for group in _group_names(record.category):
+        values, score = (mono, record.best_score) if record.gold_sense_count == 1 else (poly, record.mean_over_gold)
+        for group in ("all", record.category.value):
             values.setdefault(group, []).append(score)
-    return {group: StatsSummary.from_values(v) for group, v in values.items()}
+    return tuple({group: StatsSummary.from_values(v) for group, v in values.items()} for values in (mono, poly))
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,6 @@ class StubProvider:
 
     def __init__(self, replies: dict[str, str]):
         self.replies = dict(replies)
-        self.calls = 0
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StubProvider":
@@ -125,7 +124,6 @@ class StubProvider:
         return cls(data)
 
     def complete(self, request: ProviderRequest) -> ProviderResponse:
-        self.calls += 1
         parts = []
         for lemma in request.lemmas:
             reply = self.replies.get(lemma)

@@ -12,16 +12,32 @@ import hashlib
 import io
 import json
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
-from .alignment import AlignmentRecord, align_dictionaries, all_pairs_scores, rank_histogram, sense_text
+from .alignment import (
+    AlignmentRecord,
+    align_dictionaries,
+    all_pairs_scores,
+    rank_histogram,
+    sense_text,
+    write_alignments,
+)
 from .embedding import VectorTable
-from .error_analysis import ErrorAnalysisConfig, ErrorCategory, ErrorFinding, classify_errors, findings_of_entry
+from .error_analysis import (
+    ErrorAnalysisConfig,
+    ErrorCategory,
+    ErrorFinding,
+    classify_errors,
+    findings_of_entry,
+    hallucination_candidates,
+    write_findings,
+)
 from .exceptions import ParseError
 from .generation import FailureReason, GenerationFailure
+from .ingestion import write_records
 from .metrics import (
     GROUP_ORDER,
     ClassMetrics,
@@ -142,30 +158,14 @@ def _length_from_dict(data: dict) -> LengthStats:
     return LengthStats(words=StatsSummary(**data["words"]), characters=StatsSummary(**data["characters"]))
 
 
-def write_report(report: EvaluationReport, path: str | Path) -> None:
-    with atomic_text(path) as fh:
-        json.dump(report.to_dict(), fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+def write_report(report: EvaluationReport, stream: IO[str]) -> None:
+    json.dump(report.to_dict(), stream, ensure_ascii=False, indent=2)
+    stream.write("\n")
 
 
 def load_report(path: str | Path) -> EvaluationReport:
     with open(path, encoding="utf-8") as fh:
         return EvaluationReport.from_dict(json.load(fh))
-
-
-@dataclass
-class EvaluationResult:
-    """The report and the records of the JSONL files that ``evaluate`` writes.
-
-    ``records``, ``findings`` and ``polysemy_pairs`` are the lines of
-    ``alignments.jsonl``, ``findings.jsonl`` and ``polysemy_pairs.jsonl``,
-    in file order; ``report.error_summary`` counts ``findings`` by category.
-    """
-
-    report: EvaluationReport
-    records: list[AlignmentRecord]
-    findings: list[ErrorFinding]
-    polysemy_pairs: list[dict]
 
 
 #: Generated entries scored per ``VectorTable`` in ``evaluate_dictionaries``.
@@ -179,13 +179,20 @@ def evaluate_dictionaries(
     generated: Dictionary,
     gold: Dictionary,
     embedder,
+    out_dir: str | Path,
     error_config: ErrorAnalysisConfig | None = None,
     include_examples: bool = False,
     failures: Sequence[GenerationFailure] | None = None,
     config_snapshot: dict | None = None,
     provenance: dict | None = None,
-) -> EvaluationResult:
-    """Full quantitative evaluation over the vocabulary join.
+) -> EvaluationReport:
+    """Full quantitative evaluation over the vocabulary join, written under *out_dir*.
+
+    Writes ``alignments.jsonl``, ``polysemy_pairs.jsonl``,
+    ``findings.jsonl`` and ``report.json``, and returns the report. Each
+    file is written to a temporary file; all four are written whole
+    before any is renamed into place, ``report.json`` last, and a run that
+    fails leaves *out_dir*'s files as they were.
 
     Cosine tables, the rank histogram and the polysemy-disagreement
     statistics are restricted to generated-monosemous records, matching
@@ -194,83 +201,102 @@ def evaluate_dictionaries(
 
     The generated entries are scored ``KEY_BLOCK`` at a time. A block's
     join pairs and polysemous entries are scored from a ``VectorTable`` of
-    their own texts, dropped before the next block is embedded, so memory
-    is bounded by one block instead of growing with the dictionary. The
-    embedder sees one ``embed_batch`` call per block and one more in
-    ``classify_errors`` per ``CANDIDATE_BLOCK`` hallucination candidates;
-    a text that two blocks share is embedded once in each.
+    their own texts, dropped before the next block is embedded, and its
+    alignment records and polysemy pairs are written as soon as it is
+    scored. The loop keeps only the generated-monosemous records and the
+    hallucination candidates. The embedder sees one ``embed_batch`` call
+    per block and one more in ``classify_errors`` per ``CANDIDATE_BLOCK``
+    hallucination candidates; a text that two blocks share is embedded
+    once in each.
 
     The findings come in three runs: :func:`classify_errors` (each
     hallucination candidate in join order, each followed by its
     over-correction finding if it has one), then
     :func:`findings_of_entry` of each generated entry in ``entries()``
     order, then one refusal finding per refusal in the failure log, in its
-    order. ``error_summary`` counts that list by category.
+    order. ``error_summary`` counts them by category.
     """
     error_config = error_config or ErrorAnalysisConfig()
     join = vocabulary_join(generated, gold)
     entries = generated.entries()
-    records: list[AlignmentRecord] = []
-    polysemy_pairs: list[dict] = []
+    gen_mono: list[AlignmentRecord] = []
+    candidates: list[AlignmentRecord] = []
     entry_findings: list[ErrorFinding] = []
-    scored = 0  # join pairs of the blocks before this one
-    for start in range(0, len(entries), KEY_BLOCK):
-        block = entries[start : start + KEY_BLOCK]
-        # the join and entries() share one order, so a block's pairs are the join's next ones
-        pairs = join[scored : scored + sum(entry.key in gold for entry in block)]
-        scored += len(pairs)
-        texts = {s.definition for entry in block if len(entry.senses) > 1 for s in entry.senses}
-        for pair in pairs:
-            for entry in pair:
-                texts.update(sense_text(s, include_examples) for s in entry.senses)
-        vectors = VectorTable(embedder, texts)
-        records += align_dictionaries(pairs, vectors, include_examples)
-        polysemy_pairs += [
-            {
-                "lemma": gen.lemma,
-                "category": gen.pos.category.value,
-                "scores": all_pairs_scores(gen, gold_entry, vectors, include_examples),
-            }
-            for gen, gold_entry in pairs
-            if len(gen.senses) > 1
+    with ExitStack() as stack:
+        # entered first, so renamed last
+        report_fh, alignments_fh, pairs_fh, findings_fh = streams = [
+            stack.enter_context(atomic_text(Path(out_dir) / name))
+            for name in ("report.json", "alignments.jsonl", "polysemy_pairs.jsonl", "findings.jsonl")
         ]
-        entry_findings += [finding for entry in block for finding in findings_of_entry(entry, vectors, error_config)]
-        del vectors  # before the next block's table is filled, so at most one is alive
-    confusion = polysemy_confusion(join)
-    gen_mono = [r for r in records if r.gen_sense_count == 1]
-    findings = classify_errors(generated, gold, records, embedder, error_config) + entry_findings
-    findings += [
-        ErrorFinding(
-            lemma=failure.lemma,
-            category=ErrorCategory.REFUSAL,
-            evidence=failure.detail,
-            pos_label=failure.pos.raw_label if failure.pos else None,
+        scored = 0  # join pairs of the blocks before this one
+        for start in range(0, len(entries), KEY_BLOCK):
+            block = entries[start : start + KEY_BLOCK]
+            # the join and entries() share one order, so a block's pairs are the join's next ones
+            pairs = join[scored : scored + sum(entry.key in gold for entry in block)]
+            scored += len(pairs)
+            texts = {s.definition for entry in block if len(entry.senses) > 1 for s in entry.senses}
+            for pair in pairs:
+                for entry in pair:
+                    texts.update(sense_text(s, include_examples) for s in entry.senses)
+            vectors = VectorTable(embedder, texts)
+            records = align_dictionaries(pairs, vectors, include_examples)
+            write_alignments(records, alignments_fh)
+            write_records(
+                (
+                    {
+                        "lemma": gen.lemma,
+                        "category": gen.pos.category.value,
+                        "scores": all_pairs_scores(gen, gold_entry, vectors, include_examples),
+                    }
+                    for gen, gold_entry in pairs
+                    if len(gen.senses) > 1
+                ),
+                pairs_fh,
+            )
+            gen_mono += [r for r in records if r.gen_sense_count == 1]
+            candidates += hallucination_candidates(records, error_config)
+            entry_findings += [
+                finding for entry in block for finding in findings_of_entry(entry, vectors, error_config)
+            ]
+            del vectors  # before the next block's table is filled, so at most one is alive
+        findings = classify_errors(generated, gold, candidates, embedder, error_config) + entry_findings
+        findings += [
+            ErrorFinding(
+                lemma=failure.lemma,
+                category=ErrorCategory.REFUSAL,
+                evidence=failure.detail,
+                pos_label=failure.pos.raw_label if failure.pos else None,
+            )
+            for failure in failures or ()
+            if failure.reason is FailureReason.REFUSAL
+        ]
+        write_findings(findings, findings_fh)
+        summary = {category.value: 0 for category in ErrorCategory}
+        for finding in findings:
+            summary[finding.category.value] += 1
+        confusion = polysemy_confusion(join)
+        cosine_monosemous_gold, cosine_polysemous_gold = cosine_stats(gen_mono)
+        report = EvaluationReport(
+            join_size=len(join),
+            confusion=confusion,
+            class_metrics={
+                "monosemy": class_metrics(confusion, "monosemy"),
+                "polysemy": class_metrics(confusion, "polysemy"),
+            },
+            cosine_monosemous_gold=cosine_monosemous_gold,
+            cosine_polysemous_gold=cosine_polysemous_gold,
+            length_generated=length_stats(generated),
+            length_gold=length_stats(gold),
+            rank_histogram=rank_histogram(gen_mono),
+            error_summary=summary,
+            circularity_rate=summary[ErrorCategory.CIRCULARITY.value] / len(generated) if len(generated) else 0.0,
+            config_snapshot=config_snapshot or {},
+            provenance=provenance or {},
         )
-        for failure in failures or ()
-        if failure.reason is FailureReason.REFUSAL
-    ]
-    summary = {category.value: 0 for category in ErrorCategory}
-    for finding in findings:
-        summary[finding.category.value] += 1
-
-    report = EvaluationReport(
-        join_size=len(join),
-        confusion=confusion,
-        class_metrics={
-            "monosemy": class_metrics(confusion, "monosemy"),
-            "polysemy": class_metrics(confusion, "polysemy"),
-        },
-        cosine_monosemous_gold=cosine_stats(gen_mono, "best_score", "monosemous"),
-        cosine_polysemous_gold=cosine_stats(gen_mono, "mean_over_gold", "polysemous"),
-        length_generated=length_stats(generated),
-        length_gold=length_stats(gold),
-        rank_histogram=rank_histogram(gen_mono),
-        error_summary=summary,
-        circularity_rate=summary[ErrorCategory.CIRCULARITY.value] / len(generated) if len(generated) else 0.0,
-        config_snapshot=config_snapshot or {},
-        provenance=provenance or {},
-    )
-    return EvaluationResult(report=report, records=records, findings=findings, polysemy_pairs=polysemy_pairs)
+        write_report(report, report_fh)
+        for fh in streams:
+            fh.flush()  # every file written whole before the first rename
+    return report
 
 
 # --- table rendering ---------------------------------------------------

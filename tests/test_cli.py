@@ -18,9 +18,9 @@ import lexiforge
 from lexiforge.cli import main
 from lexiforge.embedding import CachingEmbedder, DeterministicEmbedder
 from lexiforge.exceptions import ServiceError
-from lexiforge.ingestion import parse_dictionary, parse_failures
+from lexiforge.ingestion import parse_dictionary, parse_failures, write_dictionary
 
-from conftest import DATA_DIR, http_server
+from conftest import DATA_DIR, http_server, make_dictionary, make_entry
 
 
 @pytest.fixture
@@ -76,6 +76,17 @@ def run_evaluate(runner, ws, out="eval", generated="fixture20_generated.jsonl",
             *extra,
         ],
     )
+
+
+def child_env():
+    """The environment of a child process that imports the lexiforge these tests import."""
+    source = str(Path(lexiforge.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+
+
+def snapshot(directory):
+    """The bytes of each file in *directory*, by name."""
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
 def spoil_utf8(path):
@@ -312,8 +323,6 @@ class TestEvaluate:
     @pytest.mark.parametrize(("umask", "mode"), [(0o022, 0o644), (0o077, 0o600)])
     def test_outputs_take_the_mode_the_umask_leaves(self, workspace, umask, mode):
         # the umask is the process's, so the command runs in a process of its own
-        source = str(Path(lexiforge.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
         command = [
             sys.executable, "-c", "from lexiforge.cli import main; main()",
             "evaluate",
@@ -322,11 +331,62 @@ class TestEvaluate:
             "--config", str(workspace / "eval_config.ini"),
             "--out", str(workspace / "eval"),
         ]
-        done = subprocess.run(command, env=env, umask=umask, capture_output=True, text=True, timeout=120)
+        done = subprocess.run(command, env=child_env(), umask=umask, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         for name in OUTPUTS:
             assert stat.S_IMODE((workspace / "eval" / name).stat().st_mode) == mode, name
         assert sorted(path.name for path in (workspace / "eval").iterdir()) == sorted(OUTPUTS)
+
+    def test_failed_scoring_leaves_the_previous_outputs(self, runner, workspace, monkeypatch):
+        result = run_evaluate(runner, workspace, generated="clean_generated.jsonl", gold="clean_gold.jsonl")
+        assert result.exit_code == 0, result.output
+        before = snapshot(workspace / "eval")
+        assert sorted(before) == sorted(OUTPUTS)
+        # the over-correction batch fails, after every key block's lines are written
+        failing = FailingOnCallEmbedder(fail_on=2)
+        monkeypatch.setattr("lexiforge.cli.build_embedder", lambda choice, settings: failing)
+        result = run_evaluate(runner, workspace)
+        assert result.exit_code == 5, result.output
+        assert len(failing.batches) == 2
+        assert snapshot(workspace / "eval") == before
+
+    # lemmas of four gold senses each, so that alignments.jsonl outgrows report.json; the lines
+    # of 20 lemmas stay in the stream's buffer until the last flush, those of 60 overflow it in the loop
+    @pytest.mark.parametrize("lemmas", [pytest.param(20, id="at-the-flush"), pytest.param(60, id="inside-the-loop")])
+    def test_failed_write_leaves_the_previous_outputs(self, runner, workspace, lemmas):
+        with open(workspace / "wide_generated.jsonl", "w", encoding="utf-8") as fh:
+            entries = (make_entry(f"lema{i}", "Verbo", f"Sentido 0 de lema {i}.") for i in range(lemmas))
+            write_dictionary(make_dictionary(*entries), fh)
+        with open(workspace / "wide_gold.jsonl", "w", encoding="utf-8") as fh:
+            senses = [[f"Sentido {j} de lema {i}." for j in range(4)] for i in range(lemmas)]
+            write_dictionary(make_dictionary(*(make_entry(f"lema{i}", "Verbo", *senses[i]) for i in range(lemmas))), fh)
+        result = run_evaluate(runner, workspace, out="sizes", generated="wide_generated.jsonl", gold="wide_gold.jsonl")
+        assert result.exit_code == 0, result.output
+        limit = (workspace / "sizes" / "report.json").stat().st_size
+        assert (workspace / "sizes" / "alignments.jsonl").stat().st_size > limit
+        assert run_evaluate(runner, workspace).exit_code == 0
+        before = snapshot(workspace / "eval")
+        assert all(before[name] != (workspace / "sizes" / name).read_bytes() for name in OUTPUTS)
+        # no file may grow past report.json's size, so the first write past it into alignments.jsonl fails
+        code = (
+            "import resource, signal\n"
+            "from lexiforge.cli import main\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+            "main()\n"
+        )
+        command = [
+            sys.executable, "-c", code,
+            "evaluate",
+            "--generated", str(workspace / "wide_generated.jsonl"),
+            "--gold", str(workspace / "wide_gold.jsonl"),
+            "--config", str(workspace / "eval_config.ini"),
+            "--out", str(workspace / "eval"),
+        ]
+        done = subprocess.run(command, env=child_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 4, done.stderr
+        assert "File too large" in done.stderr
+        assert snapshot(workspace / "eval") == before
 
     def test_failures_feed_refusal_findings(self, runner, workspace):
         result = run_evaluate(

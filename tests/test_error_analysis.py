@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -42,9 +43,11 @@ EMBEDDER = DeterministicEmbedder(dimension=512)
 
 
 def classify(generated, gold, failures=None):
-    """The findings of evaluating *generated* against *gold*, and their count per category."""
-    result = evaluate_dictionaries(generated, gold, EMBEDDER, failures=failures)
-    return SimpleNamespace(findings=result.findings, summary=result.report.error_summary)
+    """The findings that evaluating *generated* against *gold* writes, and their count per category."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        report = evaluate_dictionaries(generated, gold, EMBEDDER, out_dir, failures=failures)
+        with open(Path(out_dir) / "findings.jsonl", encoding="utf-8") as fh:
+            return SimpleNamespace(findings=parse_findings(fh), summary=report.error_summary)
 
 
 def fabricated(entry, config=None):

@@ -74,6 +74,13 @@ class TestBuildPrompt:
         positions = [prompt.rindex(f"\n{lemma}") for lemma in lemmas]
         assert positions == sorted(positions)
 
+    def test_placeholder_inside_a_fewshot_example_is_kept(self):
+        # each placeholder is filled in one pass, so a few-shot example's text is never searched for {{BATCH}}
+        example = ("x", "Verbo", "Usa {{BATCH}} aquí.", "ej")
+        prompt = build_prompt(records("casa"), GenerationConfig(fewshot_examples=(example,)))
+        assert "x: Verbo: Usa {{BATCH}} aquí." in prompt
+        assert prompt.count("casa") == 1
+
     def test_missing_placeholder_is_config_error(self):
         with pytest.raises(ConfigError):
             GenerationConfig(prompt_template="sin marcador")
@@ -336,7 +343,7 @@ class TestTruncatedReplies:
         config = GenerationConfig(batch_size=batch_size, max_output_tokens=max_tokens)
         dictionary, failures, stats = run_generation(records(*lemmas), provider, config)
         assert len(dictionary) + len(failures) == len(lemmas)
-        assert stats.requests == provider.calls
+        assert stats.requests == len(provider.batches)
         return dictionary, failures, provider
 
     def test_refused_lemma_cut_to_a_definition_is_not_kept(self):

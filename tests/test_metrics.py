@@ -111,7 +111,7 @@ class TestCosineStats:
             record("a", PosCategory.NOUN, 1, [0.5]),
             record("b", PosCategory.NOUN, 1, [0.5]),
         ]
-        summary = cosine_stats(records, "best_score", "monosemous")["all"]
+        summary = cosine_stats(records)[0]["all"]
         assert summary == StatsSummary(count=2, mean=0.5, std_dev=0.0)
 
     def test_population_formula_by_hand(self):
@@ -119,7 +119,7 @@ class TestCosineStats:
             record("a", PosCategory.VERB, 1, [0.2]),
             record("b", PosCategory.VERB, 1, [0.6]),
         ]
-        summary = cosine_stats(records, "best_score", "monosemous")["all"]
+        summary = cosine_stats(records)[0]["all"]
         # mean (0.2+0.6)/2 = 0.4; deviations ±0.2 -> population std 0.2
         assert summary.mean == pytest.approx(0.4)
         assert summary.std_dev == pytest.approx(0.2)
@@ -130,7 +130,7 @@ class TestCosineStats:
             record(f"l{i}", PosCategory.ADJECTIVE, 1, [round(rng.random(), 3) for _ in range(3)])
             for i in range(25)
         ]
-        summary = cosine_stats(records, "mean_over_gold", "polysemous")["all"]
+        summary = cosine_stats(records)[1]["all"]
         mean, std = oracle_population_stats([r.mean_over_gold for r in records])
         assert summary.mean == pytest.approx(mean, abs=1e-12)
         assert summary.std_dev == pytest.approx(std, abs=1e-12)
@@ -140,17 +140,17 @@ class TestCosineStats:
             record("a", PosCategory.NOUN, 1, [0.9]),
             record("b", PosCategory.NOUN, 1, [0.1, 0.7]),
         ]
-        mono = cosine_stats(records, "best_score", "monosemous")
-        poly = cosine_stats(records, "best_score", "polysemous")
+        mono, poly = cosine_stats(records)
         assert mono["all"].count == 1 and poly["all"].count == 1
-        assert poly["all"].mean == pytest.approx(0.7)
+        assert mono["all"].mean == pytest.approx(0.9)
+        assert poly["all"].mean == pytest.approx(0.4)  # mean over gold, not the best score
 
     def test_groups_by_pos(self):
         records = [
             record("a", PosCategory.NOUN, 1, [0.4]),
             record("b", PosCategory.ADVERB, 1, [0.8]),
         ]
-        stats = cosine_stats(records, "best_score", "monosemous")
+        stats = cosine_stats(records)[0]
         assert set(stats) == {"all", "noun", "adverb"}
         assert stats["adverb"].mean == pytest.approx(0.8)
 
@@ -159,9 +159,7 @@ class TestCosineStats:
         records = [record(f"l{i}", PosCategory.NOUN, 1, [rng.random()]) for i in range(30)]
         shuffled = records[:]
         rng.shuffle(shuffled)
-        assert cosine_stats(records, "best_score", "monosemous") == cosine_stats(
-            shuffled, "best_score", "monosemous"
-        )
+        assert cosine_stats(records) == cosine_stats(shuffled)
 
 
 class TestLengthStats:

@@ -1,12 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lexiforge.alignment import sense_text
 from lexiforge.embedding import DeterministicEmbedder, embed_deterministic
-from lexiforge.error_analysis import ErrorCategory
+from lexiforge.error_analysis import ErrorCategory, parse_findings
 from lexiforge.metrics import ConfusionMatrix2x2, class_metrics
 from lexiforge.model import Dictionary, PosCategory
 from lexiforge.report import (
@@ -24,46 +25,60 @@ from conftest import make_dictionary, make_entry
 
 EMBEDDER = DeterministicEmbedder(dimension=512)
 
+OUTPUTS = ("report.json", "alignments.jsonl", "polysemy_pairs.jsonl", "findings.jsonl")
+
+
+def outputs(out_dir):
+    """The bytes of each file that ``evaluate_dictionaries`` writes under *out_dir*."""
+    return {name: (Path(out_dir) / name).read_bytes() for name in OUTPUTS}
+
+
+def read_jsonl(path):
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def write_to(report, path):
+    with atomic_text(path) as fh:
+        write_report(report, fh)
+
 
 @pytest.fixture
-def fixture20_result(fixture20):
+def fixture20_report(fixture20, tmp_path):
     generated, gold = fixture20
-    return evaluate_dictionaries(generated, gold, EMBEDDER)
+    return evaluate_dictionaries(generated, gold, EMBEDDER, tmp_path / "eval")
 
 
 class TestEvaluateDictionaries:
-    def test_confusion_matches_hand_classification(self, fixture20_result):
-        report = fixture20_result.report
-        assert report.join_size == 20
-        assert report.confusion == ConfusionMatrix2x2(mono_mono=11, mono_poly=1, poly_mono=5, poly_poly=3)
+    def test_confusion_matches_hand_classification(self, fixture20_report):
+        assert fixture20_report.join_size == 20
+        assert fixture20_report.confusion == ConfusionMatrix2x2(mono_mono=11, mono_poly=1, poly_mono=5, poly_poly=3)
 
-    def test_rank_histogram(self, fixture20_result):
-        assert fixture20_result.report.rank_histogram == {1: 2, 2: 3}
+    def test_rank_histogram(self, fixture20_report):
+        assert fixture20_report.rank_histogram == {1: 2, 2: 3}
 
-    def test_class_metrics_rederivable_from_cells(self, fixture20_result):
-        report = fixture20_result.report
+    def test_class_metrics_rederivable_from_cells(self, fixture20_report):
         for positive in ("monosemy", "polysemy"):
-            assert report.class_metrics[positive] == class_metrics(report.confusion, positive)
+            assert fixture20_report.class_metrics[positive] == class_metrics(fixture20_report.confusion, positive)
 
-    def test_cosine_tables_cover_expected_groups(self, fixture20_result):
-        report = fixture20_result.report
-        assert set(report.cosine_monosemous_gold) == {"all", "noun", "adjective", "verb", "adverb"}
-        assert report.cosine_monosemous_gold["all"].count == 11
-        assert set(report.cosine_polysemous_gold) == {"all", "noun", "verb"}
-        assert report.cosine_polysemous_gold["all"].count == 5
+    def test_cosine_tables_cover_expected_groups(self, fixture20_report):
+        assert set(fixture20_report.cosine_monosemous_gold) == {"all", "noun", "adjective", "verb", "adverb"}
+        assert fixture20_report.cosine_monosemous_gold["all"].count == 11
+        assert set(fixture20_report.cosine_polysemous_gold) == {"all", "noun", "verb"}
+        assert fixture20_report.cosine_polysemous_gold["all"].count == 5
 
-    def test_polysemy_pairs_emitted_for_gen_polysemous(self, fixture20_result):
-        lemmas = {p["lemma"] for p in fixture20_result.polysemy_pairs}
+    def test_polysemy_pairs_emitted_for_gen_polysemous(self, fixture20_report, tmp_path):
+        lemmas = {p["lemma"] for p in read_jsonl(tmp_path / "eval" / "polysemy_pairs.jsonl")}
         assert lemmas == {"asaltador", "atropellado", "baboseo", "hablar"}
 
-    def test_error_summary_embedded(self, fixture20_result):
-        summary = fixture20_result.report.error_summary
+    def test_error_summary_embedded(self, fixture20_report):
+        summary = fixture20_report.error_summary
         assert summary["hallucination_candidate"] == 2
         assert summary["fabricated_polysemy"] == 1
         assert summary["overcorrection"] == 1
 
-    def test_circularity_rate_zero_on_fixture(self, fixture20_result):
-        assert fixture20_result.report.circularity_rate == 0.0
+    def test_circularity_rate_zero_on_fixture(self, fixture20_report):
+        assert fixture20_report.circularity_rate == 0.0
 
 
 class CountingEmbedder:
@@ -89,22 +104,24 @@ class CountingEmbedder:
 
 
 class TestEmbeddingPasses:
-    def test_one_batch_without_hallucination_candidates(self, fixture20):
+    def test_one_batch_without_hallucination_candidates(self, fixture20, tmp_path):
         embedder = CountingEmbedder()
-        result = evaluate_dictionaries(*fixture20, embedder)
-        assert result.report.error_summary["hallucination_candidate"] == 0
+        report = evaluate_dictionaries(*fixture20, embedder, tmp_path)
+        assert report.error_summary["hallucination_candidate"] == 0
         assert embedder.single_calls == 0
         assert len(embedder.batches) == 1
         assert embedder.batches[0] == sorted(set(embedder.batches[0]))
 
-    def test_second_batch_for_a_planted_candidate(self, fixture20):
+    def test_second_batch_for_a_planted_candidate(self, fixture20, tmp_path):
         generated, gold = fixture20
         planted = generated.get("destace", PosCategory.NOUN)
         embedder = CountingEmbedder(outliers=[planted.senses[0].definition])
-        result = evaluate_dictionaries(generated, gold, embedder)
-        candidates = {f.lemma for f in result.findings if f.category is ErrorCategory.HALLUCINATION_CANDIDATE}
+        report = evaluate_dictionaries(generated, gold, embedder, tmp_path)
+        with open(tmp_path / "findings.jsonl", encoding="utf-8") as fh:
+            findings = parse_findings(fh)
+        candidates = {f.lemma for f in findings if f.category is ErrorCategory.HALLUCINATION_CANDIDATE}
         assert "destace" in candidates
-        assert result.report.error_summary["overcorrection"] >= 1
+        assert report.error_summary["overcorrection"] >= 1
         assert embedder.single_calls == 0
         assert len(embedder.batches) == 2
         assert all(batch == sorted(set(batch)) for batch in embedder.batches)
@@ -123,10 +140,6 @@ class RecordingEmbedder(DeterministicEmbedder):
         return super().embed_batch(texts)
 
 
-def outputs(result):
-    return result.report.to_dict(), result.records, result.polysemy_pairs, result.findings
-
-
 class TestKeyBlocks:
     @pytest.mark.parametrize(
         ("make_embedder", "candidates"),
@@ -140,43 +153,44 @@ class TestKeyBlocks:
             ),
         ],
     )
-    def test_blocks_of_two_equal_one_block(self, fixture20, monkeypatch, make_embedder, candidates):
+    def test_blocks_of_two_equal_one_block(self, fixture20, monkeypatch, tmp_path, make_embedder, candidates):
         generated, gold = fixture20
-        whole = evaluate_dictionaries(generated, gold, make_embedder(generated))
+        whole = evaluate_dictionaries(generated, gold, make_embedder(generated), tmp_path / "whole")
         monkeypatch.setattr("lexiforge.report.KEY_BLOCK", 2)
         embedder = make_embedder(generated)
-        blocked = evaluate_dictionaries(generated, gold, embedder)
-        assert outputs(blocked) == outputs(whole)
-        assert (whole.report.error_summary["hallucination_candidate"] > 0) == bool(candidates)
+        evaluate_dictionaries(generated, gold, embedder, tmp_path / "blocked")
+        assert outputs(tmp_path / "blocked") == outputs(tmp_path / "whole")
+        assert (whole.error_summary["hallucination_candidate"] > 0) == bool(candidates)
         assert len(embedder.batches) == math.ceil(len(generated) / 2) + candidates
         assert all(batch == sorted(set(batch)) for batch in embedder.batches)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5])
-    def test_entries_outside_the_join_keep_their_place(self, fixture20, monkeypatch, block):
+    def test_entries_outside_the_join_keep_their_place(self, fixture20, monkeypatch, tmp_path, block):
         generated, gold = fixture20
         # generated-only entries, one with a duplicated sense, and a gold-only one, between the join's keys
         generated.add(make_entry("abacería", "Nombre femenino", "Tienda de comestibles."))
         generated.add(make_entry("babor", "Nombre masculino", "Lado izquierdo del barco.", "Lado izquierdo del barco."))
         generated.add(make_entry("zurdo", "Adjetivo", "Que usa la mano izquierda.", "Que está a la izquierda."))
         gold.add(make_entry("cántaro", "Nombre masculino", "Vasija grande de barro."))
-        whole = evaluate_dictionaries(generated, gold, EMBEDDER)
-        assert whole.report.error_summary["fabricated_polysemy"] == 2  # babor's duplicate sense is found
+        whole = evaluate_dictionaries(generated, gold, EMBEDDER, tmp_path / "whole")
+        assert whole.error_summary["fabricated_polysemy"] == 2  # babor's duplicate sense is found
         monkeypatch.setattr("lexiforge.report.KEY_BLOCK", block)
         embedder = RecordingEmbedder()
-        assert outputs(evaluate_dictionaries(generated, gold, embedder)) == outputs(whole)
+        evaluate_dictionaries(generated, gold, embedder, tmp_path / "blocked")
+        assert outputs(tmp_path / "blocked") == outputs(tmp_path / "whole")
         assert all(batch == sorted(set(batch)) for batch in embedder.batches)
 
 
 class TestCandidateBlocks:
-    def test_blocks_of_one_equal_one_block(self, planted, monkeypatch):
+    def test_blocks_of_one_equal_one_block(self, planted, monkeypatch, tmp_path):
         generated, gold = planted
-        whole = evaluate_dictionaries(generated, gold, EMBEDDER)
-        candidates = whole.report.error_summary["hallucination_candidate"]
-        assert candidates > 1 and whole.report.error_summary["overcorrection"] >= 1
+        whole = evaluate_dictionaries(generated, gold, EMBEDDER, tmp_path / "whole")
+        candidates = whole.error_summary["hallucination_candidate"]
+        assert candidates > 1 and whole.error_summary["overcorrection"] >= 1
         monkeypatch.setattr("lexiforge.error_analysis.CANDIDATE_BLOCK", 1)
         embedder = RecordingEmbedder()
-        blocked = evaluate_dictionaries(generated, gold, embedder)
-        assert outputs(blocked) == outputs(whole)
+        evaluate_dictionaries(generated, gold, embedder, tmp_path / "blocked")
+        assert outputs(tmp_path / "blocked") == outputs(tmp_path / "whole")
         assert len(embedder.batches) == math.ceil(len(generated) / KEY_BLOCK) + candidates
 
 
@@ -194,22 +208,25 @@ class ScaledPerText:
 
 class TestScoreParity:
     @pytest.mark.parametrize("include_examples", [False, True])
-    def test_scores_match_cosine_of_raw_vectors(self, fixture20, include_examples):
+    def test_scores_match_cosine_of_raw_vectors(self, fixture20, tmp_path, include_examples):
         generated, gold = fixture20
         embedder = ScaledPerText()
-        result = evaluate_dictionaries(generated, gold, embedder, include_examples=include_examples)
+        evaluate_dictionaries(generated, gold, embedder, tmp_path, include_examples=include_examples)
 
         def cosine(gen_sense, gold_sense):
             raw = [embedder.embed(sense_text(s, include_examples)) for s in (gen_sense, gold_sense)]
             return cosine_similarity(*raw)
 
-        for record in result.records:
-            gen = generated.get(record.lemma, record.category)
-            gold_entry = gold.get(record.lemma, record.category)
-            for score, gold_sense in zip(record.per_gold_scores, gold_entry.senses, strict=True):
+        records = read_jsonl(tmp_path / "alignments.jsonl")
+        assert len(records) == 20
+        for record in records:
+            key = (record["lemma"], PosCategory(record["category"]))
+            gen, gold_entry = generated.get(*key), gold.get(*key)
+            for score, gold_sense in zip(record["per_gold_scores"], gold_entry.senses, strict=True):
                 assert abs(score - cosine(gen.senses[0], gold_sense)) <= 1e-12
-        assert result.polysemy_pairs
-        for pair in result.polysemy_pairs:
+        pairs = read_jsonl(tmp_path / "polysemy_pairs.jsonl")
+        assert pairs
+        for pair in pairs:
             key = (pair["lemma"], PosCategory(pair["category"]))
             gen, gold_entry = generated.get(*key), gold.get(*key)
             assert len(pair["scores"]) == len(gen.senses)
@@ -219,42 +236,42 @@ class TestScoreParity:
 
 
 class TestCircularityRate:
-    def _rate(self, dictionary):
-        return evaluate_dictionaries(dictionary, dictionary, EMBEDDER).report.circularity_rate
+    def _rate(self, dictionary, out_dir):
+        return evaluate_dictionaries(dictionary, dictionary, EMBEDDER, out_dir).circularity_rate
 
-    def test_clean_dictionary(self):
+    def test_clean_dictionary(self, tmp_path):
         d = make_dictionary(make_entry("gato", "Nombre masculino", "Felino doméstico."))
-        assert self._rate(d) == 0.0
+        assert self._rate(d, tmp_path) == 0.0
 
-    def test_one_of_four(self):
+    def test_one_of_four(self, tmp_path):
         d = make_dictionary(
             make_entry("gato", "Nombre masculino", "Un gato es un felino."),
             make_entry("perro", "Nombre masculino", "Mamífero doméstico."),
             make_entry("sal", "Nombre femenino", "Cloruro de sodio."),
             make_entry("sol", "Nombre masculino", "Estrella central."),
         )
-        assert self._rate(d) == 0.25
+        assert self._rate(d, tmp_path) == 0.25
 
-    def test_empty_dictionary(self):
-        assert self._rate(Dictionary()) == 0.0
+    def test_empty_dictionary(self, tmp_path):
+        assert self._rate(Dictionary(), tmp_path) == 0.0
 
 
 class TestReportSerialization:
-    def test_round_trip(self, fixture20_result, tmp_path):
+    def test_round_trip(self, fixture20_report, tmp_path):
         path = tmp_path / "report.json"
-        write_report(fixture20_result.report, path)
+        write_to(fixture20_report, path)
         loaded = load_report(path)
-        assert loaded == fixture20_result.report
+        assert loaded == fixture20_report
 
-    def test_write_is_deterministic(self, fixture20_result, tmp_path):
+    def test_write_is_deterministic(self, fixture20_report, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_report(fixture20_result.report, a)
-        write_report(fixture20_result.report, b)
+        write_to(fixture20_report, a)
+        write_to(fixture20_report, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_report_is_self_contained_json(self, fixture20_result, tmp_path):
+    def test_report_is_self_contained_json(self, fixture20_report, tmp_path):
         path = tmp_path / "report.json"
-        write_report(fixture20_result.report, path)
+        write_to(fixture20_report, path)
         data = json.loads(path.read_text(encoding="utf-8"))
         assert list(data) == [
             "join_size",
@@ -293,8 +310,8 @@ def reference_report() -> EvaluationReport:
 
 
 class TestRenderTables:
-    def test_csv_files_written(self, fixture20_result, tmp_path):
-        written = render_tables(fixture20_result.report, "csv", tmp_path)
+    def test_csv_files_written(self, fixture20_report, tmp_path):
+        written = render_tables(fixture20_report, "csv", tmp_path)
         names = sorted(p.name for p in written)
         assert names == [
             "figure1.csv",
@@ -305,8 +322,8 @@ class TestRenderTables:
             "table5.csv",
         ]
 
-    def test_table1_includes_marginals(self, fixture20_result, tmp_path):
-        render_tables(fixture20_result.report, "csv", tmp_path)
+    def test_table1_includes_marginals(self, fixture20_report, tmp_path):
+        render_tables(fixture20_report, "csv", tmp_path)
         rows = (tmp_path / "tables" / "table1.csv").read_text().splitlines()
         assert rows[1] == "Monosemy,11,1,12"
         assert rows[2] == "Polysemy,5,3,8"
@@ -324,8 +341,8 @@ class TestRenderTables:
         table3 = (tmp_path / "tables" / "table3.csv").read_text().splitlines()
         assert table3[1] == "All,n/a,n/a"
 
-    def test_markdown_layout(self, fixture20_result, tmp_path):
-        render_tables(fixture20_result.report, "md", tmp_path)
+    def test_markdown_layout(self, fixture20_report, tmp_path):
+        render_tables(fixture20_report, "md", tmp_path)
         text = (tmp_path / "tables" / "table3.md").read_text()
         lines = text.splitlines()
         assert lines[0].startswith("| POS tag | Mean | Std Dev |")
@@ -337,20 +354,20 @@ class TestRenderTables:
             "Adverbs",
         ]
 
-    def test_json_single_file(self, fixture20_result, tmp_path):
-        written = render_tables(fixture20_result.report, "json", tmp_path)
+    def test_json_single_file(self, fixture20_report, tmp_path):
+        written = render_tables(fixture20_report, "json", tmp_path)
         assert [p.name for p in written] == ["tables.json"]
         data = json.loads(written[0].read_text(encoding="utf-8"))
         assert set(data) == {"table1", "table2", "table3", "table4", "table5", "figure1"}
 
-    def test_figure1_rows(self, fixture20_result, tmp_path):
-        render_tables(fixture20_result.report, "csv", tmp_path)
+    def test_figure1_rows(self, fixture20_report, tmp_path):
+        render_tables(fixture20_report, "csv", tmp_path)
         rows = (tmp_path / "tables" / "figure1.csv").read_text().splitlines()
         assert rows == ["best_gold_index,count", "1,2", "2,3"]
 
-    def test_unknown_format_rejected(self, fixture20_result, tmp_path):
+    def test_unknown_format_rejected(self, fixture20_report, tmp_path):
         with pytest.raises(ValueError):
-            render_tables(fixture20_result.report, "xlsx", tmp_path)
+            render_tables(fixture20_report, "xlsx", tmp_path)
 
 
 class TestAtomicWrite:
