@@ -210,7 +210,10 @@ def build_embedder(choice: str, settings: EmbeddingSettings):
     else:
         raise ConfigError(f"unknown embedder {choice!r}")
     if settings.cache is not None:
-        embedder = CachingEmbedder(embedder, settings.cache)
+        try:
+            embedder = CachingEmbedder(embedder, settings.cache)
+        except OSError as exc:
+            raise ConfigError(f"cannot read [embedding] cache {settings.cache}: {exc}") from exc
     return embedder
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .exceptions import ConfigError, EmptyLemmaError, ProviderError
-from .model import Dictionary, DictionaryEntry, PosTag, Sense, normalize_lemma
+from .model import Dictionary, DictionaryEntry, PosCategory, PosTag, Sense, normalize_lemma
 from .providers import Provider, ProviderRequest
 
 DEFAULT_REFUSAL_PATTERNS = (
@@ -204,6 +204,9 @@ def parse_model_response(
     becomes a refusal failure, a lemma absent from the reply a parse_error.
     A *cut* reply, stopped at the token limit, may have been cut anywhere in
     its last block, so that block is dropped.
+
+    Scanning normalises each lemma and trims each definition, and an empty
+    definition is a refusal, so every entry holds what ``DictionaryEntry`` states.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -230,16 +233,13 @@ def parse_model_response(
             detail = refused[0] if refused and refused[0] else "empty definition"
             failures.append(GenerationFailure(record.lemma, record.pos, FailureReason.REFUSAL, detail))
             continue
-        try:
-            entry = DictionaryEntry(
+        entries.append(
+            DictionaryEntry(
                 lemma=block.lemma,
                 pos=PosTag.from_label(block.pos_label),
                 senses=tuple(Sense(definition=d, example=e) for d, e in kept),
             )
-        except ValueError as exc:
-            failures.append(GenerationFailure(record.lemma, record.pos, FailureReason.PARSE_ERROR, str(exc)))
-            continue
-        entries.append(entry)
+        )
     assert len(entries) + len(failures) == len(batch)
     return entries, failures
 
@@ -369,22 +369,15 @@ def run_generation(
         for i, outcome in enumerate(outcomes, start=1):
             (audit_path / f"batch_{i:04d}.txt").write_text(outcome.raw_text, encoding="utf-8")
 
-    dictionary = Dictionary()
+    kept: dict[tuple[str, PosCategory], DictionaryEntry] = {}  # the first entry of each key
     failures: list[GenerationFailure] = []
     for outcome in outcomes:
         failures.extend(outcome.failures)
         for entry in outcome.entries:
-            if entry.key in dictionary:
-                failures.append(
-                    GenerationFailure(
-                        entry.lemma,
-                        entry.pos,
-                        FailureReason.PARSE_ERROR,
-                        f"duplicate key {entry.key[1].value!r} already produced by an earlier batch",
-                    )
-                )
-            else:
-                dictionary.add(entry)
+            if kept.setdefault(entry.key, entry) is not entry:
+                detail = f"duplicate key {entry.key[1].value!r} already produced by an earlier batch"
+                failures.append(GenerationFailure(entry.lemma, entry.pos, FailureReason.PARSE_ERROR, detail))
+    dictionary = Dictionary(kept.values())
     stats = RunStats(
         batch_count=len(batches),
         requests=sum(o.requests for o in outcomes),

@@ -180,25 +180,32 @@ def _parse_senses(raw_senses: list, line: int) -> tuple[Sense, ...]:
 def parse_dictionary(stream: Iterable[str], name: str | None = None) -> Dictionary:
     """Parse one JSON entry per line; senses keep their file order.
 
+    Every check an entry needs runs here, once (see ``DictionaryEntry``). A
+    DuplicateKeyError names the first line that repeats a key.
+
     *name* is unused. perfbench's generate gate still passes it, so it stays
     until that gate changes.
     """
-    dictionary = Dictionary()
+    entries: list[DictionaryEntry] = []
+    numbers: list[int] = []  # each entry's line
     tags = _PosTags()
     for number, obj in read_records(stream, _DICTIONARY_RECORD):
         try:
-            entry = DictionaryEntry(
-                lemma=normalize_lemma(obj["lemma"]),
-                pos=tags[obj["pos"]],
-                senses=_parse_senses(obj["senses"], number),
-            )
-        except (EmptyLemmaError, ValueError) as exc:
+            lemma = normalize_lemma(obj["lemma"])
+        except EmptyLemmaError as exc:
             raise ParseError(str(exc), line_number=number) from exc
-        try:
-            dictionary.add(entry)
-        except DuplicateKeyError:
-            raise DuplicateKeyError(f"duplicate key {entry.key!r}", line_number=number) from None
-    return dictionary
+        entries.append(DictionaryEntry(lemma, tags[obj["pos"]], _parse_senses(obj["senses"], number)))
+        numbers.append(number)
+    try:
+        return Dictionary(entries)
+    except DuplicateKeyError:
+        seen = set()
+        for number, entry in zip(numbers, entries):
+            if entry.key in seen:
+                key = (entry.lemma, entry.pos.category.value)
+                raise DuplicateKeyError(f"duplicate key {key!r}", line_number=number) from None
+            seen.add(entry.key)
+        raise
 
 
 def write_dictionary(dictionary: Dictionary, stream: IO[str]) -> int:

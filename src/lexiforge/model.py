@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import enum
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 from .exceptions import DuplicateKeyError, EmptyLemmaError
 
@@ -70,27 +71,23 @@ class PosTag:
 
 @dataclass(frozen=True, slots=True)
 class Sense:
-    """A definition plus an optional example; a sense's number is its 1-based position in its entry."""
+    """A trimmed, non-blank definition plus an optional example; a sense's number is its 1-based position in its entry."""
 
     definition: str
     example: str | None = None
 
-    def __post_init__(self):
-        if not self.definition or self.definition != self.definition.strip():
-            raise ValueError(f"definition must be non-empty and trimmed: {self.definition!r}")
-
 
 @dataclass(frozen=True, slots=True)
 class DictionaryEntry:
+    """A normalised lemma's senses, at least one, under one POS tag.
+
+    Entries and senses check nothing: their producers, ``ingestion.parse_dictionary``
+    and ``generation.parse_model_response``, build only entries that hold this.
+    """
+
     lemma: str
     pos: PosTag
     senses: tuple[Sense, ...]
-
-    def __post_init__(self):
-        if self.lemma != normalize_lemma(self.lemma):
-            raise ValueError(f"lemma is not normalized: {self.lemma!r}")
-        if not self.senses:
-            raise ValueError(f"entry {self.lemma!r} has no senses")
 
     @property
     def key(self) -> tuple[str, PosCategory]:
@@ -101,28 +98,29 @@ def is_monosemous(entry: DictionaryEntry) -> bool:
     return len(entry.senses) == 1
 
 
-@dataclass
+def _order(entry: DictionaryEntry) -> tuple[str, str]:
+    return (entry.lemma, entry.pos.category.value)
+
+
 class Dictionary:
-    """Entries keyed by (lemma, POS category); single-writer during build."""
+    """Entries keyed by (lemma, POS category), built once and kept in (lemma, category value) order."""
 
-    _entries: dict[tuple[str, PosCategory], DictionaryEntry] = field(default_factory=dict)
-    # the keys in entries() order, sorted on first use after an add
-    _sorted_keys: list[tuple[str, PosCategory]] | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("_entries",)
 
-    def add(self, entry: DictionaryEntry) -> None:
-        if entry.key in self._entries:
-            raise DuplicateKeyError(f"duplicate key {entry.key!r}")
-        self._entries[entry.key] = entry
-        self._sorted_keys = None
+    def __init__(self, entries: Iterable[DictionaryEntry]):
+        ordered = sorted(entries, key=_order)
+        self._entries = {entry.key: entry for entry in ordered}
+        if len(self._entries) < len(ordered):
+            # a key's entries sort equal, so they are neighbours
+            repeated = next(a for a, b in zip(ordered, ordered[1:]) if a.key == b.key)
+            raise DuplicateKeyError(f"duplicate key {_order(repeated)!r}")
 
     def get(self, lemma: str, category: PosCategory) -> DictionaryEntry | None:
         return self._entries.get((lemma, category))
 
     def entries(self) -> list[DictionaryEntry]:
-        """Entries sorted by (lemma, category) for deterministic iteration."""
-        if self._sorted_keys is None:
-            self._sorted_keys = sorted(self._entries, key=_key_sort)
-        return [self._entries[k] for k in self._sorted_keys]
+        """Entries in (lemma, category value) order."""
+        return list(self._entries.values())
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -131,15 +129,11 @@ class Dictionary:
         return key in self._entries
 
 
-def _key_sort(key: tuple[str, PosCategory]) -> tuple[str, str]:
-    return (key[0], key[1].value)
-
-
 def vocabulary_join(generated: Dictionary, gold: Dictionary) -> list[tuple[DictionaryEntry, DictionaryEntry]]:
-    """(generated, gold) entry pairs of the keys present in both, sorted by (lemma, category).
+    """(generated, gold) entry pairs of the keys present in both, in the generated side's key order.
 
     Evaluation is restricted to exactly these pairs, so entries missing on
     either side never influence any statistic.
     """
-    shared = sorted(generated._entries.keys() & gold._entries.keys(), key=_key_sort)
-    return [(generated._entries[key], gold._entries[key]) for key in shared]
+    gold_entries = gold._entries
+    return [(entry, gold_entries[key]) for key, entry in generated._entries.items() if key in gold_entries]

@@ -9,7 +9,7 @@ import pytest
 from lexiforge.alignment import sense_text
 from lexiforge.embedding import VectorTable
 from lexiforge.ingestion import parse_dictionary
-from lexiforge.model import Dictionary, DictionaryEntry, PosTag, Sense
+from lexiforge.model import Dictionary, DictionaryEntry, PosTag, Sense, normalize_lemma
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -27,10 +27,16 @@ def make_entry(lemma: str, label: str, *senses: str | tuple[str, str | None]) ->
 
 
 def make_dictionary(*entries: DictionaryEntry) -> Dictionary:
-    dictionary = Dictionary()
+    return Dictionary(entries)
+
+
+def assert_checked(entries) -> None:
+    """What ``Sense`` and ``DictionaryEntry`` rely on their producers for."""
     for entry in entries:
-        dictionary.add(entry)
-    return dictionary
+        assert entry.lemma == normalize_lemma(entry.lemma)
+        assert entry.senses
+        for sense in entry.senses:
+            assert sense.definition and sense.definition == sense.definition.strip()
 
 
 def vector_table(embedder, entries, include_examples: bool = False) -> VectorTable:

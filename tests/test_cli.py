@@ -569,6 +569,23 @@ class TestEvaluate:
         assert named in result.output
         assert not (workspace / "eval").exists()
 
+    @pytest.mark.parametrize("value", ["", "vectors"], ids=["empty", "directory"])
+    def test_cache_that_cannot_be_read_exit_2(self, runner, workspace, value):
+        # an empty value resolves to the config file's directory
+        (workspace / "vectors").mkdir()
+        (workspace / "eval_config.ini").write_text(f"[embedding]\ncache = {value}\n", encoding="utf-8")
+        result = run_evaluate(runner, workspace)
+        assert result.exit_code == 2, result.output
+        assert f"cannot read [embedding] cache {workspace / value}: " in result.output
+        assert not (workspace / "eval").exists()
+
+    def test_cache_that_cannot_be_written_exit_4(self, runner, workspace):
+        # a path in a missing directory opens nothing until the first vector is written
+        (workspace / "eval_config.ini").write_text("[embedding]\ncache = missing/vectors.jsonl\n", encoding="utf-8")
+        result = run_evaluate(runner, workspace)
+        assert result.exit_code == 4, result.output
+        assert "cannot write output" in result.output
+
     def test_remote_embedder_unconfigured_exit_2(self, runner, workspace):
         result = runner.invoke(
             main,

@@ -343,8 +343,7 @@ class TestSortedUnique:
             "import sys\n"
             "from lexiforge.error_analysis import NeighborIndex\n"
             "from lexiforge.model import Dictionary, DictionaryEntry, PosTag, Sense\n"
-            "gold = Dictionary()\n"
-            "gold.add(DictionaryEntry('casa', PosTag.from_label('Nombre femenino'), (Sense('Edificio.'),)))\n"
+            "gold = Dictionary([DictionaryEntry('casa', PosTag.from_label('Nombre femenino'), (Sense('Edificio.'),))])\n"
             "assert NeighborIndex(gold, ['cosa']).neighbors('cosa') == [('casa', 1)]\n"
             "print('numpy.ma' in sys.modules)\n"
         )

@@ -5,6 +5,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from lexiforge.exceptions import ConfigError, ProviderError
 from lexiforge.generation import (
@@ -21,6 +23,8 @@ from lexiforge.generation import (
 from lexiforge.ingestion import parse_failures, write_dictionary, write_failures
 from lexiforge.model import PosCategory, PosTag
 from lexiforge.providers import ProviderResponse, StubProvider
+
+from conftest import assert_checked
 
 
 def records(*lemmas: str) -> list[LemmaRecord]:
@@ -197,6 +201,41 @@ class TestParseModelResponse:
         raw = "Claro, aquí tienes las definiciones.\n" + reply_for("mar", "Nombre masculino", "Masa de agua salada.")
         entries, failures = parse_model_response(raw, records("mar"))
         assert len(entries) == 1 and failures == []
+
+
+# the spellings a reply may give a batch lemma in: case, padding, a decomposed ñ
+_SPELLINGS = {"casa": ["casa", " Casa", "CASA\t"], "mañana": ["mañana", "man\u0303ana", "MAÑANA"], "ñu": ["ñu", "Ñu "]}
+_REPLY_LABELS = ["Nombre femenino", "Verbo", " Locución "]
+_SENSE_TEXTS = st.one_of(
+    st.text(alphabet="aáñÑ .;:\t", min_size=1, max_size=15),
+    st.sampled_from(["", "  ", "Desconocido.", "Ejemplo: solo un ejemplo.", "Asiento. Ejemplo: Se sentó."]),
+)
+
+
+@st.composite
+def replies(draw) -> tuple[str, list[LemmaRecord]]:
+    """A batch, and a reply answering each of its lemmas zero, one or two times, among stray lines."""
+    batch, lines = [], []
+    for lemma in draw(st.lists(st.sampled_from(sorted(_SPELLINGS)), min_size=1, max_size=4)):
+        pos = draw(st.sampled_from([None, *map(PosTag.from_label, _REPLY_LABELS)]))
+        batch.append(LemmaRecord(lemma, pos))
+        for _ in range(draw(st.integers(0, 2))):
+            spelling, label = draw(st.sampled_from(_SPELLINGS[lemma])), draw(st.sampled_from(_REPLY_LABELS))
+            lines.append(f"{spelling}: {label}: {draw(_SENSE_TEXTS)}")
+            lines += [f"{i}. {draw(_SENSE_TEXTS)}" for i in range(2, draw(st.integers(1, 3)) + 1)]
+        lines += draw(st.lists(st.text(alphabet="aÑ 2.):\t\n", max_size=20), max_size=1))
+    return "\n".join(lines), batch
+
+
+class TestParseModelResponseProperties:
+    @seed(23)
+    @settings(max_examples=150)
+    @given(replies(), st.booleans())
+    def test_every_entry_holds_what_the_model_relies_on(self, reply, cut):
+        raw, batch = reply
+        entries, failures = parse_model_response(raw, batch, cut)
+        assert len(entries) + len(failures) == len(batch)
+        assert_checked(entries)
 
 
 class FlakyProvider:

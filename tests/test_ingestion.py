@@ -2,7 +2,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lexiforge.exceptions import DuplicateKeyError, ParseError
@@ -16,7 +16,7 @@ from lexiforge.ingestion import (
 )
 from lexiforge.model import Dictionary, DictionaryEntry, PosCategory, PosTag, Sense, is_monosemous
 
-from conftest import make_dictionary, make_entry
+from conftest import assert_checked, make_dictionary, make_entry
 
 
 class TestParseLemmaList:
@@ -125,12 +125,14 @@ class TestParseDictionary:
         assert sum(1 for e in gold.entries() if not is_monosemous(e)) == 8
 
     def test_duplicate_key_reports_line(self):
-        line = json.dumps(
-            {"lemma": "sol", "pos": "Nombre masculino", "senses": [{"definition": "Estrella.", "example": None}]}
-        )
+        lines = [
+            json.dumps({"lemma": lemma, "pos": label, "senses": [{"definition": "Edificio.", "example": None}]})
+            for lemma, label in [("casa", "Nombre femenino"), ("sol", "Nombre masculino"), ("Casa", "Nombre masculino")]
+        ]
         with pytest.raises(DuplicateKeyError) as exc:
-            parse_dictionary(io.StringIO(line + "\n" + line + "\n"))
-        assert exc.value.line_number == 2
+            parse_dictionary(io.StringIO("\n".join(lines) + "\n"))
+        assert exc.value.line_number == 3
+        assert str(exc.value) == "line 3: duplicate key ('casa', 'noun')"
 
     def test_extra_field_is_schema_violation(self):
         record = {
@@ -188,6 +190,12 @@ class TestParseDictionary:
         with pytest.raises(ParseError):
             parse_dictionary(io.StringIO(json.dumps(record) + "\n"))
 
+    def test_blank_lemma_rejected(self):
+        good = {"lemma": "sol", "pos": "Nombre masculino", "senses": [{"definition": "Estrella.", "example": None}]}
+        with pytest.raises(ParseError) as exc:
+            parse_dictionary([json.dumps(good), json.dumps(good | {"lemma": " \t"})])
+        assert exc.value.line_number == 2 and "lemma is empty" in str(exc.value)
+
 
 class TestSharedPosTags:
     def test_entries_of_one_label_share_one_tag(self):
@@ -212,7 +220,7 @@ class TestSharedPosTags:
 class TestWriteDictionary:
     def test_empty_dictionary_writes_nothing(self):
         out = io.StringIO()
-        assert write_dictionary(Dictionary(), out) == 0
+        assert write_dictionary(Dictionary([]), out) == 0
         assert out.getvalue() == ""
 
     def test_round_trip_identity_on_fixture(self, fixture20):
@@ -254,16 +262,50 @@ _DEFS = st.text(
 
 @st.composite
 def dictionaries(draw) -> Dictionary:
-    d = Dictionary()
+    entries = {}
     for lemma, label in draw(st.sets(st.tuples(_LEMMAS, _LABELS), max_size=6)):
         senses = tuple(
             Sense(definition=text, example=draw(st.one_of(st.none(), _DEFS)))
             for text in draw(st.lists(_DEFS, min_size=1, max_size=3))
         )
         entry = DictionaryEntry(lemma=lemma, pos=PosTag.from_label(label), senses=senses)
-        if entry.key not in d:
-            d.add(entry)
-    return d
+        entries.setdefault(entry.key, entry)  # two labels of one category share a key
+    return Dictionary(entries.values())
+
+
+# spellings of each lemma a file may hold: case, padding, a decomposed ñ
+_FILE_LEMMAS = [["casa", " Casa", "CASA\t"], ["mañana", "man\u0303ana", "MAÑANA "], ["ñu", "Ñu"]]
+# labels with their category, two of them nouns; "Adverbio" is kept for the one free-text lemma below
+_FILE_LABELS = [("Nombre masculino", "noun"), (" nombre femenino", "noun"), ("Verbo", "verb"), ("Adjetivo", "adjective")]
+_PADDED = st.builds(
+    "{}{}{}".format, st.sampled_from(["", " ", "\t", "\u00a0"]), _DEFS, st.sampled_from(["", " ", "\n"])
+)
+
+
+@st.composite
+def dictionary_lines(draw) -> list[str]:
+    """JSON lines that parse: unpadded and padded spellings, no key twice."""
+    keys = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(_FILE_LEMMAS) - 1), st.sampled_from(_FILE_LABELS)),
+            unique_by=lambda key: (key[0], key[1][1]),
+            max_size=6,
+        )
+    )
+    records = [(draw(st.sampled_from(_FILE_LEMMAS[i])), label) for i, (label, _) in keys]
+    records.append((draw(st.text(min_size=1, max_size=6).filter(str.strip)), "Adverbio"))
+    senses = st.lists(st.fixed_dictionaries({"definition": _PADDED, "example": st.one_of(st.none(), _PADDED)}), min_size=1, max_size=3)
+    return [json.dumps({"lemma": lemma, "pos": label, "senses": draw(senses)}) for lemma, label in records]
+
+
+class TestParseDictionaryProperties:
+    @seed(23)
+    @settings(max_examples=100)
+    @given(dictionary_lines())
+    def test_every_entry_holds_what_the_model_relies_on(self, lines):
+        dictionary = parse_dictionary(io.StringIO("\n".join(lines)))
+        assert len(dictionary) == len(lines)
+        assert_checked(dictionary.entries())
 
 
 class TestRoundTripProperties:

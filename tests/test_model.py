@@ -3,7 +3,7 @@ import unicodedata
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lexiforge.alignment import AlignmentRecord
@@ -99,18 +99,6 @@ class TestSlottedValueTypes:
 
 
 class TestSenseAndEntry:
-    def test_sense_rejects_untrimmed_definition(self):
-        with pytest.raises(ValueError):
-            Sense(definition=" con espacios ")
-
-    def test_entry_requires_senses(self):
-        with pytest.raises(ValueError):
-            make_entry("casa", "Nombre femenino")
-
-    def test_entry_requires_normalized_lemma(self):
-        with pytest.raises(ValueError):
-            make_entry("Casa", "Nombre femenino", "Edificio para habitar.")
-
     def test_monosemy_predicate(self):
         assert is_monosemous(make_entry("gato", "Nombre masculino", "Felino doméstico."))
         assert not is_monosemous(
@@ -127,14 +115,44 @@ class TestSenseAndEntry:
         assert not is_monosemous(entry)
 
 
+# homographs in several categories, listed out of order
+_UNORDERED = [
+    make_entry("zumo", "Nombre masculino", "Líquido de una fruta."),
+    make_entry("bajo", "Verbo", "Primera persona de bajar."),
+    make_entry("bajo", "Nombre masculino", "Instrumento de cuerda grave."),
+    make_entry("alto", "Adjetivo", "De mucha altura."),
+    make_entry("bajo", "Adjetivo", "De poca altura."),
+    make_entry("abeja", "Nombre femenino", "Insecto que produce miel."),
+    make_entry("bajo", "Adverbio", "En voz baja."),
+]
+# enumerated by hand: by lemma, then by category value (adjective < adverb < noun < verb)
+_IN_KEY_ORDER = [
+    ("abeja", PosCategory.NOUN),
+    ("alto", PosCategory.ADJECTIVE),
+    ("bajo", PosCategory.ADJECTIVE),
+    ("bajo", PosCategory.ADVERB),
+    ("bajo", PosCategory.NOUN),
+    ("bajo", PosCategory.VERB),
+    ("zumo", PosCategory.NOUN),
+]
+
+
 class TestDictionary:
-    def test_add_get_and_duplicate(self):
+    def test_get_and_slots(self):
         entry = make_entry("casa", "Nombre femenino", "Edificio para habitar.")
         d = make_dictionary(entry)
-        assert d.get("casa", PosCategory.NOUN) == entry
+        assert d.get("casa", PosCategory.NOUN) is entry
         assert d.get("casa", PosCategory.VERB) is None
-        with pytest.raises(DuplicateKeyError):
-            d.add(entry)
+        assert not hasattr(d, "__dict__")
+
+    @pytest.mark.parametrize("repeat_at", [0, 3, 7])
+    def test_repeated_key_raises_naming_it(self, repeat_at):
+        # a second "bajo" noun, whose label differs from the first one's
+        again = make_entry("bajo", "Nombre femenino", "Otra definición.")
+        entries = _UNORDERED[:repeat_at] + [again] + _UNORDERED[repeat_at:]
+        with pytest.raises(DuplicateKeyError) as exc:
+            make_dictionary(*entries)
+        assert str(exc.value) == "duplicate key ('bajo', 'noun')"
 
     def test_same_lemma_different_category_coexist(self):
         d = make_dictionary(
@@ -143,13 +161,18 @@ class TestDictionary:
         )
         assert len(d) == 2
 
-    def test_entries_after_add_include_the_new_key_in_order(self):
-        d = make_dictionary(make_entry("casa", "Nombre femenino", "Edificio para habitar."))
-        assert [e.lemma for e in d.entries()] == ["casa"]
-        d.add(make_entry("abeja", "Nombre femenino", "Insecto que produce miel."))
-        d.add(make_entry("zumo", "Nombre masculino", "Líquido de una fruta."))
-        assert [e.lemma for e in d.entries()] == ["abeja", "casa", "zumo"]
-        assert d.entries() is not d.entries()  # each call returns a list of its own
+    @seed(23)
+    @settings(max_examples=50)
+    @given(st.permutations(_UNORDERED), st.permutations(_UNORDERED[1:4] + [make_entry("cabo", "Verbo", "Extremo.")]))
+    def test_any_order_builds_the_same_dictionary(self, generated_order, gold_order):
+        gen, gold = make_dictionary(*generated_order), make_dictionary(*gold_order)
+        assert [entry.key for entry in gen.entries()] == _IN_KEY_ORDER
+        assert gen.entries() is not gen.entries()  # each call returns a list of its own
+        assert join_keys(gen, gold) == [
+            ("alto", PosCategory.ADJECTIVE),
+            ("bajo", PosCategory.NOUN),
+            ("bajo", PosCategory.VERB),
+        ]
 
     def test_mono_plus_poly_equals_total(self, fixture20):
         for d in fixture20:

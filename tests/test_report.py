@@ -168,10 +168,13 @@ class TestKeyBlocks:
     def test_entries_outside_the_join_keep_their_place(self, fixture20, monkeypatch, tmp_path, block):
         generated, gold = fixture20
         # generated-only entries, one with a duplicated sense, and a gold-only one, between the join's keys
-        generated.add(make_entry("abacería", "Nombre femenino", "Tienda de comestibles."))
-        generated.add(make_entry("babor", "Nombre masculino", "Lado izquierdo del barco.", "Lado izquierdo del barco."))
-        generated.add(make_entry("zurdo", "Adjetivo", "Que usa la mano izquierda.", "Que está a la izquierda."))
-        gold.add(make_entry("cántaro", "Nombre masculino", "Vasija grande de barro."))
+        generated = make_dictionary(
+            *generated.entries(),
+            make_entry("abacería", "Nombre femenino", "Tienda de comestibles."),
+            make_entry("babor", "Nombre masculino", "Lado izquierdo del barco.", "Lado izquierdo del barco."),
+            make_entry("zurdo", "Adjetivo", "Que usa la mano izquierda.", "Que está a la izquierda."),
+        )
+        gold = make_dictionary(*gold.entries(), make_entry("cántaro", "Nombre masculino", "Vasija grande de barro."))
         whole = evaluate_dictionaries(generated, gold, EMBEDDER, tmp_path / "whole")
         assert whole.error_summary["fabricated_polysemy"] == 2  # babor's duplicate sense is found
         monkeypatch.setattr("lexiforge.report.KEY_BLOCK", block)
@@ -253,7 +256,7 @@ class TestCircularityRate:
         assert self._rate(d, tmp_path) == 0.25
 
     def test_empty_dictionary(self, tmp_path):
-        assert self._rate(Dictionary(), tmp_path) == 0.0
+        assert self._rate(Dictionary([]), tmp_path) == 0.0
 
 
 class TestReportSerialization:
