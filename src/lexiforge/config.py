@@ -10,10 +10,11 @@ Relative paths are resolved against the config file's directory.
 from __future__ import annotations
 
 import configparser
-import json
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+
+import orjson
 
 from .embedding import CachingEmbedder, DeterministicEmbedder, RemoteEmbedder
 from .error_analysis import DEFAULT_PROPER_NOUN_PATTERNS, ErrorAnalysisConfig
@@ -127,7 +128,7 @@ _FEWSHOT_FIELDS = ("lemma", "pos-label", "definition", "example")
 def _load_fewshot(path: Path) -> tuple[tuple[str, str, str, str], ...]:
     """The examples of a JSON list of [lemma, pos-label, definition, example] lists of strings."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = orjson.loads(path.read_bytes())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load few-shot examples from {path}: {exc}") from exc
     if not isinstance(data, list) or not data:

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
+import orjson
 
 from . import _kernels
 from ._http import TRANSPORT_ERRORS, JsonPoster
@@ -279,10 +280,10 @@ class RemoteEmbedder:
         value, or a single row, cannot broadcast across the result.
         """
         try:
-            payload = json.loads(body)
+            payload = orjson.loads(body)
             vectors = payload["vectors"]
             dimension = int(payload["dimension"])
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed embedding service reply: {exc}") from exc
         if not (
             type(vectors) is list
@@ -297,7 +298,7 @@ class RemoteEmbedder:
         """Decode *rows* into *out*, which has their shape, and check every value."""
         try:
             out[...] = rows
-        except (ValueError, TypeError, OverflowError) as exc:  # a value that is not a number
+        except (ValueError, TypeError) as exc:  # a value that is not a number
             raise ProtocolError(f"malformed embedding service reply: {exc}") from exc
         if not np.isfinite(out).all():
             raise ProtocolError("service returned a vector with a non-finite value")
@@ -347,7 +348,7 @@ class CachingEmbedder:
                 if not line.strip():
                     continue
                 try:
-                    obj = json.loads(line.decode("utf-8"))
+                    obj = orjson.loads(line)
                     if obj["embedder"] != self.identifier:
                         continue
                     key = str(obj["key"])
@@ -355,7 +356,7 @@ class CachingEmbedder:
                     # no embedder returns an all-zero row, and cosine is undefined for one
                     if vector.ndim != 1 or not np.isfinite(vector).all() or not vector.any():
                         raise ValueError("vector must be one-dimensional, finite and not all zero")
-                except (ValueError, KeyError, TypeError):  # UnicodeDecodeError is a ValueError
+                except (ValueError, KeyError, TypeError):  # orjson.JSONDecodeError is a ValueError
                     logger.warning("skipping corrupt cache record at %s:%d", self.path, number)
                     continue
                 self._vectors[key] = vector

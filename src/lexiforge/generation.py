@@ -172,19 +172,18 @@ def _scan_reply_blocks(raw: str) -> list[_ReplyBlock]:
     blocks: list[_ReplyBlock] = []
     current: _ReplyBlock | None = None
     for line in raw.splitlines():
-        if not line.strip():
-            current = None
-            continue
         cont = _CONTINUATION_RE.match(line)
         if cont and current is not None:
             current.senses.append(_split_sense_text(cont.group(2)))
             continue
+        # any other line ends the block, so that a numbered line after a blank
+        # line, a head with no definition or stray prose joins no lemma before it
+        current = None
         head = _HEAD_RE.match(line)
         if head and head.group(3):
             try:
                 lemma = normalize_lemma(head.group(1))
             except EmptyLemmaError:
-                current = None
                 continue
             current = _ReplyBlock(lemma=lemma, pos_label=head.group(2))
             current.senses.append(_split_sense_text(head.group(3)))

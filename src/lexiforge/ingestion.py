@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
+import orjson
+
 from .exceptions import DuplicateKeyError, EmptyLemmaError, EncodingError, ParseError
 from .generation import FailureReason, GenerationFailure, LemmaRecord
 from .model import Dictionary, DictionaryEntry, PosTag, Sense, normalize_lemma
@@ -45,7 +47,7 @@ def _numbered_lines(stream: Iterable[str]) -> Iterator[tuple[int, str]]:
         yield number, line.rstrip("\r\n")
 
 
-# The JSON types a record field may hold: the Python types ``json.loads``
+# The JSON types a record field may hold: the Python types ``orjson.loads``
 # gives them, and how an error names them.
 STRING = ((str,), "a string")
 STRING_OR_NULL = ((str, type(None)), "a string or null")
@@ -100,8 +102,8 @@ def read_records(stream: Iterable[str], kind: RecordKind) -> Iterator[tuple[int,
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            obj = orjson.loads(line)
+        except orjson.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", line_number=number) from exc
         yield number, kind.check(obj, number)
 

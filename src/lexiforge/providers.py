@@ -4,11 +4,12 @@ file-backed stub with the same contract, used for hermetic tests and dry runs.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
+
+import orjson
 
 from ._http import TRANSPORT_ERRORS, post_json
 from .exceptions import ConfigError, ProviderError
@@ -78,7 +79,7 @@ class HttpChatProvider:
         if status >= 400:
             raise ProviderError(f"HTTP {status} from provider", retryable=False)
         try:
-            payload = json.loads(data)
+            payload = orjson.loads(data)
             choice = payload["choices"][0]
             text = choice["message"]["content"]
             if not isinstance(text, str):
@@ -112,8 +113,7 @@ class StubProvider:
     def from_file(cls, path: str | Path) -> "StubProvider":
         """The table of a JSON file holding one object of lemma -> reply strings."""
         try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
+            data = orjson.loads(Path(path).read_bytes())
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load stub replies from {path}: {exc}") from exc
         if not isinstance(data, dict):

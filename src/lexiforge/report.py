@@ -17,6 +17,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
+import orjson
+
 from .alignment import (
     AlignmentRecord,
     align_dictionaries,
@@ -164,8 +166,7 @@ def write_report(report: EvaluationReport, stream: IO[str]) -> None:
 
 
 def load_report(path: str | Path) -> EvaluationReport:
-    with open(path, encoding="utf-8") as fh:
-        return EvaluationReport.from_dict(json.load(fh))
+    return EvaluationReport.from_dict(orjson.loads(Path(path).read_bytes()))
 
 
 #: Generated entries scored per ``VectorTable`` in ``evaluate_dictionaries``.

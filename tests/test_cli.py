@@ -145,8 +145,13 @@ class TestGenerate:
 
     @pytest.mark.parametrize(
         ("text", "named"),
-        [('{"casa": ', "cannot load stub replies"), ('{"casa": null}', "the reply to 'casa' must be a string")],
-        ids=["invalid-json", "null-reply"],
+        [
+            ('{"casa": ', "cannot load stub replies"),
+            ('{"casa": null}', "the reply to 'casa' must be a string"),
+            # an unpaired surrogate cannot be written out as UTF-8
+            ('{"casa": "casa: Nombre femenino: \\ud800"}', "cannot load stub replies"),
+        ],
+        ids=["invalid-json", "null-reply", "unpaired-surrogate"],
     )
     def test_malformed_stub_replies_exit_2(self, runner, workspace, text, named):
         (workspace / "stub_replies.json").write_text(text, encoding="utf-8")
@@ -226,13 +231,17 @@ class TestGenerate:
 
 
 class ZeroVectorHandler(BaseHTTPRequestHandler):
-    """Embedding service that answers every text with four copies of ``value``: an all-zero vector by default."""
+    """Embedding service that answers every text with four copies of ``value``: an all-zero vector by default.
 
-    value: object = 0.0
+    ``value`` is the token as the reply's text holds it, so that it can be one that is not JSON.
+    """
+
+    value = "0.0"
 
     def do_POST(self):
         texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["texts"]
-        data = json.dumps({"vectors": [[self.value] * 4 for _ in texts], "dimension": 4}).encode()
+        row = "[" + ", ".join([self.value] * 4) + "]"
+        data = ('{"vectors": [' + ", ".join([row] * len(texts)) + '], "dimension": 4}').encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -415,6 +424,17 @@ class TestEvaluate:
         assert result.exit_code == 3, result.output
         assert "field detail" in result.output
 
+    def test_input_with_unpaired_surrogate_exit_3(self, runner, workspace):
+        # "\ud800" is valid UTF-8 and valid JSON syntax, but names no character:
+        # read as one, it would fail only when the outputs are written
+        generated = workspace / "fixture20_generated.jsonl"
+        record = '{"lemma": "casa", "pos": "Nombre femenino", "senses": [{"definition": "Edificio \\ud800.", "example": null}]}'
+        generated.write_text(record + "\n" + generated.read_text(encoding="utf-8"), encoding="utf-8")
+        result = run_evaluate(runner, workspace)
+        assert result.exit_code == 3, result.output
+        assert f"cannot parse {generated}" in result.output and "line 1" in result.output
+        assert not (workspace / "eval").exists()
+
     @pytest.mark.parametrize("spoilt", ["fixture20_generated.jsonl", "fixture20_gold.jsonl", "planted_failures.jsonl"])
     def test_input_with_invalid_byte_exit_3(self, runner, workspace, spoilt):
         spoil_utf8(workspace / spoilt)
@@ -504,8 +524,18 @@ class TestEvaluate:
         assert "all-zero" in result.output
         assert not (workspace / "x" / "report.json").exists()
 
+    # NaN, Infinity and a number past the largest double are not JSON: the
+    # reply does not parse. A null parses, and fails the finiteness check.
     @pytest.mark.parametrize(
-        ("value", "message"), [("x", "malformed"), (float("nan"), "non-finite"), (float("inf"), "non-finite")]
+        ("value", "message"),
+        [
+            ('"x"', "malformed"),
+            ("NaN", "malformed"),
+            ("Infinity", "malformed"),
+            ("-Infinity", "malformed"),
+            ("1e400", "malformed"),
+            ("null", "non-finite"),
+        ],
     )
     def test_bad_vector_value_from_service_exit_5(self, runner, workspace, value, message):
         handler = type("BadVectorHandler", (ZeroVectorHandler,), {"value": value})

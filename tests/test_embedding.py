@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import re
+import struct
 import sys
 import threading
 import time
@@ -442,8 +443,9 @@ def _length_vectors(texts):
 
 class EmbedHandler(BaseHTTPRequestHandler):
     # one step per request, taken in arrival order before ``reply`` answers
-    # the rest: a status code to fail with, a reply body, or a function from
-    # the request's texts to either
+    # the rest: a status code to fail with, a reply body (an object, or the
+    # bytes to send as they are), or a function from the request's texts to
+    # either
     script: list = []
     reply = _length_vectors
     calls = 0
@@ -481,7 +483,7 @@ class EmbedHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
-        data = json.dumps(step).encode()
+        data = step if isinstance(step, bytes) else json.dumps(step).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -686,11 +688,43 @@ class TestRemoteProtocol:
         with closing(RemoteEmbedder(embed_server)) as remote, pytest.raises(ProtocolError, match="malformed|shape"):
             remote.embed_batch(["a", "b"])
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), None])  # a null reads as NaN
-    def test_non_finite_value_is_protocol_error(self, embed_server, value):
-        EmbedHandler.script = [lambda texts: {"vectors": [[1.0, value] for _ in texts], "dimension": 2}]
-        with closing(RemoteEmbedder(embed_server)) as remote, pytest.raises(ProtocolError, match="non-finite"):
+    # NaN, Infinity and a number past the largest double are not JSON
+    # (RFC 8259): the reply does not parse. A null parses, reads as NaN, and
+    # fails the finiteness check.
+    @pytest.mark.parametrize(
+        ("token", "message"),
+        [
+            ("NaN", "malformed"),
+            ("Infinity", "malformed"),
+            ("-Infinity", "malformed"),
+            ("1e400", "malformed"),
+            ("-1e400", "malformed"),
+            ("null", "non-finite"),
+        ],
+    )
+    def test_non_finite_value_is_protocol_error(self, embed_server, token, message):
+        EmbedHandler.script = [f'{{"vectors": [[1.0, {token}]], "dimension": 2}}'.encode()]
+        with closing(RemoteEmbedder(embed_server)) as remote, pytest.raises(ProtocolError, match=message):
             remote.embed_batch(["hola"])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0.1",
+            "1e23",
+            "5e-324",  # the least subnormal
+            "2.2250738585072011e-308",  # just below the least normal
+            "1.7976931348623157e308",  # the greatest double
+            "-0.0",
+            "0.30000000000000004",  # 17 significant digits
+            "1.234567890123456789012345e-5",  # 25 significant digits
+        ],
+    )
+    def test_reply_values_decode_to_the_nearest_double(self, embed_server, text):
+        EmbedHandler.script = [f'{{"vectors": [[1.0, {text}]], "dimension": 2}}'.encode()]
+        with closing(RemoteEmbedder(embed_server)) as remote:
+            value = remote.embed_batch(["hola"])[0, 1]
+        assert struct.pack("<d", value) == struct.pack("<d", float(text))
 
     def test_zero_dimension_is_protocol_error(self, embed_server):
         EmbedHandler.script = [lambda texts: {"vectors": [[] for _ in texts], "dimension": 0}]

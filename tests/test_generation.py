@@ -202,6 +202,21 @@ class TestParseModelResponse:
         entries, failures = parse_model_response(raw, records("mar"))
         assert len(entries) == 1 and failures == []
 
+    @pytest.mark.parametrize(
+        "between",
+        ["mar: Nombre masculino:", "mar, un nombre"],
+        ids=["head-without-definition", "stray-prose"],
+    )
+    def test_numbered_line_after_a_line_that_ends_the_block_belongs_to_no_lemma(self, between):
+        raw = f"casa: Nombre femenino: Edificio.\n{between}\n2. Masa de agua salada."
+        entries, failures = parse_model_response(raw, records("casa", "mar"))
+        assert [(entry.lemma, [sense.definition for sense in entry.senses]) for entry in entries] == [
+            ("casa", ["Edificio."])
+        ]
+        assert [(failure.lemma, failure.reason.value, failure.detail) for failure in failures] == [
+            ("mar", "parse_error", "lemma missing from reply")
+        ]
+
 
 # the spellings a reply may give a batch lemma in: case, padding, a decomposed ñ
 _SPELLINGS = {"casa": ["casa", " Casa", "CASA\t"], "mañana": ["mañana", "man\u0303ana", "MAÑANA"], "ñu": ["ñu", "Ñu "]}

@@ -37,6 +37,30 @@ def test_declared_dependencies_are_the_imported_ones():
     assert declared_dependencies() == imported_third_party()
 
 
+def stdlib_json_decodes() -> list[str]:
+    """``module:line`` of each use of the standard library's ``json.load`` or ``json.loads`` in the package."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                used = isinstance(node.value, ast.Name) and node.value.id == "json" and node.attr in ("load", "loads")
+            elif isinstance(node, ast.ImportFrom):
+                used = node.module == "json" and any(alias.name in ("load", "loads") for alias in node.names)
+            else:
+                continue
+            if used:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_every_json_decode_goes_through_orjson():
+    # one decoder for every input and reply: orjson reads floats as json
+    # does, but rejects what RFC 8259 does not allow (NaN, Infinity, an
+    # overflowing number, an unpaired surrogate escape), and a second
+    # decoder would let those back in on one path
+    assert stdlib_json_decodes() == []
+
+
 #: Trace targets that name nothing in lexiforge today. The benchmark's next
 #: change drops them from ``perfbench/tracer.py`` (ROADMAP, direction 1), so
 #: this list only shrinks.
