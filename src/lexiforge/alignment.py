@@ -16,7 +16,7 @@ from typing import IO, Iterable, Sequence
 
 from .embedding import VectorTable
 from .ingestion import write_records
-from .model import DictionaryEntry, PosCategory, Sense
+from .model import DictionaryEntry, PosCategory
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,16 +64,8 @@ class AlignmentRecord:
 ALIGN_CHUNK = 16
 
 
-def sense_text(sense: Sense, include_examples: bool = False) -> str:
-    if include_examples and sense.example:
-        return f"{sense.definition} {sense.example}"
-    return sense.definition
-
-
 def align_dictionaries(
-    pairs: Sequence[tuple[DictionaryEntry, DictionaryEntry]],
-    vectors: VectorTable,
-    include_examples: bool = False,
+    pairs: Sequence[tuple[DictionaryEntry, DictionaryEntry]], vectors: VectorTable
 ) -> list[AlignmentRecord]:
     """One record per (generated, gold) pair of the vocabulary join, in pair order.
 
@@ -81,7 +73,7 @@ def align_dictionaries(
     per-gold scores. Generated sense 1 is scored against every gold sense,
     in gold order; polysemous generated entries are aligned by their first
     sense, and the full cross-product lives in :func:`all_pairs_scores`.
-    ``vectors`` must hold the sense texts of every entry in *pairs*.
+    ``vectors`` must hold the definitions of every entry in *pairs*.
 
     The pairs whose gold entries hold k senses are scored ``ALIGN_CHUNK``
     at a time: their gold rows as an (n, k, d) stack times their generated
@@ -96,8 +88,8 @@ def align_dictionaries(
     for k, group in groups.items():
         for start in range(0, len(group), ALIGN_CHUNK):
             members = group[start : start + ALIGN_CHUNK]
-            gen_rows = vectors.rows([sense_text(pairs[i][0].senses[0], include_examples) for i in members])
-            gold_rows = vectors.rows([sense_text(s, include_examples) for i in members for s in pairs[i][1].senses])
+            gen_rows = vectors.rows([pairs[i][0].senses[0].definition for i in members])
+            gold_rows = vectors.rows([s.definition for i in members for s in pairs[i][1].senses])
             stacked = gold_rows.reshape(len(members), k, gold_rows.shape[1]) @ gen_rows[:, :, None]
             for i, scores in zip(members, stacked[:, :, 0].tolist()):
                 pair_scores[i] = scores
@@ -107,15 +99,13 @@ def align_dictionaries(
     ]
 
 
-def all_pairs_scores(
-    gen: DictionaryEntry, gold: DictionaryEntry, vectors: VectorTable, include_examples: bool = False
-) -> list[list[float]]:
+def all_pairs_scores(gen: DictionaryEntry, gold: DictionaryEntry, vectors: VectorTable) -> list[list[float]]:
     """Cosine matrix rows = generated senses, columns = gold senses, of one join pair.
 
     Inspection aid for polysemous generated entries; no table depends on it.
     """
-    gen_rows = vectors.rows([sense_text(s, include_examples) for s in gen.senses])
-    gold_rows = vectors.rows([sense_text(s, include_examples) for s in gold.senses])
+    gen_rows = vectors.rows([s.definition for s in gen.senses])
+    gold_rows = vectors.rows([s.definition for s in gold.senses])
     return (gen_rows @ gold_rows.T).tolist()
 
 

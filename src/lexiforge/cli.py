@@ -45,7 +45,8 @@ class _CliFault(Exception):
 def _parse_file(path, parse):
     """``parse(file)`` of the UTF-8 file at *path*, streamed; exits 3 naming *path* if it fails."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which RFC 8259 lets a parser ignore
+        with open(path, encoding="utf-8-sig") as fh:
             return parse(fh)
     except OSError as exc:
         raise _CliFault(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
@@ -106,10 +107,9 @@ def cmd_generate(lemmas_path, config_path, out_path, failures_path, audit_dir):
     dictionary, failures, stats = run_generation(
         list(parsed.records), provider, config.generation, audit_dir=audit_dir
     )
-    with atomic_text(out_path) as fh:
-        write_dictionary(dictionary, fh)
-    with atomic_text(failures_path) as fh:
-        write_failures(failures, fh)
+    with atomic_text(out_path, failures_path) as (dictionary_fh, failures_fh):
+        write_dictionary(dictionary, dictionary_fh)
+        write_failures(failures, failures_fh)
     click.echo(
         f"defined {len(dictionary)} of {len(parsed.records)} lemmas "
         f"({len(failures)} failures) in {stats.batch_count} batches, {stats.requests} requests; "
@@ -147,7 +147,6 @@ def cmd_evaluate(generated_path, gold_path, embedder_choice, config_path, out_di
             embedder,
             out_dir,
             error_config=config.error_analysis,
-            include_examples=config.embedding.include_examples,
             failures=failures,
             config_snapshot=evaluation_snapshot(embedder_choice, config),
             provenance={

@@ -55,7 +55,6 @@ class EmbeddingSettings:
     remote_retry_backoff: float = 1.0
     remote_timeout: float = 30.0
     cache: Path | None = None
-    include_examples: bool = False
 
     def __post_init__(self):
         least = dict(dimension=1, remote_batch_size=1, remote_max_retries=0, remote_retry_backoff=0)
@@ -79,13 +78,11 @@ SECTIONS = dict(  # each section of the file -> the dataclass whose fields are i
     embedding=EmbeddingSettings, error_analysis=ErrorAnalysisConfig,
 )
 ALIASES = {"generation": {"retries": "max_retries", "backoff": "retry_backoff", "concurrency": "max_concurrent_batches"}}
-_CASTS = {"int": int, "float": float, "str": str, "str | None": str}  # bool and Path are read in _cast
+_CASTS = {"int": int, "float": float, "str": str, "str | None": str}  # Path is read in _cast
 
 
 def _cast(parser: configparser.ConfigParser, section: str, option: str, annotation: str, base: Path):
     """The option's value as its field's type; a path is resolved against *base*."""
-    if annotation == "bool":
-        return parser.getboolean(section, option)
     raw = parser.get(section, option)
     if annotation == "Path | None":
         return Path(raw) if Path(raw).is_absolute() else (base / raw).resolve()
@@ -221,19 +218,20 @@ def build_embedder(choice: str, settings: EmbeddingSettings):
 def evaluation_snapshot(choice: str, config: AppConfig) -> dict:
     """Evaluation-relevant effective configuration embedded in the report.
 
-    Generation-side settings (concurrency, retries, prompt) are excluded
-    on purpose: they cannot influence evaluation output, and leaving them
-    out keeps report bytes identical across unrelated config edits.
+    Generation-side settings (concurrency, retries, prompt) and the
+    embedding service's address (``remote_url``) are excluded on purpose:
+    they cannot influence evaluation output, and leaving them out keeps
+    report bytes identical across unrelated config edits and across hosts
+    and ports that serve the same encoder, which ``remote_identifier``
+    names.
     """
     embedding = config.embedding
     return {
         "embedder": choice,
         "embedding": {
             "dimension": embedding.dimension,
-            "remote_url": embedding.remote_url,
             "remote_batch_size": embedding.remote_batch_size,
             "remote_identifier": embedding.remote_identifier,
-            "include_examples": embedding.include_examples,
         },
         "error_analysis": {
             **asdict(config.error_analysis),

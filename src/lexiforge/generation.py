@@ -161,7 +161,7 @@ class _ReplyBlock:
     claimed: bool = False
 
 
-def _split_sense_text(text: str) -> tuple[str, str | None]:
+def _split_sense(text: str) -> tuple[str, str | None]:
     parts = _EXAMPLE_SPLIT_RE.split(text, maxsplit=1)
     definition = parts[0].strip()
     example = parts[1].strip() if len(parts) > 1 and parts[1].strip() else None
@@ -174,7 +174,7 @@ def _scan_reply_blocks(raw: str) -> list[_ReplyBlock]:
     for line in raw.splitlines():
         cont = _CONTINUATION_RE.match(line)
         if cont and current is not None:
-            current.senses.append(_split_sense_text(cont.group(2)))
+            current.senses.append(_split_sense(cont.group(2)))
             continue
         # any other line ends the block, so that a numbered line after a blank
         # line, a head with no definition or stray prose joins no lemma before it
@@ -186,7 +186,7 @@ def _scan_reply_blocks(raw: str) -> list[_ReplyBlock]:
             except EmptyLemmaError:
                 continue
             current = _ReplyBlock(lemma=lemma, pos_label=head.group(2))
-            current.senses.append(_split_sense_text(head.group(3)))
+            current.senses.append(_split_sense(head.group(3)))
             blocks.append(current)
         # anything else is stray prose; drop it
     return blocks

@@ -24,7 +24,6 @@ from .alignment import (
     align_dictionaries,
     all_pairs_scores,
     rank_histogram,
-    sense_text,
     write_alignments,
 )
 from .embedding import VectorTable
@@ -64,25 +63,34 @@ _GROUP_LABELS = {
 
 
 @contextmanager
-def atomic_text(path: str | Path) -> Iterator[io.TextIOWrapper]:
-    """Write to a temp file and rename into place; no partial outputs.
+def atomic_text(*paths: str | Path) -> Iterator[tuple[io.TextIOWrapper, ...]]:
+    """One stream per path, each written to a temp file; no partial outputs.
 
-    The temp file is created exclusively under a random name in the target
-    directory, with the mode the umask leaves, which the rename keeps.
+    Each temp file is created exclusively under a random name in its
+    target's directory, with the mode the umask leaves, which the rename
+    keeps. Every stream is closed, and so flushed, before any file is
+    renamed into place, and the first path is renamed last. If the body or
+    a write fails, every temp file is removed and no target changes.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp_name = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
-    fh = open(tmp_name, "x", encoding="utf-8", newline="")
+    pending: list[tuple[Path, Path]] = []  # (temp file, target), not yet renamed
+    streams: list[io.TextIOWrapper] = []
     try:
-        with fh:
-            yield fh
-        os.replace(tmp_name, path)
+        with ExitStack() as stack:
+            for path in map(Path, paths):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                tmp_name = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+                streams.append(stack.enter_context(open(tmp_name, "x", encoding="utf-8", newline="")))
+                pending.append((tmp_name, path))
+            yield tuple(streams)
+        while pending:
+            os.replace(*pending[-1])
+            pending.pop()
     except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+        for tmp_name, _ in pending:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
         raise
 
 
@@ -182,7 +190,6 @@ def evaluate_dictionaries(
     embedder,
     out_dir: str | Path,
     error_config: ErrorAnalysisConfig | None = None,
-    include_examples: bool = False,
     failures: Sequence[GenerationFailure] | None = None,
     config_snapshot: dict | None = None,
     provenance: dict | None = None,
@@ -190,10 +197,10 @@ def evaluate_dictionaries(
     """Full quantitative evaluation over the vocabulary join, written under *out_dir*.
 
     Writes ``alignments.jsonl``, ``polysemy_pairs.jsonl``,
-    ``findings.jsonl`` and ``report.json``, and returns the report. Each
-    file is written to a temporary file; all four are written whole
-    before any is renamed into place, ``report.json`` last, and a run that
-    fails leaves *out_dir*'s files as they were.
+    ``findings.jsonl`` and ``report.json``, and returns the report, through
+    one :func:`atomic_text`: all four are written whole before any is
+    renamed into place, ``report.json`` last, and a run that fails leaves
+    *out_dir*'s files as they were.
 
     Cosine tables, the rank histogram and the polysemy-disagreement
     statistics are restricted to generated-monosemous records, matching
@@ -202,8 +209,8 @@ def evaluate_dictionaries(
 
     The generated entries are scored ``KEY_BLOCK`` at a time. A block's
     join pairs and polysemous entries are scored from a ``VectorTable`` of
-    their own texts, dropped before the next block is embedded, and its
-    alignment records and polysemy pairs are written as soon as it is
+    their own definitions, dropped before the next block is embedded, and
+    its alignment records and polysemy pairs are written as soon as it is
     scored. The loop keeps only the generated-monosemous records and the
     hallucination candidates. The embedder sees one ``embed_batch`` call
     per block and one more in ``classify_errors`` per ``CANDIDATE_BLOCK``
@@ -223,12 +230,8 @@ def evaluate_dictionaries(
     gen_mono: list[AlignmentRecord] = []
     candidates: list[AlignmentRecord] = []
     entry_findings: list[ErrorFinding] = []
-    with ExitStack() as stack:
-        # entered first, so renamed last
-        report_fh, alignments_fh, pairs_fh, findings_fh = streams = [
-            stack.enter_context(atomic_text(Path(out_dir) / name))
-            for name in ("report.json", "alignments.jsonl", "polysemy_pairs.jsonl", "findings.jsonl")
-        ]
+    names = ("report.json", "alignments.jsonl", "polysemy_pairs.jsonl", "findings.jsonl")
+    with atomic_text(*(Path(out_dir) / name for name in names)) as (report_fh, alignments_fh, pairs_fh, findings_fh):
         scored = 0  # join pairs of the blocks before this one
         for start in range(0, len(entries), KEY_BLOCK):
             block = entries[start : start + KEY_BLOCK]
@@ -236,18 +239,16 @@ def evaluate_dictionaries(
             pairs = join[scored : scored + sum(entry.key in gold for entry in block)]
             scored += len(pairs)
             texts = {s.definition for entry in block if len(entry.senses) > 1 for s in entry.senses}
-            for pair in pairs:
-                for entry in pair:
-                    texts.update(sense_text(s, include_examples) for s in entry.senses)
+            texts.update(s.definition for pair in pairs for entry in pair for s in entry.senses)
             vectors = VectorTable(embedder, texts)
-            records = align_dictionaries(pairs, vectors, include_examples)
+            records = align_dictionaries(pairs, vectors)
             write_alignments(records, alignments_fh)
             write_records(
                 (
                     {
                         "lemma": gen.lemma,
                         "category": gen.pos.category.value,
-                        "scores": all_pairs_scores(gen, gold_entry, vectors, include_examples),
+                        "scores": all_pairs_scores(gen, gold_entry, vectors),
                     }
                     for gen, gold_entry in pairs
                     if len(gen.senses) > 1
@@ -295,8 +296,6 @@ def evaluate_dictionaries(
             provenance=provenance or {},
         )
         write_report(report, report_fh)
-        for fh in streams:
-            fh.flush()  # every file written whole before the first rename
     return report
 
 
@@ -391,13 +390,13 @@ def _all_tables(report: EvaluationReport) -> dict[str, list[list[str]]]:
 
 
 def _write_csv(rows: list[list[str]], path: Path) -> None:
-    with atomic_text(path) as fh:
+    with atomic_text(path) as (fh,):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerows(rows)
 
 
 def _write_markdown(rows: list[list[str]], path: Path) -> None:
-    with atomic_text(path) as fh:
+    with atomic_text(path) as (fh,):
         header, *body = rows
         fh.write("| " + " | ".join(header) + " |\n")
         fh.write("|" + "|".join(" --- " for _ in header) + "|\n")
@@ -416,7 +415,7 @@ def render_tables(report: EvaluationReport, fmt: str, out_dir: str | Path) -> li
     if fmt == "json":
         path = tables_dir / "tables.json"
         payload = {name: {"header": rows[0], "rows": rows[1:]} for name, rows in tables.items()}
-        with atomic_text(path) as fh:
+        with atomic_text(path) as (fh,):
             json.dump(payload, fh, ensure_ascii=False, indent=2)
             fh.write("\n")
         written.append(path)

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from lexiforge.alignment import sense_text
 from lexiforge.embedding import VectorTable
 from lexiforge.ingestion import parse_dictionary
 from lexiforge.model import Dictionary, DictionaryEntry, PosTag, Sense, normalize_lemma
@@ -39,13 +38,9 @@ def assert_checked(entries) -> None:
             assert sense.definition and sense.definition == sense.definition.strip()
 
 
-def vector_table(embedder, entries, include_examples: bool = False) -> VectorTable:
-    """Every definition and sense text of *entries*, embedded in one batch."""
-    texts = set()
-    for entry in entries:
-        for sense in entry.senses:
-            texts.update((sense.definition, sense_text(sense, include_examples)))
-    return VectorTable(embedder, texts)
+def vector_table(embedder, entries) -> VectorTable:
+    """Every definition of *entries*, embedded in one batch."""
+    return VectorTable(embedder, {sense.definition for entry in entries for sense in entry.senses})
 
 
 @contextlib.contextmanager

@@ -10,7 +10,6 @@ from lexiforge.alignment import (
     align_dictionaries,
     all_pairs_scores,
     rank_histogram,
-    sense_text,
     write_alignments,
 )
 from lexiforge.embedding import DeterministicEmbedder, embed_deterministic
@@ -49,11 +48,11 @@ class ScaledEmbedder:
         return [self.embed(t) for t in texts]
 
 
-def align_one(gen, gold, embedder=EMBEDDER, include_examples=False):
+def align_one(gen, gold, embedder=EMBEDDER):
     """Record of a one-key generated dictionary aligned against a one-key gold dictionary."""
-    vectors = vector_table(embedder, [gen, gold], include_examples)
+    vectors = vector_table(embedder, [gen, gold])
     join = vocabulary_join(make_dictionary(gen), make_dictionary(gold))
-    records = align_dictionaries(join, vectors, include_examples)
+    records = align_dictionaries(join, vectors)
     assert len(records) == 1
     return records[0]
 
@@ -63,7 +62,7 @@ def align_fixture(generated, gold, join, embedder=EMBEDDER):
     return align_dictionaries(join, vectors)
 
 
-def per_pair_alignment(pairs, vectors, include_examples=False):
+def per_pair_alignment(pairs, vectors):
     """Reference for ``align_dictionaries``: each pair scored on its own, one (k, d) @ (d,) product at a time.
 
     Per pair: (lemma, category, generated sense count, gold sense count,
@@ -71,7 +70,7 @@ def per_pair_alignment(pairs, vectors, include_examples=False):
     """
     expected = []
     for gen, gold_entry in pairs:
-        rows = vectors.rows([sense_text(s, include_examples) for s in (gen.senses[0], *gold_entry.senses)])
+        rows = vectors.rows([s.definition for s in (gen.senses[0], *gold_entry.senses)])
         scores = (rows[1:] @ rows[0]).tolist()
         best_index = scores.index(max(scores))
         expected.append(
@@ -209,13 +208,10 @@ class TestAlignEntry:
         assert record.best_score == record.mean_over_gold == record.per_gold_scores[0]
         assert -1.0 - 1e-9 <= record.best_score <= 1.0 + 1e-9
 
-    def test_include_examples_changes_text(self):
+    def test_example_never_changes_the_score(self):
         gen = make_entry("rio", "Nombre masculino", ("Corriente natural de agua.", "El rio baja crecido."))
         gold = make_entry("rio", "Nombre masculino", ("Corriente natural de agua.", "Nada distinto."))
-        with_examples = align_one(gen, gold, include_examples=True)
-        without = align_one(gen, gold, include_examples=False)
-        assert abs(without.best_score - 1.0) < 1e-9
-        assert with_examples.best_score < without.best_score
+        assert abs(align_one(gen, gold).best_score - 1.0) < 1e-9
 
 
 class TestAlignmentRecordValidation:
@@ -263,27 +259,25 @@ class TestAlignDictionaries:
 class TestGroupedAlignmentMatchesPerPair:
     """Scoring the pairs of one gold sense count together gives every float the per-pair loop gives."""
 
-    @pytest.mark.parametrize("include_examples", [False, True])
-    def test_fixture20(self, fixture20, include_examples):
+    def test_fixture20(self, fixture20):
         generated, gold = fixture20
         join = vocabulary_join(generated, gold)
-        vectors = vector_table(EMBEDDER, generated.entries() + gold.entries(), include_examples)
+        vectors = vector_table(EMBEDDER, generated.entries() + gold.entries())
         assert len({len(gold_entry.senses) for _, gold_entry in join}) > 1
-        got = record_values(align_dictionaries(join, vectors, include_examples))
-        expected = per_pair_alignment(join, vectors, include_examples)
+        got = record_values(align_dictionaries(join, vectors))
+        expected = per_pair_alignment(join, vectors)
         assert got == expected
         assert float_bits(got) == float_bits(expected)
 
     # chunks of 1 and 2 pairs split every group, and the last chunk of a group is partial
     @pytest.mark.parametrize("chunk", [1, 2, 64])
-    @pytest.mark.parametrize("include_examples", [False, True])
-    def test_block_mixing_gold_sense_counts(self, monkeypatch, include_examples, chunk):
+    def test_block_mixing_gold_sense_counts(self, monkeypatch, chunk):
         monkeypatch.setattr(alignment, "ALIGN_CHUNK", chunk)
         pairs = mixed_block()
         assert {len(gold_entry.senses) for _, gold_entry in pairs} == {1, 2, 3, 4}
-        vectors = vector_table(EMBEDDER, [entry for pair in pairs for entry in pair], include_examples)
-        got = record_values(align_dictionaries(pairs, vectors, include_examples))
-        expected = per_pair_alignment(pairs, vectors, include_examples)
+        vectors = vector_table(EMBEDDER, [entry for pair in pairs for entry in pair])
+        got = record_values(align_dictionaries(pairs, vectors))
+        expected = per_pair_alignment(pairs, vectors)
         assert got == expected
         assert float_bits(got) == float_bits(expected)
 

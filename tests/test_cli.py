@@ -89,6 +89,11 @@ def snapshot(directory):
     return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
+def prefix_bom(path):
+    """Put a UTF-8 byte-order mark in front of the file at *path*, as Windows editors often write."""
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+
 def spoil_utf8(path):
     """Append a line holding a byte that is not UTF-8 to the file at *path*."""
     with open(path, "ab") as fh:
@@ -99,8 +104,8 @@ def spoil_utf8(path):
 MISSPELT_CONFIGS = [
     pytest.param("[error_anlysis]\nhallucination_threshold = 0.2\n", "[error_anlysis]", id="section"),
     pytest.param("[embedding]\ndimenson = 64\n", "dimenson", id="option"),
-    pytest.param("[embedding]\ninclude_examples = ture\n", "include_examples", id="boolean"),
     pytest.param("[DEFAULT]\ndimension = 64\n", "[DEFAULT]", id="default-section"),
+    pytest.param("[embedding]\ninclude_examples = true\n", "unknown option 'include_examples'", id="removed-option"),
 ]
 
 
@@ -142,6 +147,26 @@ class TestGenerate:
         assert result.exit_code == 3, result.output
         assert f"cannot parse {workspace / 'five_lemmas.txt'}" in result.output
         assert "not valid UTF-8" in result.output
+
+    def test_lemma_list_with_byte_order_mark(self, runner, workspace):
+        assert run_generate(runner, workspace).exit_code == 0
+        plain = {name: (workspace / name).read_bytes() for name in ("generated.jsonl", "failures.jsonl")}
+        prefix_bom(workspace / "five_lemmas.txt")
+        result = run_generate(runner, workspace)
+        assert result.exit_code == 0, result.output
+        assert {name: (workspace / name).read_bytes() for name in plain} == plain
+
+    def test_unwritable_failure_log_leaves_the_dictionary_as_it_was(self, runner, workspace):
+        # a dictionary from an earlier run, which the new one would differ from
+        with open(workspace / "generated.jsonl", "w", encoding="utf-8") as fh:
+            write_dictionary(make_dictionary(make_entry("sal", "Nombre femenino", "Sustancia blanca.")), fh)
+        before = (workspace / "generated.jsonl").read_bytes()
+        (workspace / "blocker").write_text("a plain file, not a directory")
+        result = run_generate(runner, workspace, extra=["--failures", str(workspace / "blocker" / "failures.jsonl")])
+        assert result.exit_code == 4, result.output
+        assert "File exists" in result.output
+        assert (workspace / "generated.jsonl").read_bytes() == before
+        assert [path.name for path in workspace.iterdir() if path.name.endswith(".tmp")] == []
 
     @pytest.mark.parametrize(
         ("text", "named"),
@@ -435,6 +460,44 @@ class TestEvaluate:
         assert f"cannot parse {generated}" in result.output and "line 1" in result.output
         assert not (workspace / "eval").exists()
 
+    # the digest is of the file's bytes, so it alone differs; the failure log has none
+    @pytest.mark.parametrize(
+        ("bommed", "digest"),
+        [
+            ("planted_generated.jsonl", "generated_digest"),
+            ("planted_gold.jsonl", "gold_digest"),
+            ("planted_failures.jsonl", None),
+        ],
+    )
+    def test_input_with_byte_order_mark(self, runner, workspace, bommed, digest):
+        names = ("planted_generated.jsonl", "planted_gold.jsonl", "planted_failures.jsonl")
+        (workspace / "bom").mkdir()
+        for name in names:
+            shutil.copy(workspace / name, workspace / "bom" / name)
+        prefix_bom(workspace / "bom" / bommed)
+        for out, inputs in (("plain", ""), ("with_bom", "bom/")):
+            result = run_evaluate(
+                runner, workspace, out=out, generated=inputs + names[0], gold=inputs + names[1],
+                extra=["--failures", str(workspace / (inputs + names[2]))],
+            )
+            assert result.exit_code == 0, result.output
+        for name in ("alignments.jsonl", "findings.jsonl", "polysemy_pairs.jsonl"):
+            assert (workspace / "with_bom" / name).read_bytes() == (workspace / "plain" / name).read_bytes(), name
+        plain, with_bom = (json.loads((workspace / out / "report.json").read_bytes()) for out in ("plain", "with_bom"))
+        if digest is not None:
+            assert plain["provenance"].pop(digest) != with_bom["provenance"].pop(digest)
+        assert with_bom == plain
+
+    def test_byte_order_mark_after_the_first_line_exit_3(self, runner, workspace):
+        # only a mark that starts the file is dropped; one inside it is bad JSON
+        generated = workspace / "fixture20_generated.jsonl"
+        first, rest = generated.read_bytes().split(b"\n", 1)
+        generated.write_bytes(first + b"\n\xef\xbb\xbf" + rest)
+        result = run_evaluate(runner, workspace)
+        assert result.exit_code == 3, result.output
+        assert f"cannot parse {generated}" in result.output and "line 2" in result.output
+        assert not (workspace / "eval").exists()
+
     @pytest.mark.parametrize("spoilt", ["fixture20_generated.jsonl", "fixture20_gold.jsonl", "planted_failures.jsonl"])
     def test_input_with_invalid_byte_exit_3(self, runner, workspace, spoilt):
         spoil_utf8(workspace / spoilt)
@@ -591,6 +654,17 @@ class TestEvaluate:
         assert (workspace / "vectors.jsonl").stat().st_size > 0
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
+    def test_report_is_the_same_whatever_port_serves_the_encoder(self, runner, workspace):
+        with http_server(KeepAliveEmbeddingHandler) as first, http_server(KeepAliveEmbeddingHandler) as second:
+            assert first != second
+            for out, base in (("first", first), ("second", second)):
+                (workspace / f"{out}.ini").write_text(f"[embedding]\nremote_url = {base}/embed\n", encoding="utf-8")
+                result = run_evaluate(
+                    runner, workspace, out=out, extra=["--embedder", "remote", "--config", str(workspace / f"{out}.ini")]
+                )
+                assert result.exit_code == 0, result.output
+        assert (workspace / "first" / "report.json").read_bytes() == (workspace / "second" / "report.json").read_bytes()
+
     @pytest.mark.parametrize(("text", "named"), MISSPELT_CONFIGS)
     def test_misspelt_config_exit_2(self, runner, workspace, text, named):
         (workspace / "eval_config.ini").write_text(text, encoding="utf-8")
@@ -740,6 +814,14 @@ class TestErrorsCommand:
         assert result.exit_code == 3, result.output
         assert f"cannot parse {planted_eval / 'findings.jsonl'}" in result.output
         assert "not valid UTF-8" in result.output
+
+    def test_findings_with_byte_order_mark(self, runner, planted_eval):
+        args = ["errors", "--eval", str(planted_eval), "--category", "hallucination_candidate"]
+        plain = runner.invoke(main, args)
+        prefix_bom(planted_eval / "findings.jsonl")
+        with_bom = runner.invoke(main, args)
+        assert with_bom.exit_code == plain.exit_code == 0, with_bom.output
+        assert with_bom.output == plain.output
 
     def test_unknown_category_exit_2_lists_valid(self, runner, planted_eval):
         result = runner.invoke(main, ["errors", "--eval", str(planted_eval), "--category", "gremlins"])

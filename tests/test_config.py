@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ from lexiforge.config import (
     SECTIONS,
     EmbeddingSettings,
     ProviderSettings,
+    _cast,
     build_embedder,
     build_provider,
     evaluation_snapshot,
@@ -43,7 +45,7 @@ def sample_value(section, field, tmp_path):
         return path.name, path.resolve()
     if (section, field.name) == ("provider", "kind"):
         return "stub", "stub"
-    samples = {"int": ("7", 7), "float": ("0.25", 0.25), "bool": ("yes", True), "str": ("dato", "dato")}
+    samples = {"int": ("7", 7), "float": ("0.25", 0.25), "str": ("dato", "dato")}
     samples["str | None"] = samples["str"]
     return samples[field.type]
 
@@ -148,9 +150,9 @@ class TestLoadConfig:
             ("[generation]\nprompt_template = x\n", "[generation] unknown option 'prompt_template'"),
             ("[prompt]\ntemplate_file = p.txt\n", "[prompt] unknown option 'template_file'"),
             ("[DEFAULT]\ndimension = 64\n", "[DEFAULT] sets dimension"),
-            ("[embedding]\ninclude_examples = ture\n", "[embedding] include_examples: cannot parse 'ture'"),
-            ("[embedding]\ninclude_examples = \n", "[embedding] include_examples: cannot parse ''"),
+            ("[embedding]\ninclude_examples = true\n", "[embedding] unknown option 'include_examples'"),
             ("[provider]\ntimeout = 10%\n", "[provider] timeout: cannot parse '10%'"),
+            ("[embedding]\ndimension = \n", "[embedding] dimension: cannot parse ''"),
         ],
     )
     def test_misspelt_section_option_or_boolean_is_config_error(self, tmp_path, text, named):
@@ -158,13 +160,14 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, text))
         assert named in str(exc.value)
 
+    def test_field_type_without_a_reader_is_type_error(self, tmp_path):
+        parser = configparser.ConfigParser()
+        parser.read_string("[embedding]\nflag = true\n")
+        with pytest.raises(TypeError, match="no reader for a field of type bool"):
+            _cast(parser, "embedding", "flag", "bool", tmp_path)
+
     def test_empty_default_section_allowed(self, tmp_path):
         assert load_config(write_config(tmp_path, "[DEFAULT]\n[embedding]\ndimension = 64\n")).embedding.dimension == 64
-
-    @pytest.mark.parametrize(("raw", "value"), [("true", True), ("On", True), ("1", True), ("no", False), ("0", False)])
-    def test_boolean_spellings(self, tmp_path, raw, value):
-        config = load_config(write_config(tmp_path, f"[embedding]\ninclude_examples = {raw}\n"))
-        assert config.embedding.include_examples is value
 
     def test_option_wins_over_its_alias(self, tmp_path):
         config = load_config(write_config(tmp_path, "[generation]\nretries = 5\nmax_retries = 1\n"))
@@ -188,6 +191,14 @@ class TestLoadConfig:
             "proper_noun_patterns",
         ]
         assert block["hallucination_threshold"] == 0.2
+
+    def test_snapshot_names_the_encoder_not_its_address(self, tmp_path):
+        config = load_config(
+            write_config(tmp_path, "[embedding]\nremote_url = http://127.0.0.1:8123/embed\nremote_identifier = enc-v2\n")
+        )
+        snapshot = evaluation_snapshot("remote", config)
+        assert snapshot["embedding"] == {"dimension": 512, "remote_batch_size": 64, "remote_identifier": "enc-v2"}
+        assert "8123" not in repr(snapshot)
 
     def test_fewshot_from_file(self, tmp_path):
         (tmp_path / "fewshot.json").write_text(

@@ -1,11 +1,12 @@
+import dataclasses
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lexiforge.alignment import sense_text
 from lexiforge.embedding import DeterministicEmbedder, embed_deterministic
 from lexiforge.error_analysis import ErrorCategory, parse_findings
 from lexiforge.metrics import ConfusionMatrix2x2, class_metrics
@@ -39,7 +40,7 @@ def read_jsonl(path):
 
 
 def write_to(report, path):
-    with atomic_text(path) as fh:
+    with atomic_text(path) as (fh,):
         write_report(report, fh)
 
 
@@ -210,14 +211,13 @@ class ScaledPerText:
 
 
 class TestScoreParity:
-    @pytest.mark.parametrize("include_examples", [False, True])
-    def test_scores_match_cosine_of_raw_vectors(self, fixture20, tmp_path, include_examples):
+    def test_scores_match_cosine_of_raw_vectors(self, fixture20, tmp_path):
         generated, gold = fixture20
         embedder = ScaledPerText()
-        evaluate_dictionaries(generated, gold, embedder, tmp_path, include_examples=include_examples)
+        evaluate_dictionaries(generated, gold, embedder, tmp_path)
 
         def cosine(gen_sense, gold_sense):
-            raw = [embedder.embed(sense_text(s, include_examples)) for s in (gen_sense, gold_sense)]
+            raw = [embedder.embed(s.definition) for s in (gen_sense, gold_sense)]
             return cosine_similarity(*raw)
 
         records = read_jsonl(tmp_path / "alignments.jsonl")
@@ -236,6 +236,20 @@ class TestScoreParity:
             for row, gen_sense in zip(pair["scores"], gen.senses):
                 for score, gold_sense in zip(row, gold_entry.senses, strict=True):
                     assert abs(score - cosine(gen_sense, gold_sense)) <= 1e-12
+
+    def test_examples_never_move_a_score(self, fixture20, tmp_path):
+        generated, gold = fixture20
+        assert any(s.example for entry in generated.entries() for s in entry.senses)
+
+        def without_examples(dictionary):
+            return Dictionary(
+                dataclasses.replace(entry, senses=tuple(dataclasses.replace(s, example=None) for s in entry.senses))
+                for entry in dictionary.entries()
+            )
+
+        evaluate_dictionaries(generated, gold, EMBEDDER, tmp_path / "parsed")
+        evaluate_dictionaries(without_examples(generated), without_examples(gold), EMBEDDER, tmp_path / "stripped")
+        assert outputs(tmp_path / "stripped") == outputs(tmp_path / "parsed")
 
 
 class TestCircularityRate:
@@ -377,7 +391,7 @@ class TestAtomicWrite:
     def test_failure_leaves_no_file(self, tmp_path):
         target = tmp_path / "out.txt"
         with pytest.raises(RuntimeError):
-            with atomic_text(target) as fh:
+            with atomic_text(target) as (fh,):
                 fh.write("partial")
                 raise RuntimeError("boom")
         assert not target.exists()
@@ -386,6 +400,26 @@ class TestAtomicWrite:
     def test_success_replaces(self, tmp_path):
         target = tmp_path / "out.txt"
         target.write_text("old")
-        with atomic_text(target) as fh:
+        with atomic_text(target) as (fh,):
             fh.write("new")
         assert target.read_text() == "new"
+
+    def test_failure_leaves_every_target_as_it_was(self, tmp_path):
+        first, second = tmp_path / "first.txt", tmp_path / "sub" / "second.txt"
+        first.write_text("old")
+        with pytest.raises(RuntimeError):
+            with atomic_text(first, second) as (first_fh, second_fh):
+                first_fh.write("new")
+                second_fh.write("new")
+                raise RuntimeError("boom")
+        assert first.read_text() == "old" and not second.exists()
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["first.txt", "sub"]
+
+    def test_first_path_is_renamed_last(self, tmp_path, monkeypatch):
+        renamed = []
+        real_replace = os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: (renamed.append(Path(dst).name), real_replace(src, dst)))
+        with atomic_text(*(tmp_path / name for name in ("a", "b", "c"))) as streams:
+            for fh in streams:
+                fh.write("x")
+        assert renamed == ["c", "b", "a"]
