@@ -8,6 +8,7 @@ Recorded generation failures are data, not errors; generate still exits 0.
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .exceptions import (
 )
 from .generation import run_generation
 from .ingestion import parse_dictionary, parse_failures, parse_lemma_list, write_dictionary, write_failures
-from .report import atomic_text, evaluate_dictionaries, file_digest, load_report, render_tables
+from .report import OUTPUT_NAMES, atomic_text, evaluate_dictionaries, file_digest, load_report, render_tables
 
 EXIT_CONFIG = 2
 EXIT_INPUT = 3
@@ -52,6 +53,29 @@ def _parse_file(path, parse):
         raise _CliFault(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
     except (ParseError, DuplicateKeyError, EncodingError) as exc:
         raise _CliFault(EXIT_INPUT, f"cannot parse {path}: {exc}") from exc
+
+
+def _refuse_overwrites(inputs: dict, outputs: dict) -> None:
+    """Exit 2 naming both options when an output path (option -> path or None) names an input or another output.
+
+    Inputs include the files the config names. Runs before any file is
+    written or any request sent, so every file stays as it was. Paths are
+    compared resolved, and existing files also by ``os.path.samefile``, so
+    another spelling of a path, a link or a hard link to the file is caught.
+    """
+    named = [(option, Path(path).resolve()) for option, path in {**inputs, **outputs}.items() if path is not None]
+    for index, (option, path) in enumerate(named):
+        for other, other_path in named[index + 1 :]:
+            same = path == other_path or (path.exists() and other_path.exists() and os.path.samefile(path, other_path))
+            if same and other in outputs:
+                raise _CliFault(EXIT_CONFIG, f"{option} and {other} name the same file {path}")
+
+
+def _close(service) -> None:
+    """Close *service* when it has a ``close``: the HTTP clients keep connections open, a cache its append handle."""
+    close = getattr(service, "close", None)
+    if close is not None:
+        close()
 
 
 def _guarded(func):
@@ -100,13 +124,23 @@ def main():
 def cmd_generate(lemmas_path, config_path, out_path, failures_path, audit_dir):
     """Define every lemma through the configured provider."""
     config = load_config(config_path)
-    provider = build_provider(config.provider)
-    parsed = _parse_file(lemmas_path, parse_lemma_list)
-    if parsed.duplicate_count:
-        click.echo(f"note: dropped {parsed.duplicate_count} duplicate lemma-list records", err=True)
-    dictionary, failures, stats = run_generation(
-        list(parsed.records), provider, config.generation, audit_dir=audit_dir
+    _refuse_overwrites(
+        {
+            "--lemmas": lemmas_path, "--config": config_path, "[provider] replies": config.provider.replies,
+            "[prompt] template": config.prompt.template, "[prompt] fewshot": config.prompt.fewshot,
+        },
+        {"--out": out_path, "--failures": failures_path, "--audit": audit_dir},
     )
+    provider = build_provider(config.provider)
+    try:
+        parsed = _parse_file(lemmas_path, parse_lemma_list)
+        if parsed.duplicate_count:
+            click.echo(f"note: dropped {parsed.duplicate_count} duplicate lemma-list records", err=True)
+        dictionary, failures, stats = run_generation(
+            list(parsed.records), provider, config.generation, audit_dir=audit_dir
+        )
+    finally:
+        _close(provider)
     with atomic_text(out_path, failures_path) as (dictionary_fh, failures_fh):
         write_dictionary(dictionary, dictionary_fh)
         write_failures(failures, failures_fh)
@@ -135,6 +169,11 @@ def cmd_generate(lemmas_path, config_path, out_path, failures_path, audit_dir):
 def cmd_evaluate(generated_path, gold_path, embedder_choice, config_path, out_dir, failures_path):
     """Score a generated dictionary against the gold standard."""
     config = load_config(config_path)
+    outputs = {f"--out ({name})": Path(out_dir) / name for name in OUTPUT_NAMES}
+    _refuse_overwrites(
+        {"--generated": generated_path, "--gold": gold_path, "--failures": failures_path, "--config": config_path},
+        {"[embedding] cache": config.embedding.cache, **outputs},  # the cache is appended to: an output
+    )
     embedder = build_embedder(embedder_choice, config.embedding)
     try:
         generated = _parse_file(generated_path, parse_dictionary)
@@ -164,10 +203,7 @@ def cmd_evaluate(generated_path, gold_path, embedder_choice, config_path, out_di
             f"{sum(report.error_summary.values())} findings -> {Path(out_dir)}"
         )
     finally:
-        # the remote embedder keeps a connection open, and a cache its append handle
-        close = getattr(embedder, "close", None)
-        if close is not None:
-            close()
+        _close(embedder)
 
 
 def _resolve_report_path(eval_path: str) -> Path:

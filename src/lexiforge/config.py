@@ -71,6 +71,7 @@ class AppConfig:
     generation: GenerationConfig = field(default_factory=GenerationConfig)
     embedding: EmbeddingSettings = field(default_factory=EmbeddingSettings)
     error_analysis: ErrorAnalysisConfig = field(default_factory=ErrorAnalysisConfig)
+    prompt: PromptSettings = field(default_factory=PromptSettings)  # the files read into ``generation``
 
 
 SECTIONS = dict(  # each section of the file -> the dataclass whose fields are its options
@@ -170,6 +171,7 @@ def load_config(path: str | Path) -> AppConfig:
         generation=_read_section(parser, "generation", base, prompt_template=template, fewshot_examples=fewshot),
         embedding=_read_section(parser, "embedding", base),
         error_analysis=_read_section(parser, "error_analysis", base),
+        prompt=prompt,
     )
 
 

@@ -10,16 +10,12 @@ into a ``VectorTable`` and scores cosines as dot products of its rows.
 
 from __future__ import annotations
 
-import collections
 import hashlib
-import http.client
 import json
 import logging
-import queue
-import threading
 import time
 import unicodedata
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
 
@@ -27,7 +23,7 @@ import numpy as np
 import orjson
 
 from . import _kernels
-from ._http import TRANSPORT_ERRORS, JsonPoster
+from ._http import TRANSPORT_ERRORS, JsonPoster, ordered_map, retry
 from .exceptions import DimensionError, EmptyTextError, ProtocolError, ServiceError, ZeroVectorError
 
 logger = logging.getLogger(__name__)
@@ -79,8 +75,8 @@ def normalize_text(text: str) -> str:
 #: so hashing a batch of any size needs no more scratch memory than that.
 EMBED_CHUNK = 256
 
-#: Requests ``RemoteEmbedder`` keeps in flight, one kept-alive connection
-#: each. On perfbench's eval-remote-5k (a 2 ms + 0.05 ms/text service,
+#: Requests ``RemoteEmbedder`` keeps in flight, over at most as many kept-alive
+#: connections. On perfbench's eval-remote-5k (a 2 ms + 0.05 ms/text service,
 #: 2 vCPUs, seed 11) ``wall_s`` was 1.20-1.21 s with two lanes, 1.04-1.07 s
 #: with three, 1.04 s with four and 1.00-1.03 s with six: two left the
 #: calling thread waiting on the service, four keep the service busy while
@@ -168,13 +164,10 @@ class RemoteEmbedder:
 
     POSTs ``{"texts": [...]}`` and expects ``{"vectors": [[...]...],
     "dimension": n}``. Requests are chunked (default 64 texts per call)
-    and transient failures (connection errors, 5xx, 429) are retried with
-    exponential backoff before raising ServiceError. The chunks go out
-    over ``EMBED_LANES`` lanes, each with its own connection kept open
-    across chunks and calls, so the service sees up to that many requests
-    at once; a 429 it answers to them is retried like any other. The first
-    chunk to fail stops the chunks not yet sent. One ``embed_batch`` runs
-    at a time per embedder; ``close`` closes every lane's connection.
+    and sent through ``_http``: ``EMBED_LANES`` lanes share one poster's
+    kept-alive connections, and transient failures (connection errors,
+    5xx, 429) are retried before raising ServiceError. ``close`` closes
+    every idle connection.
     """
 
     def __init__(
@@ -187,90 +180,51 @@ class RemoteEmbedder:
         identifier: str = "remote",
         sleep: Callable[[float], None] = time.sleep,
     ):
-        self.url = url
         self.batch_size = batch_size
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.timeout = timeout
-        self._identifier = identifier
+        self.identifier = identifier
         self._sleep = sleep
-        self._lanes = [JsonPoster(url, timeout) for _ in range(EMBED_LANES)]
-        self._idle: queue.SimpleQueue[JsonPoster] = queue.SimpleQueue()
-        for poster in self._lanes:
-            self._idle.put(poster)
-
-    @property
-    def identifier(self) -> str:
-        return self._identifier
+        self._poster = JsonPoster(url, timeout)
 
     def close(self) -> None:
-        for poster in self._lanes:
-            poster.close()
+        self._poster.close()
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         """One row per text; an empty batch, which sends nothing, has shape (0, 0).
 
         The lanes post chunks while this thread decodes the replies in chunk
-        order, each straight into its rows of the result. No more than
-        ``2 * EMBED_LANES`` chunks are sent ahead of the one being decoded,
-        so replies never pile up however long the batch.
+        order, each straight into its rows of the result. The first chunk
+        to fail stops the chunks not yet sent.
         """
         if not texts:
             return np.empty((0, 0))
         starts = range(0, len(texts), self.batch_size)
-        ahead = 2 * EMBED_LANES
-        stop = threading.Event()
 
-        def send(start: int) -> bytes | None:
-            return self._send(list(texts[start : start + self.batch_size]), stop)
+        def send(start: int, stop) -> bytes:
+            chunk = list(texts[start : start + self.batch_size])
+            return retry(lambda: self._post(chunk), self.max_retries, self.retry_backoff, self._sleep, stop)
 
-        with ThreadPoolExecutor(EMBED_LANES) as pool:
-            try:
-                replies = collections.deque(pool.submit(send, start) for start in starts[:ahead])
-                for index, start in enumerate(starts):
-                    body = replies.popleft().result()
-                    if index + ahead < len(starts):
-                        replies.append(pool.submit(send, starts[index + ahead]))
-                    if stop.is_set():
-                        continue  # a chunk failed: its error is raised when the loop reaches it
-                    rows, dimension = self._parse_reply(body, min(self.batch_size, len(texts) - start))
-                    if start == 0:
-                        vectors = np.empty((len(texts), dimension))
-                    elif dimension != vectors.shape[1]:
-                        raise ProtocolError(f"service changed dimension between chunks: {vectors.shape[1]} then {dimension}")
-                    self._copy_rows(rows, vectors[start : start + len(rows)])
-            finally:
-                stop.set()  # chunks still queued return without sending
+        with closing(ordered_map(send, starts, EMBED_LANES)) as replies:
+            for start, body in zip(starts, replies):
+                rows, dimension = self._parse_reply(body, min(self.batch_size, len(texts) - start))
+                if start == 0:
+                    vectors = np.empty((len(texts), dimension))
+                elif dimension != vectors.shape[1]:
+                    raise ProtocolError(f"service changed dimension between chunks: {vectors.shape[1]} then {dimension}")
+                self._copy_rows(rows, vectors[start : start + len(rows)])
         return vectors
 
-    def _send(self, chunk: list[str], stop: threading.Event) -> bytes | None:
-        """The reply body to *chunk*, posted over an idle lane, or None once *stop* is set."""
-        poster = self._idle.get()
+    def _post(self, chunk: list[str]) -> bytes:
+        """The reply body to *chunk*; a failure raises ServiceError, retryable when it may pass."""
         try:
-            return self._call(poster, chunk, stop)
-        except BaseException:
-            stop.set()
-            raise
-        finally:
-            self._idle.put(poster)
-
-    def _call(self, poster: JsonPoster, chunk: list[str], stop: threading.Event) -> bytes | None:
-        attempt = 0
-        while not stop.is_set():
-            try:
-                status, body = poster.post({"texts": chunk})
-                if status == 429 or status >= 500:
-                    raise http.client.HTTPException(f"HTTP {status}")
-            except TRANSPORT_ERRORS as exc:
-                if attempt >= self.max_retries:
-                    raise ServiceError(f"embedding service unreachable after {attempt} retries: {exc}") from exc
-                self._sleep(self.retry_backoff * (2**attempt))
-                attempt += 1
-                continue
-            if status >= 400:
-                raise ServiceError(f"embedding service rejected the request: HTTP {status}")
-            return body
-        return None
+            status, body, retry_after = self._poster.post({"texts": chunk})
+        except TRANSPORT_ERRORS as exc:
+            raise ServiceError(f"embedding service unreachable: {exc}") from exc
+        if status >= 400:  # a 429 or 5xx may pass
+            raise ServiceError(f"embedding service answered HTTP {status}", status == 429 or status >= 500, retry_after)
+        return body
 
     @staticmethod
     def _parse_reply(body: bytes, expected: int) -> tuple[list, int]:

@@ -53,20 +53,26 @@ class EmptyTextError(LexiforgeError):
     """Text is empty after normalization and cannot be embedded."""
 
 
-class ProviderError(LexiforgeError):
-    """A text-generation provider call failed.
+class RequestError(LexiforgeError):
+    """A request to a service failed.
 
     ``retryable`` distinguishes transient faults (timeouts, 5xx, 429) from
-    permanent ones (bad request, malformed reply body).
+    permanent ones (bad request, malformed reply body). ``retry_after`` is
+    the delay in seconds a 429 or 503 reply asked for, when it gave one.
     """
 
-    def __init__(self, message: str, retryable: bool = True):
+    def __init__(self, message: str, retryable: bool = True, retry_after: float | None = None):
         self.retryable = retryable
+        self.retry_after = retry_after
         super().__init__(message)
 
 
-class ServiceError(LexiforgeError):
-    """The embedding service is unreachable after retries."""
+class ProviderError(RequestError):
+    """A text-generation provider call failed."""
+
+
+class ServiceError(RequestError):
+    """The embedding service failed: unreachable after retries, or it refused a request."""
 
 
 class ProtocolError(LexiforgeError):

@@ -7,14 +7,16 @@ from __future__ import annotations
 import enum
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
+from ._http import ordered_map, retry
 from .exceptions import ConfigError, EmptyLemmaError, ProviderError
 from .model import Dictionary, DictionaryEntry, PosCategory, PosTag, Sense, normalize_lemma
-from .providers import Provider, ProviderRequest
+from .providers import Provider, ProviderRequest, ProviderResponse
 
 DEFAULT_REFUSAL_PATTERNS = (
     "desconocido",
@@ -263,32 +265,30 @@ class RunStats:
     completion_tokens: int = 0
     wall_seconds: float = 0.0
 
+    def add(self, other: "RunStats") -> None:
+        """Count *other*'s requests, retries and tokens in with these."""
+        self.requests += other.requests
+        self.retries += other.retries
+        self.prompt_tokens += other.prompt_tokens
+        self.completion_tokens += other.completion_tokens
+
 
 @dataclass
 class _BatchOutcome:
     entries: list[DictionaryEntry]
     failures: list[GenerationFailure]
-    requests: int
-    retries: int
-    prompt_tokens: int
-    completion_tokens: int
     raw_text: str
+    stats: RunStats
 
     def extend(self, other: "_BatchOutcome") -> None:
         self.entries += other.entries
         self.failures += other.failures
-        self.requests += other.requests
-        self.retries += other.retries
-        self.prompt_tokens += other.prompt_tokens
-        self.completion_tokens += other.completion_tokens
         self.raw_text += "\n\n" + other.raw_text
+        self.stats.add(other.stats)
 
 
 def _run_batch(
-    provider: Provider,
-    batch: list[LemmaRecord],
-    config: GenerationConfig,
-    sleep: Callable[[float], None],
+    provider: Provider, config: GenerationConfig, sleep: Callable[[float], None], batch: list[LemmaRecord], stop
 ) -> _BatchOutcome:
     """One request for *batch*, retried on transient provider errors.
 
@@ -305,24 +305,22 @@ def _run_batch(
         temperature=config.temperature,
         max_tokens=config.max_output_tokens,
     )
-    attempt = 0
-    while True:
-        try:
-            response = provider.complete(request)
-            break
-        except ProviderError as exc:
-            if not exc.retryable or attempt >= config.max_retries:
-                failures = [
-                    GenerationFailure(r.lemma, r.pos, FailureReason.PROVIDER_ERROR, str(exc)) for r in batch
-                ]
-                return _BatchOutcome([], failures, attempt + 1, attempt, 0, 0, f"<provider error: {exc}>")
-            sleep(config.retry_backoff * (2**attempt))
-            attempt += 1
+    stats = RunStats()
+
+    def send() -> ProviderResponse:
+        stats.retries = stats.requests  # every request after the first is a retry
+        stats.requests += 1
+        return provider.complete(request)
+
+    try:
+        response = retry(send, config.max_retries, config.retry_backoff, sleep, stop)
+    except ProviderError as exc:
+        failures = [GenerationFailure(r.lemma, r.pos, FailureReason.PROVIDER_ERROR, str(exc)) for r in batch]
+        return _BatchOutcome([], failures, f"<provider error: {exc}>", stats)
+    stats.prompt_tokens, stats.completion_tokens = response.prompt_tokens, response.completion_tokens
     cut = response.finish_reason == "length"
     entries, failures = parse_model_response(response.text, batch, cut)
-    outcome = _BatchOutcome(
-        entries, failures, attempt + 1, attempt, response.prompt_tokens, response.completion_tokens, response.text
-    )
+    outcome = _BatchOutcome(entries, failures, response.text, stats)
     if not cut:
         return outcome
     unanswered = [LemmaRecord(f.lemma, f.pos) for f in failures if f.detail == _MISSING]
@@ -336,7 +334,7 @@ def _run_batch(
         outcome.failures = [GenerationFailure(batch[0].lemma, batch[0].pos, FailureReason.TRUNCATED, detail)]
         parts = []
     for part in parts:
-        outcome.extend(_run_batch(provider, part, config, sleep))
+        outcome.extend(_run_batch(provider, config, sleep, part, stop))
     return outcome
 
 
@@ -350,40 +348,32 @@ def run_generation(
     """Run the whole pipeline: |entries| + |failures| = |records| always.
 
     Batches are dispatched with at most ``max_concurrent_batches`` in
-    flight; results are assembled in input order regardless of completion
-    order, so output files are deterministic for a deterministic provider.
+    flight, through a window of twice that many batches sent ahead of the
+    one whose outcome is next. Outcomes are taken in input order whatever
+    order they complete in, so output files are deterministic for a
+    deterministic provider; each batch's raw reply goes to *audit_dir* as
+    its outcome is taken, and is not kept.
     """
     config = config or GenerationConfig()
     started = time.perf_counter()
     batches = split_batches(records, config.batch_size)
-    outcomes: list[_BatchOutcome] = []
-    if batches:
-        with ThreadPoolExecutor(max_workers=config.max_concurrent_batches) as pool:
-            futures = [pool.submit(_run_batch, provider, batch, config, sleep) for batch in batches]
-            outcomes = [f.result() for f in futures]
-
     if audit_dir is not None:
-        audit_path = Path(audit_dir)
-        audit_path.mkdir(parents=True, exist_ok=True)
-        for i, outcome in enumerate(outcomes, start=1):
-            (audit_path / f"batch_{i:04d}.txt").write_text(outcome.raw_text, encoding="utf-8")
-
+        Path(audit_dir).mkdir(parents=True, exist_ok=True)
+    stats = RunStats(batch_count=len(batches))
     kept: dict[tuple[str, PosCategory], DictionaryEntry] = {}  # the first entry of each key
     failures: list[GenerationFailure] = []
-    for outcome in outcomes:
-        failures.extend(outcome.failures)
-        for entry in outcome.entries:
-            if kept.setdefault(entry.key, entry) is not entry:
-                detail = f"duplicate key {entry.key[1].value!r} already produced by an earlier batch"
-                failures.append(GenerationFailure(entry.lemma, entry.pos, FailureReason.PARSE_ERROR, detail))
+    run = partial(_run_batch, provider, config, sleep)
+    with closing(ordered_map(run, batches, config.max_concurrent_batches)) as outcomes:
+        for number, outcome in enumerate(outcomes, start=1):
+            if audit_dir is not None:
+                (Path(audit_dir) / f"batch_{number:04d}.txt").write_text(outcome.raw_text, encoding="utf-8")
+            stats.add(outcome.stats)
+            failures.extend(outcome.failures)
+            for entry in outcome.entries:
+                if kept.setdefault(entry.key, entry) is not entry:
+                    detail = f"duplicate key {entry.key[1].value!r} already produced by an earlier batch"
+                    failures.append(GenerationFailure(entry.lemma, entry.pos, FailureReason.PARSE_ERROR, detail))
     dictionary = Dictionary(kept.values())
-    stats = RunStats(
-        batch_count=len(batches),
-        requests=sum(o.requests for o in outcomes),
-        retries=sum(o.retries for o in outcomes),
-        prompt_tokens=sum(o.prompt_tokens for o in outcomes),
-        completion_tokens=sum(o.completion_tokens for o in outcomes),
-        wall_seconds=time.perf_counter() - started,
-    )
+    stats.wall_seconds = time.perf_counter() - started
     assert len(dictionary) + len(failures) == len(records)
     return dictionary, failures, stats

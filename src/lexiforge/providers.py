@@ -11,7 +11,7 @@ from typing import Protocol
 
 import orjson
 
-from ._http import TRANSPORT_ERRORS, post_json
+from ._http import TRANSPORT_ERRORS, JsonPoster
 from .exceptions import ConfigError, ProviderError
 
 
@@ -43,27 +43,21 @@ class HttpChatProvider:
     Sends ``{"model", "messages", "temperature", "max_tokens"}`` and reads
     the generated text from ``choices[0].message.content``. The API key is
     read from the environment variable named by ``credential_env`` (never
-    from config values or flags).
+    from config values or flags). Concurrent calls share one poster's
+    kept-alive connections; ``close`` closes the idle ones.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        credential_env: str | None = None,
-        timeout: float = 60.0,
-    ):
-        self.endpoint = endpoint
+    def __init__(self, endpoint: str, model: str, credential_env: str | None = None, timeout: float = 60.0):
         self.model = model
         self.credential_env = credential_env
-        self.timeout = timeout
+        self._poster = JsonPoster(endpoint, timeout)
+
+    def close(self) -> None:
+        self._poster.close()
 
     def complete(self, request: ProviderRequest) -> ProviderResponse:
-        headers = {}
-        if self.credential_env:
-            key = os.environ.get(self.credential_env, "")
-            if key:
-                headers["Authorization"] = f"Bearer {key}"
+        key = os.environ.get(self.credential_env, "") if self.credential_env else ""
+        headers = {"Authorization": f"Bearer {key}"} if key else {}
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": request.prompt}],
@@ -71,13 +65,11 @@ class HttpChatProvider:
             "max_tokens": request.max_tokens,
         }
         try:
-            status, data = post_json(self.endpoint, body, self.timeout, headers)
+            status, data, retry_after = self._poster.post(body, headers)
         except TRANSPORT_ERRORS as exc:
-            raise ProviderError(f"transport failure: {exc}", retryable=True) from exc
-        if status == 429 or status >= 500:
-            raise ProviderError(f"HTTP {status} from provider", retryable=True)
-        if status >= 400:
-            raise ProviderError(f"HTTP {status} from provider", retryable=False)
+            raise ProviderError(f"transport failure: {exc}") from exc
+        if status >= 400:  # a 429 or 5xx may pass
+            raise ProviderError(f"HTTP {status} from provider", status == 429 or status >= 500, retry_after)
         try:
             payload = orjson.loads(data)
             choice = payload["choices"][0]
@@ -124,12 +116,7 @@ class StubProvider:
         return cls(data)
 
     def complete(self, request: ProviderRequest) -> ProviderResponse:
-        parts = []
-        for lemma in request.lemmas:
-            reply = self.replies.get(lemma)
-            if reply is not None:
-                parts.append(reply.rstrip("\n"))
-        text = "\n".join(parts)
+        text = "\n".join(self.replies[lemma].rstrip("\n") for lemma in request.lemmas if lemma in self.replies)
         return ProviderResponse(
             text=text,
             prompt_tokens=len(request.prompt.split()),

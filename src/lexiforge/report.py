@@ -183,6 +183,9 @@ def load_report(path: str | Path) -> EvaluationReport:
 #: blocks of 1,024 peaked 11 MB higher.
 KEY_BLOCK = 512
 
+#: The files ``evaluate_dictionaries`` writes under its output directory.
+OUTPUT_NAMES = ("report.json", "alignments.jsonl", "polysemy_pairs.jsonl", "findings.jsonl")
+
 
 def evaluate_dictionaries(
     generated: Dictionary,
@@ -230,8 +233,8 @@ def evaluate_dictionaries(
     gen_mono: list[AlignmentRecord] = []
     candidates: list[AlignmentRecord] = []
     entry_findings: list[ErrorFinding] = []
-    names = ("report.json", "alignments.jsonl", "polysemy_pairs.jsonl", "findings.jsonl")
-    with atomic_text(*(Path(out_dir) / name for name in names)) as (report_fh, alignments_fh, pairs_fh, findings_fh):
+    outputs = (Path(out_dir) / name for name in OUTPUT_NAMES)
+    with atomic_text(*outputs) as (report_fh, alignments_fh, pairs_fh, findings_fh):
         scored = 0  # join pairs of the blocks before this one
         for start in range(0, len(entries), KEY_BLOCK):
             block = entries[start : start + KEY_BLOCK]

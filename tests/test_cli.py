@@ -89,6 +89,11 @@ def snapshot(directory):
     return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
+def tree(directory):
+    """The bytes of each file under *directory*, by path relative to it."""
+    return {str(path.relative_to(directory)): path.read_bytes() for path in directory.rglob("*") if path.is_file()}
+
+
 def prefix_bom(path):
     """Put a UTF-8 byte-order mark in front of the file at *path*, as Windows editors often write."""
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
@@ -167,6 +172,36 @@ class TestGenerate:
         assert "File exists" in result.output
         assert (workspace / "generated.jsonl").read_bytes() == before
         assert [path.name for path in workspace.iterdir() if path.name.endswith(".tmp")] == []
+
+    @pytest.mark.parametrize(
+        ("extra", "named"),
+        [
+            (["--out", "same.jsonl", "--failures", "same.jsonl"], "--out and --failures"),
+            (["--out", "five_lemmas.txt"], "--lemmas and --out"),
+            (["--failures", "sub/../five_lemmas.txt"], "--lemmas and --failures"),
+            (["--out", "stub_config.ini"], "--config and --out"),
+            (["--out", "link.txt"], "--lemmas and --out"),
+            (["--failures", "hard.txt"], "--lemmas and --failures"),
+            (["--audit", "generated.jsonl"], "--out and --audit"),
+            (["--failures", "stub_replies.json"], "[provider] replies and --failures"),
+            (["--out", "template.txt"], "[prompt] template and --out"),
+        ],
+        ids=["out-is-failures", "out-is-lemmas", "failures-is-lemmas", "out-is-config", "symlink", "hard-link",
+             "audit", "stub-replies", "prompt-template"],
+    )
+    def test_output_naming_an_input_or_another_output_exit_2(self, runner, workspace, extra, named):
+        (workspace / "link.txt").symlink_to(workspace / "five_lemmas.txt")
+        os.link(workspace / "five_lemmas.txt", workspace / "hard.txt")
+        (workspace / "generated.jsonl").write_text("an earlier dictionary\n", encoding="utf-8")
+        (workspace / "template.txt").write_text("Define:\n{{BATCH}}\n", encoding="utf-8")
+        with open(workspace / "stub_config.ini", "a", encoding="utf-8") as fh:
+            fh.write("\n[prompt]\ntemplate = template.txt\n")
+        before = tree(workspace)
+        extra = [arg if arg.startswith("--") else str(workspace / arg) for arg in extra]
+        result = run_generate(runner, workspace, extra=extra)
+        assert result.exit_code == 2, result.output
+        assert f"{named} name the same file" in result.output
+        assert tree(workspace) == before  # every file byte-identical, and no temp file left
 
     @pytest.mark.parametrize(
         ("text", "named"),
@@ -521,6 +556,60 @@ class TestEvaluate:
         blocker.write_text("a plain file, not a directory")
         result = run_evaluate(runner, workspace, out="blocker/eval")
         assert result.exit_code == 4
+
+    @pytest.mark.parametrize(
+        ("option", "source", "output"),
+        [
+            ("--failures", "planted_failures.jsonl", "findings.jsonl"),
+            ("--generated", "fixture20_generated.jsonl", "alignments.jsonl"),
+            ("--gold", "fixture20_gold.jsonl", "report.json"),
+            ("--config", "eval_config.ini", "polysemy_pairs.jsonl"),
+        ],
+        ids=["failures", "generated", "gold", "config"],
+    )
+    def test_output_naming_an_input_exit_2(self, runner, workspace, option, source, output):
+        # the input is kept in --out under the name of one of the outputs
+        (workspace / "ev2").mkdir()
+        shutil.copy(workspace / source, workspace / "ev2" / output)
+        inputs = {
+            "--generated": "fixture20_generated.jsonl", "--gold": "fixture20_gold.jsonl",
+            "--failures": "planted_failures.jsonl", "--config": "eval_config.ini", option: f"ev2/{output}",
+        }
+        before = tree(workspace)
+        args = [arg for name, path in inputs.items() for arg in (name, str(workspace / path))]
+        result = runner.invoke(main, ["evaluate", *args, "--embedder", "deterministic", "--out", str(workspace / "ev2")])
+        assert result.exit_code == 2, result.output
+        assert f"{option} and --out ({output}) name the same file" in result.output
+        assert tree(workspace) == before  # every file byte-identical, and no temp file left
+
+    @pytest.mark.parametrize(
+        ("cache", "named"),
+        [
+            ("ev2/findings.jsonl", "[embedding] cache and --out (findings.jsonl)"),
+            ("fixture20_gold.jsonl", "--gold and [embedding] cache"),
+        ],
+        ids=["an-output", "an-input"],
+    )
+    def test_vector_cache_naming_another_file_exit_2(self, runner, workspace, cache, named):
+        # the cache is appended to, so naming an input or an output loses that file
+        (workspace / "ev2").mkdir()
+        (workspace / "ev2" / "findings.jsonl").write_text("", encoding="utf-8")
+        (workspace / "eval_config.ini").write_text(f"[embedding]\ncache = {cache}\n", encoding="utf-8")
+        before = tree(workspace)
+        result = run_evaluate(runner, workspace, out="ev2")
+        assert result.exit_code == 2, result.output
+        assert f"{named} name the same file" in result.output
+        assert tree(workspace) == before
+
+    def test_output_hard_linked_to_an_input_exit_2(self, runner, workspace):
+        (workspace / "ev2").mkdir()
+        os.link(workspace / "planted_failures.jsonl", workspace / "ev2" / "findings.jsonl")
+        before = tree(workspace)
+        failures = str(workspace / "planted_failures.jsonl")
+        result = run_evaluate(runner, workspace, out="ev2", extra=["--failures", failures])
+        assert result.exit_code == 2, result.output
+        assert "--failures and --out (findings.jsonl) name the same file" in result.output
+        assert tree(workspace) == before
 
     def test_unreachable_remote_service_exit_5(self, runner, workspace):
         (workspace / "remote.ini").write_text(

@@ -443,9 +443,9 @@ def _length_vectors(texts):
 
 class EmbedHandler(BaseHTTPRequestHandler):
     # one step per request, taken in arrival order before ``reply`` answers
-    # the rest: a status code to fail with, a reply body (an object, or the
-    # bytes to send as they are), or a function from the request's texts to
-    # either
+    # the rest: a status code to fail with (alone, or with a dict of headers
+    # in a tuple), a reply body (an object, or the bytes to send as they
+    # are), or a function from the request's texts to either
     script: list = []
     reply = _length_vectors
     calls = 0
@@ -478,8 +478,11 @@ class EmbedHandler(BaseHTTPRequestHandler):
         step = EmbedHandler.script.pop(0) if EmbedHandler.script else EmbedHandler.reply
         if callable(step):
             step = step(texts)
-        if isinstance(step, int):
-            self.send_response(step)
+        if isinstance(step, (int, tuple)):
+            status, headers = step if isinstance(step, tuple) else (step, {})
+            self.send_response(status)
+            for name, value in headers.items():
+                self.send_header(name, value)
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
@@ -530,6 +533,15 @@ class TestRemoteEmbedder:
             vectors = remote.embed_batch(["hola"])
             assert len(vectors) == 1
             assert EmbedHandler.calls == 2
+
+    @pytest.mark.parametrize(("value", "wait"), [("0.2", 0.2), ("0", 0.05), ("Wed, 21 Oct 2026 07:28:00 GMT", 0.05)])
+    def test_retry_waits_out_retry_after(self, embed_server, value, wait):
+        EmbedHandler.script = [(429, {"Retry-After": value})]
+        waits = []
+        with closing(RemoteEmbedder(embed_server, max_retries=2, retry_backoff=0.05, sleep=waits.append)) as remote:
+            assert len(remote.embed_batch(["hola"])) == 1
+        assert waits == [wait]
+        assert EmbedHandler.calls == 2
 
     def test_service_error_after_retries(self, embed_server):
         EmbedHandler.script = [500, 500, 500]

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, seed, settings
@@ -318,6 +319,32 @@ class TestRunGeneration:
             write_failures(failures, fail_out)
             outputs.append((dict_out.getvalue(), fail_out.getvalue()))
         assert outputs[0] == outputs[1]
+
+    def test_sends_at_most_two_batches_per_lane_ahead_of_the_outcome_it_waits_for(self):
+        # the first batch's reply is held back until the other lane has sent
+        # every batch the bound allows, and a little longer: a run without
+        # the bound would send all 20 batches while it waits
+        lanes = 2
+        ahead = 2 * lanes
+        lemmas = [f"lema{i}" for i in range(20)]
+        stub = stub_for(*lemmas)
+        sent, sent_before_first_reply = [], []
+
+        class HoldFirst:
+            def complete(self, request):
+                sent.append(request.lemmas)
+                if request.lemmas == ("lema0",):
+                    deadline = time.monotonic() + 5
+                    while len(sent) < ahead and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    time.sleep(0.1)  # room for a batch past the bound to go out
+                    sent_before_first_reply.append(len(sent))
+                return stub.complete(request)
+
+        config = GenerationConfig(batch_size=1, max_concurrent_batches=lanes)
+        dictionary, failures, _ = run_generation(records(*lemmas), HoldFirst(), config)
+        assert len(dictionary) == len(sent) == 20 and failures == []
+        assert sent_before_first_reply == [ahead]
 
     def test_no_refusal_text_in_output_dictionary(self):
         lemmas = [f"l{i}" for i in range(10)]

@@ -61,6 +61,47 @@ def test_every_json_decode_goes_through_orjson():
     assert stdlib_json_decodes() == []
 
 
+def modules_importing(names: set[str]) -> dict[str, set[str]]:
+    """Module file -> which of the top-level modules *names* it imports, for each package module importing any."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+        if imported & names:
+            found[path.name] = imported & names
+    return found
+
+
+def sleeping_loops(module: str) -> list[int]:
+    """Lines of the ``while`` loops in the package module that call something named ``sleep`` or ``_sleep``."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    return [
+        loop.lineno
+        for loop in ast.walk(tree)
+        if isinstance(loop, ast.While)
+        for call in ast.walk(loop)
+        if isinstance(call, ast.Call)
+        and (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) in ("sleep", "_sleep")
+    ]
+
+
+def test_one_request_engine():
+    # threads, lanes and backoff waits live in _http alone: both service
+    # clients send through its ordered_map, retry and JsonPoster, so a second
+    # engine would fork how lanes stop and how long a retry waits
+    engine = {"concurrent.futures", "threading", "queue"}
+    assert modules_importing(engine) == {"_http.py": {"concurrent.futures", "threading"}}
+    assert {module: sleeping_loops(module) for module in ("embedding.py", "generation.py", "providers.py")} == {
+        "embedding.py": [],
+        "generation.py": [],
+        "providers.py": [],
+    }
+
+
 #: Trace targets that name nothing in lexiforge today. The benchmark's next
 #: change drops them from ``perfbench/tracer.py`` (ROADMAP, direction 1), so
 #: this list only shrinks.

@@ -1,9 +1,15 @@
+import collections
 import json
+import sys
+import threading
+import time
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler
 
 import pytest
 from click.testing import CliRunner
 
+from lexiforge._http import RETRY_AFTER_CAP
 from lexiforge.cli import main
 from lexiforge.exceptions import ConfigError, ProviderError
 from lexiforge.generation import GenerationConfig, LemmaRecord, build_prompt, render_reply_block, run_generation
@@ -17,7 +23,7 @@ from conftest import http_server
 class ChatHandler(BaseHTTPRequestHandler):
     """Scriptable chat-completions endpoint for wire-contract tests."""
 
-    script: list[dict] = []  # each: {"status": int, "body": dict|str}
+    script: list[dict] = []  # each: {"status": int, "body": dict|str, optionally "headers": dict}
     requests_seen: list[dict] = []
 
     def do_POST(self):
@@ -30,6 +36,8 @@ class ChatHandler(BaseHTTPRequestHandler):
         body = step["body"]
         data = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
         self.send_response(step["status"])
+        for name, value in step.get("headers", {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -192,12 +200,26 @@ class LemmaChatHandler(BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"
-    served: list[tuple[int, int]] = []  # (client port, number of this request on its connection)
+    served: list[int] = []  # the client port of each request
+    in_flight: dict[int, int] = {}  # client port -> requests on that connection not yet answered
+    most_in_flight = 0  # on any one connection
+    lock = threading.Lock()
 
     def do_POST(self):
-        self.on_connection = getattr(self, "on_connection", 0) + 1
-        LemmaChatHandler.served.append((self.client_address[1], self.on_connection))
+        port = self.client_address[1]
+        with LemmaChatHandler.lock:
+            LemmaChatHandler.served.append(port)
+            LemmaChatHandler.in_flight[port] = LemmaChatHandler.in_flight.get(port, 0) + 1
+            LemmaChatHandler.most_in_flight = max(LemmaChatHandler.most_in_flight, LemmaChatHandler.in_flight[port])
+        try:
+            self.answer()
+        finally:
+            with LemmaChatHandler.lock:
+                LemmaChatHandler.in_flight[port] -= 1
+
+    def answer(self):
         prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["messages"][0]["content"]
+        time.sleep(0.002)  # long enough for the other lanes' requests to overlap this one
         text = "\n".join(
             render_reply_block(lemma, "Verbo", [(f"Acción propia de {lemma[::-1]}.", None)])
             for lemma in prompt_lemmas(prompt)
@@ -214,17 +236,66 @@ class LemmaChatHandler(BaseHTTPRequestHandler):
 
 
 class TestConcurrentGeneration:
-    def test_worker_threads_share_no_connection(self):
-        LemmaChatHandler.served = []
-        with http_server(LemmaChatHandler) as url:
-            provider = HttpChatProvider(f"{url}/v1/chat/completions", model="m")
-            lemmas = [LemmaRecord(f"lema{i:02d}") for i in range(48)]
-            config = GenerationConfig(batch_size=3, max_concurrent_batches=4)
-            dictionary, failures, stats = run_generation(lemmas, provider, config)
-        assert len(dictionary) + len(failures) == len(lemmas)
+    def test_lanes_share_kept_alive_connections_one_request_at_a_time(self):
+        # four lanes on fewer cores, switching threads often: two lanes
+        # taking one idle connection would send two requests on it at once
+        LemmaChatHandler.served, LemmaChatHandler.in_flight, LemmaChatHandler.most_in_flight = [], {}, 0
+        lemmas = [LemmaRecord(f"lema{i:02d}") for i in range(48)]
+        config = GenerationConfig(batch_size=3, max_concurrent_batches=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with http_server(LemmaChatHandler) as url:
+                with closing(HttpChatProvider(f"{url}/v1/chat/completions", model="m")) as provider:
+                    dictionary, failures, stats = run_generation(lemmas, provider, config)
+        finally:
+            sys.setswitchinterval(interval)
         assert failures == [] and {entry.lemma for entry in dictionary.entries()} == {r.lemma for r in lemmas}
         assert len(LemmaChatHandler.served) == stats.requests == 16
-        assert {number for _, number in LemmaChatHandler.served} == {1}
+        connections = collections.Counter(LemmaChatHandler.served)
+        assert len(connections) <= 4
+        assert max(connections.values()) > 1
+        assert LemmaChatHandler.most_in_flight == 1
+
+
+#: Retry-After values and the wait they ask for, after a retry_backoff of 0.05 s
+RETRY_AFTER_WAITS = {
+    "0.2": 0.2,
+    "3": 3.0,
+    "0": 0.05,  # shorter than the backoff
+    "86400": RETRY_AFTER_CAP,
+    "Wed, 21 Oct 2026 07:28:00 GMT": 0.05,  # an HTTP-date falls back to the backoff
+    "soon": 0.05,
+    "-1": 0.05,
+    "nan": 0.05,
+}
+
+
+class TestRetryAfter:
+    @pytest.mark.parametrize("status", [429, 503])
+    @pytest.mark.parametrize(("value", "wait"), RETRY_AFTER_WAITS.items(), ids=list(RETRY_AFTER_WAITS))
+    def test_delta_seconds_lengthen_the_backoff(self, chat_server, status, value, wait):
+        ChatHandler.script = [{"status": status, "body": {}, "headers": {"Retry-After": value}}]
+        waits = []
+        config = GenerationConfig(batch_size=1, retry_backoff=0.05, max_concurrent_batches=1)
+        with closing(HttpChatProvider(chat_server, model="m")) as provider:
+            _, _, stats = run_generation([LemmaRecord("casa")], provider, config, sleep=waits.append)
+        assert waits == [wait]
+        assert stats.requests == 2 and stats.retries == 1
+
+    def test_other_statuses_ignore_it(self, chat_server):
+        ChatHandler.script = [{"status": 500, "body": {}, "headers": {"Retry-After": "0.2"}}]
+        waits = []
+        config = GenerationConfig(batch_size=1, retry_backoff=0.05, max_concurrent_batches=1)
+        with closing(HttpChatProvider(chat_server, model="m")) as provider:
+            run_generation([LemmaRecord("casa")], provider, config, sleep=waits.append)
+        assert waits == [0.05]
+
+    def test_error_carries_the_delay(self, chat_server):
+        ChatHandler.script = [{"status": 429, "body": {}, "headers": {"Retry-After": "0.2"}}]
+        with pytest.raises(ProviderError) as exc:
+            HttpChatProvider(chat_server, model="m").complete(REQUEST)
+        assert exc.value.retryable and exc.value.retry_after == 0.2
 
 
 class RecordingStub(StubProvider):
