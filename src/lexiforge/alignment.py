@@ -1,57 +1,46 @@
 """Match generated senses against gold senses by cosine similarity.
 
-Every (generated, gold) pair of the vocabulary join yields one
-AlignmentRecord: the cosine of the generated definition against each gold
-sense. The record derives the rest from those scores: the best-matching
-gold sense index (ties break toward the lowest index, mirroring
-frequency-first gold ordering), its score and the mean over all gold
-senses. The pairs that share a gold sense count are scored together, one
-stacked matmul per chunk of them.
+``align_dictionaries`` scores one key block's join pairs as arrays: the
+cosine of each pair's generated definition against each gold sense, and
+from those scores the best-matching gold sense index (ties break toward
+the lowest index, mirroring frequency-first gold ordering), its score and
+the mean over all gold senses. The pairs that share a gold sense count are
+scored together, one stacked matmul per chunk of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
+
+import numpy as np
 
 from .embedding import VectorTable
 from .ingestion import write_records
-from .model import DictionaryEntry, PosCategory
+from .model import DictionaryEntry
 
 
-@dataclass(frozen=True, slots=True)
-class AlignmentRecord:
-    """The cosine of one generated definition against each gold sense, in gold order.
+@dataclass(frozen=True, eq=False)
+class BlockAlignment:
+    """The alignment of a run of join pairs, one array element per pair, in pair order.
 
-    The gold sense count, the best-matching gold sense, its score and the
-    mean over gold senses are read from ``per_gold_scores``, never stored.
+    Pair i's per-gold scores, in gold order, are ``scores[offsets[i] :
+    offsets[i + 1]]``. ``best_gold_index`` is 1-based and names the first
+    maximum of those scores, ``best_score`` is that maximum and
+    ``mean_over_gold`` their mean.
     """
 
-    lemma: str
-    category: PosCategory
-    gen_sense_count: int
-    per_gold_scores: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.per_gold_scores:
-            raise ValueError(f"{self.lemma!r}: no per-gold scores")
-
-    @property
-    def gold_sense_count(self) -> int:
-        return len(self.per_gold_scores)
+    pairs: Sequence[tuple[DictionaryEntry, DictionaryEntry]]
+    gen_sense_count: np.ndarray
+    scores: np.ndarray
+    offsets: np.ndarray
+    best_gold_index: np.ndarray
+    best_score: np.ndarray
+    mean_over_gold: np.ndarray
 
     @property
-    def best_gold_index(self) -> int:
-        """1-based index of the first maximum, so ties go to the lowest index."""
-        return self.per_gold_scores.index(max(self.per_gold_scores)) + 1
-
-    @property
-    def best_score(self) -> float:
-        return max(self.per_gold_scores)
-
-    @property
-    def mean_over_gold(self) -> float:
-        return sum(self.per_gold_scores) / len(self.per_gold_scores)
+    def gold_sense_count(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
 
 #: Join pairs of one gold sense count scored per stacked matmul in
@@ -66,37 +55,51 @@ ALIGN_CHUNK = 16
 
 def align_dictionaries(
     pairs: Sequence[tuple[DictionaryEntry, DictionaryEntry]], vectors: VectorTable
-) -> list[AlignmentRecord]:
-    """One record per (generated, gold) pair of the vocabulary join, in pair order.
+) -> BlockAlignment:
+    """The alignment of the (generated, gold) join pairs *pairs*, as arrays in pair order.
 
-    Each record holds the pair's lemma, category, generated sense count and
-    per-gold scores. Generated sense 1 is scored against every gold sense,
-    in gold order; polysemous generated entries are aligned by their first
-    sense, and the full cross-product lives in :func:`all_pairs_scores`.
-    ``vectors`` must hold the definitions of every entry in *pairs*.
+    Generated sense 1 is scored against every gold sense, in gold order;
+    polysemous generated entries are aligned by their first sense, and the
+    full cross-product lives in :func:`all_pairs_scores`. ``vectors`` must
+    hold the definitions of every entry in *pairs*.
 
     The pairs whose gold entries hold k senses are scored ``ALIGN_CHUNK``
     at a time: their gold rows as an (n, k, d) stack times their generated
     rows as (n, d, 1). Each of the n products is the (k, d) @ (d,) product
     of one pair on its own, for which numpy calls the same BLAS routine, so
-    every score is bit-identical to scoring the pair alone.
+    every score is bit-identical to scoring the pair alone. A group's
+    first maximum comes from ``argmax``, and its mean from ``np.cumsum``,
+    which adds left to right as Python's ``sum`` does.
     """
-    groups: dict[int, list[int]] = {}
-    for i, (_, gold_entry) in enumerate(pairs):
-        groups.setdefault(len(gold_entry.senses), []).append(i)
-    pair_scores: list[list[float]] = [[] for _ in pairs]
-    for k, group in groups.items():
-        for start in range(0, len(group), ALIGN_CHUNK):
-            members = group[start : start + ALIGN_CHUNK]
-            gen_rows = vectors.rows([pairs[i][0].senses[0].definition for i in members])
-            gold_rows = vectors.rows([s.definition for i in members for s in pairs[i][1].senses])
-            stacked = gold_rows.reshape(len(members), k, gold_rows.shape[1]) @ gen_rows[:, :, None]
-            for i, scores in zip(members, stacked[:, :, 0].tolist()):
-                pair_scores[i] = scores
-    return [
-        AlignmentRecord(gen.lemma, gen.pos.category, len(gen.senses), tuple(scores))
-        for (gen, _), scores in zip(pairs, pair_scores)
-    ]
+    gold_counts = np.fromiter((len(gold.senses) for _, gold in pairs), dtype=np.int64, count=len(pairs))
+    offsets = np.zeros(len(pairs) + 1, dtype=np.int64)
+    np.cumsum(gold_counts, out=offsets[1:])
+    scores = np.empty(int(offsets[-1]))
+    best = np.empty(len(pairs), dtype=np.int64)  # 0-based here
+    mean = np.empty(len(pairs))
+    for k in set(gold_counts.tolist()):
+        members = np.flatnonzero(gold_counts == k)
+        group = np.empty((members.size, k))
+        for start in range(0, members.size, ALIGN_CHUNK):
+            chunk = members[start : start + ALIGN_CHUNK].tolist()
+            gen_rows = vectors.rows([pairs[i][0].senses[0].definition for i in chunk])
+            gold_rows = vectors.rows([s.definition for i in chunk for s in pairs[i][1].senses])
+            stacked = gold_rows.reshape(len(chunk), k, gold_rows.shape[1]) @ gen_rows[:, :, None]
+            group[start : start + len(chunk)] = stacked[:, :, 0]
+        best[members] = group.argmax(axis=1)
+        mean[members] = np.cumsum(group, axis=1)[:, -1] / k
+        scores[offsets[members, None] + np.arange(k)] = group
+    if not np.isfinite(scores).all():
+        raise ValueError("an alignment score is not finite")
+    return BlockAlignment(
+        pairs=pairs,
+        gen_sense_count=np.fromiter((len(gen.senses) for gen, _ in pairs), dtype=np.int64, count=len(pairs)),
+        scores=scores,
+        offsets=offsets,
+        best_gold_index=best + 1,
+        best_score=scores[offsets[:-1] + best],
+        mean_over_gold=mean,
+    )
 
 
 def all_pairs_scores(gen: DictionaryEntry, gold: DictionaryEntry, vectors: VectorTable) -> list[list[float]]:
@@ -109,27 +112,34 @@ def all_pairs_scores(gen: DictionaryEntry, gold: DictionaryEntry, vectors: Vecto
     return (gen_rows @ gold_rows.T).tolist()
 
 
-def rank_histogram(records: Iterable[AlignmentRecord]) -> dict[int, int]:
-    """Count of best-matching gold sense indices over gold-polysemous records."""
-    counts: dict[int, int] = {}
-    for record in records:
-        if record.gold_sense_count > 1:
-            counts[record.best_gold_index] = counts.get(record.best_gold_index, 0) + 1
-    return dict(sorted(counts.items()))
+def rank_histogram(alignment: BlockAlignment) -> dict[int, int]:
+    """Count of best-matching gold sense indices over the generated-monosemous, gold-polysemous pairs."""
+    rows = (alignment.gen_sense_count == 1) & (alignment.gold_sense_count > 1)
+    counts = np.bincount(alignment.best_gold_index[rows])
+    return {index: count for index, count in enumerate(counts.tolist()) if count}
 
 
-def write_alignments(records: Iterable[AlignmentRecord], stream: IO[str]) -> int:
+def write_alignments(alignment: BlockAlignment, stream: IO[str]) -> int:
+    """One line per pair, in pair order; returns the bytes written."""
+    scores, offsets = alignment.scores.tolist(), alignment.offsets.tolist()
     objects = (
         {
-            "lemma": r.lemma,
-            "category": r.category.value,
-            "gen_sense_count": r.gen_sense_count,
-            "gold_sense_count": r.gold_sense_count,
-            "best_gold_index": r.best_gold_index,
-            "best_score": r.best_score,
-            "mean_over_gold": r.mean_over_gold,
-            "per_gold_scores": list(r.per_gold_scores),
+            "lemma": gen.lemma,
+            "category": gen.pos.category.value,
+            "gen_sense_count": len(gen.senses),
+            "gold_sense_count": end - start,
+            "best_gold_index": index,
+            "best_score": best,
+            "mean_over_gold": mean,
+            "per_gold_scores": scores[start:end],
         }
-        for r in records
+        for (gen, _), start, end, index, best, mean in zip(
+            alignment.pairs,
+            offsets,
+            offsets[1:],
+            alignment.best_gold_index.tolist(),
+            alignment.best_score.tolist(),
+            alignment.mean_over_gold.tolist(),
+        )
     )
     return write_records(objects, stream)

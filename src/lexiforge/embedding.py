@@ -28,13 +28,13 @@ from .exceptions import DimensionError, EmptyTextError, ProtocolError, ServiceEr
 
 logger = logging.getLogger(__name__)
 
-#: Code points that can join the texts of a chunk into one string for
-#: ``normalize_texts``: the C0 controls that are not whitespace (U+001C to
-#: U+001F are, for ``str.split`` as for ``\s``), DEL and the noncharacters
-#: U+FDD0-U+FDEF. None is cased or case-ignorable, so a final sigma next to
-#: one lowercases as at the end of a text; none has a decomposition or
-#: takes part in a composition, so NFC neither changes one nor composes
-#: across it.
+#: Code points that can join texts into one string for ``map_joined``: the
+#: C0 controls that are not whitespace (U+001C to U+001F are, for
+#: ``str.split`` as for ``\s``), DEL and the noncharacters U+FDD0-U+FDEF.
+#: None is cased or case-ignorable, so a final sigma next to one lowercases
+#: as at the end of a text; none has a decomposition or takes part in a
+#: composition, so NFC neither changes one nor composes across it; and
+#: case folding maps each to itself.
 SEPARATORS = (
     *map(chr, range(0x00, 0x09)),
     *map(chr, range(0x0E, 0x1C)),
@@ -43,26 +43,37 @@ SEPARATORS = (
 )
 
 
-def normalize_texts(texts: Sequence[str]) -> list[str]:
-    """``normalize_text`` of every text, normalising the texts as one joined string.
+def map_joined(transform: Callable[[str], str], texts: Sequence[str]) -> list[str]:
+    """``transform`` of the texts joined into one string, split back into one piece per text.
 
     The texts are joined with the first ``SEPARATORS`` code point that none
-    of them holds, lowercased, NFC-composed and whitespace-collapsed in one
-    pass, then split and trimmed. When every separator occurs somewhere,
-    each half of the texts is normalised on its own; one text needs none.
-    Whitespace is every character for which ``str.isspace`` holds.
+    of them holds, so one call transforms them all. *transform* must keep
+    each separator and act on the text between two as on that text alone.
+    When every separator occurs somewhere, each half of the texts is
+    transformed on its own; one text needs none.
     """
     if len(texts) < 2:
-        return [" ".join(unicodedata.normalize("NFC", text.lower()).split()) for text in texts]
+        return [transform(text) for text in texts]
     joined = "".join(texts)
     separator = next((candidate for candidate in SEPARATORS if candidate not in joined), None)
     if separator is None:
         half = len(texts) // 2
-        return normalize_texts(texts[:half]) + normalize_texts(texts[half:])
-    lowered = unicodedata.normalize("NFC", separator.join(texts).lower())
+        return map_joined(transform, texts[:half]) + map_joined(transform, texts[half:])
+    return transform(separator.join(texts)).split(separator)
+
+
+def _collapsed(text: str) -> str:
+    return " ".join(unicodedata.normalize("NFC", text.lower()).split())
+
+
+def normalize_texts(texts: Sequence[str]) -> list[str]:
+    """``normalize_text`` of every text, normalising the texts as one joined string (``map_joined``).
+
+    Whitespace is every character for which ``str.isspace`` holds.
+    """
     # a whitespace run never spans a separator; one that starts or ends a
     # text collapses to a space beside it, which the strip removes
-    return [piece.strip() for piece in " ".join(lowered.split()).split(separator)]
+    return [piece.strip() for piece in map_joined(_collapsed, texts)]
 
 
 def normalize_text(text: str) -> str:

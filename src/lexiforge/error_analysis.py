@@ -12,19 +12,20 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .alignment import AlignmentRecord
-from .embedding import VectorTable, normalize_text
+from .alignment import BlockAlignment
+from .embedding import VectorTable, map_joined, normalize_texts
 from .exceptions import ParseError
 from .ingestion import BOOLEAN, STRING, STRING_OR_NULL, RecordKind, read_records, write_records
 from .model import Dictionary, DictionaryEntry
 
 DEFAULT_PROPER_NOUN_PATTERNS = ("nombre propio", "en la mitología")
 PROPER_NOUN_EVIDENCE = "definition matches a proper-noun pattern"
+CIRCULARITY_EVIDENCE = "lemma occurs whole-word inside its own definition"
 
 
 class ErrorCategory(enum.Enum):
@@ -68,12 +69,25 @@ def _cosine_text(score: float) -> str:
     return f"{round(score, 4) + 0.0:.4f}"
 
 
-def hallucination_candidates(
-    records: Iterable[AlignmentRecord], config: ErrorAnalysisConfig | None = None
-) -> list[AlignmentRecord]:
-    """The records whose best score falls strictly below the threshold, in their order."""
+class Candidate(NamedTuple):
+    """A join pair whose best score falls strictly below the hallucination threshold."""
+
+    generated: DictionaryEntry
+    gold: DictionaryEntry
+    best_gold_index: int
+    best_score: float
+
+
+def hallucination_candidates(alignment: BlockAlignment, config: ErrorAnalysisConfig | None = None) -> list[Candidate]:
+    """The pairs of *alignment* whose best score falls strictly below the threshold, in pair order."""
     config = config or ErrorAnalysisConfig()
-    return [record for record in records if record.best_score < config.hallucination_threshold]
+    rows = np.flatnonzero(alignment.best_score < config.hallucination_threshold)
+    return [
+        Candidate(*alignment.pairs[row], index, score)
+        for row, index, score in zip(
+            rows.tolist(), alignment.best_gold_index[rows].tolist(), alignment.best_score[rows].tolist()
+        )
+    ]
 
 
 class _CaseFold(dict):
@@ -96,78 +110,103 @@ class _CaseFold(dict):
 _FOLD = _CaseFold()
 
 
+def _fold(text: str) -> str:
+    return text.translate(_FOLD)
+
+
 def detect_circularity(entry: DictionaryEntry) -> bool:
     """True when the exact lemma occurs whole-word in any of its definitions.
 
     Case-insensitive but diacritic-sensitive; morphological variants do
     not count ("limitar" inside a definition of "limitable" is fine).
-    Wherever the regex matches, the case-folded lemma is a substring of the
-    case-folded definition, so an entry that fails that test is not circular
-    and compiles no pattern.
     """
-    lemma = entry.lemma.translate(_FOLD)
-    if not any(lemma in sense.definition.translate(_FOLD) for sense in entry.senses):
-        return False
     pattern = re.compile(rf"(?<!\w){re.escape(entry.lemma)}(?!\w)", re.IGNORECASE)
     return any(pattern.search(sense.definition) for sense in entry.senses)
 
 
-def detect_proper_noun_definition(entry: DictionaryEntry) -> bool:
-    """True when any sense reads like a proper-noun description."""
-    return any(p in sense.definition.casefold() for sense in entry.senses for p in DEFAULT_PROPER_NOUN_PATTERNS)
-
-
 def detect_fabricated_polysemy(
-    entry: DictionaryEntry, vectors: VectorTable, config: ErrorAnalysisConfig | None = None
-) -> str | None:
-    """The evidence that two of the entry's senses are the same meaning restated, or None.
+    entries: Sequence[DictionaryEntry], vectors: VectorTable, config: ErrorAnalysisConfig | None = None
+) -> dict[int, str]:
+    """By position in *entries*, the evidence that two senses of an entry are the same meaning restated.
 
     A pair trips the detector when the normalized definitions are
-    identical or their cosine reaches the configured similarity; the
-    first such pair is the evidence. A monosemous entry has no pair and
-    gives None. ``vectors`` must hold every definition.
+    identical or their cosine reaches the configured similarity; an
+    entry's first such pair, in (i, j) order, is the evidence. Monosemous
+    entries have no pair. ``vectors`` must hold the definitions of every
+    polysemous entry. The entries of one sense count n are scored
+    together: their rows as an (m, n, d) stack times its transpose.
     """
-    if len(entry.senses) < 2:
-        return None
     config = config or ErrorAnalysisConfig()
-    rows = vectors.rows([s.definition for s in entry.senses])
-    scores = (rows @ rows.T).tolist()
-    normalized = [normalize_text(s.definition) for s in entry.senses]
-    for i in range(len(entry.senses)):
-        for j in range(i + 1, len(entry.senses)):
-            if normalized[i] == normalized[j]:
-                return f"senses {i + 1} and {j + 1} are exact duplicates"
-            score = scores[i][j]
-            if score >= config.fabricated_polysemy_similarity:
-                similarity = config.fabricated_polysemy_similarity
-                return f"senses {i + 1} and {j + 1} cosine {_cosine_text(score)} >= {similarity}"
-    return None
+    threshold = config.fabricated_polysemy_similarity
+    groups: dict[int, list[int]] = {}
+    for position, entry in enumerate(entries):
+        if len(entry.senses) > 1:
+            groups.setdefault(len(entry.senses), []).append(position)
+    found = {}
+    for n, members in groups.items():
+        definitions = [s.definition for position in members for s in entries[position].senses]
+        rows = vectors.rows(definitions).reshape(len(members), n, -1)
+        scores = rows @ rows.transpose(0, 2, 1)
+        upper = np.triu_indices(n, 1)
+        above = (scores[:, upper[0], upper[1]] >= threshold).any(axis=1).tolist()
+        normalized = normalize_texts(definitions)
+        for m, position in enumerate(members):
+            texts = normalized[m * n : (m + 1) * n]
+            if not above[m] and len(set(texts)) == n:
+                continue  # no pair trips: only an entry with one needs the ordered search
+            matrix = scores[m].tolist()
+            for i, j in itertools.combinations(range(n), 2):
+                if texts[i] == texts[j]:
+                    found[position] = f"senses {i + 1} and {j + 1} are exact duplicates"
+                    break
+                if matrix[i][j] >= threshold:
+                    found[position] = f"senses {i + 1} and {j + 1} cosine {_cosine_text(matrix[i][j])} >= {threshold}"
+                    break
+    return found
 
 
-def findings_of_entry(
-    entry: DictionaryEntry, vectors: VectorTable, config: ErrorAnalysisConfig | None = None
+def findings_of_entries(
+    entries: Sequence[DictionaryEntry], vectors: VectorTable, config: ErrorAnalysisConfig | None = None
 ) -> list[ErrorFinding]:
-    """The circularity, proper-noun and fabricated-polysemy findings of one generated entry, in that order.
+    """The circularity, proper-noun and fabricated-polysemy findings of generated entries.
 
-    ``vectors`` must hold the entry's definitions when it has more than one sense.
+    Entries come in their order, and each entry's findings in that order.
+    ``vectors`` must hold the definitions of every polysemous entry.
+
+    The lemmas and definitions are case-folded as one joined string
+    (``map_joined``). Wherever ``detect_circularity``'s regex matches, the
+    folded lemma is a substring of a folded definition, so only the
+    entries that pass that test go on to the regex. The proper-noun
+    patterns are sought in the definitions case-folded the same way.
     """
-    fabricated = detect_fabricated_polysemy(entry, vectors, config)
-    found = (
-        (ErrorCategory.CIRCULARITY, detect_circularity(entry), "lemma occurs whole-word inside its own definition"),
-        (ErrorCategory.PROPER_NOUN_AS_COMMON, detect_proper_noun_definition(entry), PROPER_NOUN_EVIDENCE),
-        (ErrorCategory.FABRICATED_POLYSEMY, fabricated is not None, fabricated),
-    )
-    return [
-        ErrorFinding(
-            lemma=entry.lemma,
-            category=category,
-            evidence=evidence,
-            pos_label=entry.pos.raw_label,
-            generated_definition=entry.senses[0].definition,
+    definitions = [s.definition for entry in entries for s in entry.senses]
+    owners = [position for position, entry in enumerate(entries) for _ in entry.senses]
+    folded = map_joined(_fold, [entry.lemma for entry in entries] + definitions)
+    circular = {position for position, text in zip(owners, folded[len(entries) :]) if folded[position] in text}
+    circular = {position for position in circular if detect_circularity(entries[position])}
+    cased = map_joined(str.casefold, definitions)
+    proper = {position for position, text in zip(owners, cased) if any(p in text for p in DEFAULT_PROPER_NOUN_PATTERNS)}
+    fabricated = detect_fabricated_polysemy(entries, vectors, config)
+    findings = []
+    for position in sorted(circular | proper | fabricated.keys()):
+        entry = entries[position]
+        found = (
+            (ErrorCategory.CIRCULARITY, position in circular, CIRCULARITY_EVIDENCE),
+            (ErrorCategory.PROPER_NOUN_AS_COMMON, position in proper, PROPER_NOUN_EVIDENCE),
+            (ErrorCategory.FABRICATED_POLYSEMY, position in fabricated, fabricated.get(position)),
         )
-        for category, flagged, evidence in found
-        if flagged
-    ]
+        findings += [
+            ErrorFinding(
+                lemma=entry.lemma,
+                category=category,
+                evidence=evidence,
+                pos_label=entry.pos.raw_label,
+                generated_definition=entry.senses[0].definition,
+            )
+            for category, flagged, evidence in found
+            if flagged
+        ]
+    return findings
 
 
 # multiplier of the variant hash: odd, so multiplying by it loses no bits mod 2**64
@@ -376,16 +415,15 @@ CANDIDATE_BLOCK = 64
 
 
 def classify_errors(
-    generated: Dictionary,
     gold: Dictionary,
-    candidates: Sequence[AlignmentRecord],
+    candidates: Sequence[Candidate],
     embedder,
     config: ErrorAnalysisConfig | None = None,
 ) -> list[ErrorFinding]:
     """The hallucination and over-correction findings of the hallucination candidates.
 
-    *candidates* are :func:`hallucination_candidates` of the alignment
-    records. Each gets its hallucination finding, in their order,
+    *candidates* are :func:`hallucination_candidates` of the alignment.
+    Each gets its hallucination finding, in their order,
     followed by its over-correction finding when
     :func:`detect_overcorrection` finds one. The over-correction search
     takes the candidates ``CANDIDATE_BLOCK`` at a time and embeds a
@@ -401,23 +439,23 @@ def classify_errors(
     config = config or ErrorAnalysisConfig()
     findings: list[ErrorFinding] = []
     max_distance = config.overcorrection_max_edit_distance
-    index = NeighborIndex(gold, [record.lemma for record in candidates], max_distance) if candidates else None
+    index = NeighborIndex(gold, [c.generated.lemma for c in candidates], max_distance) if candidates else None
     for start in range(0, len(candidates), CANDIDATE_BLOCK):
         block = candidates[start : start + CANDIDATE_BLOCK]
-        neighbors = [index.neighbor_entries(record.lemma) for record in block]
+        neighbors = [index.neighbor_entries(c.generated.lemma) for c in block]
         vectors = VectorTable(
             embedder,
-            [generated.get(record.lemma, record.category).senses[0].definition for record in block]
+            [c.generated.senses[0].definition for c in block]
             + [s.definition for found in neighbors for gold_entry, _ in found for s in gold_entry.senses],
         )
-        for record, found in zip(block, neighbors):
-            gen_entry = generated.get(record.lemma, record.category)
-            gold_best = gold.get(record.lemma, record.category).senses[record.best_gold_index - 1].definition
+        for candidate, found in zip(block, neighbors):
+            gen_entry = candidate.generated
+            gold_best = candidate.gold.senses[candidate.best_gold_index - 1].definition
             low_confidence = len(gold_best.split()) <= 2
-            evidence = f"best cosine {_cosine_text(record.best_score)} < {config.hallucination_threshold}"
+            evidence = f"best cosine {_cosine_text(candidate.best_score)} < {config.hallucination_threshold}"
             findings.append(
                 ErrorFinding(
-                    lemma=record.lemma,
+                    lemma=gen_entry.lemma,
                     category=ErrorCategory.HALLUCINATION_CANDIDATE,
                     evidence=evidence + ("; short gold definition, low confidence" if low_confidence else ""),
                     pos_label=gen_entry.pos.raw_label,

@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .alignment import AlignmentRecord
+from .alignment import BlockAlignment
 from .model import Dictionary, DictionaryEntry, PosCategory, is_monosemous
 
 #: Fixed row order for rendered tables; "other" appears only when present.
@@ -119,20 +119,45 @@ def class_metrics(matrix: ConfusionMatrix2x2, positive_class: str) -> ClassMetri
     return ClassMetrics(float(precision), float(recall), float(f1), degenerate)
 
 
-def cosine_stats(records: Iterable[AlignmentRecord]) -> tuple[dict[str, StatsSummary], dict[str, StatsSummary]]:
-    """The report's two cosine tables, mean/std grouped by POS plus "all", in one pass.
+def cosine_values(alignment: BlockAlignment) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """One block's share of the report's two cosine tables, per group.
 
-    The first summarises ``best_score`` over the records whose gold entry
-    is monosemous, the second ``mean_over_gold`` over those whose gold
-    entry is polysemous; groups with no records are absent.
+    The first table takes the ``best_score`` of the generated-monosemous
+    pairs whose gold entry is monosemous, the second the ``mean_over_gold``
+    of those whose gold entry is polysemous. Each table's groups are "all",
+    then each category in the order its first pair comes; groups with no
+    pairs are absent.
     """
-    mono: dict[str, list[float]] = {}
-    poly: dict[str, list[float]] = {}
-    for record in records:
-        values, score = (mono, record.best_score) if record.gold_sense_count == 1 else (poly, record.mean_over_gold)
-        for group in ("all", record.category.value):
-            values.setdefault(group, []).append(score)
-    return tuple({group: StatsSummary.from_values(v) for group, v in values.items()} for values in (mono, poly))
+    gen_mono = alignment.gen_sense_count == 1
+    gold_mono = alignment.gold_sense_count == 1
+    categories = np.array([gen.pos.category.value for gen, _ in alignment.pairs])
+    tables = []
+    for rows, scores in ((gen_mono & gold_mono, alignment.best_score), (gen_mono & ~gold_mono, alignment.mean_over_gold)):
+        values, groups = scores[rows], categories[rows]
+        table = {"all": values} if values.size else {}
+        for group in dict.fromkeys(groups.tolist()):
+            table[group] = values[groups == group]
+        tables.append(table)
+    return tables[0], tables[1]
+
+
+def cosine_stats(
+    blocks: Iterable[tuple[dict[str, np.ndarray], dict[str, np.ndarray]]]
+) -> tuple[dict[str, StatsSummary], dict[str, StatsSummary]]:
+    """The report's two cosine tables, mean/std per group, from the blocks' :func:`cosine_values`.
+
+    A table's groups come in the order of their first block; groups with no
+    values are absent.
+    """
+    merged: tuple[dict[str, list[np.ndarray]], dict[str, list[np.ndarray]]] = ({}, {})
+    for block in blocks:
+        for table, values in zip(merged, block):
+            for group, scores in values.items():
+                table.setdefault(group, []).append(scores)
+    mono, poly = (
+        {group: StatsSummary.from_values(np.concatenate(parts)) for group, parts in table.items()} for table in merged
+    )
+    return mono, poly
 
 
 @dataclass(frozen=True)

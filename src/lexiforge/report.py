@@ -17,22 +17,18 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
+import numpy as np
 import orjson
 
-from .alignment import (
-    AlignmentRecord,
-    align_dictionaries,
-    all_pairs_scores,
-    rank_histogram,
-    write_alignments,
-)
+from .alignment import align_dictionaries, all_pairs_scores, rank_histogram, write_alignments
 from .embedding import VectorTable
 from .error_analysis import (
     ErrorAnalysisConfig,
     ErrorCategory,
     ErrorFinding,
+    Candidate,
     classify_errors,
-    findings_of_entry,
+    findings_of_entries,
     hallucination_candidates,
     write_findings,
 )
@@ -47,6 +43,7 @@ from .metrics import (
     StatsSummary,
     class_metrics,
     cosine_stats,
+    cosine_values,
     length_stats,
     polysemy_confusion,
 )
@@ -205,33 +202,35 @@ def evaluate_dictionaries(
     renamed into place, ``report.json`` last, and a run that fails leaves
     *out_dir*'s files as they were.
 
-    Cosine tables, the rank histogram and the polysemy-disagreement
-    statistics are restricted to generated-monosemous records, matching
-    the populations the summary tables describe; the confusion matrix and
-    classification metrics use every join key.
+    Cosine tables and the rank histogram are restricted to
+    generated-monosemous pairs, matching the populations the summary
+    tables describe; the confusion matrix and classification metrics use
+    every join key.
 
     The generated entries are scored ``KEY_BLOCK`` at a time. A block's
     join pairs and polysemous entries are scored from a ``VectorTable`` of
     their own definitions, dropped before the next block is embedded, and
-    its alignment records and polysemy pairs are written as soon as it is
-    scored. The loop keeps only the generated-monosemous records and the
-    hallucination candidates. The embedder sees one ``embed_batch`` call
-    per block and one more in ``classify_errors`` per ``CANDIDATE_BLOCK``
-    hallucination candidates; a text that two blocks share is embedded
-    once in each.
+    its alignment lines and polysemy pairs are written as soon as it is
+    scored. The loop keeps only each block's per-group score arrays for
+    the cosine tables, the rank histogram's counts, the hallucination
+    candidates and the entry findings. The embedder sees one
+    ``embed_batch`` call per block and one more in ``classify_errors`` per
+    ``CANDIDATE_BLOCK`` hallucination candidates; a text that two blocks
+    share is embedded once in each.
 
     The findings come in three runs: :func:`classify_errors` (each
     hallucination candidate in join order, each followed by its
     over-correction finding if it has one), then
-    :func:`findings_of_entry` of each generated entry in ``entries()``
+    :func:`findings_of_entries` of the generated entries in ``entries()``
     order, then one refusal finding per refusal in the failure log, in its
     order. ``error_summary`` counts them by category.
     """
     error_config = error_config or ErrorAnalysisConfig()
     join = vocabulary_join(generated, gold)
     entries = generated.entries()
-    gen_mono: list[AlignmentRecord] = []
-    candidates: list[AlignmentRecord] = []
+    cosine_blocks: list[tuple[dict[str, np.ndarray], dict[str, np.ndarray]]] = []
+    histogram: dict[int, int] = {}
+    candidates: list[Candidate] = []
     entry_findings: list[ErrorFinding] = []
     outputs = (Path(out_dir) / name for name in OUTPUT_NAMES)
     with atomic_text(*outputs) as (report_fh, alignments_fh, pairs_fh, findings_fh):
@@ -244,27 +243,26 @@ def evaluate_dictionaries(
             texts = {s.definition for entry in block if len(entry.senses) > 1 for s in entry.senses}
             texts.update(s.definition for pair in pairs for entry in pair for s in entry.senses)
             vectors = VectorTable(embedder, texts)
-            records = align_dictionaries(pairs, vectors)
-            write_alignments(records, alignments_fh)
+            alignment = align_dictionaries(pairs, vectors)
+            write_alignments(alignment, alignments_fh)
             write_records(
                 (
                     {
-                        "lemma": gen.lemma,
-                        "category": gen.pos.category.value,
-                        "scores": all_pairs_scores(gen, gold_entry, vectors),
+                        "lemma": pairs[row][0].lemma,
+                        "category": pairs[row][0].pos.category.value,
+                        "scores": all_pairs_scores(*pairs[row], vectors),
                     }
-                    for gen, gold_entry in pairs
-                    if len(gen.senses) > 1
+                    for row in np.flatnonzero(alignment.gen_sense_count > 1).tolist()
                 ),
                 pairs_fh,
             )
-            gen_mono += [r for r in records if r.gen_sense_count == 1]
-            candidates += hallucination_candidates(records, error_config)
-            entry_findings += [
-                finding for entry in block for finding in findings_of_entry(entry, vectors, error_config)
-            ]
-            del vectors  # before the next block's table is filled, so at most one is alive
-        findings = classify_errors(generated, gold, candidates, embedder, error_config) + entry_findings
+            cosine_blocks.append(cosine_values(alignment))
+            for index, count in rank_histogram(alignment).items():
+                histogram[index] = histogram.get(index, 0) + count
+            candidates += hallucination_candidates(alignment, error_config)
+            entry_findings += findings_of_entries(block, vectors, error_config)
+            del vectors, alignment  # before the next block's table is filled, so at most one is alive
+        findings = classify_errors(gold, candidates, embedder, error_config) + entry_findings
         findings += [
             ErrorFinding(
                 lemma=failure.lemma,
@@ -280,7 +278,7 @@ def evaluate_dictionaries(
         for finding in findings:
             summary[finding.category.value] += 1
         confusion = polysemy_confusion(join)
-        cosine_monosemous_gold, cosine_polysemous_gold = cosine_stats(gen_mono)
+        cosine_monosemous_gold, cosine_polysemous_gold = cosine_stats(cosine_blocks)
         report = EvaluationReport(
             join_size=len(join),
             confusion=confusion,
@@ -292,7 +290,7 @@ def evaluate_dictionaries(
             cosine_polysemous_gold=cosine_polysemous_gold,
             length_generated=length_stats(generated),
             length_gold=length_stats(gold),
-            rank_histogram=rank_histogram(gen_mono),
+            rank_histogram=dict(sorted(histogram.items())),
             error_summary=summary,
             circularity_rate=summary[ErrorCategory.CIRCULARITY.value] / len(generated) if len(generated) else 0.0,
             config_snapshot=config_snapshot or {},

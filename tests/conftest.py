@@ -4,11 +4,13 @@ import threading
 from http.server import ThreadingHTTPServer
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lexiforge.alignment import BlockAlignment
 from lexiforge.embedding import VectorTable
 from lexiforge.ingestion import parse_dictionary
-from lexiforge.model import Dictionary, DictionaryEntry, PosTag, Sense, normalize_lemma
+from lexiforge.model import Dictionary, DictionaryEntry, PosCategory, PosTag, Sense, normalize_lemma
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -27,6 +29,40 @@ def make_entry(lemma: str, label: str, *senses: str | tuple[str, str | None]) ->
 
 def make_dictionary(*entries: DictionaryEntry) -> Dictionary:
     return Dictionary(entries)
+
+
+_LABELS = {
+    PosCategory.NOUN: "Nombre masculino",
+    PosCategory.ADJECTIVE: "Adjetivo",
+    PosCategory.VERB: "Verbo",
+    PosCategory.ADVERB: "Adverbio",
+    PosCategory.OTHER: "Interjección",
+}
+
+
+def make_alignment(*rows: tuple[str, PosCategory, int, list[float]]) -> BlockAlignment:
+    """An alignment of hand-given scores; each row is (lemma, category, generated sense count, per-gold scores).
+
+    The derived arrays are computed as a reference would: the first
+    maximum's 1-based index, the maximum and ``sum / len``.
+    """
+    pairs = [
+        (
+            make_entry(lemma, _LABELS[category], *(f"Sentido {i} de {lemma}." for i in range(1, gen_count + 1))),
+            make_entry(lemma, _LABELS[category], *(f"Oro {i} de {lemma}." for i in range(1, len(scores) + 1))),
+        )
+        for lemma, category, gen_count, scores in rows
+    ]
+    every = [list(scores) for *_, scores in rows]
+    return BlockAlignment(
+        pairs=pairs,
+        gen_sense_count=np.array([gen_count for _, _, gen_count, _ in rows], dtype=np.int64),
+        scores=np.array([score for scores in every for score in scores], dtype=np.float64),
+        offsets=np.cumsum([0] + [len(scores) for scores in every], dtype=np.int64),
+        best_gold_index=np.array([scores.index(max(scores)) + 1 for scores in every], dtype=np.int64),
+        best_score=np.array([max(scores) for scores in every], dtype=np.float64),
+        mean_over_gold=np.array([sum(scores) / len(scores) for scores in every], dtype=np.float64),
+    )
 
 
 def assert_checked(entries) -> None:

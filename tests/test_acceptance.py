@@ -30,7 +30,7 @@ from _oracles import (
 )
 from conftest import DATA_DIR, http_server
 from test_error_analysis import classify
-from test_error_analysis import record as alignment_record
+from test_error_analysis import flagged, scored
 
 TABLE1 = ConfusionMatrix2x2(mono_mono=49_114, mono_poly=699, poly_mono=24_444, poly_poly=2_706)
 
@@ -246,16 +246,14 @@ def test_criterion_06_fixture_oracle_evaluation(tmp_path):
 
 def test_criterion_07_hallucination_filter_equivalence():
     rng = random.Random(77)
-    records = [alignment_record(f"l{i}", round(rng.random(), 4)) for i in range(120)]
+    rows = [(f"l{i}", round(rng.random(), 4)) for i in range(120)]
+    block = scored(*rows)
     for _ in range(50):
         threshold = round(rng.random(), 4)
         config = ErrorAnalysisConfig(hallucination_threshold=threshold)
-        flagged = {f.lemma for f in hallucination_candidates(records, config)}
-        brute = {r.lemma for r in records if r.best_score < threshold}
-        assert flagged == brute
-    boundary = alignment_record("frontera", 0.25)
+        assert flagged(block, config) == {lemma for lemma, score in rows if score < threshold}
     config = ErrorAnalysisConfig(hallucination_threshold=0.25)
-    assert hallucination_candidates([boundary], config) == []
+    assert hallucination_candidates(scored(("frontera", 0.25)), config) == []
     ok(7, "flag sets equal the brute-force scan for 50 random thresholds; boundary score unflagged")
 
 

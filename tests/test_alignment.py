@@ -1,21 +1,16 @@
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lexiforge import alignment
-from lexiforge.alignment import (
-    AlignmentRecord,
-    align_dictionaries,
-    all_pairs_scores,
-    rank_histogram,
-    write_alignments,
-)
+from lexiforge.alignment import align_dictionaries, all_pairs_scores, rank_histogram, write_alignments
 from lexiforge.embedding import DeterministicEmbedder, embed_deterministic
 from lexiforge.model import PosCategory, vocabulary_join
 
-from conftest import make_dictionary, make_entry, vector_table
+from conftest import make_alignment, make_dictionary, make_entry, vector_table
 
 EMBEDDER = DeterministicEmbedder(dimension=256)
 
@@ -48,13 +43,36 @@ class ScaledEmbedder:
         return [self.embed(t) for t in texts]
 
 
+FIELDS = (
+    "lemma", "category", "gen_sense_count", "gold_sense_count", "best_gold_index", "best_score", "mean_over_gold",
+    "per_gold_scores",
+)
+
+
+def pair_values(block):
+    """What *block* holds for each pair, in ``FIELDS`` order, as Python values."""
+    scores, offsets = block.scores.tolist(), block.offsets.tolist()
+    return [
+        (gen.lemma, gen.pos.category, gen_count, end - start, index, best, mean, tuple(scores[start:end]))
+        for (gen, _), gen_count, start, end, index, best, mean in zip(
+            block.pairs,
+            block.gen_sense_count.tolist(),
+            offsets,
+            offsets[1:],
+            block.best_gold_index.tolist(),
+            block.best_score.tolist(),
+            block.mean_over_gold.tolist(),
+        )
+    ]
+
+
 def align_one(gen, gold, embedder=EMBEDDER):
-    """Record of a one-key generated dictionary aligned against a one-key gold dictionary."""
+    """The one pair of a one-key generated dictionary aligned against a one-key gold dictionary, by field name."""
     vectors = vector_table(embedder, [gen, gold])
     join = vocabulary_join(make_dictionary(gen), make_dictionary(gold))
-    records = align_dictionaries(join, vectors)
-    assert len(records) == 1
-    return records[0]
+    values = pair_values(align_dictionaries(join, vectors))
+    assert len(values) == 1
+    return SimpleNamespace(**dict(zip(FIELDS, values[0])))
 
 
 def align_fixture(generated, gold, join, embedder=EMBEDDER):
@@ -88,25 +106,8 @@ def per_pair_alignment(pairs, vectors):
     return expected
 
 
-def record_values(records):
-    """What *records* hold and derive, in ``per_pair_alignment``'s order."""
-    return [
-        (
-            r.lemma,
-            r.category,
-            r.gen_sense_count,
-            r.gold_sense_count,
-            r.best_gold_index,
-            r.best_score,
-            r.mean_over_gold,
-            r.per_gold_scores,
-        )
-        for r in records
-    ]
-
-
 def float_bits(values):
-    """Every float of ``record_values`` rows as its exact hex form, so -0.0 and 0.0 differ too."""
+    """Every float of ``pair_values`` rows as its exact hex form, so -0.0 and 0.0 differ too."""
     return [(best.hex(), mean.hex(), [x.hex() for x in scores]) for *_, best, mean, scores in values]
 
 
@@ -127,27 +128,16 @@ def mixed_block():
     return pairs
 
 
-DERIVED_FIELDS = ("gold_sense_count", "best_gold_index", "best_score", "mean_over_gold")
-
-
 def read_alignments(text):
-    """AlignmentRecords back from write_alignments output, built from the four stored fields.
-
-    Every line's derived fields must equal the rebuilt record's properties.
-    """
-    records = []
+    """``pair_values`` rows back from write_alignments output."""
+    rows = []
     for line in text.splitlines():
         obj = json.loads(line)
-        record = AlignmentRecord(
-            lemma=obj["lemma"],
-            category=PosCategory(obj["category"]),
-            gen_sense_count=obj["gen_sense_count"],
-            per_gold_scores=tuple(obj["per_gold_scores"]),
-        )
-        for name in DERIVED_FIELDS:
-            assert obj[name] == getattr(record, name), (obj["lemma"], name)
-        records.append(record)
-    return records
+        assert list(obj) == list(FIELDS)
+        obj["category"] = PosCategory(obj["category"])
+        obj["per_gold_scores"] = tuple(obj["per_gold_scores"])
+        rows.append(tuple(obj[name] for name in FIELDS))
+    return rows
 
 
 class TestAlignEntry:
@@ -214,35 +204,29 @@ class TestAlignEntry:
         assert abs(align_one(gen, gold).best_score - 1.0) < 1e-9
 
 
-class TestAlignmentRecordValidation:
-    def test_rejects_empty_scores(self):
-        with pytest.raises(ValueError):
-            AlignmentRecord(lemma="x", category=PosCategory.NOUN, gen_sense_count=1, per_gold_scores=())
-
-
 class TestAlignDictionaries:
     def test_fixture20_arity_and_order(self, fixture20):
         generated, gold = fixture20
         join = vocabulary_join(generated, gold)
-        records = align_fixture(generated, gold, join)
-        assert len(records) == 20
-        assert [(r.lemma, r.category.value) for r in records] == [
-            (gen.lemma, gen.pos.category.value) for gen, _ in join
-        ]
+        values = pair_values(align_fixture(generated, gold, join))
+        assert len(values) == 20
+        assert [(lemma, category) for lemma, category, *_ in values] == [(gen.lemma, gen.pos.category) for gen, _ in join]
 
     def test_empty_join(self, fixture20):
         generated, gold = fixture20
-        records = align_fixture(generated, gold, [])
-        assert records == []
+        block = align_fixture(generated, gold, [])
+        assert pair_values(block) == []
+        assert block.scores.shape == (0,) and block.offsets.tolist() == [0]
+        out = io.StringIO()
+        assert write_alignments(block, out) == 0 and out.getvalue() == ""
 
     def test_rerun_is_byte_identical(self, fixture20):
         generated, gold = fixture20
         join = vocabulary_join(generated, gold)
         outputs = []
         for _ in range(2):
-            records = align_fixture(generated, gold, join)
             out = io.StringIO()
-            write_alignments(records, out)
+            write_alignments(align_fixture(generated, gold, join), out)
             outputs.append(out.getvalue())
         assert outputs[0] == outputs[1]
 
@@ -251,9 +235,8 @@ class TestAlignDictionaries:
         join = vocabulary_join(generated, gold)
         base = align_fixture(generated, gold, join)
         scaled = align_fixture(generated, gold, join, ScaledEmbedder(EMBEDDER, 7.5))
-        for a, b in zip(base, scaled):
-            assert a.best_gold_index == b.best_gold_index
-            assert abs(a.best_score - b.best_score) < 1e-9
+        assert base.best_gold_index.tolist() == scaled.best_gold_index.tolist()
+        assert np.abs(base.best_score - scaled.best_score).max() < 1e-9
 
 
 class TestGroupedAlignmentMatchesPerPair:
@@ -264,7 +247,7 @@ class TestGroupedAlignmentMatchesPerPair:
         join = vocabulary_join(generated, gold)
         vectors = vector_table(EMBEDDER, generated.entries() + gold.entries())
         assert len({len(gold_entry.senses) for _, gold_entry in join}) > 1
-        got = record_values(align_dictionaries(join, vectors))
+        got = pair_values(align_dictionaries(join, vectors))
         expected = per_pair_alignment(join, vectors)
         assert got == expected
         assert float_bits(got) == float_bits(expected)
@@ -276,7 +259,7 @@ class TestGroupedAlignmentMatchesPerPair:
         pairs = mixed_block()
         assert {len(gold_entry.senses) for _, gold_entry in pairs} == {1, 2, 3, 4}
         vectors = vector_table(EMBEDDER, [entry for pair in pairs for entry in pair])
-        got = record_values(align_dictionaries(pairs, vectors))
+        got = pair_values(align_dictionaries(pairs, vectors))
         expected = per_pair_alignment(pairs, vectors)
         assert got == expected
         assert float_bits(got) == float_bits(expected)
@@ -290,39 +273,46 @@ class TestAllPairs:
         assert len(matrix) == 2 and all(len(row) == 3 for row in matrix)
 
 
-class TestRankHistogram:
-    def _record(self, lemma, best_index, gold_count):
+def histogram_rows(*rows):
+    """``make_alignment`` rows of generated-monosemous nouns: (lemma, best index, gold sense count)."""
+    made = []
+    for lemma, best_index, gold_count in rows:
         scores = [0.1] * gold_count
         scores[best_index - 1] = 0.9
-        return AlignmentRecord(lemma=lemma, category=PosCategory.NOUN, gen_sense_count=1, per_gold_scores=tuple(scores))
+        made.append((lemma, PosCategory.NOUN, 1, scores))
+    return make_alignment(*made)
 
+
+class TestRankHistogram:
     def test_counts(self):
-        records = [self._record("a", 1, 3), self._record("b", 1, 2), self._record("c", 2, 2)]
-        assert rank_histogram(records) == {1: 2, 2: 1}
+        assert rank_histogram(histogram_rows(("a", 1, 3), ("b", 1, 2), ("c", 2, 2))) == {1: 2, 2: 1}
 
     def test_singleton_gold_excluded(self):
-        records = [self._record("a", 1, 1), self._record("b", 1, 1)]
-        assert rank_histogram(records) == {}
+        assert rank_histogram(histogram_rows(("a", 1, 1), ("b", 1, 1))) == {}
+
+    def test_generated_polysemous_excluded(self):
+        block = make_alignment(("a", PosCategory.NOUN, 2, [0.1, 0.9]), ("b", PosCategory.NOUN, 1, [0.1, 0.9]))
+        assert rank_histogram(block) == {2: 1}
 
     def test_constructed_decreasing_counts(self):
-        records = []
+        rows = []
         for index, count in ((1, 10), (2, 5), (3, 2)):
-            records.extend(self._record(f"l{index}x{i}", index, 3) for i in range(count))
-        histogram = rank_histogram(records)
+            rows.extend((f"l{index}x{i}", index, 3) for i in range(count))
+        histogram = rank_histogram(histogram_rows(*rows))
         assert histogram == {1: 10, 2: 5, 3: 2}
         counts = [histogram[i] for i in sorted(histogram)]
         assert counts == sorted(counts, reverse=True)
 
     def test_count_conservation(self):
-        records = [self._record("a", 2, 4), self._record("b", 1, 2), self._record("c", 1, 1)]
-        histogram = rank_histogram(records)
-        assert sum(histogram.values()) == sum(1 for r in records if r.gold_sense_count > 1)
+        block = histogram_rows(("a", 2, 4), ("b", 1, 2), ("c", 1, 1))
+        assert sum(rank_histogram(block).values()) == int((block.gold_sense_count > 1).sum())
 
 
 class TestSerialization:
     def test_round_trip(self, fixture20):
         generated, gold = fixture20
-        records = align_fixture(generated, gold, vocabulary_join(generated, gold))
+        block = align_fixture(generated, gold, vocabulary_join(generated, gold))
         out = io.StringIO()
-        write_alignments(records, out)
-        assert read_alignments(out.getvalue()) == records
+        written = write_alignments(block, out)
+        assert read_alignments(out.getvalue()) == pair_values(block)
+        assert written == len(out.getvalue().encode("utf-8"))

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexiforge import _kernels, error_analysis
-from lexiforge.alignment import AlignmentRecord
 from lexiforge.embedding import DeterministicEmbedder
 from lexiforge.error_analysis import (
+    Candidate,
     ErrorAnalysisConfig,
     ErrorCategory,
     NeighborIndex,
@@ -26,7 +26,7 @@ from lexiforge.error_analysis import (
     detect_circularity,
     detect_fabricated_polysemy,
     detect_overcorrection,
-    detect_proper_noun_definition,
+    findings_of_entries,
     hallucination_candidates,
     parse_findings,
     write_findings,
@@ -37,7 +37,7 @@ from lexiforge.model import PosCategory, normalize_lemma
 from lexiforge.report import evaluate_dictionaries
 
 from _oracles import oracle_levenshtein
-from conftest import DATA_DIR, make_dictionary, make_entry, vector_table
+from conftest import DATA_DIR, make_alignment, make_dictionary, make_entry, vector_table
 
 EMBEDDER = DeterministicEmbedder(dimension=512)
 
@@ -51,7 +51,12 @@ def classify(generated, gold, failures=None):
 
 
 def fabricated(entry, config=None):
-    return detect_fabricated_polysemy(entry, vector_table(EMBEDDER, [entry]), config)
+    return detect_fabricated_polysemy([entry], vector_table(EMBEDDER, [entry]), config).get(0)
+
+
+def entry_findings(entries, config=None):
+    """``findings_of_entries`` of *entries* as one block, their polysemous entries' definitions embedded."""
+    return findings_of_entries(entries, vector_table(EMBEDDER, [e for e in entries if len(e.senses) > 1]), config)
 
 
 def overcorrection(entry, gold, config=None):
@@ -61,15 +66,22 @@ def overcorrection(entry, gold, config=None):
     return detect_overcorrection(entry, neighbors, vector_table(EMBEDDER, [entry] + gold.entries()), config)
 
 
-def record(lemma, best_score, category=PosCategory.NOUN, gold_count=1):
-    scores = [best_score] + [max(best_score - 0.05, -1.0)] * (gold_count - 1)
-    return AlignmentRecord(lemma=lemma, category=category, gen_sense_count=1, per_gold_scores=tuple(scores))
+def scored(*rows):
+    """An alignment of generated-monosemous nouns from (lemma, best score) rows, one gold sense each."""
+    return make_alignment(*((lemma, PosCategory.NOUN, 1, [score]) for lemma, score in rows))
+
+
+def flagged(block, config=None):
+    return {candidate.generated.lemma for candidate in hallucination_candidates(block, config)}
 
 
 class TestHallucinationCandidates:
     def test_below_threshold_flagged(self):
-        below, above = record("bajo", 0.05), record("alto", 0.5)
-        assert hallucination_candidates([below, above]) == [below]
+        block = make_alignment(
+            ("alto", PosCategory.NOUN, 1, [0.5]),
+            ("bajo", PosCategory.VERB, 1, [0.02, 0.05, 0.01]),
+        )
+        assert hallucination_candidates(block) == [Candidate(*block.pairs[1], 2, 0.05)]
 
     @pytest.mark.parametrize("score,printed", [(-1e-17, "0.0000"), (1e-17, "0.0000"), (0.05, "0.0500")])
     @pytest.mark.parametrize(
@@ -79,33 +91,31 @@ class TestHallucinationCandidates:
     def test_finding_evidence(self, score, printed, gold_definition, suffix):
         # a score that rounds to zero prints unsigned; a gold definition of
         # at most two words marks the finding low-confidence
-        generated = make_dictionary(make_entry("bajo", "Nombre masculino", "Sonido grave."))
+        generated = make_entry("bajo", "Nombre masculino", "Sonido grave.")
         gold = make_dictionary(make_entry("bajo", "Nombre masculino", gold_definition))
-        findings = classify_errors(generated, gold, [record("bajo", score)], EMBEDDER)
+        findings = classify_errors(gold, [Candidate(generated, gold.entries()[0], 1, score)], EMBEDDER)
         assert [f.evidence for f in findings] == [f"best cosine {printed} < 0.1" + suffix]
         assert findings[0].category is ErrorCategory.HALLUCINATION_CANDIDATE
         assert findings[0].low_confidence is bool(suffix)
         assert (findings[0].pos_label, findings[0].gold_definition) == ("Nombre masculino", gold_definition)
 
     def test_boundary_score_unflagged(self):
-        assert hallucination_candidates([record("justo", 0.1)]) == []
+        assert hallucination_candidates(scored(("justo", 0.1))) == []
 
     def test_exhaustive_scan_equivalence(self):
         rng = random.Random(8)
-        records = [record(f"l{i}", round(rng.random(), 4)) for i in range(10)]
+        rows = [(f"l{i}", round(rng.random(), 4)) for i in range(10)]
         config = ErrorAnalysisConfig(hallucination_threshold=0.1)
-        flagged = {f.lemma for f in hallucination_candidates(records, config)}
-        brute = {r.lemma for r in records if r.best_score < 0.1}
-        assert flagged == brute
+        assert flagged(scored(*rows), config) == {lemma for lemma, score in rows if score < 0.1}
 
     def test_random_thresholds_match_brute_force(self):
         rng = random.Random(21)
-        records = [record(f"l{i}", round(rng.random(), 4)) for i in range(60)]
+        rows = [(f"l{i}", round(rng.random(), 4)) for i in range(60)]
+        block = scored(*rows)
         for _ in range(25):
             threshold = round(rng.random(), 4)
             config = ErrorAnalysisConfig(hallucination_threshold=threshold)
-            flagged = {f.lemma for f in hallucination_candidates(records, config)}
-            assert flagged == {r.lemma for r in records if r.best_score < threshold}
+            assert flagged(block, config) == {lemma for lemma, score in rows if score < threshold}
 
 
 class TestDetectCircularity:
@@ -173,13 +183,29 @@ def _circularity_entry(rng):
 class TestCircularityParity:
     def test_matches_the_regex_per_entry(self):
         rng = random.Random(20261018)
-        outcomes = {True: 0, False: 0}
-        for _ in range(4000):
-            entry = _circularity_entry(rng)
-            expected = regex_circularity(entry)
-            assert detect_circularity(entry) == expected, (entry.lemma, [s.definition for s in entry.senses])
-            outcomes[expected] += 1
-        assert min(outcomes.values()) > 500
+        entries = [_circularity_entry(rng) for _ in range(4000)]
+        expected = [entry.lemma for entry in entries if regex_circularity(entry)]
+        assert all(detect_circularity(entry) == regex_circularity(entry) for entry in entries)
+        for size in (4000, 7):  # one block, and blocks whose joined texts hold few separators
+            found = [
+                finding.lemma
+                for start in range(0, len(entries), size)
+                for finding in entry_findings(entries[start : start + size])
+                if finding.category is ErrorCategory.CIRCULARITY
+            ]
+            assert found == expected
+        assert 500 < len(expected) < 3500
+
+    def test_only_entries_passing_the_folded_substring_test_reach_the_regex(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(error_analysis, "detect_circularity", lambda entry: calls.append(entry.lemma) or True)
+        entries = [
+            make_entry("gato", "Nombre masculino", "Felino doméstico."),
+            make_entry("sal", "Nombre femenino", "Cloruro de sodio.", "Echar SAL a la comida."),
+            make_entry("limitar", "Verbo", "Suele limitarse a lo esencial."),
+        ]
+        entry_findings(entries)
+        assert calls == ["sal", "limitar"]
 
     def test_fold_joins_every_pair_ignorecase_joins(self):
         # re.IGNORECASE matches text character t to pattern character p when
@@ -205,18 +231,34 @@ class TestCircularityParity:
         assert len(text.translate(error_analysis._FOLD)) == len(text)
 
 
+def categories(*entries):
+    return [(finding.lemma, finding.category.value) for finding in entry_findings(list(entries))]
+
+
 class TestDetectProperNoun:
     def test_proper_name_pattern(self):
         entry = make_entry("simón", "Nombre masculino", "Nombre propio de persona.")
-        assert detect_proper_noun_definition(entry)
+        assert categories(entry) == [("simón", "proper_noun_as_common")]
 
     def test_mythology_pattern(self):
         entry = make_entry("abitón", "Nombre masculino", "En la mitología griega, uno de los gigantes.")
-        assert detect_proper_noun_definition(entry)
+        assert categories(entry) == [("abitón", "proper_noun_as_common")]
 
     def test_ordinary_definition_passes(self):
         entry = make_entry("limitación", "Nombre femenino", "Acción y efecto de limitar.")
-        assert not detect_proper_noun_definition(entry)
+        assert categories(entry) == []
+
+    def test_any_sense_counts_and_entries_keep_their_order(self):
+        entries = [
+            make_entry("ares", "Nombre masculino", "Planeta.", "Dios de la guerra EN LA MITOLOGÍA griega."),
+            make_entry("mesa", "Nombre femenino", "Mueble con tablero horizontal."),
+            make_entry("gato", "Nombre masculino", "Un gato es un felino.", "Nombre propio de un gato."),
+        ]
+        assert categories(*entries) == [
+            ("ares", "proper_noun_as_common"),
+            ("gato", "circularity"),
+            ("gato", "proper_noun_as_common"),
+        ]
 
 
 class TestDetectFabricatedPolysemy:

@@ -2,27 +2,33 @@ import random
 
 import pytest
 
-from lexiforge.alignment import AlignmentRecord
 from lexiforge.metrics import (
     ClassMetrics,
     ConfusionMatrix2x2,
     StatsSummary,
     class_metrics,
     cosine_stats,
+    cosine_values,
     length_stats,
     polysemy_confusion,
 )
 from lexiforge.model import PosCategory, vocabulary_join
 
 from _oracles import oracle_population_stats
-from conftest import make_dictionary, make_entry
+from conftest import make_alignment, make_dictionary, make_entry
 
 # Table 1 cells: (actual, predicted) with actual = gold, predicted = generated
 REFERENCE_MATRIX = ConfusionMatrix2x2(mono_mono=49_114, mono_poly=699, poly_mono=24_444, poly_poly=2_706)
 
 
 def record(lemma, category, gen_count, scores):
-    return AlignmentRecord(lemma=lemma, category=category, gen_sense_count=gen_count, per_gold_scores=tuple(scores))
+    return (lemma, category, gen_count, scores)
+
+
+def cosine_tables(records, blocks=1):
+    """``cosine_stats`` of *records* split into *blocks* alignments of about equal size."""
+    size = -(-len(records) // blocks)
+    return cosine_stats(cosine_values(make_alignment(*records[i : i + size])) for i in range(0, len(records), size))
 
 
 class TestConfusionMatrix:
@@ -111,7 +117,7 @@ class TestCosineStats:
             record("a", PosCategory.NOUN, 1, [0.5]),
             record("b", PosCategory.NOUN, 1, [0.5]),
         ]
-        summary = cosine_stats(records)[0]["all"]
+        summary = cosine_tables(records)[0]["all"]
         assert summary == StatsSummary(count=2, mean=0.5, std_dev=0.0)
 
     def test_population_formula_by_hand(self):
@@ -119,7 +125,7 @@ class TestCosineStats:
             record("a", PosCategory.VERB, 1, [0.2]),
             record("b", PosCategory.VERB, 1, [0.6]),
         ]
-        summary = cosine_stats(records)[0]["all"]
+        summary = cosine_tables(records)[0]["all"]
         # mean (0.2+0.6)/2 = 0.4; deviations ±0.2 -> population std 0.2
         assert summary.mean == pytest.approx(0.4)
         assert summary.std_dev == pytest.approx(0.2)
@@ -130,8 +136,8 @@ class TestCosineStats:
             record(f"l{i}", PosCategory.ADJECTIVE, 1, [round(rng.random(), 3) for _ in range(3)])
             for i in range(25)
         ]
-        summary = cosine_stats(records)[1]["all"]
-        mean, std = oracle_population_stats([r.mean_over_gold for r in records])
+        summary = cosine_tables(records)[1]["all"]
+        mean, std = oracle_population_stats([sum(scores) / len(scores) for *_, scores in records])
         assert summary.mean == pytest.approx(mean, abs=1e-12)
         assert summary.std_dev == pytest.approx(std, abs=1e-12)
 
@@ -140,7 +146,7 @@ class TestCosineStats:
             record("a", PosCategory.NOUN, 1, [0.9]),
             record("b", PosCategory.NOUN, 1, [0.1, 0.7]),
         ]
-        mono, poly = cosine_stats(records)
+        mono, poly = cosine_tables(records)
         assert mono["all"].count == 1 and poly["all"].count == 1
         assert mono["all"].mean == pytest.approx(0.9)
         assert poly["all"].mean == pytest.approx(0.4)  # mean over gold, not the best score
@@ -150,7 +156,7 @@ class TestCosineStats:
             record("a", PosCategory.NOUN, 1, [0.4]),
             record("b", PosCategory.ADVERB, 1, [0.8]),
         ]
-        stats = cosine_stats(records)[0]
+        stats = cosine_tables(records)[0]
         assert set(stats) == {"all", "noun", "adverb"}
         assert stats["adverb"].mean == pytest.approx(0.8)
 
@@ -159,7 +165,25 @@ class TestCosineStats:
         records = [record(f"l{i}", PosCategory.NOUN, 1, [rng.random()]) for i in range(30)]
         shuffled = records[:]
         rng.shuffle(shuffled)
-        assert cosine_stats(records) == cosine_stats(shuffled)
+        assert cosine_tables(records) == cosine_tables(shuffled)
+
+    def test_generated_polysemous_excluded(self):
+        records = [record("a", PosCategory.NOUN, 1, [0.4]), record("b", PosCategory.NOUN, 2, [0.8])]
+        mono, poly = cosine_tables(records)
+        assert mono["all"] == StatsSummary(count=1, mean=0.4, std_dev=0.0) and poly == {}
+
+    def test_groups_in_order_of_first_pair_across_blocks(self):
+        records = [
+            record("a", PosCategory.VERB, 1, [0.1, 0.2]),
+            record("b", PosCategory.ADVERB, 1, [0.3]),
+            record("c", PosCategory.NOUN, 1, [0.5]),
+            record("d", PosCategory.ADVERB, 1, [0.7, 0.1]),
+            record("e", PosCategory.VERB, 1, [0.9]),
+        ]
+        for blocks in (1, 2, 5):
+            mono, poly = cosine_tables(records, blocks)
+            assert list(mono) == ["all", "adverb", "noun", "verb"] and list(poly) == ["all", "verb", "adverb"]
+            assert (mono, poly) == cosine_tables(records)
 
 
 class TestLengthStats:

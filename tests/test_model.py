@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from lexiforge.alignment import AlignmentRecord
 from lexiforge.exceptions import DuplicateKeyError, EmptyLemmaError
 from lexiforge.model import (
     PosCategory,
@@ -87,7 +86,6 @@ class TestSlottedValueTypes:
             PosTag.from_label("Verbo"),
             Sense("Algo."),
             make_entry("casa", "Nombre femenino", "Edificio para habitar."),
-            AlignmentRecord("casa", PosCategory.NOUN, 1, (0.5,)),
         ],
         ids=type,
     )
