@@ -7,13 +7,14 @@ import base64
 import collections
 import http.client
 import itertools
-import json
 import re
 import threading
 import urllib.parse
 import urllib.request
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator
+
+import orjson
 
 from .exceptions import RequestError
 
@@ -104,7 +105,7 @@ class JsonPoster:
 
     def post(self, body, headers: dict[str, str] | None = None) -> tuple[int, bytes, float | None]:
         """POST *body* as JSON; the reply's status and body, and the delay a 429 or 503 asks for."""
-        data = json.dumps(body).encode("utf-8")
+        data = orjson.dumps(body)
         headers = {"Content-Type": "application/json", **(headers or {})}
         with self._lock:
             kept = self._idle.pop() if self._idle else None

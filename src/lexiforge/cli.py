@@ -55,10 +55,12 @@ def _parse_file(path, parse):
         raise _CliFault(EXIT_INPUT, f"cannot parse {path}: {exc}") from exc
 
 
-def _refuse_overwrites(inputs: dict, outputs: dict) -> None:
+def _refuse_overwrites(inputs: dict, outputs: dict, directories: dict | None = None) -> None:
     """Exit 2 naming both options when an output path (option -> path or None) names an input or another output.
 
-    Inputs include the files the config names. Runs before any file is
+    Inputs include the files the config names. *directories* are the
+    outputs that name a directory the run fills with files of its own
+    naming, so no other output may lie inside one. Runs before any file is
     written or any request sent, so every file stays as it was. Paths are
     compared resolved, and existing files also by ``os.path.samefile``, so
     another spelling of a path, a link or a hard link to the file is caught.
@@ -69,6 +71,11 @@ def _refuse_overwrites(inputs: dict, outputs: dict) -> None:
             same = path == other_path or (path.exists() and other_path.exists() and os.path.samefile(path, other_path))
             if same and other in outputs:
                 raise _CliFault(EXIT_CONFIG, f"{option} and {other} name the same file {path}")
+    for directory_option, directory in (directories or {}).items():
+        for option, path in named:
+            inside = directory is not None and path.is_relative_to(Path(directory).resolve())
+            if inside and option in outputs and option != directory_option:
+                raise _CliFault(EXIT_CONFIG, f"{option} lies inside the {directory_option} directory {directory}")
 
 
 def _close(service) -> None:
@@ -130,6 +137,7 @@ def cmd_generate(lemmas_path, config_path, out_path, failures_path, audit_dir):
             "[prompt] template": config.prompt.template, "[prompt] fewshot": config.prompt.fewshot,
         },
         {"--out": out_path, "--failures": failures_path, "--audit": audit_dir},
+        {"--audit": audit_dir},  # batch_NNNN.txt per batch
     )
     provider = build_provider(config.provider)
     try:

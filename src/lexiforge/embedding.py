@@ -11,7 +11,6 @@ into a ``VectorTable`` and scores cosines as dot products of its rows.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import time
 import unicodedata
@@ -108,7 +107,8 @@ def embed_deterministic(text: str, dimension: int = 512) -> np.ndarray:
     output must never be all-zero, so that case deterministically falls
     back to marking the first trigram's bucket.
     """
-    return DeterministicEmbedder(dimension).embed_batch([text])[0]
+    counts = DeterministicEmbedder(dimension).embed_batch([text])[0]
+    return counts / np.linalg.norm(counts)
 
 
 class VectorTable:
@@ -116,10 +116,12 @@ class VectorTable:
 
     The texts are sorted and de-duplicated before the call, so the request
     does not depend on the order callers collected them in. A cosine is a
-    dot product of two rows; a zero vector, which has none, is rejected.
-    Each row is normalised on its own, so no score depends on which other
-    texts share the table: evaluation builds one table per block of keys,
-    and holds the vectors of one block at a time.
+    dot product of two rows. The table is the one place a vector is
+    normalised; a vector with a non-finite value or norm, or a zero vector,
+    has no direction and is rejected. Each row is normalised on its own, so
+    no score depends on which other texts share the table: evaluation
+    builds one table per block of keys, and holds the vectors of one block
+    at a time.
     """
 
     def __init__(self, embedder, texts: Iterable[str]):
@@ -136,7 +138,12 @@ class VectorTable:
             raise ProtocolError(f"embedder returned {len(matrix)} vectors for {len(ordered)} texts")
         # each row's dot product with itself, the kernel np.linalg.norm uses
         # on one vector, so every unit row is bit-identical to v / norm(v)
-        norms = np.sqrt(matrix[:, None, :] @ matrix[:, :, None])[:, 0]
+        with np.errstate(over="ignore"):  # a norm that overflows is rejected below
+            norms = np.sqrt(matrix[:, None, :] @ matrix[:, :, None])[:, 0]
+        # a NaN or infinite value makes its row's norm NaN or infinite
+        if not np.isfinite(norms).all():
+            text = ordered[np.flatnonzero(~np.isfinite(norms))[0]]
+            raise ProtocolError(f"embedder returned a vector with a non-finite value or norm for {text!r}")
         if not norms.all():
             raise ZeroVectorError(f"embedder returned a zero vector for {ordered[np.flatnonzero(norms == 0.0)[0]]!r}")
         self._matrix = np.divide(matrix, norms, out=matrix)
@@ -155,7 +162,11 @@ class DeterministicEmbedder:
         return f"trigram-fnv1a-{self.dimension}"
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        """``embed_deterministic`` of every text, hashed ``EMBED_CHUNK`` texts at a time."""
+        """The signed trigram counts of every text, exact integers as float64, hashed ``EMBED_CHUNK`` texts at a time.
+
+        Each row has the direction of ``embed_deterministic``'s vector;
+        ``VectorTable`` normalises it.
+        """
         if self.dimension < 1:
             raise DimensionError(f"dimension must be >= 1, got {self.dimension}")
         vectors = np.empty((len(texts), self.dimension))
@@ -164,9 +175,8 @@ class DeterministicEmbedder:
             normalized = normalize_texts(chunk)
             if not all(normalized):
                 raise EmptyTextError(f"text is empty after normalization: {chunk[normalized.index('')]!r}")
-            counts = _kernels.trigram_counts([f"#{text}#" for text in normalized], self.dimension)
-            # integer-valued counts: every sum of squares, so every row's norm, is exact
-            np.divide(counts, np.linalg.norm(counts, axis=1, keepdims=True), out=vectors[start : start + len(chunk)])
+            padded = [f"#{text}#" for text in normalized]
+            vectors[start : start + len(chunk)] = _kernels.trigram_counts(padded, self.dimension)
         return vectors
 
 
@@ -344,13 +354,16 @@ class CachingEmbedder:
             computed = np.asarray(self.inner.embed_batch(list(misses.values())), dtype=np.float64)
             if len(computed) != len(misses):
                 raise ProtocolError(f"embedder returned {len(computed)} vectors for {len(misses)} texts")
+            if not np.isfinite(computed).all():  # the encoder would write it as null
+                raise ProtocolError("embedder returned a vector with a non-finite value")
             if self._handle is None:
                 self._handle = open(self.path, "a", encoding="utf-8")
                 if self._torn:
                     self._handle.write("\n")
             for key, vector in zip(misses, computed):
                 self._vectors[key] = vector
-                self._handle.write(json.dumps({"embedder": self.identifier, "key": key, "vector": vector.tolist()}) + "\n")
+                record = {"embedder": self.identifier, "key": key, "vector": vector.tolist()}
+                self._handle.write(orjson.dumps(record, option=orjson.OPT_APPEND_NEWLINE).decode())
             self._handle.flush()
         if not keys:
             return np.empty((0, 0))

@@ -1,6 +1,6 @@
 """Automated error taxonomy for a generated dictionary.
 
-Flags low-similarity alignment records as hallucination candidates and
+Flags low-similarity join pairs as hallucination candidates and
 classifies entries with implementable heuristics: circular definitions,
 common nouns defined as proper nouns, fabricated polysemy (near-duplicate
 senses) and over-corrections (defining a closely spelled different word).
@@ -110,8 +110,21 @@ class _CaseFold(dict):
 _FOLD = _CaseFold()
 
 
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
+
+
 def _fold(text: str) -> str:
-    return text.translate(_FOLD)
+    """``text.translate(_FOLD)``, computed by ``str.lower`` once the few characters it folds otherwise are replaced.
+
+    ``str.translate`` with a mapping looks every character up one at a
+    time; ``str.lower`` runs in C, and agrees with ``_FOLD`` on every ASCII
+    character and on nearly every other one (not on ſ, ς, µ or İ, say, nor
+    on Σ, which it lowercases to ς at the end of a word).
+    """
+    for char in set(_NON_ASCII.findall(text)):
+        if char == "Σ" or char.lower() != _FOLD[ord(char)]:
+            text = text.replace(char, _FOLD[ord(char)])
+    return text.lower()
 
 
 def detect_circularity(entry: DictionaryEntry) -> bool:

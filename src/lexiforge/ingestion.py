@@ -10,7 +10,6 @@ round-trip losslessly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
@@ -108,17 +107,17 @@ def read_records(stream: Iterable[str], kind: RecordKind) -> Iterator[tuple[int,
         yield number, kind.check(obj, number)
 
 
-# one encoder for every line: json.dumps with an option builds a new one per call
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
-
-
 def write_records(objects: Iterable[dict], stream: IO[str]) -> int:
-    """One ``json.dumps(obj, ensure_ascii=False)`` line per object; returns the bytes written."""
+    """One ``orjson.dumps(obj)`` line per object; returns the bytes written.
+
+    Lines are compact UTF-8 JSON: no space after ``,`` or ``:``, and floats
+    in their shortest round-trip form.
+    """
     written = 0
     for obj in objects:
-        line = _ENCODER.encode(obj) + "\n"
-        stream.write(line)
-        written += len(line.encode("utf-8"))
+        line = orjson.dumps(obj, option=orjson.OPT_APPEND_NEWLINE)
+        stream.write(line.decode())
+        written += len(line)
     return written
 
 

@@ -72,7 +72,7 @@ class StatsSummary:
         if not len(values):
             raise ValueError("cannot summarize an empty group")
         # sorting fixes the summation order, making the result bitwise
-        # permutation-invariant in the input records
+        # permutation-invariant in the input values
         arr = np.sort(np.asarray(values, dtype=np.float64))
         return cls(count=int(arr.size), mean=float(arr.mean()), std_dev=float(arr.std(ddof=0)))
 
@@ -132,8 +132,8 @@ def cosine_values(alignment: BlockAlignment) -> tuple[dict[str, np.ndarray], dic
     gold_mono = alignment.gold_sense_count == 1
     categories = np.array([gen.pos.category.value for gen, _ in alignment.pairs])
     tables = []
-    for rows, scores in ((gen_mono & gold_mono, alignment.best_score), (gen_mono & ~gold_mono, alignment.mean_over_gold)):
-        values, groups = scores[rows], categories[rows]
+    for rows, scores in ((gold_mono, alignment.best_score), (~gold_mono, alignment.mean_over_gold)):
+        values, groups = scores[gen_mono & rows], categories[gen_mono & rows]
         table = {"all": values} if values.size else {}
         for group in dict.fromkeys(groups.tolist()):
             table[group] = values[groups == group]

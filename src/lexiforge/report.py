@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import os
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
@@ -165,9 +164,12 @@ def _length_from_dict(data: dict) -> LengthStats:
     return LengthStats(words=StatsSummary(**data["words"]), characters=StatsSummary(**data["characters"]))
 
 
+def _indented_json(obj) -> str:
+    return orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE).decode()
+
+
 def write_report(report: EvaluationReport, stream: IO[str]) -> None:
-    json.dump(report.to_dict(), stream, ensure_ascii=False, indent=2)
-    stream.write("\n")
+    stream.write(_indented_json(report.to_dict()))
 
 
 def load_report(path: str | Path) -> EvaluationReport:
@@ -417,8 +419,7 @@ def render_tables(report: EvaluationReport, fmt: str, out_dir: str | Path) -> li
         path = tables_dir / "tables.json"
         payload = {name: {"header": rows[0], "rows": rows[1:]} for name, rows in tables.items()}
         with atomic_text(path) as (fh,):
-            json.dump(payload, fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
+            fh.write(_indented_json(payload))
         written.append(path)
         return written
     for name, rows in tables.items():

@@ -43,7 +43,8 @@ def oracle_trigram_counts(text: str, dimension: int) -> list[int]:
     return counts
 
 
-def oracle_embed(text: str, dimension: int = 512) -> list[float]:
+def oracle_counts(text: str, dimension: int = 512) -> list[int]:
+    """The deterministic embedder's unnormalised vector: signed trigram counts of the normalised text."""
     normalized = oracle_normalize(text)
     if not normalized:
         raise ValueError("empty text")
@@ -52,6 +53,11 @@ def oracle_embed(text: str, dimension: int = 512) -> list[float]:
         # signed buckets cancelled: mark the first trigram's bucket
         first = oracle_fnv1a(f"#{normalized}#"[:3].encode("utf-8"))
         counts[first % dimension] = 1
+    return counts
+
+
+def oracle_embed(text: str, dimension: int = 512) -> list[float]:
+    counts = oracle_counts(text, dimension)
     norm = math.sqrt(sum(c * c for c in counts))
     return [c / norm for c in counts]
 

@@ -334,14 +334,14 @@ def test_criterion_09_round_trip_and_determinism(tmp_path):
 
 
 class OracleEmbeddingHandler(BaseHTTPRequestHandler):
-    """Embedding service stub that serves scratch-oracle vectors."""
+    """Embedding service stub that serves the scratch oracle's trigram counts, as the deterministic embedder does."""
 
     def do_POST(self):
-        from _oracles import oracle_embed
+        from _oracles import oracle_counts
 
         length = int(self.headers.get("Content-Length", 0))
         texts = json.loads(self.rfile.read(length))["texts"]
-        vectors = [oracle_embed(t, 512) for t in texts]
+        vectors = [oracle_counts(t, 512) for t in texts]
         data = json.dumps({"vectors": vectors, "dimension": 512}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")

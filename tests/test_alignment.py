@@ -238,6 +238,16 @@ class TestAlignDictionaries:
         assert base.best_gold_index.tolist() == scaled.best_gold_index.tolist()
         assert np.abs(base.best_score - scaled.best_score).max() < 1e-9
 
+    def test_non_finite_score_raises(self):
+        # a table of unit rows gives finite scores; this one hands out a NaN
+        class NaNRows:
+            def rows(self, texts):
+                return np.full((len(texts), 2), np.nan)
+
+        gen = make_entry("sal", "Nombre femenino", "Sustancia blanca.")
+        with pytest.raises(ValueError, match="not finite"):
+            align_dictionaries([(gen, gen)], NaNRows())
+
 
 class TestGroupedAlignmentMatchesPerPair:
     """Scoring the pairs of one gold sense count together gives every float the per-pair loop gives."""
@@ -263,6 +273,7 @@ class TestGroupedAlignmentMatchesPerPair:
         expected = per_pair_alignment(pairs, vectors)
         assert got == expected
         assert float_bits(got) == float_bits(expected)
+
 
 
 class TestAllPairs:

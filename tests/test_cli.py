@@ -203,6 +203,17 @@ class TestGenerate:
         assert f"{named} name the same file" in result.output
         assert tree(workspace) == before  # every file byte-identical, and no temp file left
 
+    @pytest.mark.parametrize("option", ["--out", "--failures"])
+    def test_output_inside_the_audit_directory_exit_2(self, runner, workspace, option):
+        # an earlier run's audit files: this run would write batch_0001.txt over the output
+        assert run_generate(runner, workspace, extra=["--audit", str(workspace / "audit")]).exit_code == 0
+        before = tree(workspace)
+        target = workspace / "audit" / "batch_0001.txt"
+        result = run_generate(runner, workspace, extra=["--audit", str(workspace / "audit"), option, str(target)])
+        assert result.exit_code == 2, result.output
+        assert f"{option} lies inside the --audit directory" in result.output
+        assert tree(workspace) == before  # every file byte-identical, and no temp file left
+
     @pytest.mark.parametrize(
         ("text", "named"),
         [
@@ -418,6 +429,20 @@ class TestEvaluate:
         assert result.exit_code == 5, result.output
         assert len(failing.batches) == 2
         assert snapshot(workspace / "eval") == before
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_vector_exit_5(self, runner, workspace, monkeypatch, value):
+        class NonFinite(DeterministicEmbedder):
+            def embed_batch(self, texts):
+                vectors = super().embed_batch(texts)
+                vectors[len(texts) // 2, 0] = value
+                return vectors
+
+        monkeypatch.setattr("lexiforge.cli.build_embedder", lambda choice, settings: NonFinite(64))
+        result = run_evaluate(runner, workspace)
+        assert result.exit_code == 5, result.output
+        assert "non-finite" in result.output
+        assert not (workspace / "eval").exists() or list((workspace / "eval").iterdir()) == []
 
     # lemmas of four gold senses each, so that alignments.jsonl outgrows report.json; the lines
     # of 20 lemmas stay in the stream's buffer until the last flush, those of 60 overflow it in the loop

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexiforge import embedding
+from lexiforge import embedding, error_analysis
 from lexiforge.embedding import (
     EMBED_CHUNK,
     EMBED_LANES,
@@ -28,11 +28,12 @@ from lexiforge.embedding import (
     VectorTable,
     embed_deterministic,
     normalize_text,
+    map_joined,
     normalize_texts,
 )
 from lexiforge.exceptions import DimensionError, EmptyTextError, ProtocolError, ServiceError, ZeroVectorError
 
-from _oracles import cosine_similarity, oracle_embed, oracle_normalize
+from _oracles import cosine_similarity, oracle_counts, oracle_embed, oracle_normalize
 from conftest import DATA_DIR, http_server
 
 
@@ -141,7 +142,7 @@ class TestChunkedBatch:
         rows = DeterministicEmbedder(dimension).embed_batch(texts)
         assert len(rows) == len(texts)
         for text, row in zip(texts, rows):
-            assert row.tobytes() == np.array(oracle_embed(text, dimension), dtype=np.float64).tobytes(), text
+            assert row.tobytes() == np.array(oracle_counts(text, dimension), dtype=np.float64).tobytes(), text
 
     def test_batch_longer_than_a_chunk_and_not_a_multiple(self):
         rng = np.random.default_rng(8)
@@ -176,7 +177,7 @@ class TestBatchNormalizer:
         assert normalize_texts(texts) == [oracle_normalize(text) for text in texts]
         rows = DeterministicEmbedder(dimension).embed_batch(texts)
         for text, row in zip(texts, rows):
-            assert row.tobytes() == np.array(oracle_embed(text, dimension), dtype=np.float64).tobytes(), repr(text)
+            assert row.tobytes() == np.array(oracle_counts(text, dimension), dtype=np.float64).tobytes(), repr(text)
 
     def test_separators_are_inert(self):
         # what lowercasing, NFC and the whitespace collapse may not see in a separator
@@ -190,7 +191,8 @@ class TestBatchNormalizer:
         for separator in SEPARATORS:
             assert unicodedata.category(separator) in ("Cc", "Cn"), repr(separator)  # neither cased nor case-ignorable
             assert not re.fullmatch(r"\s", separator) and not separator.isspace(), repr(separator)
-            assert separator.lower() == separator.upper() == separator, repr(separator)
+            assert separator.lower() == separator.upper() == separator.casefold() == separator, repr(separator)
+            assert separator.translate(error_analysis._FOLD) == separator, repr(separator)
             assert unicodedata.combining(separator) == 0 and not unicodedata.decomposition(separator), repr(separator)
             assert ord(separator) not in composed_from, repr(separator)
 
@@ -234,6 +236,14 @@ class TestBatchNormalizer:
     )
     def test_each_text_as_on_its_own(self, texts):
         assert normalize_texts(texts) == [oracle_normalize(text) for text in texts]
+        # the case folds that the error detectors run over joined texts
+        assert map_joined(str.casefold, texts) == [text.casefold() for text in texts]
+        fold = error_analysis._FOLD
+        assert map_joined(lambda text: text.translate(fold), texts) == [text.translate(fold) for text in texts]
+
+    def test_map_joined_with_every_separator_taken(self):
+        texts = [f"ẞ{separator}ſ" for separator in SEPARATORS] + ["ΟΔΟΣ", "".join(SEPARATORS)]
+        assert map_joined(str.casefold, texts) == [text.casefold() for text in texts]
 
 
 class TestGoldenFile:
@@ -277,8 +287,8 @@ def _record(text, vector, embedder="table"):
 # the one record a cold cache writes for "casa" → (0.1, -1/3, 1e-300, 2.0)
 # under embedder id "table", byte for byte
 CASA_RECORD = (
-    b'{"embedder": "table", "key": "e2ba95c84b1c1268cf92745201869b693bfb52f3fc5098842e24356749ed2bdf", '
-    b'"vector": [0.1, -0.3333333333333333, 1e-300, 2.0]}\n'
+    b'{"embedder":"table","key":"e2ba95c84b1c1268cf92745201869b693bfb52f3fc5098842e24356749ed2bdf",'
+    b'"vector":[0.1,-0.3333333333333333,1e-300,2.0]}\n'
 )
 
 
@@ -288,7 +298,7 @@ class TestEmbeddingCache:
         with closing(CachingEmbedder(counting, tmp_path / "cache.jsonl")) as cached:
             first = cached.embed_batch(["casa"])
             again = cached.embed_batch(["casa"])
-        assert first[0].tobytes() == again[0].tobytes() == embed_deterministic("casa", 32).tobytes()
+        assert first[0].tobytes() == again[0].tobytes() == DeterministicEmbedder(32).embed_batch(["casa"])[0].tobytes()
         assert counting.calls == 1
 
     def test_get_before_put_is_miss(self, tmp_path):
@@ -310,7 +320,7 @@ class TestEmbeddingCache:
             cached.embed_batch(["casa"])
         counting = CountingEmbedder()
         with closing(CachingEmbedder(counting, path)) as reopened:
-            assert reopened.embed_batch(["casa"])[0].tobytes() == embed_deterministic("casa", 32).tobytes()
+            assert reopened.embed_batch(["casa"])[0].tobytes() == DeterministicEmbedder(32).embed_batch(["casa"])[0].tobytes()
         assert counting.calls == 0
 
     def test_key_includes_embedder_id(self, tmp_path):
@@ -812,6 +822,24 @@ class TestVectorTable:
     def test_zero_vector_rejected_at_build(self):
         with pytest.raises(ZeroVectorError, match="'nada'"):
             VectorTable(_TableEmbedder({"algo": [1.0, 0.0], "nada": [0.0, 0.0]}), ["algo", "nada"])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_vector_rejected_at_build(self, value):
+        with pytest.raises(ProtocolError, match="non-finite.*'roto'"):
+            VectorTable(_TableEmbedder({"bien": [1.0, 0.0], "roto": [value, 1.0]}), ["bien", "roto"])
+
+    def test_vector_whose_norm_overflows_rejected_at_build(self):
+        # finite values whose squares sum past the largest float: the unit row would be all zero
+        with pytest.raises(ProtocolError, match="'grande'"):
+            VectorTable(_TableEmbedder({"grande": [1e200, 1e200]}), ["grande"])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_cache_writes_no_non_finite_vector(self, tmp_path, value):
+        path = tmp_path / "cache.jsonl"
+        with closing(CachingEmbedder(_TableEmbedder({"roto": [value, 1.0]}), path)) as cached:
+            with pytest.raises(ProtocolError, match="non-finite"):
+                cached.embed_batch(["roto"])
+        assert not path.exists() or path.read_bytes() == b""
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionError):

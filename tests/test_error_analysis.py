@@ -226,6 +226,11 @@ class TestCircularityParity:
                         checked += 1
         assert checked > 2000
 
+    def test_lowercase_fold_equals_the_table(self):
+        every = "".join(chr(code) for code in range(0x30000) if not 0xD800 <= code < 0xE000)
+        for text in (every, every[::-1], "İSTANBUL ſ ς µ K ẞ ǅ", "plain ascii"):
+            assert error_analysis._fold(text) == text.translate(error_analysis._FOLD)
+
     def test_fold_keeps_length(self):
         text = "İSTANBUL ǅ ß ŉ ﬁ ΐ ẞ ſ K µ ς"
         assert len(text.translate(error_analysis._FOLD)) == len(text)

@@ -8,11 +8,18 @@ from hypothesis import strategies as st
 from lexiforge.exceptions import DuplicateKeyError, ParseError
 from lexiforge.generation import FailureReason, GenerationFailure
 from lexiforge.ingestion import (
+    ARRAY,
+    BOOLEAN,
+    STRING,
+    STRING_OR_NULL,
+    RecordKind,
     parse_dictionary,
     parse_failures,
     parse_lemma_list,
+    read_records,
     write_dictionary,
     write_failures,
+    write_records,
 )
 from lexiforge.model import Dictionary, DictionaryEntry, PosCategory, PosTag, Sense, is_monosemous
 
@@ -251,6 +258,41 @@ class TestWriteDictionary:
         assert count == len(out.getvalue().encode("utf-8"))
 
 
+class TestWriteRecords:
+    RECORDS = [
+        {"lemma": "ñu", "scores": [1e-05, 0.1, -0.3333333333333333, 1e16, 1.5e-07, 2.0, -0.0], "pos": None},
+        {"lemma": 'dice "sí"\t\\', "scores": [], "pos": "Nombre\u2028masculino"},
+    ]
+    KIND = RecordKind(lemma=STRING, scores=ARRAY, pos=STRING_OR_NULL)
+
+    def test_line_format_is_pinned(self):
+        out = io.StringIO()
+        written = write_records(self.RECORDS, out)
+        assert out.getvalue() == (
+            '{"lemma":"ñu","scores":[0.00001,0.1,-0.3333333333333333,1e16,1.5e-7,2.0,-0.0],"pos":null}\n'
+            '{"lemma":"dice \\"sí\\"\\t\\\\","scores":[],"pos":"Nombre\u2028masculino"}\n'
+        )
+        assert written == len(out.getvalue().encode("utf-8"))
+
+    def test_round_trips_through_read_records(self):
+        out = io.StringIO()
+        write_records(self.RECORDS, out)
+        read = [obj for _, obj in read_records(io.StringIO(out.getvalue()), self.KIND)]
+        assert read == self.RECORDS
+        assert [[score.hex() for score in obj["scores"]] for obj in read] == [
+            [score.hex() for score in obj["scores"]] for obj in self.RECORDS
+        ]
+
+    def test_writes_to_a_text_stream_with_one_newline_per_record(self):
+        out = io.StringIO()
+        write_records([{"flag": True}, {"flag": False}], out)
+        assert out.getvalue().splitlines() == ['{"flag":true}', '{"flag":false}']
+        assert [obj for _, obj in read_records(io.StringIO(out.getvalue()), RecordKind(flag=BOOLEAN))] == [
+            {"flag": True},
+            {"flag": False},
+        ]
+
+
 _LEMMAS = st.sampled_from(["casa", "gato", "aquí", "ñu", "sol", "mar", "pan", "flor"])
 _LABELS = st.sampled_from(["Nombre masculino", "Nombre femenino", "Verbo", "Adjetivo", "Adverbio", "Interjección"])
 _DEFS = st.text(
@@ -387,9 +429,11 @@ class TestFailures:
         assert exc.value.field == field
 
     def test_parse_write_parse_is_byte_identical(self, data_dir):
-        original = (data_dir / "planted_failures.jsonl").read_text(encoding="utf-8")
-        extra = {"lemma": "ñu", "pos": "Nombre masculino", "reason": "truncated", "detail": ""}
-        original += json.dumps(extra, ensure_ascii=False) + "\n"
+        # the fixture's lines, and one more, in the writer's compact form
+        lines = (data_dir / "planted_failures.jsonl").read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        records.append({"lemma": "ñu", "pos": "Nombre masculino", "reason": "truncated", "detail": ""})
+        original = "".join(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n" for record in records)
         written = io.StringIO()
         write_failures(parse_failures(io.StringIO(original)), written)
         assert written.getvalue() == original

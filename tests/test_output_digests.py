@@ -19,20 +19,20 @@ from conftest import DATA_DIR
 ROOT = Path(__file__).resolve().parents[1]
 
 PINNED = {
-    "planted/report.json": "11d1f79c05fa607bf205d215c93946cd7a581d5e87d99f72ea343ea6d4188643",
-    "planted/alignments.jsonl": "f338afe2373d239fb17ba7e8dac94632ac0bc3ee9c6c6901f4c3c3acf1eb9bc1",
-    "planted/polysemy_pairs.jsonl": "ff575d438d10caaf1aa83f7c56fdd364595a6570ad7d7c704cbaa3f9f64d045d",
-    "planted/findings.jsonl": "4cfbc24a89f80fb389063e9024aac3ba1171ce424ab8535636376c229d581208",
-    "fixture20/report.json": "2586c45e70f12bee639373f95f990635621925350e7059cc604d367c88ac3bf1",
-    "fixture20/alignments.jsonl": "ae5403eb50bb9376ddd7733d41854592599ee328bf96cec8920fdde30d9145f6",
-    "fixture20/polysemy_pairs.jsonl": "d82f1ff78bf361b6fa72a3adc539b69f1fdbcddaf786f672b6b82cd0c5bb75ec",
-    "fixture20/findings.jsonl": "427f60998377878e153a2726ae895f2915d16dfb42508f559823865f0b840752",
-    "bench2k/report.json": "93b44483c348be56f5f57d9506835f5b0cae4af5b7c68fb4e1c4039855cbe75c",
-    "bench2k/alignments.jsonl": "1d0e248c543a7d9ac08fdd8cb91a91dad2abea31942107b638f4dc17353a4fd1",
-    "bench2k/polysemy_pairs.jsonl": "040b2efc7307ab0f3730bcbeef91fc2f5073cd41fefa79708d682c7c96db8326",
-    "bench2k/findings.jsonl": "461362dafa6beb6adaeb0c7cfd67bf4e5fdf761779979f4583b49b0c5df0b0fe",
-    "generate/dictionary.jsonl": "5e346e04ea8b8671c555ab304c4b9af06b2f9138f3e19a19eda9f3e0f7e40ff1",
-    "generate/failures.jsonl": "0404fe36843c857b766dbfa0b9ad5ff9d53f00564fc7634afc7dc920a6c7532a",
+    "planted/report.json": "7ad1ddc8733683398791027b7a1c305c75d12746461789a41f7bf6feb9893f2f",
+    "planted/alignments.jsonl": "aae4000af6caffc3791328b521c8e2e17e259ac09a6f6a43e8d78f19a1f6f77f",
+    "planted/polysemy_pairs.jsonl": "aa476212e0dc6f0823f7eed1c04a0f3652ce750294adbc4834bb2d56e5971140",
+    "planted/findings.jsonl": "7e7c4535c1808a81277c90ec487425bfa72b0df4a7be42244ab898cbf8646969",
+    "fixture20/report.json": "4733eea894c039753bbb4252860e48ef31bad6cc831e834a44590cb7c18a7c3a",
+    "fixture20/alignments.jsonl": "7d3f045b1f2d06abd120370bd445109777a494ec2d9b4b58d6a2eab2fa56ba55",
+    "fixture20/polysemy_pairs.jsonl": "4fbcd9eb9d04dabb90c74f6ca6f0f67a694d461dd08d7ff202d5baa31b675a9f",
+    "fixture20/findings.jsonl": "d8c26b546dbf52eb8789075ae0a87b67e70f0a615841607f976609c5d4c37fb1",
+    "bench2k/report.json": "44d00a19ea8538e28182ae0b94837f3082ce006e23af25b9ce644d127e34a063",
+    "bench2k/alignments.jsonl": "51ca8a197b12338a40155dc5b95393a9d16b10e94dc2a9f23be2eb999a766ad9",
+    "bench2k/polysemy_pairs.jsonl": "58b07304ac6525ef69ca9421d0745135a9e3666283dfb57a55a807273d2bff8a",
+    "bench2k/findings.jsonl": "a2ca5042acde69606d69691a6457c35772c26a15382f743131f0b80fd4660e8b",
+    "generate/dictionary.jsonl": "a7dedf7d3ff7457cd2c95f6ab31acefd199f144485c271c658257cd88cac396f",
+    "generate/failures.jsonl": "046404d4ddb4933969469b5cf69f6f42a35fe784d3546b899a67a3ebc8d921a1",
 }
 
 

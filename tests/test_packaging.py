@@ -37,15 +37,15 @@ def test_declared_dependencies_are_the_imported_ones():
     assert declared_dependencies() == imported_third_party()
 
 
-def stdlib_json_decodes() -> list[str]:
-    """``module:line`` of each use of the standard library's ``json.load`` or ``json.loads`` in the package."""
+def stdlib_json_imports() -> list[str]:
+    """``module:line`` of each import of the standard library's ``json`` (or a submodule) in the package."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            if isinstance(node, ast.Attribute):
-                used = isinstance(node.value, ast.Name) and node.value.id == "json" and node.attr in ("load", "loads")
+            if isinstance(node, ast.Import):
+                used = any(alias.name.split(".")[0] == "json" for alias in node.names)
             elif isinstance(node, ast.ImportFrom):
-                used = node.module == "json" and any(alias.name in ("load", "loads") for alias in node.names)
+                used = node.level == 0 and node.module.split(".")[0] == "json"
             else:
                 continue
             if used:
@@ -53,12 +53,13 @@ def stdlib_json_decodes() -> list[str]:
     return found
 
 
-def test_every_json_decode_goes_through_orjson():
-    # one decoder for every input and reply: orjson reads floats as json
-    # does, but rejects what RFC 8259 does not allow (NaN, Infinity, an
-    # overflowing number, an unpaired surrogate escape), and a second
-    # decoder would let those back in on one path
-    assert stdlib_json_decodes() == []
+def test_every_json_decode_and_encode_goes_through_orjson():
+    # one codec for every input, reply, output and request: orjson reads
+    # floats as json does, but rejects what RFC 8259 does not allow (NaN,
+    # Infinity, an overflowing number, an unpaired surrogate escape), and
+    # every file is written in one compact form; a second codec would let
+    # those back in, or a second format out, on one path
+    assert stdlib_json_imports() == []
 
 
 def modules_importing(names: set[str]) -> dict[str, set[str]]:

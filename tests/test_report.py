@@ -9,6 +9,7 @@ import pytest
 
 from lexiforge.embedding import DeterministicEmbedder, embed_deterministic
 from lexiforge.error_analysis import ErrorCategory, parse_findings
+from lexiforge.ingestion import parse_failures
 from lexiforge.metrics import ConfusionMatrix2x2, class_metrics
 from lexiforge.model import Dictionary, PosCategory
 from lexiforge.report import (
@@ -183,6 +184,20 @@ class TestKeyBlocks:
         evaluate_dictionaries(generated, gold, embedder, tmp_path / "blocked")
         assert outputs(tmp_path / "blocked") == outputs(tmp_path / "whole")
         assert all(batch == sorted(set(batch)) for batch in embedder.batches)
+
+
+    @pytest.mark.parametrize("align_chunk", [1, 3])
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    def test_planted_fixture_with_its_failure_log(self, planted, data_dir, monkeypatch, tmp_path, block, align_chunk):
+        generated, gold = planted
+        with open(data_dir / "planted_failures.jsonl", encoding="utf-8") as fh:
+            failures = parse_failures(fh)
+        whole = evaluate_dictionaries(generated, gold, EMBEDDER, tmp_path / "whole", failures=failures)
+        assert all(whole.error_summary.values())  # every category is found, the refusal among them
+        monkeypatch.setattr("lexiforge.report.KEY_BLOCK", block)
+        monkeypatch.setattr("lexiforge.alignment.ALIGN_CHUNK", align_chunk)
+        evaluate_dictionaries(generated, gold, EMBEDDER, tmp_path / "blocked", failures=failures)
+        assert outputs(tmp_path / "blocked") == outputs(tmp_path / "whole")
 
 
 class TestCandidateBlocks:
