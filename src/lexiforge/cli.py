@@ -60,7 +60,7 @@ def _refuse_overwrites(inputs: dict, outputs: dict, directories: dict | None = N
 
     Inputs include the files the config names. *directories* are the
     outputs that name a directory the run fills with files of its own
-    naming, so no other output may lie inside one. Runs before any file is
+    naming, so no other path the run names may lie inside one. Runs before any file is
     written or any request sent, so every file stays as it was. Paths are
     compared resolved, and existing files also by ``os.path.samefile``, so
     another spelling of a path, a link or a hard link to the file is caught.
@@ -73,8 +73,7 @@ def _refuse_overwrites(inputs: dict, outputs: dict, directories: dict | None = N
                 raise _CliFault(EXIT_CONFIG, f"{option} and {other} name the same file {path}")
     for directory_option, directory in (directories or {}).items():
         for option, path in named:
-            inside = directory is not None and path.is_relative_to(Path(directory).resolve())
-            if inside and option in outputs and option != directory_option:
+            if directory is not None and option != directory_option and path.is_relative_to(Path(directory).resolve()):
                 raise _CliFault(EXIT_CONFIG, f"{option} lies inside the {directory_option} directory {directory}")
 
 

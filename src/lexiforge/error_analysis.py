@@ -186,17 +186,18 @@ def findings_of_entries(
     Entries come in their order, and each entry's findings in that order.
     ``vectors`` must hold the definitions of every polysemous entry.
 
-    The lemmas and definitions are case-folded as one joined string
-    (``map_joined``). Wherever ``detect_circularity``'s regex matches, the
-    folded lemma is a substring of a folded definition, so only the
-    entries that pass that test go on to the regex. The proper-noun
-    patterns are sought in the definitions case-folded the same way.
+    The lemmas and definitions are case-folded by ``_fold`` as one joined
+    string (``map_joined``). Wherever ``detect_circularity``'s regex
+    matches, the folded lemma is a substring of a folded definition, so
+    only the entries that pass that test go on to the regex. The
+    proper-noun patterns are sought in the definitions, joined and
+    case-folded by ``str.casefold`` in one call too.
     """
     definitions = [s.definition for entry in entries for s in entry.senses]
     owners = [position for position, entry in enumerate(entries) for _ in entry.senses]
     folded = map_joined(_fold, [entry.lemma for entry in entries] + definitions)
-    circular = {position for position, text in zip(owners, folded[len(entries) :]) if folded[position] in text}
-    circular = {position for position in circular if detect_circularity(entries[position])}
+    passing = {position for position, text in zip(owners, folded[len(entries) :]) if folded[position] in text}
+    circular = {position for position in passing if detect_circularity(entries[position])}
     cased = map_joined(str.casefold, definitions)
     proper = {position for position, text in zip(owners, cased) if any(p in text for p in DEFAULT_PROPER_NOUN_PATTERNS)}
     fabricated = detect_fabricated_polysemy(entries, vectors, config)

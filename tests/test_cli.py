@@ -203,10 +203,12 @@ class TestGenerate:
         assert f"{named} name the same file" in result.output
         assert tree(workspace) == before  # every file byte-identical, and no temp file left
 
-    @pytest.mark.parametrize("option", ["--out", "--failures"])
-    def test_output_inside_the_audit_directory_exit_2(self, runner, workspace, option):
-        # an earlier run's audit files: this run would write batch_0001.txt over the output
+    @pytest.mark.parametrize("option", ["--out", "--failures", "--lemmas"])
+    def test_path_inside_the_audit_directory_exit_2(self, runner, workspace, option):
+        # an earlier run's audit files: this run would write batch_0001.txt over the file
         assert run_generate(runner, workspace, extra=["--audit", str(workspace / "audit")]).exit_code == 0
+        if option == "--lemmas":
+            shutil.copy(workspace / "five_lemmas.txt", workspace / "audit" / "batch_0001.txt")
         before = tree(workspace)
         target = workspace / "audit" / "batch_0001.txt"
         result = run_generate(runner, workspace, extra=["--audit", str(workspace / "audit"), option, str(target)])
