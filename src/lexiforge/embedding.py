@@ -159,7 +159,8 @@ class DeterministicEmbedder:
 
     @property
     def identifier(self) -> str:
-        return f"trigram-fnv1a-{self.dimension}"
+        # "counts": caches keyed on trigram-fnv1a-{dimension} hold unit vectors, which are not these rows
+        return f"trigram-fnv1a-counts-{self.dimension}"
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         """The signed trigram counts of every text, exact integers as float64, hashed ``EMBED_CHUNK`` texts at a time.

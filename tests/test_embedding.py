@@ -323,6 +323,15 @@ class TestEmbeddingCache:
             assert reopened.embed_batch(["casa"])[0].tobytes() == DeterministicEmbedder(32).embed_batch(["casa"])[0].tobytes()
         assert counting.calls == 0
 
+    def test_unit_vectors_cached_under_the_old_identifier_are_not_read(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(_record("casa", embed_deterministic("casa", 32).tolist(), embedder="trigram-fnv1a-32"))
+        counting = CountingEmbedder(32)
+        with closing(CachingEmbedder(counting, path)) as cached:
+            row = cached.embed_batch(["casa"])[0]
+        assert counting.calls == 1
+        assert row.tobytes() == DeterministicEmbedder(32).embed_batch(["casa"])[0].tobytes()
+
     def test_key_includes_embedder_id(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with closing(CachingEmbedder(CountingEmbedder(32), path)) as cached:

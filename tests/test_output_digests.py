@@ -19,15 +19,15 @@ from conftest import DATA_DIR
 ROOT = Path(__file__).resolve().parents[1]
 
 PINNED = {
-    "planted/report.json": "7ad1ddc8733683398791027b7a1c305c75d12746461789a41f7bf6feb9893f2f",
+    "planted/report.json": "a3afe3bca3a5c5610983f051227199d4202881a50974fd7e7e85c1635a38e387",
     "planted/alignments.jsonl": "aae4000af6caffc3791328b521c8e2e17e259ac09a6f6a43e8d78f19a1f6f77f",
     "planted/polysemy_pairs.jsonl": "aa476212e0dc6f0823f7eed1c04a0f3652ce750294adbc4834bb2d56e5971140",
     "planted/findings.jsonl": "7e7c4535c1808a81277c90ec487425bfa72b0df4a7be42244ab898cbf8646969",
-    "fixture20/report.json": "4733eea894c039753bbb4252860e48ef31bad6cc831e834a44590cb7c18a7c3a",
+    "fixture20/report.json": "ec85fd1314ab0e963c22039d0ec1199786f209c25092a5e7af75be6d31ff6a9e",
     "fixture20/alignments.jsonl": "7d3f045b1f2d06abd120370bd445109777a494ec2d9b4b58d6a2eab2fa56ba55",
     "fixture20/polysemy_pairs.jsonl": "4fbcd9eb9d04dabb90c74f6ca6f0f67a694d461dd08d7ff202d5baa31b675a9f",
     "fixture20/findings.jsonl": "d8c26b546dbf52eb8789075ae0a87b67e70f0a615841607f976609c5d4c37fb1",
-    "bench2k/report.json": "44d00a19ea8538e28182ae0b94837f3082ce006e23af25b9ce644d127e34a063",
+    "bench2k/report.json": "45a02cd3113dd474aa7d9ade391b9dbb526819c710a23ff3768abf2170c6c1eb",
     "bench2k/alignments.jsonl": "51ca8a197b12338a40155dc5b95393a9d16b10e94dc2a9f23be2eb999a766ad9",
     "bench2k/polysemy_pairs.jsonl": "58b07304ac6525ef69ca9421d0745135a9e3666283dfb57a55a807273d2bff8a",
     "bench2k/findings.jsonl": "a2ca5042acde69606d69691a6457c35772c26a15382f743131f0b80fd4660e8b",
