@@ -17,20 +17,24 @@ import numpy as np
 
 from .embedding import VectorTable
 from .ingestion import write_records
-from .model import DictionaryEntry
+from .model import CATEGORY_VALUES, Dictionary, DictionaryEntry, csr_offsets, take
 
 
 @dataclass(frozen=True, eq=False)
 class BlockAlignment:
     """The alignment of a run of join pairs, one array element per pair, in pair order.
 
-    Pair i's per-gold scores, in gold order, are ``scores[offsets[i] :
-    offsets[i + 1]]``. ``best_gold_index`` is 1-based and names the first
-    maximum of those scores, ``best_score`` is that maximum and
-    ``mean_over_gold`` their mean.
+    Pair i joins entry ``gen_index[i]`` of *generated* with entry
+    ``gold_index[i]`` of *gold*. Its per-gold scores, in gold order, are
+    ``scores[offsets[i] : offsets[i + 1]]``. ``best_gold_index`` is 1-based
+    and names the first maximum of those scores, ``best_score`` is that
+    maximum and ``mean_over_gold`` their mean.
     """
 
-    pairs: Sequence[tuple[DictionaryEntry, DictionaryEntry]]
+    generated: Dictionary
+    gold: Dictionary
+    gen_index: np.ndarray
+    gold_index: np.ndarray
     gen_sense_count: np.ndarray
     scores: np.ndarray
     offsets: np.ndarray
@@ -41,6 +45,10 @@ class BlockAlignment:
     @property
     def gold_sense_count(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+    def pair(self, i: int) -> tuple[DictionaryEntry, DictionaryEntry]:
+        """The (generated, gold) entries of pair *i*."""
+        return self.generated.entry(int(self.gen_index[i])), self.gold.entry(int(self.gold_index[i]))
 
 
 #: Join pairs of one gold sense count scored per stacked matmul in
@@ -54,14 +62,14 @@ ALIGN_CHUNK = 16
 
 
 def align_dictionaries(
-    pairs: Sequence[tuple[DictionaryEntry, DictionaryEntry]], vectors: VectorTable
+    generated: Dictionary, gold: Dictionary, join: tuple[np.ndarray, np.ndarray], vectors: VectorTable
 ) -> BlockAlignment:
-    """The alignment of the (generated, gold) join pairs *pairs*, as arrays in pair order.
+    """The alignment of the join pairs *join*, (generated, gold) entry indices, as arrays in pair order.
 
     Generated sense 1 is scored against every gold sense, in gold order;
     polysemous generated entries are aligned by their first sense, and the
     full cross-product lives in :func:`all_pairs_scores`. ``vectors`` must
-    hold the definitions of every entry in *pairs*.
+    hold the definitions of every entry of the pairs.
 
     The pairs whose gold entries hold k senses are scored ``ALIGN_CHUNK``
     at a time: their gold rows as an (n, k, d) stack times their generated
@@ -71,29 +79,36 @@ def align_dictionaries(
     first maximum comes from ``argmax``, and its mean from ``np.cumsum``,
     which adds left to right as Python's ``sum`` does.
     """
-    gold_counts = np.fromiter((len(gold.senses) for _, gold in pairs), dtype=np.int64, count=len(pairs))
-    offsets = np.zeros(len(pairs) + 1, dtype=np.int64)
-    np.cumsum(gold_counts, out=offsets[1:])
+    gen_index, gold_index = join
+    gen_firsts = generated.sense_offsets[gen_index]
+    gold_firsts = gold.sense_offsets[gold_index]
+    gold_counts = gold.sense_offsets[gold_index + 1] - gold_firsts
+    offsets = csr_offsets(gold_counts)
     scores = np.empty(int(offsets[-1]))
-    best = np.empty(len(pairs), dtype=np.int64)  # 0-based here
-    mean = np.empty(len(pairs))
+    best = np.empty(len(gold_index), dtype=np.int64)  # 0-based here
+    mean = np.empty(len(gold_index))
     for k in set(gold_counts.tolist()):
         members = np.flatnonzero(gold_counts == k)
+        gen_texts = take(generated.definitions, gen_firsts[members])
+        gold_texts = take(gold.definitions, (gold_firsts[members, None] + np.arange(k)).ravel())
         group = np.empty((members.size, k))
         for start in range(0, members.size, ALIGN_CHUNK):
-            chunk = members[start : start + ALIGN_CHUNK].tolist()
-            gen_rows = vectors.rows([pairs[i][0].senses[0].definition for i in chunk])
-            gold_rows = vectors.rows([s.definition for i in chunk for s in pairs[i][1].senses])
-            stacked = gold_rows.reshape(len(chunk), k, gold_rows.shape[1]) @ gen_rows[:, :, None]
-            group[start : start + len(chunk)] = stacked[:, :, 0]
+            stop = min(start + ALIGN_CHUNK, members.size)
+            gen_rows = vectors.rows(gen_texts[start:stop])
+            gold_rows = vectors.rows(gold_texts[start * k : stop * k])
+            stacked = gold_rows.reshape(stop - start, k, gold_rows.shape[1]) @ gen_rows[:, :, None]
+            group[start:stop] = stacked[:, :, 0]
         best[members] = group.argmax(axis=1)
         mean[members] = np.cumsum(group, axis=1)[:, -1] / k
         scores[offsets[members, None] + np.arange(k)] = group
     if not np.isfinite(scores).all():
         raise ValueError("an alignment score is not finite")
     return BlockAlignment(
-        pairs=pairs,
-        gen_sense_count=np.fromiter((len(gen.senses) for gen, _ in pairs), dtype=np.int64, count=len(pairs)),
+        generated=generated,
+        gold=gold,
+        gen_index=gen_index,
+        gold_index=gold_index,
+        gen_sense_count=generated.sense_offsets[gen_index + 1] - gen_firsts,
         scores=scores,
         offsets=offsets,
         best_gold_index=best + 1,
@@ -102,14 +117,14 @@ def align_dictionaries(
     )
 
 
-def all_pairs_scores(gen: DictionaryEntry, gold: DictionaryEntry, vectors: VectorTable) -> list[list[float]]:
-    """Cosine matrix rows = generated senses, columns = gold senses, of one join pair.
+def all_pairs_scores(
+    gen_definitions: Sequence[str], gold_definitions: Sequence[str], vectors: VectorTable
+) -> list[list[float]]:
+    """Cosine matrix rows = generated senses, columns = gold senses, of one join pair's definitions.
 
     Inspection aid for polysemous generated entries; no table depends on it.
     """
-    gen_rows = vectors.rows([s.definition for s in gen.senses])
-    gold_rows = vectors.rows([s.definition for s in gold.senses])
-    return (gen_rows @ gold_rows.T).tolist()
+    return (vectors.rows(gen_definitions) @ vectors.rows(gold_definitions).T).tolist()
 
 
 def rank_histogram(alignment: BlockAlignment) -> dict[int, int]:
@@ -122,19 +137,22 @@ def rank_histogram(alignment: BlockAlignment) -> dict[int, int]:
 def write_alignments(alignment: BlockAlignment, stream: IO[str]) -> int:
     """One line per pair, in pair order; returns the bytes written."""
     scores, offsets = alignment.scores.tolist(), alignment.offsets.tolist()
+    generated = alignment.generated
     objects = (
         {
-            "lemma": gen.lemma,
-            "category": gen.pos.category.value,
-            "gen_sense_count": len(gen.senses),
+            "lemma": lemma,
+            "category": CATEGORY_VALUES[code],
+            "gen_sense_count": gen_count,
             "gold_sense_count": end - start,
             "best_gold_index": index,
             "best_score": best,
             "mean_over_gold": mean,
             "per_gold_scores": scores[start:end],
         }
-        for (gen, _), start, end, index, best, mean in zip(
-            alignment.pairs,
+        for lemma, code, gen_count, start, end, index, best, mean in zip(
+            take(generated.lemmas, alignment.gen_index),
+            generated.categories[alignment.gen_index].tolist(),
+            alignment.gen_sense_count.tolist(),
             offsets,
             offsets[1:],
             alignment.best_gold_index.tolist(),

@@ -45,12 +45,16 @@ class PromptSettings:
     fewshot: Path | None = None  # replaces DEFAULT_FEWSHOT
 
 
+#: ``remote_identifier`` left unset: it names no encoder, so a vector cache cannot be keyed by it.
+DEFAULT_REMOTE_IDENTIFIER = "remote"
+
+
 @dataclass
 class EmbeddingSettings:
     dimension: int = 512
     remote_url: str | None = None
     remote_batch_size: int = 64
-    remote_identifier: str = "remote"
+    remote_identifier: str = DEFAULT_REMOTE_IDENTIFIER
     remote_max_retries: int = 3
     remote_retry_backoff: float = 1.0
     remote_timeout: float = 30.0
@@ -199,6 +203,13 @@ def build_embedder(choice: str, settings: EmbeddingSettings):
     elif choice == "remote":
         if not settings.remote_url:
             raise ConfigError("[embedding] remote_url is required for --embedder remote")
+        if settings.cache is not None and settings.remote_identifier == DEFAULT_REMOTE_IDENTIFIER:
+            # the cache keys vectors by the identifier: without a name of its own, a
+            # different encoder behind remote_url would be handed this one's vectors
+            raise ConfigError(
+                "[embedding] cache with --embedder remote needs remote_identifier set to a name for the encoder "
+                f"behind remote_url, not {DEFAULT_REMOTE_IDENTIFIER!r}: the cache keys its vectors by that name"
+            )
         embedder = RemoteEmbedder(
             url=settings.remote_url,
             batch_size=settings.remote_batch_size,

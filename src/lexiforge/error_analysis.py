@@ -8,6 +8,7 @@ senses) and over-corrections (defining a closely spelled different word).
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import re
@@ -21,7 +22,7 @@ from .alignment import BlockAlignment
 from .embedding import VectorTable, map_joined, normalize_texts
 from .exceptions import ParseError
 from .ingestion import BOOLEAN, STRING, STRING_OR_NULL, RecordKind, read_records, write_records
-from .model import Dictionary, DictionaryEntry
+from .model import Dictionary, DictionaryEntry, take
 
 DEFAULT_PROPER_NOUN_PATTERNS = ("nombre propio", "en la mitología")
 PROPER_NOUN_EVIDENCE = "definition matches a proper-noun pattern"
@@ -83,7 +84,7 @@ def hallucination_candidates(alignment: BlockAlignment, config: ErrorAnalysisCon
     config = config or ErrorAnalysisConfig()
     rows = np.flatnonzero(alignment.best_score < config.hallucination_threshold)
     return [
-        Candidate(*alignment.pairs[row], index, score)
+        Candidate(*alignment.pair(row), index, score)
         for row, index, score in zip(
             rows.tolist(), alignment.best_gold_index[rows].tolist(), alignment.best_score[rows].tolist()
         )
@@ -138,9 +139,9 @@ def detect_circularity(entry: DictionaryEntry) -> bool:
 
 
 def detect_fabricated_polysemy(
-    entries: Sequence[DictionaryEntry], vectors: VectorTable, config: ErrorAnalysisConfig | None = None
+    entries: Dictionary, vectors: VectorTable, config: ErrorAnalysisConfig | None = None
 ) -> dict[int, str]:
-    """By position in *entries*, the evidence that two senses of an entry are the same meaning restated.
+    """By entry index in *entries*, the evidence that two senses of an entry are the same meaning restated.
 
     A pair trips the detector when the normalized definitions are
     identical or their cosine reaches the configured similarity; an
@@ -151,19 +152,17 @@ def detect_fabricated_polysemy(
     """
     config = config or ErrorAnalysisConfig()
     threshold = config.fabricated_polysemy_similarity
-    groups: dict[int, list[int]] = {}
-    for position, entry in enumerate(entries):
-        if len(entry.senses) > 1:
-            groups.setdefault(len(entry.senses), []).append(position)
+    counts = entries.sense_counts
     found = {}
-    for n, members in groups.items():
-        definitions = [s.definition for position in members for s in entries[position].senses]
+    for n in dict.fromkeys(counts[counts > 1].tolist()):
+        members = np.flatnonzero(counts == n)
+        definitions = take(entries.definitions, (entries.sense_offsets[members, None] + np.arange(n)).ravel())
         rows = vectors.rows(definitions).reshape(len(members), n, -1)
         scores = rows @ rows.transpose(0, 2, 1)
         upper = np.triu_indices(n, 1)
         above = (scores[:, upper[0], upper[1]] >= threshold).any(axis=1).tolist()
         normalized = normalize_texts(definitions)
-        for m, position in enumerate(members):
+        for m, position in enumerate(members.tolist()):
             texts = normalized[m * n : (m + 1) * n]
             if not above[m] and len(set(texts)) == n:
                 continue  # no pair trips: only an entry with one needs the ordered search
@@ -179,31 +178,32 @@ def detect_fabricated_polysemy(
 
 
 def findings_of_entries(
-    entries: Sequence[DictionaryEntry], vectors: VectorTable, config: ErrorAnalysisConfig | None = None
+    entries: Dictionary, vectors: VectorTable, config: ErrorAnalysisConfig | None = None
 ) -> list[ErrorFinding]:
     """The circularity, proper-noun and fabricated-polysemy findings of generated entries.
 
+    *entries* is a key block of the generated dictionary (``Dictionary.block``).
     Entries come in their order, and each entry's findings in that order.
     ``vectors`` must hold the definitions of every polysemous entry.
 
     The lemmas and definitions are case-folded by ``_fold`` as one joined
     string (``map_joined``). Wherever ``detect_circularity``'s regex
     matches, the folded lemma is a substring of a folded definition, so
-    only the entries that pass that test go on to the regex. The
-    proper-noun patterns are sought in the definitions, joined and
-    case-folded by ``str.casefold`` in one call too.
+    only the entries that pass that test are built, as ``DictionaryEntry``
+    objects, for the regex. The proper-noun patterns are sought in the
+    definitions, joined and case-folded by ``str.casefold`` in one call too.
     """
-    definitions = [s.definition for entry in entries for s in entry.senses]
-    owners = [position for position, entry in enumerate(entries) for _ in entry.senses]
-    folded = map_joined(_fold, [entry.lemma for entry in entries] + definitions)
-    passing = {position for position, text in zip(owners, folded[len(entries) :]) if folded[position] in text}
-    circular = {position for position in passing if detect_circularity(entries[position])}
+    lemmas, definitions = entries.lemmas, entries.definitions
+    owners = np.repeat(np.arange(len(lemmas)), entries.sense_counts).tolist()
+    folded = map_joined(_fold, lemmas + definitions)
+    passing = {position for position, text in zip(owners, folded[len(lemmas) :]) if folded[position] in text}
+    circular = {position for position in passing if detect_circularity(entries.entry(position))}
     cased = map_joined(str.casefold, definitions)
     proper = {position for position, text in zip(owners, cased) if any(p in text for p in DEFAULT_PROPER_NOUN_PATTERNS)}
     fabricated = detect_fabricated_polysemy(entries, vectors, config)
+    labels = [tag.raw_label for tag in entries.tags]
     findings = []
     for position in sorted(circular | proper | fabricated.keys()):
-        entry = entries[position]
         found = (
             (ErrorCategory.CIRCULARITY, position in circular, CIRCULARITY_EVIDENCE),
             (ErrorCategory.PROPER_NOUN_AS_COMMON, position in proper, PROPER_NOUN_EVIDENCE),
@@ -211,11 +211,11 @@ def findings_of_entries(
         )
         findings += [
             ErrorFinding(
-                lemma=entry.lemma,
+                lemma=lemmas[position],
                 category=category,
                 evidence=evidence,
-                pos_label=entry.pos.raw_label,
-                generated_definition=entry.senses[0].definition,
+                pos_label=labels[entries.tag_ids[position]],
+                generated_definition=definitions[entries.sense_offsets[position]],
             )
             for category, flagged, evidence in found
             if flagged
@@ -326,8 +326,7 @@ class NeighborIndex:
         table = np.zeros(int(mask) + 1, dtype=bool)
         table[query_hashes & mask] = True
 
-        gold_entries = gold.entries()
-        lemmas = dict.fromkeys(entry.lemma for entry in gold_entries)  # the distinct gold lemmas
+        lemmas = dict.fromkeys(gold.lemmas)  # the distinct gold lemmas
         gold_count = max(len(lemmas), 1)
         gold_lemmas: list[str] = []  # in the order the chunks are hashed, indexed by gold id
         query_lengths = {len(query) for query in query_list}
@@ -360,13 +359,13 @@ class NeighborIndex:
                 self._neighbors[lemma].append((other, distance))
         for found in self._neighbors.values():
             found.sort(key=lambda pair: (pair[1], pair[0]))
-        # the entries of neighbour lemmas only, in entries() order
-        self._entries_by_lemma: dict[str, list[DictionaryEntry]] = {
-            other: [] for found in self._neighbors.values() for other, _ in found
-        }
-        for entry in gold_entries:
-            if entry.lemma in self._entries_by_lemma:
-                self._entries_by_lemma[entry.lemma].append(entry)
+        # the entries of neighbour lemmas only, in key order: a lemma's entries are one run of the sorted lemma column
+        self._entries_by_lemma: dict[str, list[DictionaryEntry]] = {}
+        for found in self._neighbors.values():
+            for other, _ in found:
+                if other not in self._entries_by_lemma:
+                    run = range(bisect.bisect_left(gold.lemmas, other), bisect.bisect_right(gold.lemmas, other))
+                    self._entries_by_lemma[other] = [gold.entry(index) for index in run]
 
     def neighbors(self, lemma: str) -> list[tuple[str, int]]:
         """Different gold lemmas within the index's max_distance of a query, sorted by (distance, lemma).

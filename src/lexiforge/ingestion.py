@@ -13,19 +13,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
+import numpy as np
 import orjson
 
 from .exceptions import DuplicateKeyError, EmptyLemmaError, EncodingError, ParseError
 from .generation import FailureReason, GenerationFailure, LemmaRecord
-from .model import Dictionary, DictionaryEntry, PosTag, Sense, normalize_lemma
-
-
-class _PosTags(dict):
-    """One ``PosTag`` per distinct label string of a parse, built on first use."""
-
-    def __missing__(self, label: str) -> PosTag:
-        tag = self[label] = PosTag.from_label(label)
-        return tag
+from .model import (
+    CATEGORY_CODES,
+    CATEGORY_VALUES,
+    Dictionary,
+    PosTag,
+    csr_offsets,
+    csr_rows,
+    key_codes,
+    normalize_lemma,
+    take,
+)
 
 
 @dataclass(frozen=True)
@@ -91,12 +94,8 @@ class RecordKind:
         return obj
 
 
-def read_records(stream: Iterable[str], kind: RecordKind) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each non-blank line of *stream*, checked against *kind*.
-
-    Raises ParseError for a line that is not JSON or not a record of
-    *kind*, and EncodingError when *stream* is not valid UTF-8.
-    """
+def _json_lines(stream: Iterable[str]) -> Iterator[tuple[int, object]]:
+    """(line number, decoded JSON value) for each non-blank line of *stream*."""
     for number, line in _numbered_lines(stream):
         if not line.strip():
             continue
@@ -104,6 +103,16 @@ def read_records(stream: Iterable[str], kind: RecordKind) -> Iterator[tuple[int,
             obj = orjson.loads(line)
         except orjson.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", line_number=number) from exc
+        yield number, obj
+
+
+def read_records(stream: Iterable[str], kind: RecordKind) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of *stream*, checked against *kind*.
+
+    Raises ParseError for a line that is not JSON or not a record of
+    *kind*, and EncodingError when *stream* is not valid UTF-8.
+    """
+    for number, obj in _json_lines(stream):
         yield number, kind.check(obj, number)
 
 
@@ -129,7 +138,7 @@ def parse_lemma_list(stream: Iterable[str]) -> LemmaListResult:
     duplicates is reported for audit.
     """
     records: list[LemmaRecord] = []
-    tags = _PosTags()
+    tags: dict[str, PosTag] = {}  # one tag per distinct label, shared by its records
     seen: set[tuple[str, object]] = set()
     duplicates = 0
     for number, line in _numbered_lines(stream):
@@ -144,7 +153,7 @@ def parse_lemma_list(stream: Iterable[str]) -> LemmaListResult:
             raise ParseError(str(exc), line_number=number) from exc
         if tab and not label_part.strip():
             raise ParseError("empty POS label after TAB", line_number=number)
-        pos = tags[label_part] if tab else None
+        pos = (tags.get(label_part) or tags.setdefault(label_part, PosTag.from_label(label_part))) if tab else None
         key = (lemma, pos.category if pos else None)
         if key in seen:
             duplicates += 1
@@ -159,54 +168,80 @@ _SENSE_RECORD = RecordKind(definition=STRING, example=STRING_OR_NULL)
 _FAILURE_RECORD = RecordKind(lemma=STRING, pos=STRING_OR_NULL, reason=STRING, detail=STRING)
 
 
-def _parse_senses(raw_senses: list, line: int) -> tuple[Sense, ...]:
-    if not raw_senses:
-        raise ParseError("senses must be a non-empty array", line_number=line, field="senses")
-    senses = []
-    for i, raw in enumerate(raw_senses):
-        try:
-            _SENSE_RECORD.check(raw, line)
-        except ParseError:
-            # the sense's path is built only for a sense that fails: checked
-            # again under it, the sense raises the same error naming its field
-            _SENSE_RECORD.check(raw, line, f"senses[{i}]")
-        definition = raw["definition"].strip()
-        if not definition:
-            raise ParseError("definition must not be blank", line_number=line, field=f"senses[{i}].definition")
-        example = (raw["example"] or "").strip() or None
-        senses.append(Sense(definition=definition, example=example))
-    return tuple(senses)
-
-
 def parse_dictionary(stream: Iterable[str], name: str | None = None) -> Dictionary:
-    """Parse one JSON entry per line; senses keep their file order.
+    """Parse one JSON entry per line into a ``Dictionary``'s columns; senses keep their file order.
 
-    Every check an entry needs runs here, once (see ``DictionaryEntry``). A
-    DuplicateKeyError names the first line that repeats a key.
+    Every check an entry needs runs here, once (see ``DictionaryEntry``).
+    A record or sense that a type test in the loop rejects is checked
+    again by its ``RecordKind``, which raises the error naming its field.
+    Each distinct POS label is classified once. The distinct lemmas are
+    ranked by one sort, and one stable sort of the keys as integer codes
+    (``model.key_codes``) orders the entries and puts a repeated key
+    beside its first entry; a DuplicateKeyError names the first line that
+    repeats a key.
 
     *name* is unused. perfbench's generate gate still passes it, so it stays
     until that gate changes.
     """
-    entries: list[DictionaryEntry] = []
+    entry_names, sense_names = _DICTIONARY_RECORD.names, _SENSE_RECORD.names
+    lemmas: list[str] = []
     numbers: list[int] = []  # each entry's line
-    tags = _PosTags()
-    for number, obj in read_records(stream, _DICTIONARY_RECORD):
+    label_ids: list[int] = []
+    labels: dict[str, int] = {}  # each distinct label string's id
+    counts: list[int] = []
+    definitions: list[str] = []
+    examples: list[str | None] = []
+    for number, obj in _json_lines(stream):
+        if type(obj) is not dict or obj.keys() != entry_names:
+            _DICTIONARY_RECORD.check(obj, number)
+        lemma, label, senses = obj["lemma"], obj["pos"], obj["senses"]
+        if type(lemma) is not str or type(label) is not str or type(senses) is not list:
+            _DICTIONARY_RECORD.check(obj, number)
         try:
-            lemma = normalize_lemma(obj["lemma"])
+            lemmas.append(normalize_lemma(lemma))
         except EmptyLemmaError as exc:
             raise ParseError(str(exc), line_number=number) from exc
-        entries.append(DictionaryEntry(lemma, tags[obj["pos"]], _parse_senses(obj["senses"], number)))
+        if not senses:
+            raise ParseError("senses must be a non-empty array", line_number=number, field="senses")
+        for i, sense in enumerate(senses):
+            if type(sense) is not dict or sense.keys() != sense_names:
+                _SENSE_RECORD.check(sense, number, f"senses[{i}]")
+            definition, example = sense["definition"], sense["example"]
+            if type(definition) is not str or (example is not None and type(example) is not str):
+                _SENSE_RECORD.check(sense, number, f"senses[{i}]")
+            definition = definition.strip()
+            if not definition:
+                raise ParseError("definition must not be blank", line_number=number, field=f"senses[{i}].definition")
+            definitions.append(definition)
+            examples.append(example and example.strip() or None)
+        counts.append(len(senses))
+        label_ids.append(labels.setdefault(label, len(labels)))
         numbers.append(number)
-    try:
-        return Dictionary(entries)
-    except DuplicateKeyError:
-        seen = set()
-        for number, entry in zip(numbers, entries):
-            if entry.key in seen:
-                key = (entry.lemma, entry.pos.category.value)
-                raise DuplicateKeyError(f"duplicate key {key!r}", line_number=number) from None
-            seen.add(entry.key)
-        raise
+
+    # labels that differ only in padding classify to equal tags, which share an id
+    tags: dict[PosTag, int] = {}
+    label_tags = np.array([tags.setdefault(PosTag.from_label(label), len(tags)) for label in labels], dtype=np.int32)
+    tag_ids = label_tags[np.array(label_ids, dtype=np.int32)]
+    categories = np.array([CATEGORY_CODES[tag.category] for tag in tags], dtype=np.int8)[tag_ids]
+    ranks = {lemma: rank for rank, lemma in enumerate(sorted(dict.fromkeys(lemmas)))}
+    keys = key_codes(lemmas, categories, ranks)
+    order = np.argsort(keys, kind="stable")
+    ordered_keys = keys[order]
+    repeats = order[1:][ordered_keys[1:] == ordered_keys[:-1]]
+    if repeats.size:
+        first = int(repeats.min())
+        key = (lemmas[first], CATEGORY_VALUES[categories[first]])
+        raise DuplicateKeyError(f"duplicate key {key!r}", line_number=numbers[first])
+    rows = csr_rows(csr_offsets(counts), order)
+    return Dictionary.from_columns(
+        take(lemmas, order),
+        categories[order],
+        tag_ids[order],
+        tuple(tags),
+        csr_offsets(np.array(counts, dtype=np.int64)[order]),
+        take(definitions, rows),
+        take(examples, rows),
+    )
 
 
 def write_dictionary(dictionary: Dictionary, stream: IO[str]) -> int:
@@ -215,13 +250,19 @@ def write_dictionary(dictionary: Dictionary, stream: IO[str]) -> int:
     Output is byte-deterministic, and ``parse_dictionary`` reproduces the
     dictionary exactly.
     """
+    offsets = dictionary.sense_offsets.tolist()
+    definitions, examples = dictionary.definitions, dictionary.examples
+    labels = [tag.raw_label for tag in dictionary.tags]
     objects = (
         {
-            "lemma": entry.lemma,
-            "pos": entry.pos.raw_label,
-            "senses": [{"definition": s.definition, "example": s.example} for s in entry.senses],
+            "lemma": lemma,
+            "pos": labels[tag_id],
+            "senses": [
+                {"definition": definition, "example": example}
+                for definition, example in zip(definitions[start:end], examples[start:end])
+            ],
         }
-        for entry in dictionary.entries()
+        for lemma, tag_id, start, end in zip(dictionary.lemmas, dictionary.tag_ids.tolist(), offsets, offsets[1:])
     )
     return write_records(objects, stream)
 
@@ -241,7 +282,7 @@ def write_failures(failures: Iterable[GenerationFailure], stream: IO[str]) -> in
 
 def parse_failures(stream: Iterable[str]) -> list[GenerationFailure]:
     failures: list[GenerationFailure] = []
-    tags = _PosTags()
+    tags: dict[str, PosTag] = {}  # one tag per distinct label, shared by its failures
     reasons = {r.value: r for r in FailureReason}
     for number, obj in read_records(stream, _FAILURE_RECORD):
         reason = reasons.get(obj["reason"])
@@ -251,5 +292,7 @@ def parse_failures(stream: Iterable[str]) -> list[GenerationFailure]:
             lemma = normalize_lemma(obj["lemma"])
         except EmptyLemmaError as exc:
             raise ParseError(str(exc), line_number=number, field="lemma") from exc
-        failures.append(GenerationFailure(lemma, tags[obj["pos"]] if obj["pos"] else None, reason, obj["detail"]))
+        label = obj["pos"]
+        pos = (tags.get(label) or tags.setdefault(label, PosTag.from_label(label))) if label else None
+        failures.append(GenerationFailure(lemma, pos, reason, obj["detail"]))
     return failures

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .alignment import BlockAlignment
-from .model import Dictionary, DictionaryEntry, PosCategory, is_monosemous
+from .model import CATEGORY_VALUES, Dictionary
 
 #: Fixed row order for rendered tables; "other" appears only when present.
 GROUP_ORDER = ("all", "noun", "adjective", "verb", "adverb", "other")
@@ -77,16 +77,21 @@ class StatsSummary:
         return cls(count=int(arr.size), mean=float(arr.mean()), std_dev=float(arr.std(ddof=0)))
 
 
-def polysemy_confusion(pairs: Iterable[tuple[DictionaryEntry, DictionaryEntry]]) -> ConfusionMatrix2x2:
-    """Classify every (generated, gold) join pair by monosemy on each side; cells sum to the pair count."""
-    cells = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
-    for gen, gold_entry in pairs:
-        cells[(is_monosemous(gold_entry), is_monosemous(gen))] += 1
+def polysemy_confusion(
+    generated: Dictionary, gold: Dictionary, join: tuple[np.ndarray, np.ndarray]
+) -> ConfusionMatrix2x2:
+    """Classify every join pair (``vocabulary_join``'s entry indices) by monosemy on each side.
+
+    The cells sum to the pair count.
+    """
+    gen_rows, gold_rows = join
+    gen_mono = generated.sense_counts[gen_rows] == 1
+    gold_mono = gold.sense_counts[gold_rows] == 1
     return ConfusionMatrix2x2(
-        mono_mono=cells[(True, True)],
-        mono_poly=cells[(True, False)],
-        poly_mono=cells[(False, True)],
-        poly_poly=cells[(False, False)],
+        mono_mono=int(np.count_nonzero(gold_mono & gen_mono)),
+        mono_poly=int(np.count_nonzero(gold_mono & ~gen_mono)),
+        poly_mono=int(np.count_nonzero(~gold_mono & gen_mono)),
+        poly_poly=int(np.count_nonzero(~gold_mono & ~gen_mono)),
     )
 
 
@@ -130,13 +135,13 @@ def cosine_values(alignment: BlockAlignment) -> tuple[dict[str, np.ndarray], dic
     """
     gen_mono = alignment.gen_sense_count == 1
     gold_mono = alignment.gold_sense_count == 1
-    categories = np.array([gen.pos.category.value for gen, _ in alignment.pairs])
+    categories = alignment.generated.categories[alignment.gen_index]
     tables = []
     for rows, scores in ((gold_mono, alignment.best_score), (~gold_mono, alignment.mean_over_gold)):
         values, groups = scores[gen_mono & rows], categories[gen_mono & rows]
         table = {"all": values} if values.size else {}
-        for group in dict.fromkeys(groups.tolist()):
-            table[group] = values[groups == group]
+        for code in dict.fromkeys(groups.tolist()):
+            table[CATEGORY_VALUES[code]] = values[groups == code]
         tables.append(table)
     return tables[0], tables[1]
 
@@ -174,23 +179,16 @@ def length_stats(dictionary: Dictionary) -> dict[str, LengthStats]:
     trimmed definition. The groups are "all", then the categories in the
     order they first appear; an empty dictionary has none.
     """
-    by_category: dict[PosCategory, tuple[list[int], list[int]]] = {}
-    for entry in dictionary.entries():
-        if entry.pos.category not in by_category:
-            by_category[entry.pos.category] = ([], [])
-        words, chars = by_category[entry.pos.category]
-        for sense in entry.senses:
-            words.append(len(sense.definition.split()))
-            chars.append(len(sense.definition))
-    if not by_category:
+    definitions = dictionary.definitions
+    if not definitions:
         return {}
-    # from_values sorts, so "all" need not keep the entries' order
-    every = (
-        [n for group_words, _ in by_category.values() for n in group_words],
-        [n for _, group_chars in by_category.values() for n in group_chars],
-    )
-    groups = {"all": every} | {category.value: lengths for category, lengths in by_category.items()}
+    words = np.fromiter(map(len, map(str.split, definitions)), dtype=np.int64, count=len(definitions))
+    chars = np.fromiter(map(len, definitions), dtype=np.int64, count=len(definitions))
+    categories = np.repeat(dictionary.categories, dictionary.sense_counts)
+    groups = {"all": slice(None)}
+    for code in dict.fromkeys(dictionary.categories.tolist()):
+        groups[CATEGORY_VALUES[code]] = categories == code
     return {
-        group: LengthStats(words=StatsSummary.from_values(words), characters=StatsSummary.from_values(chars))
-        for group, (words, chars) in groups.items()
+        group: LengthStats(StatsSummary.from_values(words[rows]), StatsSummary.from_values(chars[rows]))
+        for group, rows in groups.items()
     }

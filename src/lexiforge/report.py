@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import os
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
@@ -46,7 +47,7 @@ from .metrics import (
     length_stats,
     polysemy_confusion,
 )
-from .model import Dictionary, vocabulary_join
+from .model import CATEGORY_VALUES, Dictionary, csr_rows, take, vocabulary_join
 
 _GROUP_LABELS = {
     "all": "All",
@@ -209,8 +210,10 @@ def evaluate_dictionaries(
     tables describe; the confusion matrix and classification metrics use
     every join key.
 
-    The generated entries are scored ``KEY_BLOCK`` at a time. A block's
-    join pairs and polysemous entries are scored from a ``VectorTable`` of
+    The generated entries are scored ``KEY_BLOCK`` at a time. A block is
+    a slice of the generated dictionary's columns (``Dictionary.block``),
+    and its join pairs the join's next run of entry indices. A block's join
+    pairs and polysemous entries are scored from a ``VectorTable`` of
     their own definitions, dropped before the next block is embedded, and
     its alignment lines and polysemy pairs are written as soon as it is
     scored. The loop keeps only each block's per-group score arrays for
@@ -223,38 +226,44 @@ def evaluate_dictionaries(
     The findings come in three runs: :func:`classify_errors` (each
     hallucination candidate in join order, each followed by its
     over-correction finding if it has one), then
-    :func:`findings_of_entries` of the generated entries in ``entries()``
-    order, then one refusal finding per refusal in the failure log, in its
+    :func:`findings_of_entries` of the generated entries in key order,
+    then one refusal finding per refusal in the failure log, in its
     order. ``error_summary`` counts them by category.
     """
     error_config = error_config or ErrorAnalysisConfig()
     join = vocabulary_join(generated, gold)
-    entries = generated.entries()
+    gen_join, gold_join = join
     cosine_blocks: list[tuple[dict[str, np.ndarray], dict[str, np.ndarray]]] = []
     histogram: dict[int, int] = {}
     candidates: list[Candidate] = []
     entry_findings: list[ErrorFinding] = []
     outputs = (Path(out_dir) / name for name in OUTPUT_NAMES)
     with atomic_text(*outputs) as (report_fh, alignments_fh, pairs_fh, findings_fh):
-        scored = 0  # join pairs of the blocks before this one
-        for start in range(0, len(entries), KEY_BLOCK):
-            block = entries[start : start + KEY_BLOCK]
-            # the join and entries() share one order, so a block's pairs are the join's next ones
-            pairs = join[scored : scored + sum(entry.key in gold for entry in block)]
-            scored += len(pairs)
-            texts = {s.definition for entry in block if len(entry.senses) > 1 for s in entry.senses}
-            texts.update(s.definition for pair in pairs for entry in pair for s in entry.senses)
+        for start in range(0, len(generated), KEY_BLOCK):
+            block = generated.block(start, start + KEY_BLOCK)
+            # the join is in key order, so a block's pairs are one run of it
+            first, last = np.searchsorted(gen_join, (start, start + len(block))).tolist()
+            pairs = (gen_join[first:last], gold_join[first:last])
+            # every definition of the block's polysemous and joined entries, and of their gold entries
+            counts = block.sense_counts
+            embedded = counts > 1
+            embedded[pairs[0] - start] = True
+            texts = set(itertools.compress(block.definitions, np.repeat(embedded, counts).tolist()))
+            texts.update(take(gold.definitions, csr_rows(gold.sense_offsets, pairs[1])))
             vectors = VectorTable(embedder, texts)
-            alignment = align_dictionaries(pairs, vectors)
+            alignment = align_dictionaries(generated, gold, pairs, vectors)
             write_alignments(alignment, alignments_fh)
+            polysemous = np.flatnonzero(alignment.gen_sense_count > 1)
             write_records(
                 (
                     {
-                        "lemma": pairs[row][0].lemma,
-                        "category": pairs[row][0].pos.category.value,
-                        "scores": all_pairs_scores(*pairs[row], vectors),
+                        "lemma": generated.lemmas[gen_index],
+                        "category": CATEGORY_VALUES[generated.categories[gen_index]],
+                        "scores": all_pairs_scores(
+                            generated.definitions_of(gen_index), gold.definitions_of(gold_index), vectors
+                        ),
                     }
-                    for row in np.flatnonzero(alignment.gen_sense_count > 1).tolist()
+                    for gen_index, gold_index in zip(pairs[0][polysemous].tolist(), pairs[1][polysemous].tolist())
                 ),
                 pairs_fh,
             )
@@ -279,10 +288,10 @@ def evaluate_dictionaries(
         summary = {category.value: 0 for category in ErrorCategory}
         for finding in findings:
             summary[finding.category.value] += 1
-        confusion = polysemy_confusion(join)
+        confusion = polysemy_confusion(generated, gold, join)
         cosine_monosemous_gold, cosine_polysemous_gold = cosine_stats(cosine_blocks)
         report = EvaluationReport(
-            join_size=len(join),
+            join_size=len(gen_join),
             confusion=confusion,
             class_metrics={
                 "monosemy": class_metrics(confusion, "monosemy"),

@@ -8,13 +8,14 @@ and the package's exception types.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import unicodedata
 
 import numpy as np
 
-from lexiforge.exceptions import DimensionError, ZeroVectorError
+from lexiforge.exceptions import DimensionError, DuplicateKeyError, ParseError, ZeroVectorError
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -106,3 +107,64 @@ def oracle_population_stats(values: list[float]) -> tuple[float, float]:
     mean = math.fsum(values) / n
     variance = math.fsum((v - mean) ** 2 for v in values) / n
     return mean, math.sqrt(variance)
+
+
+_ORACLE_CATEGORIES = {
+    "nombre": "noun", "sustantivo": "noun", "adjetivo": "adjective", "verbo": "verb", "adverbio": "adverb",
+}
+
+
+def oracle_key(lemma: str, label: str) -> tuple[str, str]:
+    """(normalised lemma, category value).
+
+    The lemma is trimmed, NFC-composed, case-folded and composed again; the
+    category is that of the label's first word, case-insensitively.
+    """
+    words = label.casefold().split()
+    category = _ORACLE_CATEGORIES.get(words[0], "other") if words else "other"
+    return unicodedata.normalize("NFC", unicodedata.normalize("NFC", lemma.strip()).casefold()), category
+
+
+def oracle_parse_dictionary(lines) -> list[tuple]:
+    """README's **Dictionary** rules, one line at a time, as one tuple per key, in key order.
+
+    Each tuple is (lemma, category, label, ((definition, example), ...)).
+
+    Raises what a parser must: ParseError with the line and field at the
+    first bad line, else DuplicateKeyError at the first line that repeats a key.
+    """
+    entries, repeat = {}, None
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            raise ParseError("invalid JSON", line_number=number) from None
+        if not isinstance(record, dict) or set(record) != {"lemma", "pos", "senses"}:
+            raise ParseError("not a dictionary record", line_number=number, field="record")
+        for name, kind in (("lemma", str), ("pos", str), ("senses", list)):
+            if not isinstance(record[name], kind):
+                raise ParseError("wrong type", line_number=number, field=name)
+        if not record["lemma"].strip():
+            raise ParseError("lemma is empty", line_number=number)
+        if not record["senses"]:
+            raise ParseError("no senses", line_number=number, field="senses")
+        senses = []
+        for i, sense in enumerate(record["senses"]):
+            if not isinstance(sense, dict) or set(sense) != {"definition", "example"}:
+                raise ParseError("not a sense", line_number=number, field=f"senses[{i}]")
+            if not isinstance(sense["definition"], str):
+                raise ParseError("wrong type", line_number=number, field=f"senses[{i}].definition")
+            if not (sense["example"] is None or isinstance(sense["example"], str)):
+                raise ParseError("wrong type", line_number=number, field=f"senses[{i}].example")
+            if not sense["definition"].strip():
+                raise ParseError("blank definition", line_number=number, field=f"senses[{i}].definition")
+            senses.append((sense["definition"].strip(), (sense["example"] or "").strip() or None))
+        key = oracle_key(record["lemma"], record["pos"])
+        if key in entries:
+            repeat = repeat or number
+        entries.setdefault(key, (*key, record["pos"].strip(), tuple(senses)))
+    if repeat:
+        raise DuplicateKeyError("duplicate key", line_number=repeat)
+    return [entries[key] for key in sorted(entries)]

@@ -46,16 +46,24 @@ def make_alignment(*rows: tuple[str, PosCategory, int, list[float]]) -> BlockAli
     The derived arrays are computed as a reference would: the first
     maximum's 1-based index, the maximum and ``sum / len``.
     """
-    pairs = [
-        (
-            make_entry(lemma, _LABELS[category], *(f"Sentido {i} de {lemma}." for i in range(1, gen_count + 1))),
-            make_entry(lemma, _LABELS[category], *(f"Oro {i} de {lemma}." for i in range(1, len(scores) + 1))),
+    generated = make_dictionary(
+        *(
+            make_entry(lemma, _LABELS[category], *(f"Sentido {i} de {lemma}." for i in range(1, gen_count + 1)))
+            for lemma, category, gen_count, _ in rows
         )
-        for lemma, category, gen_count, scores in rows
-    ]
+    )
+    gold = make_dictionary(
+        *(
+            make_entry(lemma, _LABELS[category], *(f"Oro {i} de {lemma}." for i in range(1, len(scores) + 1)))
+            for lemma, category, _, scores in rows
+        )
+    )
     every = [list(scores) for *_, scores in rows]
     return BlockAlignment(
-        pairs=pairs,
+        generated=generated,
+        gold=gold,
+        gen_index=np.array([generated.find(lemma, category) for lemma, category, *_ in rows], dtype=np.int64),
+        gold_index=np.array([gold.find(lemma, category) for lemma, category, *_ in rows], dtype=np.int64),
         gen_sense_count=np.array([gen_count for _, _, gen_count, _ in rows], dtype=np.int64),
         scores=np.array([score for scores in every for score in scores], dtype=np.float64),
         offsets=np.cumsum([0] + [len(scores) for scores in every], dtype=np.int64),

@@ -55,7 +55,7 @@ def pair_values(block):
     return [
         (gen.lemma, gen.pos.category, gen_count, end - start, index, best, mean, tuple(scores[start:end]))
         for (gen, _), gen_count, start, end, index, best, mean in zip(
-            block.pairs,
+            map(block.pair, range(len(block.gen_index))),
             block.gen_sense_count.tolist(),
             offsets,
             offsets[1:],
@@ -69,15 +69,23 @@ def pair_values(block):
 def align_one(gen, gold, embedder=EMBEDDER):
     """The one pair of a one-key generated dictionary aligned against a one-key gold dictionary, by field name."""
     vectors = vector_table(embedder, [gen, gold])
-    join = vocabulary_join(make_dictionary(gen), make_dictionary(gold))
-    values = pair_values(align_dictionaries(join, vectors))
+    generated, gold = make_dictionary(gen), make_dictionary(gold)
+    values = pair_values(align_dictionaries(generated, gold, vocabulary_join(generated, gold), vectors))
     assert len(values) == 1
     return SimpleNamespace(**dict(zip(FIELDS, values[0])))
 
 
 def align_fixture(generated, gold, join, embedder=EMBEDDER):
     vectors = vector_table(embedder, generated.entries() + gold.entries())
-    return align_dictionaries(join, vectors)
+    return align_dictionaries(generated, gold, join, vectors)
+
+
+def join_entries(generated, gold, join):
+    """The (generated, gold) entry pairs of *join*'s entry indices."""
+    return [(generated.entry(i), gold.entry(j)) for i, j in zip(*join)]
+
+
+NO_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
 def per_pair_alignment(pairs, vectors):
@@ -112,7 +120,7 @@ def float_bits(values):
 
 
 def mixed_block():
-    """Join pairs whose gold entries hold 1-4 senses, interleaved, some with examples."""
+    """Generated and gold dictionaries of one key set; gold entries hold 1-4 senses, interleaved, some with examples."""
     words = ["agua", "luz", "piedra", "camino", "fuego", "mar", "hoja", "viento", "tierra", "sal", "río"]
     pairs = []
     for i, lemma in enumerate(words):
@@ -125,7 +133,7 @@ def mixed_block():
             gen_senses.append(f"Otro sentido de {lemma}.")
         gen = make_entry(lemma, "Nombre masculino", *gen_senses)
         pairs.append((gen, make_entry(lemma, "Nombre masculino", *gold_senses)))
-    return pairs
+    return make_dictionary(*(gen for gen, _ in pairs)), make_dictionary(*(gold for _, gold in pairs))
 
 
 def read_alignments(text):
@@ -210,11 +218,12 @@ class TestAlignDictionaries:
         join = vocabulary_join(generated, gold)
         values = pair_values(align_fixture(generated, gold, join))
         assert len(values) == 20
-        assert [(lemma, category) for lemma, category, *_ in values] == [(gen.lemma, gen.pos.category) for gen, _ in join]
+        expected = [(gen.lemma, gen.pos.category) for gen, _ in join_entries(generated, gold, join)]
+        assert [(lemma, category) for lemma, category, *_ in values] == expected
 
     def test_empty_join(self, fixture20):
         generated, gold = fixture20
-        block = align_fixture(generated, gold, [])
+        block = align_fixture(generated, gold, NO_PAIRS)
         assert pair_values(block) == []
         assert block.scores.shape == (0,) and block.offsets.tolist() == [0]
         out = io.StringIO()
@@ -244,9 +253,9 @@ class TestAlignDictionaries:
             def rows(self, texts):
                 return np.full((len(texts), 2), np.nan)
 
-        gen = make_entry("sal", "Nombre femenino", "Sustancia blanca.")
+        dictionary = make_dictionary(make_entry("sal", "Nombre femenino", "Sustancia blanca."))
         with pytest.raises(ValueError, match="not finite"):
-            align_dictionaries([(gen, gen)], NaNRows())
+            align_dictionaries(dictionary, dictionary, (np.array([0]), np.array([0])), NaNRows())
 
 
 class TestGroupedAlignmentMatchesPerPair:
@@ -256,9 +265,10 @@ class TestGroupedAlignmentMatchesPerPair:
         generated, gold = fixture20
         join = vocabulary_join(generated, gold)
         vectors = vector_table(EMBEDDER, generated.entries() + gold.entries())
-        assert len({len(gold_entry.senses) for _, gold_entry in join}) > 1
-        got = pair_values(align_dictionaries(join, vectors))
-        expected = per_pair_alignment(join, vectors)
+        pairs = join_entries(generated, gold, join)
+        assert len({len(gold_entry.senses) for _, gold_entry in pairs}) > 1
+        got = pair_values(align_dictionaries(generated, gold, join, vectors))
+        expected = per_pair_alignment(pairs, vectors)
         assert got == expected
         assert float_bits(got) == float_bits(expected)
 
@@ -266,10 +276,13 @@ class TestGroupedAlignmentMatchesPerPair:
     @pytest.mark.parametrize("chunk", [1, 2, 64])
     def test_block_mixing_gold_sense_counts(self, monkeypatch, chunk):
         monkeypatch.setattr(alignment, "ALIGN_CHUNK", chunk)
-        pairs = mixed_block()
+        generated, gold = mixed_block()
+        join = vocabulary_join(generated, gold)
+        pairs = join_entries(generated, gold, join)
+        assert len(pairs) == len(generated) == len(gold)
         assert {len(gold_entry.senses) for _, gold_entry in pairs} == {1, 2, 3, 4}
-        vectors = vector_table(EMBEDDER, [entry for pair in pairs for entry in pair])
-        got = pair_values(align_dictionaries(pairs, vectors))
+        vectors = vector_table(EMBEDDER, generated.entries() + gold.entries())
+        got = pair_values(align_dictionaries(generated, gold, join, vectors))
         expected = per_pair_alignment(pairs, vectors)
         assert got == expected
         assert float_bits(got) == float_bits(expected)
@@ -280,7 +293,8 @@ class TestAllPairs:
     def test_matrix_shape(self):
         gen = make_entry("hoja", "Nombre femenino", "Lámina de papel.", "Órgano de las plantas.")
         gold = make_entry("hoja", "Nombre femenino", "Órgano verde y plano.", "Lámina delgada.", "Cuchilla.")
-        matrix = all_pairs_scores(gen, gold, vector_table(EMBEDDER, [gen, gold]))
+        definitions = [[s.definition for s in entry.senses] for entry in (gen, gold)]
+        matrix = all_pairs_scores(*definitions, vector_table(EMBEDDER, [gen, gold]))
         assert len(matrix) == 2 and all(len(row) == 3 for row in matrix)
 
 

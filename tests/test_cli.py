@@ -757,7 +757,7 @@ class TestEvaluate:
     def test_remote_embedder_with_cache_closes_what_it_opens(self, runner, workspace):
         with http_server(KeepAliveEmbeddingHandler) as base:
             (workspace / "remote.ini").write_text(
-                f"[embedding]\nremote_url = {base}/embed\n"
+                f"[embedding]\nremote_url = {base}/embed\nremote_identifier = trigram-16\n"
                 f"cache = {workspace / 'vectors.jsonl'}\n",
                 encoding="utf-8",
             )
@@ -769,6 +769,18 @@ class TestEvaluate:
         assert result.exit_code == 0, result.output
         assert (workspace / "vectors.jsonl").stat().st_size > 0
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_remote_cache_without_an_encoder_name_exit_2(self, runner, workspace):
+        # the cache keys vectors by remote_identifier: left at "remote", it
+        # would hand one encoder's vectors to whichever encoder remote_url names next
+        (workspace / "remote.ini").write_text(
+            f"[embedding]\nremote_url = http://127.0.0.1:1/embed\ncache = {workspace / 'vectors.jsonl'}\n",
+            encoding="utf-8",
+        )
+        result = run_evaluate(runner, workspace, extra=["--embedder", "remote", "--config", str(workspace / "remote.ini")])
+        assert result.exit_code == 2, result.output
+        assert "[embedding] cache with --embedder remote needs remote_identifier" in result.output
+        assert not (workspace / "eval").exists() and not (workspace / "vectors.jsonl").exists()
 
     def test_report_is_the_same_whatever_port_serves_the_encoder(self, runner, workspace):
         with http_server(KeepAliveEmbeddingHandler) as first, http_server(KeepAliveEmbeddingHandler) as second:

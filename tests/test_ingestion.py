@@ -23,7 +23,8 @@ from lexiforge.ingestion import (
 )
 from lexiforge.model import Dictionary, DictionaryEntry, PosCategory, PosTag, Sense, is_monosemous
 
-from conftest import assert_checked, make_dictionary, make_entry
+from _oracles import oracle_key, oracle_parse_dictionary
+from conftest import DATA_DIR, assert_checked, make_dictionary, make_entry
 
 
 class TestParseLemmaList:
@@ -379,6 +380,131 @@ class TestRoundTripProperties:
         out = io.StringIO()
         write_failures(failures, out)
         assert parse_failures(io.StringIO(out.getvalue())) == failures
+
+
+def entry_tuples(dictionary):
+    """``oracle_parse_dictionary``'s form of each entry of *dictionary*, in ``entries()`` order."""
+    return [
+        (e.lemma, e.pos.category.value, e.pos.raw_label, tuple((s.definition, s.example) for s in e.senses))
+        for e in dictionary.entries()
+    ]
+
+
+# spellings whose keys collide after trimming, NFC and case folding (ß folds to ss), and labels
+# of every category, padded, and the empty label (other)
+_PARITY_LEMMAS = ["casa", " Casa", "CASA\t", "mañana", "man\u0303ana", "ñu", "Ñu", "straße", "STRASSE", "sol"]
+_PARITY_LABELS = [
+    "Nombre masculino", " nombre femenino", "Sustantivo", "Verbo", "Adjetivo ", "ADVERBIO", "Locución adverbial", "",
+]
+_PARITY_SENSE = st.fixed_dictionaries(
+    {"definition": _PADDED, "example": st.one_of(st.none(), _PADDED, st.sampled_from(["", " \t"]))}
+)
+
+
+def parity_records(min_size=0):
+    """Dictionary records that parse, no key twice, in drawn order."""
+    record = st.fixed_dictionaries(
+        {
+            "lemma": st.sampled_from(_PARITY_LEMMAS),
+            "pos": st.sampled_from(_PARITY_LABELS),
+            "senses": st.lists(_PARITY_SENSE, min_size=1, max_size=3),
+        }
+    )
+    return st.lists(record, min_size=min_size, max_size=8, unique_by=lambda r: oracle_key(r["lemma"], r["pos"]))
+
+
+def _with_sense(record, index, **changes):
+    senses = list(record["senses"])
+    senses[index] = senses[index] | changes
+    return record | {"senses": senses}
+
+
+# one way each to break a record; *other* is a record on an earlier line
+CORRUPTIONS = {
+    "invalid JSON": lambda r, other: json.dumps(r)[:-1],
+    "not an object": lambda r, other: json.dumps([r]),
+    "missing field": lambda r, other: json.dumps({k: v for k, v in r.items() if k != "pos"}),
+    "extra field": lambda r, other: json.dumps(r | {"note": "x"}),
+    "lemma type": lambda r, other: json.dumps(r | {"lemma": 5}),
+    "pos type": lambda r, other: json.dumps(r | {"pos": None}),
+    "senses type": lambda r, other: json.dumps(r | {"senses": r["senses"][0]}),
+    "empty senses": lambda r, other: json.dumps(r | {"senses": []}),
+    "sense not an object": lambda r, other: json.dumps(r | {"senses": r["senses"] + ["Astro."]}),
+    "missing sense field": lambda r, other: json.dumps(r | {"senses": [{"definition": "Astro."}]}),
+    "extra sense field": lambda r, other: json.dumps(_with_sense(r, 0, note="x")),
+    "definition type": lambda r, other: json.dumps(_with_sense(r, -1, definition=None)),
+    "example type": lambda r, other: json.dumps(_with_sense(r, -1, example=3)),
+    "blank definition": lambda r, other: json.dumps(_with_sense(r, -1, definition=" \t")),
+    "blank lemma": lambda r, other: json.dumps(r | {"lemma": " \t"}),
+    "duplicate key": lambda r, other: json.dumps(r | {"lemma": other["lemma"].upper(), "pos": other["pos"]}),
+}
+
+
+@st.composite
+def parity_lines(draw, records):
+    """The JSON lines of *records*, with a blank line or two among them; returns (lines, each record's line index)."""
+    lines, positions = [], []
+    for record in records:
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        positions.append(len(lines))
+        lines.append(json.dumps(record, ensure_ascii=draw(st.booleans())))
+    return lines, positions
+
+
+class TestParserParity:
+    """``parse_dictionary`` against the line-by-line oracle of README's Dictionary rules."""
+
+    @seed(29)
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_valid_files_give_the_oracles_entries(self, data):
+        lines, _ = data.draw(parity_lines(data.draw(parity_records())))
+        assert entry_tuples(parse_dictionary(lines)) == oracle_parse_dictionary(lines)
+
+    @seed(29)
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_corrupted_line_fails_as_in_the_oracle(self, data):
+        kind = data.draw(st.sampled_from(sorted(CORRUPTIONS)))
+        records = data.draw(parity_records(min_size=2 if kind == "duplicate key" else 1))
+        lines, positions = data.draw(parity_lines(records))
+        at = data.draw(st.integers(1 if kind == "duplicate key" else 0, len(records) - 1))
+        other = records[data.draw(st.integers(0, at - 1))] if kind == "duplicate key" else None
+        lines[positions[at]] = CORRUPTIONS[kind](records[at], other)
+        if kind == "duplicate key":
+            lines.append(json.dumps(records[0]))  # a later repeat: the error names the first
+        with pytest.raises((ParseError, DuplicateKeyError)) as expected:
+            oracle_parse_dictionary(lines)
+        assert expected.value.line_number == positions[at] + 1
+        with pytest.raises(type(expected.value)) as got:
+            parse_dictionary(lines)
+        assert got.value.line_number == expected.value.line_number
+        assert getattr(got.value, "field", None) == getattr(expected.value, "field", None)
+
+
+class TestColumnsAndEntries:
+    @settings(max_examples=50)
+    @given(dictionaries())
+    def test_constructor_and_parser_agree(self, built):
+        out = io.StringIO()
+        write_dictionary(built, out)
+        parsed = parse_dictionary(io.StringIO(out.getvalue()))
+        assert parsed.entries() == built.entries() and len(parsed) == len(built)
+        for lemma in ["casa", "gato", "aquí", "ñu", "sol", "mar", "pan", "flor", "zzz"]:
+            for category in PosCategory:
+                assert parsed.get(lemma, category) == built.get(lemma, category)
+                present = built.get(lemma, category) is not None
+                assert ((lemma, category) in parsed) == ((lemma, category) in built) == present
+
+    @pytest.mark.parametrize("name", ["planted_generated", "planted_gold", "fixture20_generated", "fixture20_gold"])
+    def test_write_parse_write_is_byte_identical(self, name):
+        with open(DATA_DIR / f"{name}.jsonl", encoding="utf-8") as fh:
+            dictionary = parse_dictionary(fh)
+        first, second = io.StringIO(), io.StringIO()
+        write_dictionary(dictionary, first)
+        write_dictionary(parse_dictionary(io.StringIO(first.getvalue())), second)
+        assert first.getvalue() and second.getvalue() == first.getvalue()
 
 
 class TestFailures:

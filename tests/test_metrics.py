@@ -62,13 +62,15 @@ class TestConfusionMatrix:
             make_entry("e", "Verbo", "Cinco bis."),
             make_entry("f", "Verbo", "Siete bis.", "Ocho bis."),
         )
-        matrix = polysemy_confusion(vocabulary_join(generated, gold))
+        matrix = polysemy_confusion(generated, gold, vocabulary_join(generated, gold))
         # hand-classified: gold-mono all predicted mono; e poly->mono; f poly->poly
         assert matrix == ConfusionMatrix2x2(mono_mono=4, mono_poly=0, poly_mono=1, poly_poly=1)
         assert matrix.total == 6
 
     def test_empty_join_all_zero(self):
-        matrix = polysemy_confusion([])
+        gold = make_dictionary(make_entry("a", "Verbo", "Uno."))
+        generated = make_dictionary(make_entry("b", "Verbo", "Dos."))
+        matrix = polysemy_confusion(generated, gold, vocabulary_join(generated, gold))
         assert matrix == ConfusionMatrix2x2(0, 0, 0, 0)
 
 

@@ -20,10 +20,11 @@ from conftest import make_dictionary, make_entry
 
 
 def join_keys(gen, gold):
-    """Keys of vocabulary_join's pairs, after checking each pair holds both sides' entries for its key."""
-    pairs = vocabulary_join(gen, gold)
+    """Keys of vocabulary_join's pairs, after checking each pair indexes both sides' entries of its key."""
+    gen_rows, gold_rows = vocabulary_join(gen, gold)
+    pairs = [(gen.entry(i), gold.entry(j)) for i, j in zip(gen_rows.tolist(), gold_rows.tolist())]
     for gen_entry, gold_entry in pairs:
-        assert gen_entry is gen.get(*gen_entry.key) and gold_entry is gold.get(*gen_entry.key)
+        assert gen_entry == gen.get(*gen_entry.key) and gold_entry == gold.get(*gen_entry.key)
     return [gen_entry.key for gen_entry, _ in pairs]
 
 
@@ -139,7 +140,7 @@ class TestDictionary:
     def test_get_and_slots(self):
         entry = make_entry("casa", "Nombre femenino", "Edificio para habitar.")
         d = make_dictionary(entry)
-        assert d.get("casa", PosCategory.NOUN) is entry
+        assert d.get("casa", PosCategory.NOUN) == entry
         assert d.get("casa", PosCategory.VERB) is None
         assert not hasattr(d, "__dict__")
 
@@ -229,5 +230,5 @@ class TestVocabularyJoin:
             same = pickle.loads(pickle.dumps(category))
             assert same is category is PosCategory(category.value)
             assert hash(same) == hash(category)
-            assert gen.get("bajo", same) is gen.get("bajo", category) is not None
+            assert gen.find("bajo", same) == gen.find("bajo", category) is not None
             assert ("alto", same) in gold

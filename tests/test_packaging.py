@@ -140,3 +140,31 @@ def test_every_trace_target_resolves():
     targets = trace_targets()
     assert ABSENT_TRACE_TARGETS <= targets, "an absent target left the tracer: drop it from the list"
     assert {target for target in targets if not resolves(*target)} == ABSENT_TRACE_TARGETS
+
+
+#: Modules on the evaluate path that work on a ``Dictionary``'s columns.
+COLUMNAR_MODULES = ("ingestion.py", "metrics.py", "report.py")
+ENTRY_TYPES = {"Sense", "DictionaryEntry"}
+ENTRY_BUILDERS = {"entry", "entries"}
+
+
+def entry_objects(module: str) -> list[str]:
+    """``line: name`` of each use of an entry type, or call of a method that builds entries, in *module*."""
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / module).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{node.lineno}: {alias.name}" for alias in node.names if alias.name in ENTRY_TYPES]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name in ENTRY_TYPES:
+                found.append(f"{node.lineno}: {name}")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ENTRY_BUILDERS:
+            found.append(f"{node.lineno}: .{node.func.attr}()")
+    return found
+
+
+@pytest.mark.parametrize("module", COLUMNAR_MODULES)
+def test_no_entry_objects_on_the_columnar_path(module):
+    # parsing, the metrics and the key-block loop read a Dictionary's columns;
+    # a Sense or DictionaryEntry per entry there is the cost the columns removed
+    assert entry_objects(module) == []
