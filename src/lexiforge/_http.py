@@ -38,8 +38,9 @@ def ordered_map(fn: Callable, items: Iterable, lanes: int) -> Iterator:
     At most ``2 * lanes`` items are sent ahead of the one being consumed.
     The first item to raise sets the event *stop*, which ends the other
     items' ``retry`` in ``CancelledError`` before their next request; its
-    exception is raised when the consumer reaches that item. Close the
-    iterator when leaving it early, so that its lanes stop at once.
+    exception is raised when the consumer reaches that item, and the
+    results before it are yielded up to the first item it stopped. Close
+    the iterator when leaving it early, so that its lanes stop at once.
     """
     stop = threading.Event()
     items = iter(items)
@@ -54,14 +55,17 @@ def ordered_map(fn: Callable, items: Iterable, lanes: int) -> Iterator:
     with ThreadPoolExecutor(lanes) as pool:
         try:
             pending = collections.deque(pool.submit(run, item) for item in itertools.islice(items, 2 * lanes))
+            stopped = False  # an item was stopped: no later result may be yielded
             while pending:
                 future = pending.popleft()
                 try:
                     result = future.result()
                 except CancelledError:
-                    continue  # the failure that stopped it is raised when the loop reaches it
+                    stopped = True  # the failure that stopped it is raised when the loop reaches it
+                    continue
                 if not stop.is_set():
                     pending.extend(pool.submit(run, item) for item in itertools.islice(items, 1))
+                if not stopped:
                     yield result
         finally:
             stop.set()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .embedding import VectorTable
 from .ingestion import write_records
-from .model import CATEGORY_VALUES, Dictionary, DictionaryEntry, csr_offsets, take
+from .model import CATEGORY_VALUES, Dictionary, DictionaryEntry, csr_offsets, csr_rows, take
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,11 +71,13 @@ def align_dictionaries(
     full cross-product lives in :func:`all_pairs_scores`. ``vectors`` must
     hold the definitions of every entry of the pairs.
 
-    The pairs whose gold entries hold k senses are scored ``ALIGN_CHUNK``
-    at a time: their gold rows as an (n, k, d) stack times their generated
-    rows as (n, d, 1). Each of the n products is the (k, d) @ (d,) product
-    of one pair on its own, for which numpy calls the same BLAS routine, so
-    every score is bit-identical to scoring the pair alone. A group's
+    Each text's table row is looked up once (``VectorTable.indices``). The
+    pairs whose gold entries hold k senses are scored ``ALIGN_CHUNK`` at a
+    time: their gold rows, gathered by index as an (n, k, d) stack, times
+    their generated rows as (n, d, 1). Each of the n products is the
+    (k, d) @ (d,) product of one pair on its own, for which numpy calls the
+    same BLAS routine, so every score is bit-identical to scoring the pair
+    alone. A group's
     first maximum comes from ``argmax``, and its mean from ``np.cumsum``,
     which adds left to right as Python's ``sum`` does.
     """
@@ -84,19 +86,20 @@ def align_dictionaries(
     gold_firsts = gold.sense_offsets[gold_index]
     gold_counts = gold.sense_offsets[gold_index + 1] - gold_firsts
     offsets = csr_offsets(gold_counts)
+    # the table rows of each pair's first generated sense, and of its gold senses laid out as the scores
+    gen_rows = vectors.indices(take(generated.definitions, gen_firsts))
+    gold_rows = vectors.indices(take(gold.definitions, csr_rows(gold.sense_offsets, gold_index)))
     scores = np.empty(int(offsets[-1]))
     best = np.empty(len(gold_index), dtype=np.int64)  # 0-based here
     mean = np.empty(len(gold_index))
     for k in set(gold_counts.tolist()):
         members = np.flatnonzero(gold_counts == k)
-        gen_texts = take(generated.definitions, gen_firsts[members])
-        gold_texts = take(gold.definitions, (gold_firsts[members, None] + np.arange(k)).ravel())
+        gen_members = gen_rows[members]
+        gold_members = gold_rows[offsets[members, None] + np.arange(k)]
         group = np.empty((members.size, k))
         for start in range(0, members.size, ALIGN_CHUNK):
             stop = min(start + ALIGN_CHUNK, members.size)
-            gen_rows = vectors.rows(gen_texts[start:stop])
-            gold_rows = vectors.rows(gold_texts[start * k : stop * k])
-            stacked = gold_rows.reshape(stop - start, k, gold_rows.shape[1]) @ gen_rows[:, :, None]
+            stacked = vectors.matrix[gold_members[start:stop]] @ vectors.matrix[gen_members[start:stop]][:, :, None]
             group[start:stop] = stacked[:, :, 0]
         best[members] = group.argmax(axis=1)
         mean[members] = np.cumsum(group, axis=1)[:, -1] / k

@@ -5,18 +5,21 @@ which returns a caller-owned texts × dimension float64 array): a
 bit-reproducible signed character-trigram hasher for offline evaluation
 and tests, and a client for a remote neural embedding service for
 full-fidelity runs. Evaluation embeds the texts of each block of keys
-into a ``VectorTable`` and scores cosines as dot products of its rows.
+into a ``VectorTable`` and scores cosines as dot products of its rows;
+``vector_tables`` fills the tables of a run of blocks, from one stream of
+requests when the embedder has ``embed_blocks``, as the remote client does.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import logging
 import time
 import unicodedata
 from contextlib import closing
 from pathlib import Path
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import orjson
@@ -87,10 +90,11 @@ EMBED_CHUNK = 256
 
 #: Requests ``RemoteEmbedder`` keeps in flight, over at most as many kept-alive
 #: connections. On perfbench's eval-remote-5k (a 2 ms + 0.05 ms/text service,
-#: 2 vCPUs, seed 11) ``wall_s`` was 1.20-1.21 s with two lanes, 1.04-1.07 s
-#: with three, 1.04 s with four and 1.00-1.03 s with six: two left the
-#: calling thread waiting on the service, four keep the service busy while
-#: that thread decodes replies.
+#: 2 vCPUs, seeds 3701-3706, every key block's requests in one stream) the
+#: median ``wall_s`` was 0.98 s with two lanes, 0.76 s with four and 0.73 s
+#: with six, whose peak RSS was 0.8 MB above four's: two leave the calling
+#: thread waiting on the service, four keep the service busy while that
+#: thread decodes replies and scores blocks.
 EMBED_LANES = 4
 
 
@@ -112,45 +116,83 @@ def embed_deterministic(text: str, dimension: int = 512) -> np.ndarray:
 
 
 class VectorTable:
-    """L2-normalised embeddings of a fixed set of texts, filled by one ``embed_batch``.
+    """L2-normalised embeddings of a fixed set of texts: the sorted distinct texts and their matrix.
 
-    The texts are sorted and de-duplicated before the call, so the request
-    does not depend on the order callers collected them in. A cosine is a
-    dot product of two rows. The table is the one place a vector is
-    normalised; a vector with a non-finite value or norm, or a zero vector,
-    has no direction and is rejected. Each row is normalised on its own, so
-    no score depends on which other texts share the table: evaluation
-    builds one table per block of keys, and holds the vectors of one block
-    at a time.
+    ``vector_tables`` fills every table. The table is the one place a
+    vector is normalised; a vector with a non-finite value or norm, or a
+    zero vector, has no direction and is rejected. Each row is normalised
+    on its own, so no score depends on which other texts share the table:
+    evaluation builds one table per block of keys, and holds the vectors of
+    one block at a time. A cosine is a dot product of two rows of
+    ``matrix``; ``indices`` names the rows of a run of texts once, and a
+    caller gathers them by index.
     """
 
-    def __init__(self, embedder, texts: Iterable[str]):
-        ordered = sorted(set(texts))
-        self._rows = {text: row for row, text in enumerate(ordered)}
-        vectors = embedder.embed_batch(ordered) if ordered else np.empty((0, 0))
+    def __init__(self, texts: Sequence[str], vectors):
+        self._rows = {text: row for row, text in enumerate(texts)}
         try:
             matrix = np.asarray(vectors, dtype=np.float64)
         except ValueError as exc:  # rows of different lengths
             raise DimensionError(f"vector shapes differ: {exc}") from exc
         if matrix.ndim != 2:
             raise DimensionError(f"embedder returned an array of shape {matrix.shape}, not texts × dimension")
-        if len(matrix) != len(ordered):
-            raise ProtocolError(f"embedder returned {len(matrix)} vectors for {len(ordered)} texts")
+        if len(matrix) != len(texts):
+            raise ProtocolError(f"embedder returned {len(matrix)} vectors for {len(texts)} texts")
         # each row's dot product with itself, the kernel np.linalg.norm uses
         # on one vector, so every unit row is bit-identical to v / norm(v)
         with np.errstate(over="ignore"):  # a norm that overflows is rejected below
             norms = np.sqrt(matrix[:, None, :] @ matrix[:, :, None])[:, 0]
         # a NaN or infinite value makes its row's norm NaN or infinite
         if not np.isfinite(norms).all():
-            text = ordered[np.flatnonzero(~np.isfinite(norms))[0]]
+            text = texts[np.flatnonzero(~np.isfinite(norms))[0]]
             raise ProtocolError(f"embedder returned a vector with a non-finite value or norm for {text!r}")
         if not norms.all():
-            raise ZeroVectorError(f"embedder returned a zero vector for {ordered[np.flatnonzero(norms == 0.0)[0]]!r}")
-        self._matrix = np.divide(matrix, norms, out=matrix)
+            raise ZeroVectorError(f"embedder returned a zero vector for {texts[np.flatnonzero(norms == 0.0)[0]]!r}")
+        #: The unit vectors, one row per text in sorted order.
+        self.matrix = np.divide(matrix, norms, out=matrix)
+
+    def indices(self, texts: Sequence[str]) -> np.ndarray:
+        """The row of each text in ``matrix``, in the given order."""
+        return np.fromiter(map(self._rows.__getitem__, texts), dtype=np.intp, count=len(texts))
 
     def rows(self, texts: Sequence[str]) -> np.ndarray:
         """Matrix of the texts' unit vectors, one row per text in the given order."""
-        return self._matrix[[self._rows[text] for text in texts]]
+        return self.matrix[self.indices(texts)]
+
+
+def vector_tables(embedder, items: Iterable, texts_of: Callable[..., Iterable[str]]) -> Iterator[tuple]:
+    """``(item, VectorTable of texts_of(item))`` for every item, in order; the one place a table is filled.
+
+    Each table's texts are sorted and de-duplicated before they are
+    embedded, so no request depends on the order callers collected them
+    in. An embedder with ``embed_blocks`` embeds every table's texts in one
+    stream, so its lanes send the next item's texts while the caller uses
+    this item's table; *texts_of* of the next item may then run before the
+    caller is done with this one. Any other embedder gets one
+    ``embed_batch`` call per table that has texts, made when the caller
+    asks for that table. Drop each table before asking for the next, and
+    no two are alive at once.
+    """
+    planned: collections.deque[tuple] = collections.deque()  # (item, its sorted texts), not yet handed out
+
+    def text_lists() -> Iterator[list[str]]:
+        for item in items:
+            texts = sorted(set(texts_of(item)))
+            planned.append((item, texts))
+            yield texts
+
+    embed_blocks = getattr(embedder, "embed_blocks", None)
+    if embed_blocks is None:
+        matrices = (embedder.embed_batch(texts) if texts else np.empty((0, 0)) for texts in text_lists())
+    else:
+        matrices = embed_blocks(text_lists())
+    with closing(matrices):
+        for matrix in matrices:
+            item, texts = planned.popleft()
+            table = VectorTable(texts, matrix)
+            del matrix
+            yield item, table
+            del item, table  # before the next table is filled
 
 
 class DeterministicEmbedder:
@@ -214,29 +256,52 @@ class RemoteEmbedder:
         self._poster.close()
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        """One row per text; an empty batch, which sends nothing, has shape (0, 0).
+        """One row per text; an empty batch, which sends nothing, has shape (0, 0)."""
+        with closing(self.embed_blocks([texts])) as blocks:
+            return next(blocks)
 
-        The lanes post chunks while this thread decodes the replies in chunk
-        order, each straight into its rows of the result. The first chunk
-        to fail stops the chunks not yet sent.
+    def embed_blocks(self, text_lists: Iterable[Sequence[str]]) -> Iterator[np.ndarray]:
+        """One matrix per text list, in order, all sent as one stream of requests; ``embed_batch`` of each list.
+
+        The lanes post every list's chunks, no chunk spanning two lists,
+        while this thread decodes the replies in order, each straight into
+        its rows of its list's matrix. So the lanes send the next list's
+        chunks while the caller works on this one's matrix; a list is read
+        from *text_lists* when the lanes take up its first chunk. A list's
+        matrix is allocated once the caller asks for it, after the one
+        before was handed out. The first chunk to fail stops the chunks not
+        yet sent; its error is raised when the caller asks for its list's
+        matrix.
         """
-        if not texts:
-            return np.empty((0, 0))
-        starts = range(0, len(texts), self.batch_size)
 
-        def send(start: int, stop) -> bytes:
-            chunk = list(texts[start : start + self.batch_size])
-            return retry(lambda: self._post(chunk), self.max_retries, self.retry_backoff, self._sleep, stop)
+        def chunks() -> Iterator[tuple[Sequence[str], int]]:
+            for texts in text_lists:
+                # an empty list is one chunk that sends nothing, so that it keeps its place in the replies
+                for start in range(0, len(texts) or 1, self.batch_size):
+                    yield texts, start
 
-        with closing(ordered_map(send, starts, EMBED_LANES)) as replies:
-            for start, body in zip(starts, replies):
+        def send(chunk: tuple[Sequence[str], int], stop) -> tuple[Sequence[str], int, bytes | None]:
+            texts, start = chunk
+            posted = list(texts[start : start + self.batch_size])
+            if not posted:
+                return texts, start, None
+            return texts, start, retry(lambda: self._post(posted), self.max_retries, self.retry_backoff, self._sleep, stop)
+
+        with closing(ordered_map(send, chunks(), EMBED_LANES)) as replies:
+            for texts, start, body in replies:
+                if not texts:
+                    yield np.empty((0, 0))
+                    continue
                 rows, dimension = self._parse_reply(body, min(self.batch_size, len(texts) - start))
                 if start == 0:
                     vectors = np.empty((len(texts), dimension))
                 elif dimension != vectors.shape[1]:
                     raise ProtocolError(f"service changed dimension between chunks: {vectors.shape[1]} then {dimension}")
                 self._copy_rows(rows, vectors[start : start + len(rows)])
-        return vectors
+                del rows  # a chunk's decoded lists are not kept while the caller works
+                if start + self.batch_size >= len(texts):
+                    yield vectors
+                    del vectors  # before the next list's matrix is allocated
 
     def _post(self, chunk: list[str]) -> bytes:
         """The reply body to *chunk*; a failure raises ServiceError, retryable when it may pass."""

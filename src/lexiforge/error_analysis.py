@@ -12,6 +12,7 @@ import bisect
 import enum
 import itertools
 import re
+from contextlib import closing
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .alignment import BlockAlignment
-from .embedding import VectorTable, map_joined, normalize_texts
+from .embedding import VectorTable, map_joined, normalize_texts, vector_tables
 from .exceptions import ParseError
 from .ingestion import BOOLEAN, STRING, STRING_OR_NULL, RecordKind, read_records, write_records
 from .model import Dictionary, DictionaryEntry, take
@@ -148,7 +149,8 @@ def detect_fabricated_polysemy(
     entry's first such pair, in (i, j) order, is the evidence. Monosemous
     entries have no pair. ``vectors`` must hold the definitions of every
     polysemous entry. The entries of one sense count n are scored
-    together: their rows as an (m, n, d) stack times its transpose.
+    together: their rows, gathered by index as an (m, n, d) stack, times
+    its transpose.
     """
     config = config or ErrorAnalysisConfig()
     threshold = config.fabricated_polysemy_similarity
@@ -157,7 +159,7 @@ def detect_fabricated_polysemy(
     for n in dict.fromkeys(counts[counts > 1].tolist()):
         members = np.flatnonzero(counts == n)
         definitions = take(entries.definitions, (entries.sense_offsets[members, None] + np.arange(n)).ravel())
-        rows = vectors.rows(definitions).reshape(len(members), n, -1)
+        rows = vectors.matrix[vectors.indices(definitions).reshape(len(members), n)]
         scores = rows @ rows.transpose(0, 2, 1)
         upper = np.triu_indices(n, 1)
         above = (scores[:, upper[0], upper[1]] >= threshold).any(axis=1).tolist()
@@ -177,6 +179,25 @@ def detect_fabricated_polysemy(
     return found
 
 
+def _pattern_hits(texts: Sequence[str], patterns: Sequence[str]) -> list[int]:
+    """The index of the text that holds each hit of any of the *patterns*, all case-folded by ``str.casefold``.
+
+    The folded texts are joined with line breaks; a pattern holds none, so
+    no hit spans two texts. A text with several hits is named once per hit.
+    """
+    folded = map_joined(str.casefold, texts)
+    joined = "\n".join(folded)
+    hits = []
+    for pattern in patterns:
+        hit = joined.find(pattern)
+        while hit >= 0:
+            hits.append(hit)
+            hit = joined.find(pattern, hit + 1)
+    # text i of the joined string ends at ends[i], just before its line break
+    ends = np.cumsum(np.fromiter(map(len, folded), dtype=np.int64, count=len(folded)) + 1) - 1
+    return np.searchsorted(ends, hits).tolist()
+
+
 def findings_of_entries(
     entries: Dictionary, vectors: VectorTable, config: ErrorAnalysisConfig | None = None
 ) -> list[ErrorFinding]:
@@ -190,16 +211,16 @@ def findings_of_entries(
     string (``map_joined``). Wherever ``detect_circularity``'s regex
     matches, the folded lemma is a substring of a folded definition, so
     only the entries that pass that test are built, as ``DictionaryEntry``
-    objects, for the regex. The proper-noun patterns are sought in the
-    definitions, joined and case-folded by ``str.casefold`` in one call too.
+    objects, for the regex. The proper-noun patterns are sought once in
+    the definitions joined and case-folded by ``str.casefold``, and each
+    hit is mapped back to its definition's entry.
     """
     lemmas, definitions = entries.lemmas, entries.definitions
     owners = np.repeat(np.arange(len(lemmas)), entries.sense_counts).tolist()
     folded = map_joined(_fold, lemmas + definitions)
     passing = {position for position, text in zip(owners, folded[len(lemmas) :]) if folded[position] in text}
     circular = {position for position in passing if detect_circularity(entries.entry(position))}
-    cased = map_joined(str.casefold, definitions)
-    proper = {position for position, text in zip(owners, cased) if any(p in text for p in DEFAULT_PROPER_NOUN_PATTERNS)}
+    proper = {owners[sense] for sense in _pattern_hits(definitions, DEFAULT_PROPER_NOUN_PATTERNS)}
     fabricated = detect_fabricated_polysemy(entries, vectors, config)
     labels = [tag.raw_label for tag in entries.tags]
     findings = []
@@ -439,9 +460,10 @@ def classify_errors(
     Each gets its hallucination finding, in their order,
     followed by its over-correction finding when
     :func:`detect_overcorrection` finds one. The over-correction search
-    takes the candidates ``CANDIDATE_BLOCK`` at a time and embeds a
-    block's definitions and those of its gold neighbors in one batch, so
-    memory holds one block's vectors however many candidates there are.
+    takes the candidates ``CANDIDATE_BLOCK`` at a time, each block with a
+    ``VectorTable`` (:func:`vector_tables`) of its definitions and those of
+    its gold neighbors, so memory holds one block's vectors however many
+    candidates there are.
 
     Hallucination candidates whose best-matching gold definition has at
     most two words are marked low-confidence: terse synonym-style gold
@@ -453,34 +475,39 @@ def classify_errors(
     findings: list[ErrorFinding] = []
     max_distance = config.overcorrection_max_edit_distance
     index = NeighborIndex(gold, [c.generated.lemma for c in candidates], max_distance) if candidates else None
-    for start in range(0, len(candidates), CANDIDATE_BLOCK):
-        block = candidates[start : start + CANDIDATE_BLOCK]
-        neighbors = [index.neighbor_entries(c.generated.lemma) for c in block]
-        vectors = VectorTable(
-            embedder,
-            [c.generated.senses[0].definition for c in block]
-            + [s.definition for found in neighbors for gold_entry, _ in found for s in gold_entry.senses],
-        )
-        for candidate, found in zip(block, neighbors):
-            gen_entry = candidate.generated
-            gold_best = candidate.gold.senses[candidate.best_gold_index - 1].definition
-            low_confidence = len(gold_best.split()) <= 2
-            evidence = f"best cosine {_cosine_text(candidate.best_score)} < {config.hallucination_threshold}"
-            findings.append(
-                ErrorFinding(
-                    lemma=gen_entry.lemma,
-                    category=ErrorCategory.HALLUCINATION_CANDIDATE,
-                    evidence=evidence + ("; short gold definition, low confidence" if low_confidence else ""),
-                    pos_label=gen_entry.pos.raw_label,
-                    generated_definition=gen_entry.senses[0].definition,
-                    gold_definition=gold_best,
-                    low_confidence=low_confidence,
+
+    def candidate_blocks():
+        for start in range(0, len(candidates), CANDIDATE_BLOCK):
+            block = candidates[start : start + CANDIDATE_BLOCK]
+            yield block, [index.neighbor_entries(c.generated.lemma) for c in block]
+
+    def texts_of(planned):
+        block, neighbors = planned
+        yield from (c.generated.senses[0].definition for c in block)
+        yield from (s.definition for found in neighbors for gold_entry, _ in found for s in gold_entry.senses)
+
+    with closing(vector_tables(embedder, candidate_blocks(), texts_of)) as tables:
+        for (block, neighbors), vectors in tables:
+            for candidate, found in zip(block, neighbors):
+                gen_entry = candidate.generated
+                gold_best = candidate.gold.senses[candidate.best_gold_index - 1].definition
+                low_confidence = len(gold_best.split()) <= 2
+                evidence = f"best cosine {_cosine_text(candidate.best_score)} < {config.hallucination_threshold}"
+                findings.append(
+                    ErrorFinding(
+                        lemma=gen_entry.lemma,
+                        category=ErrorCategory.HALLUCINATION_CANDIDATE,
+                        evidence=evidence + ("; short gold definition, low confidence" if low_confidence else ""),
+                        pos_label=gen_entry.pos.raw_label,
+                        generated_definition=gen_entry.senses[0].definition,
+                        gold_definition=gold_best,
+                        low_confidence=low_confidence,
+                    )
                 )
-            )
-            overcorrection = detect_overcorrection(gen_entry, found, vectors, config)
-            if overcorrection is not None:
-                findings.append(overcorrection)
-        del vectors  # before the next block's table is filled, so at most one is alive
+                overcorrection = detect_overcorrection(gen_entry, found, vectors, config)
+                if overcorrection is not None:
+                    findings.append(overcorrection)
+            del vectors  # before the next block's table is filled, so at most one is alive
     return findings
 
 

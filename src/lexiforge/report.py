@@ -12,8 +12,9 @@ import hashlib
 import io
 import itertools
 import os
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 import orjson
 
 from .alignment import align_dictionaries, all_pairs_scores, rank_histogram, write_alignments
-from .embedding import VectorTable
+from .embedding import vector_tables
 from .error_analysis import (
     ErrorAnalysisConfig,
     ErrorCategory,
@@ -187,6 +188,27 @@ KEY_BLOCK = 512
 OUTPUT_NAMES = ("report.json", "alignments.jsonl", "polysemy_pairs.jsonl", "findings.jsonl")
 
 
+def _key_blocks(generated: Dictionary, join: tuple[np.ndarray, np.ndarray]) -> Iterator[tuple[int, Dictionary, tuple]]:
+    """Each ``KEY_BLOCK`` of the generated entries: its first entry's index, the block and its join pairs."""
+    gen_join, gold_join = join
+    for start in range(0, len(generated), KEY_BLOCK):
+        block = generated.block(start, start + KEY_BLOCK)
+        # the join is in key order, so a block's pairs are one run of it
+        first, last = np.searchsorted(gen_join, (start, start + len(block))).tolist()
+        yield start, block, (gen_join[first:last], gold_join[first:last])
+
+
+def _key_block_texts(gold: Dictionary, planned: tuple[int, Dictionary, tuple]) -> set[str]:
+    """Every definition of a key block's polysemous and joined entries, and of their gold entries."""
+    start, block, pairs = planned
+    counts = block.sense_counts
+    embedded = counts > 1
+    embedded[pairs[0] - start] = True
+    texts = set(itertools.compress(block.definitions, np.repeat(embedded, counts).tolist()))
+    texts.update(take(gold.definitions, csr_rows(gold.sense_offsets, pairs[1])))
+    return texts
+
+
 def evaluate_dictionaries(
     generated: Dictionary,
     gold: Dictionary,
@@ -214,14 +236,20 @@ def evaluate_dictionaries(
     a slice of the generated dictionary's columns (``Dictionary.block``),
     and its join pairs the join's next run of entry indices. A block's join
     pairs and polysemous entries are scored from a ``VectorTable`` of
-    their own definitions, dropped before the next block is embedded, and
-    its alignment lines and polysemy pairs are written as soon as it is
-    scored. The loop keeps only each block's per-group score arrays for
-    the cosine tables, the rank histogram's counts, the hallucination
-    candidates and the entry findings. The embedder sees one
-    ``embed_batch`` call per block and one more in ``classify_errors`` per
-    ``CANDIDATE_BLOCK`` hallucination candidates; a text that two blocks
-    share is embedded once in each.
+    their own definitions, dropped before the next block's table is
+    filled, and its alignment lines and polysemy pairs are written as soon
+    as it is scored. The loop keeps only each block's per-group score
+    arrays for the cosine tables, the rank histogram's counts, the
+    hallucination candidates and the entry findings.
+
+    Every block's table comes from one :func:`vector_tables` stream, and
+    ``classify_errors`` takes one table per ``CANDIDATE_BLOCK``
+    hallucination candidates from another; a text that two blocks share
+    is embedded once in each. A remote embedder sends each stream's
+    requests as one ordered run over its lanes, so the next block's
+    chunks are in flight while this thread scores the current block. Any
+    other embedder, a cached remote one included, gets one ``embed_batch``
+    call per block, made when the block is reached.
 
     The findings come in three runs: :func:`classify_errors` (each
     hallucination candidate in join order, each followed by its
@@ -232,47 +260,37 @@ def evaluate_dictionaries(
     """
     error_config = error_config or ErrorAnalysisConfig()
     join = vocabulary_join(generated, gold)
-    gen_join, gold_join = join
     cosine_blocks: list[tuple[dict[str, np.ndarray], dict[str, np.ndarray]]] = []
     histogram: dict[int, int] = {}
     candidates: list[Candidate] = []
     entry_findings: list[ErrorFinding] = []
     outputs = (Path(out_dir) / name for name in OUTPUT_NAMES)
     with atomic_text(*outputs) as (report_fh, alignments_fh, pairs_fh, findings_fh):
-        for start in range(0, len(generated), KEY_BLOCK):
-            block = generated.block(start, start + KEY_BLOCK)
-            # the join is in key order, so a block's pairs are one run of it
-            first, last = np.searchsorted(gen_join, (start, start + len(block))).tolist()
-            pairs = (gen_join[first:last], gold_join[first:last])
-            # every definition of the block's polysemous and joined entries, and of their gold entries
-            counts = block.sense_counts
-            embedded = counts > 1
-            embedded[pairs[0] - start] = True
-            texts = set(itertools.compress(block.definitions, np.repeat(embedded, counts).tolist()))
-            texts.update(take(gold.definitions, csr_rows(gold.sense_offsets, pairs[1])))
-            vectors = VectorTable(embedder, texts)
-            alignment = align_dictionaries(generated, gold, pairs, vectors)
-            write_alignments(alignment, alignments_fh)
-            polysemous = np.flatnonzero(alignment.gen_sense_count > 1)
-            write_records(
-                (
-                    {
-                        "lemma": generated.lemmas[gen_index],
-                        "category": CATEGORY_VALUES[generated.categories[gen_index]],
-                        "scores": all_pairs_scores(
-                            generated.definitions_of(gen_index), gold.definitions_of(gold_index), vectors
-                        ),
-                    }
-                    for gen_index, gold_index in zip(pairs[0][polysemous].tolist(), pairs[1][polysemous].tolist())
-                ),
-                pairs_fh,
-            )
-            cosine_blocks.append(cosine_values(alignment))
-            for index, count in rank_histogram(alignment).items():
-                histogram[index] = histogram.get(index, 0) + count
-            candidates += hallucination_candidates(alignment, error_config)
-            entry_findings += findings_of_entries(block, vectors, error_config)
-            del vectors, alignment  # before the next block's table is filled, so at most one is alive
+        blocks = vector_tables(embedder, _key_blocks(generated, join), partial(_key_block_texts, gold))
+        with closing(blocks):
+            for (_, block, pairs), vectors in blocks:
+                alignment = align_dictionaries(generated, gold, pairs, vectors)
+                write_alignments(alignment, alignments_fh)
+                polysemous = np.flatnonzero(alignment.gen_sense_count > 1)
+                write_records(
+                    (
+                        {
+                            "lemma": generated.lemmas[gen_index],
+                            "category": CATEGORY_VALUES[generated.categories[gen_index]],
+                            "scores": all_pairs_scores(
+                                generated.definitions_of(gen_index), gold.definitions_of(gold_index), vectors
+                            ),
+                        }
+                        for gen_index, gold_index in zip(pairs[0][polysemous].tolist(), pairs[1][polysemous].tolist())
+                    ),
+                    pairs_fh,
+                )
+                cosine_blocks.append(cosine_values(alignment))
+                for index, count in rank_histogram(alignment).items():
+                    histogram[index] = histogram.get(index, 0) + count
+                candidates += hallucination_candidates(alignment, error_config)
+                entry_findings += findings_of_entries(block, vectors, error_config)
+                del vectors, alignment  # before the next block's table is filled, so at most one is alive
         findings = classify_errors(gold, candidates, embedder, error_config) + entry_findings
         findings += [
             ErrorFinding(
@@ -291,7 +309,7 @@ def evaluate_dictionaries(
         confusion = polysemy_confusion(generated, gold, join)
         cosine_monosemous_gold, cosine_polysemous_gold = cosine_stats(cosine_blocks)
         report = EvaluationReport(
-            join_size=len(gen_join),
+            join_size=len(join[0]),
             confusion=confusion,
             class_metrics={
                 "monosemy": class_metrics(confusion, "monosemy"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lexiforge.alignment import BlockAlignment
-from lexiforge.embedding import VectorTable
+from lexiforge.embedding import VectorTable, vector_tables
 from lexiforge.ingestion import parse_dictionary
 from lexiforge.model import Dictionary, DictionaryEntry, PosCategory, PosTag, Sense, normalize_lemma
 
@@ -82,9 +82,15 @@ def assert_checked(entries) -> None:
             assert sense.definition and sense.definition == sense.definition.strip()
 
 
+def table_of(embedder, texts) -> VectorTable:
+    """The one table ``vector_tables`` fills with *texts*."""
+    [(_, table)] = vector_tables(embedder, [texts], lambda item: item)
+    return table
+
+
 def vector_table(embedder, entries) -> VectorTable:
     """Every definition of *entries*, embedded in one batch."""
-    return VectorTable(embedder, {sense.definition for entry in entries for sense in entry.senses})
+    return table_of(embedder, {sense.definition for entry in entries for sense in entry.senses})
 
 
 @contextlib.contextmanager

@@ -250,8 +250,10 @@ class TestAlignDictionaries:
     def test_non_finite_score_raises(self):
         # a table of unit rows gives finite scores; this one hands out a NaN
         class NaNRows:
-            def rows(self, texts):
-                return np.full((len(texts), 2), np.nan)
+            matrix = np.full((1, 2), np.nan)
+
+            def indices(self, texts):
+                return np.zeros(len(texts), dtype=np.intp)
 
         dictionary = make_dictionary(make_entry("sal", "Nombre femenino", "Sustancia blanca."))
         with pytest.raises(ValueError, match="not finite"):

@@ -326,14 +326,18 @@ class ZeroVectorHandler(BaseHTTPRequestHandler):
 
 
 class KeepAliveEmbeddingHandler(BaseHTTPRequestHandler):
-    """Embedding service that keeps each connection open, as a real HTTP/1.1 server does."""
+    """Embedding service that keeps each connection open, as a real HTTP/1.1 server does.
+
+    It answers with the deterministic embedder's trigram counts at ``dimension``.
+    """
 
     protocol_version = "HTTP/1.1"
+    dimension = 16
 
     def do_POST(self):
         texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["texts"]
-        vectors = [vector.tolist() for vector in DeterministicEmbedder(16).embed_batch(texts)]
-        data = json.dumps({"vectors": vectors, "dimension": 16}).encode()
+        vectors = [vector.tolist() for vector in DeterministicEmbedder(self.dimension).embed_batch(texts)]
+        data = json.dumps({"vectors": vectors, "dimension": self.dimension}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -792,6 +796,25 @@ class TestEvaluate:
                 )
                 assert result.exit_code == 0, result.output
         assert (workspace / "first" / "report.json").read_bytes() == (workspace / "second" / "report.json").read_bytes()
+
+    # blocks of 1 and 3 put several tables in each stream, and leave a last, partial block
+    @pytest.mark.parametrize("block", [1, 3, None], ids=["blocks-of-1", "blocks-of-3", "default-blocks"])
+    @pytest.mark.parametrize("fixture", ["fixture20", "planted"])
+    def test_remote_run_writes_what_the_deterministic_embedder_writes(self, runner, workspace, monkeypatch, block, fixture):
+        if block is not None:
+            monkeypatch.setattr("lexiforge.report.KEY_BLOCK", block)
+            monkeypatch.setattr("lexiforge.error_analysis.CANDIDATE_BLOCK", block)
+        inputs = {"generated": f"{fixture}_generated.jsonl", "gold": f"{fixture}_gold.jsonl"}
+        handler = type("CountsHandler", (KeepAliveEmbeddingHandler,), {"dimension": 512})
+        with http_server(handler) as base:
+            (workspace / "both.ini").write_text(f"[embedding]\nremote_url = {base}/embed\n", encoding="utf-8")
+            for embedder in ("deterministic", "remote"):
+                extra = ["--embedder", embedder, "--config", str(workspace / "both.ini")]
+                result = run_evaluate(runner, workspace, out=embedder, extra=extra, **inputs)
+                assert result.exit_code == 0, result.output
+        assert "hallucination_candidate" in (workspace / "remote" / "findings.jsonl").read_text(encoding="utf-8")
+        for name in ("alignments.jsonl", "polysemy_pairs.jsonl", "findings.jsonl"):
+            assert (workspace / "remote" / name).read_bytes() == (workspace / "deterministic" / name).read_bytes(), name
 
     @pytest.mark.parametrize(("text", "named"), MISSPELT_CONFIGS)
     def test_misspelt_config_exit_2(self, runner, workspace, text, named):

@@ -30,11 +30,12 @@ from lexiforge.embedding import (
     normalize_text,
     map_joined,
     normalize_texts,
+    vector_tables,
 )
 from lexiforge.exceptions import DimensionError, EmptyTextError, ProtocolError, ServiceError, ZeroVectorError
 
 from _oracles import cosine_similarity, oracle_counts, oracle_embed, oracle_normalize
-from conftest import DATA_DIR, http_server
+from conftest import DATA_DIR, http_server, table_of
 
 
 class TestCosineSimilarity:
@@ -476,7 +477,20 @@ class EmbedHandler(BaseHTTPRequestHandler):
     seen: list = []  # (client port, request target) of each request
     in_flight = 0
     max_in_flight = 0
+    connections = 0  # open now
     lock = threading.Lock()
+
+    def setup(self):
+        super().setup()
+        with EmbedHandler.lock:
+            EmbedHandler.connections += 1
+
+    def finish(self):
+        try:
+            super().finish()
+        finally:
+            with EmbedHandler.lock:
+                EmbedHandler.connections -= 1
 
     def do_POST(self):
         with EmbedHandler.lock:
@@ -525,6 +539,7 @@ def embed_server():
         EmbedHandler.max_in_flight = 0
         EmbedHandler.drop_after_reply = False
         EmbedHandler.seen = []
+        EmbedHandler.connections = 0
         yield f"{url}/embed"
 
 
@@ -686,6 +701,118 @@ class TestRemoteEmbedder:
             remote.embed_batch(["hola"])
 
 
+def _recording(reply=_length_vectors):
+    """*reply*, recording the texts of every request in a list it returns as well."""
+    posted = []
+
+    def answer(texts):
+        posted.append(texts)
+        return reply(texts)
+
+    return answer, posted
+
+
+def _wait_until(condition, seconds=5.0):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return condition()
+
+
+class TestEmbedBlocks:
+    """``RemoteEmbedder.embed_blocks``: every block's chunks in one stream, one matrix per block in order."""
+
+    def test_lanes_send_the_next_blocks_first_chunk_before_it_is_asked_for(self, embed_server):
+        # the first block's reply is held until the second block's chunk is
+        # in: a client that sent a block only once the one before was handed
+        # out would wait on the hold until it gives up
+        second_arrived = threading.Event()
+
+        def hold_first_block(texts):
+            if texts == ["a"]:
+                second_arrived.wait(5)
+            elif texts == ["bb"]:
+                second_arrived.set()
+            return _length_vectors(texts)
+
+        EmbedHandler.reply = hold_first_block
+        with closing(RemoteEmbedder(embed_server, batch_size=1)) as remote:
+            with closing(remote.embed_blocks([["a"], ["bb"]])) as blocks:
+                first = next(blocks)
+                assert second_arrived.is_set()
+                assert first[:, 0].tolist() == [1.0]
+                assert next(blocks)[:, 0].tolist() == [2.0]
+                assert next(blocks, None) is None
+        assert EmbedHandler.calls == 2
+
+    def test_empty_text_lists_give_empty_tables_and_send_nothing(self, embed_server):
+        EmbedHandler.reply, posted = _recording()
+        text_lists = [[], ["a", "bb"], [], [], ["ccc"], []]
+        with closing(RemoteEmbedder(embed_server, batch_size=64)) as remote:
+            matrices = list(remote.embed_blocks(text_lists))
+            tables = list(vector_tables(remote, text_lists, lambda texts: texts))
+        assert [matrix.shape for matrix in matrices] == [(0, 0), (2, 8), (0, 0), (0, 0), (1, 8), (0, 0)]
+        assert [item for item, _ in tables] == text_lists
+        assert [table.matrix.shape for _, table in tables] == [(0, 0), (2, 8), (0, 0), (0, 0), (1, 8), (0, 0)]
+        assert sorted(posted) == sorted([["a", "bb"], ["ccc"]] * 2)
+
+    def test_failing_chunk_raises_when_its_block_is_reached(self, embed_server):
+        # the second block's chunk fails for good once every chunk of the
+        # first block is in, while their replies are still held: the first
+        # block still comes out whole
+        failed = threading.Event()
+
+        def fail_second_block(texts):
+            if texts == ["dddd"]:
+                _wait_until(lambda: EmbedHandler.calls == 4)
+                failed.set()
+                return 400
+            failed.wait(5)
+            time.sleep(0.05)  # room for the client to read the failure first
+            return _length_vectors(texts)
+
+        EmbedHandler.reply = fail_second_block
+        with closing(RemoteEmbedder(embed_server, batch_size=1, max_retries=0)) as remote:
+            with closing(remote.embed_blocks([["a", "bb", "ccc"], ["dddd"]])) as blocks:
+                assert next(blocks)[:, 0].tolist() == [1.0, 2.0, 3.0]
+                with pytest.raises(ServiceError, match="HTTP 400"):
+                    next(blocks)
+        assert failed.is_set()
+
+    @pytest.mark.parametrize("leave", ["zero-vector", "close"])
+    def test_leaving_early_sends_nothing_more_and_leaves_no_socket_open(self, embed_server, leave):
+        zero = _same_vector(0.0, EmbedHandler.dimension)
+        EmbedHandler.reply = lambda texts: zero(texts) if texts == ["t0"] and leave == "zero-vector" else _length_vectors(texts)
+        remote = RemoteEmbedder(embed_server, batch_size=1, max_retries=0)
+        blocks = remote.embed_blocks([[f"t{i}"] for i in range(40)])
+        try:
+            if leave == "zero-vector":
+                with pytest.raises(ProtocolError, match="all-zero"):
+                    next(blocks)
+            else:
+                next(blocks)
+            blocks.close()
+            sent = EmbedHandler.calls
+            assert 1 <= sent <= 1 + 2 * EMBED_LANES
+            time.sleep(0.1)
+            assert EmbedHandler.calls == sent
+        finally:
+            remote.close()
+        assert _wait_until(lambda: EmbedHandler.connections == 0)
+
+    def test_each_block_sends_the_chunks_embed_batch_sends(self, embed_server):
+        text_lists = [[f"b{block}-{'x' * i}" for i in range(size)] for block, size in enumerate([5, 0, 3, 7, 1, 2])]
+        EmbedHandler.reply, streamed = _recording()
+        with closing(RemoteEmbedder(embed_server, batch_size=2)) as remote:
+            matrices = list(remote.embed_blocks(text_lists))
+        EmbedHandler.reply, batched = _recording()
+        with closing(RemoteEmbedder(embed_server, batch_size=2)) as remote:
+            expected = [remote.embed_batch(texts) for texts in text_lists]
+        assert len(streamed) == len(batched) == 3 + 2 + 4 + 1 + 1
+        assert sorted(streamed) == sorted(batched)
+        assert all(np.array_equal(got, want) for got, want in zip(matrices, expected, strict=True))
+
+
 def _same_vector(value: float, dimension: int):
     """Reply body giving every text the vector (value, ..., value)."""
     return lambda texts: {"vectors": [[value] * dimension for _ in texts], "dimension": dimension}
@@ -793,18 +920,18 @@ class _TableEmbedder:
 class TestVectorTable:
     def test_one_sorted_distinct_batch(self):
         embedder = _TableEmbedder({"b": [3.0, 4.0], "a": [1.0, 0.0]})
-        VectorTable(embedder, ["b", "a", "b"])
+        table_of(embedder, ["b", "a", "b"])
         assert embedder.batches == [["a", "b"]]
 
     def test_no_call_without_texts(self):
         embedder = _TableEmbedder({})
-        VectorTable(embedder, [])
+        table_of(embedder, [])
         assert embedder.batches == []
 
     def test_rows_are_unit_vectors_in_request_order(self):
         raw = {"a": [1.0, 0.0], "b": [3.0, 4.0]}
         embedder = _TableEmbedder(raw)
-        table = VectorTable(embedder, raw)
+        table = table_of(embedder, raw)
         rows = table.rows(["b", "a", "b"])
         np.testing.assert_array_equal(rows, [[0.6, 0.8], [1.0, 0.0], [0.6, 0.8]])
         assert abs(float(rows[0] @ rows[1]) - cosine_similarity(raw["a"], raw["b"])) <= 1e-15
@@ -813,7 +940,7 @@ class TestVectorTable:
     @staticmethod
     def assert_rows_are_per_row_unit_vectors(embedder, texts):
         raw = dict(zip(texts, np.asarray(embedder.embed_batch(texts), dtype=np.float64)))
-        rows = VectorTable(embedder, texts).rows(texts)
+        rows = table_of(embedder, texts).rows(texts)
         for text, row in zip(texts, rows):
             assert row.tobytes() == (raw[text] / np.linalg.norm(raw[text])).tobytes(), text
 
@@ -830,17 +957,17 @@ class TestVectorTable:
 
     def test_zero_vector_rejected_at_build(self):
         with pytest.raises(ZeroVectorError, match="'nada'"):
-            VectorTable(_TableEmbedder({"algo": [1.0, 0.0], "nada": [0.0, 0.0]}), ["algo", "nada"])
+            table_of(_TableEmbedder({"algo": [1.0, 0.0], "nada": [0.0, 0.0]}), ["algo", "nada"])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_vector_rejected_at_build(self, value):
         with pytest.raises(ProtocolError, match="non-finite.*'roto'"):
-            VectorTable(_TableEmbedder({"bien": [1.0, 0.0], "roto": [value, 1.0]}), ["bien", "roto"])
+            table_of(_TableEmbedder({"bien": [1.0, 0.0], "roto": [value, 1.0]}), ["bien", "roto"])
 
     def test_vector_whose_norm_overflows_rejected_at_build(self):
         # finite values whose squares sum past the largest float: the unit row would be all zero
         with pytest.raises(ProtocolError, match="'grande'"):
-            VectorTable(_TableEmbedder({"grande": [1e200, 1e200]}), ["grande"])
+            table_of(_TableEmbedder({"grande": [1e200, 1e200]}), ["grande"])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_cache_writes_no_non_finite_vector(self, tmp_path, value):
@@ -852,9 +979,9 @@ class TestVectorTable:
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionError):
-            VectorTable(_TableEmbedder({"a": [1.0, 0.0], "b": [1.0, 0.0, 0.0]}), ["a", "b"])
+            table_of(_TableEmbedder({"a": [1.0, 0.0], "b": [1.0, 0.0, 0.0]}), ["a", "b"])
         with pytest.raises(DimensionError):  # one number per text, not a vector
-            VectorTable(_TableEmbedder({"a": 1.0, "b": 2.0}), ["a", "b"])
+            table_of(_TableEmbedder({"a": 1.0, "b": 2.0}), ["a", "b"])
 
     def test_cached_vector_of_another_length_rejected(self, tmp_path):
         # a length-1 row would broadcast across the whole row if written unchecked
@@ -862,7 +989,7 @@ class TestVectorTable:
         with closing(CachingEmbedder(table, tmp_path / "cache.jsonl")) as embedder:
             embedder.embed_batch(["uno"])
             with pytest.raises(DimensionError):
-                VectorTable(embedder, ["uno", "dos"])
+                table_of(embedder, ["uno", "dos"])
 
     def test_vector_count_mismatch_rejected(self):
         class Short(_TableEmbedder):
@@ -870,4 +997,4 @@ class TestVectorTable:
                 return super().embed_batch(texts)[:-1]
 
         with pytest.raises(ProtocolError):
-            VectorTable(Short({"a": [1.0], "b": [1.0]}), ["a", "b"])
+            table_of(Short({"a": [1.0], "b": [1.0]}), ["a", "b"])

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from lexiforge import _kernels, error_analysis
 from lexiforge.embedding import DeterministicEmbedder
 from lexiforge.error_analysis import (
+    DEFAULT_PROPER_NOUN_PATTERNS,
     Candidate,
     ErrorAnalysisConfig,
     ErrorCategory,
@@ -278,6 +279,33 @@ class TestDetectProperNoun:
             ("gato", "circularity"),
             ("gato", "proper_noun_as_common"),
         ]
+
+
+    def test_matches_a_search_per_sense(self):
+        # case folds that change a text's length (ß, İ, ŉ, ﬁ), line breaks
+        # inside a definition, and a pattern's halves at the end of one
+        # definition and the start of the next
+        pieces = ["nombre", " propio", "NOMBRE PROPIO", "en la", " mitología", "EN LA MITOLOGÍA", "ß", "İ", "ŉ", "ﬁ", "\n", " ", "x"]
+        rng = random.Random(20261020)
+        entries = [
+            make_entry(
+                f"lema{i}",
+                "Nombre masculino",
+                *(
+                    "".join(rng.choice(pieces) for _ in range(rng.randint(1, 6))).strip() or "vacío"
+                    for _ in range(rng.randint(1, 3))
+                ),
+            )
+            for i in range(2000)
+        ]
+        expected = [
+            entry.lemma
+            for entry in make_dictionary(*entries).entries()
+            if any(p in sense.definition.casefold() for sense in entry.senses for p in DEFAULT_PROPER_NOUN_PATTERNS)
+        ]
+        found = [f.lemma for f in entry_findings(entries) if f.category is ErrorCategory.PROPER_NOUN_AS_COMMON]
+        assert found == expected
+        assert 200 < len(expected) < 1800
 
 
 class TestDetectFabricatedPolysemy:
