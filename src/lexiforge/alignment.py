@@ -17,7 +17,7 @@ import numpy as np
 
 from .embedding import VectorTable
 from .ingestion import write_records
-from .model import CATEGORY_VALUES, Dictionary, DictionaryEntry, csr_offsets, csr_rows, take
+from .model import CATEGORY_VALUES, Dictionary, csr_offsets, csr_rows, take
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,14 +25,13 @@ class BlockAlignment:
     """The alignment of a run of join pairs, one array element per pair, in pair order.
 
     Pair i joins entry ``gen_index[i]`` of *generated* with entry
-    ``gold_index[i]`` of *gold*. Its per-gold scores, in gold order, are
-    ``scores[offsets[i] : offsets[i + 1]]``. ``best_gold_index`` is 1-based
-    and names the first maximum of those scores, ``best_score`` is that
-    maximum and ``mean_over_gold`` their mean.
+    ``gold_index[i]`` of the gold dictionary. Its per-gold scores, in gold
+    order, are ``scores[offsets[i] : offsets[i + 1]]``. ``best_gold_index``
+    is 1-based and names the first maximum of those scores, ``best_score``
+    is that maximum and ``mean_over_gold`` their mean.
     """
 
     generated: Dictionary
-    gold: Dictionary
     gen_index: np.ndarray
     gold_index: np.ndarray
     gen_sense_count: np.ndarray
@@ -45,10 +44,6 @@ class BlockAlignment:
     @property
     def gold_sense_count(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-    def pair(self, i: int) -> tuple[DictionaryEntry, DictionaryEntry]:
-        """The (generated, gold) entries of pair *i*."""
-        return self.generated.entry(int(self.gen_index[i])), self.gold.entry(int(self.gold_index[i]))
 
 
 #: Join pairs of one gold sense count scored per stacked matmul in
@@ -108,7 +103,6 @@ def align_dictionaries(
         raise ValueError("an alignment score is not finite")
     return BlockAlignment(
         generated=generated,
-        gold=gold,
         gen_index=gen_index,
         gold_index=gold_index,
         gen_sense_count=generated.sense_offsets[gen_index + 1] - gen_firsts,
@@ -127,7 +121,8 @@ def all_pairs_scores(
 
     Inspection aid for polysemous generated entries; no table depends on it.
     """
-    return (vectors.rows(gen_definitions) @ vectors.rows(gold_definitions).T).tolist()
+    gen_rows, gold_rows = vectors.indices(gen_definitions), vectors.indices(gold_definitions)
+    return (vectors.matrix[gen_rows] @ vectors.matrix[gold_rows].T).tolist()
 
 
 def rank_histogram(alignment: BlockAlignment) -> dict[int, int]:

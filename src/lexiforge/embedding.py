@@ -155,10 +155,6 @@ class VectorTable:
         """The row of each text in ``matrix``, in the given order."""
         return np.fromiter(map(self._rows.__getitem__, texts), dtype=np.intp, count=len(texts))
 
-    def rows(self, texts: Sequence[str]) -> np.ndarray:
-        """Matrix of the texts' unit vectors, one row per text in the given order."""
-        return self.matrix[self.indices(texts)]
-
 
 def vector_tables(embedder, items: Iterable, texts_of: Callable[..., Iterable[str]]) -> Iterator[tuple]:
     """``(item, VectorTable of texts_of(item))`` for every item, in order; the one place a table is filled.

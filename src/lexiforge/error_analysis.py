@@ -8,7 +8,6 @@ senses) and over-corrections (defining a closely spelled different word).
 
 from __future__ import annotations
 
-import bisect
 import enum
 import itertools
 import re
@@ -19,11 +18,11 @@ from typing import IO, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .alignment import BlockAlignment
+from .alignment import BlockAlignment, align_dictionaries
 from .embedding import VectorTable, map_joined, normalize_texts, vector_tables
 from .exceptions import ParseError
 from .ingestion import BOOLEAN, STRING, STRING_OR_NULL, RecordKind, read_records, write_records
-from .model import Dictionary, DictionaryEntry, take
+from .model import Dictionary, csr_rows, take
 
 DEFAULT_PROPER_NOUN_PATTERNS = ("nombre propio", "en la mitología")
 PROPER_NOUN_EVIDENCE = "definition matches a proper-noun pattern"
@@ -72,10 +71,10 @@ def _cosine_text(score: float) -> str:
 
 
 class Candidate(NamedTuple):
-    """A join pair whose best score falls strictly below the hallucination threshold."""
+    """A join pair, by its two entry indices, whose best score falls strictly below the hallucination threshold."""
 
-    generated: DictionaryEntry
-    gold: DictionaryEntry
+    gen_index: int
+    gold_index: int
     best_gold_index: int
     best_score: float
 
@@ -84,12 +83,8 @@ def hallucination_candidates(alignment: BlockAlignment, config: ErrorAnalysisCon
     """The pairs of *alignment* whose best score falls strictly below the threshold, in pair order."""
     config = config or ErrorAnalysisConfig()
     rows = np.flatnonzero(alignment.best_score < config.hallucination_threshold)
-    return [
-        Candidate(*alignment.pair(row), index, score)
-        for row, index, score in zip(
-            rows.tolist(), alignment.best_gold_index[rows].tolist(), alignment.best_score[rows].tolist()
-        )
-    ]
+    columns = (alignment.gen_index, alignment.gold_index, alignment.best_gold_index, alignment.best_score)
+    return list(map(Candidate, *(column[rows].tolist() for column in columns)))
 
 
 class _CaseFold(dict):
@@ -129,14 +124,14 @@ def _fold(text: str) -> str:
     return text.lower()
 
 
-def detect_circularity(entry: DictionaryEntry) -> bool:
-    """True when the exact lemma occurs whole-word in any of its definitions.
+def detect_circularity(lemma: str, definitions: Sequence[str]) -> bool:
+    """True when the exact lemma occurs whole-word in any of its entry's *definitions*.
 
     Case-insensitive but diacritic-sensitive; morphological variants do
     not count ("limitar" inside a definition of "limitable" is fine).
     """
-    pattern = re.compile(rf"(?<!\w){re.escape(entry.lemma)}(?!\w)", re.IGNORECASE)
-    return any(pattern.search(sense.definition) for sense in entry.senses)
+    pattern = re.compile(rf"(?<!\w){re.escape(lemma)}(?!\w)", re.IGNORECASE)
+    return any(pattern.search(definition) for definition in definitions)
 
 
 def detect_fabricated_polysemy(
@@ -209,17 +204,19 @@ def findings_of_entries(
 
     The lemmas and definitions are case-folded by ``_fold`` as one joined
     string (``map_joined``). Wherever ``detect_circularity``'s regex
-    matches, the folded lemma is a substring of a folded definition, so
-    only the entries that pass that test are built, as ``DictionaryEntry``
-    objects, for the regex. The proper-noun patterns are sought once in
-    the definitions joined and case-folded by ``str.casefold``, and each
-    hit is mapped back to its definition's entry.
+    matches, the folded lemma is a substring of a folded definition: that
+    is a superset pre-check (ﬀ folds to f and ẚ to a, which the regex
+    keeps apart), and the regex decides for the entries that pass it. The
+    proper-noun patterns are sought once in the definitions joined and
+    case-folded by ``str.casefold``, and each hit is mapped back to its
+    definition's entry.
     """
     lemmas, definitions = entries.lemmas, entries.definitions
+    offsets = entries.sense_offsets.tolist()
     owners = np.repeat(np.arange(len(lemmas)), entries.sense_counts).tolist()
     folded = map_joined(_fold, lemmas + definitions)
     passing = {position for position, text in zip(owners, folded[len(lemmas) :]) if folded[position] in text}
-    circular = {position for position in passing if detect_circularity(entries.entry(position))}
+    circular = {p for p in passing if detect_circularity(lemmas[p], definitions[offsets[p] : offsets[p + 1]])}
     proper = {owners[sense] for sense in _pattern_hits(definitions, DEFAULT_PROPER_NOUN_PATTERNS)}
     fabricated = detect_fabricated_polysemy(entries, vectors, config)
     labels = [tag.raw_label for tag in entries.tags]
@@ -236,7 +233,7 @@ def findings_of_entries(
                 category=category,
                 evidence=evidence,
                 pos_label=labels[entries.tag_ids[position]],
-                generated_definition=definitions[entries.sense_offsets[position]],
+                generated_definition=definitions[offsets[position]],
             )
             for category, flagged, evidence in found
             if flagged
@@ -313,6 +310,9 @@ class NeighborIndex:
     and keeps the neighbours within it, so the result equals a scan of
     the whole vocabulary and ``neighbors`` only looks a query up.
 
+    The index is keyed by lemma; ``classify_errors`` expands each
+    neighbour lemma into its run of gold entries (``Dictionary.run``).
+
     Variants are ``_variant_hashes`` values; no variant string is ever
     built. The queries' hashes are one sorted uint64 array beside an
     int32 array of query ids. The gold lemmas are hashed one length and
@@ -380,13 +380,6 @@ class NeighborIndex:
                 self._neighbors[lemma].append((other, distance))
         for found in self._neighbors.values():
             found.sort(key=lambda pair: (pair[1], pair[0]))
-        # the entries of neighbour lemmas only, in key order: a lemma's entries are one run of the sorted lemma column
-        self._entries_by_lemma: dict[str, list[DictionaryEntry]] = {}
-        for found in self._neighbors.values():
-            for other, _ in found:
-                if other not in self._entries_by_lemma:
-                    run = range(bisect.bisect_left(gold.lemmas, other), bisect.bisect_right(gold.lemmas, other))
-                    self._entries_by_lemma[other] = [gold.entry(index) for index in run]
 
     def neighbors(self, lemma: str) -> list[tuple[str, int]]:
         """Different gold lemmas within the index's max_distance of a query, sorted by (distance, lemma).
@@ -397,49 +390,54 @@ class NeighborIndex:
             raise ValueError(f"{lemma!r} is not one of the index's queries")
         return list(self._neighbors[lemma])
 
-    def neighbor_entries(self, lemma: str) -> list[tuple[DictionaryEntry, int]]:
-        """Gold entries of ``neighbors(lemma)``, in that order, with their distance."""
-        found = self.neighbors(lemma)
-        return [(entry, distance) for other, distance in found for entry in self._entries_by_lemma[other]]
-
 
 def detect_overcorrection(
-    entry: DictionaryEntry,
-    neighbors: Sequence[tuple[DictionaryEntry, int]],
+    generated: Dictionary,
+    gold: Dictionary,
+    join: tuple[np.ndarray, np.ndarray],
+    distances: np.ndarray,
     vectors: VectorTable,
     config: ErrorAnalysisConfig | None = None,
-) -> ErrorFinding | None:
-    """Look for a closely spelled gold lemma whose definition the entry matches.
+) -> dict[int, ErrorFinding]:
+    """By generated entry index, the closely spelled gold lemma whose definition a hallucination candidate matches.
 
-    Run on hallucination candidates only: a high cosine against a nearby
-    (but different) gold lemma suggests the generated definition belongs
-    to that neighbor. ``neighbors`` is ``NeighborIndex.neighbor_entries``
-    of the entry's lemma, and ``vectors`` holds their definitions and the
-    entry's first one. Returns the best such neighbor or None.
+    A high cosine against a nearby (but different) gold lemma suggests the
+    generated definition belongs to that neighbor. *join* pairs each
+    candidate, by its generated entry index, with every gold entry of its
+    neighbours, in (distance, lemma, key) order, and ``distances[i]`` is
+    pair i's edit distance; ``vectors`` holds the candidates' first
+    definitions and every definition of those gold entries.
+
+    The pairs are scored by :func:`align_dictionaries`, so every score is
+    the one a candidate's first sense gets against that gold sense alone.
+    A candidate's finding is its gold sense of the highest score at or
+    above ``overcorrection_similarity_floor``; of equal scores, the first
+    in pair and sense order wins, so the smaller distance, then the lemma
+    and key that sort first. A candidate with no such sense has no finding.
     """
     config = config or ErrorAnalysisConfig()
-    gen_vector = vectors.rows([entry.senses[0].definition])[0]
-    # neighbors arrive sorted by (distance, lemma); strict > keeps the first
-    # (alphabetically lowest) winner on exact ties
-    best: tuple[float, int, str, str] | None = None
-    for gold_entry, distance in neighbors:
-        scores = vectors.rows([sense.definition for sense in gold_entry.senses]) @ gen_vector
-        for sense, score in zip(gold_entry.senses, scores.tolist()):
-            if score < config.overcorrection_similarity_floor:
-                continue
-            if best is None or (score, -distance) > (best[0], best[1]):
-                best = (score, -distance, gold_entry.lemma, sense.definition)
-    if best is None:
-        return None
-    score, neg_distance, neighbor, gold_definition = best
-    return ErrorFinding(
-        lemma=entry.lemma,
-        category=ErrorCategory.OVERCORRECTION,
-        evidence=f"gold neighbor '{neighbor}' at edit distance {-neg_distance}, cosine {_cosine_text(score)}",
-        pos_label=entry.pos.raw_label,
-        generated_definition=entry.senses[0].definition,
-        gold_definition=gold_definition,
-    )
+    alignment = align_dictionaries(generated, gold, join, vectors)
+    scores = alignment.scores
+    pair = np.repeat(np.arange(len(distances)), alignment.gold_sense_count)  # the pair of each score
+    kept = np.flatnonzero(scores >= config.overcorrection_similarity_floor)
+    owners = join[0][pair[kept]]
+    # by candidate, then highest score; lexsort is stable, so equal scores keep their order
+    order = np.lexsort((-scores[kept], owners))
+    best = kept[order][np.flatnonzero(np.diff(owners[order], prepend=-1))]
+    senses = csr_rows(gold.sense_offsets, join[1])  # the gold definition of each score
+    columns = (join[0][pair[best]], join[1][pair[best]], distances[pair[best]], scores[best], senses[best])
+    found = {}
+    for gen_index, gold_index, distance, score, sense in zip(*(column.tolist() for column in columns)):
+        neighbor = f"gold neighbor '{gold.lemmas[gold_index]}' at edit distance {distance}"
+        found[gen_index] = ErrorFinding(
+            lemma=generated.lemmas[gen_index],
+            category=ErrorCategory.OVERCORRECTION,
+            evidence=f"{neighbor}, cosine {_cosine_text(score)}",
+            pos_label=generated.tags[generated.tag_ids[gen_index]].raw_label,
+            generated_definition=generated.definitions[generated.sense_offsets[gen_index]],
+            gold_definition=gold.definitions[sense],
+        )
+    return found
 
 
 #: Hallucination candidates whose over-correction texts share one
@@ -449,6 +447,7 @@ CANDIDATE_BLOCK = 64
 
 
 def classify_errors(
+    generated: Dictionary,
     gold: Dictionary,
     candidates: Sequence[Candidate],
     embedder,
@@ -456,14 +455,18 @@ def classify_errors(
 ) -> list[ErrorFinding]:
     """The hallucination and over-correction findings of the hallucination candidates.
 
-    *candidates* are :func:`hallucination_candidates` of the alignment.
-    Each gets its hallucination finding, in their order,
-    followed by its over-correction finding when
-    :func:`detect_overcorrection` finds one. The over-correction search
-    takes the candidates ``CANDIDATE_BLOCK`` at a time, each block with a
-    ``VectorTable`` (:func:`vector_tables`) of its definitions and those of
-    its gold neighbors, so memory holds one block's vectors however many
-    candidates there are.
+    *candidates* are :func:`hallucination_candidates` of the alignment of
+    *generated* against *gold*, and every finding is built from the two
+    dictionaries' columns. Each candidate gets its hallucination finding,
+    in their order, followed by its over-correction finding when
+    :func:`detect_overcorrection` finds one.
+
+    The over-correction search takes the candidates ``CANDIDATE_BLOCK`` at
+    a time. A block's neighbour lemmas (``NeighborIndex.neighbors``) are
+    expanded into their runs of gold entries (``Dictionary.run``), and the
+    block gets a ``VectorTable`` (:func:`vector_tables`) of its candidates'
+    and those entries' definitions, so memory holds one block's vectors
+    however many candidates there are.
 
     Hallucination candidates whose best-matching gold definition has at
     most two words are marked low-confidence: terse synonym-style gold
@@ -473,41 +476,48 @@ def classify_errors(
     """
     config = config or ErrorAnalysisConfig()
     findings: list[ErrorFinding] = []
+    lemmas = generated.lemmas
     max_distance = config.overcorrection_max_edit_distance
-    index = NeighborIndex(gold, [c.generated.lemma for c in candidates], max_distance) if candidates else None
+    index = NeighborIndex(gold, [lemmas[c.gen_index] for c in candidates], max_distance) if candidates else None
 
     def candidate_blocks():
         for start in range(0, len(candidates), CANDIDATE_BLOCK):
             block = candidates[start : start + CANDIDATE_BLOCK]
-            yield block, [index.neighbor_entries(c.generated.lemma) for c in block]
+            pairs = [
+                (c.gen_index, gold_index, distance)
+                for c in block
+                for other, distance in index.neighbors(lemmas[c.gen_index])
+                for gold_index in gold.run(other)
+            ]
+            gen_index, gold_index, distances = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
+            yield block, (gen_index, gold_index), distances
 
     def texts_of(planned):
-        block, neighbors = planned
-        yield from (c.generated.senses[0].definition for c in block)
-        yield from (s.definition for found in neighbors for gold_entry, _ in found for s in gold_entry.senses)
+        block, (_, gold_index), _ = planned
+        yield from take(generated.definitions, generated.sense_offsets[[c.gen_index for c in block]])
+        yield from take(gold.definitions, csr_rows(gold.sense_offsets, gold_index))
 
     with closing(vector_tables(embedder, candidate_blocks(), texts_of)) as tables:
-        for (block, neighbors), vectors in tables:
-            for candidate, found in zip(block, neighbors):
-                gen_entry = candidate.generated
-                gold_best = candidate.gold.senses[candidate.best_gold_index - 1].definition
+        for (block, join, distances), vectors in tables:
+            overcorrections = detect_overcorrection(generated, gold, join, distances, vectors, config)
+            del vectors  # before the next block's table is filled, so at most one is alive
+            for c in block:
+                gold_best = gold.definitions[gold.sense_offsets[c.gold_index] + c.best_gold_index - 1]
                 low_confidence = len(gold_best.split()) <= 2
-                evidence = f"best cosine {_cosine_text(candidate.best_score)} < {config.hallucination_threshold}"
+                evidence = f"best cosine {_cosine_text(c.best_score)} < {config.hallucination_threshold}"
                 findings.append(
                     ErrorFinding(
-                        lemma=gen_entry.lemma,
+                        lemma=lemmas[c.gen_index],
                         category=ErrorCategory.HALLUCINATION_CANDIDATE,
                         evidence=evidence + ("; short gold definition, low confidence" if low_confidence else ""),
-                        pos_label=gen_entry.pos.raw_label,
-                        generated_definition=gen_entry.senses[0].definition,
+                        pos_label=generated.tags[generated.tag_ids[c.gen_index]].raw_label,
+                        generated_definition=generated.definitions[generated.sense_offsets[c.gen_index]],
                         gold_definition=gold_best,
                         low_confidence=low_confidence,
                     )
                 )
-                overcorrection = detect_overcorrection(gen_entry, found, vectors, config)
-                if overcorrection is not None:
-                    findings.append(overcorrection)
-            del vectors  # before the next block's table is filled, so at most one is alive
+                if c.gen_index in overcorrections:
+                    findings.append(overcorrections[c.gen_index])
     return findings
 
 

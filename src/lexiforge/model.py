@@ -217,11 +217,6 @@ class Dictionary:
     def sense_counts(self) -> np.ndarray:
         return np.diff(self.sense_offsets)
 
-    def definitions_of(self, index: int) -> list[str]:
-        """The definitions of entry *index*, in sense order."""
-        start, end = self.sense_offsets[index : index + 2].tolist()
-        return self.definitions[start:end]
-
     def entry(self, index: int) -> DictionaryEntry:
         """Entry *index*, in key order."""
         start, end = self.sense_offsets[index : index + 2].tolist()
@@ -237,16 +232,14 @@ class Dictionary:
             for lemma, tag_id, start, end in zip(self.lemmas, self.tag_ids.tolist(), offsets, offsets[1:])
         ]
 
+    def run(self, lemma: str) -> range:
+        """The indices of *lemma*'s entries, in key order: a lemma's entries are one run of the sorted lemma column."""
+        return range(bisect.bisect_left(self.lemmas, lemma), bisect.bisect_right(self.lemmas, lemma))
+
     def find(self, lemma: str, category: PosCategory) -> int | None:
         """The index of the entry of key (*lemma*, *category*), or None."""
         code = CATEGORY_CODES[category]
-        # a lemma's entries are one run of the sorted lemma column
-        index = bisect.bisect_left(self.lemmas, lemma)
-        while index < len(self.lemmas) and self.lemmas[index] == lemma:
-            if self.categories[index] == code:
-                return index
-            index += 1
-        return None
+        return next((index for index in self.run(lemma) if self.categories[index] == code), None)
 
     def get(self, lemma: str, category: PosCategory) -> DictionaryEntry | None:
         index = self.find(lemma, category)

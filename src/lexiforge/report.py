@@ -260,6 +260,7 @@ def evaluate_dictionaries(
     """
     error_config = error_config or ErrorAnalysisConfig()
     join = vocabulary_join(generated, gold)
+    gen_offsets, gold_offsets = generated.sense_offsets, gold.sense_offsets
     cosine_blocks: list[tuple[dict[str, np.ndarray], dict[str, np.ndarray]]] = []
     histogram: dict[int, int] = {}
     candidates: list[Candidate] = []
@@ -278,7 +279,9 @@ def evaluate_dictionaries(
                             "lemma": generated.lemmas[gen_index],
                             "category": CATEGORY_VALUES[generated.categories[gen_index]],
                             "scores": all_pairs_scores(
-                                generated.definitions_of(gen_index), gold.definitions_of(gold_index), vectors
+                                generated.definitions[gen_offsets[gen_index] : gen_offsets[gen_index + 1]],
+                                gold.definitions[gold_offsets[gold_index] : gold_offsets[gold_index + 1]],
+                                vectors,
                             ),
                         }
                         for gen_index, gold_index in zip(pairs[0][polysemous].tolist(), pairs[1][polysemous].tolist())
@@ -291,7 +294,7 @@ def evaluate_dictionaries(
                 candidates += hallucination_candidates(alignment, error_config)
                 entry_findings += findings_of_entries(block, vectors, error_config)
                 del vectors, alignment  # before the next block's table is filled, so at most one is alive
-        findings = classify_errors(gold, candidates, embedder, error_config) + entry_findings
+        findings = classify_errors(generated, gold, candidates, embedder, error_config) + entry_findings
         findings += [
             ErrorFinding(
                 lemma=failure.lemma,

@@ -168,3 +168,27 @@ def oracle_parse_dictionary(lines) -> list[tuple]:
     if repeat:
         raise DuplicateKeyError("duplicate key", line_number=repeat)
     return [entries[key] for key in sorted(entries)]
+
+
+def oracle_overcorrection(definition: str, neighbors, rows, floor: float):
+    """The over-correction of a candidate whose first definition is *definition*: one neighbour entry at a time.
+
+    *neighbors* holds (gold lemma, edit distance, definitions) for each
+    gold entry of the candidate's neighbour lemmas, in (distance, lemma,
+    key) order; *rows* maps a list of texts to their unit vectors, one row
+    per text. Each entry's senses are scored by one (k, d) @ (d,) product.
+    A score below *floor* does not count; of the rest, the highest score
+    wins, then the smaller distance, then the first in order. Returns
+    (score, distance, gold lemma, gold definition), or None.
+    """
+    gen_vector = rows([definition])[0]
+    best = None
+    for lemma, distance, definitions in neighbors:
+        scores = rows(definitions) @ gen_vector
+        for gold_definition, score in zip(definitions, scores.tolist()):
+            if score < floor:
+                continue
+            # strict >: an equal (score, -distance) keeps the earlier one
+            if best is None or (score, -distance) > (best[0], -best[1]):
+                best = (score, distance, lemma, gold_definition)
+    return best

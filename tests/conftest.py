@@ -61,7 +61,6 @@ def make_alignment(*rows: tuple[str, PosCategory, int, list[float]]) -> BlockAli
     every = [list(scores) for *_, scores in rows]
     return BlockAlignment(
         generated=generated,
-        gold=gold,
         gen_index=np.array([generated.find(lemma, category) for lemma, category, *_ in rows], dtype=np.int64),
         gold_index=np.array([gold.find(lemma, category) for lemma, category, *_ in rows], dtype=np.int64),
         gen_sense_count=np.array([gen_count for _, _, gen_count, _ in rows], dtype=np.int64),

@@ -54,8 +54,8 @@ def pair_values(block):
     scores, offsets = block.scores.tolist(), block.offsets.tolist()
     return [
         (gen.lemma, gen.pos.category, gen_count, end - start, index, best, mean, tuple(scores[start:end]))
-        for (gen, _), gen_count, start, end, index, best, mean in zip(
-            map(block.pair, range(len(block.gen_index))),
+        for gen, gen_count, start, end, index, best, mean in zip(
+            map(block.generated.entry, block.gen_index.tolist()),
             block.gen_sense_count.tolist(),
             offsets,
             offsets[1:],
@@ -96,7 +96,7 @@ def per_pair_alignment(pairs, vectors):
     """
     expected = []
     for gen, gold_entry in pairs:
-        rows = vectors.rows([s.definition for s in (gen.senses[0], *gold_entry.senses)])
+        rows = vectors.matrix[vectors.indices([s.definition for s in (gen.senses[0], *gold_entry.senses)])]
         scores = (rows[1:] @ rows[0]).tolist()
         best_index = scores.index(max(scores))
         expected.append(

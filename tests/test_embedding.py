@@ -932,7 +932,7 @@ class TestVectorTable:
         raw = {"a": [1.0, 0.0], "b": [3.0, 4.0]}
         embedder = _TableEmbedder(raw)
         table = table_of(embedder, raw)
-        rows = table.rows(["b", "a", "b"])
+        rows = table.matrix[table.indices(["b", "a", "b"])]
         np.testing.assert_array_equal(rows, [[0.6, 0.8], [1.0, 0.0], [0.6, 0.8]])
         assert abs(float(rows[0] @ rows[1]) - cosine_similarity(raw["a"], raw["b"])) <= 1e-15
         assert raw["b"] == [3.0, 4.0]  # the embedder's own vectors are left alone
@@ -940,7 +940,8 @@ class TestVectorTable:
     @staticmethod
     def assert_rows_are_per_row_unit_vectors(embedder, texts):
         raw = dict(zip(texts, np.asarray(embedder.embed_batch(texts), dtype=np.float64)))
-        rows = table_of(embedder, texts).rows(texts)
+        table = table_of(embedder, texts)
+        rows = table.matrix[table.indices(texts)]
         for text, row in zip(texts, rows):
             assert row.tobytes() == (raw[text] / np.linalg.norm(raw[text])).tobytes(), text
 

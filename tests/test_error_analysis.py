@@ -22,11 +22,11 @@ from lexiforge.error_analysis import (
     Candidate,
     ErrorAnalysisConfig,
     ErrorCategory,
+    ErrorFinding,
     NeighborIndex,
     classify_errors,
     detect_circularity,
     detect_fabricated_polysemy,
-    detect_overcorrection,
     findings_of_entries,
     hallucination_candidates,
     parse_findings,
@@ -34,10 +34,10 @@ from lexiforge.error_analysis import (
 )
 from lexiforge.exceptions import EncodingError, ParseError
 from lexiforge.ingestion import parse_failures
-from lexiforge.model import PosCategory, normalize_lemma
+from lexiforge.model import PosCategory, normalize_lemma, vocabulary_join
 from lexiforge.report import evaluate_dictionaries
 
-from _oracles import oracle_levenshtein
+from _oracles import oracle_levenshtein, oracle_overcorrection
 from conftest import DATA_DIR, make_alignment, make_dictionary, make_entry, vector_table
 
 EMBEDDER = DeterministicEmbedder(dimension=512)
@@ -62,10 +62,10 @@ def entry_findings(entries, config=None):
 
 
 def overcorrection(entry, gold, config=None):
-    config = config or ErrorAnalysisConfig()
-    index = NeighborIndex(gold, [entry.lemma], config.overcorrection_max_edit_distance)
-    neighbors = index.neighbor_entries(entry.lemma)
-    return detect_overcorrection(entry, neighbors, vector_table(EMBEDDER, [entry] + gold.entries()), config)
+    """The over-correction finding ``classify_errors`` gives *entry* as a hallucination candidate, or None."""
+    candidate = Candidate(0, gold.find(*entry.key), 1, 0.0)
+    findings = classify_errors(make_dictionary(entry), gold, [candidate], EMBEDDER, config)
+    return next((f for f in findings if f.category is ErrorCategory.OVERCORRECTION), None)
 
 
 def scored(*rows):
@@ -74,7 +74,7 @@ def scored(*rows):
 
 
 def flagged(block, config=None):
-    return {candidate.generated.lemma for candidate in hallucination_candidates(block, config)}
+    return {block.generated.lemmas[candidate.gen_index] for candidate in hallucination_candidates(block, config)}
 
 
 class TestHallucinationCandidates:
@@ -83,7 +83,8 @@ class TestHallucinationCandidates:
             ("alto", PosCategory.NOUN, 1, [0.5]),
             ("bajo", PosCategory.VERB, 1, [0.02, 0.05, 0.01]),
         )
-        assert hallucination_candidates(block) == [Candidate(*block.pair(1), 2, 0.05)]
+        assert hallucination_candidates(block) == [Candidate(block.gen_index[1], block.gold_index[1], 2, 0.05)]
+        assert block.generated.lemmas[block.gen_index[1]] == "bajo"
 
     @pytest.mark.parametrize("score,printed", [(-1e-17, "0.0000"), (1e-17, "0.0000"), (0.05, "0.0500")])
     @pytest.mark.parametrize(
@@ -93,9 +94,9 @@ class TestHallucinationCandidates:
     def test_finding_evidence(self, score, printed, gold_definition, suffix):
         # a score that rounds to zero prints unsigned; a gold definition of
         # at most two words marks the finding low-confidence
-        generated = make_entry("bajo", "Nombre masculino", "Sonido grave.")
+        generated = make_dictionary(make_entry("bajo", "Nombre masculino", "Sonido grave."))
         gold = make_dictionary(make_entry("bajo", "Nombre masculino", gold_definition))
-        findings = classify_errors(gold, [Candidate(generated, gold.entries()[0], 1, score)], EMBEDDER)
+        findings = classify_errors(generated, gold, [Candidate(0, 0, 1, score)], EMBEDDER)
         assert [f.evidence for f in findings] == [f"best cosine {printed} < 0.1" + suffix]
         assert findings[0].category is ErrorCategory.HALLUCINATION_CANDIDATE
         assert findings[0].low_confidence is bool(suffix)
@@ -122,32 +123,37 @@ class TestHallucinationCandidates:
 
 class TestDetectCircularity:
     def test_lemma_inside_definition(self):
-        entry = make_entry("gato", "Nombre masculino", "Un gato es un felino doméstico.")
-        assert detect_circularity(entry)
+        assert detect_circularity("gato", ["Un gato es un felino doméstico."])
 
     def test_case_insensitive(self):
-        entry = make_entry("gato", "Nombre masculino", "El GATO duerme.")
-        assert detect_circularity(entry)
+        assert detect_circularity("gato", ["El GATO duerme."])
 
     def test_morphological_variant_not_matched(self):
-        entry = make_entry("limitable", "Adjetivo", "Que se puede limitar o restringir.")
-        assert not detect_circularity(entry)
+        assert not detect_circularity("limitable", ["Que se puede limitar o restringir."])
 
     def test_derived_form_not_matched(self):
-        entry = make_entry("ollera", "Nombre femenino", "Lugar donde se fabrican o venden ollas.")
-        assert not detect_circularity(entry)
+        assert not detect_circularity("ollera", ["Lugar donde se fabrican o venden ollas."])
 
     def test_whole_word_boundary(self):
-        entry = make_entry("limitar", "Verbo", "Suele limitarse a lo esencial.")
-        assert not detect_circularity(entry)
+        assert not detect_circularity("limitar", ["Suele limitarse a lo esencial."])
 
     def test_diacritics_are_significant(self):
-        entry = make_entry("aquí", "Adverbio", "La palabra aqui sin tilde es otra cosa.")
-        assert not detect_circularity(entry)
+        assert not detect_circularity("aquí", ["La palabra aqui sin tilde es otra cosa."])
 
     def test_any_sense_counts(self):
-        entry = make_entry("sal", "Nombre femenino", "Cloruro de sodio.", "Echar sal a la comida.")
-        assert detect_circularity(entry)
+        assert detect_circularity("sal", ["Cloruro de sodio.", "Echar sal a la comida."])
+
+    @pytest.mark.parametrize("lemma,definition", [("f", "Letra ﬀ de imprenta."), ("a", "Vocal ẚ rara.")])
+    def test_a_folded_hit_that_the_regex_rejects(self, lemma, definition):
+        # the fold is coarser than re.IGNORECASE (ﬀ folds to f, ẚ to a): the
+        # pre-check passes the entry, and the regex decides it is not circular
+        assert lemma in error_analysis._fold(definition)
+        assert not detect_circularity(lemma, [definition])
+        assert entry_findings([make_entry(lemma, "Nombre femenino", definition)]) == []
+
+
+def circularity_of(entry):
+    return detect_circularity(entry.lemma, [sense.definition for sense in entry.senses])
 
 
 def regex_circularity(entry):
@@ -161,7 +167,7 @@ def regex_circularity(entry):
 CASE_VARIANTS = {
     "s": "sSſ", "k": "kKK", "ß": "ßẞ", "i": "iIİı", "µ": "µμΜ", "σ": "σςΣ", "e": "eEé", "a": "aAá",
 }
-LEMMA_PIECES = ["s", "k", "ß", "i", "µ", "σ", "e", "a", "ñ", "o", "-", " ", "c++", "a.b", "(x)", "[i]", "\\d", "$", "|", "?"]
+LEMMA_PIECES = ["s", "k", "ß", "i", "µ", "σ", "e", "a", "f", "ñ", "o", "-", " ", "c++", "a.b", "(x)", "[i]", "\\d", "$", "|", "?"]
 CONTEXT = [" ", "", "x", "-", ".", "\u0301", "\u0308", "_", "1", ", ", "ñ", "(", "İ"]
 
 
@@ -174,7 +180,7 @@ def _circularity_entry(rng):
     lemma = normalize_lemma("".join(rng.choice(LEMMA_PIECES) for _ in range(rng.randint(1, 4))).strip() or "s")
     definitions = []
     for _ in range(rng.randint(1, 3)):
-        words = [rng.choice(["el", "sal", "kilo", "σοφίας", "straße", "STRASSE", "ẞ", "ıi", "µm"]) for _ in range(rng.randint(0, 4))]
+        words = [rng.choice(["el", "sal", "kilo", "σοφίας", "straße", "STRASSE", "ẞ", "ıi", "µm", "ﬀ", "ẚ"]) for _ in range(rng.randint(0, 4))]
         if rng.random() < 0.7:
             inserted = rng.choice(CONTEXT) + _case_variant(rng, lemma) + rng.choice(CONTEXT)
             words.insert(rng.randint(0, len(words)), inserted)
@@ -186,7 +192,16 @@ class TestCircularityParity:
     def test_matches_the_regex_per_entry(self):
         rng = random.Random(20261018)
         entries = [_circularity_entry(rng) for _ in range(4000)]
-        assert all(detect_circularity(entry) == regex_circularity(entry) for entry in entries)
+        assert all(circularity_of(entry) == regex_circularity(entry) for entry in entries)
+        # ﬀ and ẚ fold to f and a, which re.IGNORECASE does not match them with:
+        # entries that pass the folded pre-check and that only the regex rejects
+        fold = error_analysis._fold
+        assert any(
+            fold(entry.lemma) in fold(word) and not regex_circularity(entry)
+            for entry in entries
+            for word in ("ﬀ", "ẚ")
+            if any(word in sense.definition for sense in entry.senses)
+        )
         # keys repeat, so the entries make one dictionary per occurrence: every
         # key's first entry, then every repeated key's second entry, and so on
         rounds, seen = [], {}
@@ -213,7 +228,7 @@ class TestCircularityParity:
 
     def test_only_entries_passing_the_folded_substring_test_reach_the_regex(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(error_analysis, "detect_circularity", lambda entry: calls.append(entry.lemma) or True)
+        monkeypatch.setattr(error_analysis, "detect_circularity", lambda lemma, definitions: calls.append(lemma) or True)
         entries = [
             make_entry("gato", "Nombre masculino", "Felino doméstico."),
             make_entry("sal", "Nombre femenino", "Cloruro de sodio.", "Echar SAL a la comida."),
@@ -576,6 +591,155 @@ class TestDetectOvercorrection:
         config = ErrorAnalysisConfig(overcorrection_similarity_floor=1.0 - 1e-12)
         finding = overcorrection(entry, gold, config)
         assert finding is not None  # exact text copy still reaches the floor
+
+
+#: Definitions that share words, so their cosines spread over [0, 1]; a
+#: definition that two gold senses share gives them equal scores.
+OVERCORRECTION_POOL = (
+    "Acción y efecto de destacar.",
+    "Acción y efecto de destacar o sobresalir.",
+    "Cosa que sobresale de las demás.",
+    "Lugar donde se guarda algo.",
+    "Lugar donde se vende algo.",
+    "Persona que guarda algo.",
+    "Edificio para habitar.",
+    "Edificio para guardar cosas.",
+)
+LABELS = ("Nombre femenino", "Adjetivo", "Verbo")
+
+
+def planted_overcorrections():
+    """Gold and generated entries of the over-correction cases that the tie rule decides."""
+    same, other = OVERCORRECTION_POOL[1], OVERCORRECTION_POOL[3]
+    gold = [
+        # near-spelled multi-sense neighbours of "casa"
+        make_entry("cosa", "Nombre femenino", other, same, OVERCORRECTION_POOL[0]),
+        make_entry("caso", "Nombre masculino", OVERCORRECTION_POOL[2], same),
+        make_entry("casa", "Nombre femenino", OVERCORRECTION_POOL[6]),
+        # equal scores at distances 1 and 2 from "mesa"
+        make_entry("mesas", "Nombre femenino", OVERCORRECTION_POOL[4]),
+        make_entry("amesas", "Nombre femenino", OVERCORRECTION_POOL[4]),
+        make_entry("mesa", "Nombre femenino", OVERCORRECTION_POOL[7]),
+        # equal scores at one distance on two lemmas, "bolo" before "polo"
+        make_entry("polo", "Nombre masculino", OVERCORRECTION_POOL[5]),
+        make_entry("bolo", "Nombre masculino", OVERCORRECTION_POOL[5]),
+        make_entry("solo", "Adjetivo", OVERCORRECTION_POOL[6]),
+        # equal scores on two categories of one lemma, the adjective first in key order
+        make_entry("rato", "Nombre masculino", OVERCORRECTION_POOL[0]),
+        make_entry("rato", "Adjetivo", OVERCORRECTION_POOL[0]),
+        make_entry("gato", "Nombre masculino", OVERCORRECTION_POOL[2]),
+    ]
+    generated = [
+        make_entry("casa", "Nombre femenino", same),
+        make_entry("mesa", "Nombre femenino", OVERCORRECTION_POOL[4]),
+        make_entry("solo", "Adjetivo", OVERCORRECTION_POOL[5]),
+        make_entry("gato", "Nombre masculino", OVERCORRECTION_POOL[0]),
+    ]
+    return generated, gold
+
+
+def random_overcorrections(rng):
+    """Near-spelled gold entries of one to three senses, and generated entries on a share of their keys."""
+    lemmas = {_random_word(rng, "aeos", 4) for _ in range(40)}
+    gold = [
+        make_entry(lemma, label, *(rng.choice(OVERCORRECTION_POOL) for _ in range(rng.randint(1, 3))))
+        for lemma in sorted(lemmas)
+        for label in rng.sample(LABELS, rng.randint(1, 2))
+    ]
+    generated = [make_entry(e.lemma, e.pos.raw_label, rng.choice(OVERCORRECTION_POOL)) for e in gold if rng.random() < 0.4]
+    return generated, gold
+
+
+def overcorrections_of(generated_entries, gold_entries, config):
+    """The over-correction findings of every join pair as a candidate: (block detector's, oracle's)."""
+    generated, gold = make_dictionary(*generated_entries), make_dictionary(*gold_entries)
+    join = vocabulary_join(generated, gold)
+    candidates = [Candidate(i, j, 1, 0.0) for i, j in zip(*(index.tolist() for index in join))]
+    found = [
+        f
+        for f in classify_errors(generated, gold, candidates, EMBEDDER, config)
+        if f.category is ErrorCategory.OVERCORRECTION
+    ]
+    table = vector_table(EMBEDDER, generated_entries + gold_entries)
+    rows = lambda texts: table.matrix[table.indices(texts)]  # noqa: E731
+    gold_entries = gold.entries()  # in key order
+    expected = []
+    for i in join[0].tolist():
+        entry = generated.entry(i)
+        near = sorted(
+            {(oracle_levenshtein(entry.lemma, g.lemma), g.lemma) for g in gold_entries if g.lemma != entry.lemma},
+        )
+        neighbors = [
+            (lemma, distance, [sense.definition for sense in g.senses])
+            for distance, lemma in near
+            if distance <= config.overcorrection_max_edit_distance
+            for g in gold_entries
+            if g.lemma == lemma
+        ]
+        best = oracle_overcorrection(entry.senses[0].definition, neighbors, rows, config.overcorrection_similarity_floor)
+        if best is not None:
+            score, distance, lemma, gold_definition = best
+            expected.append(
+                ErrorFinding(
+                    lemma=entry.lemma,
+                    category=ErrorCategory.OVERCORRECTION,
+                    evidence=f"gold neighbor '{lemma}' at edit distance {distance}, cosine {score:.4f}",
+                    pos_label=entry.pos.raw_label,
+                    generated_definition=entry.senses[0].definition,
+                    gold_definition=gold_definition,
+                )
+            )
+    return found, expected
+
+
+class TestOvercorrectionOracle:
+    # blocks of one and three candidates, and align chunks of one and three
+    # pairs, so the scoring crosses block and chunk boundaries
+    @pytest.fixture(params=[(64, 16), (1, 1), (3, 3)], ids=["default", "blocks-1", "blocks-3"])
+    def blocks(self, request, monkeypatch):
+        candidate_block, align_chunk = request.param
+        monkeypatch.setattr(error_analysis, "CANDIDATE_BLOCK", candidate_block)
+        monkeypatch.setattr("lexiforge.alignment.ALIGN_CHUNK", align_chunk)
+
+    def test_planted_ties(self, blocks):
+        generated, gold = planted_overcorrections()
+        found, expected = overcorrections_of(generated, gold, ErrorAnalysisConfig())
+        assert found == expected
+        winners = {f.lemma: (f.evidence.split("'")[1], f.gold_definition) for f in found}
+        assert winners == {
+            "casa": ("caso", OVERCORRECTION_POOL[1]),  # a later sense, and caso before cosa
+            "mesa": ("mesas", OVERCORRECTION_POOL[4]),  # distance 1 over distance 2
+            "solo": ("bolo", OVERCORRECTION_POOL[5]),  # the first lemma at one distance
+            "gato": ("rato", OVERCORRECTION_POOL[0]),
+        }
+        rato = next(f for f in found if f.lemma == "gato")
+        assert rato.evidence.startswith("gold neighbor 'rato' at edit distance 1, cosine 1.0000")
+
+    def test_score_exactly_at_the_floor(self, blocks):
+        generated = [make_entry("casa", "Nombre femenino", OVERCORRECTION_POOL[0])]
+        gold = [
+            make_entry("cosa", "Nombre femenino", OVERCORRECTION_POOL[2]),
+            make_entry("casa", "Nombre femenino", OVERCORRECTION_POOL[6]),
+        ]
+        table = vector_table(EMBEDDER, generated + gold)
+        rows = lambda texts: table.matrix[table.indices(texts)]  # noqa: E731
+        floor, *_ = oracle_overcorrection(OVERCORRECTION_POOL[0], [("cosa", 1, [OVERCORRECTION_POOL[2]])], rows, 0.0)
+        assert 0.0 < floor < 1.0
+        found, expected = overcorrections_of(generated, gold, ErrorAnalysisConfig(overcorrection_similarity_floor=floor))
+        assert found == expected and len(found) == 1
+        above = ErrorAnalysisConfig(overcorrection_similarity_floor=float(np.nextafter(floor, 2.0)))
+        assert overcorrections_of(generated, gold, above) == ([], [])
+
+    @pytest.mark.parametrize("floor", [0.0, 0.3, 0.6, 1.0])
+    def test_matches_the_per_entry_oracle(self, blocks, floor):
+        rng = random.Random(20261020)
+        config = ErrorAnalysisConfig(overcorrection_similarity_floor=floor)
+        total = 0
+        for _ in range(6):
+            found, expected = overcorrections_of(*random_overcorrections(rng), config)
+            assert found == expected
+            total += len(found)
+        assert total > 0
 
 
 class TestClassifyErrors:

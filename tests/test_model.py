@@ -160,6 +160,12 @@ class TestDictionary:
         )
         assert len(d) == 2
 
+    def test_run_is_a_lemmas_entries_in_key_order(self):
+        d = make_dictionary(*_UNORDERED)
+        for lemma in dict.fromkeys(d.lemmas):
+            assert [entry.key for entry in map(d.entry, d.run(lemma))] == [k for k in _IN_KEY_ORDER if k[0] == lemma]
+        assert list(d.run("zzz")) == [] and list(d.run("")) == []
+
     @seed(23)
     @settings(max_examples=50)
     @given(st.permutations(_UNORDERED), st.permutations(_UNORDERED[1:4] + [make_entry("cabo", "Verbo", "Extremo.")]))

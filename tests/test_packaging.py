@@ -143,7 +143,7 @@ def test_every_trace_target_resolves():
 
 
 #: Modules on the evaluate path that work on a ``Dictionary``'s columns.
-COLUMNAR_MODULES = ("ingestion.py", "metrics.py", "report.py")
+COLUMNAR_MODULES = ("alignment.py", "embedding.py", "error_analysis.py", "ingestion.py", "metrics.py", "report.py")
 ENTRY_TYPES = {"Sense", "DictionaryEntry"}
 ENTRY_BUILDERS = {"entry", "entries"}
 
@@ -165,6 +165,7 @@ def entry_objects(module: str) -> list[str]:
 
 @pytest.mark.parametrize("module", COLUMNAR_MODULES)
 def test_no_entry_objects_on_the_columnar_path(module):
-    # parsing, the metrics and the key-block loop read a Dictionary's columns;
-    # a Sense or DictionaryEntry per entry there is the cost the columns removed
+    # parsing, alignment, error analysis, the metrics and the key-block loop
+    # read a Dictionary's columns; a Sense or DictionaryEntry per entry there
+    # is the cost the columns removed
     assert entry_objects(module) == []

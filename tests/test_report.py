@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lexiforge.embedding import DeterministicEmbedder, embed_deterministic
-from lexiforge.error_analysis import ErrorCategory, parse_findings
+from lexiforge.error_analysis import ErrorAnalysisConfig, ErrorCategory, parse_findings
 from lexiforge.ingestion import parse_failures
 from lexiforge.metrics import ConfusionMatrix2x2, class_metrics
 from lexiforge.model import Dictionary, PosCategory
@@ -24,6 +24,7 @@ from lexiforge.report import (
 
 from _oracles import cosine_similarity
 from conftest import make_dictionary, make_entry
+from test_error_analysis import planted_overcorrections
 
 EMBEDDER = DeterministicEmbedder(dimension=512)
 
@@ -211,6 +212,24 @@ class TestCandidateBlocks:
         evaluate_dictionaries(generated, gold, embedder, tmp_path / "blocked")
         assert outputs(tmp_path / "blocked") == outputs(tmp_path / "whole")
         assert len(embedder.batches) == math.ceil(len(generated) / KEY_BLOCK) + candidates
+
+    @pytest.mark.parametrize("align_chunk", [1, 3])
+    @pytest.mark.parametrize("candidate_block", [1, 64])
+    def test_candidate_blocks_in_small_align_chunks(self, planted, monkeypatch, tmp_path, candidate_block, align_chunk):
+        # every join pair is a candidate, and most have several near-spelled
+        # neighbours of one sense count (eight in one block of 64), so the
+        # over-correction scoring crosses align chunks
+        near = tuple(make_dictionary(*entries) for entries in planted_overcorrections())
+        config = ErrorAnalysisConfig(hallucination_threshold=1.0)
+        for name, (generated, gold) in {"planted": planted, "near": near}.items():
+            whole = evaluate_dictionaries(generated, gold, EMBEDDER, tmp_path / name / "whole", error_config=config)
+            assert whole.error_summary["overcorrection"] >= 1
+            with monkeypatch.context() as patched:
+                patched.setattr("lexiforge.error_analysis.CANDIDATE_BLOCK", candidate_block)
+                patched.setattr("lexiforge.alignment.ALIGN_CHUNK", align_chunk)
+                evaluate_dictionaries(generated, gold, EMBEDDER, tmp_path / name / "blocked", error_config=config)
+            assert outputs(tmp_path / name / "blocked") == outputs(tmp_path / name / "whole")
+        assert whole.error_summary["overcorrection"] == 4
 
 
 class ScaledPerText:
