@@ -1,10 +1,13 @@
 """Hot numeric kernels: signed trigram hashing and bounded Levenshtein distance.
 
 Both are vectorised with numpy. The trigram hasher takes a chunk of
-texts at once: their UTF-8 bytes in one buffer, the FNV-1a chain of
-every trigram of the chunk advanced one byte position per pass, and one
-``np.bincount`` of the trigrams' ±1.0 signs into a ``(texts, dimension)``
-float64 count block, whose values are exact integers. The edit distance
+texts at once: their UTF-8 bytes in one buffer, each character's first
+byte found from the UTF-8 lead bytes, the 3-byte FNV-1a window hashed at
+every byte position and gathered at the first byte of every run of three
+characters (only trigrams with multi-byte characters hash further
+bytes), and one ``np.add.at`` of the trigrams' ±1.0 signs into the
+caller's ``(texts, dimension)`` float64 rows, whose values are exact
+integers; the runs that span two texts add 0. The edit distance
 of many pairs at once, exact up to a bound, is a banded DP: the cells of
 every pair's DP row within the bound of its diagonal, advanced one query
 code point per numpy step.
@@ -33,7 +36,7 @@ def codepoints(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)
 
 
-def trigram_counts(texts: list[str], dimension: int) -> np.ndarray:
+def trigram_counts(texts: list[str], dimension: int, out: np.ndarray | None = None) -> np.ndarray:
     """Signed FNV-1a bucket counts of every character trigram, one float64 row per text.
 
     Each text must hold at least three characters (callers pad the
@@ -42,41 +45,53 @@ def trigram_counts(texts: list[str], dimension: int) -> np.ndarray:
     sign (top bit). Opposite signs can, very rarely, cancel every bucket
     of a text; that row falls back to +1 in its first trigram's bucket,
     so no row is all zero.
+
+    The counts go into *out*, a C-contiguous float64 ``(texts, dimension)``
+    array that is zeroed first and returned; ``None`` allocates one.
     """
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     if (lengths < 3).any():
         raise ValueError("every text needs at least three characters")
-    joined = "".join(texts)
-    data = np.frombuffer(joined.encode("utf-8"), dtype=np.uint8).astype(np.uint64)
-    cps = codepoints(joined)
-    char_offsets = np.zeros(cps.size + 1, dtype=np.int64)
-    np.cumsum(1 + (cps >= 0x80).astype(np.int64) + (cps >= 0x800) + (cps >= 0x10000), out=char_offsets[1:])
-    # trigram t of text i starts at character text_starts[i] + t
-    per_text = lengths - 2
-    row = np.repeat(np.arange(len(texts)), per_text)
-    first = np.zeros(len(texts), dtype=np.int64)
-    np.cumsum(per_text[:-1], out=first[1:])
-    text_starts = np.zeros(len(texts), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=text_starts[1:])
-    chars = np.arange(row.size) + np.repeat(text_starts - first, per_text)
-    starts = char_offsets[chars]
-    sizes = char_offsets[chars + 3] - starts
-    h = np.full(row.size, _U64_OFFSET, dtype=np.uint64)
-    for j in range(3):  # every trigram has at least three bytes
-        h = (h ^ data[starts + j]) * _U64_PRIME
+    if out is None:
+        out = np.zeros((len(texts), dimension))
+    elif out.shape != (len(texts), dimension) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        # a reshaped copy of a strided array would take the counts and drop them
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {(len(texts), dimension)}")
+    else:
+        out.fill(0.0)
+    raw = np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8)
+    # a character starts at every byte that is not a continuation byte (10xxxxxx)
+    char_offsets = np.append(np.flatnonzero((raw & 0xC0) != 0x80), raw.size)
+    data = raw.astype(np.uint64)
+    # the FNV-1a hash of the three bytes from every byte position
+    window = np.full(raw.size - 2, _U64_OFFSET, dtype=np.uint64)
+    for j in range(3):
+        window ^= data[j : j + window.size]
+        window *= _U64_PRIME
+    # every run of three characters of the joined texts: the trigrams, and
+    # the two runs that span each boundary between texts, which count 0
+    starts = char_offsets[:-3]
+    sizes = char_offsets[3:] - starts
+    h = window[starts]  # every trigram has at least three bytes
     live = np.flatnonzero(sizes > 3)
     for j in range(3, int(sizes.max())):  # only trigrams with multi-byte characters go on
         live = live[sizes[live] > j]
         h[live] = (h[live] ^ data[starts[live] + j]) * _U64_PRIME
-    buckets = (h % np.uint64(dimension)).astype(np.int64)
-    keys = row * dimension + buckets
+    # h - h // d * d is h mod d; numpy's uint64 % by a scalar is several times slower
+    divisor = np.uint64(dimension)
+    buckets = (h - h // divisor * divisor).view(np.int64)
     # +1.0 where the top bit is clear, -1.0 where it is set: float sums of
     # small integers are exact, so the counts are the integer counts
-    signs = 1.0 - 2.0 * (h >> np.uint64(63)).astype(np.float64)
-    counts = np.bincount(keys, weights=signs, minlength=len(texts) * dimension).reshape(len(texts), dimension)
-    cancelled = np.flatnonzero(~counts.any(axis=1))
-    counts[cancelled, buckets[first[cancelled]]] = 1
-    return counts
+    signs = 1.0 - 2.0 * (h.view(np.int64) < 0)
+    ends = np.cumsum(lengths)  # one past each text's last character
+    signs[ends[:-1] - 2] = signs[ends[:-1] - 1] = 0.0
+    # a run's row is the text its first character belongs to
+    keys = np.repeat(np.arange(0, len(texts) * dimension, dimension), lengths)[: h.size]
+    keys += buckets
+    np.add.at(out.reshape(-1), keys, signs)
+    cancelled = np.flatnonzero(~out.any(axis=1))
+    out[cancelled, buckets[(ends - lengths)[cancelled]]] = 1
+    return out
 
 
 #: Pairs that ``levenshtein_many`` advances together. Its scratch memory is

@@ -83,9 +83,10 @@ def normalize_text(text: str) -> str:
     return normalize_texts([text])[0]
 
 
-#: Texts hashed per ``_kernels.trigram_counts`` call. The count block of a
-#: chunk is ``EMBED_CHUNK`` × dimension float64 values (1 MiB at 512 dims),
-#: so hashing a batch of any size needs no more scratch memory than that.
+#: Texts hashed per ``_kernels.trigram_counts`` call, which counts straight
+#: into the chunk's rows of the result. Its scratch memory is a few arrays
+#: of one 8-byte value per UTF-8 byte of the chunk (a 1.6 MiB peak for 256
+#: texts of 100 characters), whatever the batch size.
 EMBED_CHUNK = 256
 
 #: Requests ``RemoteEmbedder`` keeps in flight, over at most as many kept-alive
@@ -215,7 +216,7 @@ class DeterministicEmbedder:
             if not all(normalized):
                 raise EmptyTextError(f"text is empty after normalization: {chunk[normalized.index('')]!r}")
             padded = [f"#{text}#" for text in normalized]
-            vectors[start : start + len(chunk)] = _kernels.trigram_counts(padded, self.dimension)
+            _kernels.trigram_counts(padded, self.dimension, out=vectors[start : start + len(chunk)])
         return vectors
 
 
@@ -319,9 +320,11 @@ class RemoteEmbedder:
         try:
             payload = orjson.loads(body)
             vectors = payload["vectors"]
-            dimension = int(payload["dimension"])
+            dimension = payload["dimension"]
         except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed embedding service reply: {exc}") from exc
+        if type(dimension) is not int:  # int() would take 512.9, "512" and true
+            raise ProtocolError(f"malformed embedding service reply: dimension {dimension!r} is not an integer")
         if not (
             type(vectors) is list
             and len(vectors) == expected

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import re
 from contextlib import closing
 from dataclasses import dataclass
@@ -248,22 +249,34 @@ _VARIANT_BASE = np.uint64(0x100000001B3)
 def _variant_hashes(codepoints: np.ndarray, max_deletions: int) -> np.ndarray:
     """Hashes of every deletion variant of each row of an (n, L) code-point matrix.
 
-    Column c of the (n, V) result is, for every row, the polynomial hash
-    (Horner's rule, wrapping mod 2**64) of the code points kept by the c-th
-    choice of up to ``max_deletions`` positions to delete. A variant that
-    several choices produce appears once per choice.
+    Each row of the (n, V) result holds, one column per choice of up to
+    ``max_deletions`` positions to delete, the polynomial hash (Horner's
+    rule, wrapping mod 2**64) of the code points that choice keeps. A
+    variant that several choices produce appears once per choice. The
+    order of the columns is unspecified.
+
+    The variants are built in place one position at a time: each variant
+    of the prefix with k deletions is extended by the next code point, or
+    deletes it and joins those with k + 1. The result is the transpose of
+    a (V, n) array, so that each step works on whole contiguous rows.
     """
     rows, length = codepoints.shape
-    values = codepoints.astype(np.uint64) + np.uint64(1)  # a leading U+0000 still moves the hash
-    columns = []
-    for kept in range(length, max(length - max_deletions, 0) - 1, -1):
-        choices = list(itertools.combinations(range(length), kept))
-        positions = np.array(choices, dtype=np.int64).reshape(len(choices), kept)
-        h = np.zeros((rows, positions.shape[0]), dtype=np.uint64)
-        for j in range(kept):
-            h = h * _VARIANT_BASE + values[:, positions[:, j]]
-        columns.append(h)
-    return np.concatenate(columns, axis=1)
+    values = codepoints.T.astype(np.uint64) + np.uint64(1)  # a leading U+0000 still moves the hash
+    # the variants with k deletions fill rows first[k] on, filled[k] of them so far
+    sizes = [math.comb(length, k) for k in range(min(max_deletions, length) + 1)]
+    first = [sum(sizes[:k]) for k in range(len(sizes))]
+    filled = [1] + [0] * (len(sizes) - 1)
+    hashes = np.zeros((sum(sizes), rows), dtype=np.uint64)
+    for i in range(length):
+        for k in range(min(i + 1, len(sizes) - 1), -1, -1):  # level k - 1 still holds the shorter prefix
+            kept = hashes[first[k] : first[k] + filled[k]]
+            kept *= _VARIANT_BASE
+            kept += values[i]
+            if k:
+                end = first[k] + filled[k]
+                hashes[end : end + filled[k - 1]] = hashes[first[k - 1] : first[k - 1] + filled[k - 1]]
+                filled[k] += filled[k - 1]
+    return hashes.T
 
 
 #: Gold lemmas of one length hashed per pass of the ``NeighborIndex`` build.

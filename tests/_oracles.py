@@ -8,6 +8,7 @@ and the package's exception types.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -100,6 +101,21 @@ def oracle_levenshtein(a: str, b: str) -> int:
             cost = 0 if a[i - 1] == b[j - 1] else 1
             table[i][j] = min(table[i - 1][j] + 1, table[i][j - 1] + 1, table[i - 1][j - 1] + cost)
     return table[-1][-1]
+
+
+def oracle_variant_hashes(codepoints: np.ndarray, max_deletions: int) -> np.ndarray:
+    """Column c of each row: the Horner hash, base FNV_PRIME mod 2**64, of the code points + 1 kept by the c-th choice of deletions."""
+    rows, length = codepoints.shape
+    values = codepoints.astype(np.uint64) + np.uint64(1)
+    columns = []
+    for kept in range(length, max(length - max_deletions, 0) - 1, -1):
+        choices = list(itertools.combinations(range(length), kept))
+        positions = np.array(choices, dtype=np.int64).reshape(len(choices), kept)
+        h = np.zeros((rows, positions.shape[0]), dtype=np.uint64)
+        for j in range(kept):
+            h = h * np.uint64(FNV_PRIME) + values[:, positions[:, j]]
+        columns.append(h)
+    return np.concatenate(columns, axis=1)
 
 
 def oracle_population_stats(values: list[float]) -> tuple[float, float]:

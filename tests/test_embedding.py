@@ -838,8 +838,15 @@ class TestRemoteProtocol:
             lambda texts: {"vectors": [[1.0, 2.0]] * len(texts), "dimension": float("inf")},
             lambda texts: {"vectors": [[1.0] for _ in texts], "dimension": 2},
             lambda texts: {"vectors": [[[1.0], [2.0]] for _ in texts], "dimension": 2},
+            # each with rows of the length int() would make of the dimension
+            lambda texts: {"vectors": [[1.0, 2.0] for _ in texts], "dimension": 2.5},
+            lambda texts: {"vectors": [[1.0, 2.0] for _ in texts], "dimension": "2"},
+            lambda texts: {"vectors": [[1.0] for _ in texts], "dimension": True},
         ],
-        ids=["non-numeric", "not-a-list", "ragged", "infinite-dimension", "rows-too-short", "nested-values"],
+        ids=[
+            "non-numeric", "not-a-list", "ragged", "infinite-dimension", "rows-too-short", "nested-values",
+            "float-dimension", "string-dimension", "boolean-dimension",
+        ],
     )
     def test_malformed_vectors_are_protocol_error(self, embed_server, reply):
         EmbedHandler.script = [reply]

@@ -37,7 +37,7 @@ from lexiforge.ingestion import parse_failures
 from lexiforge.model import PosCategory, normalize_lemma, vocabulary_join
 from lexiforge.report import evaluate_dictionaries
 
-from _oracles import oracle_levenshtein, oracle_overcorrection
+from _oracles import oracle_levenshtein, oracle_overcorrection, oracle_variant_hashes
 from conftest import DATA_DIR, make_alignment, make_dictionary, make_entry, vector_table
 
 EMBEDDER = DeterministicEmbedder(dimension=512)
@@ -551,6 +551,23 @@ class TestNeighborIndexOracle:
         assert {"ñ", "á", "ü", "q\u0301"} <= set(gold)
         assert min(len(g) for g in gold) == 1
         assert any(q not in gold for q in queries) and "n\u0303" in queries
+
+
+class TestVariantHashes:
+    # U+0000 and astral code points among ordinary ones; each row is a multiset of hashes
+    @pytest.mark.parametrize("max_deletions", [0, 1, 2, 3])
+    def test_each_row_is_the_combination_oracle(self, max_deletions):
+        rng = np.random.default_rng(max_deletions)
+        alphabet = np.array([0, 1, ord("a"), ord("ñ"), ord("中"), 0x1F332, 0x2EA9F, 0x10FFFF])
+        for length in range(14):
+            matrix = rng.choice(alphabet, size=(5, length))
+            got = error_analysis._variant_hashes(matrix, max_deletions)
+            expected = oracle_variant_hashes(matrix, max_deletions)
+            assert got.dtype == np.uint64 and got.shape == expected.shape
+            assert (np.sort(got, axis=1) == np.sort(expected, axis=1)).all()
+
+    def test_no_rows(self):
+        assert error_analysis._variant_hashes(np.empty((0, 4), dtype=np.int64), 2).shape == (0, 11)
 
 
 class TestVariantHashCollisions:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lexiforge import _kernels
@@ -91,16 +91,42 @@ class TestCodepoints:
         assert cps.tolist() == [ord("a"), ord("中"), ord("🌲")]
 
 
+PADDED = ["#casa#", "#ñandú#", "#中🌲𮪟2#", "#a#"]
+
+
 class TestTrigramCounts:
+    # the dimensions that are not powers of two exercise the bucket's h - h // d * d
+    @seed(32)
     @settings(max_examples=80)
-    @given(st.lists(st.text(alphabet="abcñá 中🌲𮪟2", min_size=1, max_size=14), min_size=1, max_size=6))
-    def test_signed_counts_are_the_oracle_integers(self, texts):
-        counts = _kernels.trigram_counts([f"#{text}#" for text in texts], 64)
-        assert counts.dtype == np.float64 and counts.shape == (len(texts), 64)
+    @given(
+        st.lists(st.text(alphabet="abcñá 中🌲𮪟2", min_size=1, max_size=14), min_size=1, max_size=6),
+        st.sampled_from([7, 64, 509, 512, 1000]),
+    )
+    def test_signed_counts_are_the_oracle_integers(self, texts, dimension):
+        counts = _kernels.trigram_counts([f"#{text}#" for text in texts], dimension)
+        assert counts.dtype == np.float64 and counts.shape == (len(texts), dimension)
         for text, row in zip(texts, counts):
-            expected = oracle_trigram_counts(text, 64)
+            expected = oracle_trigram_counts(text, dimension)
             if any(expected):  # a cancelled row is the embedder's fallback, tested there
                 assert row.tolist() == expected
+
+    def test_out_is_filled_and_returned(self):
+        allocated = _kernels.trigram_counts(PADDED, 64)
+        matrix = np.full((7, 64), 5.0)
+        out = matrix[2:6]
+        assert _kernels.trigram_counts(PADDED, 64, out=out) is out
+        assert (matrix[2:6] == allocated).all()
+        # the earlier values of the rows are zeroed first, the other rows keep theirs
+        assert (matrix[:2] == 5.0).all() and (matrix[6:] == 5.0).all()
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.zeros((64, 4)).T, np.zeros((4, 128))[:, ::2], np.zeros((4, 63)), np.zeros((3, 64)), np.zeros((4, 64), np.float32)],
+        ids=["transposed", "strided", "narrow", "short", "float32"],
+    )
+    def test_out_of_another_layout_is_rejected(self, out):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _kernels.trigram_counts(PADDED, 64, out=out)
 
     def test_cancelled_row_falls_back_to_its_first_bucket(self):
         counts = _kernels.trigram_counts(["#𮪟2#", "#casa#"], 64)
