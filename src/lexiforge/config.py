@@ -10,6 +10,7 @@ Relative paths are resolved against the config file's directory.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -93,7 +94,12 @@ def _cast(parser: configparser.ConfigParser, section: str, option: str, annotati
         return Path(raw) if Path(raw).is_absolute() else (base / raw).resolve()
     if annotation not in _CASTS:
         raise TypeError(f"[{section}] {option}: no reader for a field of type {annotation}")
-    return _CASTS[annotation](raw)
+    value = _CASTS[annotation](raw)
+    # float() reads inf and nan, which no option takes: orjson writes them as null, and
+    # a timeout or backoff of inf overflows the socket's or time.sleep's clock
+    if annotation == "float" and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {option} must be a finite number, got {raw!r}")
+    return value
 
 
 def _read_section(parser: configparser.ConfigParser, section: str, base: Path, **given):

@@ -30,57 +30,9 @@ from .exceptions import DimensionError, EmptyTextError, ProtocolError, ServiceEr
 
 logger = logging.getLogger(__name__)
 
-#: Code points that can join texts into one string for ``map_joined``: the
-#: C0 controls that are not whitespace (U+001C to U+001F are, for
-#: ``str.split`` as for ``\s``), DEL and the noncharacters U+FDD0-U+FDEF.
-#: None is cased or case-ignorable, so a final sigma next to one lowercases
-#: as at the end of a text; none has a decomposition or takes part in a
-#: composition, so NFC neither changes one nor composes across it; and
-#: case folding maps each to itself.
-SEPARATORS = (
-    *map(chr, range(0x00, 0x09)),
-    *map(chr, range(0x0E, 0x1C)),
-    "\x7f",
-    *map(chr, range(0xFDD0, 0xFDF0)),
-)
-
-
-def map_joined(transform: Callable[[str], str], texts: Sequence[str]) -> list[str]:
-    """``transform`` of the texts joined into one string, split back into one piece per text.
-
-    The texts are joined with the first ``SEPARATORS`` code point that none
-    of them holds, so one call transforms them all. *transform* must keep
-    each separator and act on the text between two as on that text alone.
-    When every separator occurs somewhere, each half of the texts is
-    transformed on its own; one text needs none.
-    """
-    if len(texts) < 2:
-        return [transform(text) for text in texts]
-    joined = "".join(texts)
-    separator = next((candidate for candidate in SEPARATORS if candidate not in joined), None)
-    if separator is None:
-        half = len(texts) // 2
-        return map_joined(transform, texts[:half]) + map_joined(transform, texts[half:])
-    return transform(separator.join(texts)).split(separator)
-
-
-def _collapsed(text: str) -> str:
-    return " ".join(unicodedata.normalize("NFC", text.lower()).split())
-
-
-def normalize_texts(texts: Sequence[str]) -> list[str]:
-    """``normalize_text`` of every text, normalising the texts as one joined string (``map_joined``).
-
-    Whitespace is every character for which ``str.isspace`` holds.
-    """
-    # a whitespace run never spans a separator; one that starts or ends a
-    # text collapses to a space beside it, which the strip removes
-    return [piece.strip() for piece in map_joined(_collapsed, texts)]
-
-
 def normalize_text(text: str) -> str:
-    """Lowercase, NFC-compose, collapse whitespace runs, trim."""
-    return normalize_texts([text])[0]
+    """Lowercase, NFC-compose, collapse whitespace runs (``str.isspace`` characters), trim."""
+    return " ".join(unicodedata.normalize("NFC", text.lower()).split())
 
 
 #: Texts hashed per ``_kernels.trigram_counts`` call, which counts straight
@@ -212,7 +164,7 @@ class DeterministicEmbedder:
         vectors = np.empty((len(texts), self.dimension))
         for start in range(0, len(texts), EMBED_CHUNK):
             chunk = texts[start : start + EMBED_CHUNK]
-            normalized = normalize_texts(chunk)
+            normalized = list(map(normalize_text, chunk))
             if not all(normalized):
                 raise EmptyTextError(f"text is empty after normalization: {chunk[normalized.index('')]!r}")
             padded = [f"#{text}#" for text in normalized]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .alignment import BlockAlignment, align_dictionaries
-from .embedding import VectorTable, map_joined, normalize_texts, vector_tables
+from .embedding import VectorTable, normalize_text, vector_tables
 from .exceptions import ParseError
 from .ingestion import BOOLEAN, STRING, STRING_OR_NULL, RecordKind, read_records, write_records
 from .model import Dictionary, csr_rows, take
@@ -159,7 +159,7 @@ def detect_fabricated_polysemy(
         scores = rows @ rows.transpose(0, 2, 1)
         upper = np.triu_indices(n, 1)
         above = (scores[:, upper[0], upper[1]] >= threshold).any(axis=1).tolist()
-        normalized = normalize_texts(definitions)
+        normalized = list(map(normalize_text, definitions))
         for m, position in enumerate(members.tolist()):
             texts = normalized[m * n : (m + 1) * n]
             if not above[m] and len(set(texts)) == n:
@@ -175,25 +175,6 @@ def detect_fabricated_polysemy(
     return found
 
 
-def _pattern_hits(texts: Sequence[str], patterns: Sequence[str]) -> list[int]:
-    """The index of the text that holds each hit of any of the *patterns*, all case-folded by ``str.casefold``.
-
-    The folded texts are joined with line breaks; a pattern holds none, so
-    no hit spans two texts. A text with several hits is named once per hit.
-    """
-    folded = map_joined(str.casefold, texts)
-    joined = "\n".join(folded)
-    hits = []
-    for pattern in patterns:
-        hit = joined.find(pattern)
-        while hit >= 0:
-            hits.append(hit)
-            hit = joined.find(pattern, hit + 1)
-    # text i of the joined string ends at ends[i], just before its line break
-    ends = np.cumsum(np.fromiter(map(len, folded), dtype=np.int64, count=len(folded)) + 1) - 1
-    return np.searchsorted(ends, hits).tolist()
-
-
 def findings_of_entries(
     entries: Dictionary, vectors: VectorTable, config: ErrorAnalysisConfig | None = None
 ) -> list[ErrorFinding]:
@@ -204,21 +185,27 @@ def findings_of_entries(
     ``vectors`` must hold the definitions of every polysemous entry.
 
     The lemmas and definitions are case-folded by ``_fold`` as one joined
-    string (``map_joined``). Wherever ``detect_circularity``'s regex
+    string, sliced back at each text's end: ``_fold`` maps every character
+    to one character on its own. Wherever ``detect_circularity``'s regex
     matches, the folded lemma is a substring of a folded definition: that
     is a superset pre-check (ﬀ folds to f and ẚ to a, which the regex
-    keeps apart), and the regex decides for the entries that pass it. The
-    proper-noun patterns are sought once in the definitions joined and
-    case-folded by ``str.casefold``, and each hit is mapped back to its
-    definition's entry.
+    keeps apart), and the regex decides for the entries that pass it. An
+    entry is a proper noun when a definition, case-folded by
+    ``str.casefold``, holds one of the patterns.
     """
     lemmas, definitions = entries.lemmas, entries.definitions
     offsets = entries.sense_offsets.tolist()
     owners = np.repeat(np.arange(len(lemmas)), entries.sense_counts).tolist()
-    folded = map_joined(_fold, lemmas + definitions)
+    texts = lemmas + definitions
+    joined = _fold("".join(texts))
+    folded = [joined[start:end] for start, end in itertools.pairwise(itertools.accumulate(map(len, texts), initial=0))]
     passing = {position for position, text in zip(owners, folded[len(lemmas) :]) if folded[position] in text}
     circular = {p for p in passing if detect_circularity(lemmas[p], definitions[offsets[p] : offsets[p + 1]])}
-    proper = {owners[sense] for sense in _pattern_hits(definitions, DEFAULT_PROPER_NOUN_PATTERNS)}
+    proper = {
+        owner
+        for owner, definition in zip(owners, map(str.casefold, definitions))
+        if any(pattern in definition for pattern in DEFAULT_PROPER_NOUN_PATTERNS)
+    }
     fabricated = detect_fabricated_polysemy(entries, vectors, config)
     labels = [tag.raw_label for tag in entries.tags]
     findings = []

@@ -79,12 +79,10 @@ class HttpChatProvider:
             usage = payload.get("usage", {})
             if not isinstance(usage, dict):
                 raise TypeError(f"usage is {usage!r}, not an object")
-            return ProviderResponse(
-                text=text,
-                finish_reason=choice.get("finish_reason", "stop"),
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                completion_tokens=int(usage.get("completion_tokens", 0)),
-            )
+            tokens = {name: usage.get(name, 0) for name in ("prompt_tokens", "completion_tokens")}
+            if any(type(count) is not int for count in tokens.values()):  # int() would take 12.5, "12" and true
+                raise TypeError(f"token counts {tokens} are not all integers")
+            return ProviderResponse(text=text, finish_reason=choice.get("finish_reason", "stop"), **tokens)
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed provider reply: {exc}", retryable=False) from exc
 

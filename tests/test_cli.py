@@ -247,6 +247,15 @@ class TestGenerate:
         )
         assert result.exit_code == 2
 
+    def test_infinite_float_option_exit_2(self, runner, workspace):
+        # the stub config ends in [generation]; an inf temperature would be sent as null
+        with open(workspace / "stub_config.ini", "a", encoding="utf-8") as fh:
+            fh.write("\ntemperature = inf\n")
+        result = run_generate(runner, workspace)
+        assert result.exit_code == 2, result.output
+        assert "[generation] temperature must be a finite number, got 'inf'" in result.output
+        assert not (workspace / "generated.jsonl").exists()
+
     @pytest.mark.parametrize(("text", "named"), MISSPELT_CONFIGS)
     def test_misspelt_config_exit_2(self, runner, workspace, text, named):
         stub = (workspace / "stub_config.ini").read_text(encoding="utf-8")

@@ -101,6 +101,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"\\[{section}\\] {option} must be"):
             load_config(write_config(tmp_path, f"[{section}]\n{option} = {value}\n"))
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "section,option",
+        [
+            ("generation", "temperature"),
+            ("generation", "retry_backoff"),
+            ("provider", "timeout"),
+            ("embedding", "remote_timeout"),
+            ("embedding", "remote_retry_backoff"),
+        ],
+    )
+    def test_non_finite_float_is_config_error(self, tmp_path, section, option, value):
+        # inf passes a lower bound, and would go out as a null temperature or overflow a clock
+        with pytest.raises(ConfigError, match=f"^\\[{section}\\] {option} must be a finite number, got '{value}'$"):
+            load_config(write_config(tmp_path, f"[{section}]\n{option} = {value}\n"))
+
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")

@@ -8,7 +8,6 @@ import struct
 import sys
 import threading
 import time
-import unicodedata
 from contextlib import closing
 from http.server import BaseHTTPRequestHandler
 
@@ -17,19 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexiforge import embedding, error_analysis
+from lexiforge import embedding
 from lexiforge.embedding import (
     EMBED_CHUNK,
     EMBED_LANES,
-    SEPARATORS,
     CachingEmbedder,
     DeterministicEmbedder,
     RemoteEmbedder,
     VectorTable,
     embed_deterministic,
     normalize_text,
-    map_joined,
-    normalize_texts,
     vector_tables,
 )
 from lexiforge.exceptions import DimensionError, EmptyTextError, ProtocolError, ServiceError, ZeroVectorError
@@ -171,31 +167,14 @@ class TestChunkedBatch:
 
 
 class TestBatchNormalizer:
-    """``normalize_texts`` joins a chunk with a separator; each text must normalise as on its own."""
+    """Every text of an embedded chunk must normalise, and hash, as it would on its own."""
 
     @staticmethod
     def assert_matches_oracle(texts, dimension=64):
-        assert normalize_texts(texts) == [oracle_normalize(text) for text in texts]
+        assert [normalize_text(text) for text in texts] == [oracle_normalize(text) for text in texts]
         rows = DeterministicEmbedder(dimension).embed_batch(texts)
         for text, row in zip(texts, rows):
             assert row.tobytes() == np.array(oracle_counts(text, dimension), dtype=np.float64).tobytes(), repr(text)
-
-    def test_separators_are_inert(self):
-        # what lowercasing, NFC and the whitespace collapse may not see in a separator
-        composed_from = {
-            int(code, 16)
-            for cp in range(sys.maxunicode + 1)
-            for code in unicodedata.decomposition(chr(cp)).split()
-            if not code.startswith("<")
-        }
-        assert len(set(SEPARATORS)) == len(SEPARATORS)
-        for separator in SEPARATORS:
-            assert unicodedata.category(separator) in ("Cc", "Cn"), repr(separator)  # neither cased nor case-ignorable
-            assert not re.fullmatch(r"\s", separator) and not separator.isspace(), repr(separator)
-            assert separator.lower() == separator.upper() == separator.casefold() == separator, repr(separator)
-            assert separator.translate(error_analysis._FOLD) == separator, repr(separator)
-            assert unicodedata.combining(separator) == 0 and not unicodedata.decomposition(separator), repr(separator)
-            assert ord(separator) not in composed_from, repr(separator)
 
     def test_leading_combining_mark(self):
         # a mark that starts a text stays a mark; it must not compose with the text before
@@ -209,42 +188,25 @@ class TestBatchNormalizer:
 
     def test_whitespace_only_text_raises_naming_it(self):
         texts = ["casa", " \t\u3000\u2028 ", "mesa"]
-        assert normalize_texts(texts) == ["casa", "", "mesa"]
+        assert normalize_text(texts[1]) == ""
         with pytest.raises(EmptyTextError, match=re.escape(repr(texts[1]))):
             DeterministicEmbedder(64).embed_batch(texts)
-
-    @pytest.mark.parametrize("separator", SEPARATORS, ids=lambda s: f"U+{ord(s):04X}")
-    def test_texts_holding_a_separator(self, separator):
-        self.assert_matches_oracle([f"A{separator}B", f"ΟΣ{separator}", f"{separator}ΣΑ", f" {separator} x ", "casa"])
-
-    def test_chunk_holding_every_separator(self):
-        texts = [f"Texto {i} {separator}Σ" for i, separator in enumerate(SEPARATORS)] + ["ΟΔΟΣ", "\u0301x"]
-        self.assert_matches_oracle(texts)
-        self.assert_matches_oracle(["".join(SEPARATORS) + "ΑΣ", "ΣΑ"])
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_small_chunks(self, monkeypatch, chunk):
         monkeypatch.setattr(embedding, "EMBED_CHUNK", chunk)
-        texts = ["ΟΔΟΣ", "\u0301casa", "İ", "  De   MANERA\tlimitada ", f"a{SEPARATORS[0]}b", "x", "🌲 Σ"]
+        texts = ["ΟΔΟΣ", "\u0301casa", "İ", "  De   MANERA\tlimitada ", "a\x00b", "x", "🌲 Σ"]
         self.assert_matches_oracle(texts)
 
     @settings(max_examples=150)
     @given(
         st.lists(
-            st.text(alphabet=st.sampled_from("aΣσΑİ '\u0301\u0308 \t\u3000ﬁ" + "".join(SEPARATORS[:3])) | st.characters(), max_size=8),
+            st.text(alphabet=st.sampled_from("aΣσΑİ '\u0301\u0308 \t\u3000ﬁ\x00\x01\x02") | st.characters(), max_size=8),
             max_size=8,
         )
     )
     def test_each_text_as_on_its_own(self, texts):
-        assert normalize_texts(texts) == [oracle_normalize(text) for text in texts]
-        # the case folds that the error detectors run over joined texts
-        assert map_joined(str.casefold, texts) == [text.casefold() for text in texts]
-        fold = error_analysis._FOLD
-        assert map_joined(lambda text: text.translate(fold), texts) == [text.translate(fold) for text in texts]
-
-    def test_map_joined_with_every_separator_taken(self):
-        texts = [f"ẞ{separator}ſ" for separator in SEPARATORS] + ["ΟΔΟΣ", "".join(SEPARATORS)]
-        assert map_joined(str.casefold, texts) == [text.casefold() for text in texts]
+        assert [normalize_text(text) for text in texts] == [oracle_normalize(text) for text in texts]
 
 
 class TestGoldenFile:

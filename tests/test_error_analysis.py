@@ -215,7 +215,7 @@ class TestCircularityParity:
             dictionary = make_dictionary(*group)
             expected = [entry.lemma for entry in dictionary.entries() if regex_circularity(entry)]
             vectors = vector_table(EMBEDDER, [entry for entry in group if len(entry.senses) > 1])
-            for size in (len(dictionary), 7):  # one block, and blocks whose joined texts hold few separators
+            for size in (len(dictionary), 7):  # one block, and many small ones
                 found = [
                     finding.lemma
                     for start in range(0, len(dictionary), size)
@@ -225,6 +225,40 @@ class TestCircularityParity:
                 assert found == expected
             circular += len(expected)
         assert len(rounds) > 1 and 500 < circular < 3500
+
+    def test_joined_fold_slices_back_to_each_text(self):
+        # texts before the last two entries whose str.lower is longer (İ) or
+        # depends on its neighbours (a final Σ), and ẞ, ſ and an astral
+        # character, which _fold maps to one character each: the slices of
+        # the one folded string must still start where each text starts
+        entries = [
+            make_entry("abeto", "Nombre masculino", "İİ ÁRBOL ΟΔΟΣ.", "Madera İ de ẞ."),
+            make_entry("acero", "Nombre masculino", "ſ 𝔘 aleación İ.", "ΣΑ İ ſſ."),
+            make_entry("agua", "Nombre femenino", "Líquido 🌲 İ AGUA."),
+            make_entry("sal", "Nombre femenino", "Echar ſAL a la comida."),
+            make_entry("zorro", "Nombre masculino", "NOMBRE PROPIO de un animal."),
+        ]
+        dictionary = make_dictionary(*entries)
+        assert [e.lemma for e in dictionary.entries()] == ["abeto", "acero", "agua", "sal", "zorro"]
+        expected = [
+            (entry.lemma, category)
+            for entry in dictionary.entries()
+            for category, flagged in (
+                (ErrorCategory.CIRCULARITY, regex_circularity(entry)),
+                (
+                    ErrorCategory.PROPER_NOUN_AS_COMMON,
+                    any(p in s.definition.casefold() for s in entry.senses for p in DEFAULT_PROPER_NOUN_PATTERNS),
+                ),
+            )
+            if flagged
+        ]
+        assert expected == [
+            ("agua", ErrorCategory.CIRCULARITY),
+            ("sal", ErrorCategory.CIRCULARITY),
+            ("zorro", ErrorCategory.PROPER_NOUN_AS_COMMON),
+        ]
+        found = [(f.lemma, f.category) for f in entry_findings(entries) if f.category is not ErrorCategory.FABRICATED_POLYSEMY]
+        assert found == expected
 
     def test_only_entries_passing_the_folded_substring_test_reach_the_regex(self, monkeypatch):
         calls = []

@@ -114,10 +114,22 @@ class TestHttpChatProvider:
             {**_ok_body("x"), "choices": [{"message": {"content": None}, "finish_reason": "stop"}]},
             {**_ok_body("x"), "usage": None},
             {**_ok_body("x"), "usage": {"prompt_tokens": "x", "completion_tokens": 7}},
+            # numbers that int() would read, but that are not JSON integers
+            {**_ok_body("x"), "usage": {"prompt_tokens": 12.5, "completion_tokens": 7}},
+            {**_ok_body("x"), "usage": {"prompt_tokens": 11, "completion_tokens": "12"}},
+            {**_ok_body("x"), "usage": {"prompt_tokens": True, "completion_tokens": 7}},
             # json.dumps escapes the lone surrogate as \ud800: valid syntax that names no character
             json.dumps(_ok_body("casa: Nombre femenino: Edificio \ud800.")),
         ],
-        ids=["null-content", "null-usage", "token-count-not-a-number", "unpaired-surrogate"],
+        ids=[
+            "null-content",
+            "null-usage",
+            "token-count-not-a-number",
+            "token-count-fraction",
+            "token-count-numeric-string",
+            "token-count-boolean",
+            "unpaired-surrogate",
+        ],
     )
     def test_malformed_reply_becomes_provider_error_failures(self, chat_server, body, tmp_path):
         # one batch at a time, so the malformed reply answers the first batch; it must not
