@@ -166,6 +166,12 @@ class TestChunkedBatch:
             DeterministicEmbedder(64).embed_batch(texts)
 
 
+#: The C0 controls (U+001C to U+001F and U+0009 to U+000D among them are
+#: whitespace for ``str.split``), DEL and the noncharacters U+FDD0-U+FDEF:
+#: characters that a text may hold and that no word of a definition does.
+CONTROLS_AND_NONCHARACTERS = (*map(chr, range(0x00, 0x20)), "\x7f", *map(chr, range(0xFDD0, 0xFDF0)))
+
+
 class TestBatchNormalizer:
     """Every text of an embedded chunk must normalise, and hash, as it would on its own."""
 
@@ -191,6 +197,15 @@ class TestBatchNormalizer:
         assert normalize_text(texts[1]) == ""
         with pytest.raises(EmptyTextError, match=re.escape(repr(texts[1]))):
             DeterministicEmbedder(64).embed_batch(texts)
+
+    @pytest.mark.parametrize("char", CONTROLS_AND_NONCHARACTERS, ids=lambda c: f"U+{ord(c):04X}")
+    def test_texts_holding_a_control_or_noncharacter(self, char):
+        self.assert_matches_oracle([f"A{char}B", f"ΟΣ{char}", f"{char}ΣΑ", f" {char} x ", f"e{char}\u0301", "casa"])
+
+    def test_chunk_holding_every_control_and_noncharacter(self):
+        texts = [f"Texto {i} {char}Σ" for i, char in enumerate(CONTROLS_AND_NONCHARACTERS)] + ["ΟΔΟΣ", "\u0301x"]
+        self.assert_matches_oracle(texts)
+        self.assert_matches_oracle(["".join(CONTROLS_AND_NONCHARACTERS) + "ΑΣ", "ΣΑ"])
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_small_chunks(self, monkeypatch, chunk):

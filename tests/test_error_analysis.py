@@ -188,6 +188,27 @@ def _circularity_entry(rng):
     return make_entry(lemma, "Nombre masculino", *definitions)
 
 
+def oracle_findings(dictionary):
+    """The circularity and proper-noun findings of each entry by itself: the regex and each definition's ``str.casefold``."""
+    return [
+        (entry.lemma, category)
+        for entry in dictionary.entries()
+        for category, flagged in (
+            (ErrorCategory.CIRCULARITY, regex_circularity(entry)),
+            (
+                ErrorCategory.PROPER_NOUN_AS_COMMON,
+                any(p in s.definition.casefold() for s in entry.senses for p in DEFAULT_PROPER_NOUN_PATTERNS),
+            ),
+        )
+        if flagged
+    ]
+
+
+def text_findings(entries):
+    """The circularity and proper-noun findings that ``findings_of_entries`` gives *entries* as one block."""
+    return [(f.lemma, f.category) for f in entry_findings(entries) if f.category is not ErrorCategory.FABRICATED_POLYSEMY]
+
+
 class TestCircularityParity:
     def test_matches_the_regex_per_entry(self):
         rng = random.Random(20261018)
@@ -240,25 +261,44 @@ class TestCircularityParity:
         ]
         dictionary = make_dictionary(*entries)
         assert [e.lemma for e in dictionary.entries()] == ["abeto", "acero", "agua", "sal", "zorro"]
-        expected = [
-            (entry.lemma, category)
-            for entry in dictionary.entries()
-            for category, flagged in (
-                (ErrorCategory.CIRCULARITY, regex_circularity(entry)),
-                (
-                    ErrorCategory.PROPER_NOUN_AS_COMMON,
-                    any(p in s.definition.casefold() for s in entry.senses for p in DEFAULT_PROPER_NOUN_PATTERNS),
-                ),
-            )
-            if flagged
-        ]
+        expected = oracle_findings(dictionary)
         assert expected == [
             ("agua", ErrorCategory.CIRCULARITY),
             ("sal", ErrorCategory.CIRCULARITY),
             ("zorro", ErrorCategory.PROPER_NOUN_AS_COMMON),
         ]
-        found = [(f.lemma, f.category) for f in entry_findings(entries) if f.category is not ErrorCategory.FABRICATED_POLYSEMY]
-        assert found == expected
+        assert text_findings(entries) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["sal", "agua", "ıra", "ǅemal", "straße", "σοφια", "ﬁn", "ox"]),
+                st.lists(
+                    st.tuples(
+                        st.text(alphabet=st.sampled_from("aİıΣσẞſﬁ\u0301 .\x00🌲") | st.characters(), max_size=6),
+                        st.sampled_from(["", "lemma", "LEMMA", "Nombre Propio", "EN LA MITOLOGÍA", "nombre  propio"]),
+                        st.text(alphabet=st.sampled_from("aİΣẞſ .\x00") | st.characters(), max_size=6),
+                    ),
+                    min_size=1,
+                    max_size=3,
+                ),
+            ),
+            max_size=8,
+            unique_by=lambda entry: entry[0],
+        )
+    )
+    def test_findings_match_the_per_text_oracles(self, drawn):
+        # every lemma and definition folded by itself, whatever texts stand
+        # beside it in the one joined string
+        entries = []
+        for lemma, parts in drawn:
+            definitions = []
+            for before, middle, after in parts:
+                middle = {"lemma": lemma, "LEMMA": lemma.upper()}.get(middle, middle)
+                definitions.append(f"{before}{middle}{after} x")
+            entries.append(make_entry(lemma, "Nombre masculino", *definitions))
+        assert text_findings(entries) == oracle_findings(make_dictionary(*entries))
 
     def test_only_entries_passing_the_folded_substring_test_reach_the_regex(self, monkeypatch):
         calls = []
