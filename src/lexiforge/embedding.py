@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import collections
 import hashlib
+import itertools
 import logging
+import struct
 import time
 import unicodedata
 from contextlib import closing
@@ -30,6 +32,21 @@ from .exceptions import DimensionError, EmptyTextError, ProtocolError, ServiceEr
 
 logger = logging.getLogger(__name__)
 
+
+def _packed_rows(rows: list, dimension: int, code: str) -> np.ndarray:
+    """*rows*, each of *dimension* values, packed one row at a time with the ``struct`` *code* and read as one array.
+
+    *code* is ``q`` (int64) or ``d`` (float64), which numpy reads as the
+    same type. ``struct`` takes each value as it is, where numpy's
+    assignment from nested lists makes a Python float of each. A value the
+    code does not take raises ``struct.error``: for ``q`` a float or an
+    integer outside int64, for either a string, a list or a null. A boolean
+    packs as 1 or 0.
+    """
+    pack = struct.Struct(f"<{dimension}{code}").pack
+    return np.frombuffer(b"".join(itertools.starmap(pack, rows)), f"<{code}")
+
+
 def normalize_text(text: str) -> str:
     """Lowercase, NFC-compose, collapse whitespace runs (``str.isspace`` characters), trim."""
     return " ".join(unicodedata.normalize("NFC", text.lower()).split())
@@ -43,11 +60,13 @@ EMBED_CHUNK = 256
 
 #: Requests ``RemoteEmbedder`` keeps in flight, over at most as many kept-alive
 #: connections. On perfbench's eval-remote-5k (a 2 ms + 0.05 ms/text service,
-#: 2 vCPUs, seeds 3701-3706, every key block's requests in one stream) the
-#: median ``wall_s`` was 0.98 s with two lanes, 0.76 s with four and 0.73 s
-#: with six, whose peak RSS was 0.8 MB above four's: two leave the calling
-#: thread waiting on the service, four keep the service busy while that
-#: thread decodes replies and scores blocks.
+#: 2 vCPUs, every key block's requests in one stream) two lanes leave the
+#: calling thread waiting on the service (median ``wall_s`` 0.98 s against
+#: 0.76 s for four, seeds 3701-3706); four keep the service busy while that
+#: thread decodes replies and scores blocks. With rows packed by ``struct``,
+#: six lanes won 5 of 8 pairs against four but took a median 0.67 s against
+#: 0.64 s (seeds 3481-3488, runs of either within 0.55-0.77 s), for 1.0 MB
+#: more peak RSS.
 EMBED_LANES = 4
 
 
@@ -266,8 +285,11 @@ class RemoteEmbedder:
     def _parse_reply(body: bytes, expected: int) -> tuple[list, int]:
         """The reply's vectors and dimension: *expected* lists of ``dimension`` values each.
 
-        The shape is checked before any value is read, so that a row of one
-        value, or a single row, cannot broadcast across the result.
+        The shape is checked before any value is read, as a check on the
+        service's reply: ``_copy_rows`` packs each row as exactly
+        ``dimension`` values, so without it a row of another length would be
+        reported as a value that is not a number, and a wrong row count
+        would not fit the result.
         """
         try:
             payload = orjson.loads(body)
@@ -287,11 +309,22 @@ class RemoteEmbedder:
 
     @staticmethod
     def _copy_rows(rows: list, out: np.ndarray) -> None:
-        """Decode *rows* into *out*, which has their shape, and check every value."""
+        """Decode *rows*, every value a JSON number, into *out*, which has their shape, and check every value.
+
+        An all-integer reply, as a quantised encoder sends, is packed as
+        int64 and cast, which rounds as ``float(int)`` does; any other is
+        packed as float64.
+        """
         try:
-            out[...] = rows
-        except (ValueError, TypeError) as exc:  # a value that is not a number
-            raise ProtocolError(f"malformed embedding service reply: {exc}") from exc
+            try:
+                values = _packed_rows(rows, out.shape[1], "q")
+            except struct.error:  # a float, an integer outside int64, or not a number
+                values = _packed_rows(rows, out.shape[1], "d")
+        except struct.error as exc:
+            if any(value is None for row in rows for value in row):  # a null stands for a NaN
+                raise ProtocolError("service returned a vector with a non-finite value") from exc
+            raise ProtocolError(f"malformed embedding service reply: a value is not a number: {exc}") from exc
+        out[...] = values.reshape(out.shape)
         if not np.isfinite(out).all():
             raise ProtocolError("service returned a vector with a non-finite value")
         if not out.any(axis=1).all():
@@ -313,8 +346,9 @@ class CachingEmbedder:
     may hold several embedders' records; only the wrapped embedder's are
     loaded, and when a key repeats the last record wins.
 
-    Corrupt records, among them an all-zero vector, are skipped with a
-    warning and recomputed; the file is
+    Corrupt records, among them an all-zero vector and one holding a
+    string where a number belongs, are skipped with a warning and
+    recomputed; the file is
     safe to append to across runs, also after a crash cut its last line.
     ``close`` closes the cache file and the inner embedder, when it has a
     ``close`` of its own.
@@ -344,11 +378,12 @@ class CachingEmbedder:
                     if obj["embedder"] != self.identifier:
                         continue
                     key = str(obj["key"])
-                    vector = np.asarray(obj["vector"], dtype=np.float64)
+                    values = obj["vector"]
+                    vector = _packed_rows([values], len(values), "d")
                     # no embedder returns an all-zero row, and cosine is undefined for one
-                    if vector.ndim != 1 or not np.isfinite(vector).all() or not vector.any():
-                        raise ValueError("vector must be one-dimensional, finite and not all zero")
-                except (ValueError, KeyError, TypeError):  # orjson.JSONDecodeError is a ValueError
+                    if not np.isfinite(vector).all() or not vector.any():
+                        raise ValueError("vector must be finite and not all zero")
+                except (ValueError, KeyError, TypeError, struct.error):  # orjson.JSONDecodeError is a ValueError
                     logger.warning("skipping corrupt cache record at %s:%d", self.path, number)
                     continue
                 self._vectors[key] = vector

@@ -13,7 +13,7 @@ from http.server import BaseHTTPRequestHandler
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lexiforge import embedding
@@ -335,6 +335,17 @@ class TestEmbeddingCache:
                 assert cached.embed_batch(["uno"]).tolist() == [[1.0, 2.0]], corrupt  # the good record survived
             assert "corrupt" in caplog.text, corrupt
             assert table.batches == [], corrupt
+
+    def test_record_with_numeric_strings_is_recomputed(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(_record("uno", ["0.5", "1", 2, 3]))
+        table = _TableEmbedder({"uno": [4.0, 5.0, 6.0, 7.0]})
+        with caplog.at_level(logging.WARNING), closing(CachingEmbedder(table, path)) as cached:
+            assert cached.embed_batch(["uno"]).tolist() == [[4.0, 5.0, 6.0, 7.0]]
+        assert "corrupt" in caplog.text
+        assert table.batches == [["uno"]]
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert [record["vector"] for record in records] == [["0.5", "1", 2, 3], [4.0, 5.0, 6.0, 7.0]]
 
     def test_repeated_key_last_record_wins(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -795,6 +806,19 @@ def _same_vector(value: float, dimension: int):
     return lambda texts: {"vectors": [[value] * dimension for _ in texts], "dimension": dimension}
 
 
+# JSON numbers as orjson reads them: integers up to the greatest uint64, so
+# past int64 too, which sends a reply to the float pass as a float does
+_INT64S = st.integers(-(2**63), 2**63 - 1)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_NUMBERS = st.one_of(_INT64S, st.integers(-(2**63), 2**64 - 1), _FLOATS)
+
+
+def _replies(dimension):
+    """Replies of up to 4 rows of *dimension* values: rows of integers, of floats, or of both."""
+    row = st.one_of(*(st.lists(values, min_size=dimension, max_size=dimension) for values in (_INT64S, _FLOATS, _NUMBERS)))
+    return st.lists(row, min_size=1, max_size=4)
+
+
 class TestRemoteProtocol:
     def test_zero_vector_is_protocol_error(self, embed_server):
         EmbedHandler.script = [_same_vector(0.0, 3)]
@@ -819,10 +843,11 @@ class TestRemoteProtocol:
             lambda texts: {"vectors": [[1.0, 2.0] for _ in texts], "dimension": 2.5},
             lambda texts: {"vectors": [[1.0, 2.0] for _ in texts], "dimension": "2"},
             lambda texts: {"vectors": [[1.0] for _ in texts], "dimension": True},
+            lambda texts: {"vectors": [["0.5", 1.0] for _ in texts], "dimension": 2},
         ],
         ids=[
             "non-numeric", "not-a-list", "ragged", "infinite-dimension", "rows-too-short", "nested-values",
-            "float-dimension", "string-dimension", "boolean-dimension",
+            "float-dimension", "string-dimension", "boolean-dimension", "numeric-string",
         ],
     )
     def test_malformed_vectors_are_protocol_error(self, embed_server, reply):
@@ -860,13 +885,37 @@ class TestRemoteProtocol:
             "-0.0",
             "0.30000000000000004",  # 17 significant digits
             "1.234567890123456789012345e-5",  # 25 significant digits
+            # JSON integers decode as float(int(text)); -0 is the integer 0
+            "0",
+            "-0",
+            "9007199254740993",  # 2**53 + 1, between two doubles: rounds to even
+            "9223372036854775807",  # the greatest int64
+            "-9223372036854775808",  # the least int64
+            "9223372036854775808",  # past int64
+            "18446744073709551615",  # the greatest uint64
         ],
     )
     def test_reply_values_decode_to_the_nearest_double(self, embed_server, text):
-        EmbedHandler.script = [f'{{"vectors": [[1.0, {text}]], "dimension": 2}}'.encode()]
+        integer = text.lstrip("-").isdigit()  # sent in a row of integers, which is packed as int64 when it fits
+        EmbedHandler.script = [f'{{"vectors": [[{"1" if integer else "1.0"}, {text}]], "dimension": 2}}'.encode()]
         with closing(RemoteEmbedder(embed_server)) as remote:
             value = remote.embed_batch(["hola"])[0, 1]
-        assert struct.pack("<d", value) == struct.pack("<d", float(text))
+        assert struct.pack("<d", value) == struct.pack("<d", float(int(text)) if integer else float(text))
+
+    @seed(34)
+    @settings(max_examples=150)
+    @given(st.integers(1, 6).flatmap(_replies))
+    def test_copy_rows_decodes_each_value_as_float_of_it(self, rows):
+        out = np.full((len(rows), len(rows[0])), np.nan)
+        expected = [[float(value) for value in row] for row in rows]
+        if not all(any(row) for row in expected):
+            with pytest.raises(ProtocolError, match="all-zero"):
+                RemoteEmbedder._copy_rows(rows, out)
+            return
+        RemoteEmbedder._copy_rows(rows, out)
+        assert [struct.pack("<d", value) for value in out.ravel()] == [
+            struct.pack("<d", value) for row in expected for value in row
+        ]
 
     def test_zero_dimension_is_protocol_error(self, embed_server):
         EmbedHandler.script = [lambda texts: {"vectors": [[] for _ in texts], "dimension": 0}]
